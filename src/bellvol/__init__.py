@@ -68,8 +68,6 @@ from .volumes import (
     quadrature_volume,
     quadrature_volume_Q,
     ratio_estimate,
-    volume_T_numeric,
-    volume_U_numeric,
 )
 from .quantum import (
     BlochDirection,

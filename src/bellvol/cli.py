@@ -41,6 +41,15 @@ def _default_workers() -> int:
     return max(1, value)
 
 
+def _abs_tol(text: str) -> float:
+    try:
+        value = float(text)
+        volumes.check_abs_tol(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+    return value
+
+
 def _parse_point(text: str, parser: argparse.ArgumentParser) -> tuple[float, ...]:
     """Accept '{"c00": ...}' JSON or inline 'c00,c01,c10,c11'."""
     text = text.strip()
@@ -153,11 +162,12 @@ def _cmd_volume(args, parser):
                          f" {region.value}")
         frac = volumes.exact_region_volume(region)
         est = volumes.VolumeEstimate(region=region.value, method="exact",
-                                     value=float(frac), std_error=0.0)
+                                     value=float(frac), std_error=0.0,
+                                     error_bound=0.0)
         record = est.as_json_record()
         record["exact"] = str(frac)
-    _emit(args, [record], ["region", "method", "value", "std_error", "n", "seed"],
-          record)
+    _emit(args, [record], ["region", "method", "value", "std_error",
+                           "error_bound", "n", "seed"], record)
     return 0
 
 
@@ -344,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=_default_workers())
     p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--abs-tol", type=float, default=1e-6)
+    p.add_argument("--abs-tol", type=_abs_tol, default=1e-6)
     add_format(p)
     p.set_defaults(func=_cmd_volume)
 

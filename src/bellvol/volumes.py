@@ -10,10 +10,14 @@ land inside it.  This module provides:
   order, so results are bit-identical for fixed seed/worker_count and do not
   depend on batch size),
 * shared-sample ratio estimators with delta-method standard errors,
-* deterministic volumes by adaptive quadrature: every region here is a slab
-  family in which the innermost coordinate integrates in closed form, and
-  the remaining three are handled by nested adaptive quadrature with an
-  explicit error budget,
+* deterministic volumes by quadrature in pair coordinates x = c00 + c11,
+  y = c00 - c11, z = c01 - c10, w = c01 + c10 (Jacobian 1/4), in which the
+  cube is |x| + |y| <= 2, |z| + |w| <= 2, C and T are |x| + |z| <= B,
+  |y| + |w| <= B, U is x^2 + z^2 <= 4, y^2 + w^2 <= 4, and Q is the L1 case
+  in arcsin coordinates with weight (cos x + cos y)(cos z + cos w)/4.  The
+  (y, w) slice has a closed-form measure; the (x, z) integral uses tensor
+  Gauss-Legendre rules on kink-aligned cells, doubling the order n until
+  orders n and 2n agree within the tolerance, and reports that difference,
 * the closed-form constants the estimates are compared against.
 
 Closed forms used as cross-checks: V_C = 32/3, V_L = 16, V_Q = 3*pi^2/2,
@@ -24,14 +28,13 @@ Irwin-Hall volume 16*(17 - 12*sqrt(2))/6).
 
 from __future__ import annotations
 
+import itertools
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from . import polytopes
 from .regions import (
@@ -92,6 +95,10 @@ class VolumeEstimate:
     ``std_error`` is the CLT standard error for Monte Carlo estimates and 0
     for deterministic methods (quadrature, exact); ``region`` is the region
     tag, or "A/B" for ratios.
+
+    ``error_bound`` is 0.0 for exact values, None for Monte Carlo, and for
+    quadrature |Q_n - Q_2n| between the Gauss-Legendre rules of order n and
+    2n where doubling stopped (``value`` is Q_2n): not a rigorous bound.
     """
 
     region: str
@@ -100,6 +107,7 @@ class VolumeEstimate:
     std_error: float
     sample_count: int | None = None
     seed: int | None = None
+    error_bound: float | None = None
 
     def as_json_record(self) -> dict:
         return {
@@ -107,6 +115,7 @@ class VolumeEstimate:
             "method": self.method,
             "value": self.value,
             "std_error": self.std_error,
+            "error_bound": self.error_bound,
             "n": self.sample_count,
             "seed": self.seed,
         }
@@ -133,6 +142,14 @@ class AnalyticConstants:
 
 def analytic_constants() -> AnalyticConstants:
     return AnalyticConstants()
+
+
+def __getattr__(name: str):
+    # bench/tracer.py patches ``volumes.integrate.quad``; scipy loads only then
+    if name == "integrate":
+        from scipy import integrate
+        return integrate
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # --------------------------------------------------------------------------
@@ -233,200 +250,181 @@ def ratio_estimate(region_a: RegionId, region_b: RegionId,
 
 
 # --------------------------------------------------------------------------
-# deterministic quadrature
+# deterministic quadrature in pair coordinates
 # --------------------------------------------------------------------------
-#
-# Every region is a "paired slab" family: after choosing the inner coordinate
-# w and ordering the outer ones (x, y, z), membership reduces to
-#
-#     |w + z| <= A(x, y),   |w - z| <= B(x, y),   |w| <= box,
-#
-# (for the linear families A = bound - |x - y|, B = bound - |x + y|; for the
-# quadratic family A, B are the circle radii sqrt(4 - (x -/+ y)^2); in arcsin
-# coordinates the weight prod cos applies and the closed form for the inner
-# integral is sin(hi) - sin(lo)).  The inner interval is closed-form, the
-# outer three dimensions use nested adaptive quadrature with breakpoints at
-# the kink loci, and the reported errors are combined into a certified bound.
-
-
-@dataclass(frozen=True)
-class _SlabFamily:
-    box: float
-    ab_of: Callable[[float, float], tuple[float, float]]
-    weighted: bool           # cos weight and sin closed form (arcsin coords)
-    mid_kink_shifts: tuple[float, ...]   # mid breakpoints at +/-x +/- shift
-    outer_kinks: tuple[float, ...]
-    scale: float = 1.0       # constant in front of the whole integral
-
-
-def _linear_family(bound: float) -> _SlabFamily:
-    return _SlabFamily(
-        box=1.0,
-        ab_of=lambda x, y: (bound - abs(x - y), bound - abs(x + y)),
-        weighted=False,
-        mid_kink_shifts=(0.0, bound - 1.0),
-        outer_kinks=(bound - 1.0,),
-    )
-
-
-def _arcsin_family(half_width: float) -> _SlabFamily:
-    half_box = math.pi / 2.0
-    return _SlabFamily(
-        box=half_box,
-        ab_of=lambda x, y: (half_width - abs(x - y), half_width - abs(x + y)),
-        weighted=True,
-        mid_kink_shifts=(0.0, half_width - half_box, half_width),
-        outer_kinks=(half_width - half_box, half_width),
-    )
-
-
-def _circle_family() -> _SlabFamily:
-    r3 = math.sqrt(3.0)
-    return _SlabFamily(
-        box=1.0,
-        ab_of=lambda x, y: (math.sqrt(max(0.0, 4.0 - (x - y) ** 2)),
-                            math.sqrt(max(0.0, 4.0 - (x + y) ** 2))),
-        weighted=False,
-        mid_kink_shifts=(0.0, r3),
-        outer_kinks=(r3 - 1.0,),
-    )
-
-
-def _paired_slab_volume(fam: _SlabFamily, abs_tol: float,
-                        exploit_symmetry: bool = True) -> float:
-    """Nested adaptive quadrature with a certified error budget.
-
-    The integrand is even in the inner-adjacent coordinate z and under the
-    joint sign flip of (x, y), so by default z and x integrate over the
-    half-interval [0, box] with multiplicity 2 each.
-    """
-    box = fam.box
-    length = 2.0 * box
-    tol_outer = abs_tol / 8.0
-    tol_mid = abs_tol / (8.0 * length)
-    tol_inner = abs_tol / (16.0 * length * length)
-    worst = {"inner": 0.0, "mid": 0.0}
-
-    def f_inner(z, a, b):
-        lo = max(-box, -a - z, z - b)
-        hi = min(box, a - z, z + b)
-        if hi <= lo:
-            return 0.0
-        if fam.weighted:
-            return math.cos(z) * (math.sin(hi) - math.sin(lo))
-        return hi - lo
-
-    z_lo = 0.0 if exploit_symmetry else -box
-    z_mult = 2.0 if exploit_symmetry else 1.0
-
-    def inner(x, y):
-        a, b = fam.ab_of(x, y)
-        if a <= 0.0 or b <= 0.0:
-            return 0.0
-        pts = sorted({p for p in (a - box, box - a, b - box, box - b,
-                                  (a - b) / 2.0, (b - a) / 2.0)
-                      if z_lo < p < box})
-        val, err = integrate.quad(f_inner, z_lo, box, args=(a, b),
-                                  epsabs=tol_inner, epsrel=1e-12, limit=200,
-                                  points=pts or None)
-        worst["inner"] = max(worst["inner"], err)
-        w = math.cos(x) * math.cos(y) if fam.weighted else 1.0
-        return z_mult * w * val
-
-    def mid(x):
-        cand = []
-        for shift in fam.mid_kink_shifts:
-            cand += (x + shift, x - shift, -x + shift, -x - shift)
-        pts = sorted({p for p in cand if -box < p < box})
-        val, err = integrate.quad(lambda y: inner(x, y), -box, box,
-                                  epsabs=tol_mid, epsrel=1e-12, limit=200,
-                                  points=pts or None)
-        worst["mid"] = max(worst["mid"], err)
-        return val
-
-    x_lo = 0.0 if exploit_symmetry else -box
-    x_mult = 2.0 if exploit_symmetry else 1.0
-    opts = sorted({p for p in fam.outer_kinks if x_lo < p < box})
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, outer_err = integrate.quad(mid, x_lo, box, epsabs=tol_outer,
-                                        epsrel=1e-12, limit=200,
-                                        points=opts or None)
-    certified = (x_mult * outer_err
-                 + length * (worst["mid"] + length * z_mult * worst["inner"]))
-    if certified > abs_tol:
-        raise ToleranceNotMet(
-            f"certified error {certified:.3e} exceeds abs_tol {abs_tol:.3e}")
-    return fam.scale * x_mult * val
-
 
 _QUADRATURE_MIN_TOL = 1e-9
+_GL_ORDERS = (8, 16, 32, 64, 128)
 
 
-def quadrature_volume(region: RegionId, abs_tol: float = 1e-6,
-                      exploit_symmetry: bool = True) -> VolumeEstimate:
-    """Deterministic volume of any of the five regions.
+def _pair_quadrature(cells, slice_fn, abs_tol: float) -> tuple[float, float]:
+    """Volume as the integral over x, z >= 0 of ``slice_fn(x, z)``, the
+    measure of the whole (y, w) slice (every region is even in each pair
+    coordinate), and its error.
 
-    For the cube the value is exact; the other four regions are slab
-    families integrated as described in the module docstring.
+    ``cells(t)`` maps Gauss-Legendre nodes t on [0, 1] to one (x, z,
+    Jacobian) triple per cell, x varying along axis 0 and z along axis 1.
+    The rule order n doubles through ``_GL_ORDERS`` until the rules of order
+    n and 2n agree within ``abs_tol``; returns Q_2n and |Q_n - Q_2n|.
     """
-    if abs_tol < _QUADRATURE_MIN_TOL:
-        raise ValueError(f"abs_tol must be >= {_QUADRATURE_MIN_TOL}")
+    def rule(n: int) -> float:
+        t, w = np.polynomial.legendre.leggauss(n)
+        t, w = 0.5 * (t + 1.0), 0.5 * w
+        return math.fsum(float(w @ (jac * slice_fn(x, z)) @ w)
+                         for x, z, jac in cells(t))
+
+    coarse = rule(_GL_ORDERS[0])
+    for n in _GL_ORDERS[1:]:
+        fine = rule(n)
+        diff = abs(fine - coarse)
+        if diff <= abs_tol:
+            return fine, diff
+        coarse = fine
+    raise ToleranceNotMet(f"Gauss-Legendre orders {n // 2} and {n} differ by"
+                          f" {diff:.3e} > abs_tol {abs_tol:.3e}")
+
+
+def _linear_cells(box: float, bound: float,
+                  kinks: Sequence[tuple[float, float]]):
+    """Cells of {0 <= x, z <= box, x + z <= bound} cut at kink lines.
+
+    ``kinks`` are lines z = c + s*x given as (c, s), s in {0, -1}; by x <-> z
+    symmetry each line z = c comes with x = c.  The x breakpoints include all
+    crossings, so between two of them consecutive lines bound a cell.
+    """
+    lines = {(0.0, 0.0), (box, 0.0), (bound, -1.0), *kinks}
+    right = min(box, bound)
+    xs = {right, *(c for c, s in lines if s == 0.0)}
+    xs.update((c2 - c1) / (s1 - s2) for (c1, s1), (c2, s2)
+              in itertools.combinations(lines, 2) if s1 != s2)
+    xs = sorted(x for x in xs if 0.0 <= x <= right)
+    cells = []
+    for x0, x1 in zip(xs, xs[1:]):
+        mid = 0.5 * (x0 + x1)
+        edges = sorted((c + s * mid, (c, s)) for c, s in lines
+                       if 0.0 <= c + s * mid <= min(box, bound - mid))
+        cells += [(x0, x1, lo, hi) for (_, lo), (_, hi) in zip(edges, edges[1:])]
+
+    def nodes(t):
+        for x0, x1, (c0, s0), (c1, s1) in cells:
+            x = x0 + (x1 - x0) * t[:, None]
+            z0, z1 = c0 + s0 * x, c1 + s1 * x
+            yield x, z0 + (z1 - z0) * t, (x1 - x0) * (z1 - z0)
+    return nodes
+
+
+def _l1_volume(bound: float, abs_tol: float) -> tuple[float, float]:
+    """C and T: the slice is |y| <= 2 - x, |w| <= 2 - z, |y| + |w| <= bound.
+
+    With a, b <= 2 <= bound the ball cuts at most the corner y + w > bound
+    off each quadrant's a-by-b rectangle, from a + b = bound (x + z = 4 - bound).
+    """
+    def area(x, z):
+        a, b = 2.0 - x, 2.0 - z
+        return 4.0 * (a * b - 0.5 * np.maximum(a + b - bound, 0.0) ** 2)
+    cells = _linear_cells(2.0, bound, [(4.0 - bound, -1.0)])
+    return _pair_quadrature(cells, area, abs_tol)
+
+
+def _disk_slice(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """U: area of |y| <= 2 - x, |w| <= 2 - z, y^2 + w^2 <= 4.
+
+    Each quadrant's a-by-b rectangle lies inside the disk when
+    a^2 + b^2 <= 4; otherwise the circle leaves it through w = b at
+    y0 = sqrt(4 - b^2) and the area is b*y0 plus the circle from y0 to a.
+    """
+    def circle(y):  # integral of sqrt(4 - t^2) from 0 to y <= 2
+        return 0.5 * (y * np.sqrt(np.maximum(4.0 - y * y, 0.0))
+                      + 4.0 * np.arcsin(np.minimum(0.5 * y, 1.0)))
+
+    a, b = 2.0 - x, 2.0 - z
+    y0 = np.sqrt(np.maximum(4.0 - b * b, 0.0))
+    cut = b * y0 + circle(a) - circle(y0)
+    return 4.0 * np.where(a * a + b * b <= 4.0, a * b, cut)
+
+
+def _disk_cells(t: np.ndarray):
+    """The quarter disk x^2 + z^2 <= 4, below and above the kink curve
+    (2 - x)^2 + (2 - z)^2 = 4; both circles run from (0, 2) to (2, 0).
+
+    x = 2 sin^2(phi) takes the square roots out of both curves at x = 0 and
+    x = 2, and z = z_kink * t^2 takes the one in y0 out at z = 0.
+    """
+    phi = 0.5 * math.pi * t[:, None]
+    s = np.sin(phi)
+    x, dx = 2.0 * s * s, math.pi * np.sin(2.0 * phi)
+    z_kink = 2.0 - 2.0 * s * np.sqrt(2.0 - s * s)
+    z_edge = 2.0 * np.cos(phi) * np.sqrt(1.0 + s * s)
+    yield x, z_kink * t * t, dx * 2.0 * z_kink * t
+    yield x, z_kink + (z_edge - z_kink) * t, dx * (z_edge - z_kink)
+
+
+def _arcsin_slice(h: float):
+    """Q: the slice |y| <= pi - x, |w| <= pi - z, |y| + |w| <= h weighted by
+    prod cos.  Its w integral is W cos z + sin W, W = min(pi - z, h - |y|),
+    flat up to y = h - (pi - z); the y integral of each piece is elementary.
+    """
+    sin_h = math.sin(h)
+
+    def weight(x, z):
+        cx, cz = np.cos(x), np.cos(z)
+        b = math.pi - z
+        y_end = np.minimum(math.pi - x, h)
+        y_kink = np.clip(h - b, 0.0, y_end)
+
+        def primitive(y):  # of (cx + cos y) * ((h - y) cz + sin(h - y))
+            r = h - y
+            return (-0.5 * cx * cz * r * r + cx * np.cos(r)
+                    + cz * (r * np.sin(y) - np.cos(y))
+                    + 0.5 * y * sin_h + 0.25 * np.cos(h - 2.0 * y))
+
+        flat = (b * cz + np.sin(b)) * (cx * y_kink + np.sin(y_kink))
+        return flat + primitive(y_end) - primitive(y_kink)
+    return weight
+
+
+def check_abs_tol(abs_tol: float) -> None:
+    """Raise ValueError unless the quadrature can honour ``abs_tol``."""
+    if not (math.isfinite(abs_tol) and abs_tol >= _QUADRATURE_MIN_TOL):
+        raise ValueError(f"abs_tol must be finite and >= {_QUADRATURE_MIN_TOL}")
+
+
+def quadrature_volume(region: RegionId, abs_tol: float = 1e-6) -> VolumeEstimate:
+    """Deterministic volume of any of the five regions (exact for the cube)."""
+    check_abs_tol(abs_tol)
+    if region is RegionId.QUANTUM_Q:
+        return quadrature_volume_Q(abs_tol)
     if region is RegionId.NO_SIGNALING_L:
-        value = 16.0
+        value, err = 16.0, 0.0
     elif region is RegionId.LOCAL_C:
-        value = _paired_slab_volume(_linear_family(2.0), abs_tol, exploit_symmetry)
+        value, err = _l1_volume(2.0, abs_tol)
     elif region is RegionId.TSIRELSON_T:
-        value = _paired_slab_volume(_linear_family(2.0 * SQRT2), abs_tol,
-                                    exploit_symmetry)
+        value, err = _l1_volume(2.0 * SQRT2, abs_tol)
     elif region is RegionId.UFFINK_U:
-        value = _paired_slab_volume(_circle_family(), abs_tol, exploit_symmetry)
-    elif region is RegionId.QUANTUM_Q:
-        value = _paired_slab_volume(_arcsin_family(math.pi), abs_tol,
-                                    exploit_symmetry)
+        value, err = _pair_quadrature(_disk_cells, _disk_slice, abs_tol)
     else:
         raise ValueError(f"unknown region {region!r}")
     return VolumeEstimate(region=region.value, method="quadrature",
-                          value=value, std_error=0.0)
+                          value=value, std_error=0.0, error_bound=err)
 
 
-def quadrature_volume_Q(abs_tol: float = 1e-6, half_width: float = math.pi,
-                        exploit_symmetry: bool = True) -> VolumeEstimate:
+def quadrature_volume_Q(abs_tol: float = 1e-6,
+                        half_width: float = math.pi) -> VolumeEstimate:
     """Quantum-set volume in arcsin coordinates.
 
     The substitution s_ij = arcsin(c_ij) turns the membership condition into
-    the linear slab family |sum(s) - 2 s_ij| <= pi with weight prod cos(s);
-    the inner coordinate integrates to sin(hi) - sin(lo) in closed form.
-    ``half_width`` replaces pi in the slab family (0 collapses the region).
+    |sum(s) - 2 s_ij| <= pi on the box |s_ij| <= pi/2 with weight
+    prod cos(s).  ``half_width`` h replaces pi (0 collapses the region).  In
+    pair coordinates of s the slice weight kinks at x = pi - h and
+    z = pi - h; its third kink, x + z = 2 pi - h, lies outside x + z <= h.
     """
-    if abs_tol < _QUADRATURE_MIN_TOL:
-        raise ValueError(f"abs_tol must be >= {_QUADRATURE_MIN_TOL}")
+    check_abs_tol(abs_tol)
     if not 0.0 <= half_width <= math.pi:
         raise ValueError("half_width must be in [0, pi]")
-    value = _paired_slab_volume(_arcsin_family(half_width), abs_tol,
-                                exploit_symmetry)
+    cells = _linear_cells(math.pi, half_width, [(math.pi - half_width, 0.0)])
+    value, err = _pair_quadrature(cells, _arcsin_slice(half_width), abs_tol)
     return VolumeEstimate(region=RegionId.QUANTUM_Q.value, method="quadrature",
-                          value=value, std_error=0.0)
-
-
-def volume_T_numeric(cfg: EstimatorConfig | None = None, method: str = "mc",
-                     abs_tol: float = 1e-7) -> VolumeEstimate:
-    """Volume of the linear-bound region, Monte Carlo by default."""
-    if method == "mc":
-        return mc_volume(RegionId.TSIRELSON_T, cfg)
-    if method == "quadrature":
-        return quadrature_volume(RegionId.TSIRELSON_T, abs_tol)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def volume_U_numeric(cfg: EstimatorConfig | None = None, method: str = "mc",
-                     abs_tol: float = 1e-7) -> VolumeEstimate:
-    """Volume of the quadratic two-circle region, Monte Carlo by default."""
-    if method == "mc":
-        return mc_volume(RegionId.UFFINK_U, cfg)
-    if method == "quadrature":
-        return quadrature_volume(RegionId.UFFINK_U, abs_tol)
-    raise ValueError(f"unknown method {method!r}")
+                          value=value, std_error=0.0, error_bound=err)
 
 
 def exact_region_volume(region: RegionId) -> Fraction:

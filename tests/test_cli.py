@@ -78,6 +78,7 @@ class TestVolume:
         obj = json.loads(out)
         assert obj["exact"] == "32/3"
         assert obj["value"] == pytest.approx(32.0 / 3.0)
+        assert obj["error_bound"] == 0.0
 
     def test_exact_rejected_for_quantum_region(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -98,6 +99,15 @@ class TestVolume:
         assert code == 0
         obj = json.loads(out)
         assert obj["value"] == pytest.approx(1.5 * math.pi ** 2, abs=1e-6)
+        assert 0.0 <= obj["error_bound"] <= 1e-6
+
+    @pytest.mark.parametrize("abs_tol", ["nan", "inf", "0", "1e-10"])
+    def test_abs_tol_outside_contract_is_usage_error(self, capsys, abs_tol):
+        with pytest.raises(SystemExit) as err:
+            main(["volume", "--region", "Q", "--method", "quadrature",
+                  "--abs-tol", abs_tol])
+        assert err.value.code == 2
+        assert "--abs-tol" in capsys.readouterr().err
 
     def test_workers_env_default(self, capsys, monkeypatch):
         monkeypatch.setenv("BELLVOL_WORKERS", "2")

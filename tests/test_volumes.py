@@ -1,9 +1,13 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bellvol import volumes
 from bellvol.regions import RegionId, region_mask
 from bellvol.volumes import (
     V_T_CLOSED_FORM,
@@ -20,17 +24,47 @@ from bellvol.volumes import (
     quadrature_volume,
     quadrature_volume_Q,
     ratio_estimate,
-    volume_T_numeric,
-    volume_U_numeric,
 )
 
 V_Q = 1.5 * math.pi ** 2
 V_C = 32.0 / 3.0
 
-# Quadrature reference for the quadratic two-circle region, frozen from two
-# independent parameterizations of the integral agreeing to 1e-10; the Monte
-# Carlo cross-check below guards it independently.
-V_U_REFERENCE = 15.19763158
+# Volume of the quadratic two-circle region; recomputed with mpmath in
+# test_circle_region_volume_reference, and guarded by Monte Carlo below.
+V_U_REFERENCE = 15.197631581540050
+
+
+def _v_u_mpmath(dps: int = 20):
+    """V_U by mpmath.quad.  In pair coordinates x = c00 + c11,
+    y = c00 - c11, z = c01 - c10, w = c01 + c10 (Jacobian 1/4) U is the pair
+    of disks x^2 + z^2 <= 4, y^2 + w^2 <= 4 inside |x| + |y| <= 2,
+    |z| + |w| <= 2.  The (y, w) slice area is closed form; the (x, z)
+    integral over the quarter disk is split where the slice's corner
+    (2 - x, 2 - z) crosses the circle."""
+    with mpmath.workdps(dps):
+        def prim(y):  # integral of sqrt(4 - t^2) from 0 to y
+            return (y * mpmath.sqrt(4 - y * y) + 4 * mpmath.asin(y / 2)) / 2
+
+        def area(x, z):
+            a, b = 2 - x, 2 - z
+            if a * a + b * b <= 4:
+                return 4 * a * b
+            y0 = mpmath.sqrt(4 - b * b)
+            return 4 * (b * y0 + prim(a) - prim(y0))
+
+        def over_z(x):
+            kink = 2 - mpmath.sqrt(4 * x - x * x)
+            return mpmath.quad(lambda z: area(x, z),
+                               [0, kink, mpmath.sqrt(4 - x * x)])
+
+        return mpmath.quad(over_z, [0, 2])
+
+
+def _v_q_diamonds(h: float) -> float:
+    """V_Q with half-width h <= pi/2: the box is inactive, and in arcsin
+    pair coordinates the region is a product of two L1 diamonds of radius h
+    weighted by (cos x + cos y)(cos z + cos w)/4."""
+    return h ** 3 * math.sin(h) / 2.0 + 2.0 * (1.0 - math.cos(h)) ** 2
 
 
 class TestEstimatorConfig:
@@ -82,8 +116,10 @@ class TestMcVolume:
     def test_json_record_fields(self):
         est = mc_volume(RegionId.LOCAL_C, EstimatorConfig(sample_count=1000, seed=1))
         rec = est.as_json_record()
-        assert set(rec) == {"region", "method", "value", "std_error", "n", "seed"}
+        assert set(rec) == {"region", "method", "value", "std_error",
+                            "error_bound", "n", "seed"}
         assert rec["region"] == "C" and rec["method"] == "monte-carlo"
+        assert rec["error_bound"] is None
 
 
 class TestReproducibility:
@@ -163,9 +199,26 @@ class TestCltCalibration:
 
 class TestQuadrature:
     def test_quantum_volume_hits_closed_form(self):
-        est = quadrature_volume_Q(abs_tol=1e-6)
+        est = quadrature_volume_Q(abs_tol=1e-9)
         assert est.method == "quadrature" and est.std_error == 0.0
-        assert abs(est.value - V_Q) <= 1e-6
+        assert abs(est.value - V_Q) <= 1e-9
+        assert est.error_bound <= 1e-9
+
+    @settings(deadline=None)
+    @given(st.floats(0.0, math.pi / 2.0))
+    def test_small_half_width_matches_diamond_product(self, h):
+        est = quadrature_volume_Q(abs_tol=1e-9, half_width=h)
+        assert abs(est.value - _v_q_diamonds(h)) <= 1e-9
+        assert est.error_bound <= 1e-9
+
+    @settings(deadline=None)
+    @given(st.floats(0.0, math.pi), st.floats(0.0, math.pi))
+    def test_volume_non_decreasing_in_half_width(self, h1, h2):
+        lo, hi = sorted((h1, h2))
+        tol = 1e-9
+        v_lo = quadrature_volume_Q(abs_tol=tol, half_width=lo).value
+        v_hi = quadrature_volume_Q(abs_tol=tol, half_width=hi).value
+        assert v_lo <= v_hi + 2.0 * tol
 
     def test_halving_tolerance_is_stable(self):
         tol = 1e-4
@@ -178,33 +231,50 @@ class TestQuadrature:
     def test_degenerate_slab_width_gives_zero(self):
         assert quadrature_volume_Q(abs_tol=1e-6, half_width=0.0).value == 0.0
 
-    def test_symmetry_cell_decomposition_matches_full_domain(self):
-        reduced = quadrature_volume_Q(abs_tol=1e-5, exploit_symmetry=True).value
-        full = quadrature_volume_Q(abs_tol=1e-5, exploit_symmetry=False).value
-        assert abs(reduced - full) <= 2e-5
-
     def test_rejects_too_small_tolerance(self):
         with pytest.raises(ValueError):
             quadrature_volume_Q(abs_tol=1e-10)
 
+    @pytest.mark.parametrize("call", [
+        lambda: quadrature_volume_Q(abs_tol=math.nan),
+        lambda: quadrature_volume_Q(abs_tol=math.inf),
+        lambda: quadrature_volume_Q(half_width=math.nan),
+        lambda: quadrature_volume(RegionId.UFFINK_U, abs_tol=math.nan),
+        lambda: quadrature_volume(RegionId.NO_SIGNALING_L, abs_tol=math.inf),
+    ])
+    def test_rejects_non_finite_input(self, call):
+        with pytest.raises(ValueError):
+            call()
+
+    def test_order_cap_raises(self, monkeypatch):
+        # U needs order 32 to certify 1e-9; a cap of 16 must refuse
+        monkeypatch.setattr(volumes, "_GL_ORDERS", (8, 16))
+        with pytest.raises(ToleranceNotMet):
+            quadrature_volume(RegionId.UFFINK_U, abs_tol=1e-9)
+
     def test_local_volume_exact(self):
-        est = quadrature_volume(RegionId.LOCAL_C, abs_tol=1e-7)
-        assert abs(est.value - V_C) <= 1e-7
+        est = quadrature_volume(RegionId.LOCAL_C, abs_tol=1e-9)
+        assert abs(est.value - V_C) <= 1e-9
+        assert est.error_bound <= 1e-9
 
     def test_cube_volume(self):
-        assert quadrature_volume(RegionId.NO_SIGNALING_L).value == 16.0
+        est = quadrature_volume(RegionId.NO_SIGNALING_L)
+        assert est.value == 16.0 and est.error_bound == 0.0
 
     def test_linear_bound_volume_matches_corner_cut_formula(self):
         # Independent oracle: the eight violation regions |S - 2c_ij| > 2√2
         # are pairwise disjoint (any two bounds cannot be exceeded at once),
         # and each equals the Irwin-Hall tail 16*(17 - 12*sqrt(2))/6, so
         # V_T = 16 - 8*16*(17 - 12*sqrt(2))/6 = (768*sqrt(2) - 1040)/3.
-        est = quadrature_volume(RegionId.TSIRELSON_T, abs_tol=1e-7)
-        assert abs(est.value - V_T_CLOSED_FORM) <= 1e-7
+        est = quadrature_volume(RegionId.TSIRELSON_T, abs_tol=1e-9)
+        assert abs(est.value - V_T_CLOSED_FORM) <= 1e-9
+        assert est.error_bound <= 1e-9
 
     def test_circle_region_volume_reference(self):
-        est = quadrature_volume(RegionId.UFFINK_U, abs_tol=1e-7)
-        assert abs(est.value - V_U_REFERENCE) <= 1e-6
+        assert abs(float(_v_u_mpmath()) - V_U_REFERENCE) <= 1e-14
+        est = quadrature_volume(RegionId.UFFINK_U, abs_tol=1e-9)
+        assert abs(est.value - V_U_REFERENCE) <= 1e-9
+        assert est.error_bound <= 1e-9
 
     def test_circle_region_against_monte_carlo(self):
         quad = quadrature_volume(RegionId.UFFINK_U, abs_tol=1e-7)
@@ -216,19 +286,19 @@ class TestQuadrature:
 class TestNumericTU:
     def test_mc_default(self):
         cfg = EstimatorConfig(sample_count=200_000, seed=13)
-        t = volume_T_numeric(cfg)
-        u = volume_U_numeric(cfg)
+        t = mc_volume(RegionId.TSIRELSON_T, cfg)
+        u = mc_volume(RegionId.UFFINK_U, cfg)
         assert t.method == "monte-carlo" and u.method == "monte-carlo"
         assert abs(t.value / 16.0 - 0.961) < 0.01
         assert abs(u.value / 16.0 - 0.950) < 0.01
 
     def test_quadrature_option(self):
-        t = volume_T_numeric(method="quadrature", abs_tol=1e-7)
+        t = quadrature_volume(RegionId.TSIRELSON_T, abs_tol=1e-7)
         assert abs(t.value - V_T_CLOSED_FORM) <= 1e-7
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
-            volume_T_numeric(method="bogus")
+            quadrature_volume("bogus")
 
     @pytest.mark.parametrize("seed", [0, 5, 9])
     def test_quadratic_region_dominated_by_linear_region(self, seed):
