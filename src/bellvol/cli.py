@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 
@@ -32,13 +33,35 @@ _REGION_BY_LETTER = {r.value: r for r in RegionId}
 _POINT_KEYS = ("c00", "c01", "c10", "c11")
 
 
-def _default_workers() -> int:
+def _integer(low: int, high: int | None = None):
+    """An argparse type accepting the integers in [low, high)."""
+    bounds = f">= {low}" if high is None else f"in [{low}, {high})"
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not an integer: {text!r}") from None
+        if value < low or (high is not None and value >= high):
+            raise argparse.ArgumentTypeError(f"must be {bounds}, got {value}")
+        return value
+    return parse
+
+
+_count = _integer(1)  # sample counts, workers, batch sizes
+_seed = _integer(0, 2 ** 64)
+
+
+def _workers_from_env(args, parser: argparse.ArgumentParser) -> None:
+    """Fill an unset --workers from BELLVOL_WORKERS (default 1)."""
+    if getattr(args, "workers", 0) is not None:
+        return
     raw = os.environ.get("BELLVOL_WORKERS", "1")
     try:
-        value = int(raw)
-    except ValueError:
-        value = 1
-    return max(1, value)
+        args.workers = _count(raw)
+    except argparse.ArgumentTypeError as exc:
+        parser.error(f"environment variable BELLVOL_WORKERS: {exc}")
 
 
 def _abs_tol(text: str) -> float:
@@ -71,16 +94,21 @@ def _parse_point(text: str, parser: argparse.ArgumentParser) -> tuple[float, ...
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 parser.error(f"point field '{key}' is not a number")
             vals.append(float(v))
-        return tuple(vals)
-    parts = text.split(",")
-    if len(parts) != 4:
-        parser.error("inline point must be 'c00,c01,c10,c11'")
-    vals = []
-    for key, part in zip(_POINT_KEYS, parts):
-        try:
-            vals.append(float(part))
-        except ValueError:
-            parser.error(f"point field '{key}' is not a number: {part!r}")
+    else:
+        parts = text.split(",")
+        if len(parts) != 4:
+            parser.error("inline point must be 'c00,c01,c10,c11'")
+        vals = []
+        for key, part in zip(_POINT_KEYS, parts):
+            try:
+                vals.append(float(part))
+            except ValueError:
+                parser.error(f"point field '{key}' is not a number: {part!r}")
+    for key, v in zip(_POINT_KEYS, vals):
+        if not math.isfinite(v):
+            parser.error(f"point field '{key}' is not finite: {v!r}")
+        if not -1.0 <= v <= 1.0:
+            parser.error(f"point field '{key}' is outside [-1, 1]: {v!r}")
     return tuple(vals)
 
 
@@ -350,18 +378,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--region", required=True, choices=sorted(_REGION_BY_LETTER))
     p.add_argument("--method", choices=("mc", "quadrature", "exact"),
                    default="mc")
-    p.add_argument("--n", type=int, default=10_000_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=_default_workers())
-    p.add_argument("--batch-size", type=int, default=None)
+    p.add_argument("--n", type=_count, default=10_000_000)
+    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--workers", type=_count, default=None)
+    p.add_argument("--batch-size", type=_count, default=None)
     p.add_argument("--abs-tol", type=_abs_tol, default=1e-6)
     add_format(p)
     p.set_defaults(func=_cmd_volume)
 
     p = sub.add_parser("ratios", help="headline volume/ratio table")
-    p.add_argument("--n", type=int, default=10_000_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--n", type=_count, default=10_000_000)
+    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--workers", type=_count, default=None)
     add_format(p)
     p.set_defaults(func=_cmd_ratios)
 
@@ -379,8 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample-quantum",
                        help="sample quantum points as JSON lines")
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=_count, default=100)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_sample_quantum)
 
     p = sub.add_parser("distance", help="toggle distance between two points")
@@ -394,6 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _workers_from_env(args, parser)
     try:
         return args.func(args, parser)
     except (volumes.ToleranceNotMet, volumes.DegenerateDenominator,

@@ -18,12 +18,15 @@ Every oracle returns a :class:`MembershipResult` carrying the signed slack
 margin, i.e. the minimum over the region's constraints of (bound - value).
 All sets are closed; a point is inside iff margin >= -tol.
 
-Scalar oracles are pure Python; the ``region_margins`` / ``region_mask``
-helpers evaluate the same formulas vectorized over an (n, 4) array.
+Scalar oracles are pure Python.  The vector formulas are column kernels on a
+(4, m) array, one coordinate per row: ``column_margins`` scores a batch
+against several regions at once, and ``region_margins`` / ``region_mask``
+apply the same kernels to the rows of an (n, 4) array.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -306,61 +309,112 @@ def membership_profile(p: PointLike, tol: float = DEFAULT_TOLERANCE) -> Membersh
 
 
 # --------------------------------------------------------------------------
-# vectorized margins (same formulas on an (n, 4) array)
+# column kernels: each region's vector formula once, on a (4, m) array
 # --------------------------------------------------------------------------
 
-def _chsh_max_abs(pts: np.ndarray) -> np.ndarray:
-    s = pts.sum(axis=1)
-    return np.abs(s[:, None] - 2.0 * pts).max(axis=1)
+class _Columns:
+    """A (4, m) batch of points, one coordinate per row.
+
+    The per-point sum S, minimum and maximum are computed at most once and
+    shared by the C, T and L kernels.
+    """
+
+    def __init__(self, cols: np.ndarray):
+        self.cols = cols
+
+    @functools.cached_property
+    def total(self) -> np.ndarray:
+        c00, c01, c10, c11 = self.cols
+        return c00 + c01 + c10 + c11
+
+    @functools.cached_property
+    def low(self) -> np.ndarray:
+        return self.cols.min(axis=0)
+
+    @functools.cached_property
+    def high(self) -> np.ndarray:
+        return self.cols.max(axis=0)
+
+    @functools.cached_property
+    def chsh_max_abs(self) -> np.ndarray:
+        """max_ij |S - 2 c_ij| as max(S - 2 min c, 2 max c - S).
+
+        S - 2c is decreasing in c and rounding is monotone, so the identity
+        holds exactly in floating point.
+        """
+        return np.maximum(self.total - 2.0 * self.low,
+                          2.0 * self.high - self.total)
+
+
+def _quantum_kernel(characterization: QCharacterization,
+                    batch: _Columns) -> np.ndarray:
+    cols = batch.cols
+    if characterization is QCharacterization.ARCSIN:
+        arcsin = _Columns(np.arcsin(np.clip(cols, -1.0, 1.0)))
+        return math.pi - arcsin.chsh_max_abs
+    c00, c01, c10, c11 = cols
+    if characterization is QCharacterization.LANDAU:
+        lhs = np.abs(c00 * c01 - c10 * c11)
+        one = np.clip(1.0 - cols * cols, 0.0, None)
+        return np.sqrt(one[0] * one[1]) + np.sqrt(one[2] * one[3]) - lhs
+    if characterization is QCharacterization.SEXTIC:
+        triple = ((c01 * c10 - c00 * c11) * (c00 * c01 - c10 * c11)
+                  * (c00 * c10 - c01 * c11))
+        sq = cols * cols
+        sum_sq = sq.sum(axis=0)
+        prod = c00 * c01 * c10 * c11
+        quartic = 0.25 * sum_sq ** 2 - 0.5 * (sq * sq).sum(axis=0) - 2.0 * prod
+        margin_a = np.minimum(triple, quartic - triple)
+        max_sq = sq.max(axis=0)
+        margin_b = 2.0 * max_sq ** 2 - max_sq * sum_sq + 2.0 * prod
+        return np.maximum(margin_a, margin_b)
+    raise ValueError(f"unknown characterization {characterization!r}")
+
+
+def _region_kernel(region: RegionId, batch: _Columns,
+                   characterization: QCharacterization) -> np.ndarray:
+    if region is RegionId.LOCAL_C:
+        return 2.0 - batch.chsh_max_abs
+    if region is RegionId.TSIRELSON_T:
+        return TSIRELSON_BOUND - batch.chsh_max_abs
+    if region is RegionId.NO_SIGNALING_L:
+        return 1.0 - np.maximum(batch.high, -batch.low)
+    if region is RegionId.UFFINK_U:
+        c00, c01, c10, c11 = batch.cols
+        lhs1 = (c00 + c11) ** 2 + (c01 - c10) ** 2
+        lhs2 = (c00 - c11) ** 2 + (c01 + c10) ** 2
+        return 4.0 - np.maximum(lhs1, lhs2)
+    if region is RegionId.QUANTUM_Q:
+        return _quantum_kernel(characterization, batch)
+    raise ValueError(f"unknown region {region!r}")
+
+
+def column_margins(regions: Sequence[RegionId], cols: np.ndarray,
+                   characterization: QCharacterization = QCharacterization.ARCSIN
+                   ) -> list[np.ndarray]:
+    """Signed margins of each of ``regions`` for each column of a (4, m)
+    array, with the work the kernels have in common done once."""
+    batch = _Columns(cols)
+    return [_region_kernel(r, batch, characterization) for r in regions]
+
+
+def _as_columns(pts) -> np.ndarray:
+    pts = np.asarray(pts, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != 4:
+        raise ValueError(f"expected (n, 4) array, got {pts.shape}")
+    return np.ascontiguousarray(pts.T)
 
 
 def region_margins(region: RegionId, pts: np.ndarray,
                    characterization: QCharacterization = QCharacterization.ARCSIN
                    ) -> np.ndarray:
     """Signed margins of ``region`` for each row of an (n, 4) array."""
-    pts = np.asarray(pts, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 4:
-        raise ValueError(f"expected (n, 4) array, got {pts.shape}")
-    if region is RegionId.LOCAL_C:
-        return 2.0 - _chsh_max_abs(pts)
-    if region is RegionId.TSIRELSON_T:
-        return TSIRELSON_BOUND - _chsh_max_abs(pts)
-    if region is RegionId.NO_SIGNALING_L:
-        return 1.0 - np.abs(pts).max(axis=1)
-    if region is RegionId.UFFINK_U:
-        lhs1 = (pts[:, 0] + pts[:, 3]) ** 2 + (pts[:, 1] - pts[:, 2]) ** 2
-        lhs2 = (pts[:, 0] - pts[:, 3]) ** 2 + (pts[:, 1] + pts[:, 2]) ** 2
-        return 4.0 - np.maximum(lhs1, lhs2)
-    if region is RegionId.QUANTUM_Q:
-        return quantum_margins(characterization, pts)
-    raise ValueError(f"unknown region {region!r}")
+    return column_margins([region], _as_columns(pts), characterization)[0]
 
 
 def quantum_margins(characterization: QCharacterization, pts: np.ndarray) -> np.ndarray:
     """Vectorized quantum margins under one characterization."""
-    pts = np.asarray(pts, dtype=np.float64)
-    if characterization is QCharacterization.ARCSIN:
-        s = np.arcsin(np.clip(pts, -1.0, 1.0))
-        total = s.sum(axis=1)
-        return math.pi - np.abs(total[:, None] - 2.0 * s).max(axis=1)
-    if characterization is QCharacterization.LANDAU:
-        lhs = np.abs(pts[:, 0] * pts[:, 1] - pts[:, 2] * pts[:, 3])
-        one = np.clip(1.0 - pts * pts, 0.0, None)
-        rhs = np.sqrt(one[:, 0] * one[:, 1]) + np.sqrt(one[:, 2] * one[:, 3])
-        return rhs - lhs
-    if characterization is QCharacterization.SEXTIC:
-        c00, c01, c10, c11 = (pts[:, k] for k in range(4))
-        triple = ((c01 * c10 - c00 * c11) * (c00 * c01 - c10 * c11)
-                  * (c00 * c10 - c01 * c11))
-        sq = pts * pts
-        sum_sq = sq.sum(axis=1)
-        prod = pts.prod(axis=1)
-        quartic = 0.25 * sum_sq ** 2 - 0.5 * (sq * sq).sum(axis=1) - 2.0 * prod
-        margin_a = np.minimum(triple, quartic - triple)
-        max_sq = sq.max(axis=1)
-        margin_b = 2.0 * max_sq ** 2 - max_sq * sum_sq + 2.0 * prod
-        return np.maximum(margin_a, margin_b)
-    raise ValueError(f"unknown characterization {characterization!r}")
+    return _quantum_kernel(characterization, _Columns(_as_columns(pts)))
 
 
 def region_mask(region: RegionId, pts: np.ndarray, tol: float = DEFAULT_TOLERANCE,

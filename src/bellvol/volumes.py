@@ -5,11 +5,12 @@ by the per-experiment toggle cost, see :mod:`bellvol.toggles`), the volume of
 a region is 16 times the probability that four independent uniform draws
 land inside it.  This module provides:
 
-* hit-or-miss Monte Carlo volumes with reproducible counter-based parallel
-  streams (one Philox substream per (seed, worker) pair, reduced in worker
-  order, so results are bit-identical for fixed seed/worker_count and do not
-  depend on batch size),
-* shared-sample ratio estimators with delta-method standard errors,
+* hit-or-miss Monte Carlo volumes and shared-sample ratios (delta-method
+  errors), all read off one histogram of per-point membership codes made
+  in one pass over the stream by ``score_stream``.  The stream is one
+  Philox substream per (seed, worker), scored in up to os.cpu_count()
+  processes; integer histograms sum alike in any order, so results are
+  bit-identical for fixed seed/worker_count at any batch size,
 * deterministic volumes by quadrature in pair coordinates x = c00 + c11,
   y = c00 - c11, z = c01 - c10, w = c01 + c10 (Jacobian 1/4), in which the
   cube is |x| + |y| <= 2, |z| + |w| <= 2, C and T are |x| + |z| <= B,
@@ -30,19 +31,16 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import polytopes
-from .regions import (
-    DEFAULT_TOLERANCE,
-    QCharacterization,
-    RegionId,
-    region_mask,
-)
+from .regions import DEFAULT_TOLERANCE, RegionId, column_margins
+from .regions import region_mask  # noqa: F401  read by bench/tracer.py
 
 SQRT2 = math.sqrt(2.0)
 
@@ -63,10 +61,10 @@ class EstimatorConfig:
     """Sampling parameters for the Monte Carlo estimators.
 
     ``worker_count`` partitions the sample budget into independent
-    counter-based substreams keyed by (seed, worker index); partial hit
-    counts are reduced in worker order, so estimates are bit-identical for
-    fixed (seed, worker_count, sample_count) regardless of scheduling or
-    batch size.
+    counter-based substreams keyed by (seed, worker index); their integer
+    histograms are summed, so estimates are bit-identical for fixed (seed,
+    worker_count, sample_count) regardless of scheduling or batch size.
+    ``batch_size`` (default min(65536, sample_count)) bounds memory.
     """
 
     sample_count: int = 10_000_000
@@ -83,7 +81,7 @@ class EstimatorConfig:
             raise ValueError("worker_count must be >= 1")
         if self.batch_size is None:
             object.__setattr__(self, "batch_size",
-                               min(1_000_000, self.sample_count))
+                               min(65_536, self.sample_count))
         if not 1 <= self.batch_size <= self.sample_count:
             raise ValueError("batch_size must be in [1, sample_count]")
 
@@ -156,48 +154,76 @@ def __getattr__(name: str):
 # Monte Carlo engine
 # --------------------------------------------------------------------------
 
-def _worker_shares(cfg: EstimatorConfig) -> list[int]:
+def _score_substreams(cfg: EstimatorConfig, regions: tuple[RegionId, ...],
+                      tol: float, workers: range) -> np.ndarray:
+    """Membership-code histogram of the substreams of ``workers``.
+
+    Worker w draws its share of the sample budget from Philox keyed by
+    (seed, w), ``batch_size`` points at a time, exactly as
+    ``2 * random((m, 4)) - 1``; the batch is scored in column layout.
+    """
     base, extra = divmod(cfg.sample_count, cfg.worker_count)
-    return [base + (1 if w < extra else 0) for w in range(cfg.worker_count)]
-
-
-def _worker_generator(seed: int, worker: int) -> np.random.Generator:
-    key = np.array([seed, worker], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
-def _iter_sample_batches(cfg: EstimatorConfig):
-    for worker, share in enumerate(_worker_shares(cfg)):
-        gen = _worker_generator(cfg.seed, worker)
-        remaining = share
+    hist = np.zeros(1 << len(regions), dtype=np.int64)
+    for worker in workers:
+        remaining = base + (worker < extra)
+        if remaining == 0:
+            break  # shares do not grow with the worker index
+        key = np.array([cfg.seed, worker], dtype=np.uint64)
+        gen = np.random.Generator(np.random.Philox(key=key))
         while remaining > 0:
             m = min(cfg.batch_size, remaining)
-            yield 2.0 * gen.random((m, 4)) - 1.0
+            cols = np.multiply(gen.random((m, 4)).T, 2.0, order="C")
+            cols -= 1.0
+            code = np.zeros(m, dtype=np.uint8)
+            for bit, margin in enumerate(column_margins(regions, cols)):
+                code |= (margin >= -tol).view(np.uint8) << bit
+            hist += np.bincount(code, minlength=len(hist))
             remaining -= m
+    return hist
 
 
-MaskFn = Callable[[np.ndarray], np.ndarray]
+def score_stream(cfg: EstimatorConfig, regions: Sequence[RegionId],
+                 tol: float = DEFAULT_TOLERANCE) -> np.ndarray:
+    """One pass over the sample stream against up to eight regions.
+
+    Bit k of a point's membership code is set when the point lies in
+    ``regions[k]``; entry c of the returned int64 array counts the points
+    with code c, so the entries sum to ``cfg.sample_count``.  With
+    ``worker_count`` > 1 the substreams are split into contiguous ranges,
+    one per process, over min(worker_count, os.cpu_count()) processes.
+    """
+    regions = tuple(regions)
+    if len(regions) > 8:
+        raise ValueError("score_stream takes at most 8 regions")
+    procs = min(cfg.worker_count, os.cpu_count() or 1)
+    if procs == 1:
+        return _score_substreams(cfg, regions, tol, range(cfg.worker_count))
+    import multiprocessing
+    import threading
+    from concurrent.futures import ProcessPoolExecutor
+
+    # A forked child inherits the loaded numpy and bellvol, where a spawned
+    # one starts an interpreter (~0.1 s).  Fork is unsafe once other threads
+    # may hold locks, so spawn is the fallback.
+    fork = (threading.active_count() == 1
+            and "fork" in multiprocessing.get_all_start_methods())
+    context = multiprocessing.get_context("fork" if fork else "spawn")
+    cuts = [cfg.worker_count * k // procs for k in range(procs + 1)]
+    with ProcessPoolExecutor(procs, mp_context=context) as pool:
+        parts = [pool.submit(_score_substreams, cfg, regions, tol, range(a, b))
+                 for a, b in zip(cuts, cuts[1:])]
+        return sum(part.result() for part in parts)
 
 
-def count_hits(cfg: EstimatorConfig, predicates: Sequence[MaskFn]) -> np.ndarray:
-    """Hit counts of each predicate on one shared uniform stream."""
-    counts = np.zeros(len(predicates), dtype=np.int64)
-    for pts in _iter_sample_batches(cfg):
-        for k, fn in enumerate(predicates):
-            counts[k] += int(fn(pts).sum())
-    return counts
+def _hits(hist: np.ndarray, *bits: int) -> int:
+    """Points inside every region whose bit index is given."""
+    want = sum(1 << b for b in bits)
+    return int(hist[(np.arange(len(hist)) & want) == want].sum())
 
 
-def _region_predicate(region: RegionId, tol: float) -> MaskFn:
-    return lambda pts: region_mask(region, pts, tol)
-
-
-def mc_volume(region: RegionId, cfg: EstimatorConfig | None = None,
-              tol: float = DEFAULT_TOLERANCE) -> VolumeEstimate:
-    """Hit-or-miss volume: 16 * (hits / n) on uniform draws from the cube."""
-    cfg = cfg or EstimatorConfig()
+def _volume_from_hits(region: RegionId, hits: int,
+                      cfg: EstimatorConfig) -> VolumeEstimate:
     n = cfg.sample_count
-    hits = int(count_hits(cfg, [_region_predicate(region, tol)])[0])
     p = hits / n
     return VolumeEstimate(
         region=region.value,
@@ -209,11 +235,21 @@ def mc_volume(region: RegionId, cfg: EstimatorConfig | None = None,
     )
 
 
-def _ratio_with_error(n: int, n_a: int, n_b: int, n_ab: int) -> tuple[float, float]:
-    """Shared-stream ratio n_a/n_b with the correlated-binomial delta method."""
+def mc_volume(region: RegionId, cfg: EstimatorConfig | None = None,
+              tol: float = DEFAULT_TOLERANCE) -> VolumeEstimate:
+    """Hit-or-miss volume: 16 * (hits / n) on uniform draws from the cube."""
+    cfg = cfg or EstimatorConfig()
+    hits = int(score_stream(cfg, [region], tol)[1])
+    return _volume_from_hits(region, hits, cfg)
+
+
+def _ratio_with_error(hist: np.ndarray, a: int, b: int) -> tuple[float, float]:
+    """Shared-stream ratio of the hits of bits a and b, with the
+    correlated-binomial delta method."""
+    n, n_a, n_b = int(hist.sum()), _hits(hist, a), _hits(hist, b)
     if n_b == 0:
         raise DegenerateDenominator("no hits in the denominator region")
-    p_a, p_b, p_ab = n_a / n, n_b / n, n_ab / n
+    p_a, p_b, p_ab = n_a / n, n_b / n, _hits(hist, a, b) / n
     ratio = n_a / n_b
     cov = p_ab - p_a * p_b
     var = (p_a * (1.0 - p_a) - 2.0 * ratio * cov
@@ -230,15 +266,8 @@ def ratio_estimate(region_a: RegionId, region_b: RegionId,
     term of the delta-method standard error.
     """
     cfg = cfg or EstimatorConfig()
-    fa = _region_predicate(region_a, tol)
-    fb = _region_predicate(region_b, tol)
-    n_a = n_b = n_ab = 0
-    for pts in _iter_sample_batches(cfg):
-        ma, mb = fa(pts), fb(pts)
-        n_a += int(ma.sum())
-        n_b += int(mb.sum())
-        n_ab += int((ma & mb).sum())
-    ratio, err = _ratio_with_error(cfg.sample_count, n_a, n_b, n_ab)
+    hist = score_stream(cfg, [region_a, region_b], tol)
+    ratio, err = _ratio_with_error(hist, 0, 1)
     return VolumeEstimate(
         region=f"{region_a.value}/{region_b.value}",
         method="monte-carlo",
@@ -478,36 +507,29 @@ def excess_report(method: str = "quadrature",
     reported standard errors are 0; with method="mc" the excesses are
     shared-stream ratio estimates with delta-method errors.
     """
+    regions = (RegionId.QUANTUM_Q, RegionId.TSIRELSON_T, RegionId.UFFINK_U)
     if method == "quadrature":
-        v_q = quadrature_volume(RegionId.QUANTUM_Q, abs_tol)
-        v_t = quadrature_volume(RegionId.TSIRELSON_T, abs_tol)
-        v_u = quadrature_volume(RegionId.UFFINK_U, abs_tol)
-        return ExcessReport(
-            v_q=v_q, v_t=v_t, v_u=v_u,
-            excess_t=v_t.value / v_q.value - 1.0,
-            excess_t_std_error=0.0,
-            excess_u=v_u.value / v_q.value - 1.0,
-            excess_u_std_error=0.0,
-            fraction_t_outside_q=1.0 - v_q.value / v_t.value,
-            fraction_t_outside_q_std_error=0.0,
-        )
-    if method == "mc":
+        v_q, v_t, v_u = (quadrature_volume(r, abs_tol) for r in regions)
+        tq, uq, qt = ((a.value / b.value, 0.0)
+                      for a, b in ((v_t, v_q), (v_u, v_q), (v_q, v_t)))
+    elif method == "mc":
         cfg = cfg or EstimatorConfig()
-        ratio_tq = ratio_estimate(RegionId.TSIRELSON_T, RegionId.QUANTUM_Q, cfg)
-        ratio_uq = ratio_estimate(RegionId.UFFINK_U, RegionId.QUANTUM_Q, cfg)
-        ratio_qt = ratio_estimate(RegionId.QUANTUM_Q, RegionId.TSIRELSON_T, cfg)
-        return ExcessReport(
-            v_q=mc_volume(RegionId.QUANTUM_Q, cfg),
-            v_t=mc_volume(RegionId.TSIRELSON_T, cfg),
-            v_u=mc_volume(RegionId.UFFINK_U, cfg),
-            excess_t=ratio_tq.value - 1.0,
-            excess_t_std_error=ratio_tq.std_error,
-            excess_u=ratio_uq.value - 1.0,
-            excess_u_std_error=ratio_uq.std_error,
-            fraction_t_outside_q=1.0 - ratio_qt.value,
-            fraction_t_outside_q_std_error=ratio_qt.std_error,
-        )
-    raise ValueError(f"unknown method {method!r}")
+        hist = score_stream(cfg, regions)
+        v_q, v_t, v_u = (_volume_from_hits(r, _hits(hist, k), cfg)
+                         for k, r in enumerate(regions))
+        tq, uq, qt = (_ratio_with_error(hist, a, b)
+                      for a, b in ((1, 0), (2, 0), (0, 1)))
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return ExcessReport(
+        v_q=v_q, v_t=v_t, v_u=v_u,
+        excess_t=tq[0] - 1.0,
+        excess_t_std_error=tq[1],
+        excess_u=uq[0] - 1.0,
+        excess_u_std_error=uq[1],
+        fraction_t_outside_q=1.0 - qt[0],
+        fraction_t_outside_q_std_error=qt[1],
+    )
 
 
 _HEADLINE_REGIONS = (RegionId.LOCAL_C, RegionId.QUANTUM_Q, RegionId.UFFINK_U,
@@ -527,53 +549,25 @@ def headline_report(cfg: EstimatorConfig | None = None,
     its standard error.
     """
     cfg = cfg or EstimatorConfig()
-    n = cfg.sample_count
-    masks = {r: _region_predicate(r, tol) for r in _HEADLINE_REGIONS}
-    counts = {r: 0 for r in _HEADLINE_REGIONS}
-    pair_keys = set(_HEADLINE_RATIOS) | {
-        (RegionId.TSIRELSON_T, RegionId.QUANTUM_Q),
-        (RegionId.UFFINK_U, RegionId.QUANTUM_Q)}
-    joints = {pair: 0 for pair in pair_keys}
-    for pts in _iter_sample_batches(cfg):
-        batch = {r: masks[r](pts) for r in _HEADLINE_REGIONS}
-        for r, m in batch.items():
-            counts[r] += int(m.sum())
-        for ra, rb in joints:
-            joints[(ra, rb)] += int((batch[ra] & batch[rb]).sum())
+    hist = score_stream(cfg, _HEADLINE_REGIONS, tol)
+    bit = {r: k for k, r in enumerate(_HEADLINE_REGIONS)}
 
-    constants = analytic_constants()
-    analytic_volumes = {
-        RegionId.LOCAL_C: constants.v_c,
-        RegionId.QUANTUM_Q: constants.v_q,
-        RegionId.UFFINK_U: None,
-        RegionId.TSIRELSON_T: None,
-        RegionId.NO_SIGNALING_L: constants.v_l,
-    }
+    analytic = analytic_constants().as_dict()
     volumes = {}
     for r in _HEADLINE_REGIONS:
-        p = counts[r] / n
-        est = VolumeEstimate(region=r.value, method="monte-carlo",
-                             value=16.0 * p,
-                             std_error=16.0 * math.sqrt(p * (1.0 - p) / n),
-                             sample_count=n, seed=cfg.seed)
+        est = _volume_from_hits(r, _hits(hist, bit[r]), cfg)
         rec = est.as_json_record()
-        ref = analytic_volumes[r]
+        ref = analytic.get(f"V_{r.value}")  # None for U and T
         rec["analytic"] = ref
         rec["deviation_sigmas"] = (
             None if ref is None or est.std_error == 0.0
             else (est.value - ref) / est.std_error)
         volumes[r.value] = rec
 
-    analytic_ratios = {
-        ("Q", "C"): constants.ratio_qc,
-        ("Q", "L"): constants.ratio_ql,
-        ("C", "L"): constants.ratio_cl,
-    }
     ratios = {}
     for ra, rb in _HEADLINE_RATIOS:
-        value, err = _ratio_with_error(n, counts[ra], counts[rb],
-                                       joints[(ra, rb)])
-        ref = analytic_ratios[(ra.value, rb.value)]
+        value, err = _ratio_with_error(hist, bit[ra], bit[rb])
+        ref = analytic[f"ratio_{ra.value}{rb.value}"]
         ratios[f"{ra.value}/{rb.value}"] = {
             "value": value, "std_error": err, "analytic": ref,
             "deviation_sigmas": (value - ref) / err if err else None,
@@ -582,17 +576,16 @@ def headline_report(cfg: EstimatorConfig | None = None,
     excesses = {}
     for top, name in ((RegionId.TSIRELSON_T, "T/Q-1"),
                       (RegionId.UFFINK_U, "U/Q-1")):
-        value, err = _ratio_with_error(n, counts[top],
-                                       counts[RegionId.QUANTUM_Q],
-                                       joints[(top, RegionId.QUANTUM_Q)])
+        value, err = _ratio_with_error(hist, bit[top],
+                                       bit[RegionId.QUANTUM_Q])
         excesses[name] = {"value": value - 1.0, "std_error": err}
 
     return {
-        "n": n,
+        "n": cfg.sample_count,
         "seed": cfg.seed,
         "worker_count": cfg.worker_count,
         "volumes": volumes,
         "ratios": ratios,
         "excesses": excesses,
-        "analytic": constants.as_dict(),
+        "analytic": analytic,
     }

@@ -52,6 +52,20 @@ class TestMembership:
             main(["membership", "--point", "0,0,0"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("point,field", [
+        ("2,0,0,0", "c00"), ("nan,0,0,0", "c00"), ("0,0,0,nan", "c11"),
+        ("0,inf,0,0", "c01"), ("0,0,-inf,0", "c10"),
+        ('{"c00": 0, "c01": 0, "c10": NaN, "c11": 0}', "c10")])
+    @pytest.mark.parametrize("command", ["membership", "distance"])
+    def test_point_outside_contract_is_usage_error(self, capsys, command,
+                                                   point, field):
+        argv = (["membership", "--point", point] if command == "membership"
+                else ["distance", "--from", point, "--to", "0,0,0,0"])
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert field in capsys.readouterr().err
+
 
 class TestUsageErrors:
     def test_unknown_flag(self, capsys):
@@ -68,6 +82,37 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as err:
             main([])
         assert err.value.code == 2
+
+
+_MC_FLAG_CASES = [
+    (command, flag, value)
+    for command in (["volume", "--region", "Q"], ["ratios"])
+    for flag, value in (("--n", "0"), ("--n", "abc"), ("--workers", "0"),
+                        ("--seed", "-1"), ("--seed", str(2 ** 64)),
+                        ("--batch-size", "0"))
+    if not (command == ["ratios"] and flag == "--batch-size")]
+
+
+@pytest.mark.parametrize("command,flag,value", _MC_FLAG_CASES)
+def test_mc_flag_outside_contract_is_usage_error(capsys, command, flag, value):
+    with pytest.raises(SystemExit) as err:
+        main([*command, "--n", "100", flag, value])
+    assert err.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["volume", "--region", "L"], ["ratios"]])
+@pytest.mark.parametrize("raw", ["abc", "0", "-3", ""])
+def test_malformed_workers_env_is_usage_error(capsys, monkeypatch, command,
+                                              raw):
+    monkeypatch.setenv("BELLVOL_WORKERS", raw)
+    with pytest.raises(SystemExit) as err:
+        main([*command, "--n", "100"])
+    assert err.value.code == 2
+    assert "BELLVOL_WORKERS" in capsys.readouterr().err
+    # an explicit flag does not read the variable
+    code, _, _ = run_cli(capsys, *command, "--n", "100", "--workers", "1")
+    assert code == 0
 
 
 class TestVolume:

@@ -1,5 +1,8 @@
 import math
+import os
+import threading
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -8,7 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellvol import volumes
-from bellvol.regions import RegionId, region_mask
+from bellvol.regions import (
+    DEFAULT_TOLERANCE,
+    RegionId,
+    in_box_L,
+    in_local,
+    in_quantum_arcsin,
+    in_tsirelson_T,
+    in_uffink_U,
+)
 from bellvol.volumes import (
     V_T_CLOSED_FORM,
     AnalyticConstants,
@@ -16,7 +27,6 @@ from bellvol.volumes import (
     EstimatorConfig,
     ToleranceNotMet,
     analytic_constants,
-    count_hits,
     exact_region_volume,
     excess_report,
     headline_report,
@@ -24,7 +34,11 @@ from bellvol.volumes import (
     quadrature_volume,
     quadrature_volume_Q,
     ratio_estimate,
+    score_stream,
 )
+
+CHAIN = (RegionId.LOCAL_C, RegionId.QUANTUM_Q, RegionId.UFFINK_U,
+         RegionId.TSIRELSON_T, RegionId.NO_SIGNALING_L)
 
 V_Q = 1.5 * math.pi ** 2
 V_C = 32.0 / 3.0
@@ -60,6 +74,11 @@ def _v_u_mpmath(dps: int = 20):
         return mpmath.quad(over_z, [0, 2])
 
 
+def _region_hits(hist, k: int) -> int:
+    """Points of a ``score_stream`` histogram whose code has bit k set."""
+    return int(sum(count for code, count in enumerate(hist) if code >> k & 1))
+
+
 def _v_q_diamonds(h: float) -> float:
     """V_Q with half-width h <= pi/2: the box is inactive, and in arcsin
     pair coordinates the region is a product of two L1 diamonds of radius h
@@ -71,7 +90,7 @@ class TestEstimatorConfig:
     def test_defaults(self):
         cfg = EstimatorConfig()
         assert cfg.sample_count == 10_000_000
-        assert cfg.batch_size == 1_000_000
+        assert cfg.batch_size == 65_536
 
     def test_batch_defaults_to_sample_count_when_small(self):
         assert EstimatorConfig(sample_count=100).batch_size == 100
@@ -137,6 +156,16 @@ class TestReproducibility:
         assert mc_volume(RegionId.QUANTUM_Q, base).value \
             == mc_volume(RegionId.QUANTUM_Q, alt).value
 
+    @settings(deadline=None, max_examples=25)
+    @given(st.integers(0, 2 ** 64 - 1), st.integers(50, 3000),
+           st.integers(1, 3000), st.integers(1, 3))
+    def test_estimates_do_not_depend_on_batch_size(self, seed, n, batch,
+                                                   workers):
+        cfg = EstimatorConfig(sample_count=n, seed=seed, worker_count=workers)
+        alt = EstimatorConfig(sample_count=n, seed=seed, worker_count=workers,
+                              batch_size=min(batch, n))
+        assert headline_report(cfg) == headline_report(alt)
+
     def test_different_seeds_differ(self):
         a = mc_volume(RegionId.LOCAL_C, EstimatorConfig(sample_count=100_000, seed=1))
         b = mc_volume(RegionId.LOCAL_C, EstimatorConfig(sample_count=100_000, seed=2))
@@ -149,10 +178,86 @@ class TestSharedStreamMonotonicity:
         cfg = EstimatorConfig(sample_count=100_000, seed=seed)
         chain = (RegionId.LOCAL_C, RegionId.QUANTUM_Q, RegionId.UFFINK_U,
                  RegionId.TSIRELSON_T, RegionId.NO_SIGNALING_L)
-        counts = count_hits(cfg, [lambda pts, r=r: region_mask(r, pts)
-                                  for r in chain])
+        hist = score_stream(cfg, chain)
+        counts = [_region_hits(hist, k) for k in range(len(chain))]
         assert list(counts) == sorted(counts)
         assert counts[-1] == cfg.sample_count
+
+
+class TestScoreStream:
+    def test_histogram_matches_scalar_oracles(self):
+        # the same draws, scored point by point by the pure-Python oracles
+        n, seed = 20_000, 23
+        hist = score_stream(EstimatorConfig(sample_count=n, seed=seed,
+                                            batch_size=4096), CHAIN)
+        key = np.array([seed, 0], dtype=np.uint64)
+        pts = 2.0 * np.random.Generator(np.random.Philox(key=key)).random(
+            (n, 4)) - 1.0
+        oracles = (in_local, in_quantum_arcsin, in_uffink_U, in_tsirelson_T,
+                   in_box_L)
+        codes = [sum(oracle(tuple(row)).inside << k
+                     for k, oracle in enumerate(oracles)) for row in pts]
+        assert hist.tolist() == np.bincount(codes, minlength=32).tolist()
+
+    @settings(deadline=None, max_examples=10)
+    @given(st.integers(0, 2 ** 64 - 1), st.integers(1, 5000),
+           st.sampled_from([2, 3]))
+    def test_pool_matches_in_process_scoring(self, seed, n, workers):
+        cfg = EstimatorConfig(sample_count=n, seed=seed, worker_count=workers)
+        serial = volumes._score_substreams(cfg, CHAIN, DEFAULT_TOLERANCE,
+                                           range(workers))
+        with mock.patch.object(volumes.os, "cpu_count", lambda: workers):
+            pooled = score_stream(cfg, CHAIN)
+        assert pooled.tolist() == serial.tolist()
+
+    def test_pool_spawns_while_other_threads_run(self, monkeypatch):
+        import multiprocessing
+
+        methods = []
+        real = multiprocessing.get_context
+
+        def recording(method=None):
+            methods.append(method)
+            return real(method)
+
+        monkeypatch.setattr(multiprocessing, "get_context", recording)
+        monkeypatch.setattr(volumes.os, "cpu_count", lambda: 2)
+        cfg = EstimatorConfig(sample_count=20_000, seed=4, worker_count=2)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            pooled = score_stream(cfg, CHAIN)
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert methods == ["spawn"]
+        assert pooled.tolist() == volumes._score_substreams(
+            cfg, CHAIN, DEFAULT_TOLERANCE, range(2)).tolist()
+
+    def test_process_count_capped_at_cpu_count(self, monkeypatch):
+        import concurrent.futures
+
+        sizes = []
+
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, *args, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            Recording)
+        cfg = EstimatorConfig(sample_count=1000, seed=3, worker_count=100_000)
+        hist = score_stream(cfg, [RegionId.LOCAL_C])
+        assert len(sizes) <= 1 and all(k <= os.cpu_count() for k in sizes)
+        assert hist.tolist() == volumes._score_substreams(
+            cfg, (RegionId.LOCAL_C,), DEFAULT_TOLERANCE,
+            range(cfg.worker_count)).tolist()
+
+    def test_rejects_more_than_eight_regions(self):
+        with pytest.raises(ValueError):
+            score_stream(EstimatorConfig(sample_count=10), CHAIN * 2)
 
 
 class TestRatioEstimate:
@@ -169,9 +274,8 @@ class TestRatioEstimate:
 
     def test_value_equals_count_ratio(self):
         cfg = EstimatorConfig(sample_count=50_000, seed=11)
-        counts = count_hits(cfg, [
-            lambda pts: region_mask(RegionId.QUANTUM_Q, pts),
-            lambda pts: region_mask(RegionId.LOCAL_C, pts)])
+        hist = score_stream(cfg, [RegionId.QUANTUM_Q, RegionId.LOCAL_C])
+        counts = [_region_hits(hist, 0), _region_hits(hist, 1)]
         est = ratio_estimate(RegionId.QUANTUM_Q, RegionId.LOCAL_C, cfg)
         assert est.value == counts[0] / counts[1]
 
@@ -179,7 +283,7 @@ class TestRatioEstimate:
         # a single-sample stream whose point falls outside the local set
         for seed in range(100):
             cfg = EstimatorConfig(sample_count=1, seed=seed)
-            if count_hits(cfg, [lambda p: region_mask(RegionId.LOCAL_C, p)])[0] == 0:
+            if score_stream(cfg, [RegionId.LOCAL_C])[1] == 0:
                 with pytest.raises(DegenerateDenominator):
                     ratio_estimate(RegionId.NO_SIGNALING_L, RegionId.LOCAL_C, cfg)
                 return
@@ -303,9 +407,8 @@ class TestNumericTU:
     @pytest.mark.parametrize("seed", [0, 5, 9])
     def test_quadratic_region_dominated_by_linear_region(self, seed):
         cfg = EstimatorConfig(sample_count=100_000, seed=seed)
-        counts = count_hits(cfg, [
-            lambda p: region_mask(RegionId.UFFINK_U, p),
-            lambda p: region_mask(RegionId.TSIRELSON_T, p)])
+        hist = score_stream(cfg, [RegionId.UFFINK_U, RegionId.TSIRELSON_T])
+        counts = [_region_hits(hist, 0), _region_hits(hist, 1)]
         assert counts[0] <= counts[1]
 
 
