@@ -73,42 +73,60 @@ def _abs_tol(text: str) -> float:
     return value
 
 
-def _parse_point(text: str, parser: argparse.ArgumentParser) -> tuple[float, ...]:
-    """Accept '{"c00": ...}' JSON or inline 'c00,c01,c10,c11'."""
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a number: {text!r}") from None
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be finite and >= 0, got {value!r}")
+    return value
+
+
+def _parse_point(text: str, flag: str,
+                 parser: argparse.ArgumentParser) -> tuple[float, ...]:
+    """Accept '{"c00": ...}' JSON or inline 'c00,c01,c10,c11' given to
+    ``flag``; errors name the flag."""
+
+    def error(message: str):
+        parser.error(f"argument {flag}: {message}")
+
     text = text.strip()
     if text.startswith("{"):
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
-            parser.error(f"malformed point JSON: {exc}")
+            error(f"malformed point JSON: {exc}")
         if not isinstance(obj, dict):
-            parser.error("point JSON must be an object")
+            error("point JSON must be an object")
         unknown = sorted(set(obj) - set(_POINT_KEYS))
         if unknown:
-            parser.error(f"unknown point field '{unknown[0]}'")
+            error(f"unknown point field '{unknown[0]}'")
         vals = []
         for key in _POINT_KEYS:
             if key not in obj:
-                parser.error(f"point JSON missing field '{key}'")
+                error(f"point JSON missing field '{key}'")
             v = obj[key]
             if isinstance(v, bool) or not isinstance(v, (int, float)):
-                parser.error(f"point field '{key}' is not a number")
+                error(f"point field '{key}' is not a number")
             vals.append(float(v))
     else:
         parts = text.split(",")
         if len(parts) != 4:
-            parser.error("inline point must be 'c00,c01,c10,c11'")
+            error("inline point must be 'c00,c01,c10,c11'")
         vals = []
         for key, part in zip(_POINT_KEYS, parts):
             try:
                 vals.append(float(part))
             except ValueError:
-                parser.error(f"point field '{key}' is not a number: {part!r}")
+                error(f"point field '{key}' is not a number: {part!r}")
     for key, v in zip(_POINT_KEYS, vals):
         if not math.isfinite(v):
-            parser.error(f"point field '{key}' is not finite: {v!r}")
+            error(f"point field '{key}' is not finite: {v!r}")
         if not -1.0 <= v <= 1.0:
-            parser.error(f"point field '{key}' is outside [-1, 1]: {v!r}")
+            error(f"point field '{key}' is outside [-1, 1]: {v!r}")
     return tuple(vals)
 
 
@@ -153,7 +171,7 @@ def _emit(args, rows: list[dict], headers: list[str], json_obj) -> None:
 # -- membership --------------------------------------------------------------
 
 def _cmd_membership(args, parser):
-    point = _parse_point(args.point, parser)
+    point = _parse_point(args.point, "--point", parser)
     profile = membership_profile(point, tol=args.tolerance)
     rows = []
     for rid, res in profile.regions().items():
@@ -176,6 +194,9 @@ def _cmd_membership(args, parser):
 def _cmd_volume(args, parser):
     region = _REGION_BY_LETTER[args.region]
     if args.method == "mc":
+        if args.batch_size is not None and args.batch_size > args.n:
+            parser.error(f"argument --batch-size: must be <= --n ({args.n}),"
+                         f" got {args.batch_size}")
         cfg = volumes.EstimatorConfig(sample_count=args.n, seed=args.seed,
                                       worker_count=args.workers,
                                       batch_size=args.batch_size)
@@ -345,8 +366,8 @@ def _cmd_sample_quantum(args, parser):
 # -- distance ----------------------------------------------------------------
 
 def _cmd_distance(args, parser):
-    p = _parse_point(getattr(args, "from"), parser)
-    q = _parse_point(args.to, parser)
+    p = _parse_point(getattr(args, "from"), "--from", parser)
+    q = _parse_point(args.to, "--to", parser)
     dist = toggles.toggle_distance(p, q)
     obj = {"from": dict(zip(_POINT_KEYS, p)), "to": dict(zip(_POINT_KEYS, q))}
     obj.update(dist.as_dict())
@@ -370,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("membership", help="membership profile of one point")
     p.add_argument("--point", required=True,
                    help="JSON object with c00..c11 or inline 'c00,c01,c10,c11'")
-    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
+    p.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOLERANCE)
     add_format(p)
     p.set_defaults(func=_cmd_membership)
 

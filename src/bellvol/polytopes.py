@@ -15,15 +15,15 @@ constraints are the sixteen positivity inequalities.  The module provides:
 * joint probability tables and conversions to/from behaviors,
 * the two canonical extremal tables (perfectly correlated no-signaling box,
   one-sided signaling box),
-* exact vertex and facet enumeration for rational polytopes by exhaustive
-  basis enumeration (choose d constraints or d points, solve exactly, verify),
+* exact vertex and facet enumeration for rational polytopes by one
+  double-description routine: the vertices are the extreme rays of the
+  homogenized cone of an H-polytope, the facets those of the polar cone of
+  a V-polytope,
 * exact volume of full-dimensional rational polytopes of dimension <= 4 by a
-  centroid-fan triangulation.
+  centroid-fan triangulation over the same routine's facet-point incidences.
 
-All geometry is exact: coordinates are ``fractions.Fraction``, determinants
-are computed with fraction-free integer elimination (vectorized with numpy
-int64 when a Hadamard bound certifies no overflow, otherwise with Python's
-arbitrary-precision integers).
+All geometry is exact: coordinates are ``fractions.Fraction``; rays, tight
+sets and determinants are computed on Python's arbitrary-precision integers.
 """
 
 from __future__ import annotations
@@ -32,21 +32,15 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import Iterator, Sequence
 
 from .regions import CorrelationPoint
 
 Vector = tuple[Fraction, ...]
+_Ray = tuple[list[int], int]    # integer ray, bitmask of its tight rows
 
 _PM = (-1, 1)
 _SETTINGS = ((0, 0), (0, 1), (1, 0), (1, 1))
-
-# Practical ceiling for exhaustive subset enumeration; C(24, 8) is the
-# largest instance this package needs.
-_DET_CHUNK = 50_000
-_INT64_SAFE = 2 ** 62
 
 
 class PolytopeError(Exception):
@@ -417,7 +411,152 @@ def cube_polytope_h(dim: int) -> RationalPolytope:
 
 
 # --------------------------------------------------------------------------
-# exact integer linear algebra
+# exact double description
+# --------------------------------------------------------------------------
+
+def _primitive(v: list[int]) -> list[int]:
+    """Divide an integer vector by the gcd of its entries (zero stays zero)."""
+    g = math.gcd(*v)
+    return [x // g for x in v] if g > 1 else v
+
+
+def _integer_row(row: Sequence) -> list[int]:
+    """The primitive integer vector on the ray of a rational vector."""
+    fr = [_frac(x) for x in row]
+    scale = math.lcm(*(f.denominator for f in fr))
+    return _primitive([int(f * scale) for f in fr])
+
+
+def _dot(a: Sequence[int], x: Sequence[int]) -> int:
+    return sum(ai * xi for ai, xi in zip(a, x))
+
+
+def _double_description(rows: Sequence[Sequence[int]], n: int
+                        ) -> tuple[list[_Ray], int]:
+    """Extreme rays of the cone {x in Q^n : row . x >= 0 for every row}.
+
+    Double description (Motzkin et al. 1953; Fukuda & Prodon 1996) on
+    Python integers, adding one row at a time.  While the cone built so far
+    still contains lines, a row that some line does not vanish on turns
+    that line into a ray and projects the other lines and rays onto the
+    row's hyperplane.  Every later row splits the rays by the sign of
+    row . ray: the negative ones go, and each adjacent (+, -) pair meets on
+    the hyperplane in a new ray.  Two rays are adjacent when no third ray
+    is tight on every row that both are tight on.
+
+    Returns ``(rays, lineality)``: each ray is a primitive integer vector
+    with the bitmask of the rows it is tight on, and ``lineality`` is the
+    dimension of the largest linear subspace inside the cone.  The cone is
+    pointed when it is 0; otherwise the rays generate it modulo that
+    subspace, and their tight sets are still exact.
+    """
+    lines = [[int(i == j) for j in range(n)] for i in range(n)]
+    rays: list[_Ray] = []
+    done = 0    # bitmask of the rows added so far
+    for k, row in enumerate(rows):
+        bit = 1 << k
+        heights = [_dot(row, ln) for ln in lines]
+        pivot = next((i for i, h in enumerate(heights) if h), None)
+        if pivot is not None:
+            h = heights.pop(pivot)
+            line = lines.pop(pivot)
+            if h < 0:
+                h, line = -h, [-x for x in line]
+            lines = [_primitive([h * x - t * y for x, y in zip(ln, line)])
+                     for ln, t in zip(lines, heights)]
+            rays = [(_primitive([h * x - _dot(row, r) * y
+                                 for x, y in zip(r, line)]), z | bit)
+                    for r, z in rays]
+            rays.append((line, done))
+        else:
+            signed = [(_dot(row, r), r, z) for r, z in rays]
+            zsets = [z for _, _, z in signed]
+            negative = [t for t in signed if t[0] < 0]
+            needed = n - len(lines) - 2     # tight rows along an edge
+            rays = [(r, z | bit if s == 0 else z)
+                    for s, r, z in signed if s >= 0]
+            for sp, rp, zp in signed:
+                if sp <= 0:
+                    continue
+                for sq, rq, zq in negative:
+                    common = zp & zq
+                    if common.bit_count() < needed or any(
+                            z & common == common and z != zp and z != zq
+                            for z in zsets):
+                        continue
+                    rays.append((_primitive([sp * y - sq * x
+                                             for x, y in zip(rp, rq)]),
+                                 common | bit))
+        done |= bit
+    return rays, len(lines)
+
+
+def _hull_facets(points: Sequence[Sequence[int]], dim: int
+                 ) -> tuple[list[_Ray], int]:
+    """Facets of the hull of homogeneous integer points (w * v, w), w > 0,
+    with v in Q^dim.
+
+    They are the extreme rays (a, c) of the polar cone
+    {(a, c) : c * w - a . (w * v) >= 0 for every point}, each with the mask
+    of the points on it: a . x <= c is the facet.  The lineality is dim
+    minus the dimension of the hull.
+    """
+    return _double_description([[*(-x for x in p[:-1]), p[-1]] for p in points],
+                               dim + 1)
+
+
+def _homogenize(points: Sequence[Vector]) -> list[list[int]]:
+    """Each rational point v as the primitive integer row (w * v, w)."""
+    return [_integer_row((*v, 1)) for v in points]
+
+
+def enumerate_vertices(h: RationalPolytope) -> RationalPolytope:
+    """Vertex enumeration of a bounded H-polytope (exact).
+
+    The vertices are the extreme rays (t, x), t > 0, of the cone
+    {(t, x) : t * offset - normal . x >= 0, t >= 0}.  Returns a polytope
+    carrying both representations; vertices are sorted canonically, and an
+    empty polytope has none.  Raises :class:`UnboundedPolytope` when a
+    recession direction exists: a ray with t = 0, or a cone that is not
+    pointed.
+    """
+    if h.halfspaces is None:
+        raise ValueError("input polytope has no halfspace representation")
+    rows = [_integer_row((hs.offset, *(-n for n in hs.normal)))
+            for hs in h.halfspaces]
+    rays, lineality = _double_description(
+        [*rows, [1] + [0] * h.dim], h.dim + 1)
+    if lineality:
+        raise UnboundedPolytope("constraint normals do not span the space")
+    verts = []
+    for (t, *x), _ in rays:
+        if t == 0:
+            raise UnboundedPolytope(f"recession direction {tuple(x)}")
+        verts.append(tuple(Fraction(xi, t) for xi in x))
+    return RationalPolytope(dim=h.dim, vertices=tuple(sorted(verts)),
+                            halfspaces=h.halfspaces)
+
+
+def enumerate_facets(v: RationalPolytope) -> RationalPolytope:
+    """Facet enumeration of a full-dimensional V-polytope (exact).
+
+    Each facet normal . x <= offset has (normal, offset) primitive integers;
+    facets are sorted canonically.  Raises :class:`DegeneratePolytope` when
+    the points do not span the ambient space.
+    """
+    if v.vertices is None:
+        raise ValueError("input polytope has no vertex representation")
+    rays, lineality = _hull_facets(_homogenize(v.vertices), v.dim)
+    if lineality:
+        raise DegeneratePolytope("vertex set is not full-dimensional")
+    hs = sorted((Halfspace(tuple(r[:-1]), Fraction(r[-1])) for r, _ in rays),
+                key=lambda f: (f.normal, f.offset))
+    return RationalPolytope(dim=v.dim, vertices=v.vertices,
+                            halfspaces=tuple(hs))
+
+
+# --------------------------------------------------------------------------
+# exact volume by centroid-fan triangulation
 # --------------------------------------------------------------------------
 
 def _det_int_py(rows: list[list[int]]) -> int:
@@ -446,401 +585,40 @@ def _det_int_py(rows: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _batch_det_int64(mats: np.ndarray) -> np.ndarray:
-    """Exact determinants of a stack of small int64 matrices via Bareiss.
-
-    Caller must guarantee (e.g. by a Hadamard bound) that all intermediate
-    minors fit into int64.
-    """
-    m = np.array(mats, dtype=np.int64, copy=True)
-    nmat, n, n2 = m.shape
-    if n != n2:
-        raise ValueError("matrices must be square")
-    if n == 0:
-        return np.ones(nmat, dtype=np.int64)
-    sign = np.ones(nmat, dtype=np.int64)
-    live = np.ones(nmat, dtype=bool)
-    prev = np.ones(nmat, dtype=np.int64)
-    ar = np.arange(nmat)
-    for k in range(n - 1):
-        idx = np.abs(m[:, k:, k]).argmax(axis=1)
-        piv_row = k + idx
-        live &= m[ar, piv_row, k] != 0
-        do_swap = live & (idx > 0)
-        if do_swap.any():
-            w = np.where(do_swap)[0]
-            rows = piv_row[w]
-            tmp = m[w, k, :].copy()
-            m[w, k, :] = m[w, rows, :]
-            m[w, rows, :] = tmp
-            sign[w] = -sign[w]
-        piv = np.where(live, m[:, k, k], 1)
-        div = np.where(prev == 0, 1, prev)
-        block = m[:, k + 1:, k + 1:]
-        m[:, k + 1:, k + 1:] = (
-            block * piv[:, None, None]
-            - m[:, k + 1:, k:k + 1] * m[:, k:k + 1, k + 1:]
-        ) // div[:, None, None]
-        prev = piv
-    det = sign * m[:, n - 1, n - 1]
-    det[~live] = 0
-    return det
-
-
-def _hadamard_fits_int64(max_abs: int, n: int) -> bool:
-    if max_abs == 0:
-        return True
-    bound = (math.sqrt(n) * max_abs) ** n
-    return bound < _INT64_SAFE
-
-
-def _batch_dets(mats, max_abs: int) -> np.ndarray:
-    """Dispatch between the vectorized int64 path and Python big integers."""
-    nmat = len(mats)
-    n = len(mats[0]) if nmat else 0
-    if _hadamard_fits_int64(max_abs, n):
-        return _batch_det_int64(np.asarray(mats, dtype=np.int64))
-    return np.array([_det_int_py([list(r) for r in mat]) for mat in mats],
-                    dtype=object)
-
-
-def _integerize_rows(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
-    """Scale each row by a positive integer so all entries are integers.
-
-    Row scaling preserves halfspaces and homogeneous point rows, which is
-    all the scans below need.  Returns the rows and the max |entry|.
-    """
-    out = []
-    max_abs = 0
-    for row in rows:
-        fr = [_frac(x) for x in row]
-        scale = math.lcm(*(f.denominator for f in fr)) if fr else 1
-        ints = [int(f * scale) for f in fr]
-        g = math.gcd(*(abs(v) for v in ints)) if any(ints) else 1
-        ints = [v // (g or 1) for v in ints]
-        max_abs = max(max_abs, max((abs(v) for v in ints), default=0))
-        out.append(ints)
-    return out, max_abs
-
-
-def _frac_rank(rows: list[Sequence[Fraction]]) -> int:
-    """Exact rank by Gaussian elimination over Fractions."""
-    m = [[_frac(x) for x in r] for r in rows]
-    rank = 0
-    ncols = len(m[0]) if m else 0
-    row = 0
-    for col in range(ncols):
-        piv = next((r for r in range(row, len(m)) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = m[row][col]
-        for r in range(row + 1, len(m)):
-            if m[r][col] != 0:
-                f = m[r][col] / inv
-                m[r] = [x - f * y for x, y in zip(m[r], m[row])]
-        row += 1
-        rank += 1
-        if row == len(m):
-            break
-    return rank
-
-
-def _pivot_columns(rows: list[Sequence[Fraction]]) -> list[int]:
-    """Column indices of pivots under exact Gaussian elimination."""
-    m = [[_frac(x) for x in r] for r in rows]
-    pivots = []
-    row = 0
-    ncols = len(m[0]) if m else 0
-    for col in range(ncols):
-        piv = next((r for r in range(row, len(m)) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = m[row][col]
-        for r in range(row + 1, len(m)):
-            if m[r][col] != 0:
-                f = m[r][col] / inv
-                m[r] = [x - f * y for x, y in zip(m[r], m[row])]
-        pivots.append(col)
-        row += 1
-        if row == len(m):
-            break
-    return pivots
-
-
-def _iter_subset_chunks(n: int, k: int, chunk: int) -> Iterator[np.ndarray]:
-    it = itertools.combinations(range(n), k)
-    while True:
-        block = list(itertools.islice(it, chunk))
-        if not block:
-            return
-        yield np.array(block, dtype=np.intp)
-
-
-# --------------------------------------------------------------------------
-# vertex and facet scans (exhaustive basis enumeration)
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _FacetData:
-    normal: tuple[int, ...]
-    offset: Fraction
-    incident: tuple[int, ...]
-
-
-def _facet_scan(points: Sequence[Vector], dim: int) -> list[_FacetData]:
-    """All facets of the convex hull of full-dimensional ``points``.
-
-    Exhaustive over d-subsets: each affinely independent subset spans a
-    hyperplane (found via the d+1 signed maximal minors of the homogeneous
-    matrix); a hyperplane with every point on one side is a facet, and any
-    facet contains d affinely independent vertices, so the scan is complete.
-    """
-    npts = len(points)
-    if npts < dim + 1:
-        raise DegeneratePolytope(f"{npts} points cannot span dimension {dim}")
-    hom_rows, max_abs = _integerize_rows([(*p, Fraction(1)) for p in points])
-    width = dim + 1
-    found: dict[tuple, _FacetData] = {}
-    use_int64 = _hadamard_fits_int64(max_abs, dim) and \
-        (math.sqrt(dim) * max_abs) ** dim * max_abs * width < _INT64_SAFE
-    hom_num = np.array(hom_rows, dtype=np.int64 if use_int64 else object)
-
-    for subsets in _iter_subset_chunks(npts, dim, _DET_CHUNK):
-        mats = hom_num[subsets]                       # (B, dim, dim+1)
-        minors = []
-        for drop in range(width):
-            keep = [c for c in range(width) if c != drop]
-            minors.append(_batch_dets(mats[:, :, keep], max_abs))
-        nullvecs = np.stack(
-            [((-1) ** j) * minors[j] for j in range(width)], axis=1)
-        nz = np.any(nullvecs != 0, axis=1)
-        if not nz.any():
-            continue
-        cand = nullvecs[nz]
-        # orientation: evaluate every homogeneous point row against the
-        # candidate hyperplane; row scaling keeps the sign
-        vals = hom_num @ cand.T                        # (npts, B)
-        le = (vals <= 0).all(axis=0)
-        ge = (vals >= 0).all(axis=0)
-        for b in np.where(le | ge)[0]:
-            v = cand[b]
-            if ge[b] and not le[b]:
-                v = -v
-            ints = [int(x) for x in v]
-            g = math.gcd(*(abs(x) for x in ints))
-            ints = [x // g for x in ints]
-            key = tuple(ints)
-            if key in found:
-                continue
-            incident = tuple(int(i) for i in np.where(vals[:, b] == 0)[0])
-            found[key] = _FacetData(
-                normal=tuple(ints[:dim]),
-                offset=Fraction(-ints[dim]),
-                incident=incident)
-    facets = sorted(found.values(), key=lambda f: (f.normal, f.offset))
-    if not facets:
-        raise DegeneratePolytope("point set is not full-dimensional")
-    return facets
-
-
-def _vertex_scan(halfspaces: Sequence[Halfspace], dim: int) -> list[Vector]:
-    """All vertices of a (bounded) H-polytope, exhaustively.
-
-    Every vertex lies on d linearly independent facets, so solving each
-    d-subset exactly (Cramer) and keeping the feasible solutions finds all
-    of them.
-    """
-    rows = [(*h.normal, h.offset) for h in halfspaces]
-    int_rows, max_abs = _integerize_rows(rows)
-    m = len(int_rows)
-    if m < dim:
-        raise UnboundedPolytope(f"{m} halfspaces cannot bound dimension {dim}")
-    a_all = [r[:dim] for r in int_rows]
-    c_all = [r[dim] for r in int_rows]
-    use_int64 = _hadamard_fits_int64(max_abs, dim) and \
-        (math.sqrt(dim) * max_abs) ** dim * max_abs * dim * 4 < _INT64_SAFE
-    dtype = np.int64 if use_int64 else object
-    a_np = np.array(a_all, dtype=dtype)
-    c_np = np.array(c_all, dtype=dtype)
-
-    seen: set[Vector] = set()
-    for subsets in _iter_subset_chunks(m, dim, _DET_CHUNK):
-        mats = a_np[subsets]                          # (B, dim, dim)
-        det0 = _batch_dets(mats, max_abs)
-        keep = det0 != 0
-        if not keep.any():
-            continue
-        idx = np.where(keep)[0]
-        mats = mats[idx]
-        rhs = c_np[subsets[idx]]                      # (B, dim)
-        det0 = det0[idx]
-        nums = []
-        for j in range(dim):
-            mj = mats.copy()
-            mj[:, :, j] = rhs
-            nums.append(_batch_dets(mj, max_abs * max(1, int(np.abs(rhs).max() if len(rhs) else 1))))
-        nums = np.stack(nums, axis=1)                # (B, dim)
-        negd = det0 < 0
-        nums[negd] = -nums[negd]
-        dens = np.where(negd, -det0, det0)
-        # feasibility: a_i . num <= c_i * den for every halfspace
-        lhs = a_np @ nums.T                           # (m, B)
-        rhsv = c_np[:, None] * dens[None, :]
-        feas = (lhs <= rhsv).all(axis=0)
-        for b in np.where(feas)[0]:
-            den = int(dens[b])
-            vert = tuple(Fraction(int(nums[b, j]), den) for j in range(dim))
-            seen.add(vert)
-    return sorted(seen)
-
-
-def _detect_recession(halfspaces: Sequence[Halfspace], dim: int) -> None:
-    """Raise :class:`UnboundedPolytope` if the recession cone is nontrivial.
-
-    A nontrivial pointed cone has an extreme ray tight on d-1 independent
-    constraints; a non-pointed cone means rank(A) < d.  Both cases are
-    covered by an exact rank check plus a scan over (d-1)-subsets.
-    """
-    a_rows = [[_frac(n) for n in h.normal] for h in halfspaces]
-    if _frac_rank(a_rows) < dim:
-        raise UnboundedPolytope("constraint normals do not span the space")
-    int_rows, max_abs = _integerize_rows(a_rows)
-    use_int64 = _hadamard_fits_int64(max_abs, dim) and \
-        (math.sqrt(dim) * max_abs) ** dim * max_abs * dim < _INT64_SAFE
-    a_num = np.array(int_rows, dtype=np.int64 if use_int64 else object)
-    m = len(int_rows)
-    k = dim - 1
-    for subsets in _iter_subset_chunks(m, k, _DET_CHUNK):
-        mats = a_num[subsets]                         # (B, k, dim)
-        minors = []
-        for drop in range(dim):
-            keepc = [c for c in range(dim) if c != drop]
-            minors.append(_batch_dets(mats[:, :, keepc], max_abs))
-        rays = np.stack([((-1) ** j) * minors[j] for j in range(dim)], axis=1)
-        nz = np.any(rays != 0, axis=1)
-        if not nz.any():
-            continue
-        vals = a_num @ rays[nz].T                     # (m, B)
-        bad = (vals <= 0).all(axis=0) | (vals >= 0).all(axis=0)
-        if bad.any():
-            b = int(np.where(bad)[0][0])
-            ray = tuple(int(x) for x in rays[nz][b])
-            raise UnboundedPolytope(f"recession direction {ray}")
-
-
-def enumerate_vertices(h: RationalPolytope) -> RationalPolytope:
-    """Vertex enumeration of a bounded H-polytope (exact, exhaustive).
-
-    Returns a polytope carrying both representations; vertices are sorted
-    canonically.  Raises :class:`UnboundedPolytope` when a recession
-    direction exists.
-    """
-    if h.halfspaces is None:
-        raise ValueError("input polytope has no halfspace representation")
-    _detect_recession(h.halfspaces, h.dim)
-    verts = _vertex_scan(h.halfspaces, h.dim)
-    return RationalPolytope(dim=h.dim, vertices=tuple(verts),
-                            halfspaces=h.halfspaces)
-
-
-def enumerate_facets(v: RationalPolytope) -> RationalPolytope:
-    """Facet enumeration of a full-dimensional V-polytope (exact, exhaustive).
-
-    Facet inequalities are normalized to primitive integer normals and
-    sorted canonically.  Raises :class:`DegeneratePolytope` when the points
-    do not span the ambient space.
-    """
-    if v.vertices is None:
-        raise ValueError("input polytope has no vertex representation")
-    base = v.vertices[0]
-    diffs = [[x - b for x, b in zip(p, base)] for p in v.vertices[1:]]
-    if _frac_rank(diffs) < v.dim:
-        raise DegeneratePolytope("vertex set is not full-dimensional")
-    facets = _facet_scan(v.vertices, v.dim)
-    hs = tuple(Halfspace(f.normal, f.offset) for f in facets)
-    return RationalPolytope(dim=v.dim, vertices=v.vertices, halfspaces=hs)
-
-
-# --------------------------------------------------------------------------
-# exact volume by centroid-fan triangulation
-# --------------------------------------------------------------------------
-
-def _centroid(points: Sequence[Vector]) -> Vector:
-    n = len(points)
-    return tuple(sum(col) / n for col in zip(*points))
-
-
-def _det_frac(rows: list[Sequence[Fraction]]) -> Fraction:
-    ints, _ = _integerize_rows(rows)
-    scale = Fraction(1)
-    for orig, scaled in zip(rows, ints):
-        # recover per-row scale factor exactly from any nonzero entry
-        nz = next((k for k, x in enumerate(scaled) if x != 0), None)
-        if nz is None:
-            return Fraction(0)
-        scale *= Fraction(scaled[nz]) / _frac(orig[nz])
-    return Fraction(_det_int_py(ints)) / scale
-
-
-def _affine_projection(points: Sequence[Vector], g: int) -> list[Vector]:
-    """Project to g pivot coordinates; an affine bijection on the hull,
-    so the face lattice (all the triangulation needs) is preserved."""
-    base = points[0]
-    diffs = [[x - b for x, b in zip(p, base)] for p in points[1:]]
-    pivots = _pivot_columns(diffs)
-    if len(pivots) < g:
-        raise DegeneratePolytope("face has lower dimension than expected")
-    cols = pivots[:g]
-    return [tuple(p[c] for c in cols) for p in points]
-
-
-def _triangulate(points: list[Vector], g: int) -> Iterator[tuple[Vector, ...]]:
-    """Decompose the g-dimensional polytope conv(points) into g-simplices,
-    fanning from the vertex centroid over recursively triangulated facets."""
+def _triangulate(points: list[list[int]], g: int, facets=None
+                 ) -> Iterator[list[list[int]]]:
+    """Decompose the g-dimensional hull of homogeneous integer points into
+    g-simplices, fanning from a centroid over recursively triangulated
+    facets.  The centroid is the sum of the points' rows: the mean of the
+    points weighted by their homogenizing entries, inside the hull."""
     if len(points) == g + 1:
-        yield tuple(points)
+        yield points
         return
-    if g == 1:
-        ordered = sorted(points)
-        yield (ordered[0], ordered[-1])
-        return
-    proj = _affine_projection(points, g)
-    z = _centroid(points)
-    for face in _facet_scan(proj, g):
-        face_pts = [points[i] for i in face.incident]
-        for simplex in _triangulate(face_pts, g - 1):
-            yield (z, *simplex)
+    z = [sum(col) for col in zip(*points)]
+    if facets is None:
+        facets, _ = _hull_facets(points, len(z) - 1)
+    for _, mask in facets:
+        face = [p for i, p in enumerate(points) if mask >> i & 1]
+        for simplex in _triangulate(face, g - 1):
+            yield [z, *simplex]
 
 
 def exact_volume(p: RationalPolytope) -> Fraction:
     """Exact volume of a full-dimensional rational V-polytope, dim <= 4.
 
-    Triangulates by fanning from the vertex centroid over facet
-    triangulations; each simplex contributes |det| / d!.
+    Triangulates by fanning from centroids over facet triangulations; a
+    simplex with homogeneous rows (w_i * v_i, w_i) contributes
+    |det| / (d! * prod w_i).
     """
     if p.vertices is None:
         raise ValueError("exact_volume needs a vertex representation")
     d = p.dim
     if d > 4:
         raise ValueError("exact_volume supports dimension <= 4")
-    verts = list(p.vertices)
-    if len(verts) < d + 1:
-        raise DegeneratePolytope("too few vertices to be full-dimensional")
-    base = verts[0]
-    diffs = [[x - b for x, b in zip(v, base)] for v in verts[1:]]
-    if _frac_rank(diffs) < d:
+    points = _homogenize(p.vertices)
+    facets, lineality = _hull_facets(points, d)
+    if lineality:
         raise DegeneratePolytope("polytope is not full-dimensional")
-    factorial = math.factorial(d)
-    if len(verts) == d + 1:
-        rows = [[x - b for x, b in zip(v, base)] for v in verts[1:]]
-        return abs(_det_frac(rows)) / factorial
-    z = _centroid(verts)
-    total = Fraction(0)
-    for facet in _facet_scan(verts, d):
-        face_pts = [verts[i] for i in facet.incident]
-        for simplex in _triangulate(face_pts, d - 1):
-            rows = [[x - zi for x, zi in zip(s, z)] for s in simplex]
-            total += abs(_det_frac(rows))
-    return total / factorial
+    total = sum((Fraction(abs(_det_int_py(s)), math.prod(r[-1] for r in s))
+                 for s in _triangulate(points, d, facets)), Fraction(0))
+    return total / math.factorial(d)

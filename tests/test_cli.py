@@ -66,6 +66,35 @@ class TestMembership:
         assert err.value.code == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1", "abc"])
+    def test_tolerance_outside_contract_is_usage_error(self, capsys,
+                                                       tolerance):
+        with pytest.raises(SystemExit) as err:
+            main(["membership", "--point", "0,0,0,0",
+                  "--tolerance", tolerance])
+        assert err.value.code == 2
+        assert "--tolerance" in capsys.readouterr().err
+
+    def test_zero_tolerance_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "membership", "--point", "0,0,0,0",
+                               "--tolerance", "0", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["profile"]["C"]["inside"] is True
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["membership", "--point", "2,0,0,0"], "--point"),
+    (["distance", "--from", "2,0,0,0", "--to", "0,0,0,0"], "--from"),
+    (["distance", "--from", "0,0,0,0", "--to", "0,0,0,2"], "--to")])
+def test_point_error_names_the_flag(capsys, argv, flag):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert f"argument {flag}: point field" in message
+    assert all(other not in message
+               for other in ("--point", "--from", "--to") if other != flag)
+
 
 class TestUsageErrors:
     def test_unknown_flag(self, capsys):
@@ -153,6 +182,16 @@ class TestVolume:
                   "--abs-tol", abs_tol])
         assert err.value.code == 2
         assert "--abs-tol" in capsys.readouterr().err
+
+    def test_batch_size_above_n_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["volume", "--region", "C", "--n", "10", "--batch-size", "11"])
+        assert err.value.code == 2
+        message = capsys.readouterr().err
+        assert "--batch-size" in message and "--n" in message
+        code, _, _ = run_cli(capsys, "volume", "--region", "C", "--n", "10",
+                             "--batch-size", "10")
+        assert code == 0
 
     def test_workers_env_default(self, capsys, monkeypatch):
         monkeypatch.setenv("BELLVOL_WORKERS", "2")

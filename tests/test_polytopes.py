@@ -5,6 +5,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellvol.polytopes import (
     Behavior,
@@ -29,6 +31,7 @@ from bellvol.polytopes import (
     signaling_example,
     table_from_behavior,
 )
+from bellvol.polytopes import _homogenize, _hull_facets
 from bellvol.regions import in_box_L, in_local, in_quantum_arcsin, in_tsirelson_T
 
 PM = (-1, 1)
@@ -452,3 +455,167 @@ class TestSerialization:
         for h in poly.halfspaces:
             tight = sum(1 for v in poly.vertices if h.slack(v) == 0)
             assert tight >= 8
+
+
+# --------------------------------------------------------------------------
+# the double-description engine against a brute-force oracle
+# --------------------------------------------------------------------------
+
+def kernel(rows, n):
+    """A basis of {x in Q^n : row . x = 0 for every row} (Gauss-Jordan)."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    for c in range(n):
+        r = next((i for i in range(len(pivots), len(m)) if m[i][c]), None)
+        if r is None:
+            continue
+        k = len(pivots)
+        m[k], m[r] = m[r], m[k]
+        m[k] = [x / m[k][c] for x in m[k]]
+        m = [row if i == k else [x - row[c] * y for x, y in zip(row, m[k])]
+             for i, row in enumerate(m)]
+        pivots.append(c)
+    basis = []
+    for f in (c for c in range(n) if c not in pivots):
+        x = [Fraction(int(c == f)) for c in range(n)]
+        for i, c in enumerate(pivots):
+            x[c] = -m[i][f]
+        basis.append(x)
+    return basis
+
+
+def primitive(v):
+    """The integer multiple of a rational vector with coprime entries."""
+    scale = math.lcm(*(x.denominator for x in v))
+    ints = [int(x * scale) for x in v]
+    g = math.gcd(*ints)
+    return tuple(x // g for x in ints)
+
+
+def oracle_vertices(halfspaces, d):
+    """Solve every d-subset of the inequalities as equations; keep the
+    feasible unique solutions."""
+    found = set()
+    for sub in itertools.combinations(halfspaces, d):
+        ker = kernel([(*h.normal, -h.offset) for h in sub], d + 1)
+        if len(ker) == 1 and ker[0][d]:
+            x = tuple(c / ker[0][d] for c in ker[0][:d])
+            if all(h.slack(x) >= 0 for h in halfspaces):
+                found.add(x)
+    return sorted(found)
+
+
+def oracle_facets(points, d):
+    """Span a hyperplane through every affinely independent d-subset; keep
+    the ones with every point on one side, as primitive (normal, offset)."""
+    found = set()
+    for sub in itertools.combinations(points, d):
+        ker = kernel([(*p, 1) for p in sub], d + 1)
+        if len(ker) != 1:
+            continue
+        *a, c = ker[0]                  # a . p + c = 0 on the subset
+        vals = [sum(ai * x for ai, x in zip(a, p)) + c for p in points]
+        for sign in (1, -1):
+            if all(sign * v <= 0 for v in vals):
+                *normal, offset = primitive([sign * x for x in (*a, -c)])
+                found.add((tuple(normal), Fraction(offset)))
+    return sorted(found)
+
+
+def full_dimensional(points, d):
+    return not kernel([(*p, 1) for p in points], d + 1)
+
+
+RATIONALS = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3]))
+
+
+@st.composite
+def cut_boxes(draw):
+    """The box [-2, 2]^d cut by random halfspaces, one row maybe repeated:
+    bounded, often with redundant rows, sometimes empty.  At most 10 rows."""
+    d = draw(st.integers(2, 4))
+    normals = st.lists(RATIONALS, min_size=d, max_size=d).filter(any)
+    rows = [Halfspace.normalized(n, 2) for n, _ in sorted(box_halfspaces(d))]
+    rows += [Halfspace.normalized(n, c) for n, c in
+             draw(st.lists(st.tuples(normals, RATIONALS), max_size=9 - 2 * d))]
+    rows += draw(st.lists(st.sampled_from(rows), max_size=1))
+    rows = draw(st.permutations(rows))
+    return RationalPolytope(dim=d, halfspaces=tuple(rows))
+
+
+@st.composite
+def point_sets(draw):
+    d = draw(st.integers(2, 4))
+    pts = draw(st.sets(st.tuples(*[RATIONALS] * d), min_size=1, max_size=10))
+    pts = draw(st.permutations(sorted(pts)))
+    return RationalPolytope(dim=d, vertices=tuple(pts))
+
+
+class TestDoubleDescription:
+    @settings(deadline=None, max_examples=60)
+    @given(cut_boxes())
+    def test_vertices_match_oracle(self, poly):
+        got = enumerate_vertices(poly)
+        assert list(got.vertices) == oracle_vertices(poly.halfspaces, poly.dim)
+        assert got.halfspaces == poly.halfspaces
+
+    @settings(deadline=None, max_examples=60)
+    @given(point_sets())
+    def test_facets_match_oracle(self, poly):
+        if not full_dimensional(poly.vertices, poly.dim):
+            with pytest.raises(DegeneratePolytope):
+                enumerate_facets(poly)
+            return
+        got = enumerate_facets(poly).halfspaces
+        assert [(h.normal, h.offset) for h in got] \
+            == oracle_facets(poly.vertices, poly.dim)
+
+    @settings(deadline=None, max_examples=60)
+    @given(point_sets())
+    def test_tight_sets_are_the_zero_slack_points(self, poly):
+        points = [*poly.vertices, poly.vertices[0]]     # one point repeated
+        rays, _ = _hull_facets(_homogenize(points), poly.dim)
+        for (*normal, offset), mask in rays:
+            slacks = [offset - sum(n * x for n, x in zip(normal, p))
+                      for p in points]
+            assert all(s >= 0 for s in slacks)
+            assert mask == sum(1 << i for i, s in enumerate(slacks) if s == 0)
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.data())
+    def test_halfspaces_open_towards_minus_e1_are_unbounded(self, data):
+        # every normal has a nonnegative first entry, so -e1 recedes
+        d = data.draw(st.integers(2, 4))
+        first = st.builds(Fraction, st.integers(0, 4), st.sampled_from([1, 2]))
+        normal = st.tuples(first, *[RATIONALS] * (d - 1)).filter(any)
+        rows = data.draw(st.lists(st.tuples(normal, RATIONALS), max_size=10))
+        poly = RationalPolytope(dim=d, halfspaces=tuple(
+            Halfspace.normalized(n, c) for n, c in rows))
+        with pytest.raises(UnboundedPolytope):
+            enumerate_vertices(poly)
+
+    def test_empty_polytope_has_no_vertices(self):
+        cube = cube_polytope_h(3).halfspaces
+        empty = RationalPolytope(dim=3, halfspaces=(
+            *cube, Halfspace.normalized((-1, 0, 0), -2)))    # x0 >= 2
+        assert enumerate_vertices(empty).vertices == ()
+
+    def test_unbounded_even_when_empty(self):
+        # x0 <= -1 and x0 >= 1 in the plane, open along x1 both ways
+        h = RationalPolytope(dim=2, halfspaces=(
+            Halfspace.normalized((1, 0), -1), Halfspace.normalized((-1, 0), -1),
+            Halfspace.normalized((0, 1), 1)))
+        with pytest.raises(UnboundedPolytope):
+            enumerate_vertices(h)
+
+    @settings(deadline=None, max_examples=40)
+    @given(point_sets())
+    def test_volume_matches_qhull(self, poly):
+        scipy_spatial = pytest.importorskip("scipy.spatial")
+        if not full_dimensional(poly.vertices, poly.dim):
+            with pytest.raises(DegeneratePolytope):
+                exact_volume(poly)
+            return
+        hull = scipy_spatial.ConvexHull([[float(x) for x in p]
+                                         for p in poly.vertices])
+        assert float(exact_volume(poly)) == pytest.approx(hull.volume, rel=1e-9)
