@@ -540,16 +540,16 @@ def enumerate_vertices(h: RationalPolytope) -> RationalPolytope:
 def enumerate_facets(v: RationalPolytope) -> RationalPolytope:
     """Facet enumeration of a full-dimensional V-polytope (exact).
 
-    Each facet normal . x <= offset has (normal, offset) primitive integers;
-    facets are sorted canonically.  Raises :class:`DegeneratePolytope` when
-    the points do not span the ambient space.
+    Each facet normal . x <= offset has a primitive integer normal, as in
+    :meth:`Halfspace.normalized`; facets are sorted canonically.  Raises
+    :class:`DegeneratePolytope` when the points do not span the ambient space.
     """
     if v.vertices is None:
         raise ValueError("input polytope has no vertex representation")
     rays, lineality = _hull_facets(_homogenize(v.vertices), v.dim)
     if lineality:
         raise DegeneratePolytope("vertex set is not full-dimensional")
-    hs = sorted((Halfspace(tuple(r[:-1]), Fraction(r[-1])) for r, _ in rays),
+    hs = sorted((Halfspace.normalized(r[:-1], r[-1]) for r, _ in rays),
                 key=lambda f: (f.normal, f.offset))
     return RationalPolytope(dim=v.dim, vertices=v.vertices,
                             halfspaces=tuple(hs))

@@ -18,10 +18,11 @@ Every oracle returns a :class:`MembershipResult` carrying the signed slack
 margin, i.e. the minimum over the region's constraints of (bound - value).
 All sets are closed; a point is inside iff margin >= -tol.
 
-Scalar oracles are pure Python.  The vector formulas are column kernels on a
-(4, m) array, one coordinate per row: ``column_margins`` scores a batch
-against several regions at once, and ``region_margins`` / ``region_mask``
-apply the same kernels to the rows of an (n, 4) array.
+Each region's margin is written once, as a kernel on a batch held one
+coordinate per row: four floats for the scalar oracles, or a (4, m) array for
+the vector entry points.  An op table supplies the few operations spelled
+differently (builtins and ``math``, or numpy).  Non-finite coordinates raise
+``ValueError``; finite points outside the cube are scored, not rejected.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -40,7 +41,7 @@ DEFAULT_TOLERANCE = 1e-12
 #: Largest CHSH functional value reachable by quantum states.
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
-_SETTING_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
+_FIELDS = ("c00", "c01", "c10", "c11")
 
 
 class RegionId(str, Enum):
@@ -81,7 +82,7 @@ class CorrelationPoint:
     c11: float
 
     def __post_init__(self):
-        for name in ("c00", "c01", "c10", "c11"):
+        for name in _FIELDS:
             v = float(getattr(self, name))
             if not (-1.0 <= v <= 1.0):
                 raise ValueError(f"{name}={v!r} outside [-1, 1]")
@@ -92,11 +93,10 @@ class CorrelationPoint:
         """Build a point, absorbing representation error up to ``atol``.
 
         Values may stick out of [-1, 1] by at most ``atol`` and are clipped;
-        anything worse is a genuine error.
+        anything worse, or a non-finite value, is a genuine error.
         """
         vals = []
-        for name, v in zip(("c00", "c01", "c10", "c11"), (c00, c01, c10, c11)):
-            v = float(v)
+        for name, v in zip(_FIELDS, _coords((c00, c01, c10, c11))):
             if abs(v) > 1.0 + atol:
                 raise ValueError(f"{name}={v!r} outside [-1, 1] beyond atol={atol}")
             vals.append(min(1.0, max(-1.0, v)))
@@ -113,12 +113,15 @@ PointLike = Union[CorrelationPoint, Sequence[float]]
 
 
 def _coords(p: PointLike) -> tuple[float, float, float, float]:
-    """Extract 4 raw coordinates; deliberately does not range-check."""
+    """Extract 4 finite coordinates; deliberately does not range-check."""
     if isinstance(p, CorrelationPoint):
         return p.as_tuple()
     t = tuple(float(v) for v in p)
     if len(t) != 4:
         raise TypeError(f"expected 4 correlations, got {len(t)}")
+    for name, v in zip(_FIELDS, t):
+        if not math.isfinite(v):
+            raise ValueError(f"{name}={v!r} is not finite")
     return t
 
 
@@ -144,54 +147,138 @@ class MembershipResult:
         return d
 
 
-def _result(region, margin, tol, char=None) -> MembershipResult:
-    return MembershipResult(
-        region=region,
-        inside=margin >= -tol,
-        margin=margin,
-        characterization=char,
-        tolerance=tol,
-    )
+# margin kernels: each region's formula once, on floats or on (4, m) arrays
+
+class _Ops(NamedTuple):
+    """The operations the kernels spell differently for floats and arrays."""
+
+    maximum: Callable  # elementwise, two arguments
+    minimum: Callable
+    sqrt: Callable
+    low: Callable      # min over the four coordinates
+    high: Callable     # max over the four coordinates
+    arcsin: Callable   # arcsin of the four coordinates, clipped to [-1, 1]
 
 
-# --------------------------------------------------------------------------
-# scalar oracles
-# --------------------------------------------------------------------------
+_SCALAR_OPS = _Ops(max, min, math.sqrt, min, max,
+                   lambda c: tuple(math.asin(min(1.0, max(-1.0, v))) for v in c))
+_ARRAY_OPS = _Ops(np.maximum, np.minimum, np.sqrt,
+                  lambda c: np.min(c, axis=0), lambda c: np.max(c, axis=0),
+                  lambda c: np.arcsin(np.clip(c, -1.0, 1.0)))
+
+
+class _Columns:
+    """A batch of points, one coordinate per row: a 4-tuple of floats (one
+    point) or a (4, m) array (one point per column), with its op table.
+    The per-point sum S, minimum and maximum are computed at most once and
+    shared by the C, T and L kernels."""
+
+    def __init__(self, cols, ops: _Ops):
+        self.cols, self.ops = cols, ops
+
+    @functools.cached_property
+    def total(self):
+        c00, c01, c10, c11 = self.cols
+        return c00 + c01 + c10 + c11
+
+    @functools.cached_property
+    def low(self):
+        return self.ops.low(self.cols)
+
+    @functools.cached_property
+    def high(self):
+        return self.ops.high(self.cols)
+
+    @functools.cached_property
+    def chsh_max_abs(self):
+        """max_ij |S - 2 c_ij| as max(S - 2 min c, 2 max c - S): exact in
+        floating point, as S - 2c is decreasing in c and rounding monotone."""
+        return self.ops.maximum(self.total - 2.0 * self.low,
+                                2.0 * self.high - self.total)
+
+
+def _quantum_kernel(characterization: QCharacterization, batch: _Columns):
+    ops, cols = batch.ops, batch.cols
+    if characterization is QCharacterization.ARCSIN:
+        # keep the batch named until the subtraction: freed earlier, it
+        # changes glibc's heap trimming, and column_margins took ~25 % longer
+        arcsin = _Columns(ops.arcsin(cols), ops)
+        return math.pi - arcsin.chsh_max_abs
+    c00, c01, c10, c11 = cols
+    if characterization is QCharacterization.LANDAU:
+        lhs = abs(c00 * c01 - c10 * c11)
+        one = [ops.maximum(1.0 - c * c, 0.0) for c in cols]
+        return ops.sqrt(one[0] * one[1]) + ops.sqrt(one[2] * one[3]) - lhs
+    if characterization is QCharacterization.SEXTIC:
+        triple = ((c01 * c10 - c00 * c11) * (c00 * c01 - c10 * c11)
+                  * (c00 * c10 - c01 * c11))
+        sq = [c * c for c in cols]
+        sum_sq = sq[0] + sq[1] + sq[2] + sq[3]
+        sum_q = sq[0] * sq[0] + sq[1] * sq[1] + sq[2] * sq[2] + sq[3] * sq[3]
+        prod = c00 * c01 * c10 * c11
+        quartic = 0.25 * sum_sq * sum_sq - 0.5 * sum_q - 2.0 * prod
+        margin_a = ops.minimum(triple, quartic - triple)
+        max_sq = ops.high(sq)
+        margin_b = 2.0 * max_sq * max_sq - max_sq * sum_sq + 2.0 * prod
+        return ops.maximum(margin_a, margin_b)
+    raise ValueError(f"unknown characterization {characterization!r}")
+
+
+def _region_kernel(region: RegionId, batch: _Columns, char: QCharacterization | None):
+    if region is RegionId.LOCAL_C:
+        return 2.0 - batch.chsh_max_abs
+    if region is RegionId.TSIRELSON_T:
+        return TSIRELSON_BOUND - batch.chsh_max_abs
+    if region is RegionId.NO_SIGNALING_L:
+        return 1.0 - batch.ops.maximum(batch.high, -batch.low)
+    if region is RegionId.UFFINK_U:
+        c00, c01, c10, c11 = batch.cols
+        lhs1 = (c00 + c11) ** 2 + (c01 - c10) ** 2
+        lhs2 = (c00 - c11) ** 2 + (c01 + c10) ** 2
+        return 4.0 - batch.ops.maximum(lhs1, lhs2)
+    if region is RegionId.QUANTUM_Q:
+        return _quantum_kernel(char, batch)
+    raise ValueError(f"unknown region {region!r}")
+
+
+# scalar oracles: one point as a batch of four floats
+
+def _point(p: PointLike) -> _Columns:
+    return _Columns(_coords(p), _SCALAR_OPS)
+
+
+def _result(region: RegionId, batch: _Columns, tol: float,
+            char: QCharacterization | None = None) -> MembershipResult:
+    margin = _region_kernel(region, batch, char)
+    return MembershipResult(region, margin >= -tol, margin, char, tol)
+
 
 def chsh_value(p: PointLike, i: int, j: int) -> float:
     """CHSH functional S - 2*c_ij with S = c00 + c01 + c10 + c11."""
     if i not in (0, 1) or j not in (0, 1):
         raise ValueError(f"setting indices must be 0 or 1, got ({i}, {j})")
-    c = _coords(p)
-    s = c[0] + c[1] + c[2] + c[3]
-    return s - 2.0 * c[2 * i + j]
+    batch = _point(p)
+    return batch.total - 2.0 * batch.cols[2 * i + j]
 
 
 def in_local(p: PointLike, tol: float = DEFAULT_TOLERANCE) -> MembershipResult:
     """All eight CHSH inequalities |S - 2 c_ij| <= 2."""
-    margin = min(2.0 - abs(chsh_value(p, i, j)) for i, j in _SETTING_PAIRS)
-    return _result(RegionId.LOCAL_C, margin, tol)
+    return _result(RegionId.LOCAL_C, _point(p), tol)
 
 
 def in_box_L(p: PointLike, tol: float = DEFAULT_TOLERANCE) -> MembershipResult:
     """The cube |c_ij| <= 1; doubles as the validity test for raw points."""
-    margin = min(1.0 - abs(v) for v in _coords(p))
-    return _result(RegionId.NO_SIGNALING_L, margin, tol)
+    return _result(RegionId.NO_SIGNALING_L, _point(p), tol)
 
 
 def in_tsirelson_T(p: PointLike, tol: float = DEFAULT_TOLERANCE) -> MembershipResult:
     """The eight linear inequalities |S - 2 c_ij| <= 2*sqrt(2)."""
-    margin = min(TSIRELSON_BOUND - abs(chsh_value(p, i, j)) for i, j in _SETTING_PAIRS)
-    return _result(RegionId.TSIRELSON_T, margin, tol)
+    return _result(RegionId.TSIRELSON_T, _point(p), tol)
 
 
 def in_uffink_U(p: PointLike, tol: float = DEFAULT_TOLERANCE) -> MembershipResult:
     """The two quadratic inequalities (c00 +/- c11)^2 + (c01 -/+ c10)^2 <= 4."""
-    c00, c01, c10, c11 = _coords(p)
-    lhs1 = (c00 + c11) ** 2 + (c01 - c10) ** 2
-    lhs2 = (c00 - c11) ** 2 + (c01 + c10) ** 2
-    margin = min(4.0 - lhs1, 4.0 - lhs2)
-    return _result(RegionId.UFFINK_U, margin, tol)
+    return _result(RegionId.UFFINK_U, _point(p), tol)
 
 
 def in_quantum_arcsin(p: PointLike, tol: float = DEFAULT_TOLERANCE) -> MembershipResult:
@@ -201,11 +288,7 @@ def in_quantum_arcsin(p: PointLike, tol: float = DEFAULT_TOLERANCE) -> Membershi
     to [-1, 1] before arcsin so representation error at cube vertices cannot
     raise a domain error; the margin is reported in radians.
     """
-    c = _coords(p)
-    s = [math.asin(min(1.0, max(-1.0, v))) for v in c]
-    total = sum(s)
-    margin = min(math.pi - abs(total - 2.0 * v) for v in s)
-    return _result(RegionId.QUANTUM_Q, margin, tol, QCharacterization.ARCSIN)
+    return _result(RegionId.QUANTUM_Q, _point(p), tol, QCharacterization.ARCSIN)
 
 
 def in_quantum_landau(p: PointLike, tol: float = DEFAULT_TOLERANCE) -> MembershipResult:
@@ -213,11 +296,7 @@ def in_quantum_landau(p: PointLike, tol: float = DEFAULT_TOLERANCE) -> Membershi
 
     |c00*c01 - c10*c11| <= sqrt(1-c00^2)sqrt(1-c01^2) + sqrt(1-c10^2)sqrt(1-c11^2)
     """
-    c00, c01, c10, c11 = _coords(p)
-    lhs = abs(c00 * c01 - c10 * c11)
-    rhs = math.sqrt(max(0.0, 1.0 - c00 * c00)) * math.sqrt(max(0.0, 1.0 - c01 * c01)) + \
-        math.sqrt(max(0.0, 1.0 - c10 * c10)) * math.sqrt(max(0.0, 1.0 - c11 * c11))
-    return _result(RegionId.QUANTUM_Q, rhs - lhs, tol, QCharacterization.LANDAU)
+    return _result(RegionId.QUANTUM_Q, _point(p), tol, QCharacterization.LANDAU)
 
 
 def in_quantum_sextic(p: PointLike, tol: float = DEFAULT_TOLERANCE) -> MembershipResult:
@@ -233,31 +312,13 @@ def in_quantum_sextic(p: PointLike, tol: float = DEFAULT_TOLERANCE) -> Membershi
     is the larger of the two chain margins (disjunction semantics).  This
     form is kept for cross-checking only; the arcsin oracle is canonical.
     """
-    c00, c01, c10, c11 = _coords(p)
-    c = (c00, c01, c10, c11)
-    triple = (c01 * c10 - c00 * c11) * (c00 * c01 - c10 * c11) * (c00 * c10 - c01 * c11)
-    sum_sq = sum(v * v for v in c)
-    sum_q = sum(v ** 4 for v in c)
-    prod = c00 * c01 * c10 * c11
-    quartic = 0.25 * sum_sq * sum_sq - 0.5 * sum_q - 2.0 * prod
-    margin_a = min(triple, quartic - triple)
-    max_sq = max(v * v for v in c)
-    margin_b = 2.0 * max_sq * max_sq - max_sq * sum_sq + 2.0 * prod
-    return _result(RegionId.QUANTUM_Q, max(margin_a, margin_b), tol,
-                   QCharacterization.SEXTIC)
-
-
-_QUANTUM_ORACLES = {
-    QCharacterization.ARCSIN: in_quantum_arcsin,
-    QCharacterization.LANDAU: in_quantum_landau,
-    QCharacterization.SEXTIC: in_quantum_sextic,
-}
+    return _result(RegionId.QUANTUM_Q, _point(p), tol, QCharacterization.SEXTIC)
 
 
 def in_quantum(p: PointLike, characterization: QCharacterization = QCharacterization.ARCSIN,
                tol: float = DEFAULT_TOLERANCE) -> MembershipResult:
     """Quantum membership under the chosen characterization (arcsin default)."""
-    return _QUANTUM_ORACLES[characterization](p, tol)
+    return _result(RegionId.QUANTUM_Q, _point(p), tol, QCharacterization(characterization))
 
 
 @dataclass(frozen=True)
@@ -297,104 +358,31 @@ class MembershipProfile:
 
 def membership_profile(p: PointLike, tol: float = DEFAULT_TOLERANCE) -> MembershipProfile:
     """Evaluate every oracle on one point."""
+    batch = _point(p)
+    q = RegionId.QUANTUM_Q
     return MembershipProfile(
-        local=in_local(p, tol),
-        quantum_arcsin=in_quantum_arcsin(p, tol),
-        quantum_landau=in_quantum_landau(p, tol),
-        quantum_sextic=in_quantum_sextic(p, tol),
-        uffink=in_uffink_U(p, tol),
-        tsirelson=in_tsirelson_T(p, tol),
-        no_signaling=in_box_L(p, tol),
+        local=_result(RegionId.LOCAL_C, batch, tol),
+        quantum_arcsin=_result(q, batch, tol, QCharacterization.ARCSIN),
+        quantum_landau=_result(q, batch, tol, QCharacterization.LANDAU),
+        quantum_sextic=_result(q, batch, tol, QCharacterization.SEXTIC),
+        uffink=_result(RegionId.UFFINK_U, batch, tol),
+        tsirelson=_result(RegionId.TSIRELSON_T, batch, tol),
+        no_signaling=_result(RegionId.NO_SIGNALING_L, batch, tol),
     )
 
 
-# --------------------------------------------------------------------------
-# column kernels: each region's vector formula once, on a (4, m) array
-# --------------------------------------------------------------------------
-
-class _Columns:
-    """A (4, m) batch of points, one coordinate per row.
-
-    The per-point sum S, minimum and maximum are computed at most once and
-    shared by the C, T and L kernels.
-    """
-
-    def __init__(self, cols: np.ndarray):
-        self.cols = cols
-
-    @functools.cached_property
-    def total(self) -> np.ndarray:
-        c00, c01, c10, c11 = self.cols
-        return c00 + c01 + c10 + c11
-
-    @functools.cached_property
-    def low(self) -> np.ndarray:
-        return self.cols.min(axis=0)
-
-    @functools.cached_property
-    def high(self) -> np.ndarray:
-        return self.cols.max(axis=0)
-
-    @functools.cached_property
-    def chsh_max_abs(self) -> np.ndarray:
-        """max_ij |S - 2 c_ij| as max(S - 2 min c, 2 max c - S).
-
-        S - 2c is decreasing in c and rounding is monotone, so the identity
-        holds exactly in floating point.
-        """
-        return np.maximum(self.total - 2.0 * self.low,
-                          2.0 * self.high - self.total)
-
-
-def _quantum_kernel(characterization: QCharacterization,
-                    batch: _Columns) -> np.ndarray:
-    cols = batch.cols
-    if characterization is QCharacterization.ARCSIN:
-        arcsin = _Columns(np.arcsin(np.clip(cols, -1.0, 1.0)))
-        return math.pi - arcsin.chsh_max_abs
-    c00, c01, c10, c11 = cols
-    if characterization is QCharacterization.LANDAU:
-        lhs = np.abs(c00 * c01 - c10 * c11)
-        one = np.clip(1.0 - cols * cols, 0.0, None)
-        return np.sqrt(one[0] * one[1]) + np.sqrt(one[2] * one[3]) - lhs
-    if characterization is QCharacterization.SEXTIC:
-        triple = ((c01 * c10 - c00 * c11) * (c00 * c01 - c10 * c11)
-                  * (c00 * c10 - c01 * c11))
-        sq = cols * cols
-        sum_sq = sq.sum(axis=0)
-        prod = c00 * c01 * c10 * c11
-        quartic = 0.25 * sum_sq ** 2 - 0.5 * (sq * sq).sum(axis=0) - 2.0 * prod
-        margin_a = np.minimum(triple, quartic - triple)
-        max_sq = sq.max(axis=0)
-        margin_b = 2.0 * max_sq ** 2 - max_sq * sum_sq + 2.0 * prod
-        return np.maximum(margin_a, margin_b)
-    raise ValueError(f"unknown characterization {characterization!r}")
-
-
-def _region_kernel(region: RegionId, batch: _Columns,
-                   characterization: QCharacterization) -> np.ndarray:
-    if region is RegionId.LOCAL_C:
-        return 2.0 - batch.chsh_max_abs
-    if region is RegionId.TSIRELSON_T:
-        return TSIRELSON_BOUND - batch.chsh_max_abs
-    if region is RegionId.NO_SIGNALING_L:
-        return 1.0 - np.maximum(batch.high, -batch.low)
-    if region is RegionId.UFFINK_U:
-        c00, c01, c10, c11 = batch.cols
-        lhs1 = (c00 + c11) ** 2 + (c01 - c10) ** 2
-        lhs2 = (c00 - c11) ** 2 + (c01 + c10) ** 2
-        return 4.0 - np.maximum(lhs1, lhs2)
-    if region is RegionId.QUANTUM_Q:
-        return _quantum_kernel(characterization, batch)
-    raise ValueError(f"unknown region {region!r}")
-
+# vector entry points: (4, m) columns or the rows of an (n, 4) array
 
 def column_margins(regions: Sequence[RegionId], cols: np.ndarray,
                    characterization: QCharacterization = QCharacterization.ARCSIN
                    ) -> list[np.ndarray]:
     """Signed margins of each of ``regions`` for each column of a (4, m)
-    array, with the work the kernels have in common done once."""
-    batch = _Columns(cols)
+    array, with the work the kernels have in common done once.
+
+    The columns are not checked for finite values: the Monte Carlo engine
+    draws finite points, and a check per batch would slow its stream.
+    """
+    batch = _Columns(cols, _ARRAY_OPS)
     return [_region_kernel(r, batch, characterization) for r in regions]
 
 
@@ -402,6 +390,8 @@ def _as_columns(pts) -> np.ndarray:
     pts = np.asarray(pts, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 4:
         raise ValueError(f"expected (n, 4) array, got {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
     return np.ascontiguousarray(pts.T)
 
 
@@ -414,7 +404,7 @@ def region_margins(region: RegionId, pts: np.ndarray,
 
 def quantum_margins(characterization: QCharacterization, pts: np.ndarray) -> np.ndarray:
     """Vectorized quantum margins under one characterization."""
-    return _quantum_kernel(characterization, _Columns(_as_columns(pts)))
+    return _quantum_kernel(characterization, _Columns(_as_columns(pts), _ARRAY_OPS))
 
 
 def region_mask(region: RegionId, pts: np.ndarray, tol: float = DEFAULT_TOLERANCE,

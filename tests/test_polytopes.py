@@ -303,6 +303,21 @@ class TestEnumerateFacets:
         with pytest.raises(DegeneratePolytope):
             enumerate_facets(square_in_3d)
 
+    def test_normals_are_primitive_and_text_round_trips(self):
+        # x <= 1/2 must come out as normal (1, 0) with offset 1/2, not (2, 0), 1
+        half = Fraction(1, 2)
+        rect = RationalPolytope(dim=2, vertices=(
+            (Fraction(0), Fraction(0)), (half, Fraction(0)),
+            (Fraction(0), Fraction(1)), (half, Fraction(1))))
+        facets = enumerate_facets(rect)
+        assert {(h.normal, h.offset) for h in facets.halfspaces} == {
+            ((1, 0), half), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 0)}
+        for h in facets.halfspaces:
+            assert math.gcd(*h.normal) == 1
+        text = facets.to_text("H")
+        assert RationalPolytope.from_text(text).halfspaces == facets.halfspaces
+        assert RationalPolytope.from_text(text).to_text("H") == text
+
 
 class TestDuality:
     def test_cube_round_trip(self):
@@ -507,7 +522,7 @@ def oracle_vertices(halfspaces, d):
 
 def oracle_facets(points, d):
     """Span a hyperplane through every affinely independent d-subset; keep
-    the ones with every point on one side, as primitive (normal, offset)."""
+    the ones with every point on one side, with a primitive normal."""
     found = set()
     for sub in itertools.combinations(points, d):
         ker = kernel([(*p, 1) for p in sub], d + 1)
@@ -517,8 +532,9 @@ def oracle_facets(points, d):
         vals = [sum(ai * x for ai, x in zip(a, p)) + c for p in points]
         for sign in (1, -1):
             if all(sign * v <= 0 for v in vals):
-                *normal, offset = primitive([sign * x for x in (*a, -c)])
-                found.add((tuple(normal), Fraction(offset)))
+                normal = primitive([sign * x for x in a])
+                k = next(i for i, x in enumerate(normal) if x)
+                found.add((normal, -sign * c * normal[k] / (sign * a[k])))
     return sorted(found)
 
 

@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import region_reference as reference
 from bellvol.regions import (
     DEFAULT_TOLERANCE,
     TSIRELSON_BOUND,
@@ -11,6 +14,7 @@ from bellvol.regions import (
     QCharacterization,
     RegionId,
     chsh_value,
+    column_margins,
     in_box_L,
     in_local,
     in_quantum,
@@ -24,6 +28,7 @@ from bellvol.regions import (
     region_margins,
     region_mask,
 )
+from bellvol.toggles import toggle_distance
 
 S = 1.0 / math.sqrt(2.0)
 Q_BOUNDARY = (S, S, S, -S)   # saturates the linear bound 2*sqrt(2)
@@ -196,6 +201,13 @@ class TestPointValidation:
         with pytest.raises(ValueError):
             CorrelationPoint.clamped(1.1, 0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["c00", "c01", "c10", "c11"])
+    def test_clamped_rejects_non_finite(self, bad, field):
+        values = {"c00": 0.0, "c01": 0.0, "c10": 0.0, "c11": 0.0, field: bad}
+        with pytest.raises(ValueError, match=field):
+            CorrelationPoint.clamped(**values)
+
     def test_tolerance_semantics(self):
         res = in_local((1, 1, 1, 1), tol=1e-6)
         assert res.inside and res.tolerance == 1e-6
@@ -325,6 +337,12 @@ def test_scalar_and_vectorized_margins_agree():
         for k in range(50):
             assert vec[k] == pytest.approx(
                 in_quantum(tuple(pts[k]), char).margin, abs=1e-12)
+    # the scalar oracles share the kernels, so also check against the
+    # inequalities written out in the tests
+    for region, ref in zip(CHAIN, reference.CHAIN):
+        vec = region_margins(region, pts)
+        for k in range(len(pts)):
+            assert vec[k] == pytest.approx(ref(tuple(pts[k])), abs=1e-12)
 
 
 def test_region_mask_matches_margins():
@@ -347,3 +365,106 @@ def test_margin_continuity_under_small_perturbations():
                                 for i, v in enumerate(c))
                 # Lipschitz constant of every margin is at most ~8
                 assert abs(oracle(shifted).margin - m0) < 100 * eps
+
+
+# --------------------------------------------------------------------------
+# properties on points of the cube
+# --------------------------------------------------------------------------
+
+UNIT = st.floats(-1.0, 1.0)
+CUBE_POINTS = (st.tuples(UNIT, UNIT, UNIT, UNIT)
+               | st.tuples(*[st.sampled_from((-1.0, -S, 0.0, S, 1.0))] * 4))
+ORACLES = (in_local, in_quantum_arcsin, in_quantum_landau, in_quantum_sextic,
+           in_uffink_U, in_tsirelson_T, in_box_L)
+
+
+@settings(deadline=None, max_examples=300)
+@given(CUBE_POINTS)
+def test_chain_is_monotone(c):
+    margins = [r.margin for r in membership_profile(c).regions().values()]
+    if min(abs(m) for m in margins) < 1e-9:
+        return      # a verdict this close to a boundary is decided by rounding
+    inside = [m >= 0 for m in margins]
+    assert inside == [ref(c) >= 0 for ref in reference.CHAIN]
+    assert inside == sorted(inside), dict(zip("CQUTL", margins))
+
+
+@settings(deadline=None, max_examples=300)
+@given(CUBE_POINTS)
+def test_scalar_and_column_margins_are_equal(c):
+    cols = np.array(c, dtype=np.float64).reshape(4, 1)
+    profile = membership_profile(c)
+    # a float's ** calls pow, which can round a square 1 ulp away from the
+    # product that numpy's ** 2 takes; with the same four squares the U
+    # margins are equal
+    c00, c01, c10, c11 = c
+    pow_squares = all(v ** 2 == v * v for v in (c00 + c11, c01 - c10,
+                                                c00 - c11, c01 + c10))
+    for region, res in profile.regions().items():
+        column = column_margins([region], cols)[0][0]
+        assert column == region_margins(region, np.array([c]))[0]
+        if region is RegionId.UFFINK_U and not pow_squares:
+            assert abs(res.margin - column) <= 2 * math.ulp(8.0)
+        elif region is not RegionId.QUANTUM_Q:
+            assert res.margin == column
+    for char in (QCharacterization.LANDAU, QCharacterization.SEXTIC):
+        assert in_quantum(c, char).margin == quantum_margins(char, [c])[0] \
+            == column_margins([RegionId.QUANTUM_Q], cols, char)[0][0]
+    # math.asin and numpy's arcsin may round a coordinate differently, by
+    # at most 1 ulp; with the same four angles the margins are equal
+    scalar_angles = [math.asin(v) for v in c]
+    column_angles = np.arcsin(cols[:, 0]).tolist()
+    for a, b in zip(scalar_angles, column_angles):
+        assert abs(a - b) <= math.ulp(a)
+    arcsin = quantum_margins(QCharacterization.ARCSIN, [c])[0]
+    if scalar_angles == column_angles:
+        assert profile.quantum_arcsin.margin == arcsin
+    else:
+        assert abs(profile.quantum_arcsin.margin - arcsin) \
+            <= 8 * math.ulp(2 * math.pi)
+
+
+@settings(deadline=None, max_examples=200)
+@given(CUBE_POINTS, st.sampled_from([0.0, 1e-15, DEFAULT_TOLERANCE, 1e-6, 0.5]))
+def test_inside_iff_margin_within_tolerance(c, tol):
+    profile = membership_profile(c, tol)
+    results = [oracle(c, tol) for oracle in ORACLES]
+    results += [*profile.regions().values(), *profile.quantum().values()]
+    for res in results:
+        assert res.inside == (res.margin >= -tol)
+        assert res.tolerance == tol
+    for region in CHAIN:
+        margins = region_margins(region, np.array([c]))
+        assert region_mask(region, np.array([c]), tol)[0] == (margins[0] >= -tol)
+
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@settings(deadline=None, max_examples=60)
+@given(CUBE_POINTS, st.integers(0, 3), NON_FINITE)
+@example((0.0, 0.0, 0.0, 0.0), 0, math.nan)
+@example((0.0, 0.0, 0.0, 0.0), 3, math.nan)
+def test_non_finite_points_are_rejected(c, k, bad):
+    point = list(c)
+    point[k] = bad
+    for oracle in ORACLES:
+        with pytest.raises(ValueError, match="not finite"):
+            oracle(point)
+    with pytest.raises(ValueError, match="not finite"):
+        in_quantum(point, QCharacterization.SEXTIC)
+    with pytest.raises(ValueError, match="not finite"):
+        membership_profile(point)
+    with pytest.raises(ValueError):
+        toggle_distance(point, c)
+    with pytest.raises(ValueError):
+        toggle_distance(c, point)
+    rows = np.array([c, point, c])
+    for region in CHAIN:
+        with pytest.raises(ValueError):
+            region_margins(region, rows)
+        with pytest.raises(ValueError):
+            region_mask(region, rows)
+    for char in QCharacterization:
+        with pytest.raises(ValueError):
+            quantum_margins(char, rows)

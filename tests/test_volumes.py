@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import region_reference as reference
 from bellvol import volumes
 from bellvol.regions import (
     DEFAULT_TOLERANCE,
@@ -186,7 +187,7 @@ class TestSharedStreamMonotonicity:
 
 class TestScoreStream:
     def test_histogram_matches_scalar_oracles(self):
-        # the same draws, scored point by point by the pure-Python oracles
+        # the same draws, scored point by point by the scalar oracles
         n, seed = 20_000, 23
         hist = score_stream(EstimatorConfig(sample_count=n, seed=seed,
                                             batch_size=4096), CHAIN)
@@ -197,6 +198,10 @@ class TestScoreStream:
                    in_box_L)
         codes = [sum(oracle(tuple(row)).inside << k
                      for k, oracle in enumerate(oracles)) for row in pts]
+        assert hist.tolist() == np.bincount(codes, minlength=32).tolist()
+        # and by the inequalities written out in the tests
+        codes = [sum((ref(tuple(row)) >= -DEFAULT_TOLERANCE) << k
+                     for k, ref in enumerate(reference.CHAIN)) for row in pts]
         assert hist.tolist() == np.bincount(codes, minlength=32).tolist()
 
     @settings(deadline=None, max_examples=10)
