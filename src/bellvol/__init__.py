@@ -27,6 +27,7 @@ from .regions import (
     in_tsirelson_T,
     in_uffink_U,
     membership_profile,
+    membership_profiles,
     region_margins,
     region_mask,
 )

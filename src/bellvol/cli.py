@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Subcommands: membership, volume, ratios, polytope, examples, sample-quantum,
-distance.  Exit codes: 0 success, 1 computation error, 2 usage error.
+distance.  Exit codes: 0 success, 1 computation error, 2 usage error; a
+reader that closes stdout early ends the command with exit 1 and no
+traceback.
 Outputs contain no timestamps, so identical invocations produce identical
 bytes.
 """
@@ -26,11 +28,17 @@ from .regions import (
     in_local,
     in_quantum_arcsin,
     membership_profile,
+    membership_profiles,
+    profile_record,
 )
 
 _REGION_BY_LETTER = {r.value: r for r in RegionId}
 
 _POINT_KEYS = ("c00", "c01", "c10", "c11")
+
+#: Points drawn and scored at a time by sample-quantum: large enough to
+#: amortize numpy's per-call cost, small enough to keep memory flat in --n.
+_SAMPLE_BLOCK = 1024
 
 
 def _integer(low: int, high: int | None = None):
@@ -354,12 +362,14 @@ def _cmd_examples(args, parser):
 def _cmd_sample_quantum(args, parser):
     key = np.array([args.seed, 0], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
-    points = quantum.sample_quantum_points(args.n, rng)
-    for row in points:
-        profile = membership_profile(row)
-        rec = dict(zip(_POINT_KEYS, (float(v) for v in row)))
-        rec["profile"] = profile.as_dict()
-        print(json.dumps(rec))
+    for start in range(0, args.n, _SAMPLE_BLOCK):
+        block = quantum.sample_quantum_points(
+            min(_SAMPLE_BLOCK, args.n - start), rng)
+        profiles = membership_profiles(block)
+        for row, verdicts in zip(block.tolist(), profiles.verdicts()):
+            rec = dict(zip(_POINT_KEYS, row))
+            rec["profile"] = profile_record(verdicts)
+            print(json.dumps(rec))
     return 0
 
 
@@ -453,7 +463,16 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (e.g. `| head`): point stdout at devnull so
+        # the interpreter's final flush cannot raise again, and exit 1 quietly
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

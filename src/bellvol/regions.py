@@ -23,6 +23,8 @@ coordinate per row: four floats for the scalar oracles, or a (4, m) array for
 the vector entry points.  An op table supplies the few operations spelled
 differently (builtins and ``math``, or numpy).  Non-finite coordinates raise
 ``ValueError``; finite points outside the cube are scored, not rejected.
+``membership_profile`` scores one point, ``membership_profiles`` each row of
+an (n, 4) array; both give their JSON record through ``profile_record``.
 """
 
 from __future__ import annotations
@@ -125,7 +127,7 @@ def _coords(p: PointLike) -> tuple[float, float, float, float]:
     return t
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MembershipResult:
     """Verdict of one region oracle.
 
@@ -141,10 +143,17 @@ class MembershipResult:
     tolerance: float = DEFAULT_TOLERANCE
 
     def as_dict(self) -> dict:
-        d = {"region": self.region.value, "inside": self.inside, "margin": self.margin}
-        if self.characterization is not None:
-            d["characterization"] = self.characterization.value
-        return d
+        char = self.characterization
+        return _result_record(self.region.value, char and char.value,
+                              self.inside, self.margin)
+
+
+def _result_record(region: str, char: str | None,
+                   inside: bool, margin: float) -> dict:
+    d = {"region": region, "inside": inside, "margin": margin}
+    if char is not None:
+        d["characterization"] = char
+    return d
 
 
 # margin kernels: each region's formula once, on floats or on (4, m) arrays
@@ -321,7 +330,7 @@ def in_quantum(p: PointLike, characterization: QCharacterization = QCharacteriza
     return _result(RegionId.QUANTUM_Q, _point(p), tol, QCharacterization(characterization))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MembershipProfile:
     """Verdicts for all five regions, the quantum one under all three forms."""
 
@@ -351,24 +360,46 @@ class MembershipProfile:
         }
 
     def as_dict(self) -> dict:
-        d = {rid.value: res.as_dict() for rid, res in self.regions().items()}
-        d["Q"] = {ch.value: res.as_dict() for ch, res in self.quantum().items()}
-        return d
+        return profile_record(
+            (res.inside, res.margin)
+            for res in (self.local, self.quantum_arcsin, self.quantum_landau,
+                        self.quantum_sextic, self.uffink, self.tsirelson,
+                        self.no_signaling))
+
+
+#: The seven verdicts of a profile, in the field order of MembershipProfile.
+PROFILE_ORDER = (
+    (RegionId.LOCAL_C, None),
+    (RegionId.QUANTUM_Q, QCharacterization.ARCSIN),
+    (RegionId.QUANTUM_Q, QCharacterization.LANDAU),
+    (RegionId.QUANTUM_Q, QCharacterization.SEXTIC),
+    (RegionId.UFFINK_U, None),
+    (RegionId.TSIRELSON_T, None),
+    (RegionId.NO_SIGNALING_L, None),
+)
+
+# the tags of PROFILE_ORDER, read once: an enum's .value is a slow property
+_PROFILE_TAGS = tuple((region.value, char and char.value)
+                      for region, char in PROFILE_ORDER)
+
+
+def profile_record(verdicts) -> dict:
+    """The JSON record of one membership profile, built from its seven
+    (inside, margin) pairs in ``PROFILE_ORDER``: one entry per region, the
+    quantum entry holding one per characterization."""
+    local, arcsin, landau, sextic, uffink, tsirelson, box = [
+        _result_record(region, char, inside, margin)
+        for (region, char), (inside, margin) in zip(_PROFILE_TAGS, verdicts)]
+    return {"C": local, "Q": {"arcsin": arcsin, "landau": landau,
+                              "sextic": sextic},
+            "U": uffink, "T": tsirelson, "L": box}
 
 
 def membership_profile(p: PointLike, tol: float = DEFAULT_TOLERANCE) -> MembershipProfile:
     """Evaluate every oracle on one point."""
     batch = _point(p)
-    q = RegionId.QUANTUM_Q
-    return MembershipProfile(
-        local=_result(RegionId.LOCAL_C, batch, tol),
-        quantum_arcsin=_result(q, batch, tol, QCharacterization.ARCSIN),
-        quantum_landau=_result(q, batch, tol, QCharacterization.LANDAU),
-        quantum_sextic=_result(q, batch, tol, QCharacterization.SEXTIC),
-        uffink=_result(RegionId.UFFINK_U, batch, tol),
-        tsirelson=_result(RegionId.TSIRELSON_T, batch, tol),
-        no_signaling=_result(RegionId.NO_SIGNALING_L, batch, tol),
-    )
+    return MembershipProfile(*[_result(region, batch, tol, char)
+                               for region, char in PROFILE_ORDER])
 
 
 # vector entry points: (4, m) columns or the rows of an (n, 4) array
@@ -393,6 +424,29 @@ def _as_columns(pts) -> np.ndarray:
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
     return np.ascontiguousarray(pts.T)
+
+
+class ProfileBatch(NamedTuple):
+    """Membership profiles of a batch of points: seven margin arrays and
+    seven verdict arrays, both in ``PROFILE_ORDER``."""
+
+    margins: tuple[np.ndarray, ...]
+    inside: tuple[np.ndarray, ...]
+
+    def verdicts(self):
+        """Per point, its seven (inside, margin) pairs as Python values."""
+        return zip(*[zip(inside.tolist(), margins.tolist())
+                     for inside, margins in zip(self.inside, self.margins)])
+
+
+def membership_profiles(pts: np.ndarray,
+                        tol: float = DEFAULT_TOLERANCE) -> ProfileBatch:
+    """Every oracle on each row of an (n, 4) array: the vector counterpart
+    of :func:`membership_profile`, from the same kernels."""
+    batch = _Columns(_as_columns(pts), _ARRAY_OPS)
+    margins = tuple(_region_kernel(region, batch, char)
+                    for region, char in PROFILE_ORDER)
+    return ProfileBatch(margins, tuple(m >= -tol for m in margins))
 
 
 def region_margins(region: RegionId, pts: np.ndarray,

@@ -22,9 +22,21 @@ land inside it.  This module provides:
 * the closed-form constants the estimates are compared against.
 
 Closed forms used as cross-checks: V_C = 32/3, V_L = 16, V_Q = 3*pi^2/2,
-and V_T = (768*sqrt(2) - 1040)/3 (the eight corner pieces the linear bound
-2*sqrt(2) cuts off the cube are pairwise disjoint, and each has the
-Irwin-Hall volume 16*(17 - 12*sqrt(2))/6).
+V_T = (768*sqrt(2) - 1040)/3 and V_U = 32*pi - 256/3.  Both T and U are the
+cube minus disjoint corner pieces:
+
+* T: the eight pieces the linear bound 2*sqrt(2) cuts off are pairwise
+  disjoint, and each has the Irwin-Hall volume 16*(17 - 12*sqrt(2))/6.
+* U: with f1 = (c00 + c11)^2 + (c01 - c10)^2 and
+  f2 = (c00 - c11)^2 + (c01 + c10)^2, f1 + f2 = 2 * sum c_ij^2 <= 8 on the
+  cube, so f1 > 4 and f2 > 4 never hold together and the cube minus U is
+  two disjoint pieces of equal volume.  The piece f1 > 4 is x^2 + z^2 > 4
+  in pair coordinates; its (y, w) slice is the full rectangle of area
+  4*(2 - |x|)(2 - |z|), so with Jacobian 1/4 and four sign quadrants it
+  has volume 4 * integral of (2 - x)(2 - z) over the part of [0, 2]^2
+  outside x^2 + z^2 <= 4.  That integral is 4 - (4*pi - 32/3 + 2) =
+  38/3 - 4*pi, so each piece is 152/3 - 16*pi and
+  V_U = 16 - 2*(152/3 - 16*pi) = 32*pi - 256/3.
 """
 
 from __future__ import annotations
@@ -126,6 +138,8 @@ class AnalyticConstants:
     v_c: float = 2.0 ** 5 / 3.0
     v_l: float = 2.0 ** 4
     v_q: float = 1.5 * math.pi ** 2
+    v_u: float = 32.0 * math.pi - 256.0 / 3.0
+    v_t: float = V_T_CLOSED_FORM
     ratio_qc: float = (3.0 * math.pi / 8.0) ** 2
     ratio_ql: float = 3.0 * math.pi ** 2 / 32.0
     ratio_cl: float = 2.0 / 3.0
@@ -133,6 +147,7 @@ class AnalyticConstants:
     def as_dict(self) -> dict:
         return {
             "V_C": self.v_c, "V_L": self.v_l, "V_Q": self.v_q,
+            "V_U": self.v_u, "V_T": self.v_t,
             "ratio_QC": self.ratio_qc, "ratio_QL": self.ratio_ql,
             "ratio_CL": self.ratio_cl,
         }
@@ -557,10 +572,10 @@ def headline_report(cfg: EstimatorConfig | None = None,
     for r in _HEADLINE_REGIONS:
         est = _volume_from_hits(r, _hits(hist, bit[r]), cfg)
         rec = est.as_json_record()
-        ref = analytic.get(f"V_{r.value}")  # None for U and T
+        ref = analytic[f"V_{r.value}"]
         rec["analytic"] = ref
         rec["deviation_sigmas"] = (
-            None if ref is None or est.std_error == 0.0
+            None if est.std_error == 0.0
             else (est.value - ref) / est.std_error)
         volumes[r.value] = rec
 

@@ -1,9 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from bellvol import cli
 from bellvol.cli import main
+from bellvol.regions import membership_profile
 
 
 def run_cli(capsys, *argv):
@@ -301,6 +307,45 @@ class TestSampleQuantum:
         _, out1, _ = run_cli(capsys, "sample-quantum", "--n", "3", "--seed", "9")
         _, out2, _ = run_cli(capsys, "sample-quantum", "--n", "3", "--seed", "9")
         assert out1 == out2
+
+    def test_records_have_the_profile_key_order(self, capsys):
+        _, out, _ = run_cli(capsys, "sample-quantum", "--n", "4", "--seed", "2")
+        for line in out.splitlines():
+            rec = json.loads(line)
+            point = [rec[k] for k in ("c00", "c01", "c10", "c11")]
+            assert list(rec) == ["c00", "c01", "c10", "c11", "profile"]
+            scalar = membership_profile(point).as_dict()
+            assert list(rec["profile"]) == list(scalar)
+            for key, entry in scalar.items():
+                assert list(rec["profile"][key]) == list(entry)
+                if key == "Q":
+                    for char, res in entry.items():
+                        assert list(rec["profile"]["Q"][char]) == list(res)
+
+    def test_output_does_not_depend_on_block_size(self, capsys, monkeypatch):
+        outputs = []
+        for block in (1, 7, 30, 1024):
+            monkeypatch.setattr(cli, "_SAMPLE_BLOCK", block)
+            code, out, _ = run_cli(capsys, "sample-quantum", "--n", "30",
+                                   "--seed", "11")
+            assert code == 0 and len(out.splitlines()) == 30
+            outputs.append(out)
+        assert outputs == [outputs[-1]] * len(outputs)
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from bellvol.cli import entrypoint; entrypoint()",
+         "sample-quantum", "--n", "5000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert json.loads(proc.stdout.readline())["profile"]
+    proc.stdout.close()     # the output is far larger than the pipe buffer
+    err = proc.communicate(timeout=60)[1]
+    assert proc.returncode == 1
+    assert b"Traceback" not in err and b"BrokenPipe" not in err, err
 
 
 class TestDistance:

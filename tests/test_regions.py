@@ -1,5 +1,9 @@
+import copy
+import dataclasses
 import itertools
+import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -9,8 +13,10 @@ from hypothesis import strategies as st
 import region_reference as reference
 from bellvol.regions import (
     DEFAULT_TOLERANCE,
+    PROFILE_ORDER,
     TSIRELSON_BOUND,
     CorrelationPoint,
+    MembershipResult,
     QCharacterization,
     RegionId,
     chsh_value,
@@ -24,6 +30,8 @@ from bellvol.regions import (
     in_tsirelson_T,
     in_uffink_U,
     membership_profile,
+    membership_profiles,
+    profile_record,
     quantum_margins,
     region_margins,
     region_mask,
@@ -186,6 +194,23 @@ class TestProfile:
     def test_as_dict_reports_all_three_q_forms(self):
         d = membership_profile((0, 0, 0, 0)).as_dict()
         assert set(d["Q"]) == {"arcsin", "landau", "sextic"}
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        profile = membership_profile(Q_BOUNDARY, tol=1e-6)
+        result = in_quantum_landau(PR_POINT)
+        for obj in (profile, result, profile.quantum_sextic):
+            for twin in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+                assert twin == obj and twin is not obj
+                assert twin.as_dict() == obj.as_dict()
+        assert pickle.loads(pickle.dumps(profile)).local.tolerance == 1e-6
+
+    def test_results_are_slotted_and_frozen(self):
+        profile = membership_profile((0, 0, 0, 0))
+        for obj, field in ((profile, "local"), (profile.local, "margin")):
+            assert not hasattr(obj, "__dict__")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, field, None)
+        assert isinstance(profile.local, MembershipResult)
 
 
 class TestPointValidation:
@@ -468,3 +493,107 @@ def test_non_finite_points_are_rejected(c, k, bad):
     for char in QCharacterization:
         with pytest.raises(ValueError):
             quantum_margins(char, rows)
+
+
+# --------------------------------------------------------------------------
+# batch profiles
+# --------------------------------------------------------------------------
+
+VERTICES = list(itertools.product((-1.0, 1.0), repeat=4))
+
+
+def _scalar_gap(c, region, char):
+    """Largest difference allowed between the scalar margin at ``c`` and the
+    numpy one, by the bounds of test_scalar_and_column_margins_are_equal."""
+    c00, c01, c10, c11 = c
+    if region is RegionId.UFFINK_U:
+        pow_squares = all(v ** 2 == v * v for v in (c00 + c11, c01 - c10,
+                                                    c00 - c11, c01 + c10))
+        return 0.0 if pow_squares else 2 * math.ulp(8.0)
+    if char is QCharacterization.ARCSIN:
+        same = [math.asin(v) for v in c] == np.arcsin(c).tolist()
+        return 0.0 if same else 8 * math.ulp(2 * math.pi)
+    return 0.0
+
+
+def _check_profiles(points, tol=DEFAULT_TOLERANCE, boundary=1e-9):
+    batch = membership_profiles(np.array(points, dtype=np.float64), tol)
+    cols = np.array(points, dtype=np.float64).T
+    assert len(batch.margins) == len(batch.inside) == len(PROFILE_ORDER)
+    for (region, char), margins, inside in zip(PROFILE_ORDER, batch.margins,
+                                               batch.inside):
+        column = column_margins([region], cols, char or QCharacterization.ARCSIN)[0]
+        assert margins.tobytes() == column.tobytes()
+        assert inside.tolist() == (column >= -tol).tolist()
+    for c, verdicts in zip(points, batch.verdicts()):
+        scalar = membership_profile(c, tol)
+        results = (scalar.local, scalar.quantum_arcsin, scalar.quantum_landau,
+                   scalar.quantum_sextic, scalar.uffink, scalar.tsirelson,
+                   scalar.no_signaling)
+        for (region, char), res, (inside, margin) in zip(PROFILE_ORDER, results,
+                                                         verdicts):
+            assert (res.region, res.characterization) == (region, char)
+            assert abs(res.margin - margin) <= _scalar_gap(c, region, char)
+            if abs(res.margin + tol) >= boundary:
+                assert res.inside == inside, (c, region, char)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(CUBE_POINTS, min_size=1, max_size=12),
+       st.sampled_from([0.0, DEFAULT_TOLERANCE, 1e-6]))
+@example(VERTICES + [Q_BOUNDARY], DEFAULT_TOLERANCE)
+def test_batch_profiles_match_columns_and_scalar_profiles(points, tol):
+    _check_profiles(points, tol)
+
+
+def test_batch_profiles_at_vertices_and_tsirelson_point():
+    points = VERTICES + [Q_BOUNDARY]
+    _check_profiles(points, boundary=0.0)   # every verdict, on the boundary too
+    inside = membership_profiles(np.array(points)).inside
+    by_slot = dict(zip(PROFILE_ORDER, inside))
+    assert by_slot[RegionId.NO_SIGNALING_L, None].all()
+    # a vertex is local iff its CHSH values stay within 2: an even count of -1
+    local = [math.prod(v) > 0 for v in VERTICES] + [False]
+    assert by_slot[RegionId.LOCAL_C, None].tolist() == local
+    for char in QCharacterization:
+        assert by_slot[RegionId.QUANTUM_Q, char].tolist() == local[:-1] + [True]
+    assert by_slot[RegionId.TSIRELSON_T, None].tolist() == local[:-1] + [True]
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(CUBE_POINTS, min_size=1, max_size=8),
+       st.lists(CUBE_POINTS, min_size=1, max_size=8))
+def test_batch_profiles_are_row_independent(a, b):
+    whole = membership_profiles(np.array(a + b))
+    parts = [membership_profiles(np.array(a)), membership_profiles(np.array(b))]
+    for k in range(len(PROFILE_ORDER)):
+        joined = np.concatenate([p.margins[k] for p in parts])
+        assert whole.margins[k].tobytes() == joined.tobytes()
+        assert whole.inside[k].tolist() == \
+            np.concatenate([p.inside[k] for p in parts]).tolist()
+    assert list(whole.verdicts()) == [*parts[0].verdicts(), *parts[1].verdicts()]
+
+
+@pytest.mark.parametrize("pts", [
+    [[0.0, 0.0, 0.0, math.nan]],
+    [[0.1, 0.2, 0.3, 0.4], [math.inf, 0.0, 0.0, 0.0]],
+    [[0.0, -math.inf, 0.0, 0.0]],
+    [0.0, 0.0, 0.0, 0.0],
+    [[0.0, 0.0, 0.0]],
+    np.zeros((2, 5)),
+    np.zeros((1, 4, 1)),
+])
+def test_batch_profiles_reject_bad_input(pts):
+    with pytest.raises(ValueError):
+        membership_profiles(pts)
+
+
+def test_batch_profile_records_match_scalar_layout():
+    # points whose scalar and numpy margins agree exactly, so the records
+    # must be equal byte for byte, key order included
+    points = VERTICES + [(0.0, 0.0, 0.0, 0.0), (0.5, 0.5, 0.5, -0.5)]
+    batch = membership_profiles(np.array(points))
+    for c, verdicts in zip(points, batch.verdicts()):
+        record = profile_record(verdicts)
+        scalar = membership_profile(c).as_dict()
+        assert json.dumps(record) == json.dumps(scalar)

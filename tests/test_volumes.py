@@ -44,9 +44,10 @@ CHAIN = (RegionId.LOCAL_C, RegionId.QUANTUM_Q, RegionId.UFFINK_U,
 V_Q = 1.5 * math.pi ** 2
 V_C = 32.0 / 3.0
 
-# Volume of the quadratic two-circle region; recomputed with mpmath in
-# test_circle_region_volume_reference, and guarded by Monte Carlo below.
-V_U_REFERENCE = 15.197631581540050
+# Volume of the quadratic two-circle region in closed form (disjoint-corner
+# argument in the volumes module docstring); recomputed independently with
+# mpmath in test_circle_region_volume_reference, and guarded by Monte Carlo.
+V_U_REFERENCE = 32.0 * math.pi - 256.0 / 3.0
 
 
 def _v_u_mpmath(dps: int = 20):
@@ -385,6 +386,19 @@ class TestQuadrature:
         assert abs(est.value - V_U_REFERENCE) <= 1e-9
         assert est.error_bound <= 1e-9
 
+    def test_circle_region_corner_integral(self):
+        # the piece f1 > 4 of the cube: 4 * integral of (2 - x)(2 - z) over
+        # [0, 2]^2 outside the quarter disk, here by mpmath in polar form
+        with mpmath.workdps(30):
+            def outside(t):
+                r0 = 2 / mpmath.cos(t)          # edge x = 2 for t <= pi/4
+                return mpmath.quad(
+                    lambda r: (2 - r * mpmath.cos(t)) * (2 - r * mpmath.sin(t)) * r,
+                    [2, r0])
+            corner = 8 * mpmath.quad(outside, [0, mpmath.pi / 4])
+            assert abs(corner - (mpmath.mpf(152) / 3 - 16 * mpmath.pi)) < 1e-25
+            assert abs(16 - 2 * corner - V_U_REFERENCE) <= 1e-14
+
     def test_circle_region_against_monte_carlo(self):
         quad = quadrature_volume(RegionId.UFFINK_U, abs_tol=1e-7)
         mc = mc_volume(RegionId.UFFINK_U, EstimatorConfig(sample_count=1_000_000,
@@ -438,6 +452,10 @@ class TestAnalyticConstants:
         assert c.ratio_qc == pytest.approx(1.38791312, abs=5e-9)
         assert c.ratio_ql == pytest.approx(0.92527541, abs=5e-9)
         assert c.ratio_cl == pytest.approx(2.0 / 3.0, rel=0, abs=0)
+        assert c.v_u == V_U_REFERENCE
+        assert c.v_u == pytest.approx(15.19763158154005, abs=5e-14)
+        assert c.v_t == V_T_CLOSED_FORM
+        assert list(c.as_dict())[:5] == ["V_C", "V_L", "V_Q", "V_U", "V_T"]
 
     def test_ratios_equal_quotients(self):
         c = analytic_constants()
@@ -477,6 +495,16 @@ class TestHeadlineReport:
         assert set(rep["ratios"]) == {"Q/C", "Q/L", "C/L"}
         assert set(rep["excesses"]) == {"T/Q-1", "U/Q-1"}
         assert rep["volumes"]["L"]["value"] == 16.0
+        analytic = analytic_constants()
+        for region, ref in (("C", analytic.v_c), ("Q", analytic.v_q),
+                            ("U", V_U_REFERENCE), ("T", V_T_CLOSED_FORM)):
+            rec = rep["volumes"][region]
+            assert rec["analytic"] == ref
+            assert rec["deviation_sigmas"] == \
+                (rec["value"] - ref) / rec["std_error"]
+            assert abs(rec["deviation_sigmas"]) < 5
+        assert rep["volumes"]["L"]["analytic"] == 16.0
+        assert rep["volumes"]["L"]["deviation_sigmas"] is None
         # ratio values must equal the quotient of the shared-stream counts
         est = ratio_estimate(RegionId.QUANTUM_Q, RegionId.LOCAL_C, cfg)
         assert rep["ratios"]["Q/C"]["value"] == est.value
