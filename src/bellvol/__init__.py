@@ -55,14 +55,11 @@ from .polytopes import (
     table_from_behavior,
 )
 from .volumes import (
-    AnalyticConstants,
+    ANALYTIC,
     DegenerateDenominator,
     EstimatorConfig,
-    ExcessReport,
     ToleranceNotMet,
     VolumeEstimate,
-    analytic_constants,
-    excess_report,
     exact_region_volume,
     headline_report,
     mc_volume,

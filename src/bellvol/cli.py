@@ -32,8 +32,6 @@ from .regions import (
     profile_record,
 )
 
-_REGION_BY_LETTER = {r.value: r for r in RegionId}
-
 _POINT_KEYS = ("c00", "c01", "c10", "c11")
 
 #: Points drawn and scored at a time by sample-quantum: large enough to
@@ -200,7 +198,7 @@ def _cmd_membership(args, parser):
 # -- volume ------------------------------------------------------------------
 
 def _cmd_volume(args, parser):
-    region = _REGION_BY_LETTER[args.region]
+    region = RegionId(args.region)
     if args.method == "mc":
         if args.batch_size is not None and args.batch_size > args.n:
             parser.error(f"argument --batch-size: must be <= --n ({args.n}),"
@@ -234,20 +232,11 @@ def _cmd_ratios(args, parser):
     cfg = volumes.EstimatorConfig(sample_count=args.n, seed=args.seed,
                                   worker_count=args.workers)
     report = volumes.headline_report(cfg)
-    rows = []
-    for letter, rec in report["volumes"].items():
-        rows.append({"kind": "volume", "name": f"V_{letter}",
-                     "value": rec["value"], "std_error": rec["std_error"],
-                     "analytic": rec["analytic"],
-                     "deviation_sigmas": rec["deviation_sigmas"]})
-    for name, rec in report["ratios"].items():
-        rows.append({"kind": "ratio", "name": name, "value": rec["value"],
-                     "std_error": rec["std_error"], "analytic": rec["analytic"],
-                     "deviation_sigmas": rec["deviation_sigmas"]})
-    for name, rec in report["excesses"].items():
-        rows.append({"kind": "excess", "name": name, "value": rec["value"],
-                     "std_error": rec["std_error"], "analytic": None,
-                     "deviation_sigmas": None})
+    rows = [{**rec, "kind": kind, "name": prefix + name}
+            for kind, prefix, section in (("volume", "V_", "volumes"),
+                                          ("ratio", "", "ratios"),
+                                          ("excess", "", "excesses"))
+            for name, rec in report[section].items()]
     _emit(args, rows,
           ["kind", "name", "value", "std_error", "analytic", "deviation_sigmas"],
           report)
@@ -406,7 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_membership)
 
     p = sub.add_parser("volume", help="volume of one region")
-    p.add_argument("--region", required=True, choices=sorted(_REGION_BY_LETTER))
+    p.add_argument("--region", required=True,
+                   choices=sorted(r.value for r in RegionId))
     p.add_argument("--method", choices=("mc", "quadrature", "exact"),
                    default="mc")
     p.add_argument("--n", type=_count, default=10_000_000)

@@ -171,35 +171,27 @@ def sample_quantum_point(rng: np.random.Generator) -> CorrelationPoint:
     return CorrelationPoint.clamped(*pts[0])
 
 
-def sample_quantum_points(n: int, rng: np.random.Generator,
-                          batch_size: int = 20_000) -> np.ndarray:
+def sample_quantum_points(n: int, rng: np.random.Generator) -> np.ndarray:
     """(n, 4) array of correlation points from random states and settings.
 
     Each row uses an independent random pure two-qubit state and four
     independent uniform measurement axes (two per party).  Entries are
     clipped to [-1, 1] to absorb representation error at the boundary.
+    Each point takes one contiguous block of 20 normals from ``rng``, so
+    draws of m and then n - m points equal one draw of n.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    out = np.empty((n, 4))
-    done = 0
-    while done < n:
-        m = min(batch_size, n - done)
-        # one contiguous block of 20 normals per sample keeps the stream
-        # independent of the batch size
-        draw = rng.standard_normal((m, 20))
-        psi = draw[:, 0:4] + 1j * draw[:, 4:8]
-        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-        axes = draw[:, 8:20].reshape(m, 4, 3).copy()
-        axes /= np.linalg.norm(axes, axis=2, keepdims=True)
-        # observables: (m, 2, 2, 2) for each party's two settings
-        a_ops = np.einsum("msk,kij->msij", axes[:, :2], _SIGMA)
-        b_ops = np.einsum("msk,kij->msij", axes[:, 2:], _SIGMA)
-        m_psi = psi.reshape(m, 2, 2)
-        # <psi| A_s x B_t |psi> = sum conj(psi_ij) A_ik B_jl psi_kl
-        corr = np.einsum("mij,msik,mtjl,mkl->mst",
-                         m_psi.conj(), a_ops, b_ops, m_psi).real
-        block = corr.reshape(m, 4)  # order (00, 01, 10, 11)
-        out[done:done + m] = np.clip(block, -1.0, 1.0)
-        done += m
-    return out
+    draw = rng.standard_normal((n, 20))
+    psi = draw[:, 0:4] + 1j * draw[:, 4:8]
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    axes = draw[:, 8:20].reshape(n, 4, 3).copy()
+    axes /= np.linalg.norm(axes, axis=2, keepdims=True)
+    # observables: (n, 2, 2, 2) for each party's two settings
+    a_ops = np.einsum("msk,kij->msij", axes[:, :2], _SIGMA)
+    b_ops = np.einsum("msk,kij->msij", axes[:, 2:], _SIGMA)
+    m_psi = psi.reshape(n, 2, 2)
+    # <psi| A_s x B_t |psi> = sum conj(psi_ij) A_ik B_jl psi_kl
+    corr = np.einsum("mij,msik,mtjl,mkl->mst",
+                     m_psi.conj(), a_ops, b_ops, m_psi).real
+    return np.clip(corr.reshape(n, 4), -1.0, 1.0)  # order (00, 01, 10, 11)

@@ -95,8 +95,11 @@ class CorrelationPoint:
         """Build a point, absorbing representation error up to ``atol``.
 
         Values may stick out of [-1, 1] by at most ``atol`` and are clipped;
-        anything worse, or a non-finite value, is a genuine error.
+        anything worse, or a non-finite value, is a genuine error.  ``atol``
+        itself must be finite and >= 0.
         """
+        if not (math.isfinite(atol) and atol >= 0.0):
+            raise ValueError(f"atol must be finite and >= 0, got {atol!r}")
         vals = []
         for name, v in zip(_FIELDS, _coords((c00, c01, c10, c11))):
             if abs(v) > 1.0 + atol:
@@ -454,11 +457,6 @@ def region_margins(region: RegionId, pts: np.ndarray,
                    ) -> np.ndarray:
     """Signed margins of ``region`` for each row of an (n, 4) array."""
     return column_margins([region], _as_columns(pts), characterization)[0]
-
-
-def quantum_margins(characterization: QCharacterization, pts: np.ndarray) -> np.ndarray:
-    """Vectorized quantum margins under one characterization."""
-    return _quantum_kernel(characterization, _Columns(_as_columns(pts), _ARRAY_OPS))
 
 
 def region_mask(region: RegionId, pts: np.ndarray, tol: float = DEFAULT_TOLERANCE,

@@ -37,15 +37,16 @@ class OutcomeSequence:
     bob: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "alice", tuple(int(a) for a in self.alice))
-        object.__setattr__(self, "bob", tuple(int(b) for b in self.bob))
-        if len(self.alice) != len(self.bob):
+        alice, bob = tuple(self.alice), tuple(self.bob)
+        if len(alice) != len(bob):
             raise ValueError("outcome lists must have equal length")
-        if not self.alice:
+        if not alice:
             raise ValueError("outcome lists must be nonempty")
-        for seq in (self.alice, self.bob):
-            if any(v not in (-1, 1) for v in seq):
-                raise ValueError("outcomes must be +1 or -1")
+        # check the raw values: int() would truncate 1.5 to an accepted 1
+        if any(v not in (-1, 1) for v in alice + bob):
+            raise ValueError("outcomes must be +1 or -1")
+        object.__setattr__(self, "alice", tuple(int(a) for a in alice))
+        object.__setattr__(self, "bob", tuple(int(b) for b in bob))
 
     def __len__(self) -> int:
         return len(self.alice)

@@ -19,7 +19,7 @@ land inside it.  This module provides:
   (y, w) slice has a closed-form measure; the (x, z) integral uses tensor
   Gauss-Legendre rules on kink-aligned cells, doubling the order n until
   orders n and 2n agree within the tolerance, and reports that difference,
-* the closed-form constants the estimates are compared against.
+* ``ANALYTIC``, the closed-form constants the estimates are compared against.
 
 Closed forms used as cross-checks: V_C = 32/3, V_L = 16, V_Q = 3*pi^2/2,
 V_T = (768*sqrt(2) - 1040)/3 and V_U = 32*pi - 256/3.  Both T and U are the
@@ -46,18 +46,28 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Sequence
 
 import numpy as np
 
 from . import polytopes
-from .regions import DEFAULT_TOLERANCE, RegionId, column_margins
+from .regions import DEFAULT_TOLERANCE, REGION_CHAIN, RegionId, column_margins
 from .regions import region_mask  # noqa: F401  read by bench/tracer.py
 
 SQRT2 = math.sqrt(2.0)
 
-#: Exact linear-bound volume, derived by cutting 8 disjoint corners off the cube.
-V_T_CLOSED_FORM = (768.0 * SQRT2 - 1040.0) / 3.0
+#: Closed-form volumes of the five regions and the three headline ratios.
+ANALYTIC = MappingProxyType({
+    "V_C": 2.0 ** 5 / 3.0,
+    "V_L": 2.0 ** 4,
+    "V_Q": 1.5 * math.pi ** 2,
+    "V_U": 32.0 * math.pi - 256.0 / 3.0,
+    "V_T": (768.0 * SQRT2 - 1040.0) / 3.0,
+    "ratio_QC": (3.0 * math.pi / 8.0) ** 2,
+    "ratio_QL": 3.0 * math.pi ** 2 / 32.0,
+    "ratio_CL": 2.0 / 3.0,
+})
 
 
 class DegenerateDenominator(ZeroDivisionError):
@@ -131,32 +141,6 @@ class VolumeEstimate:
         }
 
 
-@dataclass(frozen=True)
-class AnalyticConstants:
-    """Closed-form volumes and ratios of the five regions."""
-
-    v_c: float = 2.0 ** 5 / 3.0
-    v_l: float = 2.0 ** 4
-    v_q: float = 1.5 * math.pi ** 2
-    v_u: float = 32.0 * math.pi - 256.0 / 3.0
-    v_t: float = V_T_CLOSED_FORM
-    ratio_qc: float = (3.0 * math.pi / 8.0) ** 2
-    ratio_ql: float = 3.0 * math.pi ** 2 / 32.0
-    ratio_cl: float = 2.0 / 3.0
-
-    def as_dict(self) -> dict:
-        return {
-            "V_C": self.v_c, "V_L": self.v_l, "V_Q": self.v_q,
-            "V_U": self.v_u, "V_T": self.v_t,
-            "ratio_QC": self.ratio_qc, "ratio_QL": self.ratio_ql,
-            "ratio_CL": self.ratio_cl,
-        }
-
-
-def analytic_constants() -> AnalyticConstants:
-    return AnalyticConstants()
-
-
 def __getattr__(name: str):
     # bench/tracer.py patches ``volumes.integrate.quad``; scipy loads only then
     if name == "integrate":
@@ -170,12 +154,13 @@ def __getattr__(name: str):
 # --------------------------------------------------------------------------
 
 def _score_substreams(cfg: EstimatorConfig, regions: tuple[RegionId, ...],
-                      tol: float, workers: range) -> np.ndarray:
+                      workers: range) -> np.ndarray:
     """Membership-code histogram of the substreams of ``workers``.
 
     Worker w draws its share of the sample budget from Philox keyed by
     (seed, w), ``batch_size`` points at a time, exactly as
-    ``2 * random((m, 4)) - 1``; the batch is scored in column layout.
+    ``2 * random((m, 4)) - 1``; the batch is scored in column layout.  A
+    point is inside a region when its margin is >= -DEFAULT_TOLERANCE.
     """
     base, extra = divmod(cfg.sample_count, cfg.worker_count)
     hist = np.zeros(1 << len(regions), dtype=np.int64)
@@ -191,14 +176,14 @@ def _score_substreams(cfg: EstimatorConfig, regions: tuple[RegionId, ...],
             cols -= 1.0
             code = np.zeros(m, dtype=np.uint8)
             for bit, margin in enumerate(column_margins(regions, cols)):
-                code |= (margin >= -tol).view(np.uint8) << bit
+                code |= (margin >= -DEFAULT_TOLERANCE).view(np.uint8) << bit
             hist += np.bincount(code, minlength=len(hist))
             remaining -= m
     return hist
 
 
-def score_stream(cfg: EstimatorConfig, regions: Sequence[RegionId],
-                 tol: float = DEFAULT_TOLERANCE) -> np.ndarray:
+def score_stream(cfg: EstimatorConfig,
+                 regions: Sequence[RegionId]) -> np.ndarray:
     """One pass over the sample stream against up to eight regions.
 
     Bit k of a point's membership code is set when the point lies in
@@ -212,7 +197,7 @@ def score_stream(cfg: EstimatorConfig, regions: Sequence[RegionId],
         raise ValueError("score_stream takes at most 8 regions")
     procs = min(cfg.worker_count, os.cpu_count() or 1)
     if procs == 1:
-        return _score_substreams(cfg, regions, tol, range(cfg.worker_count))
+        return _score_substreams(cfg, regions, range(cfg.worker_count))
     import multiprocessing
     import threading
     from concurrent.futures import ProcessPoolExecutor
@@ -225,7 +210,7 @@ def score_stream(cfg: EstimatorConfig, regions: Sequence[RegionId],
     context = multiprocessing.get_context("fork" if fork else "spawn")
     cuts = [cfg.worker_count * k // procs for k in range(procs + 1)]
     with ProcessPoolExecutor(procs, mp_context=context) as pool:
-        parts = [pool.submit(_score_substreams, cfg, regions, tol, range(a, b))
+        parts = [pool.submit(_score_substreams, cfg, regions, range(a, b))
                  for a, b in zip(cuts, cuts[1:])]
         return sum(part.result() for part in parts)
 
@@ -250,11 +235,11 @@ def _volume_from_hits(region: RegionId, hits: int,
     )
 
 
-def mc_volume(region: RegionId, cfg: EstimatorConfig | None = None,
-              tol: float = DEFAULT_TOLERANCE) -> VolumeEstimate:
+def mc_volume(region: RegionId,
+              cfg: EstimatorConfig | None = None) -> VolumeEstimate:
     """Hit-or-miss volume: 16 * (hits / n) on uniform draws from the cube."""
     cfg = cfg or EstimatorConfig()
-    hits = int(score_stream(cfg, [region], tol)[1])
+    hits = int(score_stream(cfg, [region])[1])
     return _volume_from_hits(region, hits, cfg)
 
 
@@ -273,15 +258,14 @@ def _ratio_with_error(hist: np.ndarray, a: int, b: int) -> tuple[float, float]:
 
 
 def ratio_estimate(region_a: RegionId, region_b: RegionId,
-                   cfg: EstimatorConfig | None = None,
-                   tol: float = DEFAULT_TOLERANCE) -> VolumeEstimate:
+                   cfg: EstimatorConfig | None = None) -> VolumeEstimate:
     """Volume ratio V_A / V_B from one stream scored against both oracles.
 
     Containment is not assumed; the joint hit count enters the covariance
     term of the delta-method standard error.
     """
     cfg = cfg or EstimatorConfig()
-    hist = score_stream(cfg, [region_a, region_b], tol)
+    hist = score_stream(cfg, [region_a, region_b])
     ratio, err = _ratio_with_error(hist, 0, 1)
     return VolumeEstimate(
         region=f"{region_a.value}/{region_b.value}",
@@ -482,118 +466,42 @@ def exact_region_volume(region: RegionId) -> Fraction:
 
 
 # --------------------------------------------------------------------------
-# excess report and headline table
+# headline table
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExcessReport:
-    """How much the two outer approximations exceed the quantum set."""
-
-    v_q: VolumeEstimate
-    v_t: VolumeEstimate
-    v_u: VolumeEstimate
-    excess_t: float
-    excess_t_std_error: float
-    excess_u: float
-    excess_u_std_error: float
-    fraction_t_outside_q: float
-    fraction_t_outside_q_std_error: float
-
-    def as_dict(self) -> dict:
-        return {
-            "V_Q": self.v_q.as_json_record(),
-            "V_T": self.v_t.as_json_record(),
-            "V_U": self.v_u.as_json_record(),
-            "excess_T": self.excess_t,
-            "excess_T_std_error": self.excess_t_std_error,
-            "excess_U": self.excess_u,
-            "excess_U_std_error": self.excess_u_std_error,
-            "fraction_T_outside_Q": self.fraction_t_outside_q,
-            "fraction_T_outside_Q_std_error": self.fraction_t_outside_q_std_error,
-        }
+def _row(value: float, std_error: float, analytic: float) -> dict:
+    """An estimate beside its closed form, the deviation in standard errors
+    (None for an exact estimate)."""
+    return {"value": value, "std_error": std_error, "analytic": analytic,
+            "deviation_sigmas": (value - analytic) / std_error
+            if std_error else None}
 
 
-def excess_report(method: str = "quadrature",
-                  cfg: EstimatorConfig | None = None,
-                  abs_tol: float = 1e-7) -> ExcessReport:
-    """V_T/V_Q - 1, V_U/V_Q - 1 and the fraction of T not in Q.
-
-    With the default quadrature method all inputs are deterministic and the
-    reported standard errors are 0; with method="mc" the excesses are
-    shared-stream ratio estimates with delta-method errors.
-    """
-    regions = (RegionId.QUANTUM_Q, RegionId.TSIRELSON_T, RegionId.UFFINK_U)
-    if method == "quadrature":
-        v_q, v_t, v_u = (quadrature_volume(r, abs_tol) for r in regions)
-        tq, uq, qt = ((a.value / b.value, 0.0)
-                      for a, b in ((v_t, v_q), (v_u, v_q), (v_q, v_t)))
-    elif method == "mc":
-        cfg = cfg or EstimatorConfig()
-        hist = score_stream(cfg, regions)
-        v_q, v_t, v_u = (_volume_from_hits(r, _hits(hist, k), cfg)
-                         for k, r in enumerate(regions))
-        tq, uq, qt = (_ratio_with_error(hist, a, b)
-                      for a, b in ((1, 0), (2, 0), (0, 1)))
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return ExcessReport(
-        v_q=v_q, v_t=v_t, v_u=v_u,
-        excess_t=tq[0] - 1.0,
-        excess_t_std_error=tq[1],
-        excess_u=uq[0] - 1.0,
-        excess_u_std_error=uq[1],
-        fraction_t_outside_q=1.0 - qt[0],
-        fraction_t_outside_q_std_error=qt[1],
-    )
-
-
-_HEADLINE_REGIONS = (RegionId.LOCAL_C, RegionId.QUANTUM_Q, RegionId.UFFINK_U,
-                     RegionId.TSIRELSON_T, RegionId.NO_SIGNALING_L)
-_HEADLINE_RATIOS = ((RegionId.QUANTUM_Q, RegionId.LOCAL_C),
-                    (RegionId.QUANTUM_Q, RegionId.NO_SIGNALING_L),
-                    (RegionId.LOCAL_C, RegionId.NO_SIGNALING_L))
-
-
-def headline_report(cfg: EstimatorConfig | None = None,
-                    tol: float = DEFAULT_TOLERANCE) -> dict:
+def headline_report(cfg: EstimatorConfig | None = None) -> dict:
     """Everything the `ratios` command prints, from one shared sample stream.
 
-    Returns volumes for all five regions, the three headline ratios with
-    delta-method errors, the two excesses over the quantum set, the analytic
-    constants, and each estimate's deviation from its constant in units of
-    its standard error.
+    Returns volumes for all five regions, the ratios Q/C, Q/L and C/L, and
+    the excesses T/Q - 1 and U/Q - 1 over the quantum set, each with its
+    delta-method error, its analytic value and its deviation from that value
+    in units of its standard error, followed by the analytic constants.
     """
     cfg = cfg or EstimatorConfig()
-    hist = score_stream(cfg, _HEADLINE_REGIONS, tol)
-    bit = {r: k for k, r in enumerate(_HEADLINE_REGIONS)}
+    hist = score_stream(cfg, REGION_CHAIN)
+    bit = {r.value: k for k, r in enumerate(REGION_CHAIN)}
 
-    analytic = analytic_constants().as_dict()
     volumes = {}
-    for r in _HEADLINE_REGIONS:
-        est = _volume_from_hits(r, _hits(hist, bit[r]), cfg)
-        rec = est.as_json_record()
-        ref = analytic[f"V_{r.value}"]
-        rec["analytic"] = ref
-        rec["deviation_sigmas"] = (
-            None if est.std_error == 0.0
-            else (est.value - ref) / est.std_error)
-        volumes[r.value] = rec
-
-    ratios = {}
-    for ra, rb in _HEADLINE_RATIOS:
-        value, err = _ratio_with_error(hist, bit[ra], bit[rb])
-        ref = analytic[f"ratio_{ra.value}{rb.value}"]
-        ratios[f"{ra.value}/{rb.value}"] = {
-            "value": value, "std_error": err, "analytic": ref,
-            "deviation_sigmas": (value - ref) / err if err else None,
-        }
-
+    for k, r in enumerate(REGION_CHAIN):
+        est = _volume_from_hits(r, _hits(hist, k), cfg)
+        volumes[r.value] = {**est.as_json_record(), **_row(
+            est.value, est.std_error, ANALYTIC[f"V_{r.value}"])}
+    ratios = {f"{a}/{b}": _row(*_ratio_with_error(hist, bit[a], bit[b]),
+                               ANALYTIC[f"ratio_{a}{b}"])
+              for a, b in ("QC", "QL", "CL")}
     excesses = {}
-    for top, name in ((RegionId.TSIRELSON_T, "T/Q-1"),
-                      (RegionId.UFFINK_U, "U/Q-1")):
-        value, err = _ratio_with_error(hist, bit[top],
-                                       bit[RegionId.QUANTUM_Q])
-        excesses[name] = {"value": value - 1.0, "std_error": err}
+    for top in "TU":
+        value, err = _ratio_with_error(hist, bit[top], bit["Q"])
+        excesses[f"{top}/Q-1"] = _row(
+            value - 1.0, err, ANALYTIC[f"V_{top}"] / ANALYTIC["V_Q"] - 1.0)
 
     return {
         "n": cfg.sample_count,
@@ -602,5 +510,5 @@ def headline_report(cfg: EstimatorConfig | None = None,
         "volumes": volumes,
         "ratios": ratios,
         "excesses": excesses,
-        "analytic": analytic,
+        "analytic": dict(ANALYTIC),
     }

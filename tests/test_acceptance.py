@@ -41,14 +41,13 @@ from bellvol.regions import (
     RegionId,
     chsh_value,
     in_quantum_arcsin,
-    quantum_margins,
     region_margins,
 )
 from bellvol.toggles import OutcomeSequence, min_toggles
 from bellvol.volumes import (
     EstimatorConfig,
-    excess_report,
     mc_volume,
+    quadrature_volume,
     quadrature_volume_Q,
     ratio_estimate,
 )
@@ -152,10 +151,11 @@ def test_criterion_05_linear_and_quadratic_relaxations():
         assert abs(v_t.value / 16.0 - 0.961) <= tol_t
         assert abs(v_u.value / 16.0 - 0.950) <= tol_u
 
-        rep = excess_report(method="quadrature", abs_tol=1e-7)
-        assert abs(rep.excess_t - 0.038) <= 0.002
-        assert abs(rep.excess_u - 0.026) <= 0.002
-        assert abs(rep.fraction_t_outside_q - 0.037) <= 0.002
+        q, t, u = (quadrature_volume(r, abs_tol=1e-7).value for r in (
+            RegionId.QUANTUM_Q, RegionId.TSIRELSON_T, RegionId.UFFINK_U))
+        assert abs((t / q - 1.0) - 0.038) <= 0.002
+        assert abs((u / q - 1.0) - 0.026) <= 0.002
+        assert abs((1.0 - q / t) - 0.037) <= 0.002
 
 
 def test_criterion_06_reference_tables_exact():
@@ -191,7 +191,8 @@ def test_criterion_08_quantum_necessity_sweep():
         rng = np.random.Generator(np.random.Philox(
             key=np.array([8, 0], dtype=np.uint64)))
         pts = sample_quantum_points(100_000, rng)
-        margins = quantum_margins(QCharacterization.ARCSIN, pts)
+        margins = region_margins(RegionId.QUANTUM_Q, pts,
+                                 QCharacterization.ARCSIN)
         assert margins.min() >= -1e-9
         chsh_max = TSIRELSON_BOUND - region_margins(RegionId.TSIRELSON_T, pts)
         assert chsh_max.max() <= TSIRELSON_BOUND + 1e-9
@@ -200,15 +201,18 @@ def test_criterion_08_quantum_necessity_sweep():
 def test_criterion_09_characterization_agreement(uniform_million):
     with criterion(9, "Landau/arcsin agree on 1e6 points"):
         pts = uniform_million
-        m_arc = quantum_margins(QCharacterization.ARCSIN, pts)
-        m_lan = quantum_margins(QCharacterization.LANDAU, pts)
+        m_arc = region_margins(RegionId.QUANTUM_Q, pts,
+                               QCharacterization.ARCSIN)
+        m_lan = region_margins(RegionId.QUANTUM_Q, pts,
+                               QCharacterization.LANDAU)
         band = (np.abs(m_arc) < BAND) | (np.abs(m_lan) < BAND)
         disagree = ((m_arc >= 0) != (m_lan >= 0)) & ~band
         assert disagree.sum() == 0
 
         # informational: the degree-six form is compared and any
         # disagreements are dumped for inspection, without failing
-        m_sex = quantum_margins(QCharacterization.SEXTIC, pts)
+        m_sex = region_margins(RegionId.QUANTUM_Q, pts,
+                               QCharacterization.SEXTIC)
         band_s = band | (np.abs(m_sex) < BAND)
         sex_disagree = ((m_arc >= 0) != (m_sex >= 0)) & ~band_s
         REPORT_DIR.mkdir(parents=True, exist_ok=True)

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -220,6 +222,20 @@ class TestRatios:
         code, out, _ = run_cli(capsys, "ratios", "--n", "20000", "--seed", "2")
         assert code == 0
         assert "analytic" in out and "V_C" in out and "T/Q-1" in out
+
+    def test_csv_rows_follow_the_report(self, capsys):
+        argv = ("ratios", "--n", "20000", "--seed", "4")
+        _, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        _, text, _ = run_cli(capsys, *argv, "--format", "json")
+        report = json.loads(text)
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [(r["kind"], r["name"]) for r in rows] == \
+            [("volume", f"V_{k}") for k in report["volumes"]] \
+            + [("ratio", k) for k in report["ratios"]] \
+            + [("excess", k) for k in report["excesses"]]
+        assert all(r["analytic"] for r in rows)
+        # only the cube volume is exact, with no deviation to report
+        assert [r["name"] for r in rows if not r["deviation_sigmas"]] == ["V_L"]
 
     def test_byte_identical_reruns(self, capsys):
         _, out1, _ = run_cli(capsys, "ratios", "--n", "20000", "--seed", "3",

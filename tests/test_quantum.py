@@ -26,7 +26,6 @@ from bellvol.regions import (
     chsh_value,
     in_local,
     in_quantum_arcsin,
-    quantum_margins,
     region_margins,
     RegionId,
 )
@@ -133,7 +132,8 @@ class TestSampling:
 
     def test_bulk_points_inside_quantum_set(self):
         pts = sample_quantum_points(20_000, rng(4))
-        margins = quantum_margins(QCharacterization.ARCSIN, pts)
+        margins = region_margins(RegionId.QUANTUM_Q, pts,
+                                 QCharacterization.ARCSIN)
         assert margins.min() >= -1e-9
 
     def test_no_sample_beats_the_linear_bound(self):
@@ -147,8 +147,10 @@ class TestSampling:
         assert fraction > 0.0
 
     def test_batching_does_not_change_the_stream(self):
-        a = sample_quantum_points(500, rng(7), batch_size=500)
-        b = sample_quantum_points(500, rng(7), batch_size=123)
+        a = sample_quantum_points(500, rng(7))
+        gen = rng(7)
+        b = np.concatenate([sample_quantum_points(123, gen),
+                            sample_quantum_points(377, gen)])
         assert np.array_equal(a, b)
 
     def test_rejects_nonpositive_n(self):

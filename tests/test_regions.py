@@ -32,7 +32,6 @@ from bellvol.regions import (
     membership_profile,
     membership_profiles,
     profile_record,
-    quantum_margins,
     region_margins,
     region_mask,
 )
@@ -233,6 +232,19 @@ class TestPointValidation:
         with pytest.raises(ValueError, match=field):
             CorrelationPoint.clamped(**values)
 
+    @pytest.mark.parametrize("atol", [math.nan, math.inf, -math.inf, -1e-9])
+    def test_clamped_rejects_bad_atol(self, atol):
+        with pytest.raises(ValueError, match="atol"):
+            CorrelationPoint.clamped(5.0, 0.0, 0.0, 0.0, atol=atol)
+        with pytest.raises(ValueError, match="atol"):
+            CorrelationPoint.clamped(0.0, 0.0, 0.0, 0.0, atol=atol)
+
+    def test_clamped_zero_atol_clips_nothing(self):
+        p = CorrelationPoint.clamped(1.0, -1.0, 0.0, 0.0, atol=0.0)
+        assert p.as_tuple() == (1.0, -1.0, 0.0, 0.0)
+        with pytest.raises(ValueError):
+            CorrelationPoint.clamped(1.0 + 1e-15, 0.0, 0.0, 0.0, atol=0.0)
+
     def test_tolerance_semantics(self):
         res = in_local((1, 1, 1, 1), tol=1e-6)
         assert res.inside and res.tolerance == 1e-6
@@ -268,8 +280,10 @@ def test_inclusion_chain_on_random_points():
 
 def test_landau_arcsin_agreement_on_random_points():
     pts = uniform_points(200_000, seed=12)
-    m_arc = quantum_margins(QCharacterization.ARCSIN, pts)
-    m_lan = quantum_margins(QCharacterization.LANDAU, pts)
+    m_arc = region_margins(RegionId.QUANTUM_Q, pts,
+                           QCharacterization.ARCSIN)
+    m_lan = region_margins(RegionId.QUANTUM_Q, pts,
+                           QCharacterization.LANDAU)
     band = (np.abs(m_arc) < DEFAULT_TOLERANCE) | (np.abs(m_lan) < DEFAULT_TOLERANCE)
     assert (((m_arc >= 0) == (m_lan >= 0)) | band).all()
 
@@ -358,7 +372,7 @@ def test_scalar_and_vectorized_margins_agree():
         for k in range(len(pts)):
             assert vec[k] == pytest.approx(scalar(tuple(pts[k])).margin, abs=1e-12)
     for char in QCharacterization:
-        vec = quantum_margins(char, pts)
+        vec = region_margins(RegionId.QUANTUM_Q, pts, char)
         for k in range(50):
             assert vec[k] == pytest.approx(
                 in_quantum(tuple(pts[k]), char).margin, abs=1e-12)
@@ -433,7 +447,8 @@ def test_scalar_and_column_margins_are_equal(c):
         elif region is not RegionId.QUANTUM_Q:
             assert res.margin == column
     for char in (QCharacterization.LANDAU, QCharacterization.SEXTIC):
-        assert in_quantum(c, char).margin == quantum_margins(char, [c])[0] \
+        assert in_quantum(c, char).margin \
+            == region_margins(RegionId.QUANTUM_Q, [c], char)[0] \
             == column_margins([RegionId.QUANTUM_Q], cols, char)[0][0]
     # math.asin and numpy's arcsin may round a coordinate differently, by
     # at most 1 ulp; with the same four angles the margins are equal
@@ -441,7 +456,8 @@ def test_scalar_and_column_margins_are_equal(c):
     column_angles = np.arcsin(cols[:, 0]).tolist()
     for a, b in zip(scalar_angles, column_angles):
         assert abs(a - b) <= math.ulp(a)
-    arcsin = quantum_margins(QCharacterization.ARCSIN, [c])[0]
+    arcsin = region_margins(RegionId.QUANTUM_Q, [c],
+                            QCharacterization.ARCSIN)[0]
     if scalar_angles == column_angles:
         assert profile.quantum_arcsin.margin == arcsin
     else:
@@ -492,7 +508,7 @@ def test_non_finite_points_are_rejected(c, k, bad):
             region_mask(region, rows)
     for char in QCharacterization:
         with pytest.raises(ValueError):
-            quantum_margins(char, rows)
+            region_margins(RegionId.QUANTUM_Q, rows, char)
 
 
 # --------------------------------------------------------------------------

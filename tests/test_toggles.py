@@ -58,6 +58,19 @@ class TestOutcomeSequence:
         with pytest.raises(ValueError):
             OutcomeSequence(alice=(), bob=())
 
+    @pytest.mark.parametrize("alice, bob", [
+        ((1.5, -1.9), (1, 1)),      # int() would truncate to (1, -1)
+        ((1, -1), (0.999, -1)),
+        ((1, -1), (1, -1.0000001)),
+    ])
+    def test_rejects_non_integer_outcomes(self, alice, bob):
+        with pytest.raises(ValueError, match=r"\+1 or -1"):
+            OutcomeSequence(alice=alice, bob=bob)
+
+    def test_integral_floats_become_ints(self):
+        seq = OutcomeSequence(alice=(1.0, -1.0), bob=(1, -1))
+        assert seq.alice == (1, -1) and type(seq.alice[0]) is int
+
     def test_correlation_is_exact(self):
         seq = OutcomeSequence(alice=(1, 1, -1, -1), bob=(1, -1, -1, 1))
         assert seq.correlation == Fraction(0)

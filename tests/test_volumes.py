@@ -22,14 +22,11 @@ from bellvol.regions import (
     in_uffink_U,
 )
 from bellvol.volumes import (
-    V_T_CLOSED_FORM,
-    AnalyticConstants,
+    ANALYTIC,
     DegenerateDenominator,
     EstimatorConfig,
     ToleranceNotMet,
-    analytic_constants,
     exact_region_volume,
-    excess_report,
     headline_report,
     mc_volume,
     quadrature_volume,
@@ -43,6 +40,8 @@ CHAIN = (RegionId.LOCAL_C, RegionId.QUANTUM_Q, RegionId.UFFINK_U,
 
 V_Q = 1.5 * math.pi ** 2
 V_C = 32.0 / 3.0
+# the cube minus eight disjoint Irwin-Hall corners (volumes module docstring)
+V_T_CLOSED_FORM = (768.0 * math.sqrt(2.0) - 1040.0) / 3.0
 
 # Volume of the quadratic two-circle region in closed form (disjoint-corner
 # argument in the volumes module docstring); recomputed independently with
@@ -210,8 +209,7 @@ class TestScoreStream:
            st.sampled_from([2, 3]))
     def test_pool_matches_in_process_scoring(self, seed, n, workers):
         cfg = EstimatorConfig(sample_count=n, seed=seed, worker_count=workers)
-        serial = volumes._score_substreams(cfg, CHAIN, DEFAULT_TOLERANCE,
-                                           range(workers))
+        serial = volumes._score_substreams(cfg, CHAIN, range(workers))
         with mock.patch.object(volumes.os, "cpu_count", lambda: workers):
             pooled = score_stream(cfg, CHAIN)
         assert pooled.tolist() == serial.tolist()
@@ -240,7 +238,7 @@ class TestScoreStream:
         assert not thread.is_alive()
         assert methods == ["spawn"]
         assert pooled.tolist() == volumes._score_substreams(
-            cfg, CHAIN, DEFAULT_TOLERANCE, range(2)).tolist()
+            cfg, CHAIN, range(2)).tolist()
 
     def test_process_count_capped_at_cpu_count(self, monkeypatch):
         import concurrent.futures
@@ -258,8 +256,7 @@ class TestScoreStream:
         hist = score_stream(cfg, [RegionId.LOCAL_C])
         assert len(sizes) <= 1 and all(k <= os.cpu_count() for k in sizes)
         assert hist.tolist() == volumes._score_substreams(
-            cfg, (RegionId.LOCAL_C,), DEFAULT_TOLERANCE,
-            range(cfg.worker_count)).tolist()
+            cfg, (RegionId.LOCAL_C,), range(cfg.worker_count)).tolist()
 
     def test_rejects_more_than_eight_regions(self):
         with pytest.raises(ValueError):
@@ -445,46 +442,55 @@ class TestExactRegionVolume:
 
 class TestAnalyticConstants:
     def test_values(self):
-        c = analytic_constants()
-        assert c.v_c == pytest.approx(32.0 / 3.0, rel=0, abs=0)
-        assert c.v_l == 16.0
-        assert c.v_q == pytest.approx(14.80440660, abs=5e-9)
-        assert c.ratio_qc == pytest.approx(1.38791312, abs=5e-9)
-        assert c.ratio_ql == pytest.approx(0.92527541, abs=5e-9)
-        assert c.ratio_cl == pytest.approx(2.0 / 3.0, rel=0, abs=0)
-        assert c.v_u == V_U_REFERENCE
-        assert c.v_u == pytest.approx(15.19763158154005, abs=5e-14)
-        assert c.v_t == V_T_CLOSED_FORM
-        assert list(c.as_dict())[:5] == ["V_C", "V_L", "V_Q", "V_U", "V_T"]
+        c = ANALYTIC
+        assert c["V_C"] == pytest.approx(32.0 / 3.0, rel=0, abs=0)
+        assert c["V_L"] == 16.0
+        assert c["V_Q"] == pytest.approx(14.80440660, abs=5e-9)
+        assert c["ratio_QC"] == pytest.approx(1.38791312, abs=5e-9)
+        assert c["ratio_QL"] == pytest.approx(0.92527541, abs=5e-9)
+        assert c["ratio_CL"] == pytest.approx(2.0 / 3.0, rel=0, abs=0)
+        assert c["V_U"] == V_U_REFERENCE
+        assert c["V_U"] == pytest.approx(15.19763158154005, abs=5e-14)
+        assert c["V_T"] == V_T_CLOSED_FORM
+        assert list(c) == ["V_C", "V_L", "V_Q", "V_U", "V_T",
+                           "ratio_QC", "ratio_QL", "ratio_CL"]
+
+    def test_read_only(self):
+        with pytest.raises(TypeError):
+            ANALYTIC["V_C"] = 0.0
 
     def test_ratios_equal_quotients(self):
-        c = analytic_constants()
-        assert c.ratio_qc == pytest.approx(c.v_q / c.v_c, rel=1e-15)
-        assert c.ratio_ql == pytest.approx(c.v_q / c.v_l, rel=1e-15)
-        assert c.ratio_cl == pytest.approx(c.v_c / c.v_l, rel=1e-15)
+        c = ANALYTIC
+        assert c["ratio_QC"] == pytest.approx(c["V_Q"] / c["V_C"], rel=1e-15)
+        assert c["ratio_QL"] == pytest.approx(c["V_Q"] / c["V_L"], rel=1e-15)
+        assert c["ratio_CL"] == pytest.approx(c["V_C"] / c["V_L"], rel=1e-15)
 
 
 class TestExcessReport:
+    """Excesses over the quantum set: quotients of quadrature volumes, and
+    the ``excesses`` rows of the headline report on a shared stream."""
+
     def test_quadrature_values(self):
-        rep = excess_report(method="quadrature", abs_tol=1e-7)
-        assert rep.excess_t == pytest.approx(V_T_CLOSED_FORM / V_Q - 1.0, abs=1e-7)
-        assert rep.excess_u == pytest.approx(V_U_REFERENCE / V_Q - 1.0, abs=1e-6)
-        assert rep.fraction_t_outside_q == pytest.approx(
+        v_q, v_t, v_u = (quadrature_volume(r, abs_tol=1e-7) for r in (
+            RegionId.QUANTUM_Q, RegionId.TSIRELSON_T, RegionId.UFFINK_U))
+        excess_t = v_t.value / v_q.value - 1.0
+        excess_u = v_u.value / v_q.value - 1.0
+        assert excess_t == pytest.approx(V_T_CLOSED_FORM / V_Q - 1.0, abs=1e-7)
+        assert excess_u == pytest.approx(V_U_REFERENCE / V_Q - 1.0, abs=1e-6)
+        assert 1.0 - v_q.value / v_t.value == pytest.approx(
             1.0 - V_Q / V_T_CLOSED_FORM, abs=1e-7)
-        assert rep.excess_t_std_error == 0.0
+        assert v_t.std_error == 0.0 and v_q.std_error == 0.0
 
     def test_mc_agrees_with_quadrature(self):
-        rep = excess_report(method="mc",
-                            cfg=EstimatorConfig(sample_count=400_000, seed=14))
-        assert rep.excess_t_std_error > 0.0
-        assert abs(rep.excess_t - 0.03834) < 4.0 * rep.excess_t_std_error
-        assert abs(rep.excess_u - 0.02656) < 4.0 * rep.excess_u_std_error
-        assert abs(rep.fraction_t_outside_q - 0.03692) \
-            < 4.0 * rep.fraction_t_outside_q_std_error
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            excess_report(method="bogus")
+        cfg = EstimatorConfig(sample_count=400_000, seed=14)
+        rep = headline_report(cfg)["excesses"]
+        t, u = rep["T/Q-1"], rep["U/Q-1"]
+        fraction = ratio_estimate(RegionId.QUANTUM_Q, RegionId.TSIRELSON_T, cfg)
+        assert t["std_error"] > 0.0
+        assert abs(t["value"] - 0.03834) < 4.0 * t["std_error"]
+        assert abs(u["value"] - 0.02656) < 4.0 * u["std_error"]
+        assert abs((1.0 - fraction.value) - 0.03692) \
+            < 4.0 * fraction.std_error
 
 
 class TestHeadlineReport:
@@ -495,8 +501,7 @@ class TestHeadlineReport:
         assert set(rep["ratios"]) == {"Q/C", "Q/L", "C/L"}
         assert set(rep["excesses"]) == {"T/Q-1", "U/Q-1"}
         assert rep["volumes"]["L"]["value"] == 16.0
-        analytic = analytic_constants()
-        for region, ref in (("C", analytic.v_c), ("Q", analytic.v_q),
+        for region, ref in (("C", ANALYTIC["V_C"]), ("Q", ANALYTIC["V_Q"]),
                             ("U", V_U_REFERENCE), ("T", V_T_CLOSED_FORM)):
             rec = rep["volumes"][region]
             assert rec["analytic"] == ref
@@ -509,6 +514,19 @@ class TestHeadlineReport:
         est = ratio_estimate(RegionId.QUANTUM_Q, RegionId.LOCAL_C, cfg)
         assert rep["ratios"]["Q/C"]["value"] == est.value
         assert rep["ratios"]["Q/C"]["std_error"] == est.std_error
+
+    def test_excess_rows_carry_analytic_values(self):
+        rep = headline_report(EstimatorConfig(sample_count=100_000, seed=15))
+        t, u = rep["excesses"]["T/Q-1"], rep["excesses"]["U/Q-1"]
+        assert t["analytic"] == ANALYTIC["V_T"] / ANALYTIC["V_Q"] - 1.0
+        assert abs(t["analytic"] - (V_T_CLOSED_FORM / V_Q - 1.0)) <= 1e-15
+        assert u["analytic"] == ANALYTIC["V_U"] / ANALYTIC["V_Q"] - 1.0
+        closed = 64.0 / (3.0 * math.pi) - 512.0 / (9.0 * math.pi ** 2) - 1.0
+        assert abs(u["analytic"] - closed) <= 1e-15
+        for rec in (t, u):
+            assert rec["deviation_sigmas"] == \
+                (rec["value"] - rec["analytic"]) / rec["std_error"]
+            assert abs(rec["deviation_sigmas"]) < 5
 
     def test_deterministic(self):
         cfg = EstimatorConfig(sample_count=50_000, seed=16)
