@@ -20,7 +20,6 @@ from .regions import (
     chsh_value,
     in_box_L,
     in_local,
-    in_quantum,
     in_quantum_arcsin,
     in_quantum_landau,
     in_quantum_sextic,
@@ -52,7 +51,6 @@ from .polytopes import (
     pr_box,
     project_to_correlations,
     signaling_example,
-    table_from_behavior,
 )
 from .volumes import (
     ANALYTIC,
@@ -64,7 +62,6 @@ from .volumes import (
     headline_report,
     mc_volume,
     quadrature_volume,
-    quadrature_volume_Q,
     ratio_estimate,
 )
 from .quantum import (
@@ -74,7 +71,6 @@ from .quantum import (
     chsh_optimal_settings,
     correlation_expectation,
     correlation_point,
-    sample_quantum_point,
     sample_quantum_points,
     singlet,
 )

@@ -24,6 +24,7 @@ from . import polytopes, quantum, toggles, volumes
 from .regions import (
     DEFAULT_TOLERANCE,
     RegionId,
+    check_tolerance,
     chsh_value,
     in_local,
     in_quantum_arcsin,
@@ -55,7 +56,7 @@ def _integer(low: int, high: int | None = None):
     return parse
 
 
-_count = _integer(1)  # sample counts, workers, batch sizes
+_count = _integer(1)  # sample counts and workers
 _seed = _integer(0, 2 ** 64)
 
 
@@ -85,9 +86,10 @@ def _tolerance(text: str) -> float:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"not a number: {text!r}") from None
-    if not math.isfinite(value) or value < 0:
-        raise argparse.ArgumentTypeError(
-            f"must be finite and >= 0, got {value!r}")
+    try:
+        check_tolerance(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
     return value
 
 
@@ -179,16 +181,10 @@ def _emit(args, rows: list[dict], headers: list[str], json_obj) -> None:
 def _cmd_membership(args, parser):
     point = _parse_point(args.point, "--point", parser)
     profile = membership_profile(point, tol=args.tolerance)
-    rows = []
-    for rid, res in profile.regions().items():
-        char = res.characterization.value if res.characterization else ""
-        rows.append({"region": rid.value, "characterization": char,
-                     "inside": res.inside, "margin": res.margin})
-    for ch, res in profile.quantum().items():
-        if ch.value == "arcsin":
-            continue  # already listed as the canonical Q row
-        rows.append({"region": "Q", "characterization": ch.value,
-                     "inside": res.inside, "margin": res.margin})
+    # the five regions (Q as arcsin), then the other two Q characterizations
+    rows = [res.as_dict() for res in (*profile.regions().values(),
+                                      profile.quantum_landau,
+                                      profile.quantum_sextic)]
     json_obj = {"point": dict(zip(_POINT_KEYS, point)),
                 "profile": profile.as_dict()}
     _emit(args, rows, ["region", "characterization", "inside", "margin"], json_obj)
@@ -200,26 +196,20 @@ def _cmd_membership(args, parser):
 def _cmd_volume(args, parser):
     region = RegionId(args.region)
     if args.method == "mc":
-        if args.batch_size is not None and args.batch_size > args.n:
-            parser.error(f"argument --batch-size: must be <= --n ({args.n}),"
-                         f" got {args.batch_size}")
         cfg = volumes.EstimatorConfig(sample_count=args.n, seed=args.seed,
-                                      worker_count=args.workers,
-                                      batch_size=args.batch_size)
-        est = volumes.mc_volume(region, cfg)
-        record = est.as_json_record()
+                                      worker_count=args.workers)
+        record = volumes.mc_volume(region, cfg).as_json_record()
     elif args.method == "quadrature":
-        est = volumes.quadrature_volume(region, abs_tol=args.abs_tol)
-        record = est.as_json_record()
+        record = volumes.quadrature_volume(
+            region, abs_tol=args.abs_tol).as_json_record()
     else:  # exact
         if region not in (RegionId.LOCAL_C, RegionId.NO_SIGNALING_L):
             parser.error(f"--method exact supports regions C and L, not"
                          f" {region.value}")
         frac = volumes.exact_region_volume(region)
-        est = volumes.VolumeEstimate(region=region.value, method="exact",
-                                     value=float(frac), std_error=0.0,
-                                     error_bound=0.0)
-        record = est.as_json_record()
+        record = volumes.VolumeEstimate(
+            region=region.value, method="exact", value=float(frac),
+            std_error=0.0, error_bound=0.0).as_json_record()
         record["exact"] = str(frac)
     _emit(args, [record], ["region", "method", "value", "std_error",
                            "error_bound", "n", "seed"], record)
@@ -245,41 +235,30 @@ def _cmd_ratios(args, parser):
 
 # -- polytope ----------------------------------------------------------------
 
-def _polytope_for(which: str) -> polytopes.RationalPolytope:
-    if which == "local":
-        return polytopes.local_polytope_v()
-    if which == "ns":
-        return polytopes.ns_polytope_h()
-    return polytopes.correlation_polytope_C()
+_POLYTOPES = {"local": polytopes.local_polytope_v,
+              "ns": polytopes.ns_polytope_h,
+              "corrC": polytopes.correlation_polytope_C}
 
 
 def _cmd_polytope(args, parser):
-    poly = _polytope_for(args.which)
-    if args.task == "vertices":
-        if poly.vertices is None:
-            poly = polytopes.enumerate_vertices(poly)
-        sys.stdout.write(poly.to_text("V"))
-        return 0
-    if args.task == "facets":
-        if poly.halfspaces is None:
-            poly = polytopes.enumerate_facets(poly)
-        sys.stdout.write(poly.to_text("H"))
-        return 0
-    if args.task == "counts":
-        if poly.vertices is None:
-            poly = polytopes.enumerate_vertices(poly)
-        if poly.halfspaces is None:
-            poly = polytopes.enumerate_facets(poly)
-        print(f"vertices: {len(poly.vertices)}, facets: {len(poly.halfspaces)}")
-        return 0
-    # volume
-    if poly.dim > 4:
+    poly = _POLYTOPES[args.which]()
+    if args.task == "volume" and poly.dim > 4:
         parser.error(f"--task volume needs dimension <= 4; '{args.which}'"
                      f" has dimension {poly.dim}")
-    if poly.vertices is None:
+    # complete the representations the task reads, each at most once
+    if poly.vertices is None and args.task != "facets":
         poly = polytopes.enumerate_vertices(poly)
-    vol = polytopes.exact_volume(poly)
-    print(f"volume: {vol} ({float(vol):.12g})")
+    if poly.halfspaces is None and args.task in ("facets", "counts"):
+        poly = polytopes.enumerate_facets(poly)
+    if args.task == "vertices":
+        sys.stdout.write(poly.to_text("V"))
+    elif args.task == "facets":
+        sys.stdout.write(poly.to_text("H"))
+    elif args.task == "counts":
+        print(f"vertices: {len(poly.vertices)}, facets: {len(poly.halfspaces)}")
+    else:
+        vol = polytopes.exact_volume(poly)
+        print(f"volume: {vol} ({float(vol):.12g})")
     return 0
 
 
@@ -332,15 +311,10 @@ def _cmd_examples(args, parser):
     json_obj["projection"] = dict(zip(_POINT_KEYS, point))
     if args.verify:
         json_obj["checks"] = {name: bool(ok) for name, ok in checks}
-    if args.format == "json":
-        print(json.dumps(json_obj, indent=2))
-    else:
-        headers = ["i", "j", "++", "+-", "-+", "--"]
-        print(_emit_csv(rows, headers) if args.format == "csv"
-              else _emit_table(rows, headers))
-        if args.verify:
-            for name, ok in checks:
-                print(f"{'PASS' if ok else 'FAIL'}  {name}")
+    _emit(args, rows, ["i", "j", "++", "+-", "-+", "--"], json_obj)
+    if args.verify and args.format != "json":
+        for name, ok in checks:
+            print(f"{'PASS' if ok else 'FAIL'}  {name}")
     if args.verify and not all(ok for _, ok in checks):
         return 1
     return 0
@@ -402,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_count, default=10_000_000)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--workers", type=_count, default=None)
-    p.add_argument("--batch-size", type=_count, default=None)
     p.add_argument("--abs-tol", type=_abs_tol, default=1e-6)
     add_format(p)
     p.set_defaults(func=_cmd_volume)
@@ -415,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_ratios)
 
     p = sub.add_parser("polytope", help="vertex/facet enumeration and volume")
-    p.add_argument("--which", required=True, choices=("local", "ns", "corrC"))
+    p.add_argument("--which", required=True, choices=_POLYTOPES)
     p.add_argument("--task", required=True,
                    choices=("vertices", "facets", "counts", "volume"))
     p.set_defaults(func=_cmd_polytope)

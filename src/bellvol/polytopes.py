@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -98,18 +99,9 @@ class Behavior:
                 raise ValueError(
                     f"P(A{i}={a:+d}, B{j}={b:+d}) = {p} is negative")
 
-    def marginal_a(self, i: int) -> Fraction:
-        return (self.mA0, self.mA1)[i]
-
-    def marginal_b(self, j: int) -> Fraction:
-        return (self.mB0, self.mB1)[j]
-
-    def correlation(self, i: int, j: int) -> Fraction:
-        return (self.c00, self.c01, self.c10, self.c11)[2 * i + j]
-
     def probability(self, i: int, j: int, a: int, b: int) -> Fraction:
-        return (1 + a * self.marginal_a(i) + b * self.marginal_b(j)
-                + a * b * self.correlation(i, j)) / 4
+        v = self.as_vector()
+        return (1 + a * v[i] + b * v[2 + j] + a * b * v[4 + 2 * i + j]) / 4
 
     def as_vector(self) -> Vector:
         return (self.mA0, self.mA1, self.mB0, self.mB1,
@@ -171,11 +163,6 @@ def deterministic_behaviors() -> list[Behavior]:
     return out
 
 
-def table_from_behavior(b: Behavior) -> JointProbabilityTable:
-    """Expand a behavior into its sixteen joint probabilities."""
-    return JointProbabilityTable.from_function(b.probability)
-
-
 def check_no_signaling(t: JointProbabilityTable) -> tuple[bool, Fraction]:
     """Check the eight marginal equalities exactly.
 
@@ -196,7 +183,8 @@ def check_no_signaling(t: JointProbabilityTable) -> tuple[bool, Fraction]:
 
 
 def behavior_from_table(t: JointProbabilityTable) -> Behavior:
-    """Invert :func:`table_from_behavior`.
+    """The behavior b whose table is
+    ``JointProbabilityTable.from_function(b.probability)``.
 
     Raises :class:`NoSignalingViolation` (carrying the maximal marginal
     discrepancy) when the table's marginals depend on the far setting, in
@@ -208,20 +196,12 @@ def behavior_from_table(t: JointProbabilityTable) -> Behavior:
             f"table violates no-signaling (max marginal discrepancy {worst})",
             worst)
 
-    def expect_a(i, j):
-        return sum(a * t.entry(i, j, a, b) for a in _PM for b in _PM)
+    def expect(i, j, f):  # of f(a, b) in setting block (i, j)
+        return sum(f(a, b) * t.entry(i, j, a, b) for a in _PM for b in _PM)
 
-    def expect_b(i, j):
-        return sum(b * t.entry(i, j, a, b) for a in _PM for b in _PM)
-
-    def expect_ab(i, j):
-        return sum(a * b * t.entry(i, j, a, b) for a in _PM for b in _PM)
-
-    return Behavior(
-        mA0=expect_a(0, 0), mA1=expect_a(1, 0),
-        mB0=expect_b(0, 0), mB1=expect_b(0, 1),
-        c00=expect_ab(0, 0), c01=expect_ab(0, 1),
-        c10=expect_ab(1, 0), c11=expect_ab(1, 1))
+    return Behavior(*(expect(i, 0, lambda a, b: a) for i in (0, 1)),
+                    *(expect(0, j, lambda a, b: b) for j in (0, 1)),
+                    *(expect(i, j, operator.mul) for i, j in _SETTINGS))
 
 
 def project_to_correlations(b: Behavior) -> CorrelationPoint:
@@ -287,11 +267,8 @@ class Halfspace:
         ints = [v // g for v in ints]
         return cls(tuple(ints), offset * scale / g)
 
-    def evaluate(self, x: Sequence[Fraction]) -> Fraction:
-        return sum(n * xi for n, xi in zip(self.normal, x))
-
     def slack(self, x: Sequence[Fraction]) -> Fraction:
-        return self.offset - self.evaluate(x)
+        return self.offset - sum(n * xi for n, xi in zip(self.normal, x))
 
 
 @dataclass(frozen=True)
@@ -301,7 +278,6 @@ class RationalPolytope:
     dim: int
     vertices: tuple[Vector, ...] | None = None
     halfspaces: tuple[Halfspace, ...] | None = None
-    equalities: tuple[Halfspace, ...] | None = None
 
     def __post_init__(self):
         if self.vertices is not None:

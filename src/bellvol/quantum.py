@@ -165,12 +165,6 @@ def random_pure_state(rng: np.random.Generator) -> TwoQubitState:
     return TwoQubitState.pure(psi)
 
 
-def sample_quantum_point(rng: np.random.Generator) -> CorrelationPoint:
-    """One correlation point from a random pure state and random settings."""
-    pts = sample_quantum_points(1, rng)
-    return CorrelationPoint.clamped(*pts[0])
-
-
 def sample_quantum_points(n: int, rng: np.random.Generator) -> np.ndarray:
     """(n, 4) array of correlation points from random states and settings.
 

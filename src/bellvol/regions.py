@@ -16,7 +16,8 @@ measurements.  A point is the vector of the four product expectations
 
 Every oracle returns a :class:`MembershipResult` carrying the signed slack
 margin, i.e. the minimum over the region's constraints of (bound - value).
-All sets are closed; a point is inside iff margin >= -tol.
+All sets are closed; a point is inside iff margin >= -tol, where ``tol`` must
+be finite and >= 0 (``check_tolerance``).
 
 Each region's margin is written once, as a kernel on a batch held one
 coordinate per row: four floats for the scalar oracles, or a (4, m) array for
@@ -253,16 +254,29 @@ def _region_kernel(region: RegionId, batch: _Columns, char: QCharacterization | 
     raise ValueError(f"unknown region {region!r}")
 
 
+def check_tolerance(tol: float) -> None:
+    """Raise ValueError unless ``tol`` is finite and >= 0."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
+
+
 # scalar oracles: one point as a batch of four floats
 
 def _point(p: PointLike) -> _Columns:
     return _Columns(_coords(p), _SCALAR_OPS)
 
 
-def _result(region: RegionId, batch: _Columns, tol: float,
-            char: QCharacterization | None = None) -> MembershipResult:
+def _verdict(region: RegionId, batch: _Columns, tol: float,
+             char: QCharacterization | None = None) -> MembershipResult:
     margin = _region_kernel(region, batch, char)
     return MembershipResult(region, margin >= -tol, margin, char, tol)
+
+
+def _result(region: RegionId, p: PointLike, tol: float,
+            char: QCharacterization | None = None) -> MembershipResult:
+    """One oracle call: the tolerance checked, the point scored."""
+    check_tolerance(tol)
+    return _verdict(region, _point(p), tol, char)
 
 
 def chsh_value(p: PointLike, i: int, j: int) -> float:
@@ -275,22 +289,22 @@ def chsh_value(p: PointLike, i: int, j: int) -> float:
 
 def in_local(p: PointLike, tol: float = DEFAULT_TOLERANCE) -> MembershipResult:
     """All eight CHSH inequalities |S - 2 c_ij| <= 2."""
-    return _result(RegionId.LOCAL_C, _point(p), tol)
+    return _result(RegionId.LOCAL_C, p, tol)
 
 
 def in_box_L(p: PointLike, tol: float = DEFAULT_TOLERANCE) -> MembershipResult:
     """The cube |c_ij| <= 1; doubles as the validity test for raw points."""
-    return _result(RegionId.NO_SIGNALING_L, _point(p), tol)
+    return _result(RegionId.NO_SIGNALING_L, p, tol)
 
 
 def in_tsirelson_T(p: PointLike, tol: float = DEFAULT_TOLERANCE) -> MembershipResult:
     """The eight linear inequalities |S - 2 c_ij| <= 2*sqrt(2)."""
-    return _result(RegionId.TSIRELSON_T, _point(p), tol)
+    return _result(RegionId.TSIRELSON_T, p, tol)
 
 
 def in_uffink_U(p: PointLike, tol: float = DEFAULT_TOLERANCE) -> MembershipResult:
     """The two quadratic inequalities (c00 +/- c11)^2 + (c01 -/+ c10)^2 <= 4."""
-    return _result(RegionId.UFFINK_U, _point(p), tol)
+    return _result(RegionId.UFFINK_U, p, tol)
 
 
 def in_quantum_arcsin(p: PointLike, tol: float = DEFAULT_TOLERANCE) -> MembershipResult:
@@ -300,7 +314,7 @@ def in_quantum_arcsin(p: PointLike, tol: float = DEFAULT_TOLERANCE) -> Membershi
     to [-1, 1] before arcsin so representation error at cube vertices cannot
     raise a domain error; the margin is reported in radians.
     """
-    return _result(RegionId.QUANTUM_Q, _point(p), tol, QCharacterization.ARCSIN)
+    return _result(RegionId.QUANTUM_Q, p, tol, QCharacterization.ARCSIN)
 
 
 def in_quantum_landau(p: PointLike, tol: float = DEFAULT_TOLERANCE) -> MembershipResult:
@@ -308,7 +322,7 @@ def in_quantum_landau(p: PointLike, tol: float = DEFAULT_TOLERANCE) -> Membershi
 
     |c00*c01 - c10*c11| <= sqrt(1-c00^2)sqrt(1-c01^2) + sqrt(1-c10^2)sqrt(1-c11^2)
     """
-    return _result(RegionId.QUANTUM_Q, _point(p), tol, QCharacterization.LANDAU)
+    return _result(RegionId.QUANTUM_Q, p, tol, QCharacterization.LANDAU)
 
 
 def in_quantum_sextic(p: PointLike, tol: float = DEFAULT_TOLERANCE) -> MembershipResult:
@@ -324,13 +338,7 @@ def in_quantum_sextic(p: PointLike, tol: float = DEFAULT_TOLERANCE) -> Membershi
     is the larger of the two chain margins (disjunction semantics).  This
     form is kept for cross-checking only; the arcsin oracle is canonical.
     """
-    return _result(RegionId.QUANTUM_Q, _point(p), tol, QCharacterization.SEXTIC)
-
-
-def in_quantum(p: PointLike, characterization: QCharacterization = QCharacterization.ARCSIN,
-               tol: float = DEFAULT_TOLERANCE) -> MembershipResult:
-    """Quantum membership under the chosen characterization (arcsin default)."""
-    return _result(RegionId.QUANTUM_Q, _point(p), tol, QCharacterization(characterization))
+    return _result(RegionId.QUANTUM_Q, p, tol, QCharacterization.SEXTIC)
 
 
 @dataclass(frozen=True, slots=True)
@@ -400,8 +408,9 @@ def profile_record(verdicts) -> dict:
 
 def membership_profile(p: PointLike, tol: float = DEFAULT_TOLERANCE) -> MembershipProfile:
     """Evaluate every oracle on one point."""
+    check_tolerance(tol)
     batch = _point(p)
-    return MembershipProfile(*[_result(region, batch, tol, char)
+    return MembershipProfile(*[_verdict(region, batch, tol, char)
                                for region, char in PROFILE_ORDER])
 
 
@@ -446,6 +455,7 @@ def membership_profiles(pts: np.ndarray,
                         tol: float = DEFAULT_TOLERANCE) -> ProfileBatch:
     """Every oracle on each row of an (n, 4) array: the vector counterpart
     of :func:`membership_profile`, from the same kernels."""
+    check_tolerance(tol)
     batch = _Columns(_as_columns(pts), _ARRAY_OPS)
     margins = tuple(_region_kernel(region, batch, char)
                     for region, char in PROFILE_ORDER)
@@ -463,4 +473,5 @@ def region_mask(region: RegionId, pts: np.ndarray, tol: float = DEFAULT_TOLERANC
                 characterization: QCharacterization = QCharacterization.ARCSIN
                 ) -> np.ndarray:
     """Boolean membership mask: margin >= -tol, rowwise."""
+    check_tolerance(tol)
     return region_margins(region, pts, characterization) >= -tol

@@ -10,7 +10,7 @@ land inside it.  This module provides:
   in one pass over the stream by ``score_stream``.  The stream is one
   Philox substream per (seed, worker), scored in up to os.cpu_count()
   processes; integer histograms sum alike in any order, so results are
-  bit-identical for fixed seed/worker_count at any batch size,
+  bit-identical for fixed seed/worker_count however the stream is batched,
 * deterministic volumes by quadrature in pair coordinates x = c00 + c11,
   y = c00 - c11, z = c01 - c10, w = c01 + c10 (Jacobian 1/4), in which the
   cube is |x| + |y| <= 2, |z| + |w| <= 2, C and T are |x| + |z| <= B,
@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -85,27 +86,27 @@ class EstimatorConfig:
     ``worker_count`` partitions the sample budget into independent
     counter-based substreams keyed by (seed, worker index); their integer
     histograms are summed, so estimates are bit-identical for fixed (seed,
-    worker_count, sample_count) regardless of scheduling or batch size.
-    ``batch_size`` (default min(65536, sample_count)) bounds memory.
+    worker_count, sample_count) regardless of scheduling.  The three fields
+    are integers: numpy integers are accepted, a float or a bool raises
+    ``ValueError``.
     """
 
     sample_count: int = 10_000_000
     seed: int = 0
     worker_count: int = 1
-    batch_size: int | None = None
 
     def __post_init__(self):
+        for name in ("sample_count", "seed", "worker_count"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not hasattr(value, "__index__"):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, operator.index(value))
         if self.sample_count < 1:
             raise ValueError("sample_count must be >= 1")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in 64 unsigned bits")
         if self.worker_count < 1:
             raise ValueError("worker_count must be >= 1")
-        if self.batch_size is None:
-            object.__setattr__(self, "batch_size",
-                               min(65_536, self.sample_count))
-        if not 1 <= self.batch_size <= self.sample_count:
-            raise ValueError("batch_size must be in [1, sample_count]")
 
 
 @dataclass(frozen=True)
@@ -153,12 +154,17 @@ def __getattr__(name: str):
 # Monte Carlo engine
 # --------------------------------------------------------------------------
 
+#: Points a substream draws and scores at a time: bounds memory, and cannot
+#: change a result, as the batches' histograms add alike in any split.
+_BATCH = 65_536
+
+
 def _score_substreams(cfg: EstimatorConfig, regions: tuple[RegionId, ...],
                       workers: range) -> np.ndarray:
     """Membership-code histogram of the substreams of ``workers``.
 
     Worker w draws its share of the sample budget from Philox keyed by
-    (seed, w), ``batch_size`` points at a time, exactly as
+    (seed, w), ``_BATCH`` points at a time, exactly as
     ``2 * random((m, 4)) - 1``; the batch is scored in column layout.  A
     point is inside a region when its margin is >= -DEFAULT_TOLERANCE.
     """
@@ -171,7 +177,7 @@ def _score_substreams(cfg: EstimatorConfig, regions: tuple[RegionId, ...],
         key = np.array([cfg.seed, worker], dtype=np.uint64)
         gen = np.random.Generator(np.random.Philox(key=key))
         while remaining > 0:
-            m = min(cfg.batch_size, remaining)
+            m = min(_BATCH, remaining)
             cols = np.multiply(gen.random((m, 4)).T, 2.0, order="C")
             cols -= 1.0
             code = np.zeros(m, dtype=np.uint8)
@@ -354,6 +360,37 @@ def _l1_volume(bound: float, abs_tol: float) -> tuple[float, float]:
     return _pair_quadrature(cells, area, abs_tol)
 
 
+def _arcsin_volume(h: float, abs_tol: float) -> tuple[float, float]:
+    """Q, the L1 case in arcsin coordinates s_ij = arcsin(c_ij):
+    |sum(s) - 2 s_ij| <= h on the box |s_ij| <= pi/2 with weight prod cos(s);
+    h = pi for Q, and h = 0 collapses the region.
+
+    The slice |y| <= pi - x, |w| <= pi - z, |y| + |w| <= h has the w integral
+    W cos z + sin W, W = min(pi - z, h - |y|), flat up to y = h - (pi - z);
+    the y integral of each piece is elementary.  The slice weight kinks at
+    x = pi - h and z = pi - h; its third kink, x + z = 2 pi - h, lies
+    outside x + z <= h.
+    """
+    sin_h = math.sin(h)
+
+    def weight(x, z):
+        cx, cz = np.cos(x), np.cos(z)
+        b = math.pi - z
+        y_end = np.minimum(math.pi - x, h)
+        y_kink = np.clip(h - b, 0.0, y_end)
+
+        def primitive(y):  # of (cx + cos y) * ((h - y) cz + sin(h - y))
+            r = h - y
+            return (-0.5 * cx * cz * r * r + cx * np.cos(r)
+                    + cz * (r * np.sin(y) - np.cos(y))
+                    + 0.5 * y * sin_h + 0.25 * np.cos(h - 2.0 * y))
+
+        flat = (b * cz + np.sin(b)) * (cx * y_kink + np.sin(y_kink))
+        return flat + primitive(y_end) - primitive(y_kink)
+    cells = _linear_cells(math.pi, h, [(math.pi - h, 0.0)])
+    return _pair_quadrature(cells, weight, abs_tol)
+
+
 def _disk_slice(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     """U: area of |y| <= 2 - x, |w| <= 2 - z, y^2 + w^2 <= 4.
 
@@ -387,30 +424,6 @@ def _disk_cells(t: np.ndarray):
     yield x, z_kink + (z_edge - z_kink) * t, dx * (z_edge - z_kink)
 
 
-def _arcsin_slice(h: float):
-    """Q: the slice |y| <= pi - x, |w| <= pi - z, |y| + |w| <= h weighted by
-    prod cos.  Its w integral is W cos z + sin W, W = min(pi - z, h - |y|),
-    flat up to y = h - (pi - z); the y integral of each piece is elementary.
-    """
-    sin_h = math.sin(h)
-
-    def weight(x, z):
-        cx, cz = np.cos(x), np.cos(z)
-        b = math.pi - z
-        y_end = np.minimum(math.pi - x, h)
-        y_kink = np.clip(h - b, 0.0, y_end)
-
-        def primitive(y):  # of (cx + cos y) * ((h - y) cz + sin(h - y))
-            r = h - y
-            return (-0.5 * cx * cz * r * r + cx * np.cos(r)
-                    + cz * (r * np.sin(y) - np.cos(y))
-                    + 0.5 * y * sin_h + 0.25 * np.cos(h - 2.0 * y))
-
-        flat = (b * cz + np.sin(b)) * (cx * y_kink + np.sin(y_kink))
-        return flat + primitive(y_end) - primitive(y_kink)
-    return weight
-
-
 def check_abs_tol(abs_tol: float) -> None:
     """Raise ValueError unless the quadrature can honour ``abs_tol``."""
     if not (math.isfinite(abs_tol) and abs_tol >= _QUADRATURE_MIN_TOL):
@@ -420,12 +433,12 @@ def check_abs_tol(abs_tol: float) -> None:
 def quadrature_volume(region: RegionId, abs_tol: float = 1e-6) -> VolumeEstimate:
     """Deterministic volume of any of the five regions (exact for the cube)."""
     check_abs_tol(abs_tol)
-    if region is RegionId.QUANTUM_Q:
-        return quadrature_volume_Q(abs_tol)
     if region is RegionId.NO_SIGNALING_L:
         value, err = 16.0, 0.0
     elif region is RegionId.LOCAL_C:
         value, err = _l1_volume(2.0, abs_tol)
+    elif region is RegionId.QUANTUM_Q:
+        value, err = _arcsin_volume(math.pi, abs_tol)
     elif region is RegionId.TSIRELSON_T:
         value, err = _l1_volume(2.0 * SQRT2, abs_tol)
     elif region is RegionId.UFFINK_U:
@@ -433,25 +446,6 @@ def quadrature_volume(region: RegionId, abs_tol: float = 1e-6) -> VolumeEstimate
     else:
         raise ValueError(f"unknown region {region!r}")
     return VolumeEstimate(region=region.value, method="quadrature",
-                          value=value, std_error=0.0, error_bound=err)
-
-
-def quadrature_volume_Q(abs_tol: float = 1e-6,
-                        half_width: float = math.pi) -> VolumeEstimate:
-    """Quantum-set volume in arcsin coordinates.
-
-    The substitution s_ij = arcsin(c_ij) turns the membership condition into
-    |sum(s) - 2 s_ij| <= pi on the box |s_ij| <= pi/2 with weight
-    prod cos(s).  ``half_width`` h replaces pi (0 collapses the region).  In
-    pair coordinates of s the slice weight kinks at x = pi - h and
-    z = pi - h; its third kink, x + z = 2 pi - h, lies outside x + z <= h.
-    """
-    check_abs_tol(abs_tol)
-    if not 0.0 <= half_width <= math.pi:
-        raise ValueError("half_width must be in [0, pi]")
-    cells = _linear_cells(math.pi, half_width, [(math.pi - half_width, 0.0)])
-    value, err = _pair_quadrature(cells, _arcsin_slice(half_width), abs_tol)
-    return VolumeEstimate(region=RegionId.QUANTUM_Q.value, method="quadrature",
                           value=value, std_error=0.0, error_bound=err)
 
 

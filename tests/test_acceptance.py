@@ -48,7 +48,6 @@ from bellvol.volumes import (
     EstimatorConfig,
     mc_volume,
     quadrature_volume,
-    quadrature_volume_Q,
     ratio_estimate,
 )
 
@@ -121,7 +120,7 @@ def test_criterion_02_polytope_counts():
 
 def test_criterion_03_quadrature_quantum_volume():
     with criterion(3, "quadrature V_Q within 1e-6 of 3*pi^2/2", budget_s=60.0):
-        est = quadrature_volume_Q(abs_tol=1e-6)
+        est = quadrature_volume(RegionId.QUANTUM_Q, abs_tol=1e-6)
         assert abs(est.value - V_Q) <= 1e-6
 
 

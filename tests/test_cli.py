@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from bellvol import cli
+from bellvol import cli, polytopes
 from bellvol.cli import main
 from bellvol.regions import membership_profile
 
@@ -42,6 +42,32 @@ class TestMembership:
                                "--format", "csv")
         assert code == 0
         assert out.splitlines()[0] == "region,characterization,inside,margin"
+
+    @pytest.mark.parametrize("fmt", ["table", "csv"])
+    def test_rows_follow_the_profile(self, capsys, fmt):
+        point = "0.7,0.7,0.7,-0.7"
+        code, out, _ = run_cli(capsys, "membership", "--point", point,
+                               "--format", fmt)
+        assert code == 0
+        if fmt == "csv":
+            rows = list(csv.reader(io.StringIO(out)))[1:]
+        else:
+            header, *body = out.splitlines()
+            cuts = [header.index(h) for h in
+                    ("region", "characterization", "inside", "margin")]
+            rows = [[line[a:b].strip() for a, b in zip(cuts, [*cuts[1:], None])]
+                    for line in body]
+        profile = membership_profile((0.7, 0.7, 0.7, -0.7))
+        expected = [profile.local, profile.quantum_arcsin, profile.uffink,
+                    profile.tsirelson, profile.no_signaling,
+                    profile.quantum_landau, profile.quantum_sextic]
+        assert [r[:2] for r in rows] == [
+            ["C", ""], ["Q", "arcsin"], ["U", ""], ["T", ""], ["L", ""],
+            ["Q", "landau"], ["Q", "sextic"]]
+        assert [r[2] for r in rows] == [
+            "true" if res.inside else "false" for res in expected]
+        assert [r[3] for r in rows] == [
+            format(res.margin, ".12g") for res in expected]
 
     def test_malformed_json_names_the_field(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -126,7 +152,7 @@ _MC_FLAG_CASES = [
     for command in (["volume", "--region", "Q"], ["ratios"])
     for flag, value in (("--n", "0"), ("--n", "abc"), ("--workers", "0"),
                         ("--seed", "-1"), ("--seed", str(2 ** 64)),
-                        ("--batch-size", "0"))
+                        ("--batch-size", "0"))  # now an unknown flag
     if not (command == ["ratios"] and flag == "--batch-size")]
 
 
@@ -191,15 +217,11 @@ class TestVolume:
         assert err.value.code == 2
         assert "--abs-tol" in capsys.readouterr().err
 
-    def test_batch_size_above_n_is_usage_error(self, capsys):
+    def test_batch_size_flag_is_unknown(self, capsys):
         with pytest.raises(SystemExit) as err:
-            main(["volume", "--region", "C", "--n", "10", "--batch-size", "11"])
+            main(["volume", "--region", "C", "--n", "10", "--batch-size", "10"])
         assert err.value.code == 2
-        message = capsys.readouterr().err
-        assert "--batch-size" in message and "--n" in message
-        code, _, _ = run_cli(capsys, "volume", "--region", "C", "--n", "10",
-                             "--batch-size", "10")
-        assert code == 0
+        assert "unrecognized arguments: --batch-size" in capsys.readouterr().err
 
     def test_workers_env_default(self, capsys, monkeypatch):
         monkeypatch.setenv("BELLVOL_WORKERS", "2")
@@ -284,6 +306,43 @@ class TestPolytope:
         assert err.value.code == 2
 
 
+# (vertex count, facet count) of each polytope the CLI knows
+_POLYTOPE_COUNTS = {"local": (16, 24), "ns": (24, 16), "corrC": (8, 16)}
+_POLYTOPES = {"local": polytopes.local_polytope_v, "ns": polytopes.ns_polytope_h,
+              "corrC": polytopes.correlation_polytope_C}
+
+
+@pytest.mark.parametrize("task", ["vertices", "facets", "counts", "volume"])
+@pytest.mark.parametrize("which", ["local", "ns", "corrC"])
+def test_polytope_output_is_the_library_text(capsys, which, task):
+    poly = _POLYTOPES[which]()
+    if poly.vertices is None:
+        poly = polytopes.enumerate_vertices(poly)
+    if poly.halfspaces is None:
+        poly = polytopes.enumerate_facets(poly)
+    n_vertices, n_facets = _POLYTOPE_COUNTS[which]
+    assert (len(poly.vertices), len(poly.halfspaces)) == (n_vertices, n_facets)
+    if task == "volume" and poly.dim > 4:
+        with pytest.raises(SystemExit) as err:
+            main(["polytope", "--which", which, "--task", task])
+        assert err.value.code == 2
+        assert "dimension" in capsys.readouterr().err
+        return
+    code, out, _ = run_cli(capsys, "polytope", "--which", which,
+                           "--task", task)
+    assert code == 0
+    if task == "vertices":
+        assert out == poly.to_text("V")
+        assert out.startswith(f"V {poly.dim} {n_vertices}\n")
+    elif task == "facets":
+        assert out == poly.to_text("H")
+        assert out.startswith(f"H {poly.dim} {n_facets}\n")
+    elif task == "counts":
+        assert out == f"vertices: {n_vertices}, facets: {n_facets}\n"
+    else:
+        assert out == "volume: 32/3 (10.6666666667)\n"
+
+
 class TestExamples:
     def test_pr_box_verify(self, capsys):
         code, out, _ = run_cli(capsys, "examples", "--which", "pr-box",
@@ -305,6 +364,27 @@ class TestExamples:
         code, out, _ = run_cli(capsys, "examples", "--which", "pr-box")
         assert code == 0
         assert "PASS" not in out
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    @pytest.mark.parametrize("which,n_checks", [("pr-box", 6),
+                                                ("signaling", 4)])
+    def test_verify_lines_follow_the_table(self, capsys, which, n_checks,
+                                           fmt):
+        argv = ("examples", "--which", which, "--format", fmt)
+        _, plain, _ = run_cli(capsys, *argv)
+        code, out, _ = run_cli(capsys, *argv, "--verify")
+        assert code == 0
+        if fmt == "json":
+            assert "PASS" not in out
+            obj = json.loads(out)
+            assert len(obj.pop("checks")) == n_checks
+            assert obj == json.loads(plain)
+        else:
+            assert len(plain.splitlines()) == 5  # header and four settings
+            assert out.startswith(plain)
+            checks = out[len(plain):].splitlines()
+            assert len(checks) == n_checks
+            assert all(line.startswith("PASS  ") for line in checks)
 
 
 class TestSampleQuantum:

@@ -29,7 +29,6 @@ from bellvol.polytopes import (
     pr_box,
     project_to_correlations,
     signaling_example,
-    table_from_behavior,
 )
 from bellvol.polytopes import _homogenize, _hull_facets
 from bellvol.regions import in_box_L, in_local, in_quantum_arcsin, in_tsirelson_T
@@ -92,16 +91,18 @@ class TestDeterministicBehaviors:
     def test_correlations_are_products(self):
         for d in deterministic_behaviors():
             for i, j in SETTINGS:
-                assert d.correlation(i, j) == d.marginal_a(i) * d.marginal_b(j)
+                v = d.as_vector()
+                assert v[4 + 2 * i + j] == v[i] * v[2 + j]
 
 
 class TestTables:
     def test_zero_behavior_uniform_blocks(self):
-        t = table_from_behavior(zero_behavior())
+        t = JointProbabilityTable.from_function(zero_behavior().probability)
         assert all(e == Fraction(1, 4) for e in t.entries)
 
     def test_deterministic_table(self):
-        t = table_from_behavior(Behavior(1, 1, 1, 1, 1, 1, 1, 1))
+        d = Behavior(1, 1, 1, 1, 1, 1, 1, 1)
+        t = JointProbabilityTable.from_function(d.probability)
         for (i, j), a, b in itertools.product(SETTINGS, PM, PM):
             expected = Fraction(1) if (a, b) == (1, 1) else Fraction(0)
             assert t.entry(i, j, a, b) == expected
@@ -118,7 +119,8 @@ class TestTables:
 
     def test_round_trip_on_random_behaviors(self):
         for b in random_behaviors(25, seed=5):
-            assert behavior_from_table(table_from_behavior(b)) == b
+            t = JointProbabilityTable.from_function(b.probability)
+            assert behavior_from_table(t) == b
 
     def test_uniform_table_gives_zero_behavior(self):
         t = JointProbabilityTable(tuple([Fraction(1, 4)] * 16))
@@ -137,7 +139,8 @@ class TestNoSignaling:
 
     def test_behavior_tables_always_pass(self):
         for b in random_behaviors(10, seed=6):
-            ok, worst = check_no_signaling(table_from_behavior(b))
+            t = JointProbabilityTable.from_function(b.probability)
+            ok, worst = check_no_signaling(t)
             assert ok and worst == 0
 
     def test_behavior_from_signaling_table_raises(self):

@@ -15,7 +15,6 @@ from bellvol.quantum import (
     correlation_point,
     random_direction,
     random_pure_state,
-    sample_quantum_point,
     sample_quantum_points,
     singlet,
     spin_observable,
@@ -127,7 +126,7 @@ class TestOptimalSettings:
 
 class TestSampling:
     def test_single_point_is_valid(self):
-        pt = sample_quantum_point(rng(3))
+        (pt,) = sample_quantum_points(1, rng(3))
         assert in_quantum_arcsin(pt).inside
 
     def test_bulk_points_inside_quantum_set(self):

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import region_reference as reference
+from bellvol import regions
 from bellvol.regions import (
     DEFAULT_TOLERANCE,
     PROFILE_ORDER,
@@ -19,11 +20,11 @@ from bellvol.regions import (
     MembershipResult,
     QCharacterization,
     RegionId,
+    check_tolerance,
     chsh_value,
     column_margins,
     in_box_L,
     in_local,
-    in_quantum,
     in_quantum_arcsin,
     in_quantum_landau,
     in_quantum_sextic,
@@ -168,10 +169,6 @@ class TestQuantumSextic:
         assert not in_quantum_sextic(PR_POINT).inside
         assert not in_quantum_landau(PR_POINT).inside
 
-    def test_dispatch(self):
-        res = in_quantum(PR_POINT, QCharacterization.SEXTIC)
-        assert res.characterization is QCharacterization.SEXTIC
-
 
 class TestProfile:
     def test_origin_inside_everything(self):
@@ -263,6 +260,12 @@ SCALARS = {
     RegionId.UFFINK_U: in_uffink_U,
     RegionId.TSIRELSON_T: in_tsirelson_T,
     RegionId.NO_SIGNALING_L: in_box_L,
+}
+
+Q_ORACLES = {
+    QCharacterization.ARCSIN: in_quantum_arcsin,
+    QCharacterization.LANDAU: in_quantum_landau,
+    QCharacterization.SEXTIC: in_quantum_sextic,
 }
 
 
@@ -375,7 +378,7 @@ def test_scalar_and_vectorized_margins_agree():
         vec = region_margins(RegionId.QUANTUM_Q, pts, char)
         for k in range(50):
             assert vec[k] == pytest.approx(
-                in_quantum(tuple(pts[k]), char).margin, abs=1e-12)
+                Q_ORACLES[char](tuple(pts[k])).margin, abs=1e-12)
     # the scalar oracles share the kernels, so also check against the
     # inequalities written out in the tests
     for region, ref in zip(CHAIN, reference.CHAIN):
@@ -447,7 +450,7 @@ def test_scalar_and_column_margins_are_equal(c):
         elif region is not RegionId.QUANTUM_Q:
             assert res.margin == column
     for char in (QCharacterization.LANDAU, QCharacterization.SEXTIC):
-        assert in_quantum(c, char).margin \
+        assert Q_ORACLES[char](c).margin \
             == region_margins(RegionId.QUANTUM_Q, [c], char)[0] \
             == column_margins([RegionId.QUANTUM_Q], cols, char)[0][0]
     # math.asin and numpy's arcsin may round a coordinate differently, by
@@ -493,8 +496,6 @@ def test_non_finite_points_are_rejected(c, k, bad):
         with pytest.raises(ValueError, match="not finite"):
             oracle(point)
     with pytest.raises(ValueError, match="not finite"):
-        in_quantum(point, QCharacterization.SEXTIC)
-    with pytest.raises(ValueError, match="not finite"):
         membership_profile(point)
     with pytest.raises(ValueError):
         toggle_distance(point, c)
@@ -509,6 +510,30 @@ def test_non_finite_points_are_rejected(c, k, bad):
     for char in QCharacterization:
         with pytest.raises(ValueError):
             region_margins(RegionId.QUANTUM_Q, rows, char)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
+def test_tolerance_outside_contract_is_rejected(tol):
+    origin, rows = (0.0, 0.0, 0.0, 0.0), np.zeros((3, 4))
+    with pytest.raises(ValueError, match="tolerance"):
+        check_tolerance(tol)
+    for oracle in ORACLES:
+        with pytest.raises(ValueError, match="tolerance"):
+            oracle(origin, tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        membership_profile(origin, tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        membership_profiles(rows, tol)
+    for region in CHAIN:
+        with pytest.raises(ValueError, match="tolerance"):
+            region_mask(region, rows, tol)
+
+
+def test_profile_checks_its_tolerance_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(regions, "check_tolerance", calls.append)
+    membership_profile((0.0, 0.0, 0.0, 0.0), 0.5)
+    assert calls == [0.5]
 
 
 # --------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from bellvol.volumes import (
     headline_report,
     mc_volume,
     quadrature_volume,
-    quadrature_volume_Q,
     ratio_estimate,
     score_stream,
 )
@@ -91,22 +90,31 @@ class TestEstimatorConfig:
     def test_defaults(self):
         cfg = EstimatorConfig()
         assert cfg.sample_count == 10_000_000
-        assert cfg.batch_size == 65_536
-
-    def test_batch_defaults_to_sample_count_when_small(self):
-        assert EstimatorConfig(sample_count=100).batch_size == 100
+        assert volumes._BATCH == 65_536
 
     @pytest.mark.parametrize("kwargs", [
         {"sample_count": 0},
         {"worker_count": 0},
         {"seed": -1},
         {"seed": 2 ** 64},
-        {"sample_count": 10, "batch_size": 11},
-        {"batch_size": 0},
+        {"seed": 1.5},
+        {"sample_count": 2.5},
+        {"worker_count": 1.5},
+        {"seed": True},
+        {"sample_count": 1000.0},
     ])
     def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             EstimatorConfig(**kwargs)
+
+    def test_numpy_integers_are_stored_as_int(self):
+        cfg = EstimatorConfig(sample_count=np.int64(1000), seed=np.uint64(7),
+                              worker_count=np.int32(1))
+        assert (cfg.sample_count, cfg.seed, cfg.worker_count) == (1000, 7, 1)
+        assert all(type(v) is int for v in
+                   (cfg.sample_count, cfg.seed, cfg.worker_count))
+        rec = mc_volume(RegionId.LOCAL_C, cfg).as_json_record()
+        assert rec["seed"] == 7 and type(rec["seed"]) is int
 
 
 class TestMcVolume:
@@ -150,12 +158,13 @@ class TestReproducibility:
         assert a.value == b.value
 
     def test_batch_size_does_not_change_the_stream(self):
-        base = EstimatorConfig(sample_count=100_000, seed=8, worker_count=4,
-                               batch_size=100_000)
-        alt = EstimatorConfig(sample_count=100_000, seed=8, worker_count=4,
-                              batch_size=7_777)
-        assert mc_volume(RegionId.QUANTUM_Q, base).value \
-            == mc_volume(RegionId.QUANTUM_Q, alt).value
+        cfg = EstimatorConfig(sample_count=100_000, seed=8, worker_count=4)
+        hists = []
+        for batch in (100_000, 7_777):
+            with mock.patch.object(volumes, "_BATCH", batch):
+                hists.append(volumes._score_substreams(
+                    cfg, (RegionId.QUANTUM_Q,), range(4)).tolist())
+        assert hists[0] == hists[1]
 
     @settings(deadline=None, max_examples=25)
     @given(st.integers(0, 2 ** 64 - 1), st.integers(50, 3000),
@@ -163,9 +172,10 @@ class TestReproducibility:
     def test_estimates_do_not_depend_on_batch_size(self, seed, n, batch,
                                                    workers):
         cfg = EstimatorConfig(sample_count=n, seed=seed, worker_count=workers)
-        alt = EstimatorConfig(sample_count=n, seed=seed, worker_count=workers,
-                              batch_size=min(batch, n))
-        assert headline_report(cfg) == headline_report(alt)
+        base = volumes._score_substreams(cfg, CHAIN, range(workers))
+        with mock.patch.object(volumes, "_BATCH", batch):
+            alt = volumes._score_substreams(cfg, CHAIN, range(workers))
+        assert base.tolist() == alt.tolist()
 
     def test_different_seeds_differ(self):
         a = mc_volume(RegionId.LOCAL_C, EstimatorConfig(sample_count=100_000, seed=1))
@@ -189,8 +199,9 @@ class TestScoreStream:
     def test_histogram_matches_scalar_oracles(self):
         # the same draws, scored point by point by the scalar oracles
         n, seed = 20_000, 23
-        hist = score_stream(EstimatorConfig(sample_count=n, seed=seed,
-                                            batch_size=4096), CHAIN)
+        with mock.patch.object(volumes, "_BATCH", 4096):
+            hist = score_stream(EstimatorConfig(sample_count=n, seed=seed),
+                                CHAIN)
         key = np.array([seed, 0], dtype=np.uint64)
         pts = 2.0 * np.random.Generator(np.random.Philox(key=key)).random(
             (n, 4)) - 1.0
@@ -306,7 +317,7 @@ class TestCltCalibration:
 
 class TestQuadrature:
     def test_quantum_volume_hits_closed_form(self):
-        est = quadrature_volume_Q(abs_tol=1e-9)
+        est = quadrature_volume(RegionId.QUANTUM_Q, abs_tol=1e-9)
         assert est.method == "quadrature" and est.std_error == 0.0
         assert abs(est.value - V_Q) <= 1e-9
         assert est.error_bound <= 1e-9
@@ -314,38 +325,38 @@ class TestQuadrature:
     @settings(deadline=None)
     @given(st.floats(0.0, math.pi / 2.0))
     def test_small_half_width_matches_diamond_product(self, h):
-        est = quadrature_volume_Q(abs_tol=1e-9, half_width=h)
-        assert abs(est.value - _v_q_diamonds(h)) <= 1e-9
-        assert est.error_bound <= 1e-9
+        value, err = volumes._arcsin_volume(h, abs_tol=1e-9)
+        assert abs(value - _v_q_diamonds(h)) <= 1e-9
+        assert err <= 1e-9
 
     @settings(deadline=None)
     @given(st.floats(0.0, math.pi), st.floats(0.0, math.pi))
     def test_volume_non_decreasing_in_half_width(self, h1, h2):
         lo, hi = sorted((h1, h2))
         tol = 1e-9
-        v_lo = quadrature_volume_Q(abs_tol=tol, half_width=lo).value
-        v_hi = quadrature_volume_Q(abs_tol=tol, half_width=hi).value
+        v_lo = volumes._arcsin_volume(lo, abs_tol=tol)[0]
+        v_hi = volumes._arcsin_volume(hi, abs_tol=tol)[0]
         assert v_lo <= v_hi + 2.0 * tol
 
     def test_halving_tolerance_is_stable(self):
         tol = 1e-4
-        prev = quadrature_volume_Q(abs_tol=tol).value
+        prev = quadrature_volume(RegionId.QUANTUM_Q, abs_tol=tol).value
         for _ in range(3):
-            cur = quadrature_volume_Q(abs_tol=tol / 2).value
+            cur = quadrature_volume(RegionId.QUANTUM_Q, abs_tol=tol / 2).value
             assert abs(cur - prev) <= tol
             prev, tol = cur, tol / 2
 
     def test_degenerate_slab_width_gives_zero(self):
-        assert quadrature_volume_Q(abs_tol=1e-6, half_width=0.0).value == 0.0
+        assert volumes._arcsin_volume(0.0, abs_tol=1e-6)[0] == 0.0
 
     def test_rejects_too_small_tolerance(self):
         with pytest.raises(ValueError):
-            quadrature_volume_Q(abs_tol=1e-10)
+            quadrature_volume(RegionId.QUANTUM_Q, abs_tol=1e-10)
 
     @pytest.mark.parametrize("call", [
-        lambda: quadrature_volume_Q(abs_tol=math.nan),
-        lambda: quadrature_volume_Q(abs_tol=math.inf),
-        lambda: quadrature_volume_Q(half_width=math.nan),
+        lambda: quadrature_volume(RegionId.QUANTUM_Q, abs_tol=math.nan),
+        lambda: quadrature_volume(RegionId.QUANTUM_Q, abs_tol=math.inf),
+        lambda: quadrature_volume(RegionId.LOCAL_C, abs_tol=math.nan),
         lambda: quadrature_volume(RegionId.UFFINK_U, abs_tol=math.nan),
         lambda: quadrature_volume(RegionId.NO_SIGNALING_L, abs_tol=math.inf),
     ])
