@@ -71,26 +71,26 @@ def _workers_from_env(args, parser: argparse.ArgumentParser) -> None:
         parser.error(f"environment variable BELLVOL_WORKERS: {exc}")
 
 
-def _abs_tol(text: str) -> float:
-    try:
-        value = float(text)
-        volumes.check_abs_tol(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-    return value
+def _checked_float(check):
+    """An argparse type accepting the floats that ``check`` does not reject
+    with ValueError."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not a number: {text!r}") from None
+        try:
+            check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+        return value
+    return parse
 
 
-def _tolerance(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"not a number: {text!r}") from None
-    try:
-        check_tolerance(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-    return value
+_abs_tol = _checked_float(volumes.check_abs_tol)
+_tolerance = _checked_float(check_tolerance)
 
 
 def _parse_point(text: str, flag: str,
@@ -285,9 +285,7 @@ def _cmd_examples(args, parser):
                              for r in rows]}
     checks = []
     ns_ok, discrepancy = polytopes.check_no_signaling(table)
-    point = [float(sum(a * b * table.entry(i, j, a, b)
-                       for a in (-1, 1) for b in (-1, 1)))
-             for i, j in ((0, 0), (0, 1), (1, 0), (1, 1))]
+    point = [float(ab) for _, _, ab in table.expectations().values()]
     if args.which == "pr-box":
         behavior = polytopes.behavior_from_table(table)
         checks.append(("no-signaling holds", ns_ok))

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -40,8 +39,26 @@ from .regions import CorrelationPoint
 Vector = tuple[Fraction, ...]
 _Ray = tuple[list[int], int]    # integer ray, bitmask of its tight rows
 
-_PM = (-1, 1)
 _SETTINGS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+#: The 16 outcomes (i, j, a, b) in table order: setting block (i, j), then
+#: a and b, each +1 before -1.
+_OUTCOMES = tuple((i, j, a, b) for i, j in _SETTINGS
+                  for a in (1, -1) for b in (1, -1))
+
+#: The 16 deterministic behaviors a_i, b_j = +/-1 as integer 8-tuples
+#: (a0, a1, b0, b1, a0*b0, a0*b1, a1*b0, a1*b1), by (a0, a1, b0, b1)
+#: ascending.
+_DETERMINISTIC = tuple((a0, a1, b0, b1, a0 * b0, a0 * b1, a1 * b0, a1 * b1)
+                       for a0, a1, b0, b1 in itertools.product((-1, 1), repeat=4))
+
+
+def _probability_row(i: int, j: int, a: int, b: int) -> list[int]:
+    """The integer row r with 4 * P(A_i=a, B_j=b) = 1 + r . (mA0, mA1, mB0,
+    mB1, c00, c01, c10, c11)."""
+    row = [0] * 8
+    row[i], row[2 + j], row[4 + 2 * i + j] = a, b, a * b
+    return row
 
 
 class PolytopeError(Exception):
@@ -93,28 +110,25 @@ class Behavior:
     def __post_init__(self):
         for name in self.__dataclass_fields__:
             object.__setattr__(self, name, _frac(getattr(self, name)))
-        for (i, j), a, b in itertools.product(_SETTINGS, _PM, _PM):
+        for i, j, a, b in _OUTCOMES:
             p = self.probability(i, j, a, b)
             if p < 0:
                 raise ValueError(
                     f"P(A{i}={a:+d}, B{j}={b:+d}) = {p} is negative")
 
     def probability(self, i: int, j: int, a: int, b: int) -> Fraction:
-        v = self.as_vector()
-        return (1 + a * v[i] + b * v[2 + j] + a * b * v[4 + 2 * i + j]) / 4
+        return (1 + _dot(_probability_row(i, j, a, b), self.as_vector())) / 4
 
     def as_vector(self) -> Vector:
         return (self.mA0, self.mA1, self.mB0, self.mB1,
                 self.c00, self.c01, self.c10, self.c11)
 
 
-def _table_index(i: int, j: int, a: int, b: int) -> int:
-    return 8 * i + 4 * j + (0 if a == 1 else 1) * 2 + (0 if b == 1 else 1)
-
-
 @dataclass(frozen=True)
 class JointProbabilityTable:
-    """Sixteen rational entries P(A_i=a, B_j=b), a, b in {-1, +1}.
+    """Sixteen rational entries P(A_i=a, B_j=b), a, b in {-1, +1}, in table
+    order: setting block (i, j) = (0, 0), (0, 1), (1, 0), (1, 1), then a and
+    b, each +1 before -1.
 
     Entries must be nonnegative and each setting block (i, j) must sum to 1.
     """
@@ -125,26 +139,35 @@ class JointProbabilityTable:
         if len(self.entries) != 16:
             raise ValueError(f"need 16 entries, got {len(self.entries)}")
         object.__setattr__(self, "entries", tuple(_frac(e) for e in self.entries))
-        for (i, j), a, b in itertools.product(_SETTINGS, _PM, _PM):
-            if self.entry(i, j, a, b) < 0:
+        sums = dict.fromkeys(_SETTINGS, 0)
+        for (i, j, a, b), p in zip(_OUTCOMES, self.entries):
+            if p < 0:
                 raise ValueError(
-                    f"P(A{i}={a:+d}, B{j}={b:+d}) = {self.entry(i, j, a, b)}"
-                    " is negative")
-        for i, j in _SETTINGS:
-            s = sum(self.entry(i, j, a, b) for a in _PM for b in _PM)
+                    f"P(A{i}={a:+d}, B{j}={b:+d}) = {p} is negative")
+            sums[i, j] += p
+        for (i, j), s in sums.items():
             if s != 1:
                 raise ValueError(f"block (i={i}, j={j}) sums to {s}, not 1")
 
     @classmethod
     def from_function(cls, f) -> "JointProbabilityTable":
         """Build from a callable f(i, j, a, b) -> probability."""
-        entries = [Fraction(0)] * 16
-        for (i, j), a, b in itertools.product(_SETTINGS, _PM, _PM):
-            entries[_table_index(i, j, a, b)] = _frac(f(i, j, a, b))
-        return cls(tuple(entries))
+        return cls(tuple(_frac(f(*o)) for o in _OUTCOMES))
 
     def entry(self, i: int, j: int, a: int, b: int) -> Fraction:
-        return self.entries[_table_index(i, j, a, b)]
+        return self.entries[_OUTCOMES.index((i, j, a, b))]
+
+    def expectations(self) -> dict[tuple[int, int],
+                                   tuple[Fraction, Fraction, Fraction]]:
+        """``{(i, j): (<A_i>, <B_j>, <A_i B_j>)}`` read off each setting
+        block, in block order (0, 0), (0, 1), (1, 0), (1, 1)."""
+        sums = {s: [0, 0, 0] for s in _SETTINGS}
+        for (i, j, a, b), p in zip(_OUTCOMES, self.entries):
+            e = sums[i, j]
+            e[0] += a * p
+            e[1] += b * p
+            e[2] += a * b * p
+        return {s: tuple(e) for s, e in sums.items()}
 
 
 def deterministic_behaviors() -> list[Behavior]:
@@ -153,14 +176,7 @@ def deterministic_behaviors() -> list[Behavior]:
     Ordered by the assignment tuple (a0, a1, b0, b1) ascending over
     {-1, +1}^4; correlations are c_ij = a_i * b_j.
     """
-    out = []
-    for a0, a1, b0, b1 in itertools.product(_PM, repeat=4):
-        out.append(Behavior(
-            mA0=Fraction(a0), mA1=Fraction(a1),
-            mB0=Fraction(b0), mB1=Fraction(b1),
-            c00=Fraction(a0 * b0), c01=Fraction(a0 * b1),
-            c10=Fraction(a1 * b0), c11=Fraction(a1 * b1)))
-    return out
+    return [Behavior(*v) for v in _DETERMINISTIC]
 
 
 def check_no_signaling(t: JointProbabilityTable) -> tuple[bool, Fraction]:
@@ -168,17 +184,13 @@ def check_no_signaling(t: JointProbabilityTable) -> tuple[bool, Fraction]:
 
     Returns (all hold, maximal probability discrepancy).  The discrepancy
     for party A is max over (i, a) of |P(A_i=a | B_0 side) - P(A_i=a | B_1
-    side)| and symmetrically for B.
+    side)| and symmetrically for B.  As P(A_i=a) = (1 + a * <A_i>) / 2 in
+    a normalized block, that is half the largest change of <A_i> across j,
+    or of <B_j> across i.
     """
-    worst = Fraction(0)
-    for i in (0, 1):
-        for a in _PM:
-            pj = [sum(t.entry(i, j, a, b) for b in _PM) for j in (0, 1)]
-            worst = max(worst, abs(pj[0] - pj[1]))
-    for j in (0, 1):
-        for b in _PM:
-            pi = [sum(t.entry(i, j, a, b) for a in _PM) for i in (0, 1)]
-            worst = max(worst, abs(pi[0] - pi[1]))
+    e = t.expectations()
+    worst = max(*(abs(e[i, 0][0] - e[i, 1][0]) for i in (0, 1)),
+                *(abs(e[0, j][1] - e[1, j][1]) for j in (0, 1))) / 2
     return worst == 0, worst
 
 
@@ -195,13 +207,9 @@ def behavior_from_table(t: JointProbabilityTable) -> Behavior:
         raise NoSignalingViolation(
             f"table violates no-signaling (max marginal discrepancy {worst})",
             worst)
-
-    def expect(i, j, f):  # of f(a, b) in setting block (i, j)
-        return sum(f(a, b) * t.entry(i, j, a, b) for a in _PM for b in _PM)
-
-    return Behavior(*(expect(i, 0, lambda a, b: a) for i in (0, 1)),
-                    *(expect(0, j, lambda a, b: b) for j in (0, 1)),
-                    *(expect(i, j, operator.mul) for i, j in _SETTINGS))
+    e = t.expectations()
+    return Behavior(e[0, 0][0], e[1, 0][0], e[0, 0][1], e[0, 1][1],
+                    *(ab for _, _, ab in e.values()))
 
 
 def project_to_correlations(b: Behavior) -> CorrelationPoint:
@@ -247,7 +255,7 @@ def signaling_example() -> JointProbabilityTable:
 # rational polytopes
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Halfspace:
     """Inequality normal . x <= offset with a primitive integer normal."""
 
@@ -257,15 +265,11 @@ class Halfspace:
     @classmethod
     def normalized(cls, normal: Sequence, offset) -> "Halfspace":
         """Scale by a positive rational so the normal is primitive integers."""
-        normal = [_frac(v) for v in normal]
-        offset = _frac(offset)
-        if all(v == 0 for v in normal):
+        ints = _integer_row(normal)
+        k = next((k for k, n in enumerate(ints) if n), None)
+        if k is None:
             raise ValueError("halfspace normal must be nonzero")
-        scale = Fraction(math.lcm(*(v.denominator for v in normal)))
-        ints = [int(v * scale) for v in normal]
-        g = math.gcd(*(abs(v) for v in ints))
-        ints = [v // g for v in ints]
-        return cls(tuple(ints), offset * scale / g)
+        return cls(tuple(ints), _frac(offset) * ints[k] / _frac(normal[k]))
 
     def slack(self, x: Sequence[Fraction]) -> Fraction:
         return self.offset - sum(n * xi for n, xi in zip(self.normal, x))
@@ -345,22 +349,15 @@ def ns_polytope_h() -> RationalPolytope:
     1 + a*mA_i + b*mB_j + a*b*c_ij >= 0 (i.e. four times the probability),
     so the slack of the zero behavior is exactly 1 on every facet.
     """
-    hs = []
-    for (i, j), a, b in itertools.product(_SETTINGS, _PM, _PM):
-        normal = [0] * 8
-        normal[i] = -a
-        normal[2 + j] = -b
-        normal[4 + 2 * i + j] = -a * b
-        hs.append(Halfspace.normalized(normal, 1))
-    hs.sort(key=lambda h: (h.normal, h.offset))
+    hs = sorted(Halfspace(tuple(-x for x in _probability_row(*o)), Fraction(1))
+                for o in _OUTCOMES)
     return RationalPolytope(dim=8, halfspaces=tuple(hs))
 
 
 def local_polytope_v() -> RationalPolytope:
     """V-representation of the local behavior polytope: the 16 deterministic
     behaviors as points of the 8D (marginals, correlations) space."""
-    verts = sorted(b.as_vector() for b in deterministic_behaviors())
-    return RationalPolytope(dim=8, vertices=tuple(verts))
+    return RationalPolytope(dim=8, vertices=tuple(sorted(_DETERMINISTIC)))
 
 
 def correlation_polytope_C() -> RationalPolytope:
@@ -370,7 +367,7 @@ def correlation_polytope_C() -> RationalPolytope:
     (flipping both parties' outcomes fixes every correlation), each of the
     form (a0*b0, a0*b1, a1*b0, a1*b1) with entries +/-1 of product +1.
     """
-    pts = {tuple(b.as_vector()[4:]) for b in deterministic_behaviors()}
+    pts = {v[4:] for v in _DETERMINISTIC}
     return RationalPolytope(dim=4, vertices=tuple(sorted(pts)))
 
 
@@ -382,8 +379,7 @@ def cube_polytope_h(dim: int) -> RationalPolytope:
             normal = [0] * dim
             normal[k] = s
             hs.append(Halfspace.normalized(normal, 1))
-    hs.sort(key=lambda h: (h.normal, h.offset))
-    return RationalPolytope(dim=dim, halfspaces=tuple(hs))
+    return RationalPolytope(dim=dim, halfspaces=tuple(sorted(hs)))
 
 
 # --------------------------------------------------------------------------
@@ -525,8 +521,7 @@ def enumerate_facets(v: RationalPolytope) -> RationalPolytope:
     rays, lineality = _hull_facets(_homogenize(v.vertices), v.dim)
     if lineality:
         raise DegeneratePolytope("vertex set is not full-dimensional")
-    hs = sorted((Halfspace.normalized(r[:-1], r[-1]) for r, _ in rays),
-                key=lambda f: (f.normal, f.offset))
+    hs = sorted(Halfspace.normalized(r[:-1], r[-1]) for r, _ in rays)
     return RationalPolytope(dim=v.dim, vertices=v.vertices,
                             halfspaces=tuple(hs))
 

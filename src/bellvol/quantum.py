@@ -13,6 +13,7 @@ corresponding trace for mixed states).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,12 +40,17 @@ class BlochDirection:
     z: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.x, self.y, self.z))):
+            raise ValueError(f"direction ({self.x!r}, {self.y!r}, {self.z!r})"
+                             " is not finite")
         n = math.sqrt(self.x ** 2 + self.y ** 2 + self.z ** 2)
         if abs(n - 1.0) > _UNIT_NORM_TOL:
             raise ValueError(f"direction norm {n!r} is not 1 within {_UNIT_NORM_TOL}")
 
     @classmethod
     def normalized(cls, x: float, y: float, z: float) -> "BlochDirection":
+        if not all(map(math.isfinite, (x, y, z))):
+            raise ValueError(f"direction ({x!r}, {y!r}, {z!r}) is not finite")
         n = math.sqrt(x * x + y * y + z * z)
         if n == 0.0:
             raise ValueError("cannot normalize the zero vector")
@@ -79,6 +85,8 @@ class TwoQubitState:
         rho = np.asarray(self.rho, dtype=complex)
         if rho.shape != (4, 4):
             raise ValueError(f"density matrix must be 4x4, got {rho.shape}")
+        if not np.isfinite(rho).all():
+            raise ValueError("density matrix entries must be finite")
         if np.abs(rho - rho.conj().T).max() > _HERMITICITY_TOL:
             raise ValueError("density matrix is not Hermitian")
         if abs(rho.trace() - 1.0) > _TRACE_TOL:
@@ -91,7 +99,11 @@ class TwoQubitState:
     @classmethod
     def pure(cls, psi: np.ndarray) -> "TwoQubitState":
         psi = np.asarray(psi, dtype=complex).reshape(4)
-        psi = psi / np.linalg.norm(psi)
+        norm = float(np.linalg.norm(psi))
+        if not (math.isfinite(norm) and norm > 0):
+            raise ValueError(
+                f"state vector needs a finite nonzero norm, got {norm!r}")
+        psi = psi / norm
         return cls(np.outer(psi, psi.conj()))
 
     def mixed_with(self, other: "TwoQubitState", weight: float) -> "TwoQubitState":
@@ -172,8 +184,13 @@ def sample_quantum_points(n: int, rng: np.random.Generator) -> np.ndarray:
     independent uniform measurement axes (two per party).  Entries are
     clipped to [-1, 1] to absorb representation error at the boundary.
     Each point takes one contiguous block of 20 normals from ``rng``, so
-    draws of m and then n - m points equal one draw of n.
+    draws of m and then n - m points equal one draw of n.  ``n`` is an
+    integer (numpy integers are accepted); a float or a bool raises
+    ``ValueError``.
     """
+    if isinstance(n, bool) or not hasattr(n, "__index__"):
+        raise ValueError(f"n must be an integer, got {n!r}")
+    n = operator.index(n)
     if n < 1:
         raise ValueError("n must be positive")
     draw = rng.standard_normal((n, 20))

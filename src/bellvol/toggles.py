@@ -106,26 +106,21 @@ def min_toggles(seq: OutcomeSequence, target: float) -> MinToggleResult:
     grid point (ties resolved toward fewer toggles).  Flipping a matched
     pair moves the correlation by -2/N, a mismatched pair by +2/N, so the
     minimum count for a reachable value t is N * |t - r| / 2 and the
-    achieved correlation is exact.
+    achieved correlation is exact.  A target that is not finite or lies
+    outside [-1, 1] raises :class:`TargetUnreachable`.
     """
     n = len(seq)
-    target = Fraction(target) if not isinstance(target, Fraction) else target
+    if not isinstance(target, Fraction):
+        if not math.isfinite(target):
+            raise TargetUnreachable(f"target {target!r} is not finite")
+        target = Fraction(target)
     if not -1 <= target <= 1:
         raise TargetUnreachable(f"target {target} outside [-1, 1]")
     r = seq.correlation
     steps = (target - r) * n / 2          # exact, possibly non-integer
-    lo = math.floor(steps)
-    hi = lo + 1
-    if steps == lo:
-        k = lo
-    else:
-        dlo, dhi = steps - lo, hi - steps
-        if dlo < dhi:
-            k = lo
-        elif dhi < dlo:
-            k = hi
-        else:
-            k = lo if abs(lo) <= abs(hi) else hi   # tie: fewer toggles
+    k = math.ceil(abs(steps) - Fraction(1, 2))   # nearest, ties toward zero
+    if steps < 0:
+        k = -k
     matched = (n + sum(a * b for a, b in zip(seq.alice, seq.bob))) // 2
     mismatched = n - matched
     # reachable for all targets in [-1, 1]: k in [-matched, +mismatched]

@@ -217,6 +217,17 @@ class TestVolume:
         assert err.value.code == 2
         assert "--abs-tol" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["membership", "--point", "0,0,0,0", "--tolerance", "abc"],
+        ["volume", "--region", "Q", "--method", "quadrature",
+         "--abs-tol", "abc"]])
+    def test_float_flag_reports_a_non_number(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert (f"argument {argv[-2]}: not a number: 'abc'"
+                in capsys.readouterr().err)
+
     def test_batch_size_flag_is_unknown(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["volume", "--region", "C", "--n", "10", "--batch-size", "10"])

@@ -54,6 +54,17 @@ def random_behaviors(count, seed=0):
     return out
 
 
+def four_p(b, i, j, a, bb):
+    """4 * P(A_i=a, B_j=bb) of a behavior, written out from its fields."""
+    m_a, m_b = (b.mA0, b.mA1), (b.mB0, b.mB1)
+    c = ((b.c00, b.c01), (b.c10, b.c11))
+    return 1 + a * m_a[i] + bb * m_b[j] + a * bb * c[i][j]
+
+
+#: The column order of `bellvol examples`: ++ +- -+ --.
+PRINTED = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+
+
 # --------------------------------------------------------------------------
 # behaviors and tables
 # --------------------------------------------------------------------------
@@ -126,6 +137,21 @@ class TestTables:
         t = JointProbabilityTable(tuple([Fraction(1, 4)] * 16))
         assert behavior_from_table(t) == zero_behavior()
 
+    def test_entries_follow_the_printed_outcome_order(self):
+        for b in random_behaviors(10, seed=7):
+            t = JointProbabilityTable.from_function(b.probability)
+            assert t.entries == tuple(four_p(b, i, j, a, bb) / 4
+                                      for i, j in SETTINGS for a, bb in PRINTED)
+
+    def test_expectations_of_a_behavior_table(self):
+        for b in random_behaviors(10, seed=8):
+            e = JointProbabilityTable.from_function(b.probability).expectations()
+            assert list(e) == list(SETTINGS)
+            assert e == {(0, 0): (b.mA0, b.mB0, b.c00),
+                         (0, 1): (b.mA0, b.mB1, b.c01),
+                         (1, 0): (b.mA1, b.mB0, b.c10),
+                         (1, 1): (b.mA1, b.mB1, b.c11)}
+
 
 class TestNoSignaling:
     def test_pr_box_passes(self):
@@ -147,6 +173,40 @@ class TestNoSignaling:
         with pytest.raises(NoSignalingViolation) as err:
             behavior_from_table(signaling_example())
         assert err.value.max_discrepancy == 1
+
+
+def marginal_difference_maximum(t):
+    """max over (i, a) of |P(A_i=a) in block (i, 0) - in block (i, 1)|, and
+    the same for B over (j, b), indexing the printed outcome order."""
+    def p(i, j, a, b):
+        return t.entries[8 * i + 4 * j + PRINTED.index((a, b))]
+
+    worst = Fraction(0)
+    for k, s in itertools.product((0, 1), PM):
+        worst = max(worst,
+                    abs(sum(p(k, 0, s, b) for b in PM)
+                        - sum(p(k, 1, s, b) for b in PM)),
+                    abs(sum(p(0, k, a, s) for a in PM)
+                        - sum(p(1, k, a, s) for a in PM)))
+    return worst
+
+
+@st.composite
+def normalized_tables(draw):
+    """Tables with random blocks (mostly signaling) or one block repeated
+    four times (no-signaling)."""
+    block = st.lists(st.integers(0, 6), min_size=4, max_size=4).filter(any)
+    weights = draw(block)
+    blocks = [weights] * 4 if draw(st.booleans()) else \
+        [weights, *(draw(block) for _ in range(3))]
+    return JointProbabilityTable(tuple(Fraction(w, sum(ws))
+                                       for ws in blocks for w in ws))
+
+
+@given(normalized_tables())
+def test_no_signaling_discrepancy_is_the_marginal_difference_maximum(t):
+    worst = marginal_difference_maximum(t)
+    assert check_no_signaling(t) == (worst == 0, worst)
 
 
 class TestReferenceTables:
@@ -195,6 +255,18 @@ class TestNsPolytope:
         zero = (Fraction(0),) * 8
         for h in ns_polytope_h().halfspaces:
             assert h.slack(zero) == 1
+
+    def test_facet_slack_is_four_times_its_outcome_probability(self):
+        facets = ns_polytope_h().halfspaces
+        # facet -(a e_i + b e_(2+j) + ab e_(4+2i+j)) . x <= 1
+        outcomes = []
+        for h in facets:
+            i, j = (0 if h.normal[0] else 1), (0 if h.normal[2] else 1)
+            outcomes.append((i, j, -h.normal[i], -h.normal[2 + j]))
+        assert len(set(outcomes)) == 16
+        for b in random_behaviors(10, seed=9):
+            for h, o in zip(facets, outcomes):
+                assert h.slack(b.as_vector()) == four_p(b, *o)
 
     def test_pr_behavior_tight_on_eight_facets(self):
         vec = behavior_from_table(pr_box()).as_vector()
@@ -339,6 +411,12 @@ class TestDuality:
 
 
 class TestProjectionConsistency:
+    def test_vertices_are_the_deterministic_behaviors(self):
+        dets = [b.as_vector() for b in deterministic_behaviors()]
+        assert local_polytope_v().vertices == tuple(sorted(dets))
+        assert correlation_polytope_C().vertices \
+            == tuple(sorted({v[4:] for v in dets}))
+
     def test_each_correlation_vertex_hit_twice(self):
         images = Counter(tuple(b.as_vector()[4:])
                          for b in deterministic_behaviors())

@@ -49,6 +49,14 @@ class TestTypes:
         with pytest.raises(ValueError):
             BlochDirection.normalized(0.0, 0.0, 0.0)
 
+    def test_direction_must_be_finite(self):
+        with pytest.raises(ValueError, match="not finite"):
+            BlochDirection(math.nan, 0.0, 0.0)
+
+    def test_normalized_rejects_infinite_components(self):
+        with pytest.raises(ValueError, match="not finite"):
+            BlochDirection.normalized(math.inf, 0.0, 0.0)
+
     def test_state_must_be_hermitian(self):
         rho = np.eye(4, dtype=complex) / 4.0
         rho[0, 1] = 0.5
@@ -63,6 +71,17 @@ class TestTypes:
         rho = np.diag([0.75, 0.75, 0.0, -0.5]).astype(complex)
         with pytest.raises(ValueError, match="eigenvalue"):
             TwoQubitState(rho)
+
+    def test_state_entries_must_be_finite(self):
+        # numpy's LinAlgError is a ValueError too, so pin the message
+        rho = np.eye(4, dtype=complex) / 4.0
+        rho[1, 1] = math.nan
+        with pytest.raises(ValueError, match="finite"):
+            TwoQubitState(rho)
+
+    def test_pure_state_vector_must_be_nonzero(self):
+        with pytest.raises(ValueError, match="nonzero norm"):
+            TwoQubitState.pure(np.zeros(4))
 
     def test_spin_observable_is_involutive(self):
         for d in (X_DIR, Y_DIR, Z_DIR, random_direction(rng(1))):
@@ -155,6 +174,15 @@ class TestSampling:
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
             sample_quantum_points(0, rng(8))
+
+    @pytest.mark.parametrize("n", [2.5, True, 3.0])
+    def test_rejects_non_integer_n(self, n):
+        with pytest.raises(ValueError, match="integer"):
+            sample_quantum_points(n, rng(8))
+
+    def test_accepts_numpy_integer_n(self):
+        assert np.array_equal(sample_quantum_points(np.int64(3), rng(9)),
+                              sample_quantum_points(3, rng(9)))
 
 
 class TestMixing:

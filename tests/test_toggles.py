@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bellvol.regions import RegionId
 from bellvol.toggles import (
@@ -116,6 +118,40 @@ class TestMinToggles:
     def test_target_out_of_range(self):
         with pytest.raises(TargetUnreachable):
             min_toggles(sequence_with_correlation(4, 2), 1.5)
+
+    @pytest.mark.parametrize("target", [math.inf, -math.inf, math.nan])
+    def test_non_finite_target_is_unreachable(self, target):
+        with pytest.raises(TargetUnreachable, match="not finite"):
+            min_toggles(sequence_with_correlation(4, 2), target)
+
+
+outcomes = st.lists(st.sampled_from((-1, 1)), min_size=1, max_size=12)
+
+
+@st.composite
+def sequences_and_targets(draw):
+    alice = draw(outcomes)
+    bob = draw(st.lists(st.sampled_from((-1, 1)), min_size=len(alice),
+                        max_size=len(alice)))
+    # grid fractions hit the ties between two reachable values
+    target = draw(st.one_of(
+        st.floats(-1, 1),
+        st.integers(-4 * len(alice), 4 * len(alice)).map(
+            lambda k, n=len(alice): Fraction(k, 4 * n))))
+    return OutcomeSequence(alice=tuple(alice), bob=tuple(bob)), target
+
+
+@given(sequences_and_targets())
+def test_min_toggles_matches_search_over_every_signed_count(case):
+    """Nearest reachable correlation r + 2k/N, ties to the smaller |k|."""
+    seq, target = case
+    n = len(seq)
+    r = seq.correlation
+    matched = sum(a == b for a, b in zip(seq.alice, seq.bob))
+    k = min(range(-matched, n - matched + 1),
+            key=lambda k: (abs(r + Fraction(2 * k, n) - Fraction(target)),
+                           abs(k)))
+    assert min_toggles(seq, target) == (abs(k), r + Fraction(2 * k, n))
 
 
 def exhaustive_minimum(seq: OutcomeSequence, target: float):
