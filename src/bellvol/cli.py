@@ -14,15 +14,17 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
+import re
 import sys
 
 import numpy as np
 
 from . import polytopes, quantum, toggles, volumes
 from .regions import (
+    _FIELDS,
     DEFAULT_TOLERANCE,
+    CorrelationPoint,
     RegionId,
     check_tolerance,
     chsh_value,
@@ -32,8 +34,6 @@ from .regions import (
     membership_profiles,
     profile_record,
 )
-
-_POINT_KEYS = ("c00", "c01", "c10", "c11")
 
 #: Points drawn and scored at a time by sample-quantum: large enough to
 #: amortize numpy's per-call cost, small enough to keep memory flat in --n.
@@ -94,9 +94,9 @@ _tolerance = _checked_float(check_tolerance)
 
 
 def _parse_point(text: str, flag: str,
-                 parser: argparse.ArgumentParser) -> tuple[float, ...]:
+                 parser: argparse.ArgumentParser) -> CorrelationPoint:
     """Accept '{"c00": ...}' JSON or inline 'c00,c01,c10,c11' given to
-    ``flag``; errors name the flag."""
+    ``flag``, checked by ``CorrelationPoint``; errors name the flag."""
 
     def error(message: str):
         parser.error(f"argument {flag}: {message}")
@@ -109,11 +109,11 @@ def _parse_point(text: str, flag: str,
             error(f"malformed point JSON: {exc}")
         if not isinstance(obj, dict):
             error("point JSON must be an object")
-        unknown = sorted(set(obj) - set(_POINT_KEYS))
+        unknown = sorted(set(obj) - set(_FIELDS))
         if unknown:
             error(f"unknown point field '{unknown[0]}'")
         vals = []
-        for key in _POINT_KEYS:
+        for key in _FIELDS:
             if key not in obj:
                 error(f"point JSON missing field '{key}'")
             v = obj[key]
@@ -125,17 +125,15 @@ def _parse_point(text: str, flag: str,
         if len(parts) != 4:
             error("inline point must be 'c00,c01,c10,c11'")
         vals = []
-        for key, part in zip(_POINT_KEYS, parts):
+        for key, part in zip(_FIELDS, parts):
             try:
                 vals.append(float(part))
             except ValueError:
                 error(f"point field '{key}' is not a number: {part!r}")
-    for key, v in zip(_POINT_KEYS, vals):
-        if not math.isfinite(v):
-            error(f"point field '{key}' is not finite: {v!r}")
-        if not -1.0 <= v <= 1.0:
-            error(f"point field '{key}' is outside [-1, 1]: {v!r}")
-    return tuple(vals)
+    try:
+        return CorrelationPoint(*vals)
+    except ValueError as exc:
+        error(str(exc))
 
 
 def _emit_table(rows: list[dict], headers: list[str]) -> str:
@@ -185,8 +183,7 @@ def _cmd_membership(args, parser):
     rows = [res.as_dict() for res in (*profile.regions().values(),
                                       profile.quantum_landau,
                                       profile.quantum_sextic)]
-    json_obj = {"point": dict(zip(_POINT_KEYS, point)),
-                "profile": profile.as_dict()}
+    json_obj = {"point": dict(zip(_FIELDS, point)), "profile": profile.as_dict()}
     _emit(args, rows, ["region", "characterization", "inside", "margin"], json_obj)
     return 0
 
@@ -265,51 +262,47 @@ def _cmd_polytope(args, parser):
 # -- examples ----------------------------------------------------------------
 
 def _table_rows(table: polytopes.JointProbabilityTable) -> list[dict]:
-    rows = []
-    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        row = {"i": i, "j": j}
-        for a, label_a in ((1, "+"), (-1, "-")):
-            for b, label_b in ((1, "+"), (-1, "-")):
-                row[label_a + label_b] = str(table.entry(i, j, a, b))
-        rows.append(row)
-    return rows
+    """One row per setting block, its entries keyed by outcome signs."""
+    rows = {}
+    for (i, j, a, b), p in zip(polytopes._OUTCOMES, table.entries):
+        row = rows.setdefault((i, j), {"i": i, "j": j})
+        row[f"{a:+d}"[0] + f"{b:+d}"[0]] = str(p)
+    return list(rows.values())
 
 
 def _cmd_examples(args, parser):
     table = polytopes.pr_box() if args.which == "pr-box" \
         else polytopes.signaling_example()
     rows = _table_rows(table)
+    headers = list(rows[0])  # i, j, then the four outcome labels
     json_obj = {"which": args.which,
                 "settings": [{"i": r["i"], "j": r["j"],
-                              "p": {k: r[k] for k in ("++", "+-", "-+", "--")}}
+                              "p": {k: r[k] for k in headers[2:]}}
                              for r in rows]}
-    checks = []
     ns_ok, discrepancy = polytopes.check_no_signaling(table)
-    point = [float(ab) for _, _, ab in table.expectations().values()]
+    expectations = table.expectations().values()
+    correlations = [ab for _, _, ab in expectations]
+    point = [float(ab) for ab in correlations]
     if args.which == "pr-box":
-        behavior = polytopes.behavior_from_table(table)
-        checks.append(("no-signaling holds", ns_ok))
-        checks.append(("marginals all zero",
-                       all(behavior.as_vector()[k] == 0 for k in range(4))))
-        checks.append(("correlations (1, 1, 1, -1)",
-                       tuple(behavior.as_vector()[4:]) == (1, 1, 1, -1)))
-        checks.append(("CHSH functional at (1,1) equals 4",
-                       abs(chsh_value(point, 1, 1) - 4.0) < 1e-12))
-        checks.append(("outside the local set",
-                       not in_local(point).inside))
-        checks.append(("outside the quantum set",
-                       not in_quantum_arcsin(point).inside))
+        checks = [
+            ("no-signaling holds", ns_ok),
+            ("marginals all zero", all(a == b == 0 for a, b, _ in expectations)),
+            ("correlations (1, 1, 1, -1)", correlations == [1, 1, 1, -1]),
+            ("CHSH functional at (1,1) equals 4",
+             abs(chsh_value(point, 1, 1) - 4.0) < 1e-12),
+            ("outside the local set", not in_local(point).inside),
+            ("outside the quantum set", not in_quantum_arcsin(point).inside)]
     else:
-        checks.append(("no-signaling violated", not ns_ok))
-        checks.append(("max marginal discrepancy 1", discrepancy == 1))
-        checks.append(("projection (0, 0, 0, 0)",
-                       point == [0.0, 0.0, 0.0, 0.0]))
-        checks.append(("projection satisfies all CHSH inequalities",
-                       in_local(point).inside))
-    json_obj["projection"] = dict(zip(_POINT_KEYS, point))
+        checks = [
+            ("no-signaling violated", not ns_ok),
+            ("max marginal discrepancy 1", discrepancy == 1),
+            ("projection (0, 0, 0, 0)", point == [0.0, 0.0, 0.0, 0.0]),
+            ("projection satisfies all CHSH inequalities",
+             in_local(point).inside)]
+    json_obj["projection"] = dict(zip(_FIELDS, point))
     if args.verify:
         json_obj["checks"] = {name: bool(ok) for name, ok in checks}
-    _emit(args, rows, ["i", "j", "++", "+-", "-+", "--"], json_obj)
+    _emit(args, rows, headers, json_obj)
     if args.verify and args.format != "json":
         for name, ok in checks:
             print(f"{'PASS' if ok else 'FAIL'}  {name}")
@@ -328,7 +321,7 @@ def _cmd_sample_quantum(args, parser):
             min(_SAMPLE_BLOCK, args.n - start), rng)
         profiles = membership_profiles(block)
         for row, verdicts in zip(block.tolist(), profiles.verdicts()):
-            rec = dict(zip(_POINT_KEYS, row))
+            rec = dict(zip(_FIELDS, row))
             rec["profile"] = profile_record(verdicts)
             print(json.dumps(rec))
     return 0
@@ -340,7 +333,7 @@ def _cmd_distance(args, parser):
     p = _parse_point(getattr(args, "from"), "--from", parser)
     q = _parse_point(args.to, "--to", parser)
     dist = toggles.toggle_distance(p, q)
-    obj = {"from": dict(zip(_POINT_KEYS, p)), "to": dict(zip(_POINT_KEYS, q))}
+    obj = {"from": dict(zip(_FIELDS, p)), "to": dict(zip(_FIELDS, q))}
     obj.update(dist.as_dict())
     print(json.dumps(obj, indent=2))
     return 0
@@ -413,6 +406,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a point such as -0.5,0,0,0 for a flag: join it to its flag
+    for k in range(len(argv) - 1, 0, -1):
+        if argv[k - 1] in ("--point", "--from", "--to") and re.match(
+                r"-[0-9.]", argv[k]):
+            argv[k - 1:k + 1] = [f"{argv[k - 1]}={argv[k]}"]
     args = parser.parse_args(argv)
     _workers_from_env(args, parser)
     try:

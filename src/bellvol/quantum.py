@@ -43,7 +43,7 @@ class BlochDirection:
         if not all(map(math.isfinite, (self.x, self.y, self.z))):
             raise ValueError(f"direction ({self.x!r}, {self.y!r}, {self.z!r})"
                              " is not finite")
-        n = math.sqrt(self.x ** 2 + self.y ** 2 + self.z ** 2)
+        n = math.hypot(self.x, self.y, self.z)
         if abs(n - 1.0) > _UNIT_NORM_TOL:
             raise ValueError(f"direction norm {n!r} is not 1 within {_UNIT_NORM_TOL}")
 
@@ -51,7 +51,7 @@ class BlochDirection:
     def normalized(cls, x: float, y: float, z: float) -> "BlochDirection":
         if not all(map(math.isfinite, (x, y, z))):
             raise ValueError(f"direction ({x!r}, {y!r}, {z!r}) is not finite")
-        n = math.sqrt(x * x + y * y + z * z)
+        n = math.hypot(x, y, z)  # hypot: no overflow or underflow
         if n == 0.0:
             raise ValueError("cannot normalize the zero vector")
         return cls(x / n, y / n, z / n)
@@ -99,7 +99,7 @@ class TwoQubitState:
     @classmethod
     def pure(cls, psi: np.ndarray) -> "TwoQubitState":
         psi = np.asarray(psi, dtype=complex).reshape(4)
-        norm = float(np.linalg.norm(psi))
+        norm = math.hypot(*np.abs(psi))  # hypot: no overflow or underflow
         if not (math.isfinite(norm) and norm > 0):
             raise ValueError(
                 f"state vector needs a finite nonzero norm, got {norm!r}")
@@ -153,7 +153,7 @@ def chsh_optimal_settings() -> MeasurementSettings:
 def correlation_point(rho: TwoQubitState,
                       settings: MeasurementSettings) -> CorrelationPoint:
     """The four correlations of a state under the given settings."""
-    return CorrelationPoint.clamped(
+    return CorrelationPoint(
         correlation_expectation(rho, settings.a0, settings.b0),
         correlation_expectation(rho, settings.a0, settings.b1),
         correlation_expectation(rho, settings.a1, settings.b0),

@@ -44,6 +44,7 @@ DEFAULT_TOLERANCE = 1e-12
 #: Largest CHSH functional value reachable by quantum states.
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
+#: The field names of a point, in coordinate order.
 _FIELDS = ("c00", "c01", "c10", "c11")
 
 
@@ -85,28 +86,8 @@ class CorrelationPoint:
     c11: float
 
     def __post_init__(self):
-        for name in _FIELDS:
-            v = float(getattr(self, name))
-            if not (-1.0 <= v <= 1.0):
-                raise ValueError(f"{name}={v!r} outside [-1, 1]")
+        for name, v in zip(_FIELDS, _coords(self.as_tuple(), in_cube=True)):
             object.__setattr__(self, name, v)
-
-    @classmethod
-    def clamped(cls, c00, c01, c10, c11, atol=1e-9) -> "CorrelationPoint":
-        """Build a point, absorbing representation error up to ``atol``.
-
-        Values may stick out of [-1, 1] by at most ``atol`` and are clipped;
-        anything worse, or a non-finite value, is a genuine error.  ``atol``
-        itself must be finite and >= 0.
-        """
-        if not (math.isfinite(atol) and atol >= 0.0):
-            raise ValueError(f"atol must be finite and >= 0, got {atol!r}")
-        vals = []
-        for name, v in zip(_FIELDS, _coords((c00, c01, c10, c11))):
-            if abs(v) > 1.0 + atol:
-                raise ValueError(f"{name}={v!r} outside [-1, 1] beyond atol={atol}")
-            vals.append(min(1.0, max(-1.0, v)))
-        return cls(*vals)
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.c00, self.c01, self.c10, self.c11)
@@ -118,8 +99,10 @@ class CorrelationPoint:
 PointLike = Union[CorrelationPoint, Sequence[float]]
 
 
-def _coords(p: PointLike) -> tuple[float, float, float, float]:
-    """Extract 4 finite coordinates; deliberately does not range-check."""
+def _coords(p: PointLike, *,
+            in_cube: bool = False) -> tuple[float, float, float, float]:
+    """Extract 4 finite coordinates, and with ``in_cube`` require each in
+    [-1, 1]: the point contract, checked field by field in order."""
     if isinstance(p, CorrelationPoint):
         return p.as_tuple()
     t = tuple(float(v) for v in p)
@@ -127,7 +110,9 @@ def _coords(p: PointLike) -> tuple[float, float, float, float]:
         raise TypeError(f"expected 4 correlations, got {len(t)}")
     for name, v in zip(_FIELDS, t):
         if not math.isfinite(v):
-            raise ValueError(f"{name}={v!r} is not finite")
+            raise ValueError(f"point field '{name}' is not finite: {v!r}")
+        if in_cube and not -1.0 <= v <= 1.0:
+            raise ValueError(f"point field '{name}' is outside [-1, 1]: {v!r}")
     return t
 
 

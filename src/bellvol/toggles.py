@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .regions import PointLike, _coords
+from .regions import _FIELDS, PointLike, _coords
 
 
 class TargetUnreachable(ValueError):
@@ -79,9 +79,8 @@ class ToggleDistance:
         return sum(self.per_coordinate)
 
     def as_dict(self) -> dict:
-        keys = ("c00", "c01", "c10", "c11")
         return {
-            "per_coordinate": dict(zip(keys, self.per_coordinate)),
+            "per_coordinate": dict(zip(_FIELDS, self.per_coordinate)),
             "max": self.max_component,
             "sum": self.sum_components,
         }

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -8,10 +9,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bellvol import cli, polytopes
 from bellvol.cli import main
-from bellvol.regions import membership_profile
+from bellvol.regions import CorrelationPoint, membership_profile
 
 
 def run_cli(capsys, *argv):
@@ -128,6 +131,61 @@ def test_point_error_names_the_flag(capsys, argv, flag):
     assert f"argument {flag}: point field" in message
     assert all(other not in message
                for other in ("--point", "--from", "--to") if other != flag)
+
+
+@pytest.mark.parametrize("spaced,joined", [
+    ("membership --point -0.5,0.5,0.5,0.5 --format json",
+     "membership --point=-0.5,0.5,0.5,0.5 --format json"),
+    ("membership --point -.5,0,0,-1", "membership --point=-.5,0,0,-1"),
+    ("distance --from -1,0,0,0 --to 0,0,0,0",
+     "distance --from=-1,0,0,0 --to 0,0,0,0"),
+    ("distance --from 0,0,0,0 --to -1,-1,0,0",
+     "distance --from 0,0,0,0 --to=-1,-1,0,0")])
+def test_point_may_start_with_a_minus_sign(capsys, spaced, joined):
+    code, out, err = run_cli(capsys, *spaced.split())
+    assert (code, err) == (0, "")
+    assert run_cli(capsys, *joined.split()) == (0, out, "")
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["membership", "--point", "--format", "json"], "--point"),
+    (["distance", "--from", "--to", "-1,0,0,0"], "--from"),
+    (["distance", "--from", "0,0,0,0", "--to", "--from", "-1,0,0,0"], "--to")])
+def test_flag_where_a_point_belongs_is_usage_error(capsys, argv, flag):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert (f"argument {flag}: expected one argument"
+            in capsys.readouterr().err)
+
+
+coordinate = st.one_of(st.floats(-1, 1), st.floats(allow_nan=True,
+                                                   allow_infinity=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(coordinate, coordinate, coordinate, coordinate))
+@example((2.0, math.nan, 0.0, 0.0))
+@example((-math.inf, 0.0, 0.0, 0.0))
+@example((1.0, -1.0, -0.0, 5e-324))
+def test_cli_rejects_exactly_the_points_the_library_rejects(values):
+    try:
+        CorrelationPoint(*values)
+        message = None
+    except ValueError as exc:
+        message = str(exc)
+    argv = ["membership", "--point=" + ",".join(map(repr, values))]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code == (0 if message is None else 2)
+    if message is not None:
+        last = err.getvalue().splitlines()[-1]
+        assert last.endswith(f"argument --point: {message}")
 
 
 class TestUsageErrors:
@@ -375,6 +433,22 @@ class TestExamples:
         code, out, _ = run_cli(capsys, "examples", "--which", "pr-box")
         assert code == 0
         assert "PASS" not in out
+
+    @pytest.mark.parametrize("which,table", [
+        ("pr-box", polytopes.pr_box()),
+        ("signaling", polytopes.signaling_example())])
+    def test_json_probabilities_are_the_table_entries(self, capsys, which,
+                                                      table):
+        code, out, _ = run_cli(capsys, "examples", "--which", which,
+                               "--format", "json")
+        assert code == 0
+        settings = json.loads(out)["settings"]
+        assert [(s["i"], s["j"]) for s in settings] == [
+            (0, 0), (0, 1), (1, 0), (1, 1)]
+        for k, setting in enumerate(settings):
+            assert setting["p"] == dict(zip(
+                ["++", "+-", "-+", "--"],
+                map(str, table.entries[4 * k:4 * k + 4])))
 
     @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
     @pytest.mark.parametrize("which,n_checks", [("pr-box", 6),

@@ -79,6 +79,23 @@ class TestTypes:
         with pytest.raises(ValueError, match="finite"):
             TwoQubitState(rho)
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_normalized_takes_extreme_components(self, scale):
+        # the squares of these components overflow to inf or underflow to 0
+        assert BlochDirection.normalized(scale, 0.0, 0.0) == X_DIR
+        d = BlochDirection.normalized(0.0, 3 * scale, 4 * scale)
+        assert (d.x, d.y, d.z) == pytest.approx((0.0, 0.6, 0.8))
+
+    @pytest.mark.parametrize("psi,diagonal", [
+        ([1e200, 0, 0, 0], [1, 0, 0, 0]),
+        ([1e200, 1e200, 0, 0], [0.5, 0.5, 0, 0]),
+        ([1e-200, 0, 0, 0], [1, 0, 0, 0]),
+        ([0, 0, 1e200j, -1e200], [0, 0, 0.5, 0.5])])
+    def test_pure_takes_extreme_amplitudes(self, psi, diagonal):
+        rho = TwoQubitState.pure(np.array(psi)).rho
+        assert np.allclose(rho.diagonal(), diagonal, rtol=0, atol=1e-15)
+        assert np.allclose(rho, rho @ rho, rtol=0, atol=1e-15)
+
     def test_pure_state_vector_must_be_nonzero(self):
         with pytest.raises(ValueError, match="nonzero norm"):
             TwoQubitState.pure(np.zeros(4))

@@ -214,33 +214,29 @@ class TestPointValidation:
         with pytest.raises(ValueError, match="c01"):
             CorrelationPoint(0.0, 1.5, 0.0, 0.0)
 
-    def test_clamped_absorbs_tiny_excursions(self):
-        p = CorrelationPoint.clamped(1.0 + 1e-12, -1.0 - 1e-12, 0.0, 0.0)
-        assert p.c00 == 1.0 and p.c01 == -1.0
-
-    def test_clamped_rejects_large_excursions(self):
-        with pytest.raises(ValueError):
-            CorrelationPoint.clamped(1.1, 0.0, 0.0, 0.0)
-
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["c00", "c01", "c10", "c11"])
-    def test_clamped_rejects_non_finite(self, bad, field):
+    def test_rejects_non_finite(self, bad, field):
         values = {"c00": 0.0, "c01": 0.0, "c10": 0.0, "c11": 0.0, field: bad}
-        with pytest.raises(ValueError, match=field):
-            CorrelationPoint.clamped(**values)
+        with pytest.raises(ValueError,
+                           match=f"^point field '{field}' is not finite: "):
+            CorrelationPoint(**values)
 
-    @pytest.mark.parametrize("atol", [math.nan, math.inf, -math.inf, -1e-9])
-    def test_clamped_rejects_bad_atol(self, atol):
-        with pytest.raises(ValueError, match="atol"):
-            CorrelationPoint.clamped(5.0, 0.0, 0.0, 0.0, atol=atol)
-        with pytest.raises(ValueError, match="atol"):
-            CorrelationPoint.clamped(0.0, 0.0, 0.0, 0.0, atol=atol)
+    def test_messages_are_the_cli_wording(self):
+        with pytest.raises(ValueError) as err:
+            CorrelationPoint(math.nan, 0.0, 0.0, 0.0)
+        assert str(err.value) == "point field 'c00' is not finite: nan"
+        with pytest.raises(ValueError) as err:
+            CorrelationPoint(2, 0.0, 0.0, 0.0)
+        assert str(err.value) == "point field 'c00' is outside [-1, 1]: 2.0"
 
-    def test_clamped_zero_atol_clips_nothing(self):
-        p = CorrelationPoint.clamped(1.0, -1.0, 0.0, 0.0, atol=0.0)
-        assert p.as_tuple() == (1.0, -1.0, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            CorrelationPoint.clamped(1.0 + 1e-15, 0.0, 0.0, 0.0, atol=0.0)
+    def test_fields_are_checked_in_order(self):
+        # each field is checked whole (finite, then in the cube) before the
+        # next, so the first bad field is the one reported
+        with pytest.raises(ValueError, match="'c00' is outside"):
+            CorrelationPoint(2.0, math.nan, 0.0, 0.0)
+        with pytest.raises(ValueError, match="'c00' is not finite"):
+            CorrelationPoint(math.nan, 2.0, 0.0, 0.0)
 
     def test_tolerance_semantics(self):
         res = in_local((1, 1, 1, 1), tol=1e-6)
