@@ -3,7 +3,10 @@
 Subcommands: membership, volume, ratios, polytope, examples, sample-quantum,
 distance.  Exit codes: 0 success, 1 computation error, 2 usage error; a
 reader that closes stdout early ends the command with exit 1 and no
-traceback.
+traceback.  Every usage error, flag values included (checked by the
+library through one argparse type adapter), prints ``usage: bellvol <cmd>``
+and ``bellvol <cmd>: error:``.  A value of a minus sign and a digit or ``.``
+is joined to the flag before it, whole or abbreviated (``--poi -0.5,0,0,0``).
 Outputs contain no timestamps, so identical invocations produce identical
 bytes.
 """
@@ -26,6 +29,7 @@ from .regions import (
     DEFAULT_TOLERANCE,
     CorrelationPoint,
     RegionId,
+    _index,
     check_tolerance,
     chsh_value,
     in_local,
@@ -40,100 +44,76 @@ from .regions import (
 _SAMPLE_BLOCK = 1024
 
 
-def _integer(low: int, high: int | None = None):
-    """An argparse type accepting the integers in [low, high)."""
-    bounds = f">= {low}" if high is None else f"in [{low}, {high})"
+def _argument(parse):
+    """An argparse type for ``parse(text)``: a ValueError it raises becomes
+    ArgumentTypeError, which argparse reports as a usage error (exit 2)
+    naming the flag, under the subcommand's usage line."""
 
-    def parse(text: str) -> int:
+    def convert(text: str):
         try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"not an integer: {text!r}") from None
-        if value < low or (high is not None and value >= high):
-            raise argparse.ArgumentTypeError(f"must be {bounds}, got {value}")
-        return value
-    return parse
-
-
-_count = _integer(1)  # sample counts and workers
-_seed = _integer(0, 2 ** 64)
-
-
-def _workers_from_env(args, parser: argparse.ArgumentParser) -> None:
-    """Fill an unset --workers from BELLVOL_WORKERS (default 1)."""
-    if getattr(args, "workers", 0) is not None:
-        return
-    raw = os.environ.get("BELLVOL_WORKERS", "1")
-    try:
-        args.workers = _count(raw)
-    except argparse.ArgumentTypeError as exc:
-        parser.error(f"environment variable BELLVOL_WORKERS: {exc}")
-
-
-def _checked_float(check):
-    """An argparse type accepting the floats that ``check`` does not reject
-    with ValueError."""
-
-    def parse(text: str) -> float:
-        try:
-            value = float(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"not a number: {text!r}") from None
-        try:
-            check(value)
+            return parse(text)
         except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from exc
-        return value
-    return parse
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
 
 
-_abs_tol = _checked_float(volumes.check_abs_tol)
-_tolerance = _checked_float(check_tolerance)
+def _number(kind, text: str):
+    """``text`` read as an int or a float; ValueError names a bad one."""
+    try:
+        return kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"not {what}: {text!r}") from None
 
 
-def _parse_point(text: str, flag: str,
-                 parser: argparse.ArgumentParser) -> CorrelationPoint:
-    """Accept '{"c00": ...}' JSON or inline 'c00,c01,c10,c11' given to
-    ``flag``, checked by ``CorrelationPoint``; errors name the flag."""
-
-    def error(message: str):
-        parser.error(f"argument {flag}: {message}")
-
+def _parse_point(text: str) -> CorrelationPoint:
+    """A point given as '{"c00": ...}' JSON or inline 'c00,c01,c10,c11',
+    checked by ``CorrelationPoint``; ValueError says what is wrong."""
     text = text.strip()
     if text.startswith("{"):
-        try:
-            obj = json.loads(text)
+        try:  # integers read as floats: a huge one is then inf, not an error
+            obj = json.loads(text, parse_int=float)
         except json.JSONDecodeError as exc:
-            error(f"malformed point JSON: {exc}")
-        if not isinstance(obj, dict):
-            error("point JSON must be an object")
+            raise ValueError(f"malformed point JSON: {exc}") from None
         unknown = sorted(set(obj) - set(_FIELDS))
         if unknown:
-            error(f"unknown point field '{unknown[0]}'")
+            raise ValueError(f"unknown point field '{unknown[0]}'")
         vals = []
         for key in _FIELDS:
             if key not in obj:
-                error(f"point JSON missing field '{key}'")
-            v = obj[key]
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                error(f"point field '{key}' is not a number")
-            vals.append(float(v))
+                raise ValueError(f"point JSON missing field '{key}'")
+            if not isinstance(obj[key], float):
+                raise ValueError(f"point field '{key}' is not a number")
+            vals.append(obj[key])
     else:
         parts = text.split(",")
         if len(parts) != 4:
-            error("inline point must be 'c00,c01,c10,c11'")
+            raise ValueError("inline point must be 'c00,c01,c10,c11'")
         vals = []
         for key, part in zip(_FIELDS, parts):
             try:
                 vals.append(float(part))
             except ValueError:
-                error(f"point field '{key}' is not a number: {part!r}")
+                raise ValueError(
+                    f"point field '{key}' is not a number: {part!r}") from None
+    return CorrelationPoint(*vals)
+
+
+_count = _argument(lambda text: _index("value", _number(int, text), 1))
+_seed = _argument(lambda text: _index("value", _number(int, text), 0, 2 ** 64))
+_tolerance = _argument(lambda text: check_tolerance(_number(float, text)))
+_abs_tol = _argument(lambda text: volumes.check_abs_tol(_number(float, text)))
+_point = _argument(_parse_point)
+
+
+def _workers_from_env(args) -> None:
+    """Fill an unset --workers from BELLVOL_WORKERS (default 1)."""
+    if getattr(args, "workers", 0) is not None:
+        return
     try:
-        return CorrelationPoint(*vals)
-    except ValueError as exc:
-        error(str(exc))
+        args.workers = _count(os.environ.get("BELLVOL_WORKERS", "1"))
+    except argparse.ArgumentTypeError as exc:
+        args.parser.error(f"environment variable BELLVOL_WORKERS: {exc}")
 
 
 def _emit_table(rows: list[dict], headers: list[str]) -> str:
@@ -176,21 +156,21 @@ def _emit(args, rows: list[dict], headers: list[str], json_obj) -> None:
 
 # -- membership --------------------------------------------------------------
 
-def _cmd_membership(args, parser):
-    point = _parse_point(args.point, "--point", parser)
-    profile = membership_profile(point, tol=args.tolerance)
+def _cmd_membership(args):
+    profile = membership_profile(args.point, tol=args.tolerance)
     # the five regions (Q as arcsin), then the other two Q characterizations
     rows = [res.as_dict() for res in (*profile.regions().values(),
                                       profile.quantum_landau,
                                       profile.quantum_sextic)]
-    json_obj = {"point": dict(zip(_FIELDS, point)), "profile": profile.as_dict()}
+    json_obj = {"point": dict(zip(_FIELDS, args.point)),
+                "profile": profile.as_dict()}
     _emit(args, rows, ["region", "characterization", "inside", "margin"], json_obj)
     return 0
 
 
 # -- volume ------------------------------------------------------------------
 
-def _cmd_volume(args, parser):
+def _cmd_volume(args):
     region = RegionId(args.region)
     if args.method == "mc":
         cfg = volumes.EstimatorConfig(sample_count=args.n, seed=args.seed,
@@ -201,8 +181,8 @@ def _cmd_volume(args, parser):
             region, abs_tol=args.abs_tol).as_json_record()
     else:  # exact
         if region not in (RegionId.LOCAL_C, RegionId.NO_SIGNALING_L):
-            parser.error(f"--method exact supports regions C and L, not"
-                         f" {region.value}")
+            args.parser.error(f"--method exact supports regions C and L,"
+                              f" not {region.value}")
         frac = volumes.exact_region_volume(region)
         record = volumes.VolumeEstimate(
             region=region.value, method="exact", value=float(frac),
@@ -215,7 +195,7 @@ def _cmd_volume(args, parser):
 
 # -- ratios ------------------------------------------------------------------
 
-def _cmd_ratios(args, parser):
+def _cmd_ratios(args):
     cfg = volumes.EstimatorConfig(sample_count=args.n, seed=args.seed,
                                   worker_count=args.workers)
     report = volumes.headline_report(cfg)
@@ -237,11 +217,11 @@ _POLYTOPES = {"local": polytopes.local_polytope_v,
               "corrC": polytopes.correlation_polytope_C}
 
 
-def _cmd_polytope(args, parser):
+def _cmd_polytope(args):
     poly = _POLYTOPES[args.which]()
     if args.task == "volume" and poly.dim > 4:
-        parser.error(f"--task volume needs dimension <= 4; '{args.which}'"
-                     f" has dimension {poly.dim}")
+        args.parser.error(f"--task volume needs dimension <= 4;"
+                          f" '{args.which}' has dimension {poly.dim}")
     # complete the representations the task reads, each at most once
     if poly.vertices is None and args.task != "facets":
         poly = polytopes.enumerate_vertices(poly)
@@ -270,7 +250,7 @@ def _table_rows(table: polytopes.JointProbabilityTable) -> list[dict]:
     return list(rows.values())
 
 
-def _cmd_examples(args, parser):
+def _cmd_examples(args):
     table = polytopes.pr_box() if args.which == "pr-box" \
         else polytopes.signaling_example()
     rows = _table_rows(table)
@@ -313,7 +293,7 @@ def _cmd_examples(args, parser):
 
 # -- sample-quantum ----------------------------------------------------------
 
-def _cmd_sample_quantum(args, parser):
+def _cmd_sample_quantum(args):
     key = np.array([args.seed, 0], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     for start in range(0, args.n, _SAMPLE_BLOCK):
@@ -329,9 +309,8 @@ def _cmd_sample_quantum(args, parser):
 
 # -- distance ----------------------------------------------------------------
 
-def _cmd_distance(args, parser):
-    p = _parse_point(getattr(args, "from"), "--from", parser)
-    q = _parse_point(args.to, "--to", parser)
+def _cmd_distance(args):
+    p, q = getattr(args, "from"), args.to
     dist = toggles.toggle_distance(p, q)
     obj = {"from": dict(zip(_FIELDS, p)), "to": dict(zip(_FIELDS, q))}
     obj.update(dist.as_dict())
@@ -353,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="table")
 
     p = sub.add_parser("membership", help="membership profile of one point")
-    p.add_argument("--point", required=True,
+    p.add_argument("--point", required=True, type=_point,
                    help="JSON object with c00..c11 or inline 'c00,c01,c10,c11'")
     p.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOLERANCE)
     add_format(p)
@@ -397,25 +376,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sample_quantum)
 
     p = sub.add_parser("distance", help="toggle distance between two points")
-    p.add_argument("--from", required=True, dest="from")
-    p.add_argument("--to", required=True)
+    p.add_argument("--from", required=True, dest="from", type=_point)
+    p.add_argument("--to", required=True, type=_point)
     p.set_defaults(func=_cmd_distance)
+
+    for p in sub.choices.values():  # the checks argparse cannot express
+        p.set_defaults(parser=p)   # report through their own subcommand
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
-    # argparse takes a point such as -0.5,0,0,0 for a flag: join it to its flag
+    # argparse takes a value such as -0.5,0,0,0 for a flag: join it to the
+    # flag before it, whole or abbreviated
     for k in range(len(argv) - 1, 0, -1):
-        if argv[k - 1] in ("--point", "--from", "--to") and re.match(
+        if re.fullmatch(r"--[^=]+", argv[k - 1]) and re.match(
                 r"-[0-9.]", argv[k]):
             argv[k - 1:k + 1] = [f"{argv[k - 1]}={argv[k]}"]
-    args = parser.parse_args(argv)
-    _workers_from_env(args, parser)
+    args = build_parser().parse_args(argv)
+    _workers_from_env(args)
     try:
-        return args.func(args, parser)
+        return args.func(args)
     except (volumes.ToleranceNotMet, volumes.DegenerateDenominator,
             polytopes.PolytopeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,12 +13,11 @@ corresponding trace for mixed states).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .regions import CorrelationPoint
+from .regions import CorrelationPoint, _index
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -184,15 +183,10 @@ def sample_quantum_points(n: int, rng: np.random.Generator) -> np.ndarray:
     independent uniform measurement axes (two per party).  Entries are
     clipped to [-1, 1] to absorb representation error at the boundary.
     Each point takes one contiguous block of 20 normals from ``rng``, so
-    draws of m and then n - m points equal one draw of n.  ``n`` is an
-    integer (numpy integers are accepted); a float or a bool raises
-    ``ValueError``.
+    draws of m and then n - m points equal one draw of n.  ``n`` >= 1
+    follows the integer contract of ``regions._index``.
     """
-    if isinstance(n, bool) or not hasattr(n, "__index__"):
-        raise ValueError(f"n must be an integer, got {n!r}")
-    n = operator.index(n)
-    if n < 1:
-        raise ValueError("n must be positive")
+    n = _index("n", n, 1)
     draw = rng.standard_normal((n, 20))
     psi = draw[:, 0:4] + 1j * draw[:, 4:8]
     psi /= np.linalg.norm(psi, axis=1, keepdims=True)

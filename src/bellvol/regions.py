@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Sequence, Union
@@ -239,10 +240,25 @@ def _region_kernel(region: RegionId, batch: _Columns, char: QCharacterization | 
     raise ValueError(f"unknown region {region!r}")
 
 
-def check_tolerance(tol: float) -> None:
-    """Raise ValueError unless ``tol`` is finite and >= 0."""
+def check_tolerance(tol: float) -> float:
+    """Return ``tol``; raise ValueError unless it is finite and >= 0."""
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
+    return tol
+
+
+def _index(name: str, value, low: int, high: int | None = None) -> int:
+    """``value`` as an ``int`` in [low, high), or >= low when ``high`` is
+    None: the contract of every count, seed and setting index.  Python and
+    numpy integers pass; a bool, a float or a value out of range raises
+    ValueError naming ``name``."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = operator.index(value)
+    if value < low or (high is not None and value >= high):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high})"
+        raise ValueError(f"{name} must be {bounds}, got {value}")
+    return value
 
 
 # scalar oracles: one point as a batch of four floats
@@ -266,8 +282,7 @@ def _result(region: RegionId, p: PointLike, tol: float,
 
 def chsh_value(p: PointLike, i: int, j: int) -> float:
     """CHSH functional S - 2*c_ij with S = c00 + c01 + c10 + c11."""
-    if i not in (0, 1) or j not in (0, 1):
-        raise ValueError(f"setting indices must be 0 or 1, got ({i}, {j})")
+    i, j = _index("setting i", i, 0, 2), _index("setting j", j, 0, 2)
     batch = _point(p)
     return batch.total - 2.0 * batch.cols[2 * i + j]
 

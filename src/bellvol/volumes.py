@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,7 +52,8 @@ from typing import Sequence
 import numpy as np
 
 from . import polytopes
-from .regions import DEFAULT_TOLERANCE, REGION_CHAIN, RegionId, column_margins
+from .regions import (DEFAULT_TOLERANCE, REGION_CHAIN, RegionId, _index,
+                      column_margins)
 from .regions import region_mask  # noqa: F401  read by bench/tracer.py
 
 SQRT2 = math.sqrt(2.0)
@@ -87,8 +87,8 @@ class EstimatorConfig:
     counter-based substreams keyed by (seed, worker index); their integer
     histograms are summed, so estimates are bit-identical for fixed (seed,
     worker_count, sample_count) regardless of scheduling.  The three fields
-    are integers: numpy integers are accepted, a float or a bool raises
-    ``ValueError``.
+    follow the integer contract of ``regions._index``: ``sample_count`` and
+    ``worker_count`` >= 1, ``seed`` in [0, 2**64).
     """
 
     sample_count: int = 10_000_000
@@ -96,17 +96,10 @@ class EstimatorConfig:
     worker_count: int = 1
 
     def __post_init__(self):
-        for name in ("sample_count", "seed", "worker_count"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not hasattr(value, "__index__"):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, operator.index(value))
-        if self.sample_count < 1:
-            raise ValueError("sample_count must be >= 1")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValueError("seed must fit in 64 unsigned bits")
-        if self.worker_count < 1:
-            raise ValueError("worker_count must be >= 1")
+        for name, low, high in (("sample_count", 1, None), ("seed", 0, 2 ** 64),
+                                ("worker_count", 1, None)):
+            object.__setattr__(self, name,
+                               _index(name, getattr(self, name), low, high))
 
 
 @dataclass(frozen=True)
@@ -424,10 +417,12 @@ def _disk_cells(t: np.ndarray):
     yield x, z_kink + (z_edge - z_kink) * t, dx * (z_edge - z_kink)
 
 
-def check_abs_tol(abs_tol: float) -> None:
-    """Raise ValueError unless the quadrature can honour ``abs_tol``."""
+def check_abs_tol(abs_tol: float) -> float:
+    """Return ``abs_tol``; raise ValueError unless the quadrature can honour
+    it."""
     if not (math.isfinite(abs_tol) and abs_tol >= _QUADRATURE_MIN_TOL):
         raise ValueError(f"abs_tol must be finite and >= {_QUADRATURE_MIN_TOL}")
+    return abs_tol
 
 
 def quadrature_volume(region: RegionId, abs_tol: float = 1e-6) -> VolumeEstimate:
@@ -456,7 +451,9 @@ def exact_region_volume(region: RegionId) -> Fraction:
     if region is RegionId.NO_SIGNALING_L:
         cube = polytopes.enumerate_vertices(polytopes.cube_polytope_h(4))
         return polytopes.exact_volume(cube)
-    raise ValueError(f"region {region.value} has no exact rational volume")
+    if isinstance(region, RegionId):
+        raise ValueError(f"region {region.value} has no exact rational volume")
+    raise ValueError(f"unknown region {region!r}")
 
 
 # --------------------------------------------------------------------------

@@ -92,7 +92,9 @@ class TestMembership:
     @pytest.mark.parametrize("point,field", [
         ("2,0,0,0", "c00"), ("nan,0,0,0", "c00"), ("0,0,0,nan", "c11"),
         ("0,inf,0,0", "c01"), ("0,0,-inf,0", "c10"),
-        ('{"c00": 0, "c01": 0, "c10": NaN, "c11": 0}', "c10")])
+        ('{"c00": 0, "c01": 0, "c10": NaN, "c11": 0}', "c10"),
+        pytest.param('{"c00": 0, "c01": 1%s, "c10": 0, "c11": 0}' % ("0" * 400),
+                     "c01", id="huge-json-integer")])
     @pytest.mark.parametrize("command", ["membership", "distance"])
     def test_point_outside_contract_is_usage_error(self, capsys, command,
                                                    point, field):
@@ -127,10 +129,31 @@ def test_point_error_names_the_flag(capsys, argv, flag):
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
-    message = capsys.readouterr().err
-    assert f"argument {flag}: point field" in message
-    assert all(other not in message
+    # the usage line above names every flag of the subcommand
+    error_line = capsys.readouterr().err.splitlines()[-1]
+    assert f"argument {flag}: point field" in error_line
+    assert all(other not in error_line
                for other in ("--point", "--from", "--to") if other != flag)
+
+
+@pytest.mark.parametrize("argv,env", [
+    (["membership", "--point", "2,0,0,0"], None),
+    (["distance", "--from", "0,0,0,0", "--to", "0,0,nan,0"], None),
+    (["volume", "--region", "Q", "--method", "exact"], None),
+    (["polytope", "--which", "ns", "--task", "volume"], None),
+    (["volume", "--region", "L", "--n", "100"], "0"),
+    (["ratios", "--n", "100"], "abc")],
+    ids=["point", "second-point", "exact-on-Q", "volume-in-8d",
+         "workers-env-volume", "workers-env-ratios"])
+def test_usage_error_names_its_subcommand(capsys, monkeypatch, argv, env):
+    if env is not None:
+        monkeypatch.setenv("BELLVOL_WORKERS", env)
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert message.startswith(f"usage: bellvol {argv[0]} ")
+    assert f"\nbellvol {argv[0]}: error: " in message
 
 
 @pytest.mark.parametrize("spaced,joined", [
@@ -140,7 +163,10 @@ def test_point_error_names_the_flag(capsys, argv, flag):
     ("distance --from -1,0,0,0 --to 0,0,0,0",
      "distance --from=-1,0,0,0 --to 0,0,0,0"),
     ("distance --from 0,0,0,0 --to -1,-1,0,0",
-     "distance --from 0,0,0,0 --to=-1,-1,0,0")])
+     "distance --from 0,0,0,0 --to=-1,-1,0,0"),
+    ("membership --poi -0.5,0,0,0", "membership --point=-0.5,0,0,0"),
+    ("distance --fr -1,0,0,0 --to 0,0,0,0",
+     "distance --from=-1,0,0,0 --to 0,0,0,0")])
 def test_point_may_start_with_a_minus_sign(capsys, spaced, joined):
     code, out, err = run_cli(capsys, *spaced.split())
     assert (code, err) == (0, "")

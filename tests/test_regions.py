@@ -60,8 +60,11 @@ class TestChshValue:
         assert chsh_value((1, 1, 1, 1), 0, 0) == pytest.approx(2.0, abs=1e-15)
 
     def test_invalid_index(self):
-        with pytest.raises(ValueError):
-            chsh_value((0, 0, 0, 0), 2, 0)
+        for index in (2, 0.0, True, 1.5):
+            with pytest.raises(ValueError):
+                chsh_value((0, 0, 0, 0), index, 0)
+            with pytest.raises(ValueError):
+                chsh_value((0, 0, 0, 0), 0, index)
 
 
 class TestLocal:

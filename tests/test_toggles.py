@@ -46,6 +46,14 @@ class TestToggleDistance:
         as_dict = d.as_dict()
         assert as_dict["per_coordinate"]["c01"] == 1.0
 
+    @pytest.mark.parametrize("p,q", [
+        ((1.5, 0, 0, 0), (1.5, 0, 0, 0)),
+        ((2, 0, 0, 0), (-2, 0, 0, 0)),
+        ((0, 0, 0, 0), (0, 0, 0, -1.01))])
+    def test_points_outside_the_cube_are_rejected(self, p, q):
+        with pytest.raises(ValueError, match="outside \\[-1, 1\\]: "):
+            toggle_distance(p, q)
+
     def test_components_bounded(self):
         with pytest.raises(ValueError):
             ToggleDistance((1.5, 0, 0, 0))

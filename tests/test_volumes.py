@@ -451,6 +451,16 @@ class TestExactRegionVolume:
             exact_region_volume(RegionId.QUANTUM_Q)
 
 
+@pytest.mark.parametrize("estimate", [
+    lambda region: mc_volume(region, EstimatorConfig(sample_count=10)),
+    quadrature_volume, exact_region_volume],
+    ids=["mc", "quadrature", "exact"])
+@pytest.mark.parametrize("region", ["C", "Q"])
+def test_a_region_that_is_not_a_region_id_is_refused(estimate, region):
+    with pytest.raises(ValueError, match=f"unknown region '{region}'"):
+        estimate(region)
+
+
 class TestAnalyticConstants:
     def test_values(self):
         c = ANALYTIC
