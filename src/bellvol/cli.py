@@ -388,11 +388,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # argparse takes a value such as -0.5,0,0,0 for a flag: join it to the
-    # flag before it, whole or abbreviated
+    # argparse takes a value such as -0.5,0,0,0 or -inf,0,0,0 for a flag:
+    # join it to the flag before it, whole or abbreviated
     for k in range(len(argv) - 1, 0, -1):
         if re.fullmatch(r"--[^=]+", argv[k - 1]) and re.match(
-                r"-[0-9.]", argv[k]):
+                r"-([0-9.]|inf|nan)", argv[k], re.IGNORECASE):
             argv[k - 1:k + 1] = [f"{argv[k - 1]}={argv[k]}"]
     args = build_parser().parse_args(argv)
     _workers_from_env(args)

@@ -106,15 +106,21 @@ def _coords(p: PointLike, *,
     [-1, 1]: the point contract, checked field by field in order."""
     if isinstance(p, CorrelationPoint):
         return p.as_tuple()
-    t = tuple(float(v) for v in p)
-    if len(t) != 4:
-        raise TypeError(f"expected 4 correlations, got {len(t)}")
-    for name, v in zip(_FIELDS, t):
+    values = tuple(p)
+    if len(values) != 4:
+        raise TypeError(f"expected 4 correlations, got {len(values)}")
+    t = []
+    for name, v in zip(_FIELDS, values):
+        try:
+            v = float(v)
+        except OverflowError:  # an integer or fraction beyond the float range
+            v = math.inf if v > 0 else -math.inf
         if not math.isfinite(v):
             raise ValueError(f"point field '{name}' is not finite: {v!r}")
         if in_cube and not -1.0 <= v <= 1.0:
             raise ValueError(f"point field '{name}' is outside [-1, 1]: {v!r}")
-    return t
+        t.append(v)
+    return tuple(t)
 
 
 @dataclass(frozen=True, slots=True)
@@ -161,9 +167,17 @@ class _Ops(NamedTuple):
 
 _SCALAR_OPS = _Ops(max, min, math.sqrt, min, max,
                    lambda c: tuple(math.asin(min(1.0, max(-1.0, v))) for v in c))
+
+
+def _array_arcsin(cols: np.ndarray) -> np.ndarray:
+    # one (4, m) temporary: the clipped copy takes the arcsin in place
+    clipped = np.clip(cols, -1.0, 1.0)
+    return np.arcsin(clipped, out=clipped)
+
+
 _ARRAY_OPS = _Ops(np.maximum, np.minimum, np.sqrt,
                   lambda c: np.min(c, axis=0), lambda c: np.max(c, axis=0),
-                  lambda c: np.arcsin(np.clip(c, -1.0, 1.0)))
+                  _array_arcsin)
 
 
 class _Columns:
@@ -199,8 +213,10 @@ class _Columns:
 def _quantum_kernel(characterization: QCharacterization, batch: _Columns):
     ops, cols = batch.ops, batch.cols
     if characterization is QCharacterization.ARCSIN:
-        # keep the batch named until the subtraction: freed earlier, it
-        # changes glibc's heap trimming, and column_margins took ~25 % longer
+        # keep the batch named until the subtraction: freed earlier, glibc
+        # trims the heap top every batch, and scoring Q alone in the stream
+        # took 13.7k minor faults and ~117 ms per 10^6 points, not 0.5k and
+        # ~83 ms (16 384-point batches)
         arcsin = _Columns(ops.arcsin(cols), ops)
         return math.pi - arcsin.chsh_max_abs
     c00, c01, c10, c11 = cols

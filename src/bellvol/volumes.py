@@ -149,7 +149,11 @@ def __getattr__(name: str):
 
 #: Points a substream draws and scores at a time: bounds memory, and cannot
 #: change a result, as the batches' histograms add alike in any split.
-_BATCH = 65_536
+#: 16 384 was the fastest of 4096, 8192, ..., 65 536 on the `mc` benchmark
+#: (BENCH_12.json): a batch's temporaries (128 KiB per margin) then stay in
+#: the heap instead of being faulted in again every batch, as at 65 536,
+#: and the per-batch Python overhead is a quarter of that at 4096.
+_BATCH = 16_384
 
 
 def _score_substreams(cfg: EstimatorConfig, regions: tuple[RegionId, ...],
@@ -160,9 +164,13 @@ def _score_substreams(cfg: EstimatorConfig, regions: tuple[RegionId, ...],
     (seed, w), ``_BATCH`` points at a time, exactly as
     ``2 * random((m, 4)) - 1``; the batch is scored in column layout.  A
     point is inside a region when its margin is >= -DEFAULT_TOLERANCE.
+    The draw and column buffers are allocated once per call and reused by
+    every batch.
     """
     base, extra = divmod(cfg.sample_count, cfg.worker_count)
     hist = np.zeros(1 << len(regions), dtype=np.int64)
+    size = 4 * min(_BATCH, base + (extra > 0))
+    draws, columns = np.empty(size), np.empty(size)
     for worker in workers:
         remaining = base + (worker < extra)
         if remaining == 0:
@@ -171,7 +179,8 @@ def _score_substreams(cfg: EstimatorConfig, regions: tuple[RegionId, ...],
         gen = np.random.Generator(np.random.Philox(key=key))
         while remaining > 0:
             m = min(_BATCH, remaining)
-            cols = np.multiply(gen.random((m, 4)).T, 2.0, order="C")
+            raw = gen.random(out=draws[:4 * m].reshape(m, 4))
+            cols = np.multiply(raw.T, 2.0, out=columns[:4 * m].reshape(4, m))
             cols -= 1.0
             code = np.zeros(m, dtype=np.uint8)
             for bit, margin in enumerate(column_margins(regions, cols)):

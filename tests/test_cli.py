@@ -92,6 +92,9 @@ class TestMembership:
     @pytest.mark.parametrize("point,field", [
         ("2,0,0,0", "c00"), ("nan,0,0,0", "c00"), ("0,0,0,nan", "c11"),
         ("0,inf,0,0", "c01"), ("0,0,-inf,0", "c10"),
+        # a leading -inf or -nan is joined to the flag like a negative number
+        ("-inf,0,0,0", "c00"), ("-Infinity,0,0,0", "c00"),
+        ("-NaN,0,0,0", "c00"),
         ('{"c00": 0, "c01": 0, "c10": NaN, "c11": 0}', "c10"),
         pytest.param('{"c00": 0, "c01": 1%s, "c10": 0, "c11": 0}' % ("0" * 400),
                      "c01", id="huge-json-integer")])
@@ -103,7 +106,7 @@ class TestMembership:
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2
-        assert field in capsys.readouterr().err
+        assert f"point field '{field}' " in capsys.readouterr().err
 
     @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1", "abc"])
     def test_tolerance_outside_contract_is_usage_error(self, capsys,

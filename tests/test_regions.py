@@ -217,13 +217,19 @@ class TestPointValidation:
         with pytest.raises(ValueError, match="c01"):
             CorrelationPoint(0.0, 1.5, 0.0, 0.0)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [
+        math.nan, math.inf, -math.inf,
+        pytest.param(10 ** 400, id="huge-int"),
+        pytest.param(-10 ** 400, id="-huge-int")])
     @pytest.mark.parametrize("field", ["c00", "c01", "c10", "c11"])
     def test_rejects_non_finite(self, bad, field):
         values = {"c00": 0.0, "c01": 0.0, "c10": 0.0, "c11": 0.0, field: bad}
         with pytest.raises(ValueError,
                            match=f"^point field '{field}' is not finite: "):
             CorrelationPoint(**values)
+        with pytest.raises(ValueError,
+                           match=f"^point field '{field}' is not finite: "):
+            in_local(tuple(values.values()))
 
     def test_messages_are_the_cli_wording(self):
         with pytest.raises(ValueError) as err:

@@ -90,7 +90,7 @@ class TestEstimatorConfig:
     def test_defaults(self):
         cfg = EstimatorConfig()
         assert cfg.sample_count == 10_000_000
-        assert volumes._BATCH == 65_536
+        assert volumes._BATCH == 16_384
 
     @pytest.mark.parametrize("kwargs", [
         {"sample_count": 0},
@@ -176,6 +176,16 @@ class TestReproducibility:
         with mock.patch.object(volumes, "_BATCH", batch):
             alt = volumes._score_substreams(cfg, CHAIN, range(workers))
         assert base.tolist() == alt.tolist()
+
+    def test_stream_is_pinned(self):
+        # the histogram of a fixed (seed, worker_count) stream, pinned so that
+        # a change to the drawn points or to their verdicts shows;
+        # 250 007 points leave a partial last batch in every substream
+        cfg = EstimatorConfig(sample_count=250_007, seed=0, worker_count=3)
+        hist = score_stream(cfg, CHAIN)
+        assert {code: count for code, count in enumerate(hist.tolist())
+                if count} == {16: 9940, 24: 2721, 28: 6009, 30: 64554,
+                              31: 166783}
 
     def test_different_seeds_differ(self):
         a = mc_volume(RegionId.LOCAL_C, EstimatorConfig(sample_count=100_000, seed=1))
