@@ -53,6 +53,16 @@ _DETERMINISTIC = tuple((a0, a1, b0, b1, a0 * b0, a0 * b1, a1 * b0, a1 * b1)
                        for a0, a1, b0, b1 in itertools.product((-1, 1), repeat=4))
 
 
+def _outcome_index(i: int, j: int, a: int, b: int) -> int:
+    """Position of the outcome (i, j, a, b) in table order; a ValueError
+    naming it when it is not one of the 16."""
+    try:
+        return _OUTCOMES.index((i, j, a, b))
+    except ValueError:
+        raise ValueError(f"no outcome (i, j, a, b) = {(i, j, a, b)!r}:"
+                         " settings are 0 or 1, outcomes +1 or -1") from None
+
+
 def _probability_row(i: int, j: int, a: int, b: int) -> list[int]:
     """The integer row r with 4 * P(A_i=a, B_j=b) = 1 + r . (mA0, mA1, mB0,
     mB1, c00, c01, c10, c11)."""
@@ -117,6 +127,7 @@ class Behavior:
                     f"P(A{i}={a:+d}, B{j}={b:+d}) = {p} is negative")
 
     def probability(self, i: int, j: int, a: int, b: int) -> Fraction:
+        _outcome_index(i, j, a, b)
         return (1 + _dot(_probability_row(i, j, a, b), self.as_vector())) / 4
 
     def as_vector(self) -> Vector:
@@ -155,7 +166,7 @@ class JointProbabilityTable:
         return cls(tuple(_frac(f(*o)) for o in _OUTCOMES))
 
     def entry(self, i: int, j: int, a: int, b: int) -> Fraction:
-        return self.entries[_OUTCOMES.index((i, j, a, b))]
+        return self.entries[_outcome_index(i, j, a, b)]
 
     def expectations(self) -> dict[tuple[int, int],
                                    tuple[Fraction, Fraction, Fraction]]:
@@ -325,6 +336,9 @@ class RationalPolytope:
     @classmethod
     def from_text(cls, text: str) -> "RationalPolytope":
         rows = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
+        if not rows:
+            raise ValueError("polytope text is empty: expected a 'V' or 'H'"
+                             " header row")
         kind, dim, count = rows[0].split()
         dim, count = int(dim), int(count)
         body = rows[1:1 + count]

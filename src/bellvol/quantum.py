@@ -19,10 +19,8 @@ import numpy as np
 
 from .regions import CorrelationPoint, _index
 
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-_SIGMA = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
+#: The Pauli matrices sigma_x, sigma_y, sigma_z as one (3, 2, 2) array.
+_SIGMA = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 _UNIT_NORM_TOL = 1e-12
 _HERMITICITY_TOL = 1e-12
@@ -114,17 +112,27 @@ class TwoQubitState:
 
 def spin_observable(d: BlochDirection) -> np.ndarray:
     """The +/-1-valued observable d . sigma."""
-    return d.x * SIGMA_X + d.y * SIGMA_Y + d.z * SIGMA_Z
+    return np.einsum("k,kij->ij", d.as_array(), _SIGMA)
 
 
 def correlation_expectation(rho: TwoQubitState, a: BlochDirection,
                             b: BlochDirection) -> float:
     """tr(rho (a.sigma x b.sigma)), checked real and clipped to [-1, 1]."""
-    op = np.kron(spin_observable(a), spin_observable(b))
-    val = np.trace(rho.rho @ op)
-    if abs(val.imag) > 1e-12:
-        raise ValueError(f"expectation has imaginary part {val.imag!r}")
-    return float(min(1.0, max(-1.0, val.real)))
+    return correlation_point(rho, MeasurementSettings(a, a, b, b)).c00
+
+
+def _correlations(rho: np.ndarray, axes: np.ndarray) -> np.ndarray:
+    """The one Born-rule kernel: tr(rho (a.sigma x b.sigma)) for an (m, 4, 4)
+    stack of states and their (m, 4, 3) axes a0, a1, b0, b1, as the (m, 4)
+    correlations (00, 01, 10, 11), checked real and clipped to [-1, 1]."""
+    ops = np.einsum("msk,kij->msij", axes, _SIGMA)
+    # rho_(ij),(kl) with i, k on A's qubit: tr(rho (A x B)) = rho_ijkl A_ki B_lj
+    corr = np.einsum("mijkl,muki,mvlj->muv", rho.reshape(-1, 2, 2, 2, 2),
+                     ops[:, :2], ops[:, 2:]).reshape(-1, 4)
+    imag = np.abs(corr.imag).max()
+    if imag > 1e-12:
+        raise ValueError(f"expectation has imaginary part {imag!r}")
+    return np.clip(corr.real, -1.0, 1.0)
 
 
 def singlet() -> TwoQubitState:
@@ -152,12 +160,9 @@ def chsh_optimal_settings() -> MeasurementSettings:
 def correlation_point(rho: TwoQubitState,
                       settings: MeasurementSettings) -> CorrelationPoint:
     """The four correlations of a state under the given settings."""
-    return CorrelationPoint(
-        correlation_expectation(rho, settings.a0, settings.b0),
-        correlation_expectation(rho, settings.a0, settings.b1),
-        correlation_expectation(rho, settings.a1, settings.b0),
-        correlation_expectation(rho, settings.a1, settings.b1),
-    )
+    axes = [d.as_array() for d in (settings.a0, settings.a1,
+                                   settings.b0, settings.b1)]
+    return CorrelationPoint(*_correlations(rho.rho[None], np.array([axes]))[0])
 
 
 # --------------------------------------------------------------------------
@@ -180,8 +185,8 @@ def sample_quantum_points(n: int, rng: np.random.Generator) -> np.ndarray:
     """(n, 4) array of correlation points from random states and settings.
 
     Each row uses an independent random pure two-qubit state and four
-    independent uniform measurement axes (two per party).  Entries are
-    clipped to [-1, 1] to absorb representation error at the boundary.
+    independent uniform measurement axes (two per party), scored by the
+    same kernel as ``correlation_point`` on the pure state psi psi^dagger.
     Each point takes one contiguous block of 20 normals from ``rng``, so
     draws of m and then n - m points equal one draw of n.  ``n`` >= 1
     follows the integer contract of ``regions._index``.
@@ -190,13 +195,6 @@ def sample_quantum_points(n: int, rng: np.random.Generator) -> np.ndarray:
     draw = rng.standard_normal((n, 20))
     psi = draw[:, 0:4] + 1j * draw[:, 4:8]
     psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-    axes = draw[:, 8:20].reshape(n, 4, 3).copy()
-    axes /= np.linalg.norm(axes, axis=2, keepdims=True)
-    # observables: (n, 2, 2, 2) for each party's two settings
-    a_ops = np.einsum("msk,kij->msij", axes[:, :2], _SIGMA)
-    b_ops = np.einsum("msk,kij->msij", axes[:, 2:], _SIGMA)
-    m_psi = psi.reshape(n, 2, 2)
-    # <psi| A_s x B_t |psi> = sum conj(psi_ij) A_ik B_jl psi_kl
-    corr = np.einsum("mij,msik,mtjl,mkl->mst",
-                     m_psi.conj(), a_ops, b_ops, m_psi).real
-    return np.clip(corr.reshape(n, 4), -1.0, 1.0)  # order (00, 01, 10, 11)
+    axes = draw[:, 8:20].reshape(n, 4, 3)
+    axes = axes / np.linalg.norm(axes, axis=2, keepdims=True)
+    return _correlations(psi[:, :, None] * psi[:, None, :].conj(), axes)

@@ -112,9 +112,14 @@ def _coords(p: PointLike, *,
     t = []
     for name, v in zip(_FIELDS, values):
         try:
+            if isinstance(v, (str, bytes, bytearray)):  # float() parses text
+                raise TypeError
             v = float(v)
         except OverflowError:  # an integer or fraction beyond the float range
             v = math.inf if v > 0 else -math.inf
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"point field '{name}' is not a number: {v!r}") from None
         if not math.isfinite(v):
             raise ValueError(f"point field '{name}' is not finite: {v!r}")
         if in_cube and not -1.0 <= v <= 1.0:

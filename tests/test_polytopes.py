@@ -218,6 +218,16 @@ class TestReferenceTables:
         assert t.entry(1, 1, 1, 1) == 0
         assert sum(1 for e in t.entries if e == half) == 8
 
+    @pytest.mark.parametrize("outcome", [
+        (2, 0, 1, 1), (0, -1, 1, 1), (0, 0, 0, 1), (1, 1, 1, 2)])
+    def test_an_outcome_outside_the_table_is_named(self, outcome):
+        t = pr_box()
+        for lookup in (t.entry, behavior_from_table(t).probability):
+            with pytest.raises(ValueError) as err:
+                lookup(*outcome)
+            assert str(err.value).startswith(
+                f"no outcome (i, j, a, b) = {outcome!r}")
+
     def test_pr_box_behavior_and_projection(self):
         b = behavior_from_table(pr_box())
         assert (b.mA0, b.mA1, b.mB0, b.mB1) == (0, 0, 0, 0)
@@ -542,6 +552,11 @@ class TestSerialization:
         text = poly.to_text("V")
         assert "1/3" in text and "-2/7" in text
         assert RationalPolytope.from_text(text).vertices == poly.vertices
+
+    @pytest.mark.parametrize("text", ["", "\n", "  \n\t\n"])
+    def test_empty_text_is_a_value_error(self, text):
+        with pytest.raises(ValueError, match="^polytope text is empty"):
+            RationalPolytope.from_text(text)
 
     def test_mutual_containment_of_dual_representations(self):
         poly = enumerate_vertices(ns_polytope_h())

@@ -19,6 +19,7 @@ from bellvol.quantum import (
     singlet,
     spin_observable,
 )
+from bellvol.quantum import _correlations
 from bellvol.regions import (
     TSIRELSON_BOUND,
     QCharacterization,
@@ -201,6 +202,18 @@ class TestSampling:
         assert np.array_equal(sample_quantum_points(np.int64(3), rng(9)),
                               sample_quantum_points(3, rng(9)))
 
+    def test_rows_match_the_scalar_path_on_the_same_draws(self):
+        # a row's 20 normals, read in order, are the draws of one
+        # random_pure_state and then four random_direction calls
+        pts = sample_quantum_points(300, rng(12))
+        h = rng(12)
+        for row in pts:
+            state = random_pure_state(h)
+            settings = MeasurementSettings(
+                *(random_direction(h) for _ in range(4)))
+            want = correlation_point(state, settings).as_tuple()
+            assert np.abs(row - want).max() <= 2e-15
+
 
 class TestMixing:
     def test_correlations_are_linear_in_the_state(self):
@@ -222,11 +235,56 @@ class TestMixing:
             random_pure_state(g).mixed_with(random_pure_state(g), 1.5)
 
 
+PAULI = (np.array([[0, 1], [1, 0]], complex),
+         np.array([[0, -1j], [1j, 0]], complex),
+         np.array([[1, 0], [0, -1]], complex))
+
+
+def _kron_trace(rho: np.ndarray, a: BlochDirection, b: BlochDirection) -> float:
+    """tr(rho (a.sigma x b.sigma)) written out: the textbook reference."""
+    op_a = sum(c * s for c, s in zip(a.as_array(), PAULI))
+    op_b = sum(c * s for c, s in zip(b.as_array(), PAULI))
+    return np.trace(rho @ np.kron(op_a, op_b)).real
+
+
+class TestBornRule:
+    def test_matches_the_kronecker_trace_on_mixed_states(self):
+        g = rng(13)
+        for _ in range(200):
+            weights = g.dirichlet(np.ones(3))
+            rho = sum(w * random_pure_state(g).rho for w in weights)
+            state = TwoQubitState(rho)
+            a, b = random_direction(g), random_direction(g)
+            assert correlation_expectation(state, a, b) \
+                == pytest.approx(_kron_trace(state.rho, a, b), abs=1e-15)
+
+    def test_point_orders_the_settings_00_01_10_11(self):
+        g = rng(14)
+        state = random_pure_state(g)
+        dirs = [random_direction(g) for _ in range(4)]
+        pt = correlation_point(state, MeasurementSettings(*dirs))
+        want = [_kron_trace(state.rho, dirs[i], dirs[2 + j])
+                for i in (0, 1) for j in (0, 1)]
+        assert pt.as_tuple() == pytest.approx(want, abs=1e-15)
+
+    def test_spin_observable_is_the_pauli_combination(self):
+        d = random_direction(rng(15))
+        want = sum(c * s for c, s in zip(d.as_array(), PAULI))
+        assert np.array_equal(spin_observable(d), want)
+
+    def test_kernel_rejects_a_complex_expectation(self):
+        # tr(i |00><00| (z.sigma x z.sigma)) = i; a TwoQubitState is
+        # Hermitian, so only a raw array reaches the kernel's check
+        rho = np.zeros((1, 4, 4), complex)
+        rho[0, 0, 0] = 1j
+        axes = np.tile(Z_DIR.as_array(), (1, 4, 1))
+        with pytest.raises(ValueError, match="imaginary part"):
+            _correlations(rho, axes)
+
+
 def _su2(axis: np.ndarray, angle: float) -> np.ndarray:
     n = axis / np.linalg.norm(axis)
-    sigma = (n[0] * np.array([[0, 1], [1, 0]], complex)
-             + n[1] * np.array([[0, -1j], [1j, 0]], complex)
-             + n[2] * np.array([[1, 0], [0, -1]], complex))
+    sigma = sum(c * s for c, s in zip(n, PAULI))
     return math.cos(angle / 2) * np.eye(2) - 1j * math.sin(angle / 2) * sigma
 
 

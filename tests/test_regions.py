@@ -231,6 +231,19 @@ class TestPointValidation:
                            match=f"^point field '{field}' is not finite: "):
             in_local(tuple(values.values()))
 
+    @pytest.mark.parametrize("bad", [
+        "0.5", "abc", b"1", None, 1j, object()])
+    @pytest.mark.parametrize("field", ["c00", "c01", "c10", "c11"])
+    def test_rejects_non_numbers(self, bad, field):
+        values = {"c00": 0.0, "c01": 0.0, "c10": 0.0, "c11": 0.0, field: bad}
+        message = f"point field '{field}' is not a number: {bad!r}"
+        with pytest.raises(ValueError) as err:
+            CorrelationPoint(**values)
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            in_local(tuple(values.values()))
+        assert str(err.value) == message
+
     def test_messages_are_the_cli_wording(self):
         with pytest.raises(ValueError) as err:
             CorrelationPoint(math.nan, 0.0, 0.0, 0.0)
