@@ -7,6 +7,10 @@ package computes memberships with signed margins, exact rational polytope
 data (vertices, facets, volumes), Monte Carlo and quadrature volumes and
 ratios, quantum witness points from two-qubit states, and the toggle metric
 that justifies the flat measure.
+
+``import bellvol`` loads no numpy: the names of ``volumes`` and ``quantum``,
+which compute with arrays, and those modules themselves are imported on
+first access (PEP 562).
 """
 
 from .regions import (
@@ -52,28 +56,6 @@ from .polytopes import (
     project_to_correlations,
     signaling_example,
 )
-from .volumes import (
-    ANALYTIC,
-    DegenerateDenominator,
-    EstimatorConfig,
-    ToleranceNotMet,
-    VolumeEstimate,
-    exact_region_volume,
-    headline_report,
-    mc_volume,
-    quadrature_volume,
-    ratio_estimate,
-)
-from .quantum import (
-    BlochDirection,
-    MeasurementSettings,
-    TwoQubitState,
-    chsh_optimal_settings,
-    correlation_expectation,
-    correlation_point,
-    sample_quantum_points,
-    singlet,
-)
 from .toggles import (
     MinToggleResult,
     OutcomeSequence,
@@ -84,3 +66,43 @@ from .toggles import (
 )
 
 __version__ = "0.1.0"
+
+#: The public names imported on first access, by their home module.
+_LAZY = {
+    "volumes": (
+        "ANALYTIC",
+        "DegenerateDenominator",
+        "EstimatorConfig",
+        "ToleranceNotMet",
+        "VolumeEstimate",
+        "exact_region_volume",
+        "headline_report",
+        "mc_volume",
+        "quadrature_volume",
+        "ratio_estimate",
+    ),
+    "quantum": (
+        "BlochDirection",
+        "MeasurementSettings",
+        "TwoQubitState",
+        "chsh_optimal_settings",
+        "correlation_expectation",
+        "correlation_point",
+        "sample_quantum_points",
+        "singlet",
+    ),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    home = _HOME.get(name, name)
+    if home not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+    module = importlib.import_module(f".{home}", __name__)
+    return module if home == name else getattr(module, name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY, *_HOME})

@@ -8,7 +8,9 @@ library through one argparse type adapter), prints ``usage: bellvol <cmd>``
 and ``bellvol <cmd>: error:``.  A value of a minus sign and a digit or ``.``
 is joined to the flag before it, whole or abbreviated (``--poi -0.5,0,0,0``).
 Outputs contain no timestamps, so identical invocations produce identical
-bytes.
+bytes.  Only volume, ratios and sample-quantum load numpy (through
+``volumes`` and ``quantum``, imported where they are used); the other
+commands start without it.
 """
 
 from __future__ import annotations
@@ -21,9 +23,7 @@ import os
 import re
 import sys
 
-import numpy as np
-
-from . import polytopes, quantum, toggles, volumes
+from . import polytopes, toggles
 from .regions import (
     _FIELDS,
     DEFAULT_TOLERANCE,
@@ -102,8 +102,13 @@ def _parse_point(text: str) -> CorrelationPoint:
 _count = _argument(lambda text: _index("value", _number(int, text), 1))
 _seed = _argument(lambda text: _index("value", _number(int, text), 0, 2 ** 64))
 _tolerance = _argument(lambda text: check_tolerance(_number(float, text)))
-_abs_tol = _argument(lambda text: volumes.check_abs_tol(_number(float, text)))
 _point = _argument(_parse_point)
+
+
+@_argument
+def _abs_tol(text: str) -> float:
+    from . import volumes
+    return volumes.check_abs_tol(_number(float, text))
 
 
 def _workers_from_env(args) -> None:
@@ -171,6 +176,7 @@ def _cmd_membership(args):
 # -- volume ------------------------------------------------------------------
 
 def _cmd_volume(args):
+    from . import volumes
     region = RegionId(args.region)
     if args.method == "mc":
         cfg = volumes.EstimatorConfig(sample_count=args.n, seed=args.seed,
@@ -196,6 +202,7 @@ def _cmd_volume(args):
 # -- ratios ------------------------------------------------------------------
 
 def _cmd_ratios(args):
+    from . import volumes
     cfg = volumes.EstimatorConfig(sample_count=args.n, seed=args.seed,
                                   worker_count=args.workers)
     report = volumes.headline_report(cfg)
@@ -294,6 +301,9 @@ def _cmd_examples(args):
 # -- sample-quantum ----------------------------------------------------------
 
 def _cmd_sample_quantum(args):
+    import numpy as np
+
+    from . import quantum
     key = np.array([args.seed, 0], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     for start in range(0, args.n, _SAMPLE_BLOCK):
@@ -398,10 +408,20 @@ def main(argv=None) -> int:
     _workers_from_env(args)
     try:
         return args.func(args)
-    except (volumes.ToleranceNotMet, volumes.DegenerateDenominator,
-            polytopes.PolytopeError, ValueError) as exc:
+    except _computation_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+
+
+def _computation_errors() -> tuple[type[Exception], ...]:
+    """The exceptions ``main`` reports as computation errors (exit 1).  The
+    two of ``volumes`` are added once a command has loaded that module: no
+    other command can raise them, and loading it would load numpy."""
+    errors = (polytopes.PolytopeError, ValueError)
+    volumes = sys.modules.get(f"{__package__}.volumes")
+    if volumes is not None:
+        errors += (volumes.ToleranceNotMet, volumes.DegenerateDenominator)
+    return errors
 
 
 def entrypoint() -> None:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .regions import CorrelationPoint
+from .regions import CorrelationPoint, _index
 
 Vector = tuple[Fraction, ...]
 _Ray = tuple[list[int], int]    # integer ray, bitmask of its tight rows
@@ -55,11 +55,16 @@ _DETERMINISTIC = tuple((a0, a1, b0, b1, a0 * b0, a0 * b1, a1 * b0, a1 * b1)
 
 def _outcome_index(i: int, j: int, a: int, b: int) -> int:
     """Position of the outcome (i, j, a, b) in table order; a ValueError
-    naming it when it is not one of the 16."""
+    naming it when it is not one of the 16.  Each of the four is read by the
+    integer contract of ``regions._index``, so a bool or a float is refused
+    even when it equals a setting or an outcome."""
+    outcome = (i, j, a, b)
     try:
-        return _OUTCOMES.index((i, j, a, b))
+        for v in outcome:
+            _index("outcome", v, -1, 2)
+        return _OUTCOMES.index(outcome)
     except ValueError:
-        raise ValueError(f"no outcome (i, j, a, b) = {(i, j, a, b)!r}:"
+        raise ValueError(f"no outcome (i, j, a, b) = {outcome!r}:"
                          " settings are 0 or 1, outcomes +1 or -1") from None
 
 

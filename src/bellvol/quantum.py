@@ -125,7 +125,7 @@ def _correlations(rho: np.ndarray, axes: np.ndarray) -> np.ndarray:
     """The one Born-rule kernel: tr(rho (a.sigma x b.sigma)) for an (m, 4, 4)
     stack of states and their (m, 4, 3) axes a0, a1, b0, b1, as the (m, 4)
     correlations (00, 01, 10, 11), checked real and clipped to [-1, 1]."""
-    ops = np.einsum("msk,kij->msij", axes, _SIGMA)
+    ops = np.tensordot(axes, _SIGMA, 1)  # the (m, 4, 2, 2) a.sigma
     # rho_(ij),(kl) with i, k on A's qubit: tr(rho (A x B)) = rho_ijkl A_ki B_lj
     corr = np.einsum("mijkl,muki,mvlj->muv", rho.reshape(-1, 2, 2, 2, 2),
                      ops[:, :2], ops[:, 2:]).reshape(-1, 4)

@@ -35,9 +35,10 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple, Sequence, Union
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Absolute tolerance used for boundary comparisons unless overridden.
 DEFAULT_TOLERANCE = 1e-12
@@ -174,15 +175,20 @@ _SCALAR_OPS = _Ops(max, min, math.sqrt, min, max,
                    lambda c: tuple(math.asin(min(1.0, max(-1.0, v))) for v in c))
 
 
-def _array_arcsin(cols: np.ndarray) -> np.ndarray:
-    # one (4, m) temporary: the clipped copy takes the arcsin in place
-    clipped = np.clip(cols, -1.0, 1.0)
-    return np.arcsin(clipped, out=clipped)
+@functools.cache
+def _array_ops() -> _Ops:
+    """The numpy op table, built on first use: the scalar oracles, and so
+    the commands that need no arrays, never load numpy."""
+    import numpy as np
 
+    def arcsin(cols: np.ndarray) -> np.ndarray:
+        # one (4, m) temporary: the clipped copy takes the arcsin in place
+        clipped = np.clip(cols, -1.0, 1.0)
+        return np.arcsin(clipped, out=clipped)
 
-_ARRAY_OPS = _Ops(np.maximum, np.minimum, np.sqrt,
-                  lambda c: np.min(c, axis=0), lambda c: np.max(c, axis=0),
-                  _array_arcsin)
+    return _Ops(np.maximum, np.minimum, np.sqrt,
+                lambda c: np.min(c, axis=0), lambda c: np.max(c, axis=0),
+                arcsin)
 
 
 class _Columns:
@@ -446,11 +452,13 @@ def column_margins(regions: Sequence[RegionId], cols: np.ndarray,
     The columns are not checked for finite values: the Monte Carlo engine
     draws finite points, and a check per batch would slow its stream.
     """
-    batch = _Columns(cols, _ARRAY_OPS)
+    batch = _Columns(cols, _array_ops())
     return [_region_kernel(r, batch, characterization) for r in regions]
 
 
 def _as_columns(pts) -> np.ndarray:
+    import numpy as np
+
     pts = np.asarray(pts, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 4:
         raise ValueError(f"expected (n, 4) array, got {pts.shape}")
@@ -477,7 +485,7 @@ def membership_profiles(pts: np.ndarray,
     """Every oracle on each row of an (n, 4) array: the vector counterpart
     of :func:`membership_profile`, from the same kernels."""
     check_tolerance(tol)
-    batch = _Columns(_as_columns(pts), _ARRAY_OPS)
+    batch = _Columns(_as_columns(pts), _array_ops())
     margins = tuple(_region_kernel(region, batch, char)
                     for region, char in PROFILE_ORDER)
     return ProfileBatch(margins, tuple(m >= -tol for m in margins))

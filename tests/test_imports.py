@@ -1,0 +1,129 @@
+"""What the package loads: the commands that compute no arrays run without
+numpy, and every public name of ``bellvol`` is its home module's object,
+whether imported eagerly or on first access."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+import bellvol
+
+#: Every public name ``bellvol`` exported before ``volumes`` and ``quantum``
+#: were imported on first access, by home module.
+EXPORTS = {
+    "regions": """DEFAULT_TOLERANCE TSIRELSON_BOUND CorrelationPoint
+        MembershipProfile MembershipResult QCharacterization RegionId
+        chsh_value in_box_L in_local in_quantum_arcsin in_quantum_landau
+        in_quantum_sextic in_tsirelson_T in_uffink_U membership_profile
+        membership_profiles region_margins region_mask""",
+    "polytopes": """Behavior DegeneratePolytope Halfspace
+        JointProbabilityTable NoSignalingViolation RationalPolytope
+        UnboundedPolytope behavior_from_table check_no_signaling
+        correlation_polytope_C cube_polytope_h deterministic_behaviors
+        enumerate_facets enumerate_vertices exact_volume local_polytope_v
+        ns_polytope_h pr_box project_to_correlations signaling_example""",
+    "volumes": """ANALYTIC DegenerateDenominator EstimatorConfig
+        ToleranceNotMet VolumeEstimate exact_region_volume headline_report
+        mc_volume quadrature_volume ratio_estimate""",
+    "quantum": """BlochDirection MeasurementSettings TwoQubitState
+        chsh_optimal_settings correlation_expectation correlation_point
+        sample_quantum_points singlet""",
+    "toggles": """MinToggleResult OutcomeSequence TargetUnreachable
+        ToggleDistance min_toggles toggle_distance""",
+}
+
+#: (argv, exit code) of every command that must run without numpy; the two
+#: polytopes of dimension 8 have no --task volume (a usage error).
+NUMPY_FREE = [
+    (["membership", "--point", "-0.5,0.5,0.5,0.5"], 0),
+    (["membership", "--point", '{"c00": 1, "c01": 1, "c10": 1, "c11": -1}',
+      "--format", "json", "--tolerance", "1e-9"], 0),
+    (["distance", "--from", "-1,0,0,0", "--to", "0.5,0,0,0.25"], 0),
+    (["examples", "--which", "pr-box", "--verify"], 0),
+    (["examples", "--which", "signaling", "--verify", "--format", "csv"], 0),
+    *[(["polytope", "--which", which, "--task", task],
+       2 if task == "volume" and which != "corrC" else 0)
+      for which in ("local", "ns", "corrC")
+      for task in ("vertices", "facets", "counts", "volume")],
+    (["membership", "--point", "2,0,0,0"], 2),
+    (["distance", "--from", "0,0,0,0", "--to", "0,nan,0,0"], 2),
+]
+
+# runs NUMPY_FREE (argv[1], as JSON) in a fresh interpreter, then one
+# computation error of a numpy-free command; exits nonzero naming the first
+# step after which numpy is loaded or the exit code is wrong
+_SCRIPT = textwrap.dedent("""
+    import contextlib, io, json, sys
+
+    def check(step):
+        if "numpy" in sys.modules:
+            sys.exit(f"numpy loaded by {step}")
+
+    def run(argv, code):
+        with contextlib.redirect_stdout(io.StringIO()), \\
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                got = cli.main(argv)
+            except SystemExit as exc:
+                got = exc.code
+        if got != code:
+            sys.exit(f"{argv}: exit {got}, expected {code}")
+        check(argv)
+
+    import bellvol
+    check("import bellvol")
+    from bellvol import cli, polytopes
+    check("import bellvol.cli")
+    for argv, code in json.loads(sys.argv[1]):
+        run(argv, code)
+
+    def fail(poly):
+        raise polytopes.DegeneratePolytope("injected")
+
+    polytopes.enumerate_facets = fail
+    run(["polytope", "--which", "local", "--task", "facets"], 1)
+""")
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, "-c", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_commands_without_arrays_do_not_load_numpy():
+    proc = _python(_SCRIPT, json.dumps(NUMPY_FREE))
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_array_modules_resolve_after_a_plain_import():
+    proc = _python(textwrap.dedent("""
+        import sys, types
+        import bellvol
+        assert "numpy" not in sys.modules
+        assert {"volumes", "quantum", "mc_volume", "singlet"} <= set(dir(bellvol))
+        assert not hasattr(bellvol, "no_such_name")
+        for name in ("volumes", "quantum"):
+            module = getattr(bellvol, name)
+            assert isinstance(module, types.ModuleType), module
+            assert module is sys.modules[f"bellvol.{name}"]
+        from bellvol import mc_volume, singlet
+        assert mc_volume is bellvol.volumes.mc_volume
+        assert singlet is bellvol.quantum.singlet
+    """))
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("home, name", [
+    (home, name) for home, names in EXPORTS.items() for name in names.split()])
+def test_public_name_is_its_home_modules_object(home, name):
+    module = importlib.import_module(f"bellvol.{home}")
+    assert getattr(bellvol, name) is getattr(module, name)

@@ -219,7 +219,9 @@ class TestReferenceTables:
         assert sum(1 for e in t.entries if e == half) == 8
 
     @pytest.mark.parametrize("outcome", [
-        (2, 0, 1, 1), (0, -1, 1, 1), (0, 0, 0, 1), (1, 1, 1, 2)])
+        (2, 0, 1, 1), (0, -1, 1, 1), (0, 0, 0, 1), (1, 1, 1, 2),
+        # equal to a setting or an outcome, but not integers by the contract
+        (True, 0, 1, 1), (0, 0, 1.0, 1)])
     def test_an_outcome_outside_the_table_is_named(self, outcome):
         t = pr_box()
         for lookup in (t.entry, behavior_from_table(t).probability):
