@@ -20,7 +20,8 @@ constraints are the sixteen positivity inequalities.  The module provides:
   homogenized cone of an H-polytope, the facets those of the polar cone of
   a V-polytope,
 * exact volume of full-dimensional rational polytopes of dimension <= 4 by a
-  centroid-fan triangulation over the same routine's facet-point incidences.
+  centroid-fan triangulation over the facet-point incidences of one run of
+  the same routine, every lower face an intersection of facets.
 
 All geometry is exact: coordinates are ``fractions.Fraction``; rays, tight
 sets and determinants are computed on Python's arbitrary-precision integers.
@@ -324,41 +325,43 @@ class RationalPolytope:
         if which is None:
             which = "V" if self.vertices is not None else "H"
         if which == "V":
-            if self.vertices is None:
-                raise ValueError("no vertex representation to serialize")
-            lines = [f"V {self.dim} {len(self.vertices)}"]
-            lines += [" ".join(str(x) for x in v) for v in self.vertices]
+            name, rows = "vertex", self.vertices
         elif which == "H":
-            if self.halfspaces is None:
-                raise ValueError("no halfspace representation to serialize")
-            lines = [f"H {self.dim} {len(self.halfspaces)}"]
-            lines += [" ".join([*(str(n) for n in h.normal), str(h.offset)])
-                      for h in self.halfspaces]
+            name, rows = "halfspace", None if self.halfspaces is None else [
+                (*h.normal, h.offset) for h in self.halfspaces]
         else:
             raise ValueError(f"unknown representation kind {which!r}")
+        if rows is None:
+            raise ValueError(f"no {name} representation to serialize")
+        lines = [f"{which} {self.dim} {len(rows)}"]
+        lines += [" ".join(str(x) for x in r) for r in rows]
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "RationalPolytope":
+        """Parse :meth:`to_text`'s format.  A header row other than
+        ``V`` or ``H`` and two integers >= 0, or a number of rows other
+        than the header's count, raises ValueError."""
         rows = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
         if not rows:
             raise ValueError("polytope text is empty: expected a 'V' or 'H'"
                              " header row")
-        kind, dim, count = rows[0].split()
-        dim, count = int(dim), int(count)
-        body = rows[1:1 + count]
+        header, *body = rows
+        try:
+            kind, dim, count = header.split()
+            if kind not in ("V", "H"):
+                raise ValueError(f"unknown representation kind {kind!r}")
+            dim, count = (_index(name, int(tok), 0)
+                          for name, tok in (("dim", dim), ("count", count)))
+        except ValueError as e:
+            raise ValueError(f"bad header row {header!r}: {e}") from None
         if len(body) != count:
             raise ValueError(f"expected {count} rows, found {len(body)}")
+        table = [[Fraction(tok) for tok in ln.split()] for ln in body]
         if kind == "V":
-            verts = tuple(tuple(Fraction(tok) for tok in ln.split()) for ln in body)
-            return cls(dim=dim, vertices=verts)
-        if kind == "H":
-            hs = []
-            for ln in body:
-                toks = [Fraction(t) for t in ln.split()]
-                hs.append(Halfspace.normalized(toks[:-1], toks[-1]))
-            return cls(dim=dim, halfspaces=tuple(hs))
-        raise ValueError(f"unknown representation kind {kind!r}")
+            return cls(dim=dim, vertices=tuple(map(tuple, table)))
+        return cls(dim=dim, halfspaces=tuple(
+            Halfspace.normalized(r[:-1], r[-1]) for r in table))
 
 
 def ns_polytope_h() -> RationalPolytope:
@@ -575,30 +578,37 @@ def _det_int_py(rows: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _triangulate(points: list[list[int]], g: int, facets=None
-                 ) -> Iterator[list[list[int]]]:
-    """Decompose the g-dimensional hull of homogeneous integer points into
-    g-simplices, fanning from a centroid over recursively triangulated
-    facets.  The centroid is the sum of the points' rows: the mean of the
-    points weighted by their homogenizing entries, inside the hull."""
-    if len(points) == g + 1:
-        yield points
+def _triangulate(points: list[list[int]], face: int, g: int,
+                 facets: Sequence[int]) -> Iterator[list[list[int]]]:
+    """Decompose the g-dimensional face of the hull of homogeneous integer
+    points, given as the bitmask of the points on it, into g-simplices.
+
+    The fan goes from the face's centroid over its facets, triangulated in
+    turn.  Every face of a polytope is an intersection of its facets, so the
+    facets of a face are its largest proper nonempty intersections with the
+    hull's facet masks, whether or not every point is a vertex.  The
+    centroid is the sum of the face's rows: the mean of its points weighted
+    by their homogenizing entries, inside the face."""
+    members = [p for i, p in enumerate(points) if face >> i & 1]
+    if len(members) == g + 1:
+        yield members
         return
-    z = [sum(col) for col in zip(*points)]
-    if facets is None:
-        facets, _ = _hull_facets(points, len(z) - 1)
-    for _, mask in facets:
-        face = [p for i, p in enumerate(points) if mask >> i & 1]
-        for simplex in _triangulate(face, g - 1):
-            yield [z, *simplex]
+    z = [sum(col) for col in zip(*members)]
+    subfaces = {face & f for f in facets} - {face, 0}
+    for sub in subfaces:
+        if not any(s != sub and s & sub == sub for s in subfaces):
+            yield from ([z, *simplex] for simplex
+                        in _triangulate(points, sub, g - 1, facets))
 
 
 def exact_volume(p: RationalPolytope) -> Fraction:
     """Exact volume of a full-dimensional rational V-polytope, dim <= 4.
 
-    Triangulates by fanning from centroids over facet triangulations; a
-    simplex with homogeneous rows (w_i * v_i, w_i) contributes
-    |det| / (d! * prod w_i).
+    One double-description run gives the hull's facets as masks over the
+    points; every face below them is an intersection of those masks, and
+    the volume is a centroid fan over the faces of each dimension (see
+    :func:`_triangulate`).  A simplex with homogeneous rows
+    (w_i * v_i, w_i) contributes |det| / (d! * prod w_i).
     """
     if p.vertices is None:
         raise ValueError("exact_volume needs a vertex representation")
@@ -609,6 +619,7 @@ def exact_volume(p: RationalPolytope) -> Fraction:
     facets, lineality = _hull_facets(points, d)
     if lineality:
         raise DegeneratePolytope("polytope is not full-dimensional")
-    total = sum((Fraction(abs(_det_int_py(s)), math.prod(r[-1] for r in s))
-                 for s in _triangulate(points, d, facets)), Fraction(0))
+    masks = [mask for _, mask in facets]
+    total = sum(Fraction(abs(_det_int_py(s)), math.prod(r[-1] for r in s))
+                for s in _triangulate(points, (1 << len(points)) - 1, d, masks))
     return total / math.factorial(d)

@@ -30,7 +30,9 @@ from bellvol.polytopes import (
     project_to_correlations,
     signaling_example,
 )
-from bellvol.polytopes import _homogenize, _hull_facets
+from bellvol import polytopes
+from bellvol.polytopes import (
+    _det_int_py, _homogenize, _hull_facets, _triangulate)
 from bellvol.regions import in_box_L, in_local, in_quantum_arcsin, in_tsirelson_T
 
 PM = (-1, 1)
@@ -468,6 +470,29 @@ class TestExactVolume:
         cube = enumerate_vertices(cube_polytope_h(4))
         assert exact_volume(cube) == 16
 
+    def test_grid_with_points_inside_every_face(self):
+        # {-1, 0, 1}^4 is the cube plus every pairwise midpoint of its
+        # vertices: each face of dimension >= 1 carries points inside it
+        grid = RationalPolytope(dim=4, vertices=tuple(
+            itertools.product((-1, 0, 1), repeat=4)))
+        assert exact_volume(grid) == 16
+
+    @pytest.mark.parametrize("make", [
+        lambda: enumerate_vertices(cube_polytope_h(4)), correlation_polytope_C,
+    ], ids=["cube", "corrC"])
+    def test_one_double_description_run(self, make, monkeypatch):
+        poly = make()
+        runs = []
+        dd = polytopes._double_description
+
+        def counting(*args):
+            runs.append(args)
+            return dd(*args)
+
+        monkeypatch.setattr(polytopes, "_double_description", counting)
+        exact_volume(poly)
+        assert len(runs) == 1
+
     def test_unit_simplex_volume(self):
         verts = [tuple(Fraction(0) for _ in range(4))]
         for k in range(4):
@@ -558,6 +583,21 @@ class TestSerialization:
     @pytest.mark.parametrize("text", ["", "\n", "  \n\t\n"])
     def test_empty_text_is_a_value_error(self, text):
         with pytest.raises(ValueError, match="^polytope text is empty"):
+            RationalPolytope.from_text(text)
+
+    @pytest.mark.parametrize("text,match", [
+        ("V 1 1\n0\n1\n", "^expected 1 rows, found 2$"),
+        ("V 1 2\n0\n", "^expected 2 rows, found 1$"),
+        ("V 1\n0\n", "^bad header row 'V 1': not enough values"),
+        ("V 1 1 1\n0\n", "^bad header row 'V 1 1 1': too many values"),
+        ("V -1 0\n", "^bad header row 'V -1 0': dim must be >= 0, got -1$"),
+        ("H 2 -3\n", "^bad header row 'H 2 -3': count must be >= 0"),
+        ("V 1.5 1\n0\n", "^bad header row 'V 1.5 1': invalid literal"),
+        ("X 1 1\n0\n", "^bad header row 'X 1 1': unknown representation"),
+    ], ids=["extra-row", "missing-row", "short-header", "long-header",
+            "negative-dim", "negative-count", "fractional-dim", "unknown-kind"])
+    def test_malformed_text_is_a_value_error(self, text, match):
+        with pytest.raises(ValueError, match=match):
             RationalPolytope.from_text(text)
 
     def test_mutual_containment_of_dual_representations(self):
@@ -733,3 +773,24 @@ class TestDoubleDescription:
         hull = scipy_spatial.ConvexHull([[float(x) for x in p]
                                          for p in poly.vertices])
         assert float(exact_volume(poly)) == pytest.approx(hull.volume, rel=1e-9)
+
+    @settings(deadline=None, max_examples=60)
+    @given(point_sets())
+    def test_volume_unchanged_by_midpoints(self, poly):
+        # the midpoints lie on the hull's faces or inside it, so its faces
+        # gain points that are not vertices
+        mids = {tuple((x + y) / 2 for x, y in zip(p, q))
+                for p, q in itertools.combinations(poly.vertices, 2)}
+        denser = RationalPolytope(dim=poly.dim, vertices=tuple(
+            sorted(mids | set(poly.vertices))))
+        if not full_dimensional(poly.vertices, poly.dim):
+            with pytest.raises(DegeneratePolytope):
+                exact_volume(denser)
+            return
+        assert exact_volume(denser) == exact_volume(poly)
+        # the fan goes over facets only, never a smaller face: no simplex is flat
+        points = _homogenize(denser.vertices)
+        masks = [mask for _, mask in _hull_facets(points, poly.dim)[0]]
+        full = (1 << len(points)) - 1
+        assert all(_det_int_py(s)
+                   for s in _triangulate(points, full, poly.dim, masks))
