@@ -10,7 +10,9 @@ that justifies the flat measure.
 
 ``import bellvol`` loads no numpy: the names of ``volumes`` and ``quantum``,
 which compute with arrays, and those modules themselves are imported on
-first access (PEP 562).
+first access (PEP 562).  So are those of ``estimates``, the array-free half
+of volume estimation that ``volumes`` re-exports, which only the exact
+volume commands need.
 """
 
 from .regions import (
@@ -69,13 +71,15 @@ __version__ = "0.1.0"
 
 #: The public names imported on first access, by their home module.
 _LAZY = {
-    "volumes": (
+    "estimates": (
         "ANALYTIC",
+        "VolumeEstimate",
+        "exact_region_volume",
+    ),
+    "volumes": (
         "DegenerateDenominator",
         "EstimatorConfig",
         "ToleranceNotMet",
-        "VolumeEstimate",
-        "exact_region_volume",
         "headline_report",
         "mc_volume",
         "quadrature_volume",

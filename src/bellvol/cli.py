@@ -8,9 +8,9 @@ library through one argparse type adapter), prints ``usage: bellvol <cmd>``
 and ``bellvol <cmd>: error:``.  A value of a minus sign and a digit or ``.``
 is joined to the flag before it, whole or abbreviated (``--poi -0.5,0,0,0``).
 Outputs contain no timestamps, so identical invocations produce identical
-bytes.  Only volume, ratios and sample-quantum load numpy (through
-``volumes`` and ``quantum``, imported where they are used); the other
-commands start without it.
+bytes.  Only volume --method mc|quadrature, ratios and sample-quantum load
+numpy (through ``volumes`` and ``quantum``, imported where they are used);
+the other commands, volume --method exact included, start without it.
 """
 
 from __future__ import annotations
@@ -176,21 +176,23 @@ def _cmd_membership(args):
 # -- volume ------------------------------------------------------------------
 
 def _cmd_volume(args):
-    from . import volumes
     region = RegionId(args.region)
     if args.method == "mc":
+        from . import volumes
         cfg = volumes.EstimatorConfig(sample_count=args.n, seed=args.seed,
                                       worker_count=args.workers)
         record = volumes.mc_volume(region, cfg).as_json_record()
     elif args.method == "quadrature":
+        from . import volumes
         record = volumes.quadrature_volume(
             region, abs_tol=args.abs_tol).as_json_record()
     else:  # exact
+        from . import estimates
         if region not in (RegionId.LOCAL_C, RegionId.NO_SIGNALING_L):
             args.parser.error(f"--method exact supports regions C and L,"
                               f" not {region.value}")
-        frac = volumes.exact_region_volume(region)
-        record = volumes.VolumeEstimate(
+        frac = estimates.exact_region_volume(region)
+        record = estimates.VolumeEstimate(
             region=region.value, method="exact", value=float(frac),
             std_error=0.0, error_bound=0.0).as_json_record()
         record["exact"] = str(frac)
@@ -226,9 +228,6 @@ _POLYTOPES = {"local": polytopes.local_polytope_v,
 
 def _cmd_polytope(args):
     poly = _POLYTOPES[args.which]()
-    if args.task == "volume" and poly.dim > 4:
-        args.parser.error(f"--task volume needs dimension <= 4;"
-                          f" '{args.which}' has dimension {poly.dim}")
     # complete the representations the task reads, each at most once
     if poly.vertices is None and args.task != "facets":
         poly = polytopes.enumerate_vertices(poly)

@@ -19,9 +19,14 @@ constraints are the sixteen positivity inequalities.  The module provides:
   double-description routine: the vertices are the extreme rays of the
   homogenized cone of an H-polytope, the facets those of the polar cone of
   a V-polytope,
-* exact volume of full-dimensional rational polytopes of dimension <= 4 by a
-  centroid-fan triangulation over the facet-point incidences of one run of
-  the same routine, every lower face an intersection of facets.
+* exact volume of full-dimensional rational polytopes in any dimension by a
+  pulling triangulation over the facet-point incidences of one run of the
+  same routine, every lower face an intersection of facets.
+
+In this 8-dimensional space the local polytope has volume 2048/315 and the
+no-signaling polytope 2176/315, so V_local / V_NS = 16/17.  The paper's
+ratios live in the 4-dimensional correlation projection instead, where the
+local set and the cube have V_C / V_L = 2/3.
 
 All geometry is exact: coordinates are ``fractions.Fraction``; rays, tight
 sets and determinants are computed on Python's arbitrary-precision integers.
@@ -549,7 +554,7 @@ def enumerate_facets(v: RationalPolytope) -> RationalPolytope:
 
 
 # --------------------------------------------------------------------------
-# exact volume by centroid-fan triangulation
+# exact volume by pulling triangulation
 # --------------------------------------------------------------------------
 
 def _det_int_py(rows: list[list[int]]) -> int:
@@ -583,38 +588,40 @@ def _triangulate(points: list[list[int]], face: int, g: int,
     """Decompose the g-dimensional face of the hull of homogeneous integer
     points, given as the bitmask of the points on it, into g-simplices.
 
-    The fan goes from the face's centroid over its facets, triangulated in
-    turn.  Every face of a polytope is an intersection of its facets, so the
-    facets of a face are its largest proper nonempty intersections with the
-    hull's facet masks, whether or not every point is a vertex.  The
-    centroid is the sum of the face's rows: the mean of its points weighted
-    by their homogenizing entries, inside the face."""
+    This is the pulling triangulation (Lee 1991): the face is coned from its
+    first member p over those of its facets that do not contain p, each
+    triangulated in turn.  For any point p of a face F, the cones from p over
+    the facets of F that miss p cover F with disjoint interiors, whether or
+    not p is a vertex; no cone is flat, as a facet that misses p lies in a
+    hyperplane that misses it too.  Every face of a polytope is the
+    intersection of the hull's facets that contain it, and a face of F that
+    misses p lies in one of them that misses p.  So the facets of F that
+    miss p are the largest nonempty intersections of F with the hull's
+    facet masks that miss p."""
     members = [p for i, p in enumerate(points) if face >> i & 1]
     if len(members) == g + 1:
         yield members
         return
-    z = [sum(col) for col in zip(*members)]
-    subfaces = {face & f for f in facets} - {face, 0}
+    apex = face & -face
+    subfaces = {face & f for f in facets if not f & apex} - {0}
     for sub in subfaces:
         if not any(s != sub and s & sub == sub for s in subfaces):
-            yield from ([z, *simplex] for simplex
+            yield from ([members[0], *simplex] for simplex
                         in _triangulate(points, sub, g - 1, facets))
 
 
 def exact_volume(p: RationalPolytope) -> Fraction:
-    """Exact volume of a full-dimensional rational V-polytope, dim <= 4.
+    """Exact volume of a full-dimensional rational V-polytope.
 
     One double-description run gives the hull's facets as masks over the
     points; every face below them is an intersection of those masks, and
-    the volume is a centroid fan over the faces of each dimension (see
+    the volume is a sum over a pulling triangulation of the hull (see
     :func:`_triangulate`).  A simplex with homogeneous rows
     (w_i * v_i, w_i) contributes |det| / (d! * prod w_i).
     """
     if p.vertices is None:
         raise ValueError("exact_volume needs a vertex representation")
     d = p.dim
-    if d > 4:
-        raise ValueError("exact_volume supports dimension <= 4")
     points = _homogenize(p.vertices)
     facets, lineality = _hull_facets(points, d)
     if lineality:

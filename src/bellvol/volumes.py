@@ -19,24 +19,10 @@ land inside it.  This module provides:
   (y, w) slice has a closed-form measure; the (x, z) integral uses tensor
   Gauss-Legendre rules on kink-aligned cells, doubling the order n until
   orders n and 2n agree within the tolerance, and reports that difference,
-* ``ANALYTIC``, the closed-form constants the estimates are compared against.
+* the headline table: every estimate beside its closed form in ``ANALYTIC``.
 
-Closed forms used as cross-checks: V_C = 32/3, V_L = 16, V_Q = 3*pi^2/2,
-V_T = (768*sqrt(2) - 1040)/3 and V_U = 32*pi - 256/3.  Both T and U are the
-cube minus disjoint corner pieces:
-
-* T: the eight pieces the linear bound 2*sqrt(2) cuts off are pairwise
-  disjoint, and each has the Irwin-Hall volume 16*(17 - 12*sqrt(2))/6.
-* U: with f1 = (c00 + c11)^2 + (c01 - c10)^2 and
-  f2 = (c00 - c11)^2 + (c01 + c10)^2, f1 + f2 = 2 * sum c_ij^2 <= 8 on the
-  cube, so f1 > 4 and f2 > 4 never hold together and the cube minus U is
-  two disjoint pieces of equal volume.  The piece f1 > 4 is x^2 + z^2 > 4
-  in pair coordinates; its (y, w) slice is the full rectangle of area
-  4*(2 - |x|)(2 - |z|), so with Jacobian 1/4 and four sign quadrants it
-  has volume 4 * integral of (2 - x)(2 - z) over the part of [0, 2]^2
-  outside x^2 + z^2 <= 4.  That integral is 4 - (4*pi - 32/3 + 2) =
-  38/3 - 4*pi, so each piece is 152/3 - 16*pi and
-  V_U = 16 - 2*(152/3 - 16*pi) = 32*pi - 256/3.
+The record type, the closed forms and the exact rational volumes compute no
+arrays; they live in :mod:`bellvol.estimates` and are re-exported here.
 """
 
 from __future__ import annotations
@@ -45,30 +31,17 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
-from fractions import Fraction
-from types import MappingProxyType
 from typing import Sequence
 
 import numpy as np
 
-from . import polytopes
+from .estimates import (ANALYTIC, VolumeEstimate,  # noqa: F401  re-exported
+                        exact_region_volume)
 from .regions import (DEFAULT_TOLERANCE, REGION_CHAIN, RegionId, _index,
                       column_margins)
 from .regions import region_mask  # noqa: F401  read by bench/tracer.py
 
 SQRT2 = math.sqrt(2.0)
-
-#: Closed-form volumes of the five regions and the three headline ratios.
-ANALYTIC = MappingProxyType({
-    "V_C": 2.0 ** 5 / 3.0,
-    "V_L": 2.0 ** 4,
-    "V_Q": 1.5 * math.pi ** 2,
-    "V_U": 32.0 * math.pi - 256.0 / 3.0,
-    "V_T": (768.0 * SQRT2 - 1040.0) / 3.0,
-    "ratio_QC": (3.0 * math.pi / 8.0) ** 2,
-    "ratio_QL": 3.0 * math.pi ** 2 / 32.0,
-    "ratio_CL": 2.0 / 3.0,
-})
 
 
 class DegenerateDenominator(ZeroDivisionError):
@@ -100,39 +73,6 @@ class EstimatorConfig:
                                 ("worker_count", 1, None)):
             object.__setattr__(self, name,
                                _index(name, getattr(self, name), low, high))
-
-
-@dataclass(frozen=True)
-class VolumeEstimate:
-    """A volume or ratio value with its error accounting.
-
-    ``std_error`` is the CLT standard error for Monte Carlo estimates and 0
-    for deterministic methods (quadrature, exact); ``region`` is the region
-    tag, or "A/B" for ratios.
-
-    ``error_bound`` is 0.0 for exact values, None for Monte Carlo, and for
-    quadrature |Q_n - Q_2n| between the Gauss-Legendre rules of order n and
-    2n where doubling stopped (``value`` is Q_2n): not a rigorous bound.
-    """
-
-    region: str
-    method: str  # "monte-carlo" | "quadrature" | "exact"
-    value: float
-    std_error: float
-    sample_count: int | None = None
-    seed: int | None = None
-    error_bound: float | None = None
-
-    def as_json_record(self) -> dict:
-        return {
-            "region": self.region,
-            "method": self.method,
-            "value": self.value,
-            "std_error": self.std_error,
-            "error_bound": self.error_bound,
-            "n": self.sample_count,
-            "seed": self.seed,
-        }
 
 
 def __getattr__(name: str):
@@ -451,18 +391,6 @@ def quadrature_volume(region: RegionId, abs_tol: float = 1e-6) -> VolumeEstimate
         raise ValueError(f"unknown region {region!r}")
     return VolumeEstimate(region=region.value, method="quadrature",
                           value=value, std_error=0.0, error_bound=err)
-
-
-def exact_region_volume(region: RegionId) -> Fraction:
-    """Exact rational volume via the polytope engine (cube and local set)."""
-    if region is RegionId.LOCAL_C:
-        return polytopes.exact_volume(polytopes.correlation_polytope_C())
-    if region is RegionId.NO_SIGNALING_L:
-        cube = polytopes.enumerate_vertices(polytopes.cube_polytope_h(4))
-        return polytopes.exact_volume(cube)
-    if isinstance(region, RegionId):
-        raise ValueError(f"region {region.value} has no exact rational volume")
-    raise ValueError(f"unknown region {region!r}")
 
 
 # --------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -143,10 +144,10 @@ def test_point_error_names_the_flag(capsys, argv, flag):
     (["membership", "--point", "2,0,0,0"], None),
     (["distance", "--from", "0,0,0,0", "--to", "0,0,nan,0"], None),
     (["volume", "--region", "Q", "--method", "exact"], None),
-    (["polytope", "--which", "ns", "--task", "volume"], None),
+    (["polytope", "--which", "ns", "--task", "area"], None),
     (["volume", "--region", "L", "--n", "100"], "0"),
     (["ratios", "--n", "100"], "abc")],
-    ids=["point", "second-point", "exact-on-Q", "volume-in-8d",
+    ids=["point", "second-point", "exact-on-Q", "polytope-unknown-task",
          "workers-env-volume", "workers-env-ratios"])
 def test_usage_error_names_its_subcommand(capsys, monkeypatch, argv, env):
     if env is not None:
@@ -398,14 +399,17 @@ class TestPolytope:
         assert code == 0
         assert "32/3" in out
 
-    def test_volume_rejected_in_8d(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(["polytope", "--which", "ns", "--task", "volume"])
-        assert err.value.code == 2
+    def test_volume_in_8d(self, capsys):
+        for which, line in (("local", "volume: 2048/315 (6.50158730159)\n"),
+                            ("ns", "volume: 2176/315 (6.90793650794)\n")):
+            assert run_cli(capsys, "polytope", "--which", which,
+                           "--task", "volume") == (0, line, "")
 
 
-# (vertex count, facet count) of each polytope the CLI knows
+# (vertex count, facet count) and exact volume of each polytope the CLI knows
 _POLYTOPE_COUNTS = {"local": (16, 24), "ns": (24, 16), "corrC": (8, 16)}
+_POLYTOPE_VOLUMES = {"local": Fraction(2048, 315), "ns": Fraction(2176, 315),
+                     "corrC": Fraction(32, 3)}
 _POLYTOPES = {"local": polytopes.local_polytope_v, "ns": polytopes.ns_polytope_h,
               "corrC": polytopes.correlation_polytope_C}
 
@@ -420,12 +424,6 @@ def test_polytope_output_is_the_library_text(capsys, which, task):
         poly = polytopes.enumerate_facets(poly)
     n_vertices, n_facets = _POLYTOPE_COUNTS[which]
     assert (len(poly.vertices), len(poly.halfspaces)) == (n_vertices, n_facets)
-    if task == "volume" and poly.dim > 4:
-        with pytest.raises(SystemExit) as err:
-            main(["polytope", "--which", which, "--task", task])
-        assert err.value.code == 2
-        assert "dimension" in capsys.readouterr().err
-        return
     code, out, _ = run_cli(capsys, "polytope", "--which", which,
                            "--task", task)
     assert code == 0
@@ -438,7 +436,9 @@ def test_polytope_output_is_the_library_text(capsys, which, task):
     elif task == "counts":
         assert out == f"vertices: {n_vertices}, facets: {n_facets}\n"
     else:
-        assert out == "volume: 32/3 (10.6666666667)\n"
+        vol = polytopes.exact_volume(poly)
+        assert vol == _POLYTOPE_VOLUMES[which]
+        assert out == f"volume: {vol} ({float(vol):.12g})\n"
 
 
 class TestExamples:

@@ -5,7 +5,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bellvol.polytopes import (
@@ -462,6 +462,30 @@ class TestProjectionConsistency:
         assert outside_t == 8
 
 
+#: {-1, 0, 1}^4: the cube plus every pairwise midpoint of its vertices, so
+#: each face of dimension >= 1 carries points inside it.
+GRID = RationalPolytope(dim=4, vertices=tuple(
+    itertools.product((-1, 0, 1), repeat=4)))
+
+
+def fraction_det(rows):
+    """Determinant by Gaussian elimination over Fractions."""
+    m = [list(r) for r in rows]
+    det = Fraction(1)
+    for k in range(len(m)):
+        pivot = next((r for r in range(k, len(m)) if m[r][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            det = -det
+        det *= m[k][k]
+        for r in range(k + 1, len(m)):
+            f = m[r][k] / m[k][k]
+            m[r] = [x - f * y for x, y in zip(m[r], m[k])]
+    return det
+
+
 class TestExactVolume:
     def test_correlation_hull_volume(self):
         assert exact_volume(correlation_polytope_C()) == Fraction(32, 3)
@@ -471,15 +495,12 @@ class TestExactVolume:
         assert exact_volume(cube) == 16
 
     def test_grid_with_points_inside_every_face(self):
-        # {-1, 0, 1}^4 is the cube plus every pairwise midpoint of its
-        # vertices: each face of dimension >= 1 carries points inside it
-        grid = RationalPolytope(dim=4, vertices=tuple(
-            itertools.product((-1, 0, 1), repeat=4)))
-        assert exact_volume(grid) == 16
+        assert exact_volume(GRID) == 16
 
     @pytest.mark.parametrize("make", [
         lambda: enumerate_vertices(cube_polytope_h(4)), correlation_polytope_C,
-    ], ids=["cube", "corrC"])
+        local_polytope_v, lambda: enumerate_vertices(ns_polytope_h()),
+    ], ids=["cube", "corrC", "local", "ns"])
     def test_one_double_description_run(self, make, monkeypatch):
         poly = make()
         runs = []
@@ -492,6 +513,64 @@ class TestExactVolume:
         monkeypatch.setattr(polytopes, "_double_description", counting)
         exact_volume(poly)
         assert len(runs) == 1
+
+    @pytest.mark.parametrize("make, simplices", [
+        (lambda: enumerate_vertices(cube_polytope_h(4)), 24),
+        (correlation_polytope_C, 8),
+        (local_polytope_v, 64),
+        (lambda: enumerate_vertices(ns_polytope_h()), 80),
+    ], ids=["cube", "corrC", "local", "ns"])
+    def test_simplices_summed(self, make, simplices, monkeypatch):
+        # one simplex per face a pulling triangulation cones to; a fan
+        # from every face's centroid summed one per complete flag of
+        # faces (192 for the cube, 16 for C)
+        poly = make()
+        dets = []
+        det = polytopes._det_int_py
+
+        def counting(rows):
+            dets.append(det(rows))
+            return dets[-1]
+
+        monkeypatch.setattr(polytopes, "_det_int_py", counting)
+        exact_volume(poly)
+        assert len(dets) == simplices
+        assert all(dets)
+
+    def test_eight_dimensional_volumes(self):
+        v_local = exact_volume(local_polytope_v())
+        v_ns = exact_volume(enumerate_vertices(ns_polytope_h()))
+        assert (v_local, v_ns) == (Fraction(2048, 315), Fraction(2176, 315))
+        assert v_local / v_ns == Fraction(16, 17)
+
+    def test_no_signaling_minus_local_is_eight_pr_box_pyramids(self):
+        """V_NS - V_L by a decomposition that shares no code with the
+        engine: the no-signaling polytope is the local one plus one pyramid
+        per PR box, with the box as apex over the eight deterministic
+        behaviors on the one CHSH facet of the local polytope it violates.
+        Each pyramid is an 8-simplex, its volume one determinant over
+        Fractions.
+
+        The ratio V_L / V_NS = 16/17 lives in the full 8-D (marginals,
+        correlations) space of behaviors.  The paper's ratios live in the
+        4-D correlation projection, where the local set C and the cube L
+        (the image of the no-signaling polytope) have V_C / V_L = 2/3."""
+        deterministic = [b.as_vector() for b in deterministic_behaviors()]
+        pyramids = []
+        for signs in itertools.product(PM, repeat=4):
+            if math.prod(signs) != -1:
+                continue
+            # the PR box of these correlations violates sum s_ij c_ij <= 2
+            apex = (0, 0, 0, 0, *signs)
+            base = [v for v in deterministic
+                    if sum(s * c for s, c in zip(signs, v[4:])) == 2]
+            assert len(base) == 8
+            edges = [[Fraction(x - y) for x, y in zip(v, apex)] for v in base]
+            pyramids.append(abs(fraction_det(edges)) / math.factorial(8))
+        assert pyramids == [Fraction(16, 315)] * 8
+        v_local = exact_volume(local_polytope_v())
+        v_ns = exact_volume(enumerate_vertices(ns_polytope_h()))
+        assert v_ns - v_local == sum(pyramids) == Fraction(128, 315)
 
     def test_unit_simplex_volume(self):
         verts = [tuple(Fraction(0) for _ in range(4))]
@@ -788,9 +867,30 @@ class TestDoubleDescription:
                 exact_volume(denser)
             return
         assert exact_volume(denser) == exact_volume(poly)
-        # the fan goes over facets only, never a smaller face: no simplex is flat
+        # each cone goes over a facet that misses its apex: no simplex is flat
         points = _homogenize(denser.vertices)
         masks = [mask for _, mask in _hull_facets(points, poly.dim)[0]]
         full = (1 << len(points)) - 1
         assert all(_det_int_py(s)
                    for s in _triangulate(points, full, poly.dim, masks))
+
+    @settings(deadline=None, max_examples=60)
+    @given(point_sets(), st.randoms(use_true_random=False))
+    @example(GRID, random.Random(1))
+    def test_volume_unchanged_by_shuffling(self, poly, rng):
+        # the apex of each face is its first point in input order, so a
+        # shuffle moves the apexes; this shuffle of the grid puts the centre
+        # of a facet first, and many lower apexes are not vertices either
+        points = list(poly.vertices)
+        rng.shuffle(points)
+        shuffled = RationalPolytope(dim=poly.dim, vertices=tuple(points))
+        if not full_dimensional(points, poly.dim):
+            with pytest.raises(DegeneratePolytope):
+                exact_volume(shuffled)
+            return
+        assert exact_volume(shuffled) == exact_volume(poly)
+        rows = _homogenize(points)
+        masks = [mask for _, mask in _hull_facets(rows, poly.dim)[0]]
+        full = (1 << len(rows)) - 1
+        assert all(_det_int_py(s)
+                   for s in _triangulate(rows, full, poly.dim, masks))

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import region_reference as reference
-from bellvol import volumes
+from bellvol import polytopes, volumes
 from bellvol.regions import (
     DEFAULT_TOLERANCE,
     RegionId,
@@ -489,6 +489,46 @@ class TestAnalyticConstants:
     def test_read_only(self):
         with pytest.raises(TypeError):
             ANALYTIC["V_C"] = 0.0
+
+    def test_tsirelson_volume_by_exact_arithmetic(self):
+        """V_T from the polytope engine, with no float on the way.
+
+        The cube cut by |S - 2 c_ij| <= B is a rational polytope for
+        rational B: C at B = 2, the cube at B = 4.  On [2, 4] its volume is
+        the cube minus 8 disjoint Irwin-Hall corners, a quartic in B.  The
+        quartic through five rational B, checked at a sixth, is evaluated
+        at B = 2 sqrt(2) in Q(sqrt(2)) as a + b sqrt(2)."""
+        def volume(bound):
+            cube = polytopes.cube_polytope_h(4).halfspaces
+            cuts = [polytopes.Halfspace.normalized(
+                [sign * (1 - 2 * (k == m)) for k in range(4)], bound)
+                for m in range(4) for sign in (1, -1)]
+            return polytopes.exact_volume(polytopes.enumerate_vertices(
+                polytopes.RationalPolytope(dim=4, halfspaces=(*cube, *cuts))))
+
+        nodes = [Fraction(2), Fraction(5, 2), Fraction(3), Fraction(7, 2),
+                 Fraction(4)]
+        values = [volume(b) for b in nodes]
+        assert values == [Fraction(32, 3), Fraction(229, 16), Fraction(47, 3),
+                          Fraction(767, 48), Fraction(16)]
+        # monomial coefficients c_0..c_4 by Lagrange interpolation
+        coeffs = [Fraction(0)] * 5
+        for i, (bi, vi) in enumerate(zip(nodes, values)):
+            basis = [Fraction(1)]       # prod over j != i of (B - b_j)
+            for bj in nodes[:i] + nodes[i + 1:]:
+                basis = [x - bj * y for x, y in zip([0, *basis], [*basis, 0])]
+            scale = vi / math.prod(bi - bj for bj in nodes if bj != bi)
+            coeffs = [c + scale * x for c, x in zip(coeffs, basis)]
+        assert coeffs == [Fraction(-208, 3), Fraction(256, 3), -32,
+                          Fraction(16, 3), Fraction(-1, 3)]
+        check = Fraction(11, 4)
+        assert volume(check) == sum(c * check ** k for k, c in enumerate(coeffs))
+        # (2 sqrt(2))^k = 1, 2 sqrt(2), 8, 16 sqrt(2), 64
+        a = coeffs[0] + 8 * coeffs[2] + 64 * coeffs[4]
+        b = 2 * coeffs[1] + 16 * coeffs[3]
+        assert (a, b) == (Fraction(-1040, 3), 256)
+        assert ANALYTIC["V_T"] == pytest.approx(
+            float(a) + float(b) * math.sqrt(2.0), rel=1e-15)
 
     def test_ratios_equal_quotients(self):
         c = ANALYTIC
