@@ -3,10 +3,14 @@
 Subcommands: membership, volume, ratios, polytope, examples, sample-quantum,
 distance.  Exit codes: 0 success, 1 computation error, 2 usage error; a
 reader that closes stdout early ends the command with exit 1 and no
-traceback.  Every usage error, flag values included (checked by the
-library through one argparse type adapter), prints ``usage: bellvol <cmd>``
-and ``bellvol <cmd>: error:``.  A value of a minus sign and a digit or ``.``
-is joined to the flag before it, whole or abbreviated (``--poi -0.5,0,0,0``).
+traceback.  Every usage error, flag values (checked by the library through
+one argparse type adapter) and unknown flags included, prints ``usage:
+bellvol <cmd>`` and ``bellvol <cmd>: error:``.  Each subcommand is written
+once, in ``_COMMANDS``: a call that starts with one builds one parser, that
+subcommand's alone, and only any other argv (none, ``-h``, an unknown
+command) builds the whole tree.  A value of a minus sign and a digit or
+``.`` is joined to the flag before it, whole or abbreviated (``--poi
+-0.5,0,0,0``).
 Outputs contain no timestamps, so identical invocations produce identical
 bytes.  Only volume --method mc|quadrature, ratios and sample-quantum load
 numpy (through ``volumes`` and ``quantum``, imported where they are used);
@@ -329,25 +333,19 @@ def _cmd_distance(args):
 
 # -- parser ------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="bellvol",
-        description="Memberships, volumes and volume ratios of the nested"
-                    " two-party correlation sets.")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_format(p):
+    p.add_argument("--format", choices=("table", "json", "csv"), default="table")
 
-    def add_format(p):
-        p.add_argument("--format", choices=("table", "json", "csv"),
-                       default="table")
 
-    p = sub.add_parser("membership", help="membership profile of one point")
+def _membership_args(p):
     p.add_argument("--point", required=True, type=_point,
                    help="JSON object with c00..c11 or inline 'c00,c01,c10,c11'")
     p.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOLERANCE)
-    add_format(p)
-    p.set_defaults(func=_cmd_membership)
+    _add_format(p)
+    return _cmd_membership
 
-    p = sub.add_parser("volume", help="volume of one region")
+
+def _volume_args(p):
     p.add_argument("--region", required=True,
                    choices=sorted(r.value for r in RegionId))
     p.add_argument("--method", choices=("mc", "quadrature", "exact"),
@@ -356,42 +354,82 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--workers", type=_count, default=None)
     p.add_argument("--abs-tol", type=_abs_tol, default=1e-6)
-    add_format(p)
-    p.set_defaults(func=_cmd_volume)
+    _add_format(p)
+    return _cmd_volume
 
-    p = sub.add_parser("ratios", help="headline volume/ratio table")
+
+def _ratios_args(p):
     p.add_argument("--n", type=_count, default=10_000_000)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--workers", type=_count, default=None)
-    add_format(p)
-    p.set_defaults(func=_cmd_ratios)
+    _add_format(p)
+    return _cmd_ratios
 
-    p = sub.add_parser("polytope", help="vertex/facet enumeration and volume")
+
+def _polytope_args(p):
     p.add_argument("--which", required=True, choices=_POLYTOPES)
     p.add_argument("--task", required=True,
                    choices=("vertices", "facets", "counts", "volume"))
-    p.set_defaults(func=_cmd_polytope)
+    return _cmd_polytope
 
-    p = sub.add_parser("examples", help="reference probability tables")
+
+def _examples_args(p):
     p.add_argument("--which", required=True, choices=("pr-box", "signaling"))
     p.add_argument("--verify", action="store_true")
-    add_format(p)
-    p.set_defaults(func=_cmd_examples)
+    _add_format(p)
+    return _cmd_examples
 
-    p = sub.add_parser("sample-quantum",
-                       help="sample quantum points as JSON lines")
+
+def _sample_quantum_args(p):
     p.add_argument("--n", type=_count, default=100)
     p.add_argument("--seed", type=_seed, default=0)
-    p.set_defaults(func=_cmd_sample_quantum)
+    return _cmd_sample_quantum
 
-    p = sub.add_parser("distance", help="toggle distance between two points")
+
+def _distance_args(p):
     p.add_argument("--from", required=True, dest="from", type=_point)
     p.add_argument("--to", required=True, type=_point)
-    p.set_defaults(func=_cmd_distance)
+    return _cmd_distance
 
-    for p in sub.choices.values():  # the checks argparse cannot express
-        p.set_defaults(parser=p)   # report through their own subcommand
 
+#: Each subcommand once: name -> (help line, adder).  The adder adds the
+#: subcommand's arguments to a parser and returns the command's handler.
+_COMMANDS = {
+    "membership": ("membership profile of one point", _membership_args),
+    "volume": ("volume of one region", _volume_args),
+    "ratios": ("headline volume/ratio table", _ratios_args),
+    "polytope": ("vertex/facet enumeration and volume", _polytope_args),
+    "examples": ("reference probability tables", _examples_args),
+    "sample-quantum": ("sample quantum points as JSON lines",
+                       _sample_quantum_args),
+    "distance": ("toggle distance between two points", _distance_args),
+}
+
+
+def _fill(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """``p`` with subcommand ``name``'s arguments.  The checks argparse cannot
+    express report through ``p``, so under the subcommand's usage line."""
+    p.set_defaults(func=_COMMANDS[name][1](p), parser=p)
+    return p
+
+
+def command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of subcommand ``name`` alone, for ``argv[1:]``: the same
+    usage, help and errors as ``build_parser()``'s subparser of that name."""
+    return _fill(argparse.ArgumentParser(prog=f"bellvol {name}"), name)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The whole command tree; ``main`` needs it only for an argv that does
+    not start with a subcommand (none, ``-h``, an unknown command, a leading
+    option)."""
+    parser = argparse.ArgumentParser(
+        prog="bellvol",
+        description="Memberships, volumes and volume ratios of the nested"
+                    " two-party correlation sets.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, _) in _COMMANDS.items():
+        _fill(sub.add_parser(name, help=help_line), name)
     return parser
 
 
@@ -403,7 +441,10 @@ def main(argv=None) -> int:
         if re.fullmatch(r"--[^=]+", argv[k - 1]) and re.match(
                 r"-([0-9.]|inf|nan)", argv[k], re.IGNORECASE):
             argv[k - 1:k + 1] = [f"{argv[k - 1]}={argv[k]}"]
-    args = build_parser().parse_args(argv)
+    if argv and argv[0] in _COMMANDS:
+        args = command_parser(argv[0]).parse_args(argv[1:])
+    else:
+        args = build_parser().parse_args(argv)
     _workers_from_env(args)
     try:
         return args.func(args)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -146,9 +147,10 @@ def test_point_error_names_the_flag(capsys, argv, flag):
     (["volume", "--region", "Q", "--method", "exact"], None),
     (["polytope", "--which", "ns", "--task", "area"], None),
     (["volume", "--region", "L", "--n", "100"], "0"),
-    (["ratios", "--n", "100"], "abc")],
+    (["ratios", "--n", "100"], "abc"),
+    (["volume", "--region", "C", "--batch-size", "10"], None)],
     ids=["point", "second-point", "exact-on-Q", "polytope-unknown-task",
-         "workers-env-volume", "workers-env-ratios"])
+         "workers-env-volume", "workers-env-ratios", "unknown-flag"])
 def test_usage_error_names_its_subcommand(capsys, monkeypatch, argv, env):
     if env is not None:
         monkeypatch.setenv("BELLVOL_WORKERS", env)
@@ -233,6 +235,99 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as err:
             main([])
         assert err.value.code == 2
+
+
+# a valid call of every subcommand, cheap enough to run many times
+VALID_CALLS = {
+    "membership": ["--point", "0,0,0,0"],
+    "volume": ["--region", "C", "--method", "exact"],
+    "ratios": ["--n", "1000", "--workers", "1"],
+    "polytope": ["--which", "corrC", "--task", "counts"],
+    "examples": ["--which", "pr-box"],
+    "sample-quantum": ["--n", "2"],
+    "distance": ["--from", "0,0,0,0", "--to", "0,0,0,0"]}
+
+TOP_LEVEL_HELP = """\
+usage: bellvol [-h]
+               {membership,volume,ratios,polytope,examples,sample-quantum,distance}
+               ...
+
+Memberships, volumes and volume ratios of the nested two-party correlation
+sets.
+
+positional arguments:
+  {membership,volume,ratios,polytope,examples,sample-quantum,distance}
+    membership          membership profile of one point
+    volume              volume of one region
+    ratios              headline volume/ratio table
+    polytope            vertex/facet enumeration and volume
+    examples            reference probability tables
+    sample-quantum      sample quantum points as JSON lines
+    distance            toggle distance between two points
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+
+def subparser(name):
+    """``build_parser()``'s subparser of subcommand ``name``."""
+    [sub] = [a for a in cli.build_parser()._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices[name]
+
+
+class TestParsers:
+    """``main`` parses ``<cmd> ...`` with ``command_parser(cmd)`` alone and
+    any other argv with the whole tree; both must read the same."""
+
+    def test_table_holds_every_subcommand(self):
+        assert list(VALID_CALLS) == list(cli._COMMANDS)
+
+    @pytest.mark.parametrize("name", list(VALID_CALLS))
+    def test_command_parser_reads_like_the_subparser(self, capsys,
+                                                     monkeypatch, name):
+        monkeypatch.setenv("COLUMNS", "80")
+        alone, tree = cli.command_parser(name), subparser(name)
+        assert alone.format_usage() == tree.format_usage()
+        assert alone.format_help() == tree.format_help()
+        with pytest.raises(SystemExit) as err:
+            main([name, "-h"])
+        assert err.value.code == 0
+        assert capsys.readouterr() == (tree.format_help(), "")
+
+    def test_top_level_help_is_pinned(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as err:
+            main(["-h"])
+        assert err.value.code == 0
+        assert capsys.readouterr() == (TOP_LEVEL_HELP, "")
+
+    @pytest.fixture
+    def parsers_built(self, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        return built
+
+    @pytest.mark.parametrize("name", list(VALID_CALLS))
+    def test_valid_call_builds_one_parser(self, capsys, parsers_built, name):
+        assert main([name, *VALID_CALLS[name]]) == 0
+        assert parsers_built == [f"bellvol {name}"]
+
+    @pytest.mark.parametrize("argv", [["-h"], ["bogus"], [],
+                                      ["--bogus", "membership"]])
+    def test_other_argv_builds_the_whole_tree(self, capsys, parsers_built,
+                                              argv):
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert sorted(parsers_built) == sorted(
+            ["bellvol", *(f"bellvol {name}" for name in VALID_CALLS)])
 
 
 _MC_FLAG_CASES = [
