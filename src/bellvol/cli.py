@@ -303,20 +303,38 @@ def _cmd_examples(args):
 
 # -- sample-quantum ----------------------------------------------------------
 
+def _sample_line() -> str:
+    """The %-format of one sample-quantum line, derived from the record
+    layout of ``profile_record``: the record is dumped once with markers,
+    then each float marker becomes ``%r`` and each verdict marker ``%s``.
+    Its arguments are the point's four coordinates, then (``"true"`` or
+    ``"false"``, margin) for each verdict in ``PROFILE_ORDER``.  ``%r`` of a
+    finite float is its JSON text, and every value here is finite: the
+    points lie in the cube and each kernel is bounded on it."""
+    value, verdict = "\0value", "\0verdict"
+    text = json.dumps({**dict.fromkeys(_FIELDS, value),
+                       "profile": profile_record([(verdict, value)] * 7)})
+    return (text.replace("%", "%%").replace(json.dumps(value), "%r")
+            .replace(json.dumps(verdict), "%s") + "\n")
+
+
 def _cmd_sample_quantum(args):
     import numpy as np
 
     from . import quantum
     key = np.array([args.seed, 0], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
+    line = _sample_line()
     for start in range(0, args.n, _SAMPLE_BLOCK):
         block = quantum.sample_quantum_points(
             min(_SAMPLE_BLOCK, args.n - start), rng)
         profiles = membership_profiles(block)
-        for row, verdicts in zip(block.tolist(), profiles.verdicts()):
-            rec = dict(zip(_FIELDS, row))
-            rec["profile"] = profile_record(verdicts)
-            print(json.dumps(rec))
+        # one list per format argument, one entry per point
+        columns = block.T.tolist()
+        for inside, margins in zip(profiles.inside, profiles.margins):
+            columns += [[("false", "true")[v] for v in inside.tolist()],
+                        margins.tolist()]
+        sys.stdout.writelines(line % values for values in zip(*columns))
     return 0
 
 

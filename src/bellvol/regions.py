@@ -171,8 +171,12 @@ class _Ops(NamedTuple):
     arcsin: Callable   # arcsin of the four coordinates, clipped to [-1, 1]
 
 
+def _clipped_asin(v: float) -> float:
+    return math.asin(min(1.0, max(-1.0, v)))
+
+
 _SCALAR_OPS = _Ops(max, min, math.sqrt, min, max,
-                   lambda c: tuple(math.asin(min(1.0, max(-1.0, v))) for v in c))
+                   lambda c: tuple(map(_clipped_asin, c)))
 
 
 @functools.cache
@@ -191,29 +195,49 @@ def _array_ops() -> _Ops:
                 arcsin)
 
 
+class _once:
+    """A lazy attribute: the first read calls the method and stores its
+    value in the instance ``__dict__``, which later reads find before this
+    non-data descriptor."""
+
+    def __init__(self, compute: Callable):
+        self.compute, self.name = compute, compute.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value
+
+
 class _Columns:
     """A batch of points, one coordinate per row: a 4-tuple of floats (one
     point) or a (4, m) array (one point per column), with its op table.
     The per-point sum S, minimum and maximum are computed at most once and
-    shared by the C, T and L kernels."""
+    shared by the C, T and L kernels, and only when a kernel reads them.
+
+    The quantities are ``_once`` attributes, which take no lock, unlike
+    ``functools.cached_property`` (an ``RLock`` per first read before
+    Python 3.12): each ``_Columns`` is built within one call and never
+    shared between threads, so a lock would guard nothing."""
 
     def __init__(self, cols, ops: _Ops):
         self.cols, self.ops = cols, ops
 
-    @functools.cached_property
+    @_once
     def total(self):
         c00, c01, c10, c11 = self.cols
         return c00 + c01 + c10 + c11
 
-    @functools.cached_property
+    @_once
     def low(self):
         return self.ops.low(self.cols)
 
-    @functools.cached_property
+    @_once
     def high(self):
         return self.ops.high(self.cols)
 
-    @functools.cached_property
+    @_once
     def chsh_max_abs(self):
         """max_ij |S - 2 c_ij| as max(S - 2 min c, 2 max c - S): exact in
         floating point, as S - 2c is decreasing in c and rounding monotone."""

@@ -1,22 +1,31 @@
 import argparse
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bellvol import cli, polytopes
+from bellvol import cli, polytopes, quantum
 from bellvol.cli import main
-from bellvol.regions import CorrelationPoint, membership_profile
+from bellvol.regions import (
+    _FIELDS,
+    CorrelationPoint,
+    membership_profile,
+    membership_profiles,
+    profile_record,
+)
 
 
 def run_cli(capsys, *argv):
@@ -636,6 +645,60 @@ class TestSampleQuantum:
             assert code == 0 and len(out.splitlines()) == 30
             outputs.append(out)
         assert outputs == [outputs[-1]] * len(outputs)
+
+    # sha256 of the stdout of sample-quantum, written by json.dumps per record
+    @pytest.mark.parametrize("n, seed, digest", [
+        (2000, 1, "9b4027daaa7bd204430e34855572f61a2ac06f1fc14092a89983b1ae7db14c03"),
+        (5000, 77, "171288385c7680b34dcb2d6648e88c6045095cc57eaf8c6e58e9164490d944b9"),
+        # more points than one block
+        (1025, 2026, "14a08ebcccc02947d849ae863d2de6333d62d0bdcd2f40f2d0f33e18f7e5b5ba"),
+    ])
+    def test_output_bytes_are_pinned(self, capsys, n, seed, digest):
+        code, out, _ = run_cli(capsys, "sample-quantum", "--n", str(n),
+                               "--seed", str(seed))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @staticmethod
+    def reference_lines(n, seed, block):
+        """The lines as one json.dumps per record writes them."""
+        rng = np.random.Generator(np.random.Philox(
+            key=np.array([seed, 0], dtype=np.uint64)))
+        lines = []
+        for start in range(0, n, block):
+            pts = quantum.sample_quantum_points(min(block, n - start), rng)
+            for row, verdicts in zip(pts.tolist(),
+                                     membership_profiles(pts).verdicts()):
+                lines.append(json.dumps({**dict(zip(_FIELDS, row)),
+                                         "profile": profile_record(verdicts)}))
+        return lines
+
+    @pytest.mark.parametrize("block", [1, 7, 1024])
+    def test_lines_match_one_dump_per_record(self, capsys, monkeypatch, block):
+        monkeypatch.setattr(cli, "_SAMPLE_BLOCK", block)
+        code, out, _ = run_cli(capsys, "sample-quantum", "--n", "1030",
+                               "--seed", "5")
+        assert code == 0
+        assert out.splitlines() == self.reference_lines(1030, 5, block)
+        assert out.endswith("}\n")
+
+    def test_line_format_has_a_field_per_value(self):
+        line = cli._sample_line()
+        # the four coordinates, then (inside, margin) for each of 7 verdicts
+        assert re.findall("%.", line.replace("%%", "")) == \
+            ["%r"] * 4 + ["%s", "%r"] * 7
+        assert line.endswith("}\n") and line.count("\n") == 1
+
+    @settings(max_examples=500)
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(-0.0)
+    @example(0.0)
+    @example(5e-324)                  # the smallest subnormal
+    @example(-2.225073858507201e-308)  # the largest subnormal, negated
+    @example(1.0)
+    @example(-1.0)
+    def test_repr_of_a_finite_float_is_its_json(self, x):
+        assert "%r" % x == json.dumps(x)
 
 
 def test_closed_stdout_exits_1_without_traceback():

@@ -1,3 +1,4 @@
+import collections
 import copy
 import dataclasses
 import itertools
@@ -552,6 +553,68 @@ def test_profile_checks_its_tolerance_once(monkeypatch):
     monkeypatch.setattr(regions, "check_tolerance", calls.append)
     membership_profile((0.0, 0.0, 0.0, 0.0), 0.5)
     assert calls == [0.5]
+
+
+# --------------------------------------------------------------------------
+# shared quantities of a batch
+# --------------------------------------------------------------------------
+
+_QUANTITIES = ("total", "low", "high", "chsh_max_abs")
+
+
+@pytest.fixture
+def computed(monkeypatch):
+    """(batch, name) for each computation of a shared quantity of a batch."""
+    log = []
+    for name in _QUANTITIES:
+        def counted(batch, compute=vars(regions._Columns)[name].compute,
+                    name=name):
+            log.append((batch, name))
+            return compute(batch)
+        counted.__name__ = name
+        monkeypatch.setattr(regions._Columns, name, regions._once(counted))
+    return log
+
+
+@pytest.mark.parametrize("profile, point", [
+    (membership_profile, (0.3, -0.2, 0.9, 0.1)),
+    (membership_profiles, np.array([[0.3, -0.2, 0.9, 0.1], [1.0, 1.0, 1.0, -1.0]])),
+])
+def test_profile_computes_each_quantity_once_per_batch(computed, profile, point):
+    profile(point)
+    counts = collections.Counter((id(batch), name) for batch, name in computed)
+    assert set(counts.values()) == {1}
+    # the point's batch (C, T, L) and its arcsin batch (Q) each need all four
+    assert len(counts) == 2 * len(_QUANTITIES)
+
+
+class _Watched(np.ndarray):
+    """An array that logs each ufunc applied to it or to a view of it."""
+
+    log: list
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        self.log.append(f"{ufunc.__name__}.{method}")
+        inputs = [x.view(np.ndarray) if isinstance(x, _Watched) else x
+                  for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def test_quantum_margins_never_reduce_the_raw_batch(monkeypatch, computed):
+    # the Monte Carlo stream scores Q alone: the sum, minimum and maximum of
+    # its raw batch are work no kernel reads
+    log = []
+    monkeypatch.setattr(_Watched, "log", log, raising=False)
+    pts = np.array([[0.3, -0.2, 0.9, 0.1], [1.0, 1.0, 1.0, -1.0]])
+    cols = np.ascontiguousarray(pts.T).view(_Watched)
+    (margins,) = column_margins([RegionId.QUANTUM_Q], cols)
+    assert log == ["clip.__call__"]   # the arcsin op's clipped copy alone
+    assert not [name for batch, name in computed if batch.cols is cols]
+    assert margins.tobytes() == \
+        column_margins([RegionId.QUANTUM_Q], pts.T)[0].tobytes()
+    # the log does see a reduction of the raw batch when a kernel needs one
+    column_margins([RegionId.NO_SIGNALING_L], cols)
+    assert {"minimum.reduce", "maximum.reduce"} <= set(log)
 
 
 # --------------------------------------------------------------------------
