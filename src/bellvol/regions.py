@@ -291,11 +291,19 @@ def _region_kernel(region: RegionId, batch: _Columns, char: QCharacterization | 
     raise ValueError(f"unknown region {region!r}")
 
 
+def _finite_at_least(name: str, value: float, low: float) -> float:
+    """``value`` if finite and >= ``low``, else ValueError naming ``name``."""
+    try:
+        if math.isfinite(value) and value >= low:
+            return value
+    except TypeError:  # not a real number: a string, None
+        pass
+    raise ValueError(f"{name} must be finite and >= {low}, got {value!r}")
+
+
 def check_tolerance(tol: float) -> float:
     """Return ``tol``; raise ValueError unless it is finite and >= 0."""
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
-    return tol
+    return _finite_at_least("tolerance", tol, 0)
 
 
 def _index(name: str, value, low: int, high: int | None = None) -> int:

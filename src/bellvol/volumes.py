@@ -7,10 +7,10 @@ land inside it.  This module provides:
 
 * hit-or-miss Monte Carlo volumes and shared-sample ratios (delta-method
   errors), all read off one histogram of per-point membership codes made
-  in one pass over the stream by ``score_stream``.  The stream is one
-  Philox substream per (seed, worker), scored in up to os.cpu_count()
-  processes; integer histograms sum alike in any order, so results are
-  bit-identical for fixed seed/worker_count however the stream is batched,
+  in one pass over the stream by ``score_stream``: one Philox stream per
+  seed, split into point ranges scored in up to os.cpu_count() processes;
+  integer histograms sum alike in any order, so results are bit-identical
+  for a fixed seed, whatever the worker count or batch size,
 * deterministic volumes by quadrature in pair coordinates x = c00 + c11,
   y = c00 - c11, z = c01 - c10, w = c01 + c10 (Jacobian 1/4), in which the
   cube is |x| + |y| <= 2, |z| + |w| <= 2, C and T are |x| + |z| <= B,
@@ -37,8 +37,8 @@ import numpy as np
 
 from .estimates import (ANALYTIC, VolumeEstimate,  # noqa: F401  re-exported
                         exact_region_volume)
-from .regions import (DEFAULT_TOLERANCE, REGION_CHAIN, RegionId, _index,
-                      column_margins)
+from .regions import (DEFAULT_TOLERANCE, REGION_CHAIN, RegionId,
+                      _finite_at_least, _index, column_margins)
 from .regions import region_mask  # noqa: F401  read by bench/tracer.py
 
 SQRT2 = math.sqrt(2.0)
@@ -56,12 +56,12 @@ class ToleranceNotMet(RuntimeError):
 class EstimatorConfig:
     """Sampling parameters for the Monte Carlo estimators.
 
-    ``worker_count`` partitions the sample budget into independent
-    counter-based substreams keyed by (seed, worker index); their integer
-    histograms are summed, so estimates are bit-identical for fixed (seed,
-    worker_count, sample_count) regardless of scheduling.  The three fields
-    follow the integer contract of ``regions._index``: ``sample_count`` and
-    ``worker_count`` >= 1, ``seed`` in [0, 2**64).
+    ``worker_count`` only sets speed: it caps the processes that score
+    contiguous ranges of the one stream keyed by ``seed``, so estimates are
+    bit-identical for a fixed (seed, sample_count), whatever
+    ``worker_count``.  The three fields follow the integer contract of
+    ``regions._index``: ``sample_count`` and ``worker_count`` >= 1, ``seed``
+    in [0, 2**64).
     """
 
     sample_count: int = 10_000_000
@@ -87,7 +87,7 @@ def __getattr__(name: str):
 # Monte Carlo engine
 # --------------------------------------------------------------------------
 
-#: Points a substream draws and scores at a time: bounds memory, and cannot
+#: Points a process draws and scores at a time: bounds memory, and cannot
 #: change a result, as the batches' histograms add alike in any split.
 #: 16 384 was the fastest of 4096, 8192, ..., 65 536 on the `mc` benchmark
 #: (BENCH_12.json): a batch's temporaries (128 KiB per margin) then stay in
@@ -96,37 +96,31 @@ def __getattr__(name: str):
 _BATCH = 16_384
 
 
-def _score_substreams(cfg: EstimatorConfig, regions: tuple[RegionId, ...],
-                      workers: range) -> np.ndarray:
-    """Membership-code histogram of the substreams of ``workers``.
+def _score_points(cfg: EstimatorConfig, regions: tuple[RegionId, ...],
+                  points: range) -> np.ndarray:
+    """Membership-code histogram of the stream's points ``points``.
 
-    Worker w draws its share of the sample budget from Philox keyed by
-    (seed, w), ``_BATCH`` points at a time, exactly as
-    ``2 * random((m, 4)) - 1``; the batch is scored in column layout.  A
-    point is inside a region when its margin is >= -DEFAULT_TOLERANCE.
-    The draw and column buffers are allocated once per call and reused by
-    every batch.
+    The stream is Philox keyed by (seed, 0); one counter step draws one
+    point, so the generator is advanced to ``points.start`` and then drawn
+    ``_BATCH`` points at a time, exactly as ``2 * random((m, 4)) - 1``; the
+    batch is scored in column layout.  A point is inside a region when its
+    margin is >= -DEFAULT_TOLERANCE.  The draw and column buffers are
+    allocated once per call and reused by every batch.
     """
-    base, extra = divmod(cfg.sample_count, cfg.worker_count)
     hist = np.zeros(1 << len(regions), dtype=np.int64)
-    size = 4 * min(_BATCH, base + (extra > 0))
+    size = 4 * min(_BATCH, len(points))
     draws, columns = np.empty(size), np.empty(size)
-    for worker in workers:
-        remaining = base + (worker < extra)
-        if remaining == 0:
-            break  # shares do not grow with the worker index
-        key = np.array([cfg.seed, worker], dtype=np.uint64)
-        gen = np.random.Generator(np.random.Philox(key=key))
-        while remaining > 0:
-            m = min(_BATCH, remaining)
-            raw = gen.random(out=draws[:4 * m].reshape(m, 4))
-            cols = np.multiply(raw.T, 2.0, out=columns[:4 * m].reshape(4, m))
-            cols -= 1.0
-            code = np.zeros(m, dtype=np.uint8)
-            for bit, margin in enumerate(column_margins(regions, cols)):
-                code |= (margin >= -DEFAULT_TOLERANCE).view(np.uint8) << bit
-            hist += np.bincount(code, minlength=len(hist))
-            remaining -= m
+    key = np.array([cfg.seed, 0], dtype=np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=key).advance(points.start))
+    for start in range(points.start, points.stop, _BATCH):
+        m = min(_BATCH, points.stop - start)
+        raw = gen.random(out=draws[:4 * m].reshape(m, 4))
+        cols = np.multiply(raw.T, 2.0, out=columns[:4 * m].reshape(4, m))
+        cols -= 1.0
+        code = np.zeros(m, dtype=np.uint8)
+        for bit, margin in enumerate(column_margins(regions, cols)):
+            code |= (margin >= -DEFAULT_TOLERANCE).view(np.uint8) << bit
+        hist += np.bincount(code, minlength=len(hist))
     return hist
 
 
@@ -136,16 +130,17 @@ def score_stream(cfg: EstimatorConfig,
 
     Bit k of a point's membership code is set when the point lies in
     ``regions[k]``; entry c of the returned int64 array counts the points
-    with code c, so the entries sum to ``cfg.sample_count``.  With
-    ``worker_count`` > 1 the substreams are split into contiguous ranges,
-    one per process, over min(worker_count, os.cpu_count()) processes.
+    with code c, so the entries sum to n = ``cfg.sample_count``.  The
+    points [0, n) are split into contiguous ranges, one per process, over
+    min(worker_count, os.cpu_count(), n) processes: bit-identical for a
+    fixed seed, whatever ``worker_count``.
     """
     regions = tuple(regions)
     if len(regions) > 8:
         raise ValueError("score_stream takes at most 8 regions")
-    procs = min(cfg.worker_count, os.cpu_count() or 1)
+    procs = min(cfg.worker_count, os.cpu_count() or 1, cfg.sample_count)
     if procs == 1:
-        return _score_substreams(cfg, regions, range(cfg.worker_count))
+        return _score_points(cfg, regions, range(cfg.sample_count))
     import multiprocessing
     import threading
     from concurrent.futures import ProcessPoolExecutor
@@ -156,9 +151,9 @@ def score_stream(cfg: EstimatorConfig,
     fork = (threading.active_count() == 1
             and "fork" in multiprocessing.get_all_start_methods())
     context = multiprocessing.get_context("fork" if fork else "spawn")
-    cuts = [cfg.worker_count * k // procs for k in range(procs + 1)]
+    cuts = [cfg.sample_count * k // procs for k in range(procs + 1)]
     with ProcessPoolExecutor(procs, mp_context=context) as pool:
-        parts = [pool.submit(_score_substreams, cfg, regions, range(a, b))
+        parts = [pool.submit(_score_points, cfg, regions, range(a, b))
                  for a, b in zip(cuts, cuts[1:])]
         return sum(part.result() for part in parts)
 
@@ -367,11 +362,8 @@ def _disk_cells(t: np.ndarray):
 
 
 def check_abs_tol(abs_tol: float) -> float:
-    """Return ``abs_tol``; raise ValueError unless the quadrature can honour
-    it."""
-    if not (math.isfinite(abs_tol) and abs_tol >= _QUADRATURE_MIN_TOL):
-        raise ValueError(f"abs_tol must be finite and >= {_QUADRATURE_MIN_TOL}")
-    return abs_tol
+    """Return ``abs_tol``; ValueError unless the quadrature can honour it."""
+    return _finite_at_least("abs_tol", abs_tol, _QUADRATURE_MIN_TOL)
 
 
 def quadrature_volume(region: RegionId, abs_tol: float = 1e-6) -> VolumeEstimate:
@@ -434,7 +426,6 @@ def headline_report(cfg: EstimatorConfig | None = None) -> dict:
     return {
         "n": cfg.sample_count,
         "seed": cfg.seed,
-        "worker_count": cfg.worker_count,
         "volumes": volumes,
         "ratios": ratios,
         "excesses": excesses,

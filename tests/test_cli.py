@@ -470,6 +470,19 @@ class TestRatios:
         assert out1 == out2
 
 
+@pytest.mark.parametrize("command", [
+    ["ratios"], ["volume", "--region", "Q", "--method", "mc"]])
+def test_output_does_not_depend_on_workers(capsys, monkeypatch, command):
+    # --workers only sets speed: 2 workers score the one stream in two
+    # processes (cpu_count is raised so that they do) and print its bytes
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    outs = [run_cli(capsys, *command, "--n", "20000", "--seed", "3",
+                    "--format", "json", "--workers", workers)
+            for workers in ("1", "2")]
+    assert outs[0][0] == 0 and outs[0][1]
+    assert outs[1] == outs[0]
+
+
 class TestPolytope:
     def test_ns_counts_line(self, capsys):
         code, out, _ = run_cli(capsys, "polytope", "--which", "ns",

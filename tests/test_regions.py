@@ -531,7 +531,8 @@ def test_non_finite_points_are_rejected(c, k, bad):
             region_margins(RegionId.QUANTUM_Q, rows, char)
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, "0.1",
+                                 None])
 def test_tolerance_outside_contract_is_rejected(tol):
     origin, rows = (0.0, 0.0, 0.0, 0.0), np.zeros((3, 4))
     with pytest.raises(ValueError, match="tolerance"):

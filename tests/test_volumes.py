@@ -162,8 +162,9 @@ class TestReproducibility:
         hists = []
         for batch in (100_000, 7_777):
             with mock.patch.object(volumes, "_BATCH", batch):
-                hists.append(volumes._score_substreams(
-                    cfg, (RegionId.QUANTUM_Q,), range(4)).tolist())
+                hists.append(volumes._score_points(
+                    cfg, (RegionId.QUANTUM_Q,),
+                    range(cfg.sample_count)).tolist())
         assert hists[0] == hists[1]
 
     @settings(deadline=None, max_examples=25)
@@ -172,20 +173,38 @@ class TestReproducibility:
     def test_estimates_do_not_depend_on_batch_size(self, seed, n, batch,
                                                    workers):
         cfg = EstimatorConfig(sample_count=n, seed=seed, worker_count=workers)
-        base = volumes._score_substreams(cfg, CHAIN, range(workers))
+        base = volumes._score_points(cfg, CHAIN, range(cfg.sample_count))
         with mock.patch.object(volumes, "_BATCH", batch):
-            alt = volumes._score_substreams(cfg, CHAIN, range(workers))
+            alt = volumes._score_points(cfg, CHAIN, range(cfg.sample_count))
         assert base.tolist() == alt.tolist()
 
-    def test_stream_is_pinned(self):
-        # the histogram of a fixed (seed, worker_count) stream, pinned so that
-        # a change to the drawn points or to their verdicts shows;
-        # 250 007 points leave a partial last batch in every substream
-        cfg = EstimatorConfig(sample_count=250_007, seed=0, worker_count=3)
-        hist = score_stream(cfg, CHAIN)
-        assert {code: count for code, count in enumerate(hist.tolist())
-                if count} == {16: 9940, 24: 2721, 28: 6009, 30: 64554,
-                              31: 166783}
+    @settings(deadline=None, max_examples=25)
+    @given(st.integers(0, 2 ** 64 - 1), st.integers(1, 3000),
+           st.lists(st.floats(0.0, 1.0), max_size=5), st.integers(1, 3000))
+    def test_point_ranges_sum_to_the_whole_stream(self, seed, n, fractions,
+                                                  batch):
+        # any split of [0, n) into contiguous ranges, scored at any batch
+        # size, adds up to the histogram of the whole range
+        cfg = EstimatorConfig(sample_count=n, seed=seed)
+        cuts = [0, *sorted(int(f * n) for f in fractions), n]
+        whole = volumes._score_points(cfg, CHAIN, range(n))
+        with mock.patch.object(volumes, "_BATCH", batch):
+            parts = sum(volumes._score_points(cfg, CHAIN, range(a, b))
+                        for a, b in zip(cuts, cuts[1:]))
+        assert parts.tolist() == whole.tolist()
+
+    def test_stream_is_pinned(self, monkeypatch):
+        # the histogram of a fixed seed's stream, pinned so that a change to
+        # the drawn points or to their verdicts shows; 250 007 points leave
+        # a partial last batch in every process's range
+        monkeypatch.setattr(volumes.os, "cpu_count", lambda: 3)
+        for workers in (1, 2, 3):
+            cfg = EstimatorConfig(sample_count=250_007, seed=0,
+                                  worker_count=workers)
+            hist = score_stream(cfg, CHAIN)
+            assert {code: count for code, count in enumerate(hist.tolist())
+                    if count} == {16: 9848, 24: 2695, 28: 6003, 30: 64663,
+                                  31: 166798}, workers
 
     def test_different_seeds_differ(self):
         a = mc_volume(RegionId.LOCAL_C, EstimatorConfig(sample_count=100_000, seed=1))
@@ -227,11 +246,14 @@ class TestScoreStream:
 
     @settings(deadline=None, max_examples=10)
     @given(st.integers(0, 2 ** 64 - 1), st.integers(1, 5000),
-           st.sampled_from([2, 3]))
-    def test_pool_matches_in_process_scoring(self, seed, n, workers):
+           st.sampled_from([2, 3, 4]), st.integers(1, 3000))
+    def test_pool_matches_in_process_scoring(self, seed, n, workers, batch):
+        # the worker count and the batch size only set speed: the pooled
+        # histogram is that of the whole range in one process
         cfg = EstimatorConfig(sample_count=n, seed=seed, worker_count=workers)
-        serial = volumes._score_substreams(cfg, CHAIN, range(workers))
-        with mock.patch.object(volumes.os, "cpu_count", lambda: workers):
+        serial = volumes._score_points(cfg, CHAIN, range(cfg.sample_count))
+        with mock.patch.object(volumes.os, "cpu_count", lambda: workers), \
+                mock.patch.object(volumes, "_BATCH", batch):
             pooled = score_stream(cfg, CHAIN)
         assert pooled.tolist() == serial.tolist()
 
@@ -258,8 +280,8 @@ class TestScoreStream:
             thread.join(timeout=10)
         assert not thread.is_alive()
         assert methods == ["spawn"]
-        assert pooled.tolist() == volumes._score_substreams(
-            cfg, CHAIN, range(2)).tolist()
+        assert pooled.tolist() == volumes._score_points(
+            cfg, CHAIN, range(cfg.sample_count)).tolist()
 
     def test_process_count_capped_at_cpu_count(self, monkeypatch):
         import concurrent.futures
@@ -276,8 +298,22 @@ class TestScoreStream:
         cfg = EstimatorConfig(sample_count=1000, seed=3, worker_count=100_000)
         hist = score_stream(cfg, [RegionId.LOCAL_C])
         assert len(sizes) <= 1 and all(k <= os.cpu_count() for k in sizes)
-        assert hist.tolist() == volumes._score_substreams(
-            cfg, (RegionId.LOCAL_C,), range(cfg.worker_count)).tolist()
+        assert hist.tolist() == volumes._score_points(
+            cfg, (RegionId.LOCAL_C,), range(cfg.sample_count)).tolist()
+
+    def test_no_process_for_an_empty_range(self, monkeypatch):
+        import concurrent.futures
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a pool was opened for one point")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(volumes.os, "cpu_count", lambda: 4)
+        cfg = EstimatorConfig(sample_count=1, seed=5, worker_count=4)
+        hist = score_stream(cfg, CHAIN)
+        assert hist.tolist() == volumes._score_points(
+            cfg, CHAIN, range(1)).tolist()
+        assert hist.sum() == 1
 
     def test_rejects_more_than_eight_regions(self):
         with pytest.raises(ValueError):
@@ -369,6 +405,9 @@ class TestQuadrature:
         lambda: quadrature_volume(RegionId.LOCAL_C, abs_tol=math.nan),
         lambda: quadrature_volume(RegionId.UFFINK_U, abs_tol=math.nan),
         lambda: quadrature_volume(RegionId.NO_SIGNALING_L, abs_tol=math.inf),
+        lambda: quadrature_volume(RegionId.LOCAL_C, abs_tol="1e-6"),
+        lambda: quadrature_volume(RegionId.LOCAL_C, abs_tol=None),
+        lambda: quadrature_volume(RegionId.NO_SIGNALING_L, abs_tol="1e-6"),
     ])
     def test_rejects_non_finite_input(self, call):
         with pytest.raises(ValueError):
