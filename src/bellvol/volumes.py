@@ -17,8 +17,10 @@ land inside it.  This module provides:
   |y| + |w| <= B, U is x^2 + z^2 <= 4, y^2 + w^2 <= 4, and Q is the L1 case
   in arcsin coordinates with weight (cos x + cos y)(cos z + cos w)/4.  The
   (y, w) slice has a closed-form measure; the (x, z) integral uses tensor
-  Gauss-Legendre rules on kink-aligned cells, doubling the order n until
-  orders n and 2n agree within the tolerance, and reports that difference,
+  Gauss-Legendre rules on kink-aligned cells, doubling the order n from 8
+  to at most 64 until orders n and 2n agree within the tolerance, and
+  reports that difference; the rules come from a stored table, equal bit
+  for bit to numpy's, so no call computes one,
 * the headline table: every estimate beside its closed form in ``ANALYTIC``.
 
 The record type, the closed forms and the exact rational volumes compute no
@@ -225,7 +227,81 @@ def ratio_estimate(region_a: RegionId, region_b: RegionId,
 # --------------------------------------------------------------------------
 
 _QUADRATURE_MIN_TOL = 1e-9
-_GL_ORDERS = (8, 16, 32, 64, 128)
+#: At every accepted abs_tol, C, Q and T stop at order 16 and U at 16 or 32;
+#: order 64 is one level of headroom.
+_GL_ORDERS = (8, 16, 32, 64)
+
+#: The negative nodes and their weights of each Gauss-Legendre rule in
+#: ``_GL_ORDERS``, bit for bit as numpy computes the rule.  numpy makes the
+#: nodes exactly antisymmetric and the weights exactly symmetric, so
+#: ``_gauss_legendre`` restores the whole rule by mirroring.  Printed by
+#: this command, then indented under ``_GL_HALF = ``:
+# python -c "import numpy as np, pprint; pprint.pprint({n: tuple(tuple(map(float, a[:n // 2])) for a in np.polynomial.legendre.leggauss(n)) for n in (8, 16, 32, 64)}, compact=True, width=68)"
+_GL_HALF = {8: ((-0.9602898564975362, -0.7966664774136267, -0.525532409916329,
+                 -0.18343464249564978),
+                (0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
+                 0.36268378337836166)),
+            16: ((-0.9894009349916499, -0.9445750230732326,
+                  -0.8656312023878318, -0.755404408355003, -0.6178762444026438,
+                  -0.45801677765722737, -0.2816035507792589,
+                  -0.09501250983763744),
+                 (0.027152459411754176, 0.062253523938647456,
+                  0.0951585116824926, 0.12462897125553407, 0.1495959888165767,
+                  0.16915651939500265, 0.18260341504492364,
+                  0.18945061045506864)),
+            32: ((-0.9972638618494816, -0.9856115115452684,
+                  -0.9647622555875064, -0.9349060759377397,
+                  -0.8963211557660521, -0.84936761373257, -0.7944837959679424,
+                  -0.7321821187402897, -0.6630442669302152,
+                  -0.5877157572407623, -0.5068999089322294,
+                  -0.42135127613063533, -0.33186860228212767,
+                  -0.23928736225213706, -0.1444719615827965,
+                  -0.048307665687738324),
+                 (0.007018610009470506, 0.016274394730905743,
+                  0.025392065309262024, 0.034273862913021765,
+                  0.042835898022226836, 0.05099805926237609,
+                  0.058684093478535565, 0.06582222277636168,
+                  0.07234579410884834, 0.07819389578707023,
+                  0.08331192422694671, 0.08765209300440378,
+                  0.09117387869576378, 0.09384439908080451,
+                  0.09563872007927471, 0.09654008851472766)),
+            64: ((-0.9993050417357722, -0.9963401167719552,
+                  -0.9910133714767443, -0.983336253884626, -0.973326827789911,
+                  -0.9610087996520538, -0.9464113748584028,
+                  -0.9295691721319396, -0.9105221370785028,
+                  -0.8893154459951141, -0.8659993981540928,
+                  -0.8406292962525803, -0.8132653151227975,
+                  -0.7839723589433414, -0.7528199072605319,
+                  -0.7198818501716109, -0.6852363130542333,
+                  -0.6489654712546573, -0.6111553551723933, -0.571895646202634,
+                  -0.5312794640198946, -0.48940314570705296,
+                  -0.4463660172534641, -0.4022701579639916,
+                  -0.3572201583376681, -0.31132287199021097,
+                  -0.2646871622087674, -0.21742364374000708,
+                  -0.16964442042399283, -0.12146281929612054,
+                  -0.07299312178779904, -0.02435029266342443),
+                 (0.00178328072169414, 0.004147033260564499,
+                  0.006504457968978502, 0.008846759826363397,
+                  0.011168139460131028, 0.01346304789671786,
+                  0.01572603047602503, 0.017951715775697284,
+                  0.020134823153530088, 0.02227017380838297,
+                  0.0243527025687112, 0.02637746971505491,
+                  0.028339672614259535, 0.030234657072402554,
+                  0.032057928354851495, 0.033805161837141794,
+                  0.0354722132568823, 0.03705512854024009, 0.03855015317861564,
+                  0.039953741132720544, 0.041262563242623576,
+                  0.04247351512365361, 0.04358372452932355,
+                  0.044590558163756566, 0.045491627927418184,
+                  0.04628479658131447, 0.046968182816210076,
+                  0.04754016571483042, 0.04799938859645842,
+                  0.048344762234802996, 0.04857546744150351,
+                  0.048690957009139814))}
+
+
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the order-n Gauss-Legendre rule on [-1, 1]."""
+    t, w = (np.array(half) for half in _GL_HALF[n])
+    return np.concatenate((t, -t[::-1])), np.concatenate((w, w[::-1]))
 
 
 def _pair_quadrature(cells, slice_fn, abs_tol: float) -> tuple[float, float]:
@@ -239,7 +315,7 @@ def _pair_quadrature(cells, slice_fn, abs_tol: float) -> tuple[float, float]:
     n and 2n agree within ``abs_tol``; returns Q_2n and |Q_n - Q_2n|.
     """
     def rule(n: int) -> float:
-        t, w = np.polynomial.legendre.leggauss(n)
+        t, w = _gauss_legendre(n)
         t, w = 0.5 * (t + 1.0), 0.5 * w
         return math.fsum(float(w @ (jac * slice_fn(x, z)) @ w)
                          for x, z, jac in cells(t))
@@ -390,11 +466,17 @@ def quadrature_volume(region: RegionId, abs_tol: float = 1e-6) -> VolumeEstimate
 # --------------------------------------------------------------------------
 
 def _row(value: float, std_error: float, analytic: float) -> dict:
-    """An estimate beside its closed form, the deviation in standard errors
-    (None for an exact estimate)."""
+    """An estimate beside its closed form and the deviation in standard
+    errors: None for an exact estimate, and +-inf for one whose standard
+    error is 0 (no hit, or all hits) while it misses its closed form."""
+    if std_error:
+        deviation = (value - analytic) / std_error
+    elif value == analytic:
+        deviation = None
+    else:
+        deviation = math.copysign(math.inf, value - analytic)
     return {"value": value, "std_error": std_error, "analytic": analytic,
-            "deviation_sigmas": (value - analytic) / std_error
-            if std_error else None}
+            "deviation_sigmas": deviation}
 
 
 def headline_report(cfg: EstimatorConfig | None = None) -> dict:

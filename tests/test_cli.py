@@ -462,6 +462,28 @@ class TestRatios:
         # only the cube volume is exact, with no deviation to report
         assert [r["name"] for r in rows if not r["deviation_sigmas"]] == ["V_L"]
 
+    def test_zero_error_rows_that_miss_their_closed_form(self, capsys):
+        # the one sample of seed 9 lies in every region: each row has
+        # standard error 0, and only the cube's V_L = 16 is exact; every
+        # other row misses its closed form by infinitely many sigmas
+        argv = ("ratios", "--n", "1", "--seed", "9")
+        code, text, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        report = json.loads(text)
+        rows = {**{f"V_{k}": r for k, r in report["volumes"].items()},
+                **report["ratios"], **report["excesses"]}
+        assert all(r["std_error"] == 0.0 for r in rows.values())
+        assert rows.pop("V_L")["deviation_sigmas"] is None
+        assert rows["V_C"]["value"] == 16.0
+        for r in rows.values():
+            assert r["deviation_sigmas"] == math.copysign(
+                math.inf, r["value"] - r["analytic"])
+        _, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        signs = {r["name"]: r["deviation_sigmas"]
+                 for r in csv.DictReader(io.StringIO(out))}
+        assert signs == {"V_L": "", **{name: "inf" if r["value"] > r["analytic"]
+                                       else "-inf" for name, r in rows.items()}}
+
     def test_byte_identical_reruns(self, capsys):
         _, out1, _ = run_cli(capsys, "ratios", "--n", "20000", "--seed", "3",
                              "--format", "json")

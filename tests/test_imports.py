@@ -131,3 +131,19 @@ def test_array_modules_resolve_after_a_plain_import():
 def test_public_name_is_its_home_modules_object(home, name):
     module = importlib.import_module(f"bellvol.{home}")
     assert getattr(bellvol, name) is getattr(module, name)
+
+
+def test_quadrature_builds_no_rule_with_numpy_polynomial():
+    # the Gauss-Legendre rules are a stored table: even U at 1e-9, which
+    # reaches order 32, must not load numpy.polynomial (leggauss)
+    proc = _python(textwrap.dedent("""
+        import contextlib, io, sys
+        from bellvol.cli import main
+        argv = ["volume", "--region", "U", "--method", "quadrature",
+                "--abs-tol", "1e-9"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        assert "numpy" in sys.modules
+        assert "numpy.polynomial" not in sys.modules
+    """))
+    assert proc.returncode == 0, proc.stderr

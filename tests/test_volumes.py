@@ -361,6 +361,50 @@ class TestCltCalibration:
         assert abs(empirical - reported) / reported < 0.30
 
 
+class TestGaussLegendreTable:
+    """``volumes._GL_HALF`` stores half of each rule of numpy's ``leggauss``;
+    ``_gauss_legendre`` mirrors it back to the whole rule."""
+
+    def test_table_covers_every_order(self):
+        assert set(volumes._GL_ORDERS) <= set(volumes._GL_HALF)
+
+    @pytest.mark.parametrize("n", volumes._GL_ORDERS)
+    def test_rule_is_leggauss(self, n):
+        # bit for bit where tabulated; another LAPACK may round the
+        # eigenvalues of leggauss differently by an ulp or so
+        t, w = volumes._gauss_legendre(n)
+        live_t, live_w = np.polynomial.legendre.leggauss(n)
+        np.testing.assert_array_max_ulp(t, live_t, maxulp=4)
+        np.testing.assert_array_max_ulp(w, live_w, maxulp=4)
+
+    @pytest.mark.parametrize("n", volumes._GL_ORDERS)
+    def test_rule_is_exactly_symmetric(self, n):
+        t, w = volumes._gauss_legendre(n)
+        assert len(t) == len(w) == n
+        assert np.array_equal(t, -t[::-1]) and np.array_equal(w, w[::-1])
+        assert np.all(np.diff(t) > 0) and np.all(w > 0)
+
+    @pytest.mark.parametrize("n", volumes._GL_ORDERS)
+    def test_rule_integrates_even_powers(self, n):
+        # exact up to degree 2n - 1; odd powers vanish by the symmetry
+        t, w = volumes._gauss_legendre(n)
+        for k in range(n):
+            assert abs(float(w @ t ** (2 * k)) - 2.0 / (2 * k + 1)) <= 1e-14
+
+    @pytest.mark.parametrize("abs_tol", [1e-7, 1e-9])
+    @pytest.mark.parametrize("region", CHAIN[:4])
+    def test_volumes_match_live_leggauss_rules(self, monkeypatch, region,
+                                               abs_tol):
+        stored = quadrature_volume(region, abs_tol=abs_tol)
+        live = {n: tuple(a[:n // 2]
+                         for a in np.polynomial.legendre.leggauss(n))
+                for n in volumes._GL_ORDERS}
+        monkeypatch.setattr(volumes, "_GL_HALF", live)
+        est = quadrature_volume(region, abs_tol=abs_tol)
+        assert abs(est.value - stored.value) <= 1e-13
+        assert abs(est.error_bound - stored.error_bound) <= 1e-13
+
+
 class TestQuadrature:
     def test_quantum_volume_hits_closed_form(self):
         est = quadrature_volume(RegionId.QUANTUM_Q, abs_tol=1e-9)
