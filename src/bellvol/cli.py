@@ -111,8 +111,8 @@ _point = _argument(_parse_point)
 
 @_argument
 def _abs_tol(text: str) -> float:
-    from . import volumes
-    return volumes.check_abs_tol(_number(float, text))
+    from .estimates import check_abs_tol
+    return check_abs_tol(_number(float, text))
 
 
 def _workers_from_env(args) -> None:

@@ -1,11 +1,13 @@
 """Volume records, closed forms and exact volumes: the half of volume
 estimation that computes no arrays, so ``volume --method exact`` runs
-without numpy.  :mod:`bellvol.volumes` re-exports all three names.
+without numpy.  :mod:`bellvol.volumes` re-exports these names.
 
 * ``VolumeEstimate``, the value-with-error record every method returns,
 * ``ANALYTIC``, the closed-form constants the estimates are compared against,
 * ``exact_region_volume``, the rational volumes of C and L by the polytope
-  engine.
+  engine,
+* ``check_abs_tol``, the contract of a quadrature tolerance, so the CLI
+  checks ``--abs-tol`` before it knows whether numpy is needed.
 
 Closed forms: V_C = 32/3, V_L = 16, V_Q = 3*pi^2/2,
 V_T = (768*sqrt(2) - 1040)/3 and V_U = 32*pi - 256/3.  Both T and U are the
@@ -33,7 +35,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from . import polytopes
-from .regions import RegionId
+from .regions import RegionId, _finite_at_least
 
 #: Closed-form volumes of the five regions and the three headline ratios.
 ANALYTIC = MappingProxyType({
@@ -41,11 +43,22 @@ ANALYTIC = MappingProxyType({
     "V_L": 2.0 ** 4,
     "V_Q": 1.5 * math.pi ** 2,
     "V_U": 32.0 * math.pi - 256.0 / 3.0,
-    "V_T": (768.0 * math.sqrt(2.0) - 1040.0) / 3.0,
+    # (768*sqrt(2) - 1040)/3 times (768*sqrt(2) + 1040) over itself: the
+    # difference would cancel 768*sqrt(2) ~ 1086 against 1040 (24 ulp off)
+    "V_T": 98048.0 / (3.0 * (768.0 * math.sqrt(2.0) + 1040.0)),
     "ratio_QC": (3.0 * math.pi / 8.0) ** 2,
     "ratio_QL": 3.0 * math.pi ** 2 / 32.0,
     "ratio_CL": 2.0 / 3.0,
 })
+
+
+#: The smallest ``abs_tol`` the quadrature accepts.
+_QUADRATURE_MIN_TOL = 1e-9
+
+
+def check_abs_tol(abs_tol: float) -> float:
+    """Return ``abs_tol``; ValueError unless the quadrature can honour it."""
+    return _finite_at_least("abs_tol", abs_tol, _QUADRATURE_MIN_TOL)
 
 
 @dataclass(frozen=True)

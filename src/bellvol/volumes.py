@@ -23,8 +23,9 @@ land inside it.  This module provides:
   for bit to numpy's, so no call computes one,
 * the headline table: every estimate beside its closed form in ``ANALYTIC``.
 
-The record type, the closed forms and the exact rational volumes compute no
-arrays; they live in :mod:`bellvol.estimates` and are re-exported here.
+The record type, the closed forms, the exact rational volumes and the
+``abs_tol`` check compute no arrays; they live in :mod:`bellvol.estimates`
+and are re-exported here.
 """
 
 from __future__ import annotations
@@ -38,9 +39,9 @@ from typing import Sequence
 import numpy as np
 
 from .estimates import (ANALYTIC, VolumeEstimate,  # noqa: F401  re-exported
+                        _QUADRATURE_MIN_TOL, check_abs_tol,
                         exact_region_volume)
-from .regions import (DEFAULT_TOLERANCE, REGION_CHAIN, RegionId,
-                      _finite_at_least, _index, column_margins)
+from .regions import REGION_CHAIN, RegionId, _index, column_verdicts
 from .regions import region_mask  # noqa: F401  read by bench/tracer.py
 
 SQRT2 = math.sqrt(2.0)
@@ -105,23 +106,34 @@ def _score_points(cfg: EstimatorConfig, regions: tuple[RegionId, ...],
     The stream is Philox keyed by (seed, 0); one counter step draws one
     point, so the generator is advanced to ``points.start`` and then drawn
     ``_BATCH`` points at a time, exactly as ``2 * random((m, 4)) - 1``; the
-    batch is scored in column layout.  A point is inside a region when its
-    margin is >= -DEFAULT_TOLERANCE.  The draw and column buffers are
-    allocated once per call and reused by every batch.
+    batch is scored in column layout by ``column_verdicts``.  A point is
+    inside a region when its margin is >= -DEFAULT_TOLERANCE.  Q is decided
+    by Landau's form f = (sqrt X + sqrt Y)^2 - a^2 instead: inside when
+    f >= 0 where |f| exceeds a band of 1e-9, which gives the same verdict,
+    and by the arcsin margin for the few points within the band.
+
+    The column buffer is allocated once per call.  Each batch draws into a
+    fresh 512 KiB block, freed as soon as it is transposed: glibc maps the
+    first on its own, and freeing it raises its trim threshold to 1 MiB,
+    above the rest of a batch's temporaries.  With one reused draw buffer
+    nothing that large was freed, and whether glibc returned the heap top
+    to the system every batch hung on the order of the batch's frees: a
+    fresh ``volume --region T --method mc --n 10000000`` took ~100k minor
+    faults with ``column_verdicts`` and a reused buffer, ~3k with this.
     """
     hist = np.zeros(1 << len(regions), dtype=np.int64)
-    size = 4 * min(_BATCH, len(points))
-    draws, columns = np.empty(size), np.empty(size)
+    columns = np.empty(4 * min(_BATCH, len(points)))
     key = np.array([cfg.seed, 0], dtype=np.uint64)
     gen = np.random.Generator(np.random.Philox(key=key).advance(points.start))
     for start in range(points.start, points.stop, _BATCH):
         m = min(_BATCH, points.stop - start)
-        raw = gen.random(out=draws[:4 * m].reshape(m, 4))
+        raw = gen.random((m, 4))
         cols = np.multiply(raw.T, 2.0, out=columns[:4 * m].reshape(4, m))
+        del raw
         cols -= 1.0
         code = np.zeros(m, dtype=np.uint8)
-        for bit, margin in enumerate(column_margins(regions, cols)):
-            code |= (margin >= -DEFAULT_TOLERANCE).view(np.uint8) << bit
+        for bit, inside in enumerate(column_verdicts(regions, cols)):
+            code |= inside.view(np.uint8) << bit
         hist += np.bincount(code, minlength=len(hist))
     return hist
 
@@ -226,7 +238,6 @@ def ratio_estimate(region_a: RegionId, region_b: RegionId,
 # deterministic quadrature in pair coordinates
 # --------------------------------------------------------------------------
 
-_QUADRATURE_MIN_TOL = 1e-9
 #: At every accepted abs_tol, C, Q and T stop at order 16 and U at 16 or 32;
 #: order 64 is one level of headroom.
 _GL_ORDERS = (8, 16, 32, 64)
@@ -435,11 +446,6 @@ def _disk_cells(t: np.ndarray):
     z_edge = 2.0 * np.cos(phi) * np.sqrt(1.0 + s * s)
     yield x, z_kink * t * t, dx * 2.0 * z_kink * t
     yield x, z_kink + (z_edge - z_kink) * t, dx * (z_edge - z_kink)
-
-
-def check_abs_tol(abs_tol: float) -> float:
-    """Return ``abs_tol``; ValueError unless the quadrature can honour it."""
-    return _finite_at_least("abs_tol", abs_tol, _QUADRATURE_MIN_TOL)
 
 
 def quadrature_volume(region: RegionId, abs_tol: float = 1e-6) -> VolumeEstimate:

@@ -54,6 +54,8 @@ NUMPY_FREE = [
       for task in ("vertices", "facets", "counts", "volume")],
     *[(["volume", "--region", region, "--method", "exact", "--format", fmt], 0)
       for region in ("C", "L") for fmt in ("table", "json", "csv")],
+    # --abs-tol is checked by the numpy-free estimates, whatever the method
+    (["volume", "--region", "C", "--method", "exact", "--abs-tol", "1e-6"], 0),
     (["volume", "--region", "Q", "--method", "exact"], 2),
     (["membership", "--point", "2,0,0,0"], 2),
     (["distance", "--from", "0,0,0,0", "--to", "0,nan,0,0"], 2),

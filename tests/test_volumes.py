@@ -1,6 +1,7 @@
 import math
 import os
 import threading
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from unittest import mock
 
@@ -39,8 +40,10 @@ CHAIN = (RegionId.LOCAL_C, RegionId.QUANTUM_Q, RegionId.UFFINK_U,
 
 V_Q = 1.5 * math.pi ** 2
 V_C = 32.0 / 3.0
-# the cube minus eight disjoint Irwin-Hall corners (volumes module docstring)
-V_T_CLOSED_FORM = (768.0 * math.sqrt(2.0) - 1040.0) / 3.0
+# the cube minus eight disjoint Irwin-Hall corners (estimates module
+# docstring), (768*sqrt(2) - 1040)/3, written without the difference, which
+# cancels 768*sqrt(2) against 1040; pinned to 40 digits in TestAnalyticConstants
+V_T_CLOSED_FORM = 98048.0 / (3.0 * (768.0 * math.sqrt(2.0) + 1040.0))
 
 # Volume of the quadratic two-circle region in closed form (disjoint-corner
 # argument in the volumes module docstring); recomputed independently with
@@ -572,6 +575,23 @@ class TestAnalyticConstants:
     def test_read_only(self):
         with pytest.raises(TypeError):
             ANALYTIC["V_C"] = 0.0
+
+    def test_within_one_ulp_of_40_digit_values(self):
+        with localcontext() as ctx:
+            ctx.prec = 40
+            v_t = (768 * Decimal(2).sqrt() - 1040) / 3
+        with mpmath.workdps(40):
+            pi = mpmath.pi
+            exact = {"V_C": mpmath.mpf(32) / 3, "V_L": mpmath.mpf(16),
+                     "V_Q": 3 * pi ** 2 / 2, "V_U": 32 * pi - mpmath.mpf(256) / 3,
+                     "V_T": mpmath.mpf(str(v_t)), "ratio_QC": (3 * pi / 8) ** 2,
+                     "ratio_QL": 3 * pi ** 2 / 32, "ratio_CL": mpmath.mpf(2) / 3}
+            assert set(exact) == set(ANALYTIC)
+            for name, value in ANALYTIC.items():
+                off = abs(mpmath.mpf(value) - exact[name])
+                assert off <= math.ulp(value), (name, float(off))
+            assert abs(mpmath.mpf(V_T_CLOSED_FORM) - exact["V_T"]) \
+                <= math.ulp(V_T_CLOSED_FORM)
 
     def test_tsirelson_volume_by_exact_arithmetic(self):
         """V_T from the polytope engine, with no float on the way.
