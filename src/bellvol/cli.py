@@ -319,11 +319,8 @@ def _sample_line() -> str:
 
 
 def _cmd_sample_quantum(args):
-    import numpy as np
-
-    from . import quantum
-    key = np.array([args.seed, 0], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
+    from . import quantum, volumes
+    rng = volumes.sample_stream(args.seed)
     line = _sample_line()
     for start in range(0, args.n, _SAMPLE_BLOCK):
         block = quantum.sample_quantum_points(

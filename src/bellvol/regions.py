@@ -17,7 +17,7 @@ measurements.  A point is the vector of the four product expectations
 Every oracle returns a :class:`MembershipResult` carrying the signed slack
 margin, i.e. the minimum over the region's constraints of (bound - value).
 All sets are closed; a point is inside iff margin >= -tol, where ``tol`` must
-be finite and >= 0 (``check_tolerance``).
+be finite and >= 0, and not a bool (``check_tolerance``).
 
 Each region's margin is written once, as a kernel on a batch held one
 coordinate per row: four floats for the scalar oracles, or a (4, m) array for
@@ -33,6 +33,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence, Union
@@ -291,18 +292,24 @@ def _region_kernel(region: RegionId, batch: _Columns, char: QCharacterization | 
     raise ValueError(f"unknown region {region!r}")
 
 
+def _is_bool(value) -> bool:
+    """A Python or numpy bool: no number by any contract, though True == 1."""
+    np = sys.modules.get("numpy")  # a numpy bool needs numpy loaded
+    return isinstance(value, (bool, np.bool_) if np else bool)
+
+
 def _finite_at_least(name: str, value: float, low: float) -> float:
-    """``value`` if finite and >= ``low``, else ValueError naming ``name``."""
+    """``value``; ValueError naming ``name`` if a bool, not finite or < low."""
     try:
-        if math.isfinite(value) and value >= low:
+        if not _is_bool(value) and math.isfinite(value) and value >= low:
             return value
-    except TypeError:  # not a real number: a string, None
+    except (TypeError, OverflowError):  # a string, None; an int past 1e308
         pass
     raise ValueError(f"{name} must be finite and >= {low}, got {value!r}")
 
 
 def check_tolerance(tol: float) -> float:
-    """Return ``tol``; raise ValueError unless it is finite and >= 0."""
+    """Return ``tol``; raise ValueError unless finite, >= 0 and no bool."""
     return _finite_at_least("tolerance", tol, 0)
 
 

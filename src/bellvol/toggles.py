@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .regions import _FIELDS, PointLike, _coords
+from .regions import _FIELDS, PointLike, _coords, _is_bool
 
 
 class TargetUnreachable(ValueError):
@@ -42,8 +42,8 @@ class OutcomeSequence:
             raise ValueError("outcome lists must have equal length")
         if not alice:
             raise ValueError("outcome lists must be nonempty")
-        # check the raw values: int() would truncate 1.5 to an accepted 1
-        if any(v not in (-1, 1) for v in alice + bob):
+        # check the raw values: int() takes 1.5 and True alike for 1
+        if any(_is_bool(v) or v not in (-1, 1) for v in alice + bob):
             raise ValueError("outcomes must be +1 or -1")
         object.__setattr__(self, "alice", tuple(int(a) for a in alice))
         object.__setattr__(self, "bob", tuple(int(b) for b in bob))

@@ -6,11 +6,11 @@ a region is 16 times the probability that four independent uniform draws
 land inside it.  This module provides:
 
 * hit-or-miss Monte Carlo volumes and shared-sample ratios (delta-method
-  errors), all read off one histogram of per-point membership codes made
-  in one pass over the stream by ``score_stream``: one Philox stream per
+  errors), all read off one matrix of pairwise joint hit counts made in
+  one pass over the stream by ``score_stream``: one Philox stream per
   seed, split into point ranges scored in up to os.cpu_count() processes;
-  integer histograms sum alike in any order, so results are bit-identical
-  for a fixed seed, whatever the worker count or batch size,
+  integer counts sum alike in any order, so results are bit-identical for
+  a fixed seed, whatever the worker count or batch size,
 * deterministic volumes by quadrature in pair coordinates x = c00 + c11,
   y = c00 - c11, z = c01 - c10, w = c01 + c10 (Jacobian 1/4), in which the
   cube is |x| + |y| <= 2, |z| + |w| <= 2, C and T are |x| + |z| <= B,
@@ -91,7 +91,7 @@ def __getattr__(name: str):
 # --------------------------------------------------------------------------
 
 #: Points a process draws and scores at a time: bounds memory, and cannot
-#: change a result, as the batches' histograms add alike in any split.
+#: change a result, as the batches' counts add alike in any split.
 #: 16 384 was the fastest of 4096, 8192, ..., 65 536 on the `mc` benchmark
 #: (BENCH_12.json): a batch's temporaries (128 KiB per margin) then stay in
 #: the heap instead of being faulted in again every batch, as at 65 536,
@@ -99,59 +99,58 @@ def __getattr__(name: str):
 _BATCH = 16_384
 
 
+def sample_stream(seed: int, start: int = 0) -> np.random.Generator:
+    """The stream of ``seed``, Philox keyed by (seed, 0), ``start`` counter
+    steps in: the Monte Carlo points (one per step) and ``sample-quantum``."""
+    key = np.array([seed, 0], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key).advance(start))
+
+
 def _score_points(cfg: EstimatorConfig, regions: tuple[RegionId, ...],
                   points: range) -> np.ndarray:
-    """Membership-code histogram of the stream's points ``points``.
+    """``score_stream``'s joint hit counts J over the points ``points``.
 
-    The stream is Philox keyed by (seed, 0); one counter step draws one
-    point, so the generator is advanced to ``points.start`` and then drawn
-    ``_BATCH`` points at a time, exactly as ``2 * random((m, 4)) - 1``; the
-    batch is scored in column layout by ``column_verdicts``.  A point is
-    inside a region when its margin is >= -DEFAULT_TOLERANCE.  Q is decided
-    by Landau's form f = (sqrt X + sqrt Y)^2 - a^2 instead: inside when
-    f >= 0 where |f| exceeds a band of 1e-9, which gives the same verdict,
-    and by the arcsin margin for the few points within the band.
+    The points are drawn ``_BATCH`` at a time from ``points.start``,
+    exactly as ``2 * random((m, 4)) - 1``, and scored in column layout by
+    ``column_verdicts``; J's upper triangle is counted, then mirrored.
 
     The column buffer is allocated once per call.  Each batch draws into a
     fresh 512 KiB block, freed as soon as it is transposed: glibc maps the
     first on its own, and freeing it raises its trim threshold to 1 MiB,
-    above the rest of a batch's temporaries.  With one reused draw buffer
-    nothing that large was freed, and whether glibc returned the heap top
-    to the system every batch hung on the order of the batch's frees: a
+    above the rest of a batch's temporaries, which then stay in the heap
+    (``test_stream_minor_fault_budget``).  With one reused draw buffer, a
     fresh ``volume --region T --method mc --n 10000000`` took ~100k minor
-    faults with ``column_verdicts`` and a reused buffer, ~3k with this.
+    faults, not ~3k.
     """
-    hist = np.zeros(1 << len(regions), dtype=np.int64)
+    k = len(regions)
+    joint = np.zeros((k, k), dtype=np.int64)
     columns = np.empty(4 * min(_BATCH, len(points)))
-    key = np.array([cfg.seed, 0], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key).advance(points.start))
+    gen = sample_stream(cfg.seed, points.start)
     for start in range(points.start, points.stop, _BATCH):
         m = min(_BATCH, points.stop - start)
         raw = gen.random((m, 4))
         cols = np.multiply(raw.T, 2.0, out=columns[:4 * m].reshape(4, m))
         del raw
         cols -= 1.0
-        code = np.zeros(m, dtype=np.uint8)
-        for bit, inside in enumerate(column_verdicts(regions, cols)):
-            code |= inside.view(np.uint8) << bit
-        hist += np.bincount(code, minlength=len(hist))
-    return hist
+        inside = column_verdicts(regions, cols)
+        for a, b in itertools.combinations_with_replacement(range(k), 2):
+            joint[a, b] += np.count_nonzero(inside[a] & inside[b])
+    return joint + np.triu(joint, 1).T
 
 
 def score_stream(cfg: EstimatorConfig,
                  regions: Sequence[RegionId]) -> np.ndarray:
-    """One pass over the sample stream against up to eight regions.
+    """One pass over the sample stream against any number of regions.
 
-    Bit k of a point's membership code is set when the point lies in
-    ``regions[k]``; entry c of the returned int64 array counts the points
-    with code c, so the entries sum to n = ``cfg.sample_count``.  The
-    points [0, n) are split into contiguous ranges, one per process, over
+    Returns the symmetric (k, k) int64 matrix J, k = len(regions), whose
+    entry J[a, b] counts the points inside both ``regions[a]`` and
+    ``regions[b]``; the diagonal holds each region's hits.  A region may
+    be listed more than once.  The points [0, n), n = ``cfg.sample_count``,
+    are split into contiguous ranges, one per process, over
     min(worker_count, os.cpu_count(), n) processes: bit-identical for a
     fixed seed, whatever ``worker_count``.
     """
     regions = tuple(regions)
-    if len(regions) > 8:
-        raise ValueError("score_stream takes at most 8 regions")
     procs = min(cfg.worker_count, os.cpu_count() or 1, cfg.sample_count)
     if procs == 1:
         return _score_points(cfg, regions, range(cfg.sample_count))
@@ -172,12 +171,6 @@ def score_stream(cfg: EstimatorConfig,
         return sum(part.result() for part in parts)
 
 
-def _hits(hist: np.ndarray, *bits: int) -> int:
-    """Points inside every region whose bit index is given."""
-    want = sum(1 << b for b in bits)
-    return int(hist[(np.arange(len(hist)) & want) == want].sum())
-
-
 def _volume_from_hits(region: RegionId, hits: int,
                       cfg: EstimatorConfig) -> VolumeEstimate:
     n = cfg.sample_count
@@ -196,17 +189,18 @@ def mc_volume(region: RegionId,
               cfg: EstimatorConfig | None = None) -> VolumeEstimate:
     """Hit-or-miss volume: 16 * (hits / n) on uniform draws from the cube."""
     cfg = cfg or EstimatorConfig()
-    hits = int(score_stream(cfg, [region])[1])
+    hits = int(score_stream(cfg, [region])[0, 0])
     return _volume_from_hits(region, hits, cfg)
 
 
-def _ratio_with_error(hist: np.ndarray, a: int, b: int) -> tuple[float, float]:
-    """Shared-stream ratio of the hits of bits a and b, with the
-    correlated-binomial delta method."""
-    n, n_a, n_b = int(hist.sum()), _hits(hist, a), _hits(hist, b)
+def _ratio_with_error(joint: np.ndarray, n: int, a: int,
+                      b: int) -> tuple[float, float]:
+    """Shared-stream ratio of the hits of regions a and b of the joint
+    counts of n points, with the correlated-binomial delta method."""
+    n_a, n_b, n_ab = int(joint[a, a]), int(joint[b, b]), int(joint[a, b])
     if n_b == 0:
         raise DegenerateDenominator("no hits in the denominator region")
-    p_a, p_b, p_ab = n_a / n, n_b / n, _hits(hist, a, b) / n
+    p_a, p_b, p_ab = n_a / n, n_b / n, n_ab / n
     ratio = n_a / n_b
     cov = p_ab - p_a * p_b
     var = (p_a * (1.0 - p_a) - 2.0 * ratio * cov
@@ -222,8 +216,8 @@ def ratio_estimate(region_a: RegionId, region_b: RegionId,
     term of the delta-method standard error.
     """
     cfg = cfg or EstimatorConfig()
-    hist = score_stream(cfg, [region_a, region_b])
-    ratio, err = _ratio_with_error(hist, 0, 1)
+    joint = score_stream(cfg, [region_a, region_b])
+    ratio, err = _ratio_with_error(joint, cfg.sample_count, 0, 1)
     return VolumeEstimate(
         region=f"{region_a.value}/{region_b.value}",
         method="monte-carlo",
@@ -494,20 +488,21 @@ def headline_report(cfg: EstimatorConfig | None = None) -> dict:
     in units of its standard error, followed by the analytic constants.
     """
     cfg = cfg or EstimatorConfig()
-    hist = score_stream(cfg, REGION_CHAIN)
-    bit = {r.value: k for k, r in enumerate(REGION_CHAIN)}
+    joint = score_stream(cfg, REGION_CHAIN)
+    n = cfg.sample_count
+    pos = {r.value: k for k, r in enumerate(REGION_CHAIN)}
 
     volumes = {}
     for k, r in enumerate(REGION_CHAIN):
-        est = _volume_from_hits(r, _hits(hist, k), cfg)
+        est = _volume_from_hits(r, int(joint[k, k]), cfg)
         volumes[r.value] = {**est.as_json_record(), **_row(
             est.value, est.std_error, ANALYTIC[f"V_{r.value}"])}
-    ratios = {f"{a}/{b}": _row(*_ratio_with_error(hist, bit[a], bit[b]),
+    ratios = {f"{a}/{b}": _row(*_ratio_with_error(joint, n, pos[a], pos[b]),
                                ANALYTIC[f"ratio_{a}{b}"])
               for a, b in ("QC", "QL", "CL")}
     excesses = {}
     for top in "TU":
-        value, err = _ratio_with_error(hist, bit[top], bit["Q"])
+        value, err = _ratio_with_error(joint, n, pos[top], pos["Q"])
         excesses[f"{top}/Q-1"] = _row(
             value - 1.0, err, ANALYTIC[f"V_{top}"] / ANALYTIC["V_Q"] - 1.0)
 

@@ -533,7 +533,7 @@ def test_non_finite_points_are_rejected(c, k, bad):
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, "0.1",
-                                 None])
+                                 None, True, False, np.True_, 10 ** 400])
 def test_tolerance_outside_contract_is_rejected(tol):
     origin, rows = (0.0, 0.0, 0.0, 0.0), np.zeros((3, 4))
     with pytest.raises(ValueError, match="tolerance"):

@@ -72,6 +72,9 @@ class TestOutcomeSequence:
         ((1.5, -1.9), (1, 1)),      # int() would truncate to (1, -1)
         ((1, -1), (0.999, -1)),
         ((1, -1), (1, -1.0000001)),
+        # True == 1, but a bool is no outcome
+        ((True, 1.0, -1), (1, -1.0, -1)),
+        ((1, -1), (1, np.True_)),
     ])
     def test_rejects_non_integer_outcomes(self, alice, bob):
         with pytest.raises(ValueError, match=r"\+1 or -1"):

@@ -1,8 +1,13 @@
 import math
 import os
+import platform
+import subprocess
+import sys
+import textwrap
 import threading
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import mpmath
@@ -37,6 +42,8 @@ from bellvol.volumes import (
 
 CHAIN = (RegionId.LOCAL_C, RegionId.QUANTUM_Q, RegionId.UFFINK_U,
          RegionId.TSIRELSON_T, RegionId.NO_SIGNALING_L)
+ORACLES = dict(zip(CHAIN, (in_local, in_quantum_arcsin, in_uffink_U,
+                           in_tsirelson_T, in_box_L)))
 
 V_Q = 1.5 * math.pi ** 2
 V_C = 32.0 / 3.0
@@ -77,9 +84,19 @@ def _v_u_mpmath(dps: int = 20):
         return mpmath.quad(over_z, [0, 2])
 
 
-def _region_hits(hist, k: int) -> int:
-    """Points of a ``score_stream`` histogram whose code has bit k set."""
-    return int(sum(count for code, count in enumerate(hist) if code >> k & 1))
+def _stream_points(seed: int, n: int) -> np.ndarray:
+    """The first n points of the stream of ``seed``, drawn here as the
+    README states the stream: Philox keyed by (seed, 0), one point per
+    counter step, 2 * random((n, 4)) - 1."""
+    key = np.array([seed, 0], dtype=np.uint64)
+    return 2.0 * np.random.Generator(np.random.Philox(key=key)).random(
+        (n, 4)) - 1.0
+
+
+def _joint_counts(inside) -> list[list[int]]:
+    """J[a, b] from per-point verdicts, one row of bools per region."""
+    inside = np.array(inside, dtype=np.int64)
+    return (inside @ inside.T).tolist()
 
 
 def _v_q_diamonds(h: float) -> float:
@@ -162,13 +179,13 @@ class TestReproducibility:
 
     def test_batch_size_does_not_change_the_stream(self):
         cfg = EstimatorConfig(sample_count=100_000, seed=8, worker_count=4)
-        hists = []
+        joints = []
         for batch in (100_000, 7_777):
             with mock.patch.object(volumes, "_BATCH", batch):
-                hists.append(volumes._score_points(
+                joints.append(volumes._score_points(
                     cfg, (RegionId.QUANTUM_Q,),
                     range(cfg.sample_count)).tolist())
-        assert hists[0] == hists[1]
+        assert joints[0] == joints[1]
 
     @settings(deadline=None, max_examples=25)
     @given(st.integers(0, 2 ** 64 - 1), st.integers(50, 3000),
@@ -187,7 +204,7 @@ class TestReproducibility:
     def test_point_ranges_sum_to_the_whole_stream(self, seed, n, fractions,
                                                   batch):
         # any split of [0, n) into contiguous ranges, scored at any batch
-        # size, adds up to the histogram of the whole range
+        # size, adds up to the joint counts of the whole range
         cfg = EstimatorConfig(sample_count=n, seed=seed)
         cuts = [0, *sorted(int(f * n) for f in fractions), n]
         whole = volumes._score_points(cfg, CHAIN, range(n))
@@ -197,17 +214,19 @@ class TestReproducibility:
         assert parts.tolist() == whole.tolist()
 
     def test_stream_is_pinned(self, monkeypatch):
-        # the histogram of a fixed seed's stream, pinned so that a change to
-        # the drawn points or to their verdicts shows; 250 007 points leave
-        # a partial last batch in every process's range
+        # the joint counts of a fixed seed's stream, pinned so that a change
+        # to the drawn points or to their verdicts shows; 250 007 points
+        # leave a partial last batch in every process's range.  The
+        # verdicts nest along the chain here, so J[a, b] is the hits of the
+        # inner region; the hits are sums of the histogram of 5-bit
+        # membership codes pinned here when the stream returned one
+        hits = (166798, 231461, 237464, 240159, 250007)
+        expected = [[hits[min(a, b)] for b in range(5)] for a in range(5)]
         monkeypatch.setattr(volumes.os, "cpu_count", lambda: 3)
         for workers in (1, 2, 3):
             cfg = EstimatorConfig(sample_count=250_007, seed=0,
                                   worker_count=workers)
-            hist = score_stream(cfg, CHAIN)
-            assert {code: count for code, count in enumerate(hist.tolist())
-                    if count} == {16: 9848, 24: 2695, 28: 6003, 30: 64663,
-                                  31: 166798}, workers
+            assert score_stream(cfg, CHAIN).tolist() == expected, workers
 
     def test_different_seeds_differ(self):
         a = mc_volume(RegionId.LOCAL_C, EstimatorConfig(sample_count=100_000, seed=1))
@@ -221,31 +240,39 @@ class TestSharedStreamMonotonicity:
         cfg = EstimatorConfig(sample_count=100_000, seed=seed)
         chain = (RegionId.LOCAL_C, RegionId.QUANTUM_Q, RegionId.UFFINK_U,
                  RegionId.TSIRELSON_T, RegionId.NO_SIGNALING_L)
-        hist = score_stream(cfg, chain)
-        counts = [_region_hits(hist, k) for k in range(len(chain))]
-        assert list(counts) == sorted(counts)
+        counts = np.diag(score_stream(cfg, chain)).tolist()
+        assert counts == sorted(counts)
         assert counts[-1] == cfg.sample_count
 
 
 class TestScoreStream:
-    def test_histogram_matches_scalar_oracles(self):
+    def test_joint_counts_match_scalar_oracles(self):
         # the same draws, scored point by point by the scalar oracles
         n, seed = 20_000, 23
         with mock.patch.object(volumes, "_BATCH", 4096):
-            hist = score_stream(EstimatorConfig(sample_count=n, seed=seed),
-                                CHAIN)
-        key = np.array([seed, 0], dtype=np.uint64)
-        pts = 2.0 * np.random.Generator(np.random.Philox(key=key)).random(
-            (n, 4)) - 1.0
-        oracles = (in_local, in_quantum_arcsin, in_uffink_U, in_tsirelson_T,
-                   in_box_L)
-        codes = [sum(oracle(tuple(row)).inside << k
-                     for k, oracle in enumerate(oracles)) for row in pts]
-        assert hist.tolist() == np.bincount(codes, minlength=32).tolist()
+            joint = score_stream(EstimatorConfig(sample_count=n, seed=seed),
+                                 CHAIN)
+        pts = [tuple(row) for row in _stream_points(seed, n)]
+        assert joint.tolist() == _joint_counts(
+            [[ORACLES[r](p).inside for p in pts] for r in CHAIN])
         # and by the inequalities written out in the tests
-        codes = [sum((ref(tuple(row)) >= -DEFAULT_TOLERANCE) << k
-                     for k, ref in enumerate(reference.CHAIN)) for row in pts]
-        assert hist.tolist() == np.bincount(codes, minlength=32).tolist()
+        assert joint.tolist() == _joint_counts(
+            [[ref(p) >= -DEFAULT_TOLERANCE for p in pts]
+             for ref in reference.CHAIN])
+
+    @settings(deadline=None, max_examples=20)
+    @given(st.integers(0, 2 ** 64 - 1), st.integers(1, 400),
+           st.lists(st.sampled_from(CHAIN), min_size=9, max_size=16),
+           st.integers(1, 400))
+    def test_joint_counts_of_long_region_lists(self, seed, n, regions, batch):
+        # more than eight regions, so some listed twice or more: every
+        # entry of J is still a count taken point by point
+        with mock.patch.object(volumes, "_BATCH", batch):
+            joint = score_stream(EstimatorConfig(sample_count=n, seed=seed),
+                                 regions)
+        pts = [tuple(row) for row in _stream_points(seed, n)]
+        inside = {r: [ORACLES[r](p).inside for p in pts] for r in set(regions)}
+        assert joint.tolist() == _joint_counts([inside[r] for r in regions])
 
     @settings(deadline=None, max_examples=10)
     @given(st.integers(0, 2 ** 64 - 1), st.integers(1, 5000),
@@ -299,9 +326,9 @@ class TestScoreStream:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             Recording)
         cfg = EstimatorConfig(sample_count=1000, seed=3, worker_count=100_000)
-        hist = score_stream(cfg, [RegionId.LOCAL_C])
+        joint = score_stream(cfg, [RegionId.LOCAL_C])
         assert len(sizes) <= 1 and all(k <= os.cpu_count() for k in sizes)
-        assert hist.tolist() == volumes._score_points(
+        assert joint.tolist() == volumes._score_points(
             cfg, (RegionId.LOCAL_C,), range(cfg.sample_count)).tolist()
 
     def test_no_process_for_an_empty_range(self, monkeypatch):
@@ -313,14 +340,41 @@ class TestScoreStream:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
         monkeypatch.setattr(volumes.os, "cpu_count", lambda: 4)
         cfg = EstimatorConfig(sample_count=1, seed=5, worker_count=4)
-        hist = score_stream(cfg, CHAIN)
-        assert hist.tolist() == volumes._score_points(
+        joint = score_stream(cfg, CHAIN)
+        assert joint.tolist() == volumes._score_points(
             cfg, CHAIN, range(1)).tolist()
-        assert hist.sum() == 1
+        assert joint[-1, -1] == 1  # the cube L holds the one point
 
-    def test_rejects_more_than_eight_regions(self):
-        with pytest.raises(ValueError):
-            score_stream(EstimatorConfig(sample_count=10), CHAIN * 2)
+    @pytest.mark.skipif(sys.platform != "linux"
+                        or platform.libc_ver()[0] != "glibc",
+                        reason="the budget is set by glibc's heap trimming")
+    def test_stream_minor_fault_budget(self):
+        # a batch's temporaries stay in the heap while they fit under the
+        # trim threshold that freeing the first draw block sets (see
+        # _score_points); 10^6 chain points then fault in a few hundred
+        # pages, and in ~6k when a batch outgrows it, as when J is taken
+        # as a float (5, m) verdict matrix times its transpose
+        src = Path(volumes.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+        script = textwrap.dedent("""
+            import resource
+            from bellvol import volumes
+            from bellvol.regions import REGION_CHAIN
+
+            def faults():
+                return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+            cfg = volumes.EstimatorConfig(sample_count=10 ** 6, seed=3)
+            volumes._score_points(cfg, REGION_CHAIN, range(4 * volumes._BATCH))
+            before = faults()
+            volumes._score_points(cfg, REGION_CHAIN, range(cfg.sample_count))
+            print(faults() - before)
+        """)
+        run = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert int(run.stdout) < 2000
 
 
 class TestRatioEstimate:
@@ -337,8 +391,8 @@ class TestRatioEstimate:
 
     def test_value_equals_count_ratio(self):
         cfg = EstimatorConfig(sample_count=50_000, seed=11)
-        hist = score_stream(cfg, [RegionId.QUANTUM_Q, RegionId.LOCAL_C])
-        counts = [_region_hits(hist, 0), _region_hits(hist, 1)]
+        joint = score_stream(cfg, [RegionId.QUANTUM_Q, RegionId.LOCAL_C])
+        counts = np.diag(joint).tolist()
         est = ratio_estimate(RegionId.QUANTUM_Q, RegionId.LOCAL_C, cfg)
         assert est.value == counts[0] / counts[1]
 
@@ -346,7 +400,7 @@ class TestRatioEstimate:
         # a single-sample stream whose point falls outside the local set
         for seed in range(100):
             cfg = EstimatorConfig(sample_count=1, seed=seed)
-            if score_stream(cfg, [RegionId.LOCAL_C])[1] == 0:
+            if score_stream(cfg, [RegionId.LOCAL_C])[0, 0] == 0:
                 with pytest.raises(DegenerateDenominator):
                     ratio_estimate(RegionId.NO_SIGNALING_L, RegionId.LOCAL_C, cfg)
                 return
@@ -455,6 +509,11 @@ class TestQuadrature:
         lambda: quadrature_volume(RegionId.LOCAL_C, abs_tol="1e-6"),
         lambda: quadrature_volume(RegionId.LOCAL_C, abs_tol=None),
         lambda: quadrature_volume(RegionId.NO_SIGNALING_L, abs_tol="1e-6"),
+        # True == 1, but a bool is no tolerance
+        lambda: quadrature_volume(RegionId.LOCAL_C, abs_tol=True),
+        lambda: quadrature_volume(RegionId.QUANTUM_Q, abs_tol=np.True_),
+        # an int beyond the float range is no finite tolerance either
+        lambda: quadrature_volume(RegionId.UFFINK_U, abs_tol=10 ** 400),
     ])
     def test_rejects_non_finite_input(self, call):
         with pytest.raises(ValueError):
@@ -530,9 +589,8 @@ class TestNumericTU:
     @pytest.mark.parametrize("seed", [0, 5, 9])
     def test_quadratic_region_dominated_by_linear_region(self, seed):
         cfg = EstimatorConfig(sample_count=100_000, seed=seed)
-        hist = score_stream(cfg, [RegionId.UFFINK_U, RegionId.TSIRELSON_T])
-        counts = [_region_hits(hist, 0), _region_hits(hist, 1)]
-        assert counts[0] <= counts[1]
+        joint = score_stream(cfg, [RegionId.UFFINK_U, RegionId.TSIRELSON_T])
+        assert joint[0, 0] <= joint[1, 1]
 
 
 class TestExactRegionVolume:
