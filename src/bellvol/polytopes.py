@@ -28,14 +28,18 @@ no-signaling polytope 2176/315, so V_local / V_NS = 16/17.  The paper's
 ratios live in the 4-dimensional correlation projection instead, where the
 local set and the cube have V_C / V_L = 2/3.
 
-All geometry is exact: coordinates are ``fractions.Fraction``; rays, tight
-sets and determinants are computed on Python's arbitrary-precision integers.
+All geometry is exact.  Rationals come in as ints, ``fractions.Fraction``s
+or anything ``Fraction`` accepts, and each row is read once into a primitive
+integer vector; the engine's rays, tight sets and determinants are Python's
+arbitrary-precision integers, and ``Fraction``s are built once, for the
+vertices, offsets and volumes it returns.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -107,7 +111,13 @@ class DegeneratePolytope(PolytopeError):
 # --------------------------------------------------------------------------
 
 def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    """``x`` as a Fraction of Python ints.  The exact type is tested first,
+    as ``isinstance`` against Fraction goes through ``ABCMeta``.  Another
+    integer type, such as numpy's, is read by ``__index__``: ``Fraction``
+    would keep it as its numerator, and int64 products overflow."""
+    if type(x) is Fraction or isinstance(x, Fraction):
+        return x
+    return Fraction(operator.index(x) if hasattr(x, "__index__") else x)
 
 
 @dataclass(frozen=True)
@@ -286,12 +296,14 @@ class Halfspace:
 
     @classmethod
     def normalized(cls, normal: Sequence, offset) -> "Halfspace":
-        """Scale by a positive rational so the normal is primitive integers."""
-        ints = _integer_row(normal)
-        k = next((k for k, n in enumerate(ints) if n), None)
-        if k is None:
+        """Scale by a positive rational so the normal is primitive integers:
+        the row (normal, offset) read as integers (n, c), the halfspace is
+        (n / g, c / g) with g the gcd of n."""
+        *ints, c = _integer_row((*normal, offset))
+        g = math.gcd(*ints)
+        if not g:
             raise ValueError("halfspace normal must be nonzero")
-        return cls(tuple(ints), _frac(offset) * ints[k] / _frac(normal[k]))
+        return cls(tuple(n // g for n in ints), Fraction(c, g))
 
     def slack(self, x: Sequence[Fraction]) -> Fraction:
         return self.offset - sum(n * xi for n, xi in zip(self.normal, x))
@@ -307,11 +319,13 @@ class RationalPolytope:
 
     def __post_init__(self):
         if self.vertices is not None:
-            verts = tuple(tuple(_frac(x) for x in v) for v in self.vertices)
+            verts = tuple(tuple(map(_frac, v)) for v in self.vertices)
             for v in verts:
                 if len(v) != self.dim:
                     raise ValueError(f"vertex {v} has wrong dimension")
-            if len(set(verts)) != len(verts):
+            # lowest terms are unique, and int pairs hash in C
+            if len({tuple((x.numerator, x.denominator) for x in v)
+                    for v in verts}) != len(verts):
                 raise ValueError("vertices must be pairwise distinct")
             object.__setattr__(self, "vertices", verts)
         if self.halfspaces is not None:
@@ -420,14 +434,25 @@ def _primitive(v: list[int]) -> list[int]:
 
 
 def _integer_row(row: Sequence) -> list[int]:
-    """The primitive integer vector on the ray of a rational vector."""
-    fr = [_frac(x) for x in row]
+    """The primitive integer vector on the ray of a rational vector.
+
+    An int or a Fraction is read by its numerator and denominator, anything
+    else once through :func:`_frac`; the row is scaled by the lcm of the
+    denominators in integer arithmetic."""
+    fr = [x if type(x) is int or type(x) is Fraction else _frac(x)
+          for x in row]
     scale = math.lcm(*(f.denominator for f in fr))
-    return _primitive([int(f * scale) for f in fr])
+    return _primitive([f.numerator * (scale // f.denominator) for f in fr])
 
 
 def _dot(a: Sequence[int], x: Sequence[int]) -> int:
-    return sum(ai * xi for ai, xi in zip(a, x))
+    return sum(map(operator.mul, a, x))
+
+
+def _sort_key(row: Sequence[Fraction]) -> tuple:
+    """A key that orders rational rows as the rows themselves do, each
+    integral entry as an int: ints compare in C, Fractions in Python."""
+    return tuple(x.numerator if x.denominator == 1 else x for x in row)
 
 
 def _double_description(rows: Sequence[Sequence[int]], n: int
@@ -532,7 +557,8 @@ def enumerate_vertices(h: RationalPolytope) -> RationalPolytope:
         if t == 0:
             raise UnboundedPolytope(f"recession direction {tuple(x)}")
         verts.append(tuple(Fraction(xi, t) for xi in x))
-    return RationalPolytope(dim=h.dim, vertices=tuple(sorted(verts)),
+    return RationalPolytope(dim=h.dim,
+                            vertices=tuple(sorted(verts, key=_sort_key)),
                             halfspaces=h.halfspaces)
 
 
@@ -548,7 +574,8 @@ def enumerate_facets(v: RationalPolytope) -> RationalPolytope:
     rays, lineality = _hull_facets(_homogenize(v.vertices), v.dim)
     if lineality:
         raise DegeneratePolytope("vertex set is not full-dimensional")
-    hs = sorted(Halfspace.normalized(r[:-1], r[-1]) for r, _ in rays)
+    hs = sorted((Halfspace.normalized(r[:-1], r[-1]) for r, _ in rays),
+                key=lambda h: _sort_key((*h.normal, h.offset)))
     return RationalPolytope(dim=v.dim, vertices=v.vertices,
                             halfspaces=tuple(hs))
 
@@ -627,6 +654,8 @@ def exact_volume(p: RationalPolytope) -> Fraction:
     if lineality:
         raise DegeneratePolytope("polytope is not full-dimensional")
     masks = [mask for _, mask in facets]
-    total = sum(Fraction(abs(_det_int_py(s)), math.prod(r[-1] for r in s))
-                for s in _triangulate(points, (1 << len(points)) - 1, d, masks))
-    return total / math.factorial(d)
+    terms = [(abs(_det_int_py(s)), math.prod(r[-1] for r in s))
+             for s in _triangulate(points, (1 << len(points)) - 1, d, masks)]
+    scale = math.lcm(*(w for _, w in terms))
+    return Fraction(sum(det * (scale // w) for det, w in terms),
+                    scale * math.factorial(d))

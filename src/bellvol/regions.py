@@ -105,7 +105,9 @@ PointLike = Union[CorrelationPoint, Sequence[float]]
 def _coords(p: PointLike, *,
             in_cube: bool = False) -> tuple[float, float, float, float]:
     """Extract 4 finite coordinates, and with ``in_cube`` require each in
-    [-1, 1]: the point contract, checked field by field in order."""
+    [-1, 1]: the point contract, checked field by field in order.  A float
+    is taken as it is; any other value must convert by ``float()`` and be
+    neither text nor a bool."""
     if isinstance(p, CorrelationPoint):
         return p.as_tuple()
     values = tuple(p)
@@ -113,15 +115,17 @@ def _coords(p: PointLike, *,
         raise TypeError(f"expected 4 correlations, got {len(values)}")
     t = []
     for name, v in zip(_FIELDS, values):
-        try:
-            if isinstance(v, (str, bytes, bytearray)):  # float() parses text
-                raise TypeError
-            v = float(v)
-        except OverflowError:  # an integer or fraction beyond the float range
-            v = math.inf if v > 0 else -math.inf
-        except (TypeError, ValueError):
-            raise ValueError(
-                f"point field '{name}' is not a number: {v!r}") from None
+        if type(v) is not float:
+            try:
+                # float() parses text, and True == 1
+                if isinstance(v, (str, bytes, bytearray)) or _is_bool(v):
+                    raise TypeError
+                v = float(v)
+            except OverflowError:  # an integer or fraction past the floats
+                v = math.inf if v > 0 else -math.inf
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"point field '{name}' is not a number: {v!r}") from None
         if not math.isfinite(v):
             raise ValueError(f"point field '{name}' is not finite: {v!r}")
         if in_cube and not -1.0 <= v <= 1.0:
@@ -500,11 +504,6 @@ def column_margins(regions: Sequence[RegionId], cols: np.ndarray,
 #: in ``_quantum_verdicts``.
 _Q_BAND = 1e3 * DEFAULT_TOLERANCE
 
-#: The regions whose kernels read a batch's shared S, minimum and maximum.
-_SHARED_READERS = frozenset({RegionId.LOCAL_C, RegionId.TSIRELSON_T,
-                             RegionId.NO_SIGNALING_L})
-
-
 def column_verdicts(regions: Sequence[RegionId],
                     cols: np.ndarray) -> list[np.ndarray]:
     """Boolean membership of each column of a (4, m) array in each of
@@ -515,18 +514,11 @@ def column_verdicts(regions: Sequence[RegionId],
     thin band about its boundary; the other regions compare their margins.
     The columns are not checked: the Monte Carlo engine draws finite points
     in [-1, 1], the contract on which the Q verdict equals the arcsin rule.
-
-    Q and U read none of the shared S, minimum and maximum, so they are
-    scored first and their temporaries are freed before the shared ones
-    are made: a 16 384-point batch of the chain then peaks at ~0.75 MiB of
-    temporaries, not ~1.2 MiB, under the 1 MiB heap top that glibc keeps
-    (see ``volumes._score_points``); above it, the Monte Carlo stream over
-    the chain took ~16k minor faults per 10^6 points, not ~0.3k.
     """
     batch = _Columns(cols, _array_ops())
     verdicts = {r: _quantum_verdicts(cols) if r is RegionId.QUANTUM_Q
                 else _region_kernel(r, batch, None) >= -DEFAULT_TOLERANCE
-                for r in sorted(regions, key=_SHARED_READERS.__contains__)}
+                for r in regions}
     return [verdicts[r] for r in regions]
 
 

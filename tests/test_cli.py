@@ -580,6 +580,23 @@ def test_polytope_output_is_the_library_text(capsys, which, task):
         assert out == f"volume: {vol} ({float(vol):.12g})\n"
 
 
+# sha256 of the stdout of polytope --which W --task K: the vertex and facet
+# texts, each rational in lowest terms and each list in canonical order
+@pytest.mark.parametrize("which, task, digest", [
+    ("ns", "vertices", "53d673aa17e5ddb618e48b2a843b0d2faafac373b03bf5e7298fe56761423bc9"),
+    ("ns", "facets", "6f2be862610f7ad630e2977b00632a0c5f5e114d52d803c2b1c96edfdabc0bf3"),
+    ("local", "vertices", "c05b8285aa90789fb2a6d69cc23deaff84022a9c90734de415002d3456532e91"),
+    ("local", "facets", "0b734425b941b7bb486a0a8c1b7e35354b46bf97e70a7d46cd07f5da8ea9331d"),
+    ("corrC", "vertices", "f7d2374498ec60cae935150611ec36063b2d5077a7190a24e83429e5186c6b54"),
+    ("corrC", "facets", "71f3a3c95b273ac04e50c9be0c71e074ea63807d192e5cead5a34c4df8254791"),
+])
+def test_polytope_text_bytes_are_pinned(capsys, which, task, digest):
+    code, out, err = run_cli(capsys, "polytope", "--which", which,
+                             "--task", task)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestExamples:
     def test_pr_box_verify(self, capsys):
         code, out, _ = run_cli(capsys, "examples", "--which", "pr-box",

@@ -4,6 +4,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -32,7 +33,7 @@ from bellvol.polytopes import (
 )
 from bellvol import polytopes
 from bellvol.polytopes import (
-    _det_int_py, _homogenize, _hull_facets, _triangulate)
+    _det_int_py, _homogenize, _hull_facets, _integer_row, _triangulate)
 from bellvol.regions import in_box_L, in_local, in_quantum_arcsin, in_tsirelson_T
 
 PM = (-1, 1)
@@ -687,6 +688,76 @@ class TestSerialization:
         for h in poly.halfspaces:
             tight = sum(1 for v in poly.vertices if h.slack(v) == 0)
             assert tight >= 8
+
+
+# --------------------------------------------------------------------------
+# rationals read once into integer rows, Fractions out
+# --------------------------------------------------------------------------
+
+def reference_integer_row(row):
+    """``_integer_row`` written out in Fractions: scale the row by the lcm
+    of its denominators, then divide by the gcd of the scaled entries."""
+    fr = [Fraction(x) for x in row]
+    scale = math.lcm(*(f.denominator for f in fr))
+    scaled = [f * scale for f in fr]
+    g = math.gcd(*(f.numerator for f in scaled))
+    return [int(f / g) if g else 0 for f in scaled]
+
+
+MIXED_RATIONALS = st.one_of(
+    st.integers(-10 ** 30, 10 ** 30),
+    st.fractions(max_denominator=10 ** 6),
+    st.booleans(),
+    st.builds(lambda k, e: k / 2 ** e, st.integers(-2 ** 40, 2 ** 40),
+              st.integers(0, 60)))                  # dyadic floats, exact
+
+
+class TestIntegerRows:
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(MIXED_RATIONALS, min_size=1, max_size=9))
+    @example([0, False, 0.0])
+    @example([True, Fraction(-1, 3), 0.25, 6])
+    def test_integer_row_matches_the_fraction_reference(self, row):
+        got = _integer_row(row)
+        assert got == reference_integer_row(row)
+        assert all(type(x) is int for x in got)
+
+    def test_numpy_integers_are_read_as_python_ints(self):
+        got = _integer_row((np.int64(2 ** 62), Fraction(1, 3), np.int32(-5)))
+        assert got == [3 * 2 ** 62, 1, -15]
+        assert all(type(x) is int for x in got)
+
+    @pytest.mark.parametrize("a, b", itertools.product(
+        [1, Fraction(2, 2), 1.0], repeat=2))
+    def test_duplicate_vertices_refused_in_any_spelling(self, a, b):
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            RationalPolytope(dim=2, vertices=((a, 0), (0, 1), (b, 0)))
+
+    @pytest.mark.parametrize("make", [
+        local_polytope_v,
+        correlation_polytope_C,
+        lambda: enumerate_vertices(ns_polytope_h()),
+        lambda: enumerate_vertices(cube_polytope_h(3)),
+        lambda: enumerate_facets(local_polytope_v()),
+        lambda: enumerate_facets(correlation_polytope_C()),
+        lambda: RationalPolytope.from_text(
+            enumerate_vertices(ns_polytope_h()).to_text("V")),
+        lambda: RationalPolytope.from_text(
+            enumerate_facets(local_polytope_v()).to_text("H")),
+        lambda: enumerate_facets(RationalPolytope(dim=2, vertices=(
+            (np.int64(0), 0.5), (1, True), (Fraction(-1, 3), -2)))),
+    ], ids=["local", "corrC", "ns-vertices", "cube-vertices", "local-facets",
+            "corrC-facets", "vertex-text", "facet-text", "mixed-input"])
+    def test_outputs_hold_fractions_of_python_ints(self, make):
+        poly = make()
+        coords = [x for v in poly.vertices or () for x in v]
+        coords += [h.offset for h in poly.halfspaces or ()]
+        assert coords
+        for x in coords:
+            assert type(x) is Fraction, x
+            assert type(x.numerator) is int and type(x.denominator) is int
+        for h in poly.halfspaces or ():
+            assert all(type(n) is int for n in h.normal), h
 
 
 # --------------------------------------------------------------------------

@@ -234,7 +234,8 @@ class TestPointValidation:
             in_local(tuple(values.values()))
 
     @pytest.mark.parametrize("bad", [
-        "0.5", "abc", b"1", None, 1j, object()])
+        "0.5", "abc", b"1", None, 1j, object(),
+        True, False, np.True_, np.False_])
     @pytest.mark.parametrize("field", ["c00", "c01", "c10", "c11"])
     def test_rejects_non_numbers(self, bad, field):
         values = {"c00": 0.0, "c01": 0.0, "c10": 0.0, "c11": 0.0, field: bad}
