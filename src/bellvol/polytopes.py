@@ -294,6 +294,10 @@ class Halfspace:
     normal: tuple[int, ...]
     offset: Fraction
 
+    def __post_init__(self):
+        # exact, as vertices are: a float offset is its binary value
+        object.__setattr__(self, "offset", _frac(self.offset))
+
     @classmethod
     def normalized(cls, normal: Sequence, offset) -> "Halfspace":
         """Scale by a positive rational so the normal is primitive integers:

@@ -22,7 +22,10 @@ be finite and >= 0, and not a bool (``check_tolerance``).
 Each region's margin is written once, as a kernel on a batch held one
 coordinate per row: four floats for the scalar oracles, or a (4, m) array for
 the vector entry points.  An op table supplies the few operations spelled
-differently (builtins and ``math``, or numpy).  Non-finite coordinates raise
+differently (builtins and ``math``, or numpy).  The Monte Carlo stream's
+verdicts (``column_verdicts_into``) repeat the C, T and U kernels operation
+for operation, writing into buffers the caller allocates once; the tests
+hold each verdict equal to its margin rule.  Non-finite coordinates raise
 ``ValueError``; finite points outside the cube are scored, not rejected.
 ``membership_profile`` scores one point, ``membership_profiles`` each row of
 an (n, 4) array; both give their JSON record through ``profile_record``.
@@ -253,10 +256,6 @@ class _Columns:
 def _quantum_kernel(characterization: QCharacterization, batch: _Columns):
     ops, cols = batch.ops, batch.cols
     if characterization is QCharacterization.ARCSIN:
-        # keep the batch named until the subtraction: freed earlier, glibc
-        # trims the heap top every batch, and scoring Q alone in the stream
-        # took 13.7k minor faults and ~117 ms per 10^6 points, not 0.5k and
-        # ~83 ms (16 384-point batches)
         arcsin = _Columns(ops.arcsin(cols), ops)
         return math.pi - arcsin.chsh_max_abs
     c00, c01, c10, c11 = cols
@@ -510,21 +509,104 @@ def column_verdicts(regions: Sequence[RegionId],
     ``regions``, at ``DEFAULT_TOLERANCE``: for every region, equal to
     ``column_margins([region], cols)[0] >= -DEFAULT_TOLERANCE``.
 
-    Q is decided by ``_quantum_verdicts``, without an arcsin except in a
-    thin band about its boundary; the other regions compare their margins.
-    The columns are not checked: the Monte Carlo engine draws finite points
-    in [-1, 1], the contract on which the Q verdict equals the arcsin rule.
+    C, T and U are decided by the operations of their margin kernels, Q
+    by ``_quantum_verdicts``, without an arcsin except in a thin band about
+    its boundary, and L compares its margin.  The columns are not checked:
+    the Monte Carlo engine draws finite points in [-1, 1], the contract on
+    which the Q verdict equals the arcsin rule.
     """
-    batch = _Columns(cols, _array_ops())
-    verdicts = {r: _quantum_verdicts(cols) if r is RegionId.QUANTUM_Q
-                else _region_kernel(r, batch, None) >= -DEFAULT_TOLERANCE
-                for r in regions}
-    return [verdicts[r] for r in regions]
+    import numpy as np
+
+    distinct = list(dict.fromkeys(regions))
+    inside = np.empty((len(distinct), cols.shape[1]), dtype=bool)
+    column_verdicts_into(distinct, cols, np.empty(cols.shape), inside)
+    return [inside[distinct.index(r)] for r in regions]
 
 
-def _quantum_verdicts(cols: np.ndarray) -> np.ndarray:
-    """Q verdicts of (4, m) columns in [-1, 1], equal to the arcsin rule
-    ``margin >= -DEFAULT_TOLERANCE``, from Landau's form with a filter.
+def column_verdicts_into(regions: Sequence[RegionId], cols: np.ndarray,
+                         work: np.ndarray, out: np.ndarray) -> None:
+    """``column_verdicts`` of distinct ``regions``, written into the rows of
+    the (k, m) bool array ``out``, with the float (4, m) array ``work``
+    for the intermediate values: for C, T, U and Q no array of the batch's
+    size is allocated, so the Monte Carlo stream scores its batches in
+    buffers it allocates once.  ``work`` may share memory with nothing
+    else the call reads.  L compares its margin, allocating; the stream
+    never asks for it, as every point it draws is in the cube.
+    """
+    rows = {}
+    for region, row in zip(regions, out):
+        if not isinstance(region, RegionId):  # a str equals its RegionId
+            raise ValueError(f"unknown region {region!r}")
+        rows[region] = row
+    local = rows.get(RegionId.LOCAL_C)
+    tsirelson = rows.get(RegionId.TSIRELSON_T)
+    if local is not None or tsirelson is not None:
+        _chsh_verdicts(cols, work, local, tsirelson)
+    if RegionId.UFFINK_U in rows:
+        _uffink_verdicts(cols, work, rows[RegionId.UFFINK_U])
+    if RegionId.QUANTUM_Q in rows:
+        _quantum_verdicts(cols, work, rows[RegionId.QUANTUM_Q])
+    if RegionId.NO_SIGNALING_L in rows:
+        box = _region_kernel(RegionId.NO_SIGNALING_L,
+                             _Columns(cols, _array_ops()), None)
+        rows[RegionId.NO_SIGNALING_L][...] = box >= -DEFAULT_TOLERANCE
+
+
+def _chsh_verdicts(cols: np.ndarray, work: np.ndarray,
+                   local: np.ndarray | None,
+                   tsirelson: np.ndarray | None) -> None:
+    """C and T verdicts into ``local`` and ``tsirelson`` (either may be
+    None) from one CHSH maximum M = max(S - 2 min c, 2 max c - S), computed
+    as ``_Columns.chsh_max_abs`` computes it.  2 - M and 2 sqrt 2 - M round
+    monotonically in M, so C's verdict implies T's in floats too."""
+    import numpy as np
+
+    c00, c01, c10, c11 = cols
+    total, low, high = work[:3]
+    np.add(c00, c01, out=total)
+    total += c10
+    total += c11
+    np.min(cols, axis=0, out=low)
+    low *= 2.0
+    np.subtract(total, low, out=low)
+    np.max(cols, axis=0, out=high)
+    high *= 2.0
+    high -= total
+    chsh = np.maximum(low, high, out=low)
+    for bound, out in ((2.0, local), (TSIRELSON_BOUND, tsirelson)):
+        if out is not None:
+            np.subtract(bound, chsh, out=high)
+            np.greater_equal(high, -DEFAULT_TOLERANCE, out=out)
+
+
+def _uffink_verdicts(cols: np.ndarray, work: np.ndarray,
+                     out: np.ndarray) -> None:
+    """U verdicts into ``out``, each operation that of ``_region_kernel``
+    (a square is x * x, as numpy computes x ** 2)."""
+    import numpy as np
+
+    c00, c01, c10, c11 = cols
+    lhs1, lhs2, t = work[:3]
+    np.add(c00, c11, out=lhs1)
+    lhs1 *= lhs1
+    np.subtract(c01, c10, out=t)
+    t *= t
+    lhs1 += t
+    np.subtract(c00, c11, out=lhs2)
+    lhs2 *= lhs2
+    np.add(c01, c10, out=t)
+    t *= t
+    lhs2 += t
+    np.maximum(lhs1, lhs2, out=lhs1)
+    np.subtract(4.0, lhs1, out=lhs1)
+    np.greater_equal(lhs1, -DEFAULT_TOLERANCE, out=out)
+
+
+def _quantum_verdicts(cols: np.ndarray, work: np.ndarray,
+                      out: np.ndarray) -> None:
+    """Q verdicts of (4, m) columns in [-1, 1] into ``out``, equal to the
+    arcsin rule ``margin >= -DEFAULT_TOLERANCE``, from Landau's form with a
+    filter; the four rows of ``work`` hold the temporaries.
 
     With a = c00 c01 - c10 c11, X = (1 - c00^2)(1 - c01^2) and
     Y = (1 - c10^2)(1 - c11^2), let f = 2 sqrt(XY) + X + Y - a^2
@@ -552,15 +634,11 @@ def _quantum_verdicts(cols: np.ndarray) -> np.ndarray:
     band > 4 (tol + E_m) + E_f, about 5e-12 at tol = 1e-12.  The band,
     1000 tol, leaves a factor of 200 over that; none of 2*10^7 uniform
     draws fell inside it.
-
-    The four temporaries are the rows of one (4, m) array, each reused
-    through ``out=``, so Q adds 0.5 MiB to a batch's peak memory, not one
-    array per operation.
     """
     import numpy as np
 
     c00, c01, c10, c11 = cols
-    a, t, x, y = np.empty(cols.shape)
+    a, t, x, y = work
     np.multiply(c00, c01, out=a)
     np.multiply(c10, c11, out=t)
     a -= t
@@ -581,13 +659,12 @@ def _quantum_verdicts(cols: np.ndarray) -> np.ndarray:
     x += y
     x -= a
     t += x
-    inside = t >= 0.0
-    near = np.flatnonzero(np.abs(t, out=t) <= _Q_BAND)
+    near = np.flatnonzero(np.less_equal(np.abs(t, out=a), _Q_BAND, out=out))
+    np.greater_equal(t, 0.0, out=out)
     if near.size:
         margin = _quantum_kernel(QCharacterization.ARCSIN,
                                  _Columns(cols[:, near], _array_ops()))
-        inside[near] = margin >= -DEFAULT_TOLERANCE
-    return inside
+        out[near] = margin >= -DEFAULT_TOLERANCE
 
 
 def _as_columns(pts) -> np.ndarray:

@@ -41,7 +41,7 @@ import numpy as np
 from .estimates import (ANALYTIC, VolumeEstimate,  # noqa: F401  re-exported
                         _QUADRATURE_MIN_TOL, check_abs_tol,
                         exact_region_volume)
-from .regions import REGION_CHAIN, RegionId, _index, column_verdicts
+from .regions import REGION_CHAIN, RegionId, _index, column_verdicts_into
 from .regions import region_mask  # noqa: F401  read by bench/tracer.py
 
 SQRT2 = math.sqrt(2.0)
@@ -93,9 +93,10 @@ def __getattr__(name: str):
 #: Points a process draws and scores at a time: bounds memory, and cannot
 #: change a result, as the batches' counts add alike in any split.
 #: 16 384 was the fastest of 4096, 8192, ..., 65 536 on the `mc` benchmark
-#: (BENCH_12.json): a batch's temporaries (128 KiB per margin) then stay in
-#: the heap instead of being faulted in again every batch, as at 65 536,
-#: and the per-batch Python overhead is a quarter of that at 4096.
+#: (BENCH_12.json), when each batch still allocated its temporaries; now
+#: every batch works in the buffers ``_score_points`` allocates once per
+#: range (1.1 MiB for the chain), and the per-batch Python overhead is a
+#: quarter of that at 4096.
 _BATCH = 16_384
 
 
@@ -112,30 +113,53 @@ def _score_points(cfg: EstimatorConfig, regions: tuple[RegionId, ...],
 
     The points are drawn ``_BATCH`` at a time from ``points.start``,
     exactly as ``2 * random((m, 4)) - 1``, and scored in column layout by
-    ``column_verdicts``; J's upper triangle is counted, then mirrored.
+    ``column_verdicts_into``; J's upper triangle is counted, then mirrored.
 
-    The column buffer is allocated once per call.  Each batch draws into a
-    fresh 512 KiB block, freed as soon as it is transposed: glibc maps the
-    first on its own, and freeing it raises its trim threshold to 1 MiB,
-    above the rest of a batch's temporaries, which then stay in the heap
-    (``test_stream_minor_fault_budget``).  With one reused draw buffer, a
-    fresh ``volume --region T --method mc --n 10000000`` took ~100k minor
-    faults, not ~3k.
+    Every batch works in three buffers allocated once per call, so the
+    stream allocates nothing per batch and its page faults do not depend on
+    the heap's state: the draw block, which becomes the kernels' float
+    work array once transposed into the column buffer, and a bool block with
+    one verdict row per region scored and one row for the verdicts of two
+    regions at once.  Two kinds of entry are not counted, as the float
+    verdicts nest: C's verdict implies T's (one CHSH maximum against 2 and
+    2 sqrt 2), so J[C, T] = J[C, C]; and every drawn point lies in
+    [-1, 1)^4, so L is not scored, J[L, R] = J[R, R] and J[L, L] is the
+    number of points.
     """
-    k = len(regions)
-    joint = np.zeros((k, k), dtype=np.int64)
-    columns = np.empty(4 * min(_BATCH, len(points)))
+    nested = (RegionId.LOCAL_C, RegionId.TSIRELSON_T)
+    cube = RegionId.NO_SIGNALING_L
+    present = [r for r in REGION_CHAIN if r in regions]
+    scored = [r for r in present if r is not cube]
+    k, b = len(scored), min(_BATCH, len(points))
+    counted = [(i, j) for i, j in
+               itertools.combinations_with_replacement(range(k), 2)
+               if (scored[i], scored[j]) != nested]
+    hits = np.zeros((len(present), len(present)), dtype=np.int64)
+    draw, columns = np.empty(4 * b), np.empty(4 * b)
+    inside = np.empty((k + 1) * b, dtype=bool)
     gen = sample_stream(cfg.seed, points.start)
-    for start in range(points.start, points.stop, _BATCH):
+    # L alone scores nothing, so it draws nothing
+    for start in range(points.start, points.stop if k else points.start,
+                       _BATCH):
         m = min(_BATCH, points.stop - start)
-        raw = gen.random((m, 4))
+        raw = gen.random(out=draw[:4 * m].reshape(m, 4))
         cols = np.multiply(raw.T, 2.0, out=columns[:4 * m].reshape(4, m))
-        del raw
         cols -= 1.0
-        inside = column_verdicts(regions, cols)
-        for a, b in itertools.combinations_with_replacement(range(k), 2):
-            joint[a, b] += np.count_nonzero(inside[a] & inside[b])
-    return joint + np.triu(joint, 1).T
+        rows = inside[:(k + 1) * m].reshape(k + 1, m)
+        column_verdicts_into(scored, cols, draw[:4 * m].reshape(4, m),
+                             rows[:k])
+        for i, j in counted:
+            both = rows[i] if i == j else np.logical_and(rows[i], rows[j],
+                                                         out=rows[k])
+            hits[i, j] += np.count_nonzero(both)
+    for i, j in itertools.combinations(range(len(present)), 2):
+        if (present[i], present[j]) == nested or present[j] is cube:
+            hits[i, j] = hits[i, i]
+    if cube in present:
+        hits[k, k] = len(points)
+    hits += np.triu(hits, 1).T
+    index = [present.index(r) for r in regions]
+    return hits[np.ix_(index, index)]
 
 
 def score_stream(cfg: EstimatorConfig,
@@ -151,6 +175,9 @@ def score_stream(cfg: EstimatorConfig,
     fixed seed, whatever ``worker_count``.
     """
     regions = tuple(regions)
+    for region in regions:
+        if not isinstance(region, RegionId):  # a str equals its RegionId
+            raise ValueError(f"unknown region {region!r}")
     procs = min(cfg.worker_count, os.cpu_count() or 1, cfg.sample_count)
     if procs == 1:
         return _score_points(cfg, regions, range(cfg.sample_count))

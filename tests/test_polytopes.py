@@ -653,6 +653,17 @@ class TestSerialization:
         assert {(h.normal, h.offset) for h in parsed.halfspaces} \
             == {(h.normal, h.offset) for h in poly.halfspaces}
 
+    @pytest.mark.parametrize("offset", [0.1, 1, Fraction(1, 10), "1/10"])
+    def test_halfspace_offset_is_exact_and_round_trips(self, offset):
+        # the offset is a Fraction of the value given, as vertices are, so
+        # slack is exact and to_text writes the facet that was built
+        h = Halfspace((1,), offset)
+        assert type(h.offset) is Fraction and h.offset == Fraction(offset)
+        assert h.slack((h.offset,)) == 0 and type(h.slack((0,))) is Fraction
+        poly = RationalPolytope(dim=1, halfspaces=(h, Halfspace((-1,), 0)))
+        parsed = RationalPolytope.from_text(poly.to_text("H"))
+        assert parsed.halfspaces == poly.halfspaces
+
     def test_fractions_serialized_as_p_over_q(self):
         poly = RationalPolytope(dim=2, vertices=(
             (Fraction(1, 3), Fraction(-2, 7)), (Fraction(0), Fraction(1))))

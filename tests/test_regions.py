@@ -734,14 +734,47 @@ OFFSETS = (0.0, *(sign * 10.0 ** -k for k in range(9, 16) for sign in (1, -1)))
 
 
 def _assert_verdicts_follow_margins(points):
-    """``column_verdicts`` over the chain equals margin >= -DEFAULT_TOLERANCE
-    for every region and point."""
+    """``column_verdicts`` over the chain, and of each region alone, equals
+    margin >= -DEFAULT_TOLERANCE for every region and point."""
     cols = np.ascontiguousarray(np.array(points, dtype=np.float64).T)
     for region, inside in zip(CHAIN, column_verdicts(CHAIN, cols)):
         rule = column_margins([region], cols)[0] >= -DEFAULT_TOLERANCE
-        wrong = np.flatnonzero(inside != rule)
-        assert inside.dtype == bool and inside.shape == rule.shape
-        assert not wrong.size, (region.value, len(wrong), cols[:, wrong[:3]].T)
+        (alone,) = column_verdicts([region], cols)
+        for verdicts in (inside, alone):
+            wrong = np.flatnonzero(verdicts != rule)
+            assert verdicts.dtype == bool and verdicts.shape == rule.shape
+            assert not wrong.size, (region.value, len(wrong),
+                                    cols[:, wrong[:3]].T)
+
+
+def _facet_points(bound):
+    """The eight points with |S - 2 c_ij| = ``bound``, one per CHSH facet:
+    every coordinate sigma * bound / 4 but c_ij, which has the other sign."""
+    a = bound / 4.0
+    return [tuple(-sigma * a if k == ij else sigma * a for k in range(4))
+            for ij in range(4) for sigma in (1.0, -1.0)]
+
+
+#: Points on the two circles of U: (c00 + c11)^2 + (c01 - c10)^2 = 4 and
+#: (c00 - c11)^2 + (c01 + c10)^2 = 4.
+U_CIRCLES = [p for angle in (0.3, math.pi / 4, 1.2, 2.5)
+             for c, s in [(math.cos(angle), math.sin(angle))]
+             for p in ((c, s, -s, c), (c, s, s, -c))]
+
+
+def _where_rounding_decides(points, bound, degree):
+    """``points``, on a boundary where a constraint of degree ``degree``
+    reaches ``bound``, and the same points scaled out to where its margin
+    is -DEFAULT_TOLERANCE, each with its neighbours one ulp farther from
+    and nearer to the origin in every coordinate: the verdict flips within
+    each scaled triple, so only the margin rule's own rounding decides it."""
+    scale = (1.0 + DEFAULT_TOLERANCE / bound) ** (1.0 / degree)
+    out = []
+    for p in points + [tuple(scale * v for v in p) for p in points]:
+        out += [p, tuple(math.nextafter(v, math.copysign(math.inf, v))
+                         for v in p),
+                tuple(math.nextafter(v, 0.0) for v in p)]
+    return out
 
 
 def _to_q_boundary(base, step):
@@ -777,8 +810,25 @@ def _stepped(base, step, t):
 @settings(deadline=None, max_examples=300)
 @given(st.lists(CUBE_POINTS, min_size=1, max_size=20))
 @example(VERTICES + [Q_BOUNDARY])
+@example(_where_rounding_decides(_facet_points(2.0), 2.0, 1))
+@example(_where_rounding_decides(_facet_points(TSIRELSON_BOUND),
+                                 TSIRELSON_BOUND, 1))
+@example(_where_rounding_decides(U_CIRCLES, 4.0, 2))
 def test_column_verdicts_equal_the_margin_rule(points):
     _assert_verdicts_follow_margins(points)
+
+
+@pytest.mark.parametrize("region, points, bound, degree", [
+    (RegionId.LOCAL_C, _facet_points(2.0), 2.0, 1),
+    (RegionId.TSIRELSON_T, _facet_points(TSIRELSON_BOUND), TSIRELSON_BOUND, 1),
+    (RegionId.UFFINK_U, U_CIRCLES, 4.0, 2)])
+def test_rounding_examples_straddle_the_tolerance(region, points, bound,
+                                                  degree):
+    # the examples above pin the verdict kernels only if, next to the
+    # dilated boundary, the margin rule gives both verdicts in each triple
+    near = _where_rounding_decides(points, bound, degree)[3 * len(points):]
+    rule = column_margins([region], np.array(near).T)[0] >= -DEFAULT_TOLERANCE
+    assert all(len(set(triple)) == 2 for triple in rule.reshape(-1, 3).tolist())
 
 
 @settings(deadline=None, max_examples=100)

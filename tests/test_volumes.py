@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
@@ -260,6 +261,23 @@ class TestScoreStream:
             [[ref(p) >= -DEFAULT_TOLERANCE for p in pts]
              for ref in reference.CHAIN])
 
+    @pytest.mark.parametrize("regions", [
+        [r] for r in CHAIN] + [[RegionId.TSIRELSON_T, RegionId.LOCAL_C],
+                               [RegionId.NO_SIGNALING_L, RegionId.UFFINK_U]],
+        ids=lambda regions: "".join(r.value for r in regions))
+    def test_joint_counts_of_short_region_lists(self, regions):
+        # one region alone takes the stream's k = 1 path, L alone scores
+        # nothing, and [T, C] and [L, U] list out of chain order the regions
+        # whose joint counts are not taken (J[C, T] = J[C, C] and
+        # J[L, R] = J[R, R])
+        n, seed = 20_000, 29
+        with mock.patch.object(volumes, "_BATCH", 4096):
+            joint = score_stream(EstimatorConfig(sample_count=n, seed=seed),
+                                 regions)
+        pts = [tuple(row) for row in _stream_points(seed, n)]
+        assert joint.tolist() == _joint_counts(
+            [[ORACLES[r](p).inside for p in pts] for r in regions])
+
     @settings(deadline=None, max_examples=20)
     @given(st.integers(0, 2 ** 64 - 1), st.integers(1, 400),
            st.lists(st.sampled_from(CHAIN), min_size=9, max_size=16),
@@ -345,19 +363,15 @@ class TestScoreStream:
             cfg, CHAIN, range(1)).tolist()
         assert joint[-1, -1] == 1  # the cube L holds the one point
 
-    @pytest.mark.skipif(sys.platform != "linux"
-                        or platform.libc_ver()[0] != "glibc",
-                        reason="the budget is set by glibc's heap trimming")
-    def test_stream_minor_fault_budget(self):
-        # a batch's temporaries stay in the heap while they fit under the
-        # trim threshold that freeing the first draw block sets (see
-        # _score_points); 10^6 chain points then fault in a few hundred
-        # pages, and in ~6k when a batch outgrows it, as when J is taken
-        # as a float (5, m) verdict matrix times its transpose
+    @staticmethod
+    def _stream_faults(first_import: str, **env: str) -> int:
+        """Minor page faults of scoring 10^6 chain points in a fresh
+        process whose first line is ``first_import``, with ``env`` added to
+        its environment."""
         src = Path(volumes.__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
             [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
-        script = textwrap.dedent("""
+        script = first_import + textwrap.dedent("""
             import resource
             from bellvol import volumes
             from bellvol.regions import REGION_CHAIN
@@ -374,7 +388,50 @@ class TestScoreStream:
         run = subprocess.run([sys.executable, "-c", script], env=env,
                              capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, run.stderr
-        assert int(run.stdout) < 2000
+        return int(run.stdout)
+
+    # every batch works in the buffers _score_points allocates once per
+    # range, so 10^6 chain points fault in a few hundred pages whatever the
+    # heap's state.  When each batch allocated its temporaries, the count
+    # hung on glibc's dynamic thresholds: ~400 with bellvol imported first;
+    # ~14k or ~400 with numpy imported first, as the environment varied;
+    # 54-66k with the mmap threshold pinned
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="minor faults as Linux counts them")
+    def test_stream_minor_fault_budget(self):
+        assert self._stream_faults("") < 2000
+
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="minor faults as Linux counts them")
+    def test_stream_minor_fault_budget_with_numpy_imported_first(self):
+        assert self._stream_faults("import numpy\n") < 2000
+
+    @pytest.mark.skipif(sys.platform != "linux"
+                        or platform.libc_ver()[0] != "glibc",
+                        reason="glibc's malloc reads the variable")
+    def test_stream_minor_fault_budget_with_mmap_threshold_pinned(self):
+        # a fixed threshold, glibc's default of 128 KiB, which no freed
+        # block can raise: an array of a batch's size would be mapped and
+        # faulted in afresh every batch
+        assert self._stream_faults(
+            "", MALLOC_MMAP_THRESHOLD_=str(128 * 1024)) < 2000
+
+    def test_stream_traced_peak_is_its_buffers(self):
+        # a range's buffers are the draw block and the column buffer, 4 * b
+        # floats each, and one bool row of b per region scored (C, Q, U, T;
+        # L is not) and one for a pair of them; 8 batches may add no array
+        # of a batch's size on top
+        b = volumes._BATCH
+        buffers = (2 * 4 * 8 + len(CHAIN)) * b
+        cfg = EstimatorConfig(sample_count=8 * b, seed=3)
+        volumes._score_points(cfg, CHAIN, range(b))
+        tracemalloc.start()
+        try:
+            volumes._score_points(cfg, CHAIN, range(cfg.sample_count))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < buffers + 128 * 1024, (peak, buffers)
 
 
 class TestRatioEstimate:
