@@ -32,6 +32,7 @@ from .regions import (
     _FIELDS,
     DEFAULT_TOLERANCE,
     CorrelationPoint,
+    QCharacterization,
     RegionId,
     _index,
     check_tolerance,
@@ -168,9 +169,10 @@ def _emit(args, rows: list[dict], headers: list[str], json_obj) -> None:
 def _cmd_membership(args):
     profile = membership_profile(args.point, tol=args.tolerance)
     # the five regions (Q as arcsin), then the other two Q characterizations
+    quantum = profile.quantum()
     rows = [res.as_dict() for res in (*profile.regions().values(),
-                                      profile.quantum_landau,
-                                      profile.quantum_sextic)]
+                                      quantum[QCharacterization.LANDAU],
+                                      quantum[QCharacterization.SEXTIC])]
     json_obj = {"point": dict(zip(_FIELDS, args.point)),
                 "profile": profile.as_dict()}
     _emit(args, rows, ["region", "characterization", "inside", "margin"], json_obj)

@@ -22,13 +22,16 @@ be finite and >= 0, and not a bool (``check_tolerance``).
 Each region's margin is written once, as a kernel on a batch held one
 coordinate per row: four floats for the scalar oracles, or a (4, m) array for
 the vector entry points.  An op table supplies the few operations spelled
-differently (builtins and ``math``, or numpy).  The Monte Carlo stream's
-verdicts (``column_verdicts_into``) repeat the C, T and U kernels operation
-for operation, writing into buffers the caller allocates once; the tests
-hold each verdict equal to its margin rule.  Non-finite coordinates raise
+differently (builtins and ``math``, or numpy).  A :class:`MembershipProfile`
+holds the seven margins of ``PROFILE_ORDER`` and the tolerance:
+``membership_profile`` gives floats for one point, ``membership_profiles``
+(n,) arrays for the rows of an (n, 4) array, and verdicts and results are
+derived from the margins when read.  ``region_margins`` and ``region_mask``
+score one region on such an array.  The Monte Carlo stream's verdicts
+(``column_verdicts_into``) repeat the C, T and U kernels operation for
+operation, writing into buffers the caller allocates once; the tests hold
+each verdict equal to its margin rule.  Non-finite coordinates raise
 ``ValueError``; finite points outside the cube are scored, not rejected.
-``membership_profile`` scores one point, ``membership_profiles`` each row of
-an (n, 4) array; both give their JSON record through ``profile_record``.
 """
 
 from __future__ import annotations
@@ -336,17 +339,12 @@ def _point(p: PointLike) -> _Columns:
     return _Columns(_coords(p), _SCALAR_OPS)
 
 
-def _verdict(region: RegionId, batch: _Columns, tol: float,
-             char: QCharacterization | None = None) -> MembershipResult:
-    margin = _region_kernel(region, batch, char)
-    return MembershipResult(region, margin >= -tol, margin, char, tol)
-
-
 def _result(region: RegionId, p: PointLike, tol: float,
             char: QCharacterization | None = None) -> MembershipResult:
     """One oracle call: the tolerance checked, the point scored."""
     check_tolerance(tol)
-    return _verdict(region, _point(p), tol, char)
+    margin = _region_kernel(region, _point(p), char)
+    return MembershipResult(region, margin >= -tol, margin, char, tol)
 
 
 def chsh_value(p: PointLike, i: int, j: int) -> float:
@@ -410,44 +408,8 @@ def in_quantum_sextic(p: PointLike, tol: float = DEFAULT_TOLERANCE) -> Membershi
     return _result(RegionId.QUANTUM_Q, p, tol, QCharacterization.SEXTIC)
 
 
-@dataclass(frozen=True, slots=True)
-class MembershipProfile:
-    """Verdicts for all five regions, the quantum one under all three forms."""
-
-    local: MembershipResult
-    quantum_arcsin: MembershipResult
-    quantum_landau: MembershipResult
-    quantum_sextic: MembershipResult
-    uffink: MembershipResult
-    tsirelson: MembershipResult
-    no_signaling: MembershipResult
-
-    def regions(self) -> dict[RegionId, MembershipResult]:
-        """One result per region; the quantum entry is the arcsin verdict."""
-        return {
-            RegionId.LOCAL_C: self.local,
-            RegionId.QUANTUM_Q: self.quantum_arcsin,
-            RegionId.UFFINK_U: self.uffink,
-            RegionId.TSIRELSON_T: self.tsirelson,
-            RegionId.NO_SIGNALING_L: self.no_signaling,
-        }
-
-    def quantum(self) -> dict[QCharacterization, MembershipResult]:
-        return {
-            QCharacterization.ARCSIN: self.quantum_arcsin,
-            QCharacterization.LANDAU: self.quantum_landau,
-            QCharacterization.SEXTIC: self.quantum_sextic,
-        }
-
-    def as_dict(self) -> dict:
-        return profile_record(
-            (res.inside, res.margin)
-            for res in (self.local, self.quantum_arcsin, self.quantum_landau,
-                        self.quantum_sextic, self.uffink, self.tsirelson,
-                        self.no_signaling))
-
-
-#: The seven verdicts of a profile, in the field order of MembershipProfile.
+#: The seven margins of a profile, in order: the five regions, Q under
+#: each of its three characterizations after C.
 PROFILE_ORDER = (
     (RegionId.LOCAL_C, None),
     (RegionId.QUANTUM_Q, QCharacterization.ARCSIN),
@@ -458,9 +420,54 @@ PROFILE_ORDER = (
     (RegionId.NO_SIGNALING_L, None),
 )
 
+# the slot of each (region, characterization) in PROFILE_ORDER; Q alone
+# reads as its arcsin form, slot 1
+_SLOTS = {**{key: k for k, key in enumerate(PROFILE_ORDER)},
+          (RegionId.QUANTUM_Q, None): 1}
+
 # the tags of PROFILE_ORDER, read once: an enum's .value is a slow property
 _PROFILE_TAGS = tuple((region.value, char and char.value)
                       for region, char in PROFILE_ORDER)
+
+
+@dataclass(frozen=True, slots=True)
+class MembershipProfile:
+    """Every oracle on one point or a batch: the seven ``margins`` in
+    ``PROFILE_ORDER`` (floats, or (n,) arrays for the rows of a batch) and
+    the ``tolerance``.  Verdicts and results are derived when read."""
+
+    margins: tuple
+    tolerance: float = DEFAULT_TOLERANCE
+
+    @property
+    def inside(self) -> tuple:
+        """The seven verdicts, margin >= -tolerance, in ``PROFILE_ORDER``."""
+        return tuple(m >= -self.tolerance for m in self.margins)
+
+    def result(self, region: RegionId,
+               characterization: QCharacterization | None = None
+               ) -> MembershipResult:
+        """The result of one oracle; Q without a characterization is the
+        arcsin form."""
+        k = _SLOTS.get((region, characterization))
+        if k is None:
+            raise ValueError(f"no profile entry for {region!r}"
+                             f" under {characterization!r}")
+        region, char = PROFILE_ORDER[k]
+        margin = self.margins[k]
+        return MembershipResult(region, margin >= -self.tolerance, margin,
+                                char, self.tolerance)
+
+    def regions(self) -> dict[RegionId, MembershipResult]:
+        """One result per region; the quantum entry is the arcsin verdict."""
+        return {region: self.result(region) for region in REGION_CHAIN}
+
+    def quantum(self) -> dict[QCharacterization, MembershipResult]:
+        return {char: self.result(RegionId.QUANTUM_Q, char)
+                for char in QCharacterization}
+
+    def as_dict(self) -> dict:
+        return profile_record(zip(self.inside, self.margins))
 
 
 def profile_record(verdicts) -> dict:
@@ -475,63 +482,37 @@ def profile_record(verdicts) -> dict:
             "U": uffink, "T": tsirelson, "L": box}
 
 
+def _profile(batch: _Columns, tol: float) -> MembershipProfile:
+    check_tolerance(tol)
+    return MembershipProfile(tuple(_region_kernel(region, batch, char)
+                                   for region, char in PROFILE_ORDER), tol)
+
+
 def membership_profile(p: PointLike, tol: float = DEFAULT_TOLERANCE) -> MembershipProfile:
     """Evaluate every oracle on one point."""
-    check_tolerance(tol)
-    batch = _point(p)
-    return MembershipProfile(*[_verdict(region, batch, tol, char)
-                               for region, char in PROFILE_ORDER])
+    return _profile(_point(p), tol)
 
 
 # vector entry points: (4, m) columns or the rows of an (n, 4) array
 
-def column_margins(regions: Sequence[RegionId], cols: np.ndarray,
-                   characterization: QCharacterization = QCharacterization.ARCSIN
-                   ) -> list[np.ndarray]:
-    """Signed margins of each of ``regions`` for each column of a (4, m)
-    array, with the work the kernels have in common done once.
-
-    The columns are not checked for finite values: the Monte Carlo engine
-    draws finite points, and a check per batch would slow its stream.
-    """
-    batch = _Columns(cols, _array_ops())
-    return [_region_kernel(r, batch, characterization) for r in regions]
-
-
 #: Half-width of the band of Landau's form f about 0 inside which the Q
-#: verdict of ``column_verdicts`` falls back to the arcsin margin; derived
-#: in ``_quantum_verdicts``.
+#: verdict of ``column_verdicts_into`` falls back to the arcsin margin;
+#: derived in ``_quantum_verdicts``.
 _Q_BAND = 1e3 * DEFAULT_TOLERANCE
-
-def column_verdicts(regions: Sequence[RegionId],
-                    cols: np.ndarray) -> list[np.ndarray]:
-    """Boolean membership of each column of a (4, m) array in each of
-    ``regions``, at ``DEFAULT_TOLERANCE``: for every region, equal to
-    ``column_margins([region], cols)[0] >= -DEFAULT_TOLERANCE``.
-
-    C, T and U are decided by the operations of their margin kernels, Q
-    by ``_quantum_verdicts``, without an arcsin except in a thin band about
-    its boundary, and L compares its margin.  The columns are not checked:
-    the Monte Carlo engine draws finite points in [-1, 1], the contract on
-    which the Q verdict equals the arcsin rule.
-    """
-    import numpy as np
-
-    distinct = list(dict.fromkeys(regions))
-    inside = np.empty((len(distinct), cols.shape[1]), dtype=bool)
-    column_verdicts_into(distinct, cols, np.empty(cols.shape), inside)
-    return [inside[distinct.index(r)] for r in regions]
 
 
 def column_verdicts_into(regions: Sequence[RegionId], cols: np.ndarray,
                          work: np.ndarray, out: np.ndarray) -> None:
-    """``column_verdicts`` of distinct ``regions``, written into the rows of
-    the (k, m) bool array ``out``, with the float (4, m) array ``work``
-    for the intermediate values: for C, T, U and Q no array of the batch's
-    size is allocated, so the Monte Carlo stream scores its batches in
-    buffers it allocates once.  ``work`` may share memory with nothing
-    else the call reads.  L compares its margin, allocating; the stream
-    never asks for it, as every point it draws is in the cube.
+    """Membership of each column of a (4, m) array in each of the distinct
+    ``regions``, written into the rows of the (k, m) bool array ``out``:
+    margin >= -DEFAULT_TOLERANCE, decided for C, T and U by the operations
+    of their kernels, for Q by ``_quantum_verdicts`` (an arcsin only in a
+    thin band about its boundary), for L by its margin.  The float (4, m)
+    array ``work``, which may share memory with nothing else the call
+    reads, holds the intermediate values, so that C, T, U and Q allocate
+    nothing of the batch's size.  The columns are not checked: the Monte
+    Carlo stream draws finite points in [-1, 1], the contract on which the
+    Q verdict equals the arcsin rule, and never asks for L.
     """
     rows = {}
     for region, row in zip(regions, out):
@@ -668,9 +649,17 @@ def _quantum_verdicts(cols: np.ndarray, work: np.ndarray,
 
 
 def _as_columns(pts) -> np.ndarray:
+    """The rows of an (n, 4) array of finite numbers as (4, n) columns;
+    ValueError for another shape, a non-finite value, a bool or text."""
     import numpy as np
 
-    pts = np.asarray(pts, dtype=np.float64)
+    pts = np.asarray(pts)
+    try:  # the cast reads True as 1 and parses text
+        if pts.dtype.kind in "bSUc":
+            raise TypeError
+        pts = pts.astype(np.float64, copy=False)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"points must be real numbers, got {pts.dtype}") from None
     if pts.ndim != 2 or pts.shape[1] != 4:
         raise ValueError(f"expected (n, 4) array, got {pts.shape}")
     if not np.isfinite(pts).all():
@@ -678,35 +667,20 @@ def _as_columns(pts) -> np.ndarray:
     return np.ascontiguousarray(pts.T)
 
 
-class ProfileBatch(NamedTuple):
-    """Membership profiles of a batch of points: seven margin arrays and
-    seven verdict arrays, both in ``PROFILE_ORDER``."""
-
-    margins: tuple[np.ndarray, ...]
-    inside: tuple[np.ndarray, ...]
-
-    def verdicts(self):
-        """Per point, its seven (inside, margin) pairs as Python values."""
-        return zip(*[zip(inside.tolist(), margins.tolist())
-                     for inside, margins in zip(self.inside, self.margins)])
-
-
 def membership_profiles(pts: np.ndarray,
-                        tol: float = DEFAULT_TOLERANCE) -> ProfileBatch:
-    """Every oracle on each row of an (n, 4) array: the vector counterpart
-    of :func:`membership_profile`, from the same kernels."""
-    check_tolerance(tol)
-    batch = _Columns(_as_columns(pts), _array_ops())
-    margins = tuple(_region_kernel(region, batch, char)
-                    for region, char in PROFILE_ORDER)
-    return ProfileBatch(margins, tuple(m >= -tol for m in margins))
+                        tol: float = DEFAULT_TOLERANCE) -> MembershipProfile:
+    """Every oracle on each row of an (n, 4) array: the profile of
+    :func:`membership_profile` with (n,) arrays for margins, from the same
+    kernels."""
+    return _profile(_Columns(_as_columns(pts), _array_ops()), tol)
 
 
 def region_margins(region: RegionId, pts: np.ndarray,
                    characterization: QCharacterization = QCharacterization.ARCSIN
                    ) -> np.ndarray:
     """Signed margins of ``region`` for each row of an (n, 4) array."""
-    return column_margins([region], _as_columns(pts), characterization)[0]
+    return _region_kernel(region, _Columns(_as_columns(pts), _array_ops()),
+                          characterization)
 
 
 def region_mask(region: RegionId, pts: np.ndarray, tol: float = DEFAULT_TOLERANCE,

@@ -107,12 +107,22 @@ def min_toggles(seq: OutcomeSequence, target: float) -> MinToggleResult:
     grid point (ties resolved toward fewer toggles).  Flipping a matched
     pair moves the correlation by -2/N, a mismatched pair by +2/N, so the
     minimum count for a reachable value t is N * |t - r| / 2 and the
-    achieved correlation is exact.  A target that is not finite or lies
-    outside [-1, 1] raises :class:`TargetUnreachable`.
+    achieved correlation is exact.  A target that is not a number (a bool,
+    Python's or numpy's, included, though ``True == 1``), not finite or
+    outside [-1, 1] raises :class:`TargetUnreachable`, a ValueError.
     """
     n = len(seq)
     if not isinstance(target, Fraction):
-        if not math.isfinite(target):
+        try:
+            if _is_bool(target):
+                raise TypeError
+            finite = math.isfinite(target)  # TypeError for text, None, 1j
+        except OverflowError:  # an integer past the floats: range decides
+            finite = True
+        except TypeError:
+            raise TargetUnreachable(
+                f"target {target!r} is not a number") from None
+        if not finite:
             raise TargetUnreachable(f"target {target!r} is not finite")
         target = Fraction(target)
     if not -1 <= target <= 1:

@@ -21,7 +21,17 @@ from bellvol import cli, polytopes, quantum
 from bellvol.cli import main
 from bellvol.regions import (
     _FIELDS,
+    PROFILE_ORDER,
     CorrelationPoint,
+    QCharacterization,
+    RegionId,
+    in_box_L,
+    in_local,
+    in_quantum_arcsin,
+    in_quantum_landau,
+    in_quantum_sextic,
+    in_tsirelson_T,
+    in_uffink_U,
     membership_profile,
     membership_profiles,
     profile_record,
@@ -71,10 +81,15 @@ class TestMembership:
                     ("region", "characterization", "inside", "margin")]
             rows = [[line[a:b].strip() for a, b in zip(cuts, [*cuts[1:], None])]
                     for line in body]
-        profile = membership_profile((0.7, 0.7, 0.7, -0.7))
-        expected = [profile.local, profile.quantum_arcsin, profile.uffink,
-                    profile.tsirelson, profile.no_signaling,
-                    profile.quantum_landau, profile.quantum_sextic]
+        c = (0.7, 0.7, 0.7, -0.7)
+        profile = membership_profile(c)
+        expected = [in_local(c), in_quantum_arcsin(c), in_uffink_U(c),
+                    in_tsirelson_T(c), in_box_L(c),
+                    in_quantum_landau(c), in_quantum_sextic(c)]
+        assert expected == [
+            *profile.regions().values(),
+            profile.result(RegionId.QUANTUM_Q, QCharacterization.LANDAU),
+            profile.result(RegionId.QUANTUM_Q, QCharacterization.SEXTIC)]
         assert [r[:2] for r in rows] == [
             ["C", ""], ["Q", "arcsin"], ["U", ""], ["T", ""], ["L", ""],
             ["Q", "landau"], ["Q", "sextic"]]
@@ -82,6 +97,18 @@ class TestMembership:
             "true" if res.inside else "false" for res in expected]
         assert [r[3] for r in rows] == [
             format(res.margin, ".12g") for res in expected]
+
+    # sha256 of the stdout of membership at a point next to Tsirelson's
+    @pytest.mark.parametrize("fmt, digest", [
+        ("table", "a19b08e72ae0c91d743dfacb03c22e81e5f1cb254333b487b3cfaadc2a43dc82"),
+        ("csv", "b3408157f53e25be3f2810c73e668cd8bcce87994e193ce1884b14aaeb7cec27"),
+        ("json", "94101cbb311d1353fbdc5246c1b3bfee227d27067a092aff3c95c544655380c2"),
+    ])
+    def test_output_bytes_are_pinned(self, capsys, fmt, digest):
+        code, out, _ = run_cli(capsys, "membership", "--point",
+                               "0.7,0.7,0.7,-0.7", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_malformed_json_names_the_field(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -719,10 +746,14 @@ class TestSampleQuantum:
         lines = []
         for start in range(0, n, block):
             pts = quantum.sample_quantum_points(min(block, n - start), rng)
-            for row, verdicts in zip(pts.tolist(),
-                                     membership_profiles(pts).verdicts()):
+            profiles = membership_profiles(pts)
+            assert len(profiles.margins) == len(PROFILE_ORDER)
+            verdicts = zip(*[zip(inside.tolist(), margins.tolist())
+                             for inside, margins in zip(profiles.inside,
+                                                        profiles.margins)])
+            for row, pairs in zip(pts.tolist(), verdicts):
                 lines.append(json.dumps({**dict(zip(_FIELDS, row)),
-                                         "profile": profile_record(verdicts)}))
+                                         "profile": profile_record(pairs)}))
         return lines
 
     @pytest.mark.parametrize("block", [1, 7, 1024])

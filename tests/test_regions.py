@@ -23,8 +23,7 @@ from bellvol.regions import (
     RegionId,
     check_tolerance,
     chsh_value,
-    column_margins,
-    column_verdicts,
+    column_verdicts_into,
     in_box_L,
     in_local,
     in_quantum_arcsin,
@@ -199,19 +198,64 @@ class TestProfile:
     def test_pickle_and_deepcopy_round_trip(self):
         profile = membership_profile(Q_BOUNDARY, tol=1e-6)
         result = in_quantum_landau(PR_POINT)
-        for obj in (profile, result, profile.quantum_sextic):
+        sextic = profile.result(RegionId.QUANTUM_Q, QCharacterization.SEXTIC)
+        for obj in (profile, result, sextic):
             for twin in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
                 assert twin == obj and twin is not obj
                 assert twin.as_dict() == obj.as_dict()
-        assert pickle.loads(pickle.dumps(profile)).local.tolerance == 1e-6
+        twin = pickle.loads(pickle.dumps(profile))
+        assert twin.tolerance == 1e-6
+        assert twin.result(RegionId.LOCAL_C).tolerance == 1e-6
+        assert twin.regions() == profile.regions()
+        assert twin.quantum() == profile.quantum()
 
     def test_results_are_slotted_and_frozen(self):
         profile = membership_profile((0, 0, 0, 0))
-        for obj, field in ((profile, "local"), (profile.local, "margin")):
+        local = profile.result(RegionId.LOCAL_C)
+        for obj, field in ((profile, "margins"), (profile, "tolerance"),
+                           (local, "margin")):
             assert not hasattr(obj, "__dict__")
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(obj, field, None)
-        assert isinstance(profile.local, MembershipResult)
+        assert isinstance(local, MembershipResult)
+
+    def test_profile_holds_seven_margins_and_its_tolerance(self):
+        profile = membership_profile(Q_BOUNDARY, tol=1e-6)
+        assert [f.name for f in dataclasses.fields(profile)] == \
+            ["margins", "tolerance"]
+        assert profile.margins == tuple(
+            ORACLE_OF[slot](Q_BOUNDARY, 1e-6).margin for slot in PROFILE_ORDER)
+        assert profile.inside == tuple(m >= -1e-6 for m in profile.margins)
+        # Q alone is its arcsin form
+        assert profile.result(RegionId.QUANTUM_Q) == profile.result(
+            RegionId.QUANTUM_Q, QCharacterization.ARCSIN)
+
+    @pytest.mark.parametrize("region, char", [
+        (RegionId.LOCAL_C, QCharacterization.ARCSIN),
+        (RegionId.TSIRELSON_T, QCharacterization.LANDAU),
+        ("X", None),
+        (None, None),
+    ])
+    def test_result_refuses_an_entry_not_in_the_profile(self, region, char):
+        with pytest.raises(ValueError, match="no profile entry"):
+            membership_profile((0, 0, 0, 0)).result(region, char)
+
+    def test_profile_builds_results_only_on_request(self, monkeypatch):
+        built = []
+
+        def counted(*args):
+            built.append(args[:1])
+            return MembershipResult(*args)
+
+        monkeypatch.setattr(regions, "MembershipResult", counted)
+        profile = membership_profile(Q_BOUNDARY)
+        assert profile.as_dict() == \
+            profile_record(zip(profile.inside, profile.margins))
+        assert built == []
+        profile.result(RegionId.UFFINK_U)
+        assert built == [(RegionId.UFFINK_U,)]
+        profile.regions()
+        assert len(built) == 1 + len(CHAIN)
 
 
 class TestPointValidation:
@@ -288,6 +332,10 @@ Q_ORACLES = {
     QCharacterization.LANDAU: in_quantum_landau,
     QCharacterization.SEXTIC: in_quantum_sextic,
 }
+
+#: The scalar oracle of each (region, characterization) of PROFILE_ORDER.
+ORACLE_OF = {(region, char): Q_ORACLES[char] if char else SCALARS[region]
+             for region, char in PROFILE_ORDER}
 
 
 def test_inclusion_chain_on_random_points():
@@ -464,16 +512,17 @@ def test_scalar_and_column_margins_are_equal(c):
     pow_squares = all(v ** 2 == v * v for v in (c00 + c11, c01 - c10,
                                                 c00 - c11, c01 + c10))
     for region, res in profile.regions().items():
-        column = column_margins([region], cols)[0][0]
-        assert column == region_margins(region, np.array([c]))[0]
+        column = region_margins(region, np.array([c]))[0]
+        assert column == region_margins(region, cols.T)[0]
         if region is RegionId.UFFINK_U and not pow_squares:
             assert abs(res.margin - column) <= 2 * math.ulp(8.0)
         elif region is not RegionId.QUANTUM_Q:
             assert res.margin == column
     for char in (QCharacterization.LANDAU, QCharacterization.SEXTIC):
         assert Q_ORACLES[char](c).margin \
+            == profile.result(RegionId.QUANTUM_Q, char).margin \
             == region_margins(RegionId.QUANTUM_Q, [c], char)[0] \
-            == column_margins([RegionId.QUANTUM_Q], cols, char)[0][0]
+            == region_margins(RegionId.QUANTUM_Q, cols.T, char)[0]
     # math.asin and numpy's arcsin may round a coordinate differently, by
     # at most 1 ulp; with the same four angles the margins are equal
     scalar_angles = [math.asin(v) for v in c]
@@ -482,11 +531,11 @@ def test_scalar_and_column_margins_are_equal(c):
         assert abs(a - b) <= math.ulp(a)
     arcsin = region_margins(RegionId.QUANTUM_Q, [c],
                             QCharacterization.ARCSIN)[0]
+    scalar_arcsin = profile.result(RegionId.QUANTUM_Q).margin
     if scalar_angles == column_angles:
-        assert profile.quantum_arcsin.margin == arcsin
+        assert scalar_arcsin == arcsin
     else:
-        assert abs(profile.quantum_arcsin.margin - arcsin) \
-            <= 8 * math.ulp(2 * math.pi)
+        assert abs(scalar_arcsin - arcsin) <= 8 * math.ulp(2 * math.pi)
 
 
 @settings(deadline=None, max_examples=200)
@@ -498,6 +547,11 @@ def test_inside_iff_margin_within_tolerance(c, tol):
     for res in results:
         assert res.inside == (res.margin >= -tol)
         assert res.tolerance == tol
+    # each entry of the profile is its oracle's result, margin bits included
+    for slot, inside in zip(PROFILE_ORDER, profile.inside):
+        oracle = ORACLE_OF[slot](c, tol)
+        assert profile.result(*slot) == oracle
+        assert inside == oracle.inside
     for region in CHAIN:
         margins = region_margins(region, np.array([c]))
         assert region_mask(region, np.array([c]), tol)[0] == (margins[0] >= -tol)
@@ -603,6 +657,13 @@ class _Watched(np.ndarray):
         return getattr(ufunc, method)(*inputs, **kwargs)
 
 
+def _kernel_margins(region, cols):
+    """The margins of ``region`` for (4, m) ``cols`` taken as they are, so
+    that a subclass sees every ufunc applied to it."""
+    batch = regions._Columns(cols, regions._array_ops())
+    return regions._region_kernel(region, batch, QCharacterization.ARCSIN)
+
+
 def test_quantum_margins_never_reduce_the_raw_batch(monkeypatch, computed):
     # the Monte Carlo stream scores Q alone: the sum, minimum and maximum of
     # its raw batch are work no kernel reads
@@ -610,13 +671,13 @@ def test_quantum_margins_never_reduce_the_raw_batch(monkeypatch, computed):
     monkeypatch.setattr(_Watched, "log", log, raising=False)
     pts = np.array([[0.3, -0.2, 0.9, 0.1], [1.0, 1.0, 1.0, -1.0]])
     cols = np.ascontiguousarray(pts.T).view(_Watched)
-    (margins,) = column_margins([RegionId.QUANTUM_Q], cols)
+    margins = _kernel_margins(RegionId.QUANTUM_Q, cols)
     assert log == ["clip.__call__"]   # the arcsin op's clipped copy alone
     assert not [name for batch, name in computed if batch.cols is cols]
     assert margins.tobytes() == \
-        column_margins([RegionId.QUANTUM_Q], pts.T)[0].tobytes()
+        region_margins(RegionId.QUANTUM_Q, pts).tobytes()
     # the log does see a reduction of the raw batch when a kernel needs one
-    column_margins([RegionId.NO_SIGNALING_L], cols)
+    _kernel_margins(RegionId.NO_SIGNALING_L, cols)
     assert {"minimum.reduce", "maximum.reduce"} <= set(log)
 
 
@@ -641,22 +702,33 @@ def _scalar_gap(c, region, char):
     return 0.0
 
 
+def _rows(profile):
+    """Per row of a batch profile, its seven (inside, margin) pairs as
+    Python values."""
+    return list(zip(*[zip(inside.tolist(), margins.tolist())
+                      for inside, margins in zip(profile.inside,
+                                                 profile.margins)]))
+
+
 def _check_profiles(points, tol=DEFAULT_TOLERANCE, boundary=1e-9):
-    batch = membership_profiles(np.array(points, dtype=np.float64), tol)
-    cols = np.array(points, dtype=np.float64).T
+    rows = np.array(points, dtype=np.float64)
+    batch = membership_profiles(rows, tol)
+    assert batch.tolerance == tol
     assert len(batch.margins) == len(batch.inside) == len(PROFILE_ORDER)
     for (region, char), margins, inside in zip(PROFILE_ORDER, batch.margins,
                                                batch.inside):
-        column = column_margins([region], cols, char or QCharacterization.ARCSIN)[0]
+        column = region_margins(region, rows, char or QCharacterization.ARCSIN)
         assert margins.tobytes() == column.tobytes()
         assert inside.tolist() == (column >= -tol).tolist()
-    for c, verdicts in zip(points, batch.verdicts()):
+        assert inside.tolist() == region_mask(
+            region, rows, tol, char or QCharacterization.ARCSIN).tolist()
+        res = batch.result(region, char)
+        assert (res.region, res.characterization) == (region, char)
+        assert res.margin is margins and res.inside.tolist() == inside.tolist()
+    for c, verdicts in zip(points, _rows(batch)):
         scalar = membership_profile(c, tol)
-        results = (scalar.local, scalar.quantum_arcsin, scalar.quantum_landau,
-                   scalar.quantum_sextic, scalar.uffink, scalar.tsirelson,
-                   scalar.no_signaling)
-        for (region, char), res, (inside, margin) in zip(PROFILE_ORDER, results,
-                                                         verdicts):
+        for (region, char), (inside, margin) in zip(PROFILE_ORDER, verdicts):
+            res = scalar.result(region, char)
             assert (res.region, res.characterization) == (region, char)
             assert abs(res.margin - margin) <= _scalar_gap(c, region, char)
             if abs(res.margin + tol) >= boundary:
@@ -696,7 +768,7 @@ def test_batch_profiles_are_row_independent(a, b):
         assert whole.margins[k].tobytes() == joined.tobytes()
         assert whole.inside[k].tolist() == \
             np.concatenate([p.inside[k] for p in parts]).tolist()
-    assert list(whole.verdicts()) == [*parts[0].verdicts(), *parts[1].verdicts()]
+    assert _rows(whole) == [*_rows(parts[0]), *_rows(parts[1])]
 
 
 @pytest.mark.parametrize("pts", [
@@ -707,10 +779,21 @@ def test_batch_profiles_are_row_independent(a, b):
     [[0.0, 0.0, 0.0]],
     np.zeros((2, 5)),
     np.zeros((1, 4, 1)),
+    # bools and text, which the scalar point contract refuses
+    pytest.param(np.array([[True, False, True, False]]), id="bool-array"),
+    pytest.param([[True, False, True, False]], id="bool-list"),
+    pytest.param(np.array([[0.5, 0.0, 0.0, 0.0]]).astype(str), id="text"),
+    pytest.param([[None, 0.0, 0.0, 0.0]], id="none"),
+    pytest.param(np.zeros((1, 4), dtype=complex), id="complex"),
 ])
 def test_batch_profiles_reject_bad_input(pts):
     with pytest.raises(ValueError):
         membership_profiles(pts)
+    for region in CHAIN:
+        with pytest.raises(ValueError):
+            region_margins(region, pts)
+        with pytest.raises(ValueError):
+            region_mask(region, pts)
 
 
 def test_batch_profile_records_match_scalar_layout():
@@ -718,7 +801,7 @@ def test_batch_profile_records_match_scalar_layout():
     # must be equal byte for byte, key order included
     points = VERTICES + [(0.0, 0.0, 0.0, 0.0), (0.5, 0.5, 0.5, -0.5)]
     batch = membership_profiles(np.array(points))
-    for c, verdicts in zip(points, batch.verdicts()):
+    for c, verdicts in zip(points, _rows(batch)):
         record = profile_record(verdicts)
         scalar = membership_profile(c).as_dict()
         assert json.dumps(record) == json.dumps(scalar)
@@ -733,13 +816,21 @@ QUANTUM = RegionId.QUANTUM_Q
 OFFSETS = (0.0, *(sign * 10.0 ** -k for k in range(9, 16) for sign in (1, -1)))
 
 
+def _column_verdicts(regions_, cols):
+    """``column_verdicts_into`` of distinct ``regions_`` into a new array."""
+    out = np.empty((len(regions_), cols.shape[1]), dtype=bool)
+    column_verdicts_into(regions_, cols, np.empty(cols.shape), out)
+    return out
+
+
 def _assert_verdicts_follow_margins(points):
-    """``column_verdicts`` over the chain, and of each region alone, equals
-    margin >= -DEFAULT_TOLERANCE for every region and point."""
-    cols = np.ascontiguousarray(np.array(points, dtype=np.float64).T)
-    for region, inside in zip(CHAIN, column_verdicts(CHAIN, cols)):
-        rule = column_margins([region], cols)[0] >= -DEFAULT_TOLERANCE
-        (alone,) = column_verdicts([region], cols)
+    """``column_verdicts_into`` over the chain, and of each region alone,
+    equals margin >= -DEFAULT_TOLERANCE for every region and point."""
+    rows = np.array(points, dtype=np.float64)
+    cols = np.ascontiguousarray(rows.T)
+    for region, inside in zip(CHAIN, _column_verdicts(CHAIN, cols)):
+        rule = region_margins(region, rows) >= -DEFAULT_TOLERANCE
+        (alone,) = _column_verdicts([region], cols)
         for verdicts in (inside, alone):
             wrong = np.flatnonzero(verdicts != rule)
             assert verdicts.dtype == bool and verdicts.shape == rule.shape
@@ -827,7 +918,7 @@ def test_rounding_examples_straddle_the_tolerance(region, points, bound,
     # the examples above pin the verdict kernels only if, next to the
     # dilated boundary, the margin rule gives both verdicts in each triple
     near = _where_rounding_decides(points, bound, degree)[3 * len(points):]
-    rule = column_margins([region], np.array(near).T)[0] >= -DEFAULT_TOLERANCE
+    rule = region_margins(region, np.array(near)) >= -DEFAULT_TOLERANCE
     assert all(len(set(triple)) == 2 for triple in rule.reshape(-1, 3).tolist())
 
 
@@ -877,7 +968,7 @@ def test_q_verdict_takes_arcsin_only_next_to_the_boundary(monkeypatch):
     _, step, t = _rays_to_q_boundary(uniform_points(200, seed=34))
     near = np.concatenate([step * t[:, None], [Q_BOUNDARY]])
     both = np.concatenate([far, near.T], axis=1)
-    rule = column_margins([QUANTUM], both)[0] >= -DEFAULT_TOLERANCE
+    rule = region_margins(QUANTUM, both.T) >= -DEFAULT_TOLERANCE
     calls = []
     kernel = regions._quantum_kernel
 
@@ -886,8 +977,8 @@ def test_q_verdict_takes_arcsin_only_next_to_the_boundary(monkeypatch):
         return kernel(char, batch)
 
     monkeypatch.setattr(regions, "_quantum_kernel", counted)
-    column_verdicts([QUANTUM], far)
+    _column_verdicts([QUANTUM], far)
     assert calls == []
-    (verdicts,) = column_verdicts([QUANTUM], both)
+    (verdicts,) = _column_verdicts([QUANTUM], both)
     assert calls == [(QCharacterization.ARCSIN, (4, len(near)))]
     assert verdicts.tolist() == rule.tolist()

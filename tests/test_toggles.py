@@ -135,6 +135,17 @@ class TestMinToggles:
         with pytest.raises(TargetUnreachable, match="not finite"):
             min_toggles(sequence_with_correlation(4, 2), target)
 
+    @pytest.mark.parametrize("target", [
+        True, False, np.True_, np.False_, "0.5", b"1", None, 1j, object()])
+    def test_non_number_target_is_refused(self, target):
+        # True == 1, yet a bool is no target, as it is no outcome or point
+        with pytest.raises(TargetUnreachable, match="is not a number"):
+            min_toggles(sequence_with_correlation(4, 2), target)
+
+    def test_huge_integer_target_is_out_of_range(self):
+        with pytest.raises(TargetUnreachable, match="outside"):
+            min_toggles(sequence_with_correlation(4, 2), 10 ** 400)
+
 
 outcomes = st.lists(st.sampled_from((-1, 1)), min_size=1, max_size=12)
 
