@@ -650,18 +650,22 @@ def _quantum_verdicts(cols: np.ndarray, work: np.ndarray,
 
 def _as_columns(pts) -> np.ndarray:
     """The rows of an (n, 4) array of finite numbers as (4, n) columns;
-    ValueError for another shape, a non-finite value, a bool or text."""
+    ValueError for another shape, a non-finite value, a bool or text.
+
+    An integer or float ndarray is cast whole.  Anything else, a nested
+    list or an object array, is read row by row by ``_coords``, as numpy's
+    cast would read True as 1 and parse text."""
     import numpy as np
 
-    pts = np.asarray(pts)
-    try:  # the cast reads True as 1 and parses text
-        if pts.dtype.kind in "bSUc":
-            raise TypeError
-        pts = pts.astype(np.float64, copy=False)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"points must be real numbers, got {pts.dtype}") from None
+    if not isinstance(pts, np.ndarray) or pts.dtype == object:
+        pts = np.asarray(pts, dtype=object)
+        if pts.ndim == 2 and pts.shape[1] == 4:
+            pts = np.array([_coords(row) for row in pts]).reshape(-1, 4)
+    elif pts.dtype.kind not in "fiu":
+        raise ValueError(f"points must be real numbers, got {pts.dtype}")
     if pts.ndim != 2 or pts.shape[1] != 4:
         raise ValueError(f"expected (n, 4) array, got {pts.shape}")
+    pts = pts.astype(np.float64, copy=False)
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
     return np.ascontiguousarray(pts.T)

@@ -18,6 +18,7 @@ conveniences that are labels only.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -107,7 +108,8 @@ def min_toggles(seq: OutcomeSequence, target: float) -> MinToggleResult:
     grid point (ties resolved toward fewer toggles).  Flipping a matched
     pair moves the correlation by -2/N, a mismatched pair by +2/N, so the
     minimum count for a reachable value t is N * |t - r| / 2 and the
-    achieved correlation is exact.  A target that is not a number (a bool,
+    achieved correlation is exact.  numpy's integers and floats are read
+    as the Python numbers they equal.  A target that is not a number (a bool,
     Python's or numpy's, included, though ``True == 1``), not finite or
     outside [-1, 1] raises :class:`TargetUnreachable`, a ValueError.
     """
@@ -124,7 +126,12 @@ def min_toggles(seq: OutcomeSequence, target: float) -> MinToggleResult:
                 f"target {target!r} is not a number") from None
         if not finite:
             raise TargetUnreachable(f"target {target!r} is not finite")
-        target = Fraction(target)
+        # Fraction keeps numpy's integer type and refuses numpy's float32:
+        # read each real as the Python integer or exact ratio it equals
+        try:
+            target = Fraction(operator.index(target))
+        except TypeError:
+            target = Fraction(*target.as_integer_ratio())
     if not -1 <= target <= 1:
         raise TargetUnreachable(f"target {target} outside [-1, 1]")
     r = seq.correlation

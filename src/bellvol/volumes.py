@@ -7,7 +7,7 @@ land inside it.  This module provides:
 
 * hit-or-miss Monte Carlo volumes and shared-sample ratios (delta-method
   errors), all read off one matrix of pairwise joint hit counts made in
-  one pass over the stream by ``score_stream``: one Philox stream per
+  one pass over the stream by ``score_stream``: one PCG64DXSM stream per
   seed, split into point ranges scored in up to os.cpu_count() processes;
   integer counts sum alike in any order, so results are bit-identical for
   a fixed seed, whatever the worker count or batch size,
@@ -101,10 +101,11 @@ _BATCH = 16_384
 
 
 def sample_stream(seed: int, start: int = 0) -> np.random.Generator:
-    """The stream of ``seed``, Philox keyed by (seed, 0), ``start`` counter
-    steps in: the Monte Carlo points (one per step) and ``sample-quantum``."""
-    key = np.array([seed, 0], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key).advance(start))
+    """The stream of ``seed``, ``start`` points in: PCG64DXSM seeded through
+    numpy's ``SeedSequence(seed)``, read by the Monte Carlo points and by
+    ``sample-quantum``.  A point is four doubles and a double one 64-bit
+    step, so point k starts ``4 * k`` steps in, reached by ``advance``."""
+    return np.random.Generator(np.random.PCG64DXSM(seed).advance(4 * start))
 
 
 def _score_points(cfg: EstimatorConfig, regions: tuple[RegionId, ...],

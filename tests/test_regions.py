@@ -784,6 +784,15 @@ def test_batch_profiles_are_row_independent(a, b):
     pytest.param([[True, False, True, False]], id="bool-list"),
     pytest.param(np.array([[0.5, 0.0, 0.0, 0.0]]).astype(str), id="text"),
     pytest.param([[None, 0.0, 0.0, 0.0]], id="none"),
+    # numpy's cast of a mixed list or an object array reads True as 1.0 and
+    # parses text, so these reach the scalar contract value by value
+    pytest.param([[True, 0.5, 0.0, 0.0]], id="bool-in-float-list"),
+    pytest.param([[0.5, 0.0, 0.0, 0.0], [0.0, "0.5", 0.0, 0.0]],
+                 id="text-in-float-list"),
+    pytest.param(np.array([["0.5", 0.0, 0.0, 0.0]], dtype=object),
+                 id="text-in-object-array"),
+    pytest.param(np.array([[0.5, np.True_, 0.0, 0.0]], dtype=object),
+                 id="bool-in-object-array"),
     pytest.param(np.zeros((1, 4), dtype=complex), id="complex"),
 ])
 def test_batch_profiles_reject_bad_input(pts):
@@ -794,6 +803,16 @@ def test_batch_profiles_reject_bad_input(pts):
             region_margins(region, pts)
         with pytest.raises(ValueError):
             region_mask(region, pts)
+
+
+def test_batch_of_numbers_in_any_container_matches_float_array():
+    # values a float32 holds exactly, and an int among them
+    rows = [[0.5, -0.25, 1, 0.0], [0.375, 0.375, 0.375, -0.375]]
+    want = membership_profiles(np.array(rows)).margins
+    for pts in (rows, [tuple(r) for r in rows], np.array(rows, dtype=object),
+                [[np.float32(v) for v in r] for r in rows]):
+        got = membership_profiles(pts).margins
+        assert [m.tolist() for m in got] == [m.tolist() for m in want]
 
 
 def test_batch_profile_records_match_scalar_layout():

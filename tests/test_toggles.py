@@ -142,6 +142,22 @@ class TestMinToggles:
         with pytest.raises(TargetUnreachable, match="is not a number"):
             min_toggles(sequence_with_correlation(4, 2), target)
 
+    @pytest.mark.parametrize("target, count, achieved", [
+        (np.float32(0.5), 1, Fraction(1, 2)),
+        (np.float16(-0.25), 0, Fraction(0)),
+        (np.longdouble(0.3), 1, Fraction(1, 2)),
+        (np.int64(1), 2, Fraction(1)),
+        (np.uint8(1), 2, Fraction(1)),
+        (np.int32(-1), 2, Fraction(-1)),
+    ])
+    def test_numpy_reals_are_read_as_python_numbers(self, target, count,
+                                                    achieved):
+        res = min_toggles(sequence_with_correlation(4, 2), target)
+        assert res == (count, achieved)
+        assert type(res.count) is int
+        assert type(res.achieved.numerator) is int
+        assert type(res.achieved.denominator) is int
+
     def test_huge_integer_target_is_out_of_range(self):
         with pytest.raises(TargetUnreachable, match="outside"):
             min_toggles(sequence_with_correlation(4, 2), 10 ** 400)

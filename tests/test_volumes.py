@@ -14,7 +14,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import region_reference as reference
@@ -87,10 +87,8 @@ def _v_u_mpmath(dps: int = 20):
 
 def _stream_points(seed: int, n: int) -> np.ndarray:
     """The first n points of the stream of ``seed``, drawn here as the
-    README states the stream: Philox keyed by (seed, 0), one point per
-    counter step, 2 * random((n, 4)) - 1."""
-    key = np.array([seed, 0], dtype=np.uint64)
-    return 2.0 * np.random.Generator(np.random.Philox(key=key)).random(
+    README states the stream: PCG64DXSM(seed), 2 * random((n, 4)) - 1."""
+    return 2.0 * np.random.Generator(np.random.PCG64DXSM(seed)).random(
         (n, 4)) - 1.0
 
 
@@ -214,14 +212,26 @@ class TestReproducibility:
                         for a, b in zip(cuts, cuts[1:]))
         assert parts.tolist() == whole.tolist()
 
+    @settings(deadline=None, max_examples=50)
+    @given(st.integers(0, 2 ** 64 - 1), st.integers(0, 100_000),
+           st.integers(0, 3000))
+    @example(0, 3333, 6667)
+    @example(2 ** 64 - 1, 1, 1)
+    def test_stream_from_point_k_is_the_whole_stream_from_row_k(self, seed,
+                                                                k, m):
+        # the draws themselves, not their summed counts, which an advance
+        # off by a whole point at some split could leave unchanged
+        whole = volumes.sample_stream(seed).random((k + m, 4))
+        part = volumes.sample_stream(seed, k).random((m, 4))
+        assert part.tobytes() == whole[k:].tobytes()
+
     def test_stream_is_pinned(self, monkeypatch):
         # the joint counts of a fixed seed's stream, pinned so that a change
         # to the drawn points or to their verdicts shows; 250 007 points
         # leave a partial last batch in every process's range.  The
         # verdicts nest along the chain here, so J[a, b] is the hits of the
-        # inner region; the hits are sums of the histogram of 5-bit
-        # membership codes pinned here when the stream returned one
-        hits = (166798, 231461, 237464, 240159, 250007)
+        # inner region
+        hits = (166779, 231391, 237516, 240252, 250007)
         expected = [[hits[min(a, b)] for b in range(5)] for a in range(5)]
         monkeypatch.setattr(volumes.os, "cpu_count", lambda: 3)
         for workers in (1, 2, 3):
@@ -473,6 +483,29 @@ class TestCltCalibration:
         reported = np.mean([e.std_error for e in estimates])
         empirical = values.std(ddof=1)
         assert abs(empirical - reported) / reported < 0.30
+
+
+class TestDeviationsLookNormal:
+    def test_deviation_sigmas_over_fixed_seeds(self):
+        # over seeds 0-199 at n = 20 000, the deviations in standard errors
+        # of V_C, V_Q and Q/C should be draws of N(0, 1), as for any sound
+        # stream, whatever its bytes.  Bounds derived from N(0, 1) before
+        # any run:
+        # |z| has mean sqrt(2/pi) = 0.798 and sd sqrt(1 - 2/pi) = 0.603, so
+        # mean |z| over 200 seeds has standard error 0.0426, and 4 of them
+        # give [0.627, 0.969].  P(|z| > 3) = 0.0027, so the count over 200
+        # seeds is about Poisson(0.54): P(count >= 6) = 2.2e-5, below the
+        # one-sided 4-sigma tail 3.2e-5, so at most 5
+        rows = [("volumes", "C"), ("volumes", "Q"), ("ratios", "Q/C")]
+        z = np.array([[rep[section][key]["deviation_sigmas"]
+                       for section, key in rows]
+                      for rep in (headline_report(EstimatorConfig(
+                          sample_count=20_000, seed=seed))
+                          for seed in range(200))])
+        mean_abs, beyond = np.abs(z).mean(axis=0), (np.abs(z) > 3).sum(axis=0)
+        for (_, key), m, count in zip(rows, mean_abs, beyond):
+            assert 0.627 <= m <= 0.969, (key, m)
+            assert count <= 5, (key, count)
 
 
 class TestGaussLegendreTable:
