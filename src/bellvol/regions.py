@@ -22,15 +22,19 @@ be finite and >= 0, and not a bool (``check_tolerance``).
 Each region's margin is written once, as a kernel on a batch held one
 coordinate per row: four floats for the scalar oracles, or a (4, m) array for
 the vector entry points.  An op table supplies the few operations spelled
-differently (builtins and ``math``, or numpy).  A :class:`MembershipProfile`
-holds the seven margins of ``PROFILE_ORDER`` and the tolerance:
-``membership_profile`` gives floats for one point, ``membership_profiles``
+differently (builtins and ``math``, or numpy).  One table maps each
+(``RegionId``, ``QCharacterization`` or None) to its kernel; a str enum hashes
+and compares as its value, so the lookup refuses a key that is not an enum
+member, such as "C" or "landau", with ``ValueError``.  A
+:class:`MembershipProfile` holds the seven margins of ``PROFILE_ORDER`` and
+the tolerance: ``membership_profile`` gives floats for one point, running the
+table's seven kernels with no dispatch per margin, ``membership_profiles``
 (n,) arrays for the rows of an (n, 4) array, and verdicts and results are
 derived from the margins when read.  ``region_margins`` and ``region_mask``
 score one region on such an array.  The Monte Carlo stream's verdicts
 (``column_verdicts_into``) repeat the C, T and U kernels operation for
-operation, writing into buffers the caller allocates once; the tests hold
-each verdict equal to its margin rule.  Non-finite coordinates raise
+operation, writing into buffers the caller allocates once; the tests hold each
+verdict equal to its margin rule.  Non-finite coordinates raise
 ``ValueError``; finite points outside the cube are scored, not rejected.
 """
 
@@ -182,12 +186,9 @@ class _Ops(NamedTuple):
     arcsin: Callable   # arcsin of the four coordinates, clipped to [-1, 1]
 
 
-def _clipped_asin(v: float) -> float:
-    return math.asin(min(1.0, max(-1.0, v)))
-
-
 _SCALAR_OPS = _Ops(max, min, math.sqrt, min, max,
-                   lambda c: tuple(map(_clipped_asin, c)))
+                   lambda c: [math.asin(-1.0 if v < -1.0 else
+                                        1.0 if v > 1.0 else v) for v in c])
 
 
 @functools.cache
@@ -206,96 +207,108 @@ def _array_ops() -> _Ops:
                 arcsin)
 
 
-class _once:
-    """A lazy attribute: the first read calls the method and stores its
-    value in the instance ``__dict__``, which later reads find before this
-    non-data descriptor."""
+class _shared:
+    """A quantity of a batch that the C, T and L kernels share: the first
+    read of the sum ``total``, the minimum ``low``, the maximum ``high`` or
+    ``chsh_max_abs`` computes all four into the batch's ``__dict__``, where
+    later reads find them before this non-data descriptor."""
 
-    def __init__(self, compute: Callable):
-        self.compute, self.name = compute, compute.__name__
+    def __set_name__(self, owner, name):
+        self.name = name
 
-    def __get__(self, obj, owner=None):
-        if obj is None:
+    def __get__(self, batch, owner=None):
+        if batch is None:
             return self
-        value = obj.__dict__[self.name] = self.compute(obj)
-        return value
+        ops, cols = batch.ops, batch.cols
+        c00, c01, c10, c11 = cols
+        total, low, high = c00 + c01 + c10 + c11, ops.low(cols), ops.high(cols)
+        # max_ij |S - 2 c_ij| as max(S - 2 min c, 2 max c - S): exact in
+        # floating point, as S - 2c is decreasing in c and rounding monotone
+        chsh = ops.maximum(total - 2.0 * low, 2.0 * high - total)
+        batch.__dict__.update(total=total, low=low, high=high, chsh_max_abs=chsh)
+        return batch.__dict__[self.name]
 
 
 class _Columns:
     """A batch of points, one coordinate per row: a 4-tuple of floats (one
     point) or a (4, m) array (one point per column), with its op table.
-    The per-point sum S, minimum and maximum are computed at most once and
-    shared by the C, T and L kernels, and only when a kernel reads them.
+    Its ``_shared`` quantities are computed at most once, and only when a
+    kernel reads one; they take no lock, unlike ``cached_property`` before
+    Python 3.12, as a batch lives within one call on one thread."""
 
-    The quantities are ``_once`` attributes, which take no lock, unlike
-    ``functools.cached_property`` (an ``RLock`` per first read before
-    Python 3.12): each ``_Columns`` is built within one call and never
-    shared between threads, so a lock would guard nothing."""
+    total, low, high, chsh_max_abs = (_shared() for _ in range(4))
 
     def __init__(self, cols, ops: _Ops):
         self.cols, self.ops = cols, ops
 
-    @_once
-    def total(self):
-        c00, c01, c10, c11 = self.cols
-        return c00 + c01 + c10 + c11
 
-    @_once
-    def low(self):
-        return self.ops.low(self.cols)
+def _arcsin(batch: _Columns):
+    return math.pi - _Columns(batch.ops.arcsin(batch.cols), batch.ops).chsh_max_abs
 
-    @_once
-    def high(self):
-        return self.ops.high(self.cols)
 
-    @_once
-    def chsh_max_abs(self):
-        """max_ij |S - 2 c_ij| as max(S - 2 min c, 2 max c - S): exact in
-        floating point, as S - 2c is decreasing in c and rounding monotone."""
-        return self.ops.maximum(self.total - 2.0 * self.low,
-                                2.0 * self.high - self.total)
+def _landau(batch: _Columns):
+    ops, cols = batch.ops, batch.cols
+    c00, c01, c10, c11 = cols
+    lhs = abs(c00 * c01 - c10 * c11)
+    one = [ops.maximum(1.0 - c * c, 0.0) for c in cols]
+    return ops.sqrt(one[0] * one[1]) + ops.sqrt(one[2] * one[3]) - lhs
+
+
+def _sextic(batch: _Columns):
+    ops, cols = batch.ops, batch.cols
+    c00, c01, c10, c11 = cols
+    triple = ((c01 * c10 - c00 * c11) * (c00 * c01 - c10 * c11)
+              * (c00 * c10 - c01 * c11))
+    sq = [c * c for c in cols]
+    sum_sq = sq[0] + sq[1] + sq[2] + sq[3]
+    sum_q = sq[0] * sq[0] + sq[1] * sq[1] + sq[2] * sq[2] + sq[3] * sq[3]
+    prod = c00 * c01 * c10 * c11
+    quartic = 0.25 * sum_sq * sum_sq - 0.5 * sum_q - 2.0 * prod
+    margin_a = ops.minimum(triple, quartic - triple)
+    max_sq = ops.high(sq)
+    margin_b = 2.0 * max_sq * max_sq - max_sq * sum_sq + 2.0 * prod
+    return ops.maximum(margin_a, margin_b)
+
+
+def _uffink(batch: _Columns):
+    c00, c01, c10, c11 = batch.cols
+    lhs1 = (c00 + c11) ** 2 + (c01 - c10) ** 2
+    lhs2 = (c00 - c11) ** 2 + (c01 + c10) ** 2
+    return 4.0 - batch.ops.maximum(lhs1, lhs2)
+
+
+#: The margin kernel of each (region, characterization), in profile order.
+_KERNELS = {
+    (RegionId.LOCAL_C, None): lambda batch: 2.0 - batch.chsh_max_abs,
+    (RegionId.QUANTUM_Q, QCharacterization.ARCSIN): _arcsin,
+    (RegionId.QUANTUM_Q, QCharacterization.LANDAU): _landau,
+    (RegionId.QUANTUM_Q, QCharacterization.SEXTIC): _sextic,
+    (RegionId.UFFINK_U, None): _uffink,
+    (RegionId.TSIRELSON_T, None): lambda batch: TSIRELSON_BOUND - batch.chsh_max_abs,
+    (RegionId.NO_SIGNALING_L, None):
+        lambda batch: 1.0 - batch.ops.maximum(batch.high, -batch.low),
+}
+
+#: The seven margins of a profile, in order: the five regions, Q under
+#: each of its three characterizations after C.
+PROFILE_ORDER = tuple(_KERNELS)
+_PROFILE_KERNELS = tuple(_KERNELS.values())
+
+
+def _kernel(region: RegionId, char: QCharacterization | None = None) -> Callable:
+    """The kernel of ``region``, for Q under ``char`` (ignored otherwise);
+    ValueError for a key that is not an enum member, though equal to one."""
+    if type(region) is not RegionId:
+        raise ValueError(f"unknown region {region!r}")
+    if region is not RegionId.QUANTUM_Q:
+        return _KERNELS[region, None]
+    if type(char) is not QCharacterization:
+        raise ValueError(f"unknown characterization {char!r}")
+    return _KERNELS[region, char]
 
 
 def _quantum_kernel(characterization: QCharacterization, batch: _Columns):
-    ops, cols = batch.ops, batch.cols
-    if characterization is QCharacterization.ARCSIN:
-        arcsin = _Columns(ops.arcsin(cols), ops)
-        return math.pi - arcsin.chsh_max_abs
-    c00, c01, c10, c11 = cols
-    if characterization is QCharacterization.LANDAU:
-        lhs = abs(c00 * c01 - c10 * c11)
-        one = [ops.maximum(1.0 - c * c, 0.0) for c in cols]
-        return ops.sqrt(one[0] * one[1]) + ops.sqrt(one[2] * one[3]) - lhs
-    if characterization is QCharacterization.SEXTIC:
-        triple = ((c01 * c10 - c00 * c11) * (c00 * c01 - c10 * c11)
-                  * (c00 * c10 - c01 * c11))
-        sq = [c * c for c in cols]
-        sum_sq = sq[0] + sq[1] + sq[2] + sq[3]
-        sum_q = sq[0] * sq[0] + sq[1] * sq[1] + sq[2] * sq[2] + sq[3] * sq[3]
-        prod = c00 * c01 * c10 * c11
-        quartic = 0.25 * sum_sq * sum_sq - 0.5 * sum_q - 2.0 * prod
-        margin_a = ops.minimum(triple, quartic - triple)
-        max_sq = ops.high(sq)
-        margin_b = 2.0 * max_sq * max_sq - max_sq * sum_sq + 2.0 * prod
-        return ops.maximum(margin_a, margin_b)
-    raise ValueError(f"unknown characterization {characterization!r}")
-
-
-def _region_kernel(region: RegionId, batch: _Columns, char: QCharacterization | None):
-    if region is RegionId.LOCAL_C:
-        return 2.0 - batch.chsh_max_abs
-    if region is RegionId.TSIRELSON_T:
-        return TSIRELSON_BOUND - batch.chsh_max_abs
-    if region is RegionId.NO_SIGNALING_L:
-        return 1.0 - batch.ops.maximum(batch.high, -batch.low)
-    if region is RegionId.UFFINK_U:
-        c00, c01, c10, c11 = batch.cols
-        lhs1 = (c00 + c11) ** 2 + (c01 - c10) ** 2
-        lhs2 = (c00 - c11) ** 2 + (c01 + c10) ** 2
-        return 4.0 - batch.ops.maximum(lhs1, lhs2)
-    if region is RegionId.QUANTUM_Q:
-        return _quantum_kernel(char, batch)
-    raise ValueError(f"unknown region {region!r}")
+    return _kernel(RegionId.QUANTUM_Q, characterization)(batch)
 
 
 def _is_bool(value) -> bool:
@@ -343,7 +356,7 @@ def _result(region: RegionId, p: PointLike, tol: float,
             char: QCharacterization | None = None) -> MembershipResult:
     """One oracle call: the tolerance checked, the point scored."""
     check_tolerance(tol)
-    margin = _region_kernel(region, _point(p), char)
+    margin = _kernel(region, char)(_point(p))
     return MembershipResult(region, margin >= -tol, margin, char, tol)
 
 
@@ -407,18 +420,6 @@ def in_quantum_sextic(p: PointLike, tol: float = DEFAULT_TOLERANCE) -> Membershi
     """
     return _result(RegionId.QUANTUM_Q, p, tol, QCharacterization.SEXTIC)
 
-
-#: The seven margins of a profile, in order: the five regions, Q under
-#: each of its three characterizations after C.
-PROFILE_ORDER = (
-    (RegionId.LOCAL_C, None),
-    (RegionId.QUANTUM_Q, QCharacterization.ARCSIN),
-    (RegionId.QUANTUM_Q, QCharacterization.LANDAU),
-    (RegionId.QUANTUM_Q, QCharacterization.SEXTIC),
-    (RegionId.UFFINK_U, None),
-    (RegionId.TSIRELSON_T, None),
-    (RegionId.NO_SIGNALING_L, None),
-)
 
 # the slot of each (region, characterization) in PROFILE_ORDER; Q alone
 # reads as its arcsin form, slot 1
@@ -484,8 +485,7 @@ def profile_record(verdicts) -> dict:
 
 def _profile(batch: _Columns, tol: float) -> MembershipProfile:
     check_tolerance(tol)
-    return MembershipProfile(tuple(_region_kernel(region, batch, char)
-                                   for region, char in PROFILE_ORDER), tol)
+    return MembershipProfile(tuple([kernel(batch) for kernel in _PROFILE_KERNELS]), tol)
 
 
 def membership_profile(p: PointLike, tol: float = DEFAULT_TOLERANCE) -> MembershipProfile:
@@ -528,8 +528,7 @@ def column_verdicts_into(regions: Sequence[RegionId], cols: np.ndarray,
     if RegionId.QUANTUM_Q in rows:
         _quantum_verdicts(cols, work, rows[RegionId.QUANTUM_Q])
     if RegionId.NO_SIGNALING_L in rows:
-        box = _region_kernel(RegionId.NO_SIGNALING_L,
-                             _Columns(cols, _array_ops()), None)
+        box = _KERNELS[RegionId.NO_SIGNALING_L, None](_Columns(cols, _array_ops()))
         rows[RegionId.NO_SIGNALING_L][...] = box >= -DEFAULT_TOLERANCE
 
 
@@ -562,8 +561,8 @@ def _chsh_verdicts(cols: np.ndarray, work: np.ndarray,
 
 def _uffink_verdicts(cols: np.ndarray, work: np.ndarray,
                      out: np.ndarray) -> None:
-    """U verdicts into ``out``, each operation that of ``_region_kernel``
-    (a square is x * x, as numpy computes x ** 2)."""
+    """U verdicts into ``out``, each operation that of the U kernel (a
+    square is x * x, as numpy computes x ** 2)."""
     import numpy as np
 
     c00, c01, c10, c11 = cols
@@ -683,8 +682,8 @@ def region_margins(region: RegionId, pts: np.ndarray,
                    characterization: QCharacterization = QCharacterization.ARCSIN
                    ) -> np.ndarray:
     """Signed margins of ``region`` for each row of an (n, 4) array."""
-    return _region_kernel(region, _Columns(_as_columns(pts), _array_ops()),
-                          characterization)
+    batch = _Columns(_as_columns(pts), _array_ops())
+    return _kernel(region, characterization)(batch)
 
 
 def region_mask(region: RegionId, pts: np.ndarray, tol: float = DEFAULT_TOLERANCE,

@@ -103,7 +103,7 @@ class TestMembership:
         ("table", "a19b08e72ae0c91d743dfacb03c22e81e5f1cb254333b487b3cfaadc2a43dc82"),
         ("csv", "b3408157f53e25be3f2810c73e668cd8bcce87994e193ce1884b14aaeb7cec27"),
         ("json", "94101cbb311d1353fbdc5246c1b3bfee227d27067a092aff3c95c544655380c2"),
-    ])
+    ], ids=["table", "csv", "json"])
     def test_output_bytes_are_pinned(self, capsys, fmt, digest):
         code, out, _ = run_cli(capsys, "membership", "--point",
                                "0.7,0.7,0.7,-0.7", "--format", fmt)
@@ -616,7 +616,8 @@ def test_polytope_output_is_the_library_text(capsys, which, task):
     ("local", "facets", "0b734425b941b7bb486a0a8c1b7e35354b46bf97e70a7d46cd07f5da8ea9331d"),
     ("corrC", "vertices", "f7d2374498ec60cae935150611ec36063b2d5077a7190a24e83429e5186c6b54"),
     ("corrC", "facets", "71f3a3c95b273ac04e50c9be0c71e074ea63807d192e5cead5a34c4df8254791"),
-])
+], ids=["ns-vertices", "ns-facets", "local-vertices", "local-facets",
+        "corrC-vertices", "corrC-facets"])
 def test_polytope_text_bytes_are_pinned(capsys, which, task, digest):
     code, out, err = run_cli(capsys, "polytope", "--which", which,
                              "--task", task)
@@ -732,7 +733,7 @@ class TestSampleQuantum:
         (5000, 77, "c53df9dd6f29d61a2846cc436e8d1363c55a575758ea475a3e192e7cc0eda3e2"),
         # more points than one block
         (1025, 2026, "d9eb8cc47f7d19c7536ed199e6f60ba72338cce76df33c7de1fdb887a86f3a95"),
-    ])
+    ], ids=["n2000-seed1", "n5000-seed77", "n1025-seed2026"])
     def test_output_bytes_are_pinned(self, capsys, n, seed, digest):
         code, out, _ = run_cli(capsys, "sample-quantum", "--n", str(n),
                                "--seed", str(seed))

@@ -1,10 +1,12 @@
 import collections
 import copy
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
 import pickle
+import struct
 
 import numpy as np
 import pytest
@@ -612,6 +614,50 @@ def test_profile_checks_its_tolerance_once(monkeypatch):
     assert calls == [0.5]
 
 
+@pytest.mark.parametrize("score", [region_margins, region_mask])
+@pytest.mark.parametrize("region", ["C", "Q", "LOCAL_C"])
+def test_a_region_that_is_not_a_region_id_is_refused_by_the_kernel_table(
+        score, region):
+    # "C" hashes and compares as RegionId.LOCAL_C, so a plain lookup by
+    # (region, characterization) would score it
+    with pytest.raises(ValueError, match=f"unknown region '{region}'"):
+        score(region, np.zeros((2, 4)))
+
+
+def test_a_characterization_that_is_not_a_q_characterization_is_refused():
+    with pytest.raises(ValueError, match="unknown characterization 'landau'"):
+        region_margins(RegionId.QUANTUM_Q, np.zeros((2, 4)), "landau")
+
+
+def _pinned_profile_points():
+    """2000 points of [-1.5, 1.5]^4 (so the arcsin clips), the 81 points of
+    {-1, 0, 1}^4, and the 16 vertices each with its 8 neighbours one ulp
+    nearer to and farther from the origin in one coordinate."""
+    rng = np.random.default_rng(28)
+    points = [tuple(p) for p in rng.uniform(-1.5, 1.5, size=(2000, 4)).tolist()]
+    points += itertools.product((-1.0, 0.0, 1.0), repeat=4)
+    for vertex in itertools.product((-1.0, 1.0), repeat=4):
+        points.append(vertex)
+        for k, v in enumerate(vertex):
+            for target in (0.0, 2.0 * v):
+                points.append(vertex[:k] + (math.nextafter(v, target),)
+                              + vertex[k + 1:])
+    return points
+
+
+def test_profile_margins_are_pinned_bit_for_bit():
+    points = _pinned_profile_points()
+    assert len(points) == 2000 + 81 + 16 * 9
+    digest = hashlib.sha256()
+    for p in points:
+        margins = membership_profile(p).margins
+        digest.update(struct.pack("<7d", *margins))
+        assert margins == tuple(ORACLE_OF[slot](p).margin
+                                for slot in PROFILE_ORDER), p
+    assert digest.hexdigest() == \
+        "00a8fcf9250dd02b77d7bcb1705f7583167e91edc70190f8ee70542e462a8f7a"
+
+
 # --------------------------------------------------------------------------
 # shared quantities of a batch
 # --------------------------------------------------------------------------
@@ -621,15 +667,17 @@ _QUANTITIES = ("total", "low", "high", "chsh_max_abs")
 
 @pytest.fixture
 def computed(monkeypatch):
-    """(batch, name) for each computation of a shared quantity of a batch."""
+    """(batch, name) for each computation of a shared quantity of a batch:
+    a ``_shared`` read that reaches the descriptor computes all four."""
     log = []
-    for name in _QUANTITIES:
-        def counted(batch, compute=vars(regions._Columns)[name].compute,
-                    name=name):
-            log.append((batch, name))
-            return compute(batch)
-        counted.__name__ = name
-        monkeypatch.setattr(regions._Columns, name, regions._once(counted))
+    get = regions._shared.__get__
+
+    def counted(self, batch, owner=None):
+        if batch is not None:
+            log.extend((batch, name) for name in _QUANTITIES)
+        return get(self, batch, owner)
+
+    monkeypatch.setattr(regions._shared, "__get__", counted)
     return log
 
 
@@ -661,7 +709,7 @@ def _kernel_margins(region, cols):
     """The margins of ``region`` for (4, m) ``cols`` taken as they are, so
     that a subclass sees every ufunc applied to it."""
     batch = regions._Columns(cols, regions._array_ops())
-    return regions._region_kernel(region, batch, QCharacterization.ARCSIN)
+    return regions._kernel(region, QCharacterization.ARCSIN)(batch)
 
 
 def test_quantum_margins_never_reduce_the_raw_batch(monkeypatch, computed):
