@@ -8,11 +8,13 @@ data (vertices, facets, volumes), Monte Carlo and quadrature volumes and
 ratios, quantum witness points from two-qubit states, and the toggle metric
 that justifies the flat measure.
 
-``import bellvol`` loads no numpy: the names of ``volumes`` and ``quantum``,
-which compute with arrays, and those modules themselves are imported on
-first access (PEP 562).  So are those of ``estimates``, the array-free half
-of volume estimation that ``volumes`` re-exports, which only the exact
-volume commands need.
+``import bellvol`` loads ``regions`` alone: every other module, and its
+public names, is imported on first access (PEP 562).  So a membership
+profile needs nothing more, ``polytopes`` and ``toggles`` (which compute with
+``fractions``) load only for the exact geometry and the toggle metric,
+``estimates`` (the array-free half of volume estimation that ``volumes``
+re-exports) only for volumes, and numpy only with ``volumes`` and
+``quantum``, which compute with arrays.
 """
 
 from .regions import (
@@ -36,41 +38,41 @@ from .regions import (
     region_margins,
     region_mask,
 )
-from .polytopes import (
-    Behavior,
-    DegeneratePolytope,
-    Halfspace,
-    JointProbabilityTable,
-    NoSignalingViolation,
-    RationalPolytope,
-    UnboundedPolytope,
-    behavior_from_table,
-    check_no_signaling,
-    correlation_polytope_C,
-    cube_polytope_h,
-    deterministic_behaviors,
-    enumerate_facets,
-    enumerate_vertices,
-    exact_volume,
-    local_polytope_v,
-    ns_polytope_h,
-    pr_box,
-    project_to_correlations,
-    signaling_example,
-)
-from .toggles import (
-    MinToggleResult,
-    OutcomeSequence,
-    TargetUnreachable,
-    ToggleDistance,
-    min_toggles,
-    toggle_distance,
-)
 
 __version__ = "0.1.0"
 
 #: The public names imported on first access, by their home module.
 _LAZY = {
+    "polytopes": (
+        "Behavior",
+        "DegeneratePolytope",
+        "Halfspace",
+        "JointProbabilityTable",
+        "NoSignalingViolation",
+        "RationalPolytope",
+        "UnboundedPolytope",
+        "behavior_from_table",
+        "check_no_signaling",
+        "correlation_polytope_C",
+        "cube_polytope_h",
+        "deterministic_behaviors",
+        "enumerate_facets",
+        "enumerate_vertices",
+        "exact_volume",
+        "local_polytope_v",
+        "ns_polytope_h",
+        "pr_box",
+        "project_to_correlations",
+        "signaling_example",
+    ),
+    "toggles": (
+        "MinToggleResult",
+        "OutcomeSequence",
+        "TargetUnreachable",
+        "ToggleDistance",
+        "min_toggles",
+        "toggle_distance",
+    ),
     "estimates": (
         "ANALYTIC",
         "VolumeEstimate",

@@ -12,22 +12,25 @@ command) builds the whole tree.  A value of a minus sign and a digit or
 ``.`` is joined to the flag before it, whole or abbreviated (``--poi
 -0.5,0,0,0``).
 Outputs contain no timestamps, so identical invocations produce identical
-bytes.  Only volume --method mc|quadrature, ratios and sample-quantum load
-numpy (through ``volumes`` and ``quantum``, imported where they are used);
-the other commands, volume --method exact included, start without it.
+bytes.  Each command imports the modules it computes with where it uses
+them, and no others: membership needs nothing beyond ``regions``, distance
+loads ``toggles``, examples and polytope the exact engine ``polytopes``,
+volume --method exact ``estimates`` and ``polytopes``, and only volume
+--method mc|quadrature, ratios and sample-quantum load numpy (through
+``estimates``, ``volumes`` and ``quantum``).  ``csv`` is loaded by --format
+csv alone.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
 import re
 import sys
+from typing import TYPE_CHECKING
 
-from . import polytopes, toggles
 from .regions import (
     _FIELDS,
     DEFAULT_TOLERANCE,
@@ -47,6 +50,9 @@ from .regions import (
 #: Points drawn and scored at a time by sample-quantum: large enough to
 #: amortize numpy's per-call cost, small enough to keep memory flat in --n.
 _SAMPLE_BLOCK = 1024
+
+if TYPE_CHECKING:
+    from . import polytopes
 
 
 def _argument(parse):
@@ -137,6 +143,7 @@ def _emit_table(rows: list[dict], headers: list[str]) -> str:
 
 
 def _emit_csv(rows: list[dict], headers: list[str]) -> str:
+    import csv
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=headers, lineterminator="\n")
     writer.writeheader()
@@ -227,13 +234,15 @@ def _cmd_ratios(args):
 
 # -- polytope ----------------------------------------------------------------
 
-_POLYTOPES = {"local": polytopes.local_polytope_v,
-              "ns": polytopes.ns_polytope_h,
-              "corrC": polytopes.correlation_polytope_C}
+#: The builder in ``polytopes`` of each --which, looked up when it runs.
+_POLYTOPES = {"local": "local_polytope_v",
+              "ns": "ns_polytope_h",
+              "corrC": "correlation_polytope_C"}
 
 
 def _cmd_polytope(args):
-    poly = _POLYTOPES[args.which]()
+    from . import polytopes
+    poly = getattr(polytopes, _POLYTOPES[args.which])()
     # complete the representations the task reads, each at most once
     if poly.vertices is None and args.task != "facets":
         poly = polytopes.enumerate_vertices(poly)
@@ -255,6 +264,7 @@ def _cmd_polytope(args):
 
 def _table_rows(table: polytopes.JointProbabilityTable) -> list[dict]:
     """One row per setting block, its entries keyed by outcome signs."""
+    from . import polytopes
     rows = {}
     for (i, j, a, b), p in zip(polytopes._OUTCOMES, table.entries):
         row = rows.setdefault((i, j), {"i": i, "j": j})
@@ -263,6 +273,7 @@ def _table_rows(table: polytopes.JointProbabilityTable) -> list[dict]:
 
 
 def _cmd_examples(args):
+    from . import polytopes
     table = polytopes.pr_box() if args.which == "pr-box" \
         else polytopes.signaling_example()
     rows = _table_rows(table)
@@ -340,6 +351,7 @@ def _cmd_sample_quantum(args):
 # -- distance ----------------------------------------------------------------
 
 def _cmd_distance(args):
+    from . import toggles
     p, q = getattr(args, "from"), args.to
     dist = toggles.toggle_distance(p, q)
     obj = {"from": dict(zip(_FIELDS, p)), "to": dict(zip(_FIELDS, q))}
@@ -471,10 +483,14 @@ def main(argv=None) -> int:
 
 
 def _computation_errors() -> tuple[type[Exception], ...]:
-    """The exceptions ``main`` reports as computation errors (exit 1).  The
-    two of ``volumes`` are added once a command has loaded that module: no
-    other command can raise them, and loading it would load numpy."""
-    errors = (polytopes.PolytopeError, ValueError)
+    """The exceptions ``main`` reports as computation errors (exit 1):
+    ValueError, and the errors of ``polytopes`` and ``volumes`` once a
+    command has loaded that module.  No other command can raise them, and
+    loading ``polytopes`` would load ``fractions``, ``volumes`` numpy."""
+    errors = (ValueError,)
+    polytopes = sys.modules.get(f"{__package__}.polytopes")
+    if polytopes is not None:
+        errors += (polytopes.PolytopeError,)
     volumes = sys.modules.get(f"{__package__}.volumes")
     if volumes is not None:
         errors += (volumes.ToleranceNotMet, volumes.DegenerateDenominator)

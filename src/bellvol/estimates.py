@@ -1,6 +1,8 @@
 """Volume records, closed forms and exact volumes: the half of volume
 estimation that computes no arrays, so ``volume --method exact`` runs
-without numpy.  :mod:`bellvol.volumes` re-exports these names.
+without numpy.  :mod:`bellvol.volumes` re-exports these names.  The polytope
+engine, and with it ``fractions``, is loaded by ``exact_region_volume``
+alone, so the Monte Carlo and quadrature volumes never load it.
 
 * ``VolumeEstimate``, the value-with-error record every method returns,
 * ``ANALYTIC``, the closed-form constants the estimates are compared against,
@@ -31,11 +33,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from types import MappingProxyType
+from typing import TYPE_CHECKING
 
-from . import polytopes
 from .regions import RegionId, _finite_at_least
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 #: Closed-form volumes of the five regions and the three headline ratios.
 ANALYTIC = MappingProxyType({
@@ -96,6 +100,7 @@ class VolumeEstimate:
 
 def exact_region_volume(region: RegionId) -> Fraction:
     """Exact rational volume via the polytope engine (cube and local set)."""
+    from . import polytopes
     if region is RegionId.LOCAL_C:
         return polytopes.exact_volume(polytopes.correlation_polytope_C())
     if region is RegionId.NO_SIGNALING_L:

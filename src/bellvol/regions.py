@@ -449,7 +449,13 @@ class MembershipProfile:
                characterization: QCharacterization | None = None
                ) -> MembershipResult:
         """The result of one oracle; Q without a characterization is the
-        arcsin form."""
+        arcsin form.  A key that is not an enum member, a str equal to one
+        included, is refused with ``_kernel``'s ValueError."""
+        if type(region) is not RegionId:
+            raise ValueError(f"unknown region {region!r}")
+        if characterization is not None and \
+                type(characterization) is not QCharacterization:
+            raise ValueError(f"unknown characterization {characterization!r}")
         k = _SLOTS.get((region, characterization))
         if k is None:
             raise ValueError(f"no profile entry for {region!r}"

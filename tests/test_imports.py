@@ -1,6 +1,7 @@
-"""What the package loads: the commands that compute no arrays run without
-numpy, and every public name of ``bellvol`` is its home module's object,
-whether imported eagerly or on first access."""
+"""What the package loads: each command loads the modules it computes with
+and no others, the commands that compute no arrays run without numpy, and
+every public name of ``bellvol`` is its home module's object, whether
+imported eagerly or on first access."""
 
 import importlib
 import json
@@ -61,6 +62,55 @@ NUMPY_FREE = [
     (["distance", "--from", "0,0,0,0", "--to", "0,nan,0,0"], 2),
 ]
 
+#: The modules whose loading is pinned per command: the package's own beyond
+#: ``regions``, and the standard and third-party ones they bring in.
+WATCHED = ("bellvol.polytopes", "bellvol.toggles", "bellvol.estimates",
+           "bellvol.volumes", "bellvol.quantum", "fractions", "csv", "numpy")
+
+#: (an import statement or a command's argv, the watched modules it loads);
+#: it must load none of the others.  Each runs in a fresh interpreter, as
+#: modules pile up within one.
+LOADS = [
+    ("import bellvol", set()),
+    ("import bellvol.cli", set()),
+    (["membership", "--point", "-0.5,0.5,0.5,0.5"], set()),
+    (["membership", "--point", "0.7,0.7,0.7,-0.7", "--format", "csv"],
+     {"csv"}),
+    (["distance", "--from", "-1,0,0,0", "--to", "0.5,0,0,0.25"],
+     {"bellvol.toggles", "fractions"}),
+    (["examples", "--which", "pr-box", "--verify"],
+     {"bellvol.polytopes", "fractions"}),
+    (["polytope", "--which", "ns", "--task", "counts"],
+     {"bellvol.polytopes", "fractions"}),
+    (["volume", "--region", "C", "--method", "exact"],
+     {"bellvol.polytopes", "bellvol.estimates", "fractions"}),
+    (["volume", "--region", "Q", "--method", "mc", "--n", "1000"],
+     {"bellvol.estimates", "bellvol.volumes", "numpy"}),
+    (["volume", "--region", "C", "--method", "quadrature"],
+     {"bellvol.estimates", "bellvol.volumes", "numpy"}),
+    (["ratios", "--n", "1000"],
+     {"bellvol.estimates", "bellvol.volumes", "numpy"}),
+    (["sample-quantum", "--n", "3"],
+     {"bellvol.estimates", "bellvol.volumes", "bellvol.quantum", "numpy"}),
+]
+
+# runs argv[1] (an import statement, or an argv as JSON, run through
+# cli.main to exit 0 with its output dropped), then prints the watched
+# modules loaded, as JSON
+_LOADS_SCRIPT = textwrap.dedent("""
+    import contextlib, io, json, sys
+
+    target, watched = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+    if isinstance(target, str):
+        exec(target)
+    else:
+        from bellvol import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(target)
+        assert code == 0, (target, code)
+    print(json.dumps(sorted(set(watched) & set(sys.modules))))
+""")
+
 # runs NUMPY_FREE (argv[1], as JSON) in a fresh interpreter, then one
 # computation error of a numpy-free command; exits nonzero naming the first
 # step after which numpy is loaded or the exit code is wrong
@@ -110,6 +160,15 @@ def test_commands_without_arrays_do_not_load_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize("target, loads", LOADS, ids=[
+    target if isinstance(target, str) else " ".join(target)
+    for target, _ in LOADS])
+def test_each_command_loads_only_the_modules_it_computes_with(target, loads):
+    proc = _python(_LOADS_SCRIPT, json.dumps(target), json.dumps(WATCHED))
+    assert proc.returncode == 0, proc.stderr
+    assert set(json.loads(proc.stdout)) == loads
+
+
 def test_array_modules_resolve_after_a_plain_import():
     proc = _python(textwrap.dedent("""
         import sys, types
@@ -117,7 +176,7 @@ def test_array_modules_resolve_after_a_plain_import():
         assert "numpy" not in sys.modules
         assert {"volumes", "quantum", "mc_volume", "singlet"} <= set(dir(bellvol))
         assert not hasattr(bellvol, "no_such_name")
-        for name in ("volumes", "quantum"):
+        for name in ("volumes", "quantum", "polytopes", "toggles"):
             module = getattr(bellvol, name)
             assert isinstance(module, types.ModuleType), module
             assert module is sys.modules[f"bellvol.{name}"]

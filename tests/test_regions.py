@@ -235,12 +235,27 @@ class TestProfile:
     @pytest.mark.parametrize("region, char", [
         (RegionId.LOCAL_C, QCharacterization.ARCSIN),
         (RegionId.TSIRELSON_T, QCharacterization.LANDAU),
-        ("X", None),
-        (None, None),
     ])
     def test_result_refuses_an_entry_not_in_the_profile(self, region, char):
         with pytest.raises(ValueError, match="no profile entry"):
             membership_profile((0, 0, 0, 0)).result(region, char)
+
+    @pytest.mark.parametrize("key, message", [
+        (("C",), "unknown region 'C'"),
+        (("Q",), "unknown region 'Q'"),
+        (("LOCAL_C",), "unknown region 'LOCAL_C'"),
+        (("X",), "unknown region 'X'"),
+        ((None,), "unknown region None"),
+        ((RegionId.QUANTUM_Q, "landau"), "unknown characterization 'landau'"),
+        ((RegionId.LOCAL_C, "landau"), "unknown characterization 'landau'"),
+    ], ids=["C", "Q", "LOCAL_C", "X-None", "None-None", "Q-landau",
+            "LOCAL_C-landau"])
+    def test_result_refuses_a_key_that_is_not_the_enum_member(self, key,
+                                                                message):
+        # "C" hashes and compares as RegionId.LOCAL_C, so a plain lookup by
+        # (region, characterization) would read its slot
+        with pytest.raises(ValueError, match=message):
+            membership_profile((0, 0, 0, 0)).result(*key)
 
     def test_profile_builds_results_only_on_request(self, monkeypatch):
         built = []
