@@ -3,8 +3,10 @@
 Subcommands: membership, volume, ratios, polytope, examples, sample-quantum,
 distance.  Exit codes: 0 success, 1 computation error, 2 usage error; a
 reader that closes stdout early ends the command with exit 1 and no
-traceback.  Every usage error, flag values (checked by the library through
-one argparse type adapter) and unknown flags included, prints ``usage:
+traceback.  Every error class of bellvol is a ValueError, so ``main``
+catches that one type and prints ``error: <message>`` with exit 1, whichever
+module raised it.  Every usage error, flag values (checked by the library
+through one argparse type adapter) and unknown flags included, prints ``usage:
 bellvol <cmd>`` and ``bellvol <cmd>: error:``.  Each subcommand is written
 once, in ``_COMMANDS``: a call that starts with one builds one parser, that
 subcommand's alone, and only any other argv (none, ``-h``, an unknown
@@ -477,24 +479,9 @@ def main(argv=None) -> int:
     _workers_from_env(args)
     try:
         return args.func(args)
-    except _computation_errors() as exc:
+    except ValueError as exc:  # every bellvol error is one
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def _computation_errors() -> tuple[type[Exception], ...]:
-    """The exceptions ``main`` reports as computation errors (exit 1):
-    ValueError, and the errors of ``polytopes`` and ``volumes`` once a
-    command has loaded that module.  No other command can raise them, and
-    loading ``polytopes`` would load ``fractions``, ``volumes`` numpy."""
-    errors = (ValueError,)
-    polytopes = sys.modules.get(f"{__package__}.polytopes")
-    if polytopes is not None:
-        errors += (polytopes.PolytopeError,)
-    volumes = sys.modules.get(f"{__package__}.volumes")
-    if volumes is not None:
-        errors += (volumes.ToleranceNotMet, volumes.DegenerateDenominator)
-    return errors
 
 
 def entrypoint() -> None:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import TYPE_CHECKING
 
-from .regions import RegionId, _finite_at_least
+from .regions import RegionId, _finite_at_least, _member
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -101,11 +101,9 @@ class VolumeEstimate:
 def exact_region_volume(region: RegionId) -> Fraction:
     """Exact rational volume via the polytope engine (cube and local set)."""
     from . import polytopes
-    if region is RegionId.LOCAL_C:
+    if _member(RegionId, region) is RegionId.LOCAL_C:
         return polytopes.exact_volume(polytopes.correlation_polytope_C())
     if region is RegionId.NO_SIGNALING_L:
         cube = polytopes.enumerate_vertices(polytopes.cube_polytope_h(4))
         return polytopes.exact_volume(cube)
-    if isinstance(region, RegionId):
-        raise ValueError(f"region {region.value} has no exact rational volume")
-    raise ValueError(f"unknown region {region!r}")
+    raise ValueError(f"region {region.value} has no exact rational volume")

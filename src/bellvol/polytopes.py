@@ -86,8 +86,9 @@ def _probability_row(i: int, j: int, a: int, b: int) -> list[int]:
     return row
 
 
-class PolytopeError(Exception):
-    """Base class for polytope engine failures."""
+class PolytopeError(ValueError):
+    """Base class for polytope engine failures; a ValueError, as every
+    bellvol error is, so the CLI exits 1."""
 
 
 class NoSignalingViolation(PolytopeError):

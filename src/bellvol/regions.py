@@ -23,9 +23,11 @@ Each region's margin is written once, as a kernel on a batch held one
 coordinate per row: four floats for the scalar oracles, or a (4, m) array for
 the vector entry points.  An op table supplies the few operations spelled
 differently (builtins and ``math``, or numpy).  One table maps each
-(``RegionId``, ``QCharacterization`` or None) to its kernel; a str enum hashes
-and compares as its value, so the lookup refuses a key that is not an enum
-member, such as "C" or "landau", with ``ValueError``.  A
+(``RegionId``, ``QCharacterization`` or None) to its kernel.  A str enum
+hashes and compares as its value, so every entry point that takes a region
+or characterization key checks it with one helper, ``_member``, which
+refuses a key that is not an enum member, such as "C" or "landau", with
+``ValueError``.  A
 :class:`MembershipProfile` holds the seven margins of ``PROFILE_ORDER`` and
 the tolerance: ``membership_profile`` gives floats for one point, running the
 table's seven kernels with no dispatch per margin, ``membership_profiles``
@@ -122,7 +124,7 @@ def _coords(p: PointLike, *,
         return p.as_tuple()
     values = tuple(p)
     if len(values) != 4:
-        raise TypeError(f"expected 4 correlations, got {len(values)}")
+        raise ValueError(f"expected 4 correlations, got {len(values)}")
     t = []
     for name, v in zip(_FIELDS, values):
         if type(v) is not float:
@@ -295,20 +297,23 @@ PROFILE_ORDER = tuple(_KERNELS)
 _PROFILE_KERNELS = tuple(_KERNELS.values())
 
 
+def _member(kind: type[Enum], key):
+    """``key`` if it is a member of ``kind``, ``RegionId`` or
+    ``QCharacterization``; ValueError (``unknown region 'C'``) otherwise.
+    A str equal to a member is refused too, though a str enum hashes and
+    compares as its value: the one check of every region or
+    characterization key."""
+    if type(key) is not kind:
+        noun = "region" if kind is RegionId else "characterization"
+        raise ValueError(f"unknown {noun} {key!r}")
+    return key
+
+
 def _kernel(region: RegionId, char: QCharacterization | None = None) -> Callable:
-    """The kernel of ``region``, for Q under ``char`` (ignored otherwise);
-    ValueError for a key that is not an enum member, though equal to one."""
-    if type(region) is not RegionId:
-        raise ValueError(f"unknown region {region!r}")
-    if region is not RegionId.QUANTUM_Q:
+    """The kernel of ``region``, for Q under ``char`` (ignored otherwise)."""
+    if _member(RegionId, region) is not RegionId.QUANTUM_Q:
         return _KERNELS[region, None]
-    if type(char) is not QCharacterization:
-        raise ValueError(f"unknown characterization {char!r}")
-    return _KERNELS[region, char]
-
-
-def _quantum_kernel(characterization: QCharacterization, batch: _Columns):
-    return _kernel(RegionId.QUANTUM_Q, characterization)(batch)
+    return _KERNELS[region, _member(QCharacterization, char)]
 
 
 def _is_bool(value) -> bool:
@@ -450,12 +455,10 @@ class MembershipProfile:
                ) -> MembershipResult:
         """The result of one oracle; Q without a characterization is the
         arcsin form.  A key that is not an enum member, a str equal to one
-        included, is refused with ``_kernel``'s ValueError."""
-        if type(region) is not RegionId:
-            raise ValueError(f"unknown region {region!r}")
-        if characterization is not None and \
-                type(characterization) is not QCharacterization:
-            raise ValueError(f"unknown characterization {characterization!r}")
+        included, is refused with ``_member``'s ValueError."""
+        _member(RegionId, region)
+        if characterization is not None:
+            _member(QCharacterization, characterization)
         k = _SLOTS.get((region, characterization))
         if k is None:
             raise ValueError(f"no profile entry for {region!r}"
@@ -520,11 +523,8 @@ def column_verdicts_into(regions: Sequence[RegionId], cols: np.ndarray,
     Carlo stream draws finite points in [-1, 1], the contract on which the
     Q verdict equals the arcsin rule, and never asks for L.
     """
-    rows = {}
-    for region, row in zip(regions, out):
-        if not isinstance(region, RegionId):  # a str equals its RegionId
-            raise ValueError(f"unknown region {region!r}")
-        rows[region] = row
+    rows = {_member(RegionId, region): row
+            for region, row in zip(regions, out)}
     local = rows.get(RegionId.LOCAL_C)
     tsirelson = rows.get(RegionId.TSIRELSON_T)
     if local is not None or tsirelson is not None:
@@ -648,8 +648,8 @@ def _quantum_verdicts(cols: np.ndarray, work: np.ndarray,
     near = np.flatnonzero(np.less_equal(np.abs(t, out=a), _Q_BAND, out=out))
     np.greater_equal(t, 0.0, out=out)
     if near.size:
-        margin = _quantum_kernel(QCharacterization.ARCSIN,
-                                 _Columns(cols[:, near], _array_ops()))
+        arcsin = _KERNELS[RegionId.QUANTUM_Q, QCharacterization.ARCSIN]
+        margin = arcsin(_Columns(cols[:, near], _array_ops()))
         out[near] = margin >= -DEFAULT_TOLERANCE
 
 

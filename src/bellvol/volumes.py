@@ -39,20 +39,22 @@ from typing import Sequence
 import numpy as np
 
 from .estimates import (ANALYTIC, VolumeEstimate,  # noqa: F401  re-exported
-                        _QUADRATURE_MIN_TOL, check_abs_tol,
-                        exact_region_volume)
-from .regions import REGION_CHAIN, RegionId, _index, column_verdicts_into
+                        check_abs_tol, exact_region_volume)
+from .regions import (REGION_CHAIN, RegionId, _index, _member,
+                      column_verdicts_into)
 from .regions import region_mask  # noqa: F401  read by bench/tracer.py
 
 SQRT2 = math.sqrt(2.0)
 
 
-class DegenerateDenominator(ZeroDivisionError):
-    """Ratio estimation with zero hits in the denominator region."""
+class DegenerateDenominator(ZeroDivisionError, ValueError):
+    """Ratio estimation with zero hits in the denominator region; a
+    ValueError, as every bellvol error is, so the CLI exits 1."""
 
 
-class ToleranceNotMet(RuntimeError):
-    """The adaptive scheme could not certify the requested tolerance."""
+class ToleranceNotMet(RuntimeError, ValueError):
+    """The adaptive scheme could not certify the requested tolerance; a
+    ValueError, as every bellvol error is, so the CLI exits 1."""
 
 
 @dataclass(frozen=True)
@@ -175,10 +177,7 @@ def score_stream(cfg: EstimatorConfig,
     min(worker_count, os.cpu_count(), n) processes: bit-identical for a
     fixed seed, whatever ``worker_count``.
     """
-    regions = tuple(regions)
-    for region in regions:
-        if not isinstance(region, RegionId):  # a str equals its RegionId
-            raise ValueError(f"unknown region {region!r}")
+    regions = tuple(_member(RegionId, region) for region in regions)
     procs = min(cfg.worker_count, os.cpu_count() or 1, cfg.sample_count)
     if procs == 1:
         return _score_points(cfg, regions, range(cfg.sample_count))
@@ -473,7 +472,7 @@ def _disk_cells(t: np.ndarray):
 def quadrature_volume(region: RegionId, abs_tol: float = 1e-6) -> VolumeEstimate:
     """Deterministic volume of any of the five regions (exact for the cube)."""
     check_abs_tol(abs_tol)
-    if region is RegionId.NO_SIGNALING_L:
+    if _member(RegionId, region) is RegionId.NO_SIGNALING_L:
         value, err = 16.0, 0.0
     elif region is RegionId.LOCAL_C:
         value, err = _l1_volume(2.0, abs_tol)
@@ -481,10 +480,8 @@ def quadrature_volume(region: RegionId, abs_tol: float = 1e-6) -> VolumeEstimate
         value, err = _arcsin_volume(math.pi, abs_tol)
     elif region is RegionId.TSIRELSON_T:
         value, err = _l1_volume(2.0 * SQRT2, abs_tol)
-    elif region is RegionId.UFFINK_U:
+    else:  # RegionId.UFFINK_U
         value, err = _pair_quadrature(_disk_cells, _disk_slice, abs_tol)
-    else:
-        raise ValueError(f"unknown region {region!r}")
     return VolumeEstimate(region=region.value, method="quadrature",
                           value=value, std_error=0.0, error_bound=err)
 

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import csv
 import hashlib
+import importlib
 import io
 import json
 import math
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bellvol import cli, polytopes, quantum
+from bellvol import cli, polytopes, quantum, toggles, volumes
 from bellvol.cli import main
 from bellvol.regions import (
     _FIELDS,
@@ -271,6 +272,61 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as err:
             main([])
         assert err.value.code == 2
+
+
+#: Every exception class of bellvol, with the base it kept when each
+#: became a ValueError.
+ERROR_BASES = {
+    polytopes.PolytopeError: ValueError,
+    polytopes.NoSignalingViolation: polytopes.PolytopeError,
+    polytopes.UnboundedPolytope: polytopes.PolytopeError,
+    polytopes.DegeneratePolytope: polytopes.PolytopeError,
+    volumes.ToleranceNotMet: RuntimeError,
+    volumes.DegenerateDenominator: ZeroDivisionError,
+    toggles.TargetUnreachable: ValueError,
+}
+
+
+def _fail(*args):
+    raise polytopes.DegeneratePolytope("injected")
+
+
+class TestComputationErrors:
+    """``main`` reports every bellvol error, a ValueError, as one stderr
+    line with exit 1 and no output."""
+
+    @pytest.mark.parametrize("argv, patch, message", [
+        (["ratios", "--n", "1", "--seed", "3"], None,
+         "no hits in the denominator region"),
+        (["volume", "--region", "U", "--method", "quadrature",
+          "--abs-tol", "1e-9"], (volumes, "_GL_ORDERS", (8, 16)),
+         "Gauss-Legendre orders 8 and 16 differ by 7.615e-09"
+         " > abs_tol 1.000e-09"),
+        (["polytope", "--which", "local", "--task", "facets"],
+         (polytopes, "enumerate_facets", _fail), "injected"),
+    ], ids=["degenerate-denominator", "tolerance-not-met",
+            "polytope-error"])
+    def test_error_line_and_exit_1(self, capsys, monkeypatch, argv, patch,
+                                   message):
+        if patch:
+            monkeypatch.setattr(*patch)
+        assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("error, base", ERROR_BASES.items(),
+                             ids=lambda v: v.__name__)
+    def test_every_error_class_is_a_value_error(self, error, base):
+        assert issubclass(error, ValueError)
+        assert issubclass(error, base)
+
+    def test_the_table_holds_every_error_class(self):
+        defined = {value for name in ("regions", "estimates", "volumes",
+                                      "polytopes", "quantum", "toggles", "cli")
+                   for value in vars(importlib.import_module(
+                       f"bellvol.{name}")).values()
+                   if isinstance(value, type)
+                   and issubclass(value, BaseException)
+                   and value.__module__.startswith("bellvol.")}
+        assert defined == set(ERROR_BASES)
 
 
 # a valid call of every subcommand, cheap enough to run many times

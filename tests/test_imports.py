@@ -86,8 +86,9 @@ LOADS = [
      {"bellvol.polytopes", "bellvol.estimates", "fractions"}),
     (["volume", "--region", "Q", "--method", "mc", "--n", "1000"],
      {"bellvol.estimates", "bellvol.volumes", "numpy"}),
-    (["volume", "--region", "C", "--method", "quadrature"],
-     {"bellvol.estimates", "bellvol.volumes", "numpy"}),
+    *[(["volume", "--region", region, "--method", "quadrature"],
+       {"bellvol.estimates", "bellvol.volumes", "numpy"})
+      for region in ("C", "Q")],
     (["ratios", "--n", "1000"],
      {"bellvol.estimates", "bellvol.volumes", "numpy"}),
     (["sample-quantum", "--n", "3"],

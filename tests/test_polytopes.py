@@ -701,6 +701,38 @@ class TestSerialization:
             assert tight >= 8
 
 
+SQUARE_V = RationalPolytope(dim=2, vertices=((0, 0), (1, 0), (0, 1), (1, 1)))
+SQUARE_H = cube_polytope_h(2)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: JointProbabilityTable((Fraction(1, 4),) * 15),
+     "^need 16 entries, got 15$"),
+    (lambda: Halfspace.normalized((0, 0), 1),
+     "^halfspace normal must be nonzero$"),
+    (lambda: RationalPolytope(dim=2, vertices=((0, 0, 0),)),
+     "^vertex .* has wrong dimension$"),
+    (lambda: RationalPolytope(dim=2, halfspaces=(Halfspace((1, 0, 0), 1),)),
+     "^halfspace .* has wrong dimension$"),
+    (lambda: SQUARE_V.to_text("X"), "^unknown representation kind 'X'$"),
+    (lambda: SQUARE_V.to_text("H"),
+     "^no halfspace representation to serialize$"),
+    (lambda: SQUARE_H.to_text("V"), "^no vertex representation to serialize$"),
+    (lambda: enumerate_vertices(SQUARE_V),
+     "^input polytope has no halfspace representation$"),
+    (lambda: enumerate_facets(SQUARE_H),
+     "^input polytope has no vertex representation$"),
+    (lambda: exact_volume(SQUARE_H),
+     "^exact_volume needs a vertex representation$"),
+], ids=["table-of-15", "zero-normal", "vertex-dimension",
+        "halfspace-dimension", "unknown-kind", "no-halfspaces-to-write",
+        "no-vertices-to-write", "vertices-of-a-v-polytope",
+        "facets-of-an-h-polytope", "volume-of-an-h-polytope"])
+def test_input_outside_the_contract_is_a_value_error(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 # --------------------------------------------------------------------------
 # rationals read once into integer rows, Fractions out
 # --------------------------------------------------------------------------

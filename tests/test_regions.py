@@ -324,6 +324,17 @@ class TestPointValidation:
         with pytest.raises(ValueError, match="'c00' is not finite"):
             CorrelationPoint(math.nan, 2.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("values", [(0.0,) * 3, (0.0,) * 5])
+    def test_a_point_of_other_than_four_values_is_a_value_error(self, values):
+        # as a batch of another shape is in _as_columns
+        origin = (0.0,) * 4
+        message = f"^expected 4 correlations, got {len(values)}$"
+        for call in (membership_profile, in_local,
+                     lambda p: toggle_distance(p, origin),
+                     lambda p: toggle_distance(origin, p)):
+            with pytest.raises(ValueError, match=message):
+                call(values)
+
     def test_tolerance_semantics(self):
         res = in_local((1, 1, 1, 1), tol=1e-6)
         assert res.inside and res.tolerance == 1e-6
@@ -905,6 +916,15 @@ def _column_verdicts(regions_, cols):
     return out
 
 
+@pytest.mark.parametrize("regions_, key", [
+    (["C"], "C"), (["Q"], "Q"), ([RegionId.LOCAL_C, "T"], "T"),
+    ([None], None)])
+def test_column_verdicts_refuse_a_region_that_is_not_a_region_id(regions_,
+                                                                   key):
+    with pytest.raises(ValueError, match=f"^unknown region {key!r}$"):
+        _column_verdicts(regions_, np.zeros((4, 2)))
+
+
 def _assert_verdicts_follow_margins(points):
     """``column_verdicts_into`` over the chain, and of each region alone,
     equals margin >= -DEFAULT_TOLERANCE for every region and point."""
@@ -1052,15 +1072,16 @@ def test_q_verdict_takes_arcsin_only_next_to_the_boundary(monkeypatch):
     both = np.concatenate([far, near.T], axis=1)
     rule = region_margins(QUANTUM, both.T) >= -DEFAULT_TOLERANCE
     calls = []
-    kernel = regions._quantum_kernel
+    key = (QUANTUM, QCharacterization.ARCSIN)
+    kernel = regions._KERNELS[key]
 
-    def counted(char, batch):
-        calls.append((char, batch.cols.shape))
-        return kernel(char, batch)
+    def counted(batch):
+        calls.append(batch.cols.shape)
+        return kernel(batch)
 
-    monkeypatch.setattr(regions, "_quantum_kernel", counted)
+    monkeypatch.setitem(regions._KERNELS, key, counted)
     _column_verdicts([QUANTUM], far)
     assert calls == []
     (verdicts,) = _column_verdicts([QUANTUM], both)
-    assert calls == [(QCharacterization.ARCSIN, (4, len(near)))]
+    assert calls == [(4, len(near))]
     assert verdicts.tolist() == rule.tolist()
