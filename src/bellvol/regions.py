@@ -27,7 +27,9 @@ differently (builtins and ``math``, or numpy).  One table maps each
 hashes and compares as its value, so every entry point that takes a region
 or characterization key checks it with one helper, ``_member``, which
 refuses a key that is not an enum member, such as "C" or "landau", with
-``ValueError``.  A
+``ValueError``.  Reading one region's margin, from the table or from a
+profile, takes one rule (``_slot``): only Q has a characterization, and Q
+without one is its arcsin form.  A
 :class:`MembershipProfile` holds the seven margins of ``PROFILE_ORDER`` and
 the tolerance: ``membership_profile`` gives floats for one point, running the
 table's seven kernels with no dispatch per margin, ``membership_profiles``
@@ -38,6 +40,13 @@ score one region on such an array.  The Monte Carlo stream's verdicts
 operation, writing into buffers the caller allocates once; the tests hold each
 verdict equal to its margin rule.  Non-finite coordinates raise
 ``ValueError``; finite points outside the cube are scored, not rejected.
+
+The records, :class:`CorrelationPoint`, :class:`MembershipResult` and
+:class:`MembershipProfile`, are NamedTuples, so that importing this module,
+which every command does, loads neither ``dataclasses`` nor ``inspect``.
+Each is a tuple of its fields: it equals a plain tuple of its values, and
+setting a field raises ``AttributeError``.  A point checks the point
+contract however it is built.
 """
 
 from __future__ import annotations
@@ -46,7 +55,6 @@ import functools
 import math
 import operator
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence, Union
 
@@ -91,24 +99,24 @@ REGION_CHAIN = (
 )
 
 
-@dataclass(frozen=True)
-class CorrelationPoint:
-    """Four product expectations c_ij = <A_i B_j>, each in [-1, 1]."""
+class CorrelationPoint(NamedTuple("_Point", [(f, float) for f in _FIELDS])):
+    """Four product expectations c_ij = <A_i B_j>, each in [-1, 1]: a tuple
+    of four floats that holds the point contract (``_coords`` with
+    ``in_cube``) however it is built, by the constructor, ``_make``,
+    ``_replace``, ``pickle`` or ``copy``."""
 
-    c00: float
-    c01: float
-    c10: float
-    c11: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name, v in zip(_FIELDS, _coords(self.as_tuple(), in_cube=True)):
-            object.__setattr__(self, name, v)
+    def __new__(cls, c00: float, c01: float, c10: float, c11: float):
+        return tuple.__new__(cls, _coords((c00, c01, c10, c11), in_cube=True))
+
+    @classmethod
+    def _make(cls, iterable) -> CorrelationPoint:
+        # namedtuple's own _make, which _replace calls, skips __new__
+        return tuple.__new__(cls, _coords(iterable, in_cube=True))
 
     def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.c00, self.c01, self.c10, self.c11)
-
-    def __iter__(self):
-        return iter(self.as_tuple())
+        return tuple(self)
 
 
 PointLike = Union[CorrelationPoint, Sequence[float]]
@@ -146,8 +154,7 @@ def _coords(p: PointLike, *,
     return tuple(t)
 
 
-@dataclass(frozen=True, slots=True)
-class MembershipResult:
+class MembershipResult(NamedTuple):
     """Verdict of one region oracle.
 
     ``margin`` is the minimum signed slack over the region's constraints
@@ -296,6 +303,11 @@ _KERNELS = {
 PROFILE_ORDER = tuple(_KERNELS)
 _PROFILE_KERNELS = tuple(_KERNELS.values())
 
+# the slot of each (region, characterization) in PROFILE_ORDER; Q alone
+# reads as its arcsin form, slot 1
+_SLOTS = {**{key: k for k, key in enumerate(PROFILE_ORDER)},
+          (RegionId.QUANTUM_Q, None): 1}
+
 
 def _member(kind: type[Enum], key):
     """``key`` if it is a member of ``kind``, ``RegionId`` or
@@ -309,11 +321,24 @@ def _member(kind: type[Enum], key):
     return key
 
 
+def _slot(region: RegionId, char: QCharacterization | None = None) -> int:
+    """The index in ``PROFILE_ORDER`` of ``region`` under ``char``: the key
+    rule of every entry point that reads one region's margin.  ``region``
+    and a ``char`` that is not None pass ``_member``; only Q takes a
+    characterization, and Q without one is its arcsin form.  ValueError
+    otherwise."""
+    _member(RegionId, region)
+    if char is not None:
+        _member(QCharacterization, char)
+    k = _SLOTS.get((region, char))
+    if k is None:
+        raise ValueError(f"no profile entry for {region!r} under {char!r}")
+    return k
+
+
 def _kernel(region: RegionId, char: QCharacterization | None = None) -> Callable:
-    """The kernel of ``region``, for Q under ``char`` (ignored otherwise)."""
-    if _member(RegionId, region) is not RegionId.QUANTUM_Q:
-        return _KERNELS[region, None]
-    return _KERNELS[region, _member(QCharacterization, char)]
+    """The kernel of ``region`` under ``char``, by the key rule of ``_slot``."""
+    return _PROFILE_KERNELS[_slot(region, char)]
 
 
 def _is_bool(value) -> bool:
@@ -426,18 +451,12 @@ def in_quantum_sextic(p: PointLike, tol: float = DEFAULT_TOLERANCE) -> Membershi
     return _result(RegionId.QUANTUM_Q, p, tol, QCharacterization.SEXTIC)
 
 
-# the slot of each (region, characterization) in PROFILE_ORDER; Q alone
-# reads as its arcsin form, slot 1
-_SLOTS = {**{key: k for k, key in enumerate(PROFILE_ORDER)},
-          (RegionId.QUANTUM_Q, None): 1}
-
 # the tags of PROFILE_ORDER, read once: an enum's .value is a slow property
 _PROFILE_TAGS = tuple((region.value, char and char.value)
                       for region, char in PROFILE_ORDER)
 
 
-@dataclass(frozen=True, slots=True)
-class MembershipProfile:
+class MembershipProfile(NamedTuple):
     """Every oracle on one point or a batch: the seven ``margins`` in
     ``PROFILE_ORDER`` (floats, or (n,) arrays for the rows of a batch) and
     the ``tolerance``.  Verdicts and results are derived when read."""
@@ -453,16 +472,10 @@ class MembershipProfile:
     def result(self, region: RegionId,
                characterization: QCharacterization | None = None
                ) -> MembershipResult:
-        """The result of one oracle; Q without a characterization is the
-        arcsin form.  A key that is not an enum member, a str equal to one
-        included, is refused with ``_member``'s ValueError."""
-        _member(RegionId, region)
-        if characterization is not None:
-            _member(QCharacterization, characterization)
-        k = _SLOTS.get((region, characterization))
-        if k is None:
-            raise ValueError(f"no profile entry for {region!r}"
-                             f" under {characterization!r}")
+        """The result of one oracle, by the key rule of ``_slot``: Q without
+        a characterization is the arcsin form, and a key that is not an
+        enum member, a str equal to one included, is refused."""
+        k = _slot(region, characterization)
         region, char = PROFILE_ORDER[k]
         margin = self.margins[k]
         return MembershipResult(region, margin >= -self.tolerance, margin,
@@ -685,15 +698,16 @@ def membership_profiles(pts: np.ndarray,
 
 
 def region_margins(region: RegionId, pts: np.ndarray,
-                   characterization: QCharacterization = QCharacterization.ARCSIN
+                   characterization: QCharacterization | None = None
                    ) -> np.ndarray:
-    """Signed margins of ``region`` for each row of an (n, 4) array."""
+    """Signed margins of ``region`` for each row of an (n, 4) array, the
+    key read by ``_slot``'s rule, as ``MembershipProfile.result`` reads it."""
     batch = _Columns(_as_columns(pts), _array_ops())
     return _kernel(region, characterization)(batch)
 
 
 def region_mask(region: RegionId, pts: np.ndarray, tol: float = DEFAULT_TOLERANCE,
-                characterization: QCharacterization = QCharacterization.ARCSIN
+                characterization: QCharacterization | None = None
                 ) -> np.ndarray:
     """Boolean membership mask: margin >= -tol, rowwise."""
     check_tolerance(tol)

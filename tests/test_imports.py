@@ -65,7 +65,13 @@ NUMPY_FREE = [
 #: The modules whose loading is pinned per command: the package's own beyond
 #: ``regions``, and the standard and third-party ones they bring in.
 WATCHED = ("bellvol.polytopes", "bellvol.toggles", "bellvol.estimates",
-           "bellvol.volumes", "bellvol.quantum", "fractions", "csv", "numpy")
+           "bellvol.volumes", "bellvol.quantum", "fractions", "csv", "numpy",
+           "dataclasses", "inspect")
+
+#: What defining a dataclass loads.  ``regions`` holds its records in
+#: NamedTuples, so only the commands that load another module of the
+#: package, each of which defines dataclasses, load these.
+DATACLASSES = {"dataclasses", "inspect"}
 
 #: (an import statement or a command's argv, the watched modules it loads);
 #: it must load none of the others.  Each runs in a fresh interpreter, as
@@ -77,22 +83,23 @@ LOADS = [
     (["membership", "--point", "0.7,0.7,0.7,-0.7", "--format", "csv"],
      {"csv"}),
     (["distance", "--from", "-1,0,0,0", "--to", "0.5,0,0,0.25"],
-     {"bellvol.toggles", "fractions"}),
+     {"bellvol.toggles", "fractions"} | DATACLASSES),
     (["examples", "--which", "pr-box", "--verify"],
-     {"bellvol.polytopes", "fractions"}),
+     {"bellvol.polytopes", "fractions"} | DATACLASSES),
     (["polytope", "--which", "ns", "--task", "counts"],
-     {"bellvol.polytopes", "fractions"}),
+     {"bellvol.polytopes", "fractions"} | DATACLASSES),
     (["volume", "--region", "C", "--method", "exact"],
-     {"bellvol.polytopes", "bellvol.estimates", "fractions"}),
+     {"bellvol.polytopes", "bellvol.estimates", "fractions"} | DATACLASSES),
     (["volume", "--region", "Q", "--method", "mc", "--n", "1000"],
-     {"bellvol.estimates", "bellvol.volumes", "numpy"}),
+     {"bellvol.estimates", "bellvol.volumes", "numpy"} | DATACLASSES),
     *[(["volume", "--region", region, "--method", "quadrature"],
-       {"bellvol.estimates", "bellvol.volumes", "numpy"})
+       {"bellvol.estimates", "bellvol.volumes", "numpy"} | DATACLASSES)
       for region in ("C", "Q")],
     (["ratios", "--n", "1000"],
-     {"bellvol.estimates", "bellvol.volumes", "numpy"}),
+     {"bellvol.estimates", "bellvol.volumes", "numpy"} | DATACLASSES),
     (["sample-quantum", "--n", "3"],
-     {"bellvol.estimates", "bellvol.volumes", "bellvol.quantum", "numpy"}),
+     {"bellvol.estimates", "bellvol.volumes", "bellvol.quantum", "numpy"}
+     | DATACLASSES),
 ]
 
 # runs argv[1] (an import statement, or an argv as JSON, run through

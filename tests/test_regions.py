@@ -1,6 +1,5 @@
 import collections
 import copy
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -217,14 +216,15 @@ class TestProfile:
         for obj, field in ((profile, "margins"), (profile, "tolerance"),
                            (local, "margin")):
             assert not hasattr(obj, "__dict__")
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            held = getattr(obj, field)
+            with pytest.raises(AttributeError):
                 setattr(obj, field, None)
+            assert getattr(obj, field) is held
         assert isinstance(local, MembershipResult)
 
     def test_profile_holds_seven_margins_and_its_tolerance(self):
         profile = membership_profile(Q_BOUNDARY, tol=1e-6)
-        assert [f.name for f in dataclasses.fields(profile)] == \
-            ["margins", "tolerance"]
+        assert profile._fields == ("margins", "tolerance")
         assert profile.margins == tuple(
             ORACLE_OF[slot](Q_BOUNDARY, 1e-6).margin for slot in PROFILE_ORDER)
         assert profile.inside == tuple(m >= -1e-6 for m in profile.margins)
@@ -615,6 +615,52 @@ def test_non_finite_points_are_rejected(c, k, bad):
             region_margins(RegionId.QUANTUM_Q, rows, char)
 
 
+# the values a coordinate may be offered: numbers in and out of [-1, 1],
+# the non-finite floats, and bools, which are numbers by no contract
+COORDINATE = (UNIT | st.integers(-2, 2)
+              | st.sampled_from([2.0, -1.0 - 2 ** -52, math.nan, math.inf,
+                                 -math.inf, True, False]))
+
+#: Every way a CorrelationPoint is built.  Pickle and copy rebuild a point
+#: through ``__new__``, so each is given one forged past the checks.
+POINT_BUILDS = {
+    "constructor": lambda v: CorrelationPoint(*v),
+    "keywords": lambda v: CorrelationPoint(**dict(zip(CorrelationPoint._fields, v))),
+    "_make": CorrelationPoint._make,
+    "_replace": lambda v: CorrelationPoint(0.0, 0.0, 0.0, 0.0)._replace(
+        **dict(zip(CorrelationPoint._fields, v))),
+    "pickle": lambda v: pickle.loads(pickle.dumps(tuple.__new__(CorrelationPoint, v))),
+    "deepcopy": lambda v: copy.deepcopy(tuple.__new__(CorrelationPoint, v)),
+    "copy": lambda v: copy.copy(tuple.__new__(CorrelationPoint, v)),
+}
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.tuples(*[COORDINATE] * 4))
+@example((0, 1, -1, 0.5))
+@example((True, 0.0, 0.0, 0.0))
+@example((0.0, 0.0, 0.0, math.nan))
+@example((0.0, 2.0, 0.0, 0.0))
+def test_every_way_to_build_a_point_keeps_the_contract(values):
+    valid = all(not isinstance(v, bool) and math.isfinite(v) and -1 <= v <= 1
+                for v in values)
+    if valid:
+        want = tuple(float(v) for v in values)
+        for name, build in POINT_BUILDS.items():
+            point = build(values)
+            assert type(point) is CorrelationPoint, name
+            assert [type(v) for v in point] == [float] * 4, name
+            assert point == want and point.as_tuple() == want, name
+            assert (point.c00, point.c01, point.c10, point.c11) == want, name
+        return
+    messages = set()
+    for name, build in POINT_BUILDS.items():
+        with pytest.raises(ValueError, match="^point field 'c[01]{2}' ") as err:
+            build(values)
+        messages.add(str(err.value))
+    assert len(messages) == 1   # the one check, whatever the path
+
+
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, "0.1",
                                  None, True, False, np.True_, 10 ** 400])
 def test_tolerance_outside_contract_is_rejected(tol):
@@ -653,6 +699,34 @@ def test_a_region_that_is_not_a_region_id_is_refused_by_the_kernel_table(
 def test_a_characterization_that_is_not_a_q_characterization_is_refused():
     with pytest.raises(ValueError, match="unknown characterization 'landau'"):
         region_margins(RegionId.QUANTUM_Q, np.zeros((2, 4)), "landau")
+
+
+@pytest.mark.parametrize("region", [r for r in CHAIN if r is not RegionId.QUANTUM_Q])
+@pytest.mark.parametrize("char, message", [
+    ("landau", "unknown characterization 'landau'"),
+    (QCharacterization.LANDAU, "no profile entry"),
+    (QCharacterization.ARCSIN, "no profile entry"),
+], ids=["str-landau", "LANDAU", "ARCSIN"])
+def test_a_characterization_of_a_region_other_than_q_is_refused(
+        region, char, message):
+    # one key rule for the arrays and the profile: the kernel of C does not
+    # read the characterization, so a lookup that ignored it would score C
+    rows = np.zeros((2, 4))
+    with pytest.raises(ValueError, match=message):
+        region_margins(region, rows, char)
+    with pytest.raises(ValueError, match=message):
+        region_mask(region, rows, characterization=char)
+    with pytest.raises(ValueError, match=message):
+        membership_profile(rows[0]).result(region, char)
+
+
+def test_q_without_a_characterization_is_its_arcsin_form():
+    pts = uniform_points(200, seed=31)
+    arcsin = region_margins(RegionId.QUANTUM_Q, pts, QCharacterization.ARCSIN)
+    assert region_margins(RegionId.QUANTUM_Q, pts, None).tobytes() == \
+        arcsin.tobytes()
+    assert region_mask(RegionId.QUANTUM_Q, pts, characterization=None).tolist() == \
+        (arcsin >= -DEFAULT_TOLERANCE).tolist()
 
 
 def _pinned_profile_points():
@@ -735,7 +809,7 @@ def _kernel_margins(region, cols):
     """The margins of ``region`` for (4, m) ``cols`` taken as they are, so
     that a subclass sees every ufunc applied to it."""
     batch = regions._Columns(cols, regions._array_ops())
-    return regions._kernel(region, QCharacterization.ARCSIN)(batch)
+    return regions._kernel(region)(batch)
 
 
 def test_quantum_margins_never_reduce_the_raw_batch(monkeypatch, computed):
@@ -791,11 +865,10 @@ def _check_profiles(points, tol=DEFAULT_TOLERANCE, boundary=1e-9):
     assert len(batch.margins) == len(batch.inside) == len(PROFILE_ORDER)
     for (region, char), margins, inside in zip(PROFILE_ORDER, batch.margins,
                                                batch.inside):
-        column = region_margins(region, rows, char or QCharacterization.ARCSIN)
+        column = region_margins(region, rows, char)
         assert margins.tobytes() == column.tobytes()
         assert inside.tolist() == (column >= -tol).tolist()
-        assert inside.tolist() == region_mask(
-            region, rows, tol, char or QCharacterization.ARCSIN).tolist()
+        assert inside.tolist() == region_mask(region, rows, tol, char).tolist()
         res = batch.result(region, char)
         assert (res.region, res.characterization) == (region, char)
         assert res.margin is margins and res.inside.tolist() == inside.tolist()
