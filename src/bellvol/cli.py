@@ -19,15 +19,14 @@ them, and no others: membership needs nothing beyond ``regions``, distance
 loads ``toggles``, examples and polytope the exact engine ``polytopes``,
 volume --method exact ``estimates`` and ``polytopes``, and only volume
 --method mc|quadrature, ratios and sample-quantum load numpy (through
-``estimates``, ``volumes`` and ``quantum``).  ``csv`` is loaded by --format
-csv alone.
+``estimates``, ``volumes`` and ``quantum``).  ``csv`` and ``json`` are
+loaded only by a command that writes or reads them.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
-import json
 import os
 import re
 import sys
@@ -84,6 +83,7 @@ def _parse_point(text: str) -> CorrelationPoint:
     checked by ``CorrelationPoint``; ValueError says what is wrong."""
     text = text.strip()
     if text.startswith("{"):
+        import json
         try:  # integers read as floats: a huge one is then inf, not an error
             obj = json.loads(text, parse_int=float)
         except json.JSONDecodeError as exc:
@@ -166,6 +166,7 @@ def _fmt(v) -> str:
 
 def _emit(args, rows: list[dict], headers: list[str], json_obj) -> None:
     if args.format == "json":
+        import json
         print(json.dumps(json_obj, indent=2))
     elif args.format == "csv":
         print(_emit_csv(rows, headers))
@@ -326,6 +327,7 @@ def _sample_line() -> str:
     ``"false"``, margin) for each verdict in ``PROFILE_ORDER``.  ``%r`` of a
     finite float is its JSON text, and every value here is finite: the
     points lie in the cube and each kernel is bounded on it."""
+    import json
     value, verdict = "\0value", "\0verdict"
     text = json.dumps({**dict.fromkeys(_FIELDS, value),
                        "profile": profile_record([(verdict, value)] * 7)})
@@ -353,6 +355,8 @@ def _cmd_sample_quantum(args):
 # -- distance ----------------------------------------------------------------
 
 def _cmd_distance(args):
+    import json
+
     from . import toggles
     p, q = getattr(args, "from"), args.to
     dist = toggles.toggle_distance(p, q)

@@ -38,8 +38,9 @@ derived from the margins when read.  ``region_margins`` and ``region_mask``
 score one region on such an array.  The Monte Carlo stream's verdicts
 (``column_verdicts_into``) repeat the C, T and U kernels operation for
 operation, writing into buffers the caller allocates once; the tests hold each
-verdict equal to its margin rule.  Non-finite coordinates raise
-``ValueError``; finite points outside the cube are scored, not rejected.
+verdict equal to its margin rule.  Every entry point refuses a point that is
+not four finite numbers in [-1, 1] with ``ValueError``, the message that of
+``_coords``, which ``_as_columns`` hands an array's first bad row.
 
 The records, :class:`CorrelationPoint`, :class:`MembershipResult` and
 :class:`MembershipProfile`, are NamedTuples, so that importing this module,
@@ -101,19 +102,19 @@ REGION_CHAIN = (
 
 class CorrelationPoint(NamedTuple("_Point", [(f, float) for f in _FIELDS])):
     """Four product expectations c_ij = <A_i B_j>, each in [-1, 1]: a tuple
-    of four floats that holds the point contract (``_coords`` with
-    ``in_cube``) however it is built, by the constructor, ``_make``,
-    ``_replace``, ``pickle`` or ``copy``."""
+    of four floats that holds the point contract (``_coords``) however it
+    is built, by the constructor, ``_make``, ``_replace``, ``pickle`` or
+    ``copy``."""
 
     __slots__ = ()
 
     def __new__(cls, c00: float, c01: float, c10: float, c11: float):
-        return tuple.__new__(cls, _coords((c00, c01, c10, c11), in_cube=True))
+        return tuple.__new__(cls, _coords((c00, c01, c10, c11)))
 
     @classmethod
     def _make(cls, iterable) -> CorrelationPoint:
         # namedtuple's own _make, which _replace calls, skips __new__
-        return tuple.__new__(cls, _coords(iterable, in_cube=True))
+        return tuple.__new__(cls, _coords(iterable))
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return tuple(self)
@@ -122,12 +123,10 @@ class CorrelationPoint(NamedTuple("_Point", [(f, float) for f in _FIELDS])):
 PointLike = Union[CorrelationPoint, Sequence[float]]
 
 
-def _coords(p: PointLike, *,
-            in_cube: bool = False) -> tuple[float, float, float, float]:
-    """Extract 4 finite coordinates, and with ``in_cube`` require each in
-    [-1, 1]: the point contract, checked field by field in order.  A float
-    is taken as it is; any other value must convert by ``float()`` and be
-    neither text nor a bool."""
+def _coords(p: PointLike) -> tuple[float, float, float, float]:
+    """Extract 4 finite coordinates, each in [-1, 1]: the point contract,
+    checked field by field in order.  A float is taken as it is; any other
+    value must convert by ``float()`` and be neither text nor a bool."""
     if isinstance(p, CorrelationPoint):
         return p.as_tuple()
     values = tuple(p)
@@ -148,7 +147,7 @@ def _coords(p: PointLike, *,
                     f"point field '{name}' is not a number: {v!r}") from None
         if not math.isfinite(v):
             raise ValueError(f"point field '{name}' is not finite: {v!r}")
-        if in_cube and not -1.0 <= v <= 1.0:
+        if not -1.0 <= v <= 1.0:
             raise ValueError(f"point field '{name}' is outside [-1, 1]: {v!r}")
         t.append(v)
     return tuple(t)
@@ -192,12 +191,11 @@ class _Ops(NamedTuple):
     sqrt: Callable
     low: Callable      # min over the four coordinates
     high: Callable     # max over the four coordinates
-    arcsin: Callable   # arcsin of the four coordinates, clipped to [-1, 1]
+    arcsin: Callable   # arcsin of the four coordinates
 
 
 _SCALAR_OPS = _Ops(max, min, math.sqrt, min, max,
-                   lambda c: [math.asin(-1.0 if v < -1.0 else
-                                        1.0 if v > 1.0 else v) for v in c])
+                   lambda c: [math.asin(v) for v in c])
 
 
 @functools.cache
@@ -206,14 +204,9 @@ def _array_ops() -> _Ops:
     the commands that need no arrays, never load numpy."""
     import numpy as np
 
-    def arcsin(cols: np.ndarray) -> np.ndarray:
-        # one (4, m) temporary: the clipped copy takes the arcsin in place
-        clipped = np.clip(cols, -1.0, 1.0)
-        return np.arcsin(clipped, out=clipped)
-
     return _Ops(np.maximum, np.minimum, np.sqrt,
                 lambda c: np.min(c, axis=0), lambda c: np.max(c, axis=0),
-                arcsin)
+                np.arcsin)
 
 
 class _shared:
@@ -259,7 +252,8 @@ def _landau(batch: _Columns):
     ops, cols = batch.ops, batch.cols
     c00, c01, c10, c11 = cols
     lhs = abs(c00 * c01 - c10 * c11)
-    one = [ops.maximum(1.0 - c * c, 0.0) for c in cols]
+    # |c| <= 1, so c * c rounds to at most 1 and each factor is >= +0.0
+    one = [1.0 - c * c for c in cols]
     return ops.sqrt(one[0] * one[1]) + ops.sqrt(one[2] * one[3]) - lhs
 
 
@@ -403,7 +397,7 @@ def in_local(p: PointLike, tol: float = DEFAULT_TOLERANCE) -> MembershipResult:
 
 
 def in_box_L(p: PointLike, tol: float = DEFAULT_TOLERANCE) -> MembershipResult:
-    """The cube |c_ij| <= 1; doubles as the validity test for raw points."""
+    """The cube |c_ij| <= 1."""
     return _result(RegionId.NO_SIGNALING_L, p, tol)
 
 
@@ -420,9 +414,8 @@ def in_uffink_U(p: PointLike, tol: float = DEFAULT_TOLERANCE) -> MembershipResul
 def in_quantum_arcsin(p: PointLike, tol: float = DEFAULT_TOLERANCE) -> MembershipResult:
     """Quantum set via |sum_kl arcsin(c_kl) - 2 arcsin(c_ij)| <= pi for all ij.
 
-    This is the canonical quantum oracle of the package.  Inputs are clamped
-    to [-1, 1] before arcsin so representation error at cube vertices cannot
-    raise a domain error; the margin is reported in radians.
+    This is the canonical quantum oracle of the package; the margin is
+    reported in radians.
     """
     return _result(RegionId.QUANTUM_Q, p, tol, QCharacterization.ARCSIN)
 
@@ -532,9 +525,9 @@ def column_verdicts_into(regions: Sequence[RegionId], cols: np.ndarray,
     thin band about its boundary), for L by its margin.  The float (4, m)
     array ``work``, which may share memory with nothing else the call
     reads, holds the intermediate values, so that C, T, U and Q allocate
-    nothing of the batch's size.  The columns are not checked: the Monte
-    Carlo stream draws finite points in [-1, 1], the contract on which the
-    Q verdict equals the arcsin rule, and never asks for L.
+    nothing of the batch's size.  The columns are not checked: they must
+    hold the point contract, as the Monte Carlo stream's draws do, and on
+    it the Q verdict equals the arcsin rule.  The stream never asks for L.
     """
     rows = {_member(RegionId, region): row
             for region, row in zip(regions, out)}
@@ -667,12 +660,13 @@ def _quantum_verdicts(cols: np.ndarray, work: np.ndarray,
 
 
 def _as_columns(pts) -> np.ndarray:
-    """The rows of an (n, 4) array of finite numbers as (4, n) columns;
-    ValueError for another shape, a non-finite value, a bool or text.
+    """The rows of an (n, 4) array of points as (4, n) columns; ValueError
+    for another shape, a bool or text, or a row outside the point contract.
 
-    An integer or float ndarray is cast whole.  Anything else, a nested
-    list or an object array, is read row by row by ``_coords``, as numpy's
-    cast would read True as 1 and parse text."""
+    An integer or float ndarray is cast whole and tested by |c| <= 1, which
+    NaN and +-inf fail too.  Anything else, a nested list or an object
+    array, is read row by row by ``_coords``, as numpy's cast would read
+    True as 1 and parse text."""
     import numpy as np
 
     if not isinstance(pts, np.ndarray) or pts.dtype == object:
@@ -684,8 +678,9 @@ def _as_columns(pts) -> np.ndarray:
     if pts.ndim != 2 or pts.shape[1] != 4:
         raise ValueError(f"expected (n, 4) array, got {pts.shape}")
     pts = pts.astype(np.float64, copy=False)
-    if not np.isfinite(pts).all():
-        raise ValueError("points must be finite")
+    within = (np.abs(pts) <= 1.0).all(axis=1)
+    if not within.all():
+        _coords(pts[within.argmin()])  # raises for its first bad field
     return np.ascontiguousarray(pts.T)
 
 

@@ -88,10 +88,9 @@ class ToggleDistance:
 
 
 def toggle_distance(p: PointLike, q: PointLike) -> ToggleDistance:
-    """Coordinatewise toggle cost between two correlation points, each
-    finite and inside the cube (ValueError otherwise): the cost is a
-    fraction of runs, defined only on [-1, 1]."""
-    cp, cq = _coords(p, in_cube=True), _coords(q, in_cube=True)
+    """Coordinatewise toggle cost between two correlation points; ValueError
+    for a point outside the point contract of ``regions``."""
+    cp, cq = _coords(p), _coords(q)
     return ToggleDistance(tuple(abs(a - b) / 2.0 for a, b in zip(cp, cq)))
 
 

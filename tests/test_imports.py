@@ -65,8 +65,8 @@ NUMPY_FREE = [
 #: The modules whose loading is pinned per command: the package's own beyond
 #: ``regions``, and the standard and third-party ones they bring in.
 WATCHED = ("bellvol.polytopes", "bellvol.toggles", "bellvol.estimates",
-           "bellvol.volumes", "bellvol.quantum", "fractions", "csv", "numpy",
-           "dataclasses", "inspect")
+           "bellvol.volumes", "bellvol.quantum", "fractions", "csv", "json",
+           "numpy", "dataclasses", "inspect")
 
 #: What defining a dataclass loads.  ``regions`` holds its records in
 #: NamedTuples, so only the commands that load another module of the
@@ -82,8 +82,12 @@ LOADS = [
     (["membership", "--point", "-0.5,0.5,0.5,0.5"], set()),
     (["membership", "--point", "0.7,0.7,0.7,-0.7", "--format", "csv"],
      {"csv"}),
+    (["membership", "--point", "0.7,0.7,0.7,-0.7", "--format", "json"],
+     {"json"}),
+    (["membership", "--point", '{"c00": 1, "c01": 1, "c10": 1, "c11": -1}'],
+     {"json"}),
     (["distance", "--from", "-1,0,0,0", "--to", "0.5,0,0,0.25"],
-     {"bellvol.toggles", "fractions"} | DATACLASSES),
+     {"bellvol.toggles", "fractions", "json"} | DATACLASSES),
     (["examples", "--which", "pr-box", "--verify"],
      {"bellvol.polytopes", "fractions"} | DATACLASSES),
     (["polytope", "--which", "ns", "--task", "counts"],
@@ -98,25 +102,26 @@ LOADS = [
     (["ratios", "--n", "1000"],
      {"bellvol.estimates", "bellvol.volumes", "numpy"} | DATACLASSES),
     (["sample-quantum", "--n", "3"],
-     {"bellvol.estimates", "bellvol.volumes", "bellvol.quantum", "numpy"}
-     | DATACLASSES),
+     {"bellvol.estimates", "bellvol.volumes", "bellvol.quantum", "numpy",
+      "json"} | DATACLASSES),
 ]
 
-# runs argv[1] (an import statement, or an argv as JSON, run through
-# cli.main to exit 0 with its output dropped), then prints the watched
-# modules loaded, as JSON
+# argv[1] is the watched modules, space-separated; runs argv[3] with exec
+# if argv[2] is "exec", else argv[3:] through cli.main to exit 0 with its
+# output dropped, then prints the watched modules loaded, space-separated.
+# It loads no json of its own, which is watched
 _LOADS_SCRIPT = textwrap.dedent("""
-    import contextlib, io, json, sys
+    import contextlib, io, sys
 
-    target, watched = json.loads(sys.argv[1]), json.loads(sys.argv[2])
-    if isinstance(target, str):
-        exec(target)
+    watched, how, *target = sys.argv[1:]
+    if how == "exec":
+        exec(*target)
     else:
         from bellvol import cli
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(target)
         assert code == 0, (target, code)
-    print(json.dumps(sorted(set(watched) & set(sys.modules))))
+    print(*sorted(set(watched.split()) & set(sys.modules)))
 """)
 
 # runs NUMPY_FREE (argv[1], as JSON) in a fresh interpreter, then one
@@ -172,9 +177,10 @@ def test_commands_without_arrays_do_not_load_numpy():
     target if isinstance(target, str) else " ".join(target)
     for target, _ in LOADS])
 def test_each_command_loads_only_the_modules_it_computes_with(target, loads):
-    proc = _python(_LOADS_SCRIPT, json.dumps(target), json.dumps(WATCHED))
+    how = ["exec", target] if isinstance(target, str) else ["main", *target]
+    proc = _python(_LOADS_SCRIPT, " ".join(WATCHED), *how)
     assert proc.returncode == 0, proc.stderr
-    assert set(json.loads(proc.stdout)) == loads
+    assert set(proc.stdout.split()) == loads
 
 
 def test_array_modules_resolve_after_a_plain_import():

@@ -1,5 +1,6 @@
 import collections
 import copy
+import functools
 import hashlib
 import itertools
 import json
@@ -90,9 +91,9 @@ class TestBoxL:
         assert res.inside and res.margin == 0.0
 
     def test_outside(self):
-        res = in_box_L((1.2, 0, 0, 0))
-        assert not res.inside
-        assert res.margin == pytest.approx(-0.2, abs=1e-12)
+        with pytest.raises(ValueError) as err:
+            in_box_L((1.2, 0, 0, 0))
+        assert str(err.value) == "point field 'c00' is outside [-1, 1]: 1.2"
 
     def test_interior(self):
         res = in_box_L((0.5, -0.5, 0.5, 0.5))
@@ -143,9 +144,11 @@ class TestQuantumArcsin:
         res = in_quantum_arcsin((1, 1, 1, 1))
         assert res.inside and res.margin == pytest.approx(0.0, abs=1e-12)
 
-    def test_clamps_out_of_domain_inputs(self):
-        res = in_quantum_arcsin((1.0 + 5e-13, 1.0, 1.0, 1.0))
-        assert math.isfinite(res.margin)
+    def test_refuses_inputs_past_the_domain(self):
+        with pytest.raises(ValueError, match="^point field 'c00' is outside"):
+            in_quantum_arcsin((1.0 + 5e-13, 1.0, 1.0, 1.0))
+        for vertex in ((1.0, 1.0, 1.0, 1.0), (-1.0, -1.0, -1.0, 1.0)):
+            assert math.isfinite(in_quantum_arcsin(vertex).margin)
 
 
 class TestQuantumLandau:
@@ -661,6 +664,69 @@ def test_every_way_to_build_a_point_keeps_the_contract(values):
     assert len(messages) == 1   # the one check, whatever the path
 
 
+# floats in and out of the cube: the non-finite ones, [-2, 2], and the
+# cube's faces with their outer one-ulp neighbours
+EDGE = [-1.0, 1.0, math.nextafter(-1.0, -2.0), math.nextafter(1.0, 2.0)]
+COORDINATE_FLOAT = (st.floats(-2.0, 2.0)
+                    | st.sampled_from([math.nan, math.inf, -math.inf, *EDGE]))
+
+#: Every entry point that scores one point, and every one that scores the
+#: rows of an array, here given the origin's row and then the point's.
+POINT_ENTRY_POINTS = {
+    **{oracle.__name__: oracle for oracle in ORACLES},
+    "membership_profile": membership_profile,
+    "chsh_value": lambda p: chsh_value(p, 1, 0),
+    "toggle_distance(p, o)": lambda p: toggle_distance(p, (0.0,) * 4),
+    "toggle_distance(o, p)": lambda p: toggle_distance((0.0,) * 4, p),
+}
+ARRAY_ENTRY_POINTS = {
+    "membership_profiles": membership_profiles,
+    **{f"region_margins {region.value}": functools.partial(region_margins, region)
+       for region in CHAIN},
+    **{f"region_mask {region.value}": functools.partial(region_mask, region)
+       for region in CHAIN},
+}
+
+
+def _check_the_one_point_contract(p):
+    """Every entry point refuses ``p`` exactly when ``CorrelationPoint``
+    does, with its message; that message, or None."""
+    try:
+        CorrelationPoint(*p)
+        message = None
+    except ValueError as err:
+        message = str(err)
+    rows = np.array([(0.0,) * 4, p])
+    calls = {**{name: functools.partial(call, p)
+                for name, call in POINT_ENTRY_POINTS.items()},
+             **{name: functools.partial(score, rows)
+                for name, score in ARRAY_ENTRY_POINTS.items()}}
+    for name, call in calls.items():
+        if message is None:
+            call()
+            continue
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message, name
+    return message
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.tuples(*[COORDINATE_FLOAT] * 4))
+@example((0.0, 0.0, math.nextafter(-1.0, -2.0), math.nan))
+@example((math.nextafter(1.0, 2.0), 0.0, 0.0, 0.0))
+@example((0.0, 0.0, 0.0, math.nextafter(1.0, 2.0)))
+def test_every_entry_point_keeps_the_one_point_contract(p):
+    _check_the_one_point_contract(p)
+
+
+def test_the_one_point_contract_at_a_point_outside_and_at_the_vertices():
+    assert _check_the_one_point_contract((1.2, 0.0, 0.0, 0.0)) == \
+        "point field 'c00' is outside [-1, 1]: 1.2"
+    for vertex in itertools.product((-1.0, 1.0), repeat=4):
+        assert _check_the_one_point_contract(vertex) is None
+
+
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, "0.1",
                                  None, True, False, np.True_, 10 ** 400])
 def test_tolerance_outside_contract_is_rejected(tol):
@@ -730,9 +796,9 @@ def test_q_without_a_characterization_is_its_arcsin_form():
 
 
 def _pinned_profile_points():
-    """2000 points of [-1.5, 1.5]^4 (so the arcsin clips), the 81 points of
-    {-1, 0, 1}^4, and the 16 vertices each with its 8 neighbours one ulp
-    nearer to and farther from the origin in one coordinate."""
+    """2000 points of [-1.5, 1.5]^4, the 81 points of {-1, 0, 1}^4, and the
+    16 vertices each with its 8 neighbours one ulp nearer to and farther
+    from the origin in one coordinate: 572 of them in the cube."""
     rng = np.random.default_rng(28)
     points = [tuple(p) for p in rng.uniform(-1.5, 1.5, size=(2000, 4)).tolist()]
     points += itertools.product((-1.0, 0.0, 1.0), repeat=4)
@@ -748,14 +814,60 @@ def _pinned_profile_points():
 def test_profile_margins_are_pinned_bit_for_bit():
     points = _pinned_profile_points()
     assert len(points) == 2000 + 81 + 16 * 9
-    digest = hashlib.sha256()
+    digest, scored = hashlib.sha256(), 0
     for p in points:
+        if not all(-1.0 <= v <= 1.0 for v in p):
+            with pytest.raises(ValueError, match="is outside"):
+                membership_profile(p)
+            continue
         margins = membership_profile(p).margins
         digest.update(struct.pack("<7d", *margins))
         assert margins == tuple(ORACLE_OF[slot](p).margin
                                 for slot in PROFILE_ORDER), p
+        scored += 1
+    assert scored == 572
     assert digest.hexdigest() == \
-        "00a8fcf9250dd02b77d7bcb1705f7583167e91edc70190f8ee70542e462a8f7a"
+        "61f3779097d8e44ce860426c2eb4064959ecd3feba2b14ee65770e61df8d8356"
+
+
+def _dyadic_verdicts(n):
+    """Every point x/n of the cube with x in {-n, -n+2, ..., n}^4 (exact in
+    floats for n a power of 2), and each region's verdict on it by exact
+    integer tests, scaled by n: C |S - 2 x_ij| <= 2n, T (S - 2 x_ij)^2 <=
+    8n^2, U its two quadratics <= 4n^2, L every point, and Q Landau's form
+    |a| <= sqrt(P) + sqrt(R) squared twice."""
+    steps = np.arange(-n, n + 1, 2, dtype=np.int64)
+    x = np.stack(np.meshgrid(*[steps] * 4, indexing="ij"), axis=-1).reshape(-1, 4)
+    x00, x01, x10, x11 = x.T
+    nn = n * n
+    chsh = x.sum(axis=1, keepdims=True) - 2 * x
+    p = (nn - x00 * x00) * (nn - x01 * x01)
+    r = (nn - x10 * x10) * (nn - x11 * x11)
+    d = (x00 * x01 - x10 * x11) ** 2 - p - r
+    exact = {
+        RegionId.LOCAL_C: (np.abs(chsh) <= 2 * n).all(axis=1),
+        RegionId.QUANTUM_Q: (d <= 0) | (d * d <= 4 * p * r),
+        RegionId.UFFINK_U: ((x00 + x11) ** 2 + (x01 - x10) ** 2 <= 4 * nn)
+        & ((x00 - x11) ** 2 + (x01 + x10) ** 2 <= 4 * nn),
+        RegionId.TSIRELSON_T: (chsh * chsh <= 8 * nn).all(axis=1),
+        RegionId.NO_SIGNALING_L: np.ones(len(x), dtype=bool),
+    }
+    return x / n, exact
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_verdicts_on_dyadic_grids_equal_exact_integer_tests(n):
+    # the arcsin form at tol 0 is left out: its rounding rejects some points
+    # on Q's boundary (42, 56 and 146 of these grids)
+    points, exact = _dyadic_verdicts(n)
+    margins = membership_profiles(points).margins
+    for (region, char), margin in zip(PROFILE_ORDER, margins):
+        tols = [DEFAULT_TOLERANCE]
+        if char is not QCharacterization.ARCSIN:
+            tols.append(0.0)
+        for tol in tols:
+            wrong = np.count_nonzero((margin >= -tol) != exact[region])
+            assert wrong == 0, (region, char, tol)
 
 
 # --------------------------------------------------------------------------
@@ -820,7 +932,7 @@ def test_quantum_margins_never_reduce_the_raw_batch(monkeypatch, computed):
     pts = np.array([[0.3, -0.2, 0.9, 0.1], [1.0, 1.0, 1.0, -1.0]])
     cols = np.ascontiguousarray(pts.T).view(_Watched)
     margins = _kernel_margins(RegionId.QUANTUM_Q, cols)
-    assert log == ["clip.__call__"]   # the arcsin op's clipped copy alone
+    assert log == ["arcsin.__call__"]   # the arcsin op alone
     assert not [name for batch, name in computed if batch.cols is cols]
     assert margins.tobytes() == \
         region_margins(RegionId.QUANTUM_Q, pts).tobytes()
