@@ -17,17 +17,22 @@ measurements.  A point is the vector of the four product expectations
 Every oracle returns a :class:`MembershipResult` carrying the signed slack
 margin, i.e. the minimum over the region's constraints of (bound - value).
 All sets are closed; a point is inside iff margin >= -tol, where ``tol`` must
-be finite and >= 0, and not a bool (``check_tolerance``).
+be finite and >= 0, and not a bool (``check_tolerance``, which returns it as
+a float, so that verdicts are Python bools whatever number type it came as).
 
 Each region's margin is written once, as a kernel on a batch held one
 coordinate per row: four floats for the scalar oracles, or a (4, m) array for
 the vector entry points.  An op table supplies the few operations spelled
-differently (builtins and ``math``, or numpy).  One table maps each
-(``RegionId``, ``QCharacterization`` or None) to its kernel.  A str enum
-hashes and compares as its value, so every entry point that takes a region
-or characterization key checks it with one helper, ``_member``, which
-refuses a key that is not an enum member, such as "C" or "landau", with
-``ValueError``.  Reading one region's margin, from the table or from a
+differently (builtins and ``math``, or numpy).  The CHSH quantities, the
+sum S, the minimum and maximum coordinate and max_ij |S - 2 c_ij|, are
+written once, in ``_chsh``: C, T and L read them from the point's batch,
+where the first read computes all four, and Q's arcsin form is pi minus the
+last of them taken on the arcsin of the coordinates, with no second batch.
+One table maps each (``RegionId``, ``QCharacterization`` or None) to its
+kernel.  A str enum hashes and compares as its value, so every entry point
+that takes a region or characterization key checks it with one helper,
+``_member``, which refuses a key that is not an enum member, such as "C" or
+"landau", with ``ValueError``.  Reading one region's margin, from the table or from a
 profile, takes one rule (``_slot``): only Q has a characterization, and Q
 without one is its arcsin form.  A
 :class:`MembershipProfile` holds the seven margins of ``PROFILE_ORDER`` and
@@ -124,14 +129,18 @@ PointLike = Union[CorrelationPoint, Sequence[float]]
 
 
 def _coords(p: PointLike) -> tuple[float, float, float, float]:
-    """Extract 4 finite coordinates, each in [-1, 1]: the point contract,
-    checked field by field in order.  A float is taken as it is; any other
-    value must convert by ``float()`` and be neither text nor a bool."""
-    if isinstance(p, CorrelationPoint):
-        return p.as_tuple()
+    """Extract 4 finite coordinates, each in [-1, 1]: the point contract.
+    Four floats pass by one chained comparison, which NaN and +-inf fail
+    too; any other point is checked field by field in order, where a value
+    that is not a float must convert by ``float()`` and be neither text nor
+    a bool."""
     values = tuple(p)
     if len(values) != 4:
         raise ValueError(f"expected 4 correlations, got {len(values)}")
+    c00, c01, c10, c11 = values
+    if (type(c00) is type(c01) is type(c10) is type(c11) is float
+            and -1.0 <= c00 <= 1.0 >= c01 >= -1.0 <= c10 <= 1.0 >= c11 >= -1.0):
+        return values
     t = []
     for name, v in zip(_FIELDS, values):
         if type(v) is not float:
@@ -195,7 +204,7 @@ class _Ops(NamedTuple):
 
 
 _SCALAR_OPS = _Ops(max, min, math.sqrt, min, max,
-                   lambda c: [math.asin(v) for v in c])
+                   lambda c: tuple(map(math.asin, c)))
 
 
 @functools.cache
@@ -209,11 +218,21 @@ def _array_ops() -> _Ops:
                 np.arcsin)
 
 
+def _chsh(ops: _Ops, cols):
+    """The CHSH quantities of a batch's columns ``cols``: the sum S, the
+    minimum and the maximum over the four coordinates, and
+    max_ij |S - 2 c_ij| as max(S - 2 min c, 2 max c - S), exact in floating
+    point, as S - 2c is decreasing in c and rounding monotone."""
+    c00, c01, c10, c11 = cols
+    total, low, high = c00 + c01 + c10 + c11, ops.low(cols), ops.high(cols)
+    return total, low, high, ops.maximum(total - 2.0 * low, 2.0 * high - total)
+
+
 class _shared:
     """A quantity of a batch that the C, T and L kernels share: the first
     read of the sum ``total``, the minimum ``low``, the maximum ``high`` or
-    ``chsh_max_abs`` computes all four into the batch's ``__dict__``, where
-    later reads find them before this non-data descriptor."""
+    ``chsh_max_abs`` sets all four of ``_chsh`` as attributes of the batch,
+    which later reads find before this non-data descriptor."""
 
     def __set_name__(self, owner, name):
         self.name = name
@@ -221,14 +240,9 @@ class _shared:
     def __get__(self, batch, owner=None):
         if batch is None:
             return self
-        ops, cols = batch.ops, batch.cols
-        c00, c01, c10, c11 = cols
-        total, low, high = c00 + c01 + c10 + c11, ops.low(cols), ops.high(cols)
-        # max_ij |S - 2 c_ij| as max(S - 2 min c, 2 max c - S): exact in
-        # floating point, as S - 2c is decreasing in c and rounding monotone
-        chsh = ops.maximum(total - 2.0 * low, 2.0 * high - total)
-        batch.__dict__.update(total=total, low=low, high=high, chsh_max_abs=chsh)
-        return batch.__dict__[self.name]
+        batch.total, batch.low, batch.high, batch.chsh_max_abs = \
+            _chsh(batch.ops, batch.cols)
+        return getattr(batch, self.name)
 
 
 class _Columns:
@@ -245,30 +259,31 @@ class _Columns:
 
 
 def _arcsin(batch: _Columns):
-    return math.pi - _Columns(batch.ops.arcsin(batch.cols), batch.ops).chsh_max_abs
+    ops = batch.ops
+    return math.pi - _chsh(ops, ops.arcsin(batch.cols))[3]
 
 
 def _landau(batch: _Columns):
-    ops, cols = batch.ops, batch.cols
-    c00, c01, c10, c11 = cols
+    c00, c01, c10, c11 = batch.cols
+    sqrt = batch.ops.sqrt
     lhs = abs(c00 * c01 - c10 * c11)
     # |c| <= 1, so c * c rounds to at most 1 and each factor is >= +0.0
-    one = [1.0 - c * c for c in cols]
-    return ops.sqrt(one[0] * one[1]) + ops.sqrt(one[2] * one[3]) - lhs
+    return (sqrt((1.0 - c00 * c00) * (1.0 - c01 * c01))
+            + sqrt((1.0 - c10 * c10) * (1.0 - c11 * c11)) - lhs)
 
 
 def _sextic(batch: _Columns):
-    ops, cols = batch.ops, batch.cols
-    c00, c01, c10, c11 = cols
+    ops = batch.ops
+    c00, c01, c10, c11 = batch.cols
     triple = ((c01 * c10 - c00 * c11) * (c00 * c01 - c10 * c11)
               * (c00 * c10 - c01 * c11))
-    sq = [c * c for c in cols]
-    sum_sq = sq[0] + sq[1] + sq[2] + sq[3]
-    sum_q = sq[0] * sq[0] + sq[1] * sq[1] + sq[2] * sq[2] + sq[3] * sq[3]
+    s00, s01, s10, s11 = c00 * c00, c01 * c01, c10 * c10, c11 * c11
+    sum_sq = s00 + s01 + s10 + s11
+    sum_q = s00 * s00 + s01 * s01 + s10 * s10 + s11 * s11
     prod = c00 * c01 * c10 * c11
     quartic = 0.25 * sum_sq * sum_sq - 0.5 * sum_q - 2.0 * prod
     margin_a = ops.minimum(triple, quartic - triple)
-    max_sq = ops.high(sq)
+    max_sq = ops.high((s00, s01, s10, s11))
     margin_b = 2.0 * max_sq * max_sq - max_sq * sum_sq + 2.0 * prod
     return ops.maximum(margin_a, margin_b)
 
@@ -352,8 +367,12 @@ def _finite_at_least(name: str, value: float, low: float) -> float:
 
 
 def check_tolerance(tol: float) -> float:
-    """Return ``tol``; raise ValueError unless finite, >= 0 and no bool."""
-    return _finite_at_least("tolerance", tol, 0)
+    """``tol`` as a float; ValueError unless finite, >= 0 and no bool.  A
+    float in [0, inf) passes by one test; a numpy scalar or an int is
+    checked in full and converted, so verdicts are Python bools."""
+    if type(tol) is float and 0.0 <= tol < math.inf:
+        return tol
+    return float(_finite_at_least("tolerance", tol, 0))
 
 
 def _index(name: str, value, low: int, high: int | None = None) -> int:
@@ -379,7 +398,7 @@ def _point(p: PointLike) -> _Columns:
 def _result(region: RegionId, p: PointLike, tol: float,
             char: QCharacterization | None = None) -> MembershipResult:
     """One oracle call: the tolerance checked, the point scored."""
-    check_tolerance(tol)
+    tol = check_tolerance(tol)
     margin = _kernel(region, char)(_point(p))
     return MembershipResult(region, margin >= -tol, margin, char, tol)
 
@@ -499,7 +518,7 @@ def profile_record(verdicts) -> dict:
 
 
 def _profile(batch: _Columns, tol: float) -> MembershipProfile:
-    check_tolerance(tol)
+    tol = check_tolerance(tol)
     return MembershipProfile(tuple([kernel(batch) for kernel in _PROFILE_KERNELS]), tol)
 
 
@@ -549,7 +568,7 @@ def _chsh_verdicts(cols: np.ndarray, work: np.ndarray,
                    tsirelson: np.ndarray | None) -> None:
     """C and T verdicts into ``local`` and ``tsirelson`` (either may be
     None) from one CHSH maximum M = max(S - 2 min c, 2 max c - S), computed
-    as ``_Columns.chsh_max_abs`` computes it.  2 - M and 2 sqrt 2 - M round
+    as ``_chsh`` computes it.  2 - M and 2 sqrt 2 - M round
     monotonically in M, so C's verdict implies T's in floats too."""
     import numpy as np
 
@@ -705,5 +724,5 @@ def region_mask(region: RegionId, pts: np.ndarray, tol: float = DEFAULT_TOLERANC
                 characterization: QCharacterization | None = None
                 ) -> np.ndarray:
     """Boolean membership mask: margin >= -tol, rowwise."""
-    check_tolerance(tol)
+    tol = check_tolerance(tol)
     return region_margins(region, pts, characterization) >= -tol

@@ -588,36 +588,6 @@ def test_inside_iff_margin_within_tolerance(c, tol):
         assert region_mask(region, np.array([c]), tol)[0] == (margins[0] >= -tol)
 
 
-NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
-
-
-@settings(deadline=None, max_examples=60)
-@given(CUBE_POINTS, st.integers(0, 3), NON_FINITE)
-@example((0.0, 0.0, 0.0, 0.0), 0, math.nan)
-@example((0.0, 0.0, 0.0, 0.0), 3, math.nan)
-def test_non_finite_points_are_rejected(c, k, bad):
-    point = list(c)
-    point[k] = bad
-    for oracle in ORACLES:
-        with pytest.raises(ValueError, match="not finite"):
-            oracle(point)
-    with pytest.raises(ValueError, match="not finite"):
-        membership_profile(point)
-    with pytest.raises(ValueError):
-        toggle_distance(point, c)
-    with pytest.raises(ValueError):
-        toggle_distance(c, point)
-    rows = np.array([c, point, c])
-    for region in CHAIN:
-        with pytest.raises(ValueError):
-            region_margins(region, rows)
-        with pytest.raises(ValueError):
-            region_mask(region, rows)
-    for char in QCharacterization:
-        with pytest.raises(ValueError):
-            region_margins(RegionId.QUANTUM_Q, rows, char)
-
-
 # the values a coordinate may be offered: numbers in and out of [-1, 1],
 # the non-finite floats, and bools, which are numbers by no contract
 COORDINATE = (UNIT | st.integers(-2, 2)
@@ -685,6 +655,9 @@ ARRAY_ENTRY_POINTS = {
        for region in CHAIN},
     **{f"region_mask {region.value}": functools.partial(region_mask, region)
        for region in CHAIN},
+    **{f"region_margins Q {char.value}":
+       functools.partial(region_margins, RegionId.QUANTUM_Q, characterization=char)
+       for char in QCharacterization},
 }
 
 
@@ -716,6 +689,8 @@ def _check_the_one_point_contract(p):
 @example((0.0, 0.0, math.nextafter(-1.0, -2.0), math.nan))
 @example((math.nextafter(1.0, 2.0), 0.0, 0.0, 0.0))
 @example((0.0, 0.0, 0.0, math.nextafter(1.0, 2.0)))
+@example((math.nan, 0.0, 0.0, 0.0))
+@example((0.0, 0.0, 0.0, math.nan))
 def test_every_entry_point_keeps_the_one_point_contract(p):
     _check_the_one_point_contract(p)
 
@@ -747,9 +722,31 @@ def test_tolerance_outside_contract_is_rejected(tol):
 
 def test_profile_checks_its_tolerance_once(monkeypatch):
     calls = []
-    monkeypatch.setattr(regions, "check_tolerance", calls.append)
-    membership_profile((0.0, 0.0, 0.0, 0.0), 0.5)
+
+    def counted(tol):
+        calls.append(tol)
+        return check_tolerance(tol)
+
+    monkeypatch.setattr(regions, "check_tolerance", counted)
+    profile = membership_profile((0.0, 0.0, 0.0, 0.0), np.float64(0.5))
     assert calls == [0.5]
+    # the profile keeps the value the check returns, not the argument
+    assert type(profile.tolerance) is float
+
+
+@pytest.mark.parametrize("tol", [np.float64(1e-12), np.float32(1e-12), 0, 1],
+                         ids=["float64", "float32", "int-0", "int-1"])
+def test_a_numpy_or_int_tolerance_gives_python_verdicts(tol):
+    point = (0.7, 0.7, 0.7, -0.7)
+    assert type(check_tolerance(tol)) is float
+    profile = membership_profile(point, tol)
+    assert type(profile.tolerance) is float and profile.tolerance == float(tol)
+    assert [type(inside) for inside in profile.inside] == [bool] * 7
+    json.dumps(profile.as_dict())
+    for oracle in ORACLES:
+        result = oracle(point, tol)
+        assert type(result.inside) is bool and type(result.tolerance) is float
+        json.dumps(result.as_dict())
 
 
 @pytest.mark.parametrize("score", [region_margins, region_mask])
@@ -830,6 +827,18 @@ def test_profile_margins_are_pinned_bit_for_bit():
         "61f3779097d8e44ce860426c2eb4064959ecd3feba2b14ee65770e61df8d8356"
 
 
+def test_profile_array_margins_are_pinned_bit_for_bit():
+    # the in-cube points of the scalar pin, scored as the rows of one array
+    # and hashed row by row in the same layout; np.arcsin and math.asin may
+    # round apart, so the digest differs from the scalar one
+    rows = np.array([p for p in _pinned_profile_points()
+                     if all(-1.0 <= v <= 1.0 for v in p)])
+    assert rows.shape == (572, 4)
+    margins = np.stack(membership_profiles(rows).margins, axis=1)
+    assert hashlib.sha256(margins.astype("<f8").tobytes()).hexdigest() == \
+        "f1365c28cdbffa1d5eb48ecf390077d372be50cc0a1d4adcebad64dff70cfe70"
+
+
 def _dyadic_verdicts(n):
     """Every point x/n of the cube with x in {-n, -n+2, ..., n}^4 (exact in
     floats for n a power of 2), and each region's verdict on it by exact
@@ -897,12 +906,38 @@ def computed(monkeypatch):
     (membership_profile, (0.3, -0.2, 0.9, 0.1)),
     (membership_profiles, np.array([[0.3, -0.2, 0.9, 0.1], [1.0, 1.0, 1.0, -1.0]])),
 ])
-def test_profile_computes_each_quantity_once_per_batch(computed, profile, point):
+def test_profile_computes_each_quantity_once_per_batch(
+        computed, monkeypatch, profile, point):
+    chsh_of, asin_of = [], []
+    chsh, asin = regions._chsh, math.asin
+
+    def counted_chsh(ops, cols):
+        chsh_of.append(cols)
+        return chsh(ops, cols)
+
+    def counted_asin(v):
+        asin_of.append(v)
+        return asin(v)
+
+    monkeypatch.setattr(regions, "_chsh", counted_chsh)
+    monkeypatch.setattr(math, "asin", counted_asin)
     profile(point)
     counts = collections.Counter((id(batch), name) for batch, name in computed)
     assert set(counts.values()) == {1}
-    # the point's batch (C, T, L) and its arcsin batch (Q) each need all four
-    assert len(counts) == 2 * len(_QUANTITIES)
+    # the point's batch (C, T, L) needs all four, once
+    assert len(counts) == len(_QUANTITIES)
+    # one _chsh for the point's batch, one for its arcsin values (Q), which
+    # form no batch of their own
+    assert len(chsh_of) == 2
+    cols, arcsin = chsh_of
+    if isinstance(point, tuple):
+        assert cols == point
+        assert asin_of == list(point)   # math.asin of each coordinate, once
+        assert arcsin == tuple(asin(v) for v in point)
+    else:
+        assert cols.tobytes() == np.ascontiguousarray(point.T).tobytes()
+        assert asin_of == []
+        assert arcsin.tobytes() == np.arcsin(cols).tobytes()
 
 
 class _Watched(np.ndarray):
