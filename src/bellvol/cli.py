@@ -95,8 +95,6 @@ def _parse_point(text: str) -> CorrelationPoint:
         for key in _FIELDS:
             if key not in obj:
                 raise ValueError(f"point JSON missing field '{key}'")
-            if not isinstance(obj[key], float):
-                raise ValueError(f"point field '{key}' is not a number")
             vals.append(obj[key])
     else:
         parts = text.split(",")

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import TYPE_CHECKING
 
-from .regions import RegionId, _finite_at_least, _member
+from .regions import RegionId, _member, _real
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -61,8 +61,9 @@ _QUADRATURE_MIN_TOL = 1e-9
 
 
 def check_abs_tol(abs_tol: float) -> float:
-    """Return ``abs_tol``; ValueError unless the quadrature can honour it."""
-    return _finite_at_least("abs_tol", abs_tol, _QUADRATURE_MIN_TOL)
+    """``abs_tol`` as a float by ``regions._real``'s contract; ValueError
+    unless the quadrature can honour it (finite and >= 1e-9)."""
+    return _real("abs_tol", abs_tol, _QUADRATURE_MIN_TOL, math.inf)
 
 
 @dataclass(frozen=True)

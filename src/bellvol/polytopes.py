@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .regions import CorrelationPoint, _index
+from .regions import CorrelationPoint, _index, _is_bool
 
 Vector = tuple[Fraction, ...]
 _Ray = tuple[list[int], int]    # integer ray, bitmask of its tight rows
@@ -113,11 +113,14 @@ class DegeneratePolytope(PolytopeError):
 
 def _frac(x) -> Fraction:
     """``x`` as a Fraction of Python ints.  The exact type is tested first,
-    as ``isinstance`` against Fraction goes through ``ABCMeta``.  Another
-    integer type, such as numpy's, is read by ``__index__``: ``Fraction``
-    would keep it as its numerator, and int64 products overflow."""
+    as ``isinstance`` against Fraction goes through ``ABCMeta``.  A bool is
+    refused, though ``True == 1``.  Another integer type, such as numpy's,
+    is read by ``__index__``: ``Fraction`` would keep it as its numerator,
+    and int64 products overflow."""
     if type(x) is Fraction or isinstance(x, Fraction):
         return x
+    if _is_bool(x):
+        raise ValueError(f"not a number: {x!r}")
     return Fraction(operator.index(x) if hasattr(x, "__index__") else x)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .regions import CorrelationPoint, _index
+from .regions import CorrelationPoint, _index, _real
 
 #: The Pauli matrices sigma_x, sigma_y, sigma_z as one (3, 2, 2) array.
 _SIGMA = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
@@ -28,26 +28,31 @@ _TRACE_TOL = 1e-12
 _PSD_TOL = -1e-10
 
 
+def _components(x, y, z) -> tuple[float, float, float]:
+    """A direction's components, each a finite float by ``regions._real``."""
+    return tuple([_real(f"direction component '{name}'", v, -math.inf, math.inf)
+                  for name, v in zip("xyz", (x, y, z))])
+
+
 @dataclass(frozen=True)
 class BlochDirection:
-    """A unit vector on the Bloch sphere (measurement axis)."""
+    """A unit vector on the Bloch sphere (measurement axis), in floats."""
 
     x: float
     y: float
     z: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.x, self.y, self.z))):
-            raise ValueError(f"direction ({self.x!r}, {self.y!r}, {self.z!r})"
-                             " is not finite")
-        n = math.hypot(self.x, self.y, self.z)
+        components = _components(self.x, self.y, self.z)
+        n = math.hypot(*components)
         if abs(n - 1.0) > _UNIT_NORM_TOL:
             raise ValueError(f"direction norm {n!r} is not 1 within {_UNIT_NORM_TOL}")
+        for name, v in zip("xyz", components):
+            object.__setattr__(self, name, v)
 
     @classmethod
     def normalized(cls, x: float, y: float, z: float) -> "BlochDirection":
-        if not all(map(math.isfinite, (x, y, z))):
-            raise ValueError(f"direction ({x!r}, {y!r}, {z!r}) is not finite")
+        x, y, z = _components(x, y, z)
         n = math.hypot(x, y, z)  # hypot: no overflow or underflow
         if n == 0.0:
             raise ValueError("cannot normalize the zero vector")
@@ -104,9 +109,9 @@ class TwoQubitState:
         return cls(np.outer(psi, psi.conj()))
 
     def mixed_with(self, other: "TwoQubitState", weight: float) -> "TwoQubitState":
-        """Convex mixture weight*self + (1-weight)*other."""
-        if not 0.0 <= weight <= 1.0:
-            raise ValueError("mixing weight must be in [0, 1]")
+        """Convex mixture weight*self + (1-weight)*other, ``weight`` a real
+        in [0, 1] by the contract of ``regions._real``."""
+        weight = _real("mixing weight", weight, 0, 1)
         return TwoQubitState(weight * self.rho + (1.0 - weight) * other.rho)
 
 

@@ -17,8 +17,10 @@ measurements.  A point is the vector of the four product expectations
 Every oracle returns a :class:`MembershipResult` carrying the signed slack
 margin, i.e. the minimum over the region's constraints of (bound - value).
 All sets are closed; a point is inside iff margin >= -tol, where ``tol`` must
-be finite and >= 0, and not a bool (``check_tolerance``, which returns it as
-a float, so that verdicts are Python bools whatever number type it came as).
+be finite and >= 0 (``check_tolerance``, which returns it as a float, so that
+verdicts are Python bools).  Every real argument of the package, a point
+field or a tolerance among them, is read by one helper, ``_real``, as every
+integer is by ``_index``.
 
 Each region's margin is written once, as a kernel on a batch held one
 coordinate per row: four floats for the scalar oracles, or a (4, m) array for
@@ -121,9 +123,6 @@ class CorrelationPoint(NamedTuple("_Point", [(f, float) for f in _FIELDS])):
         # namedtuple's own _make, which _replace calls, skips __new__
         return tuple.__new__(cls, _coords(iterable))
 
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return tuple(self)
-
 
 PointLike = Union[CorrelationPoint, Sequence[float]]
 
@@ -131,9 +130,7 @@ PointLike = Union[CorrelationPoint, Sequence[float]]
 def _coords(p: PointLike) -> tuple[float, float, float, float]:
     """Extract 4 finite coordinates, each in [-1, 1]: the point contract.
     Four floats pass by one chained comparison, which NaN and +-inf fail
-    too; any other point is checked field by field in order, where a value
-    that is not a float must convert by ``float()`` and be neither text nor
-    a bool."""
+    too; any other point is read field by field in order by ``_real``."""
     values = tuple(p)
     if len(values) != 4:
         raise ValueError(f"expected 4 correlations, got {len(values)}")
@@ -141,25 +138,8 @@ def _coords(p: PointLike) -> tuple[float, float, float, float]:
     if (type(c00) is type(c01) is type(c10) is type(c11) is float
             and -1.0 <= c00 <= 1.0 >= c01 >= -1.0 <= c10 <= 1.0 >= c11 >= -1.0):
         return values
-    t = []
-    for name, v in zip(_FIELDS, values):
-        if type(v) is not float:
-            try:
-                # float() parses text, and True == 1
-                if isinstance(v, (str, bytes, bytearray)) or _is_bool(v):
-                    raise TypeError
-                v = float(v)
-            except OverflowError:  # an integer or fraction past the floats
-                v = math.inf if v > 0 else -math.inf
-            except (TypeError, ValueError):
-                raise ValueError(
-                    f"point field '{name}' is not a number: {v!r}") from None
-        if not math.isfinite(v):
-            raise ValueError(f"point field '{name}' is not finite: {v!r}")
-        if not -1.0 <= v <= 1.0:
-            raise ValueError(f"point field '{name}' is outside [-1, 1]: {v!r}")
-        t.append(v)
-    return tuple(t)
+    return tuple([_real(f"point field '{name}'", v, -1, 1)
+                  for name, v in zip(_FIELDS, values)])
 
 
 class MembershipResult(NamedTuple):
@@ -356,23 +336,37 @@ def _is_bool(value) -> bool:
     return isinstance(value, (bool, np.bool_) if np else bool)
 
 
-def _finite_at_least(name: str, value: float, low: float) -> float:
-    """``value``; ValueError naming ``name`` if a bool, not finite or < low."""
-    try:
-        if not _is_bool(value) and math.isfinite(value) and value >= low:
-            return value
-    except (TypeError, OverflowError):  # a string, None; an int past 1e308
-        pass
-    raise ValueError(f"{name} must be finite and >= {low}, got {value!r}")
+def _real(name: str, value, low: float, high: float) -> float:
+    """``value`` as a float in [low, high]: the contract of every real
+    argument.  A float is taken as it is; any other value must convert by
+    ``float()`` and be neither text nor a bool, and an integer or fraction
+    past the floats reads as +-inf.  ValueError naming ``name`` for a value
+    that is not a number, not finite or outside [low, high], in that
+    order."""
+    if type(value) is not float:
+        try:
+            # float() parses text, and True == 1
+            if isinstance(value, (str, bytes, bytearray)) or _is_bool(value):
+                raise TypeError
+            value = float(value)
+        except OverflowError:  # an integer or fraction past the floats
+            value = math.inf if value > 0 else -math.inf
+        except (TypeError, ValueError):
+            raise ValueError(f"{name} is not a number: {value!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{name} is not finite: {value!r}")
+    if not low <= value <= high:
+        raise ValueError(f"{name} is outside [{low}, {high}]: {value!r}")
+    return value
 
 
 def check_tolerance(tol: float) -> float:
-    """``tol`` as a float; ValueError unless finite, >= 0 and no bool.  A
-    float in [0, inf) passes by one test; a numpy scalar or an int is
-    checked in full and converted, so verdicts are Python bools."""
+    """``tol`` as a float by ``_real``'s contract, finite and >= 0.  A float
+    in [0, inf) passes by one test; any other value is read in full, so
+    verdicts are Python bools."""
     if type(tol) is float and 0.0 <= tol < math.inf:
         return tol
-    return float(_finite_at_least("tolerance", tol, 0))
+    return _real("tolerance", tol, 0, math.inf)
 
 
 def _index(name: str, value, low: int, high: int | None = None) -> int:

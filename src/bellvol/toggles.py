@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .regions import _FIELDS, PointLike, _coords, _is_bool
+from .regions import _FIELDS, PointLike, _coords, _is_bool, _real
 
 
 class TargetUnreachable(ValueError):
@@ -60,14 +60,18 @@ class OutcomeSequence:
 
 @dataclass(frozen=True)
 class ToggleDistance:
-    """Per-coordinate toggle costs |p_ij - q_ij| / 2, each in [0, 1]."""
+    """Per-coordinate toggle costs |p_ij - q_ij| / 2: four floats, each in
+    [0, 1] by ``regions._real``'s contract."""
 
     per_coordinate: tuple[float, float, float, float]
 
     def __post_init__(self):
-        for v in self.per_coordinate:
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"per-coordinate cost {v!r} outside [0, 1]")
+        costs = tuple(self.per_coordinate)
+        if len(costs) != 4:
+            raise ValueError(f"expected 4 per-coordinate costs, got {len(costs)}")
+        object.__setattr__(self, "per_coordinate", tuple([
+            _real(f"per-coordinate cost '{name}'", v, 0, 1)
+            for name, v in zip(_FIELDS, costs)]))
 
     @property
     def max_component(self) -> float:
@@ -107,32 +111,23 @@ def min_toggles(seq: OutcomeSequence, target: float) -> MinToggleResult:
     grid point (ties resolved toward fewer toggles).  Flipping a matched
     pair moves the correlation by -2/N, a mismatched pair by +2/N, so the
     minimum count for a reachable value t is N * |t - r| / 2 and the
-    achieved correlation is exact.  numpy's integers and floats are read
-    as the Python numbers they equal.  A target that is not a number (a bool,
-    Python's or numpy's, included, though ``True == 1``), not finite or
-    outside [-1, 1] raises :class:`TargetUnreachable`, a ValueError.
+    achieved correlation is exact.  ``target`` must be a real in [-1, 1] by
+    the contract of ``regions._real`` (no bool, though ``True == 1``; an
+    integer past the floats is not finite), or :class:`TargetUnreachable`, a
+    ValueError, carries ``_real``'s message.  An accepted target, numpy's
+    reals included, is read exactly, as the integer or ratio it equals.
     """
     n = len(seq)
-    if not isinstance(target, Fraction):
-        try:
-            if _is_bool(target):
-                raise TypeError
-            finite = math.isfinite(target)  # TypeError for text, None, 1j
-        except OverflowError:  # an integer past the floats: range decides
-            finite = True
-        except TypeError:
-            raise TargetUnreachable(
-                f"target {target!r} is not a number") from None
-        if not finite:
-            raise TargetUnreachable(f"target {target!r} is not finite")
-        # Fraction keeps numpy's integer type and refuses numpy's float32:
-        # read each real as the Python integer or exact ratio it equals
-        try:
-            target = Fraction(operator.index(target))
-        except TypeError:
-            target = Fraction(*target.as_integer_ratio())
-    if not -1 <= target <= 1:
-        raise TargetUnreachable(f"target {target} outside [-1, 1]")
+    try:
+        _real("target", target, -1, 1)
+    except ValueError as err:
+        raise TargetUnreachable(str(err)) from None
+    # Fraction keeps numpy's integer type and refuses numpy's float32:
+    # read each real as the Python integer or exact ratio it equals
+    try:
+        target = Fraction(operator.index(target))
+    except TypeError:
+        target = Fraction(*target.as_integer_ratio())
     r = seq.correlation
     steps = (target - r) * n / 2          # exact, possibly non-integer
     k = math.ceil(abs(steps) - Fraction(1, 2))   # nearest, ties toward zero

@@ -471,7 +471,7 @@ def _disk_cells(t: np.ndarray):
 
 def quadrature_volume(region: RegionId, abs_tol: float = 1e-6) -> VolumeEstimate:
     """Deterministic volume of any of the five regions (exact for the cube)."""
-    check_abs_tol(abs_tol)
+    abs_tol = check_abs_tol(abs_tol)
     if _member(RegionId, region) is RegionId.NO_SIGNALING_L:
         value, err = 16.0, 0.0
     elif region is RegionId.LOCAL_C:

@@ -147,6 +147,30 @@ class TestMembership:
         assert err.value.code == 2
         assert f"point field '{field}' " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value, read", [
+        ('"0.5"', "'0.5'"), ("true", "True"), ("null", "None"),
+        ("[0.5]", "[0.5]")], ids=["text", "bool", "null", "list"])
+    def test_a_json_point_field_that_is_no_number(self, capsys, value, read):
+        # the JSON branch leaves every type check to CorrelationPoint
+        point = '{"c00": 0, "c01": %s, "c10": 0, "c11": 0}' % value
+        with pytest.raises(SystemExit) as err:
+            main(["membership", "--point", point])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"argument --point: point field 'c01' is not a number: {read}\n")
+
+    @pytest.mark.parametrize("tolerance, message", [
+        ("nan", "is not finite: nan"), ("-inf", "is not finite: -inf"),
+        ("-1", "is outside [0, inf]: -1.0")])
+    def test_tolerance_message_is_the_real_contract(self, capsys, tolerance,
+                                                    message):
+        with pytest.raises(SystemExit) as err:
+            main(["membership", "--point", "0,0,0,0", "--tolerance", tolerance])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"bellvol membership: error: argument --tolerance: tolerance"
+            f" {message}\n")
+
     @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1", "abc"])
     def test_tolerance_outside_contract_is_usage_error(self, capsys,
                                                        tolerance):
@@ -311,6 +335,18 @@ class TestComputationErrors:
         if patch:
             monkeypatch.setattr(*patch)
         assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+    def test_a_fraction_abs_tol_meets_the_same_tolerance_error(self,
+                                                               monkeypatch):
+        # check_abs_tol returns the float it reads, which the error's
+        # message formats; a Fraction does not take the 'e' format before
+        # Python 3.12
+        monkeypatch.setattr(volumes, "_GL_ORDERS", (8, 16))
+        with pytest.raises(volumes.ToleranceNotMet) as err:
+            volumes.quadrature_volume(RegionId.UFFINK_U,
+                                      abs_tol=Fraction(2, 10 ** 9))
+        assert str(err.value) == ("Gauss-Legendre orders 8 and 16 differ by"
+                                  " 7.615e-09 > abs_tol 2.000e-09")
 
     @pytest.mark.parametrize("error, base", ERROR_BASES.items(),
                              ids=lambda v: v.__name__)
@@ -483,6 +519,18 @@ class TestVolume:
         obj = json.loads(out)
         assert obj["value"] == pytest.approx(1.5 * math.pi ** 2, abs=1e-6)
         assert 0.0 <= obj["error_bound"] <= 1e-6
+
+    @pytest.mark.parametrize("abs_tol, message", [
+        ("inf", "is not finite: inf"),
+        ("1e-10", "is outside [1e-09, inf]: 1e-10")])
+    def test_abs_tol_message_is_the_real_contract(self, capsys, abs_tol,
+                                                  message):
+        with pytest.raises(SystemExit) as err:
+            main(["volume", "--region", "Q", "--method", "quadrature",
+                  "--abs-tol", abs_tol])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"bellvol volume: error: argument --abs-tol: abs_tol {message}\n")
 
     @pytest.mark.parametrize("abs_tol", ["nan", "inf", "0", "1e-10"])
     def test_abs_tol_outside_contract_is_usage_error(self, capsys, abs_tol):

@@ -50,13 +50,26 @@ class TestTypes:
         with pytest.raises(ValueError):
             BlochDirection.normalized(0.0, 0.0, 0.0)
 
-    def test_direction_must_be_finite(self):
-        with pytest.raises(ValueError, match="not finite"):
-            BlochDirection(math.nan, 0.0, 0.0)
+    @pytest.mark.parametrize("build", [BlochDirection,
+                                       BlochDirection.normalized],
+                             ids=["init", "normalized"])
+    @pytest.mark.parametrize("bad, kind", [
+        (math.nan, "not finite"), (math.inf, "not finite"),
+        (True, "not a number"), (np.True_, "not a number"),
+        (None, "not a number"), ("1", "not a number")],
+        ids=["nan", "inf", "True", "np.True_", "None", "text"])
+    def test_a_direction_component_keeps_the_real_contract(self, build, bad,
+                                                           kind):
+        # True == 1 and hypot(True, 0, 0) == 1, yet a bool is no component
+        with pytest.raises(ValueError) as err:
+            build(0.0, bad, 0.0)
+        assert str(err.value) == f"direction component 'y' is {kind}: {bad!r}"
 
-    def test_normalized_rejects_infinite_components(self):
-        with pytest.raises(ValueError, match="not finite"):
-            BlochDirection.normalized(math.inf, 0.0, 0.0)
+    def test_components_are_stored_as_floats(self):
+        for d in (BlochDirection(1, 0, np.float64(0.0)),
+                  BlochDirection.normalized(np.int64(3), 4, np.float32(0.0))):
+            assert [type(c) for c in (d.x, d.y, d.z)] == [float] * 3
+        assert BlochDirection(1, 0, 0) == X_DIR
 
     def test_state_must_be_hermitian(self):
         rho = np.eye(4, dtype=complex) / 4.0
@@ -150,7 +163,7 @@ class TestOptimalSettings:
     def test_correlation_point(self):
         pt = correlation_point(singlet(), chsh_optimal_settings())
         expected = (1 / SQRT2, 1 / SQRT2, 1 / SQRT2, -1 / SQRT2)
-        assert pt.as_tuple() == pytest.approx(expected, abs=1e-12)
+        assert tuple(pt) == pytest.approx(expected, abs=1e-12)
 
     def test_chsh_reaches_the_quantum_maximum(self):
         pt = correlation_point(singlet(), chsh_optimal_settings())
@@ -211,7 +224,7 @@ class TestSampling:
             state = random_pure_state(h)
             settings = MeasurementSettings(
                 *(random_direction(h) for _ in range(4)))
-            want = correlation_point(state, settings).as_tuple()
+            want = tuple(correlation_point(state, settings))
             assert np.abs(row - want).max() <= 2e-15
 
 
@@ -221,11 +234,11 @@ class TestMixing:
         s1, s2 = random_pure_state(g), random_pure_state(g)
         settings = MeasurementSettings(random_direction(g), random_direction(g),
                                        random_direction(g), random_direction(g))
-        p1 = correlation_point(s1, settings).as_tuple()
-        p2 = correlation_point(s2, settings).as_tuple()
+        p1 = tuple(correlation_point(s1, settings))
+        p2 = tuple(correlation_point(s2, settings))
         for lam in (0.0, 0.25, 0.5, 0.9, 1.0):
             mix = s1.mixed_with(s2, lam)
-            got = correlation_point(mix, settings).as_tuple()
+            got = tuple(correlation_point(mix, settings))
             want = tuple(lam * a + (1 - lam) * b for a, b in zip(p1, p2))
             assert got == pytest.approx(want, abs=1e-12)
 
@@ -233,6 +246,14 @@ class TestMixing:
         g = rng(10)
         with pytest.raises(ValueError):
             random_pure_state(g).mixed_with(random_pure_state(g), 1.5)
+
+    @pytest.mark.parametrize("weight", [True, np.True_, "0.5", None],
+                             ids=["True", "np.True_", "text", "None"])
+    def test_a_mixing_weight_that_is_no_number_is_refused(self, weight):
+        # True == 1, yet a bool is no weight; text and None are ValueErrors
+        with pytest.raises(ValueError) as err:
+            singlet().mixed_with(singlet(), weight)
+        assert str(err.value) == f"mixing weight is not a number: {weight!r}"
 
 
 PAULI = (np.array([[0, 1], [1, 0]], complex),
@@ -265,7 +286,7 @@ class TestBornRule:
         pt = correlation_point(state, MeasurementSettings(*dirs))
         want = [_kron_trace(state.rho, dirs[i], dirs[2 + j])
                 for i in (0, 1) for j in (0, 1)]
-        assert pt.as_tuple() == pytest.approx(want, abs=1e-15)
+        assert tuple(pt) == pytest.approx(want, abs=1e-15)
 
     def test_spin_observable_is_the_pauli_combination(self):
         d = random_direction(rng(15))

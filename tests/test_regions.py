@@ -7,6 +7,8 @@ import json
 import math
 import pickle
 import struct
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -39,7 +41,11 @@ from bellvol.regions import (
     region_margins,
     region_mask,
 )
-from bellvol.toggles import toggle_distance
+from bellvol.estimates import _QUADRATURE_MIN_TOL, check_abs_tol
+from bellvol.quantum import BlochDirection, singlet
+from bellvol.toggles import (
+    OutcomeSequence, TargetUnreachable, ToggleDistance, min_toggles,
+    toggle_distance)
 
 S = 1.0 / math.sqrt(2.0)
 Q_BOUNDARY = (S, S, S, -S)   # saturates the linear bound 2*sqrt(2)
@@ -623,7 +629,7 @@ def test_every_way_to_build_a_point_keeps_the_contract(values):
             point = build(values)
             assert type(point) is CorrelationPoint, name
             assert [type(v) for v in point] == [float] * 4, name
-            assert point == want and point.as_tuple() == want, name
+            assert point == want and tuple(point) == want, name
             assert (point.c00, point.c01, point.c10, point.c11) == want, name
         return
     messages = set()
@@ -747,6 +753,92 @@ def test_a_numpy_or_int_tolerance_gives_python_verdicts(tol):
         result = oracle(point, tol)
         assert type(result.inside) is bool and type(result.tolerance) is float
         json.dumps(result.as_dict())
+
+
+#: Values on both sides of every real contract: no number at all, not
+#: finite, past the floats, and reals of each type the package reads.
+REAL_VALUE = (st.floats(-2.0, 2.0) | st.integers(-2, 2)
+              | st.fractions(-2, 2, max_denominator=10 ** 6)
+              | st.decimals(-2, 2, places=6)
+              | st.sampled_from([
+                  True, False, np.True_, np.False_, "0.5", b"1", None, 1j,
+                  object(), math.nan, math.inf, -math.inf, 10 ** 400,
+                  -10 ** 400, Fraction(10 ** 400, 3), Decimal("nan"),
+                  Decimal("snan"), Decimal("-inf"), np.float32(0.5),
+                  np.float64(-1.5), np.int64(1), _QUADRATURE_MIN_TOL,
+                  math.nextafter(_QUADRATURE_MIN_TOL, 0.0)]))
+
+
+def _bloch_component(value):
+    try:
+        d = BlochDirection(0.0, value, 0.0)
+    except ValueError as err:
+        if not str(err).startswith("direction norm "):
+            raise
+        return None  # a real component, but off the unit sphere
+    return d.y
+
+
+def _normalized_component(value):
+    d = BlochDirection.normalized(0.0, value, 1.0)
+    assert [type(c) for c in (d.x, d.y, d.z)] == [float] * 3
+    return None
+
+
+_SEQUENCE = OutcomeSequence(alice=(1, 1, 1, 1), bob=(1, 1, -1, -1))
+
+#: Every entry point that reads a real argument: the name, bounds and error
+#: class of its contract, and a call that reads ``value`` and returns the
+#: float it stored, or None when it stores none.
+REAL_ENTRY_POINTS = {
+    "CorrelationPoint": (("point field 'c01'", -1, 1), ValueError,
+                         lambda v: CorrelationPoint(0.0, v, 0.0, 0.0).c01),
+    "check_tolerance": (("tolerance", 0, math.inf), ValueError,
+                        check_tolerance),
+    "membership_profile": (("tolerance", 0, math.inf), ValueError,
+                           lambda v: membership_profile((0.0,) * 4, v).tolerance),
+    "check_abs_tol": (("abs_tol", _QUADRATURE_MIN_TOL, math.inf), ValueError,
+                      check_abs_tol),
+    "min_toggles": (("target", -1, 1), TargetUnreachable,
+                    lambda v: min_toggles(_SEQUENCE, v) and None),
+    "BlochDirection": (("direction component 'y'", -math.inf, math.inf),
+                       ValueError, _bloch_component),
+    "BlochDirection.normalized": (
+        ("direction component 'y'", -math.inf, math.inf), ValueError,
+        _normalized_component),
+    "mixed_with": (("mixing weight", 0, 1), ValueError,
+                   lambda v: singlet().mixed_with(singlet(), v) and None),
+    "ToggleDistance": (("per-coordinate cost 'c01'", 0, 1), ValueError,
+                       lambda v: ToggleDistance((0.0, v, 0.0, 0.0)).per_coordinate[1]),
+}
+
+
+@settings(deadline=None, max_examples=300)
+@given(REAL_VALUE)
+@example(True)
+@example(np.True_)
+@example("0.5")
+@example(10 ** 400)
+@example(Fraction(10 ** 400, 3))
+@example(Decimal("0.5"))
+@example(np.float32(0.5))
+@example(-0.5)
+def test_every_real_argument_keeps_the_one_real_contract(value):
+    """Each entry point refuses ``value`` exactly when ``regions._real``
+    does, with its message and never a TypeError, and stores the float it
+    returns."""
+    for name, ((label, low, high), error, read) in REAL_ENTRY_POINTS.items():
+        try:
+            want = regions._real(label, value, low, high)
+        except ValueError as err:
+            with pytest.raises(ValueError) as got:
+                read(value)
+            assert type(got.value) is error, name
+            assert str(got.value) == str(err), name
+            continue
+        assert type(want) is float
+        got = read(value)
+        assert got is None or (type(got) is float and got == want), name
 
 
 @pytest.mark.parametrize("score", [region_margins, region_mask])

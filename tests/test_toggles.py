@@ -58,6 +58,24 @@ class TestToggleDistance:
         with pytest.raises(ValueError):
             ToggleDistance((1.5, 0, 0, 0))
 
+    @pytest.mark.parametrize("bad", [True, np.True_, "a", None],
+                             ids=["True", "np.True_", "text", "None"])
+    def test_a_cost_that_is_no_number_is_refused(self, bad):
+        with pytest.raises(ValueError) as err:
+            ToggleDistance((0.0, 0.0, bad, 0.0))
+        assert str(err.value) == f"per-coordinate cost 'c10' is not a number: {bad!r}"
+
+    @pytest.mark.parametrize("count", [0, 3, 5])
+    def test_costs_are_exactly_four(self, count):
+        with pytest.raises(ValueError) as err:
+            ToggleDistance((0.0,) * count)
+        assert str(err.value) == f"expected 4 per-coordinate costs, got {count}"
+
+    def test_costs_are_stored_as_floats(self):
+        d = ToggleDistance((1, np.float32(0.5), Fraction(1, 4), 0))
+        assert d.per_coordinate == (1.0, 0.5, 0.25, 0.0)
+        assert [type(v) for v in d.per_coordinate] == [float] * 4
+
 
 class TestOutcomeSequence:
     def test_validation(self):
@@ -158,9 +176,12 @@ class TestMinToggles:
         assert type(res.achieved.numerator) is int
         assert type(res.achieved.denominator) is int
 
-    def test_huge_integer_target_is_out_of_range(self):
-        with pytest.raises(TargetUnreachable, match="outside"):
-            min_toggles(sequence_with_correlation(4, 2), 10 ** 400)
+    def test_huge_integer_target_is_not_finite(self):
+        # read as +-inf, as a point field past the floats is
+        for target, read in ((10 ** 400, "inf"), (-10 ** 400, "-inf")):
+            with pytest.raises(TargetUnreachable) as err:
+                min_toggles(sequence_with_correlation(4, 2), target)
+            assert str(err.value) == f"target is not finite: {read}"
 
 
 outcomes = st.lists(st.sampled_from((-1, 1)), min_size=1, max_size=12)
