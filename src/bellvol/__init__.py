@@ -92,7 +92,6 @@ _LAZY = {
         "MeasurementSettings",
         "TwoQubitState",
         "chsh_optimal_settings",
-        "correlation_expectation",
         "correlation_point",
         "sample_quantum_points",
         "singlet",

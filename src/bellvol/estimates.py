@@ -4,7 +4,9 @@ without numpy.  :mod:`bellvol.volumes` re-exports these names.  The polytope
 engine, and with it ``fractions``, is loaded by ``exact_region_volume``
 alone, so the Monte Carlo and quadrature volumes never load it.
 
-* ``VolumeEstimate``, the value-with-error record every method returns,
+* ``VolumeEstimate``, the value-with-error record every method returns, the
+  one record still a dataclass (code outside the package copies it with
+  ``dataclasses.replace``): the commands that load it load ``dataclasses``,
 * ``ANALYTIC``, the closed-form constants the estimates are compared against,
 * ``exact_region_volume``, the rational volumes of C and L by the polytope
   engine,

@@ -29,10 +29,12 @@ ratios live in the 4-dimensional correlation projection instead, where the
 local set and the cube have V_C / V_L = 2/3.
 
 All geometry is exact.  Rationals come in as ints, ``fractions.Fraction``s
-or anything ``Fraction`` accepts, and each row is read once into a primitive
-integer vector; the engine's rays, tight sets and determinants are Python's
-arbitrary-precision integers, and ``Fraction``s are built once, for the
-vertices, offsets and volumes it returns.
+or anything ``Fraction`` accepts (anything else, a bool included, is a
+ValueError), and each row is read once into a primitive integer vector; the
+engine's rays, tight sets and determinants are Python's arbitrary-precision
+integers, and ``Fraction``s are built once, for the vertices, offsets and
+volumes it returns.  The four records are NamedTuples checked in
+``__new__``, as ``regions``' are.
 """
 
 from __future__ import annotations
@@ -40,11 +42,10 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
-from .regions import CorrelationPoint, _index, _is_bool
+from .regions import _FIELDS, CorrelationPoint, _index, _is_bool, _Record
 
 Vector = tuple[Fraction, ...]
 _Ray = tuple[list[int], int]    # integer ray, bitmask of its tight rows
@@ -116,67 +117,64 @@ def _frac(x) -> Fraction:
     as ``isinstance`` against Fraction goes through ``ABCMeta``.  A bool is
     refused, though ``True == 1``.  Another integer type, such as numpy's,
     is read by ``__index__``: ``Fraction`` would keep it as its numerator,
-    and int64 products overflow."""
+    and int64 products overflow.  ValueError for a bool and for anything
+    ``Fraction`` refuses: ``None``, a complex, a non-finite float or text
+    that is no rational."""
     if type(x) is Fraction or isinstance(x, Fraction):
         return x
     if _is_bool(x):
         raise ValueError(f"not a number: {x!r}")
-    return Fraction(operator.index(x) if hasattr(x, "__index__") else x)
+    try:
+        return Fraction(operator.index(x) if hasattr(x, "__index__") else x)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"not a number: {x!r}") from None
 
 
-@dataclass(frozen=True)
-class Behavior:
-    """Four marginal expectations and four correlations, all rational.
+class Behavior(_Record, NamedTuple("_Behavior", [
+        (f, Fraction) for f in ("mA0", "mA1", "mB0", "mB1", *_FIELDS)])):
+    """Four marginal expectations and four correlations, all rational: a
+    tuple of eight Fractions.
 
     Construction validates that every derived joint probability is
     nonnegative (normalization and no-signaling are automatic in this
     parametrization).
     """
 
-    mA0: Fraction
-    mA1: Fraction
-    mB0: Fraction
-    mB1: Fraction
-    c00: Fraction
-    c01: Fraction
-    c10: Fraction
-    c11: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in self.__dataclass_fields__:
-            object.__setattr__(self, name, _frac(getattr(self, name)))
+    def __new__(cls, mA0, mA1, mB0, mB1, c00, c01, c10, c11):
+        self = tuple.__new__(cls, map(_frac, (mA0, mA1, mB0, mB1,
+                                               c00, c01, c10, c11)))
         for i, j, a, b in _OUTCOMES:
             p = self.probability(i, j, a, b)
             if p < 0:
                 raise ValueError(
                     f"P(A{i}={a:+d}, B{j}={b:+d}) = {p} is negative")
+        return self
 
     def probability(self, i: int, j: int, a: int, b: int) -> Fraction:
         _outcome_index(i, j, a, b)
-        return (1 + _dot(_probability_row(i, j, a, b), self.as_vector())) / 4
-
-    def as_vector(self) -> Vector:
-        return (self.mA0, self.mA1, self.mB0, self.mB1,
-                self.c00, self.c01, self.c10, self.c11)
+        return (1 + _dot(_probability_row(i, j, a, b), self)) / 4
 
 
-@dataclass(frozen=True)
-class JointProbabilityTable:
+class JointProbabilityTable(_Record, NamedTuple("_Table", [
+        ("entries", tuple)])):
     """Sixteen rational entries P(A_i=a, B_j=b), a, b in {-1, +1}, in table
     order: setting block (i, j) = (0, 0), (0, 1), (1, 0), (1, 1), then a and
-    b, each +1 before -1.
+    b, each +1 before -1, held as a tuple of Fractions.
 
     Entries must be nonnegative and each setting block (i, j) must sum to 1.
     """
 
-    entries: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.entries) != 16:
-            raise ValueError(f"need 16 entries, got {len(self.entries)}")
-        object.__setattr__(self, "entries", tuple(_frac(e) for e in self.entries))
+    def __new__(cls, entries):
+        entries = tuple(entries)
+        if len(entries) != 16:
+            raise ValueError(f"need 16 entries, got {len(entries)}")
+        entries = tuple(map(_frac, entries))
         sums = dict.fromkeys(_SETTINGS, 0)
-        for (i, j, a, b), p in zip(_OUTCOMES, self.entries):
+        for (i, j, a, b), p in zip(_OUTCOMES, entries):
             if p < 0:
                 raise ValueError(
                     f"P(A{i}={a:+d}, B{j}={b:+d}) = {p} is negative")
@@ -184,11 +182,12 @@ class JointProbabilityTable:
         for (i, j), s in sums.items():
             if s != 1:
                 raise ValueError(f"block (i={i}, j={j}) sums to {s}, not 1")
+        return tuple.__new__(cls, (entries,))
 
     @classmethod
     def from_function(cls, f) -> "JointProbabilityTable":
         """Build from a callable f(i, j, a, b) -> probability."""
-        return cls(tuple(_frac(f(*o)) for o in _OUTCOMES))
+        return cls([f(*o) for o in _OUTCOMES])
 
     def entry(self, i: int, j: int, a: int, b: int) -> Fraction:
         return self.entries[_outcome_index(i, j, a, b)]
@@ -291,16 +290,16 @@ def signaling_example() -> JointProbabilityTable:
 # rational polytopes
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True, order=True)
-class Halfspace:
-    """Inequality normal . x <= offset with a primitive integer normal."""
+class Halfspace(_Record, NamedTuple("_Halfspace", [
+        ("normal", tuple), ("offset", Fraction)])):
+    """Inequality normal . x <= offset with a primitive integer normal.  As
+    a tuple (normal, offset), halfspaces sort by normal, then offset."""
 
-    normal: tuple[int, ...]
-    offset: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, normal, offset):
         # exact, as vertices are: a float offset is its binary value
-        object.__setattr__(self, "offset", _frac(self.offset))
+        return tuple.__new__(cls, (normal, _frac(offset)))
 
     @classmethod
     def normalized(cls, normal: Sequence, offset) -> "Halfspace":
@@ -317,31 +316,29 @@ class Halfspace:
         return self.offset - sum(n * xi for n, xi in zip(self.normal, x))
 
 
-@dataclass(frozen=True)
-class RationalPolytope:
-    """A polytope with exact rational V- and/or H-representation."""
+class RationalPolytope(_Record, NamedTuple("_Polytope", [
+        ("dim", int), ("vertices", tuple), ("halfspaces", tuple)])):
+    """A polytope with exact rational V- and/or H-representation: tuples
+    of vertices (each of Fractions) and of halfspaces, or None."""
 
-    dim: int
-    vertices: tuple[Vector, ...] | None = None
-    halfspaces: tuple[Halfspace, ...] | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.vertices is not None:
-            verts = tuple(tuple(map(_frac, v)) for v in self.vertices)
-            for v in verts:
-                if len(v) != self.dim:
+    def __new__(cls, dim, vertices=None, halfspaces=None):
+        if vertices is not None:
+            vertices = tuple(tuple(map(_frac, v)) for v in vertices)
+            for v in vertices:
+                if len(v) != dim:
                     raise ValueError(f"vertex {v} has wrong dimension")
             # lowest terms are unique, and int pairs hash in C
             if len({tuple((x.numerator, x.denominator) for x in v)
-                    for v in verts}) != len(verts):
+                    for v in vertices}) != len(vertices):
                 raise ValueError("vertices must be pairwise distinct")
-            object.__setattr__(self, "vertices", verts)
-        if self.halfspaces is not None:
-            hs = tuple(self.halfspaces)
-            for h in hs:
-                if len(h.normal) != self.dim:
+        if halfspaces is not None:
+            halfspaces = tuple(halfspaces)
+            for h in halfspaces:
+                if len(h.normal) != dim:
                     raise ValueError(f"halfspace {h} has wrong dimension")
-            object.__setattr__(self, "halfspaces", hs)
+        return tuple.__new__(cls, (dim, vertices, halfspaces))
 
     # -- serialization ------------------------------------------------------
 

@@ -7,17 +7,18 @@ measurements always land inside the arcsin membership oracle.
 
 All observables are dichotomic spin measurements n . sigma along unit Bloch
 directions, so every correlation is <psi| (a.sigma) x (b.sigma) |psi> (or the
-corresponding trace for mixed states).
+corresponding trace for mixed states).  The three records are NamedTuples
+checked in ``__new__``, as ``regions``' are; a state compares by identity.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .regions import CorrelationPoint, _index, _real
+from .regions import CorrelationPoint, _index, _real, _Record
 
 #: The Pauli matrices sigma_x, sigma_y, sigma_z as one (3, 2, 2) array.
 _SIGMA = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
@@ -34,21 +35,19 @@ def _components(x, y, z) -> tuple[float, float, float]:
                   for name, v in zip("xyz", (x, y, z))])
 
 
-@dataclass(frozen=True)
-class BlochDirection:
-    """A unit vector on the Bloch sphere (measurement axis), in floats."""
+class BlochDirection(_Record, NamedTuple("_Direction", [
+        (c, float) for c in "xyz"])):
+    """A unit vector on the Bloch sphere (measurement axis): a tuple of
+    three floats."""
 
-    x: float
-    y: float
-    z: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        components = _components(self.x, self.y, self.z)
+    def __new__(cls, x, y, z):
+        components = _components(x, y, z)
         n = math.hypot(*components)
         if abs(n - 1.0) > _UNIT_NORM_TOL:
             raise ValueError(f"direction norm {n!r} is not 1 within {_UNIT_NORM_TOL}")
-        for name, v in zip("xyz", components):
-            object.__setattr__(self, name, v)
+        return tuple.__new__(cls, components)
 
     @classmethod
     def normalized(cls, x: float, y: float, z: float) -> "BlochDirection":
@@ -58,33 +57,34 @@ class BlochDirection:
             raise ValueError("cannot normalize the zero vector")
         return cls(x / n, y / n, z / n)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
 
 X_DIR = BlochDirection(1.0, 0.0, 0.0)
 Y_DIR = BlochDirection(0.0, 1.0, 0.0)
 Z_DIR = BlochDirection(0.0, 0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class MeasurementSettings:
-    """Two measurement axes per party."""
+class MeasurementSettings(_Record, NamedTuple("_Settings", [
+        (axis, BlochDirection) for axis in ("a0", "a1", "b0", "b1")])):
+    """Two measurement axes per party, each a :class:`BlochDirection`."""
 
-    a0: BlochDirection
-    a1: BlochDirection
-    b0: BlochDirection
-    b1: BlochDirection
+    __slots__ = ()
+
+    def __new__(cls, a0, a1, b0, b1):
+        axes = (a0, a1, b0, b1)
+        for name, d in zip(cls._fields, axes):
+            if not isinstance(d, BlochDirection):
+                raise ValueError(f"axis {name} is not a BlochDirection: {d!r}")
+        return tuple.__new__(cls, axes)
 
 
-@dataclass(frozen=True, eq=False)
-class TwoQubitState:
-    """A 4x4 density matrix: Hermitian, unit trace, positive semidefinite."""
+class TwoQubitState(_Record, NamedTuple("_State", [("rho", np.ndarray)])):
+    """A 4x4 density matrix: Hermitian, unit trace, positive semidefinite.
+    A state holds an array, so it equals and hashes as itself alone."""
 
-    rho: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        rho = np.asarray(self.rho, dtype=complex)
+    def __new__(cls, rho):
+        rho = np.asarray(rho, dtype=complex)
         if rho.shape != (4, 4):
             raise ValueError(f"density matrix must be 4x4, got {rho.shape}")
         if not np.isfinite(rho).all():
@@ -96,7 +96,15 @@ class TwoQubitState:
         eig = np.linalg.eigvalsh(rho)
         if eig.min() < _PSD_TOL:
             raise ValueError(f"negative eigenvalue {eig.min()!r}")
-        object.__setattr__(self, "rho", rho)
+        return tuple.__new__(cls, (rho,))
+
+    def __eq__(self, other):
+        return self is other
+
+    def __ne__(self, other):
+        return self is not other
+
+    __hash__ = object.__hash__
 
     @classmethod
     def pure(cls, psi: np.ndarray) -> "TwoQubitState":
@@ -113,17 +121,6 @@ class TwoQubitState:
         in [0, 1] by the contract of ``regions._real``."""
         weight = _real("mixing weight", weight, 0, 1)
         return TwoQubitState(weight * self.rho + (1.0 - weight) * other.rho)
-
-
-def spin_observable(d: BlochDirection) -> np.ndarray:
-    """The +/-1-valued observable d . sigma."""
-    return np.einsum("k,kij->ij", d.as_array(), _SIGMA)
-
-
-def correlation_expectation(rho: TwoQubitState, a: BlochDirection,
-                            b: BlochDirection) -> float:
-    """tr(rho (a.sigma x b.sigma)), checked real and clipped to [-1, 1]."""
-    return correlation_point(rho, MeasurementSettings(a, a, b, b)).c00
 
 
 def _correlations(rho: np.ndarray, axes: np.ndarray) -> np.ndarray:
@@ -165,26 +162,12 @@ def chsh_optimal_settings() -> MeasurementSettings:
 def correlation_point(rho: TwoQubitState,
                       settings: MeasurementSettings) -> CorrelationPoint:
     """The four correlations of a state under the given settings."""
-    axes = [d.as_array() for d in (settings.a0, settings.a1,
-                                   settings.b0, settings.b1)]
-    return CorrelationPoint(*_correlations(rho.rho[None], np.array([axes]))[0])
+    return CorrelationPoint(*_correlations(rho.rho[None], np.array([settings]))[0])
 
 
 # --------------------------------------------------------------------------
 # random sampling
 # --------------------------------------------------------------------------
-
-def random_direction(rng: np.random.Generator) -> BlochDirection:
-    """Uniform unit vector (normalized 3D Gaussian)."""
-    v = rng.standard_normal(3)
-    return BlochDirection.normalized(*v)
-
-
-def random_pure_state(rng: np.random.Generator) -> TwoQubitState:
-    """Pure state with Gaussian amplitudes, normalized."""
-    psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    return TwoQubitState.pure(psi)
-
 
 def sample_quantum_points(n: int, rng: np.random.Generator) -> np.ndarray:
     """(n, 4) array of correlation points from random states and settings.

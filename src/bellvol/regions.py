@@ -50,11 +50,12 @@ not four finite numbers in [-1, 1] with ``ValueError``, the message that of
 ``_coords``, which ``_as_columns`` hands an array's first bad row.
 
 The records, :class:`CorrelationPoint`, :class:`MembershipResult` and
-:class:`MembershipProfile`, are NamedTuples, so that importing this module,
-which every command does, loads neither ``dataclasses`` nor ``inspect``.
-Each is a tuple of its fields: it equals a plain tuple of its values, and
-setting a field raises ``AttributeError``.  A point checks the point
-contract however it is built.
+:class:`MembershipProfile`, are NamedTuples, as is every record of the
+package but ``estimates.VolumeEstimate``: a tuple of its fields, equal to a
+plain tuple of its values, whose fields raise ``AttributeError`` when set.
+A record with a contract, a point among them, checks it in ``__new__``,
+which ``pickle``, ``copy`` and, through ``_Record``, ``_make`` and
+``_replace`` call, so it holds however the record is built.
 """
 
 from __future__ import annotations
@@ -107,7 +108,17 @@ REGION_CHAIN = (
 )
 
 
-class CorrelationPoint(NamedTuple("_Point", [(f, float) for f in _FIELDS])):
+class _Record:
+    """``_make``, and so ``_replace``, through ``__new__``, which a NamedTuple's skips."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class CorrelationPoint(_Record, NamedTuple("_Point", [(f, float) for f in _FIELDS])):
     """Four product expectations c_ij = <A_i B_j>, each in [-1, 1]: a tuple
     of four floats that holds the point contract (``_coords``) however it
     is built, by the constructor, ``_make``, ``_replace``, ``pickle`` or
@@ -117,11 +128,6 @@ class CorrelationPoint(NamedTuple("_Point", [(f, float) for f in _FIELDS])):
 
     def __new__(cls, c00: float, c01: float, c10: float, c11: float):
         return tuple.__new__(cls, _coords((c00, c01, c10, c11)))
-
-    @classmethod
-    def _make(cls, iterable) -> CorrelationPoint:
-        # namedtuple's own _make, which _replace calls, skips __new__
-        return tuple.__new__(cls, _coords(iterable))
 
 
 PointLike = Union[CorrelationPoint, Sequence[float]]
@@ -336,17 +342,26 @@ def _is_bool(value) -> bool:
     return isinstance(value, (bool, np.bool_) if np else bool)
 
 
+def _is_complex(value) -> bool:
+    """A complex number that is no real one, such as ``1j`` or numpy's
+    ``complex128(1)``, whose imaginary part ``float()`` and ``int()`` drop."""
+    import numbers
+    return (isinstance(value, numbers.Complex)
+            and not isinstance(value, numbers.Real))
+
+
 def _real(name: str, value, low: float, high: float) -> float:
     """``value`` as a float in [low, high]: the contract of every real
     argument.  A float is taken as it is; any other value must convert by
-    ``float()`` and be neither text nor a bool, and an integer or fraction
-    past the floats reads as +-inf.  ValueError naming ``name`` for a value
-    that is not a number, not finite or outside [low, high], in that
-    order."""
+    ``float()`` and be neither text, a bool nor complex, and an integer or
+    fraction past the floats reads as +-inf.  ValueError naming ``name`` for
+    a value that is not a number, not finite or outside [low, high], in
+    that order."""
     if type(value) is not float:
         try:
-            # float() parses text, and True == 1
-            if isinstance(value, (str, bytes, bytearray)) or _is_bool(value):
+            # float() parses text, True == 1 and numpy's complex is real
+            if (isinstance(value, (str, bytes, bytearray)) or _is_bool(value)
+                    or _is_complex(value)):
                 raise TypeError
             value = float(value)
         except OverflowError:  # an integer or fraction past the floats

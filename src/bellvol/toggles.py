@@ -12,45 +12,51 @@ in this package.
 
 No canonical aggregation of the four per-coordinate distances into a single
 number is adopted; :class:`ToggleDistance` exposes the vector plus max/sum
-conveniences that are labels only.
+conveniences that are labels only.  Both records are NamedTuples checked in
+``__new__``, as ``regions``' are.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .regions import _FIELDS, PointLike, _coords, _is_bool, _real
+from .regions import (_FIELDS, PointLike, _coords, _is_bool, _is_complex,
+                      _real, _Record)
 
 
 class TargetUnreachable(ValueError):
     """Raised when no toggle set can reach the requested correlation."""
 
 
-@dataclass(frozen=True)
-class OutcomeSequence:
-    """Aligned +/-1 outcome lists for Alice and Bob over N runs."""
+class OutcomeSequence(_Record, NamedTuple("_Outcomes", [
+        ("alice", tuple), ("bob", tuple)])):
+    """Aligned +/-1 outcome lists for Alice and Bob over N runs: a pair of
+    tuples of ints, whose ``len()`` is N, the number of runs."""
 
-    alice: tuple[int, ...]
-    bob: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        alice, bob = tuple(self.alice), tuple(self.bob)
+    def __new__(cls, alice, bob):
+        alice, bob = tuple(alice), tuple(bob)
         if len(alice) != len(bob):
             raise ValueError("outcome lists must have equal length")
         if not alice:
             raise ValueError("outcome lists must be nonempty")
-        # check the raw values: int() takes 1.5 and True alike for 1
-        if any(_is_bool(v) or v not in (-1, 1) for v in alice + bob):
+        # check the raw values: int() takes 1.5 and True alike for 1, and
+        # drops the imaginary part of numpy's complex
+        if any(v not in (-1, 1) or type(v) is not int and (
+                _is_bool(v) or _is_complex(v)) for v in alice + bob):
             raise ValueError("outcomes must be +1 or -1")
-        object.__setattr__(self, "alice", tuple(int(a) for a in alice))
-        object.__setattr__(self, "bob", tuple(int(b) for b in bob))
+        return tuple.__new__(cls, (tuple(map(int, alice)),
+                                   tuple(map(int, bob))))
 
     def __len__(self) -> int:
         return len(self.alice)
+
+    def __reversed__(self):  # reversed() would trust len() with the items
+        return reversed(tuple(self))
 
     @property
     def correlation(self) -> Fraction:
@@ -58,20 +64,20 @@ class OutcomeSequence:
         return Fraction(sum(a * b for a, b in zip(self.alice, self.bob)), len(self))
 
 
-@dataclass(frozen=True)
-class ToggleDistance:
+class ToggleDistance(_Record, NamedTuple("_Distance", [
+        ("per_coordinate", tuple)])):
     """Per-coordinate toggle costs |p_ij - q_ij| / 2: four floats, each in
     [0, 1] by ``regions._real``'s contract."""
 
-    per_coordinate: tuple[float, float, float, float]
+    __slots__ = ()
 
-    def __post_init__(self):
-        costs = tuple(self.per_coordinate)
+    def __new__(cls, per_coordinate):
+        costs = tuple(per_coordinate)
         if len(costs) != 4:
             raise ValueError(f"expected 4 per-coordinate costs, got {len(costs)}")
-        object.__setattr__(self, "per_coordinate", tuple([
+        return tuple.__new__(cls, (tuple([
             _real(f"per-coordinate cost '{name}'", v, 0, 1)
-            for name, v in zip(_FIELDS, costs)]))
+            for name, v in zip(_FIELDS, costs)]),))
 
     @property
     def max_component(self) -> float:

@@ -25,7 +25,8 @@ land inside it.  This module provides:
 
 The record type, the closed forms, the exact rational volumes and the
 ``abs_tol`` check compute no arrays; they live in :mod:`bellvol.estimates`
-and are re-exported here.
+and are re-exported here.  ``EstimatorConfig`` is a NamedTuple checked in
+``__new__``, as the records of ``regions`` are.
 """
 
 from __future__ import annotations
@@ -33,14 +34,13 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .estimates import (ANALYTIC, VolumeEstimate,  # noqa: F401  re-exported
                         check_abs_tol, exact_region_volume)
-from .regions import (REGION_CHAIN, RegionId, _index, _member,
+from .regions import (REGION_CHAIN, RegionId, _index, _member, _Record,
                       column_verdicts_into)
 from .regions import region_mask  # noqa: F401  read by bench/tracer.py
 
@@ -57,9 +57,10 @@ class ToleranceNotMet(RuntimeError, ValueError):
     ValueError, as every bellvol error is, so the CLI exits 1."""
 
 
-@dataclass(frozen=True)
-class EstimatorConfig:
-    """Sampling parameters for the Monte Carlo estimators.
+class EstimatorConfig(_Record, NamedTuple("_Config", [
+        ("sample_count", int), ("seed", int), ("worker_count", int)])):
+    """Sampling parameters for the Monte Carlo estimators: a tuple of three
+    ints.
 
     ``worker_count`` only sets speed: it caps the processes that score
     contiguous ranges of the one stream keyed by ``seed``, so estimates are
@@ -69,15 +70,12 @@ class EstimatorConfig:
     in [0, 2**64).
     """
 
-    sample_count: int = 10_000_000
-    seed: int = 0
-    worker_count: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name, low, high in (("sample_count", 1, None), ("seed", 0, 2 ** 64),
-                                ("worker_count", 1, None)):
-            object.__setattr__(self, name,
-                               _index(name, getattr(self, name), low, high))
+    def __new__(cls, sample_count=10_000_000, seed=0, worker_count=1):
+        return tuple.__new__(cls, (_index("sample_count", sample_count, 1),
+                                   _index("seed", seed, 0, 2 ** 64),
+                                   _index("worker_count", worker_count, 1)))
 
 
 def __getattr__(name: str):

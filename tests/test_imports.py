@@ -36,8 +36,8 @@ EXPORTS = {
         mc_volume quadrature_volume ratio_estimate""",
     "estimates": "ANALYTIC VolumeEstimate exact_region_volume",
     "quantum": """BlochDirection MeasurementSettings TwoQubitState
-        chsh_optimal_settings correlation_expectation correlation_point
-        sample_quantum_points singlet""",
+        chsh_optimal_settings correlation_point sample_quantum_points
+        singlet""",
     "toggles": """MinToggleResult OutcomeSequence TargetUnreachable
         ToggleDistance min_toggles toggle_distance""",
 }
@@ -68,9 +68,9 @@ WATCHED = ("bellvol.polytopes", "bellvol.toggles", "bellvol.estimates",
            "bellvol.volumes", "bellvol.quantum", "fractions", "csv", "json",
            "numpy", "dataclasses", "inspect")
 
-#: What defining a dataclass loads.  ``regions`` holds its records in
-#: NamedTuples, so only the commands that load another module of the
-#: package, each of which defines dataclasses, load these.
+#: What defining a dataclass loads.  Every record of the package is a
+#: NamedTuple but ``estimates.VolumeEstimate``, so only the commands that
+#: load ``estimates`` load these.
 DATACLASSES = {"dataclasses", "inspect"}
 
 #: (an import statement or a command's argv, the watched modules it loads);
@@ -87,11 +87,11 @@ LOADS = [
     (["membership", "--point", '{"c00": 1, "c01": 1, "c10": 1, "c11": -1}'],
      {"json"}),
     (["distance", "--from", "-1,0,0,0", "--to", "0.5,0,0,0.25"],
-     {"bellvol.toggles", "fractions", "json"} | DATACLASSES),
+     {"bellvol.toggles", "fractions", "json"}),
     (["examples", "--which", "pr-box", "--verify"],
-     {"bellvol.polytopes", "fractions"} | DATACLASSES),
+     {"bellvol.polytopes", "fractions"}),
     (["polytope", "--which", "ns", "--task", "counts"],
-     {"bellvol.polytopes", "fractions"} | DATACLASSES),
+     {"bellvol.polytopes", "fractions"}),
     (["volume", "--region", "C", "--method", "exact"],
      {"bellvol.polytopes", "bellvol.estimates", "fractions"} | DATACLASSES),
     (["volume", "--region", "Q", "--method", "mc", "--n", "1000"],

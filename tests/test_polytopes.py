@@ -88,7 +88,7 @@ class TestDeterministicBehaviors:
     def test_sixteen_distinct(self):
         dets = deterministic_behaviors()
         assert len(dets) == 16
-        assert len({d.as_vector() for d in dets}) == 16
+        assert len({tuple(d) for d in dets}) == 16
 
     def test_all_plus_assignment(self):
         b = Behavior(1, 1, 1, 1, 1, 1, 1, 1)
@@ -105,7 +105,7 @@ class TestDeterministicBehaviors:
     def test_correlations_are_products(self):
         for d in deterministic_behaviors():
             for i, j in SETTINGS:
-                v = d.as_vector()
+                v = tuple(d)
                 assert v[4 + 2 * i + j] == v[i] * v[2 + j]
 
 
@@ -281,10 +281,10 @@ class TestNsPolytope:
         assert len(set(outcomes)) == 16
         for b in random_behaviors(10, seed=9):
             for h, o in zip(facets, outcomes):
-                assert h.slack(b.as_vector()) == four_p(b, *o)
+                assert h.slack(tuple(b)) == four_p(b, *o)
 
     def test_pr_behavior_tight_on_eight_facets(self):
-        vec = behavior_from_table(pr_box()).as_vector()
+        vec = tuple(behavior_from_table(pr_box()))
         slacks = [h.slack(vec) for h in ns_polytope_h().halfspaces]
         assert all(s >= 0 for s in slacks)
         assert sum(1 for s in slacks if s == 0) == 8
@@ -297,7 +297,7 @@ class TestEnumerateVertices:
 
     def test_ns_vertex_classification(self):
         verts = enumerate_vertices(ns_polytope_h()).vertices
-        det = {b.as_vector() for b in deterministic_behaviors()}
+        det = {tuple(b) for b in deterministic_behaviors()}
         deterministic = [v for v in verts if v in det]
         others = [v for v in verts if v not in det]
         assert len(deterministic) == 16 and len(others) == 8
@@ -427,13 +427,13 @@ class TestDuality:
 
 class TestProjectionConsistency:
     def test_vertices_are_the_deterministic_behaviors(self):
-        dets = [b.as_vector() for b in deterministic_behaviors()]
+        dets = [tuple(b) for b in deterministic_behaviors()]
         assert local_polytope_v().vertices == tuple(sorted(dets))
         assert correlation_polytope_C().vertices \
             == tuple(sorted({v[4:] for v in dets}))
 
     def test_each_correlation_vertex_hit_twice(self):
-        images = Counter(tuple(b.as_vector()[4:])
+        images = Counter(tuple(b)[4:]
                          for b in deterministic_behaviors())
         assert len(images) == 8
         assert all(count == 2 for count in images.values())
@@ -452,7 +452,7 @@ class TestProjectionConsistency:
 
     def test_ns_vertices_project_into_cube_and_pr_family_outside_T(self):
         verts = enumerate_vertices(ns_polytope_h()).vertices
-        det = {b.as_vector() for b in deterministic_behaviors()}
+        det = {tuple(b) for b in deterministic_behaviors()}
         outside_t = 0
         for v in verts:
             corr = [float(x) for x in v[4:]]
@@ -556,7 +556,7 @@ class TestExactVolume:
         correlations) space of behaviors.  The paper's ratios live in the
         4-D correlation projection, where the local set C and the cube L
         (the image of the no-signaling polytope) have V_C / V_L = 2/3."""
-        deterministic = [b.as_vector() for b in deterministic_behaviors()]
+        deterministic = [tuple(b) for b in deterministic_behaviors()]
         pyramids = []
         for signs in itertools.product(PM, repeat=4):
             if math.prod(signs) != -1:
@@ -777,6 +777,33 @@ class TestIntegerRows:
         with pytest.raises(ValueError) as err:
             make(flag)
         assert str(err.value) == f"not a number: {flag!r}"
+
+    @pytest.mark.parametrize("value", [
+        None, 1j, np.complex128(1), math.inf, -math.inf, math.nan,
+        np.float64(math.inf), "x", (1,)],
+        ids=["None", "1j", "np.complex128", "inf", "-inf", "nan",
+             "np.inf", "text", "tuple"])
+    @pytest.mark.parametrize("make", [
+        lambda v: Behavior(v, 0, 0, 0, 0, 0, 0, 0),
+        lambda v: JointProbabilityTable([v] * 16),
+        lambda v: Halfspace.normalized([v, 1], 1),
+        lambda v: Halfspace((1,), v),
+        lambda v: RationalPolytope(dim=2, vertices=((v, 0),)),
+    ], ids=["behavior", "table", "halfspace-normal", "halfspace-offset",
+            "vertex"])
+    def test_a_value_fraction_refuses_is_no_rational(self, make, value):
+        # Fraction raises TypeError, OverflowError or ValueError for these:
+        # every bellvol error is the one ValueError
+        with pytest.raises(ValueError) as err:
+            make(value)
+        assert type(err.value) is ValueError
+        assert str(err.value) == f"not a number: {value!r}"
+
+    def test_halfspaces_sort_by_normal_then_offset(self):
+        hs = [Halfspace((0, 1), 2), Halfspace((0, 1), Fraction(1, 2)),
+              Halfspace((-1, 0), 5), Halfspace((0, -1), 0)]
+        assert sorted(hs) == sorted(hs, key=lambda h: (h.normal, h.offset))
+        assert [h.offset for h in sorted(hs)] == [5, 0, Fraction(1, 2), 2]
 
     def test_numpy_integers_are_read_as_python_ints(self):
         got = _integer_row((np.int64(2 ** 62), Fraction(1, 3), np.int32(-5)))

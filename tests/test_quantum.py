@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -11,15 +13,11 @@ from bellvol.quantum import (
     MeasurementSettings,
     TwoQubitState,
     chsh_optimal_settings,
-    correlation_expectation,
     correlation_point,
-    random_direction,
-    random_pure_state,
     sample_quantum_points,
     singlet,
-    spin_observable,
 )
-from bellvol.quantum import _correlations
+from bellvol.quantum import _SIGMA, _correlations
 from bellvol.regions import (
     TSIRELSON_BOUND,
     QCharacterization,
@@ -35,6 +33,29 @@ SQRT2 = math.sqrt(2.0)
 
 def rng(seed):
     return np.random.Generator(np.random.Philox(key=np.array([seed, 0], np.uint64)))
+
+
+def spin_observable(d: BlochDirection) -> np.ndarray:
+    """The +/-1-valued observable d . sigma."""
+    return np.einsum("k,kij->ij", np.array(d), _SIGMA)
+
+
+def correlation_expectation(rho: TwoQubitState, a: BlochDirection,
+                            b: BlochDirection) -> float:
+    """tr(rho (a.sigma x b.sigma)): the 00 entry of ``correlation_point``."""
+    return correlation_point(rho, MeasurementSettings(a, a, b, b)).c00
+
+
+def random_direction(rng: np.random.Generator) -> BlochDirection:
+    """Uniform unit vector (normalized 3D Gaussian)."""
+    v = rng.standard_normal(3)
+    return BlochDirection.normalized(*v)
+
+
+def random_pure_state(rng: np.random.Generator) -> TwoQubitState:
+    """Pure state with Gaussian amplitudes, normalized."""
+    psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    return TwoQubitState.pure(psi)
 
 
 class TestTypes:
@@ -113,6 +134,17 @@ class TestTypes:
     def test_pure_state_vector_must_be_nonzero(self):
         with pytest.raises(ValueError, match="nonzero norm"):
             TwoQubitState.pure(np.zeros(4))
+
+    def test_a_state_equals_and_hashes_as_itself_alone(self):
+        # a state holds an array: tuple equality would compare matrices
+        s = singlet()
+        for twin in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+            assert type(twin) is TwoQubitState and twin is not s
+            assert np.array_equal(twin.rho, s.rho)
+            assert s == s and not s != s
+            assert twin != s and not twin == s
+        assert s != (s.rho,) and (s.rho,) != s and not s == (s.rho,)
+        assert len({s, s, copy.copy(s)}) == 2
 
     def test_spin_observable_is_involutive(self):
         for d in (X_DIR, Y_DIR, Z_DIR, random_direction(rng(1))):
@@ -263,8 +295,8 @@ PAULI = (np.array([[0, 1], [1, 0]], complex),
 
 def _kron_trace(rho: np.ndarray, a: BlochDirection, b: BlochDirection) -> float:
     """tr(rho (a.sigma x b.sigma)) written out: the textbook reference."""
-    op_a = sum(c * s for c, s in zip(a.as_array(), PAULI))
-    op_b = sum(c * s for c, s in zip(b.as_array(), PAULI))
+    op_a = sum(c * s for c, s in zip(np.array(a), PAULI))
+    op_b = sum(c * s for c, s in zip(np.array(b), PAULI))
     return np.trace(rho @ np.kron(op_a, op_b)).real
 
 
@@ -290,7 +322,7 @@ class TestBornRule:
 
     def test_spin_observable_is_the_pauli_combination(self):
         d = random_direction(rng(15))
-        want = sum(c * s for c, s in zip(d.as_array(), PAULI))
+        want = sum(c * s for c, s in zip(np.array(d), PAULI))
         assert np.array_equal(spin_observable(d), want)
 
     def test_kernel_rejects_a_complex_expectation(self):
@@ -298,7 +330,7 @@ class TestBornRule:
         # Hermitian, so only a raw array reaches the kernel's check
         rho = np.zeros((1, 4, 4), complex)
         rho[0, 0, 0] = 1j
-        axes = np.tile(Z_DIR.as_array(), (1, 4, 1))
+        axes = np.tile(np.array(Z_DIR), (1, 4, 1))
         with pytest.raises(ValueError, match="imaginary part"):
             _correlations(rho, axes)
 
@@ -329,8 +361,8 @@ class TestLocalUnitaryInvariance:
             rotated = TwoQubitState(u @ state.rho @ u.conj().T)
             for k, (da, db) in enumerate(((0, 2), (0, 3), (1, 2), (1, 3))):
                 a, b = settings[da], settings[db]
-                a_rot = BlochDirection.normalized(*(ra @ a.as_array()))
-                b_rot = BlochDirection.normalized(*(rb @ b.as_array()))
+                a_rot = BlochDirection.normalized(*(ra @ np.array(a)))
+                b_rot = BlochDirection.normalized(*(rb @ np.array(b)))
                 before = correlation_expectation(state, a, b)
                 after = correlation_expectation(rotated, a_rot, b_rot)
                 assert after == pytest.approx(before, abs=1e-10)

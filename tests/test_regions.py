@@ -42,10 +42,15 @@ from bellvol.regions import (
     region_mask,
 )
 from bellvol.estimates import _QUADRATURE_MIN_TOL, check_abs_tol
-from bellvol.quantum import BlochDirection, singlet
+from bellvol.polytopes import (
+    Behavior, Halfspace, JointProbabilityTable, RationalPolytope)
+from bellvol.quantum import (
+    X_DIR, Y_DIR, Z_DIR, BlochDirection, MeasurementSettings, TwoQubitState,
+    singlet)
 from bellvol.toggles import (
     OutcomeSequence, TargetUnreachable, ToggleDistance, min_toggles,
     toggle_distance)
+from bellvol.volumes import EstimatorConfig
 
 S = 1.0 / math.sqrt(2.0)
 Q_BOUNDARY = (S, S, S, -S)   # saturates the linear bound 2*sqrt(2)
@@ -600,18 +605,23 @@ COORDINATE = (UNIT | st.integers(-2, 2)
               | st.sampled_from([2.0, -1.0 - 2 ** -52, math.nan, math.inf,
                                  -math.inf, True, False]))
 
-#: Every way a CorrelationPoint is built.  Pickle and copy rebuild a point
-#: through ``__new__``, so each is given one forged past the checks.
-POINT_BUILDS = {
-    "constructor": lambda v: CorrelationPoint(*v),
-    "keywords": lambda v: CorrelationPoint(**dict(zip(CorrelationPoint._fields, v))),
-    "_make": CorrelationPoint._make,
-    "_replace": lambda v: CorrelationPoint(0.0, 0.0, 0.0, 0.0)._replace(
-        **dict(zip(CorrelationPoint._fields, v))),
-    "pickle": lambda v: pickle.loads(pickle.dumps(tuple.__new__(CorrelationPoint, v))),
-    "deepcopy": lambda v: copy.deepcopy(tuple.__new__(CorrelationPoint, v)),
-    "copy": lambda v: copy.copy(tuple.__new__(CorrelationPoint, v)),
-}
+def record_builds(cls, template) -> dict:
+    """Every way a record of type ``cls`` is built from its field values,
+    ``_replace`` on the valid record ``template``.  Pickle and copy rebuild
+    a record through ``__new__``, so each is given one forged past the
+    checks."""
+    return {
+        "constructor": lambda v: cls(*v),
+        "keywords": lambda v: cls(**dict(zip(cls._fields, v))),
+        "_make": cls._make,
+        "_replace": lambda v: template._replace(**dict(zip(cls._fields, v))),
+        "pickle": lambda v: pickle.loads(pickle.dumps(tuple.__new__(cls, v))),
+        "deepcopy": lambda v: copy.deepcopy(tuple.__new__(cls, v)),
+        "copy": lambda v: copy.copy(tuple.__new__(cls, v)),
+    }
+
+
+POINT_BUILDS = record_builds(CorrelationPoint, CorrelationPoint(0.0, 0.0, 0.0, 0.0))
 
 
 @settings(deadline=None, max_examples=200)
@@ -638,6 +648,63 @@ def test_every_way_to_build_a_point_keeps_the_contract(values):
             build(values)
         messages.add(str(err.value))
     assert len(messages) == 1   # the one check, whatever the path
+
+
+_F = Fraction
+_MIXED = np.eye(4) / 4
+
+#: Each checked record of the package: a valid record, field values it
+#: takes and the fields it stores from them, then values it refuses and
+#: its message.
+RECORDS = {
+    "Behavior": (Behavior(*[0] * 8), (_F(1, 2), 0.5, 0, np.int64(0), 0, 0, 0, 0),
+                 (_F(1, 2), _F(1, 2), *[_F(0)] * 6), (2, *[0] * 7),
+                 "P(A0=-1, B0=+1) = -1/4 is negative"),
+    "JointProbabilityTable": (
+        JointProbabilityTable([_F(1, 4)] * 16), ([0.25] * 16,),
+        ((_F(1, 4),) * 16,), ([0.5] * 16,), "block (i=0, j=0) sums to 2, not 1"),
+    "Halfspace": (Halfspace((1, 0), 1), ((1, 0), 0.5), ((1, 0), _F(1, 2)),
+                  ((1, 0), None), "not a number: None"),
+    "RationalPolytope": (
+        RationalPolytope(1, ((0,),)), (2, [(0, 0), (1, 0.5)], None),
+        (2, ((_F(0), _F(0)), (_F(1), _F(1, 2))), None),
+        (2, ((0, 0), (0.0, _F(0))), None), "vertices must be pairwise distinct"),
+    "BlochDirection": (X_DIR, (0, np.float64(0.6), 0.8), (0.0, 0.6, 0.8),
+                       (1, 1, 0), "direction norm 1.4142135623730951 is not 1 within 1e-12"),
+    "MeasurementSettings": (
+        MeasurementSettings(X_DIR, X_DIR, X_DIR, X_DIR), (X_DIR, Y_DIR, Z_DIR, X_DIR),
+        (X_DIR, Y_DIR, Z_DIR, X_DIR), (X_DIR, Y_DIR, Z_DIR, (1.0, 0.0, 0.0)),
+        "axis b1 is not a BlochDirection: (1.0, 0.0, 0.0)"),
+    "TwoQubitState": (singlet(), (_MIXED,), (_MIXED.astype(complex),),
+                      (_MIXED + np.eye(4, k=1) / 8,), "density matrix is not Hermitian"),
+    "ToggleDistance": (ToggleDistance((0.0,) * 4), ((1, 0.5, _F(1, 4), 0),),
+                       ((1.0, 0.5, 0.25, 0.0),), ((1.5, 0, 0, 0),),
+                       "per-coordinate cost 'c00' is outside [0, 1]: 1.5"),
+    "OutcomeSequence": (OutcomeSequence((1,), (1,)), ((1.0, -1), [np.int64(1), 1]),
+                        ((1, -1), (1, 1)), ((1, 2), (1, 1)),
+                        "outcomes must be +1 or -1"),
+    "EstimatorConfig": (EstimatorConfig(), (np.int64(1000), np.uint64(7), 2),
+                        (1000, 7, 2), (0, 0, 1), "sample_count must be >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_every_way_to_build_a_record_keeps_its_contract(name):
+    template, valid, stored, invalid, message = RECORDS[name]
+    cls = type(template)
+    builds = record_builds(cls, template)
+    for how, build in builds.items():
+        record = build(valid)
+        assert type(record) is cls, how
+        # repr holds the type of each value, numpy's scalars and arrays too
+        assert repr(tuple(record)) == repr(stored), how
+        assert not hasattr(record, "__dict__"), how
+        with pytest.raises(AttributeError):
+            setattr(record, cls._fields[0], None)
+    for how, build in builds.items():
+        with pytest.raises(ValueError) as err:
+            build(invalid)
+        assert type(err.value) is ValueError and str(err.value) == message, how
 
 
 # floats in and out of the cube: the non-finite ones, [-2, 2], and the
@@ -766,7 +833,9 @@ REAL_VALUE = (st.floats(-2.0, 2.0) | st.integers(-2, 2)
                   -10 ** 400, Fraction(10 ** 400, 3), Decimal("nan"),
                   Decimal("snan"), Decimal("-inf"), np.float32(0.5),
                   np.float64(-1.5), np.int64(1), _QUADRATURE_MIN_TOL,
-                  math.nextafter(_QUADRATURE_MIN_TOL, 0.0)]))
+                  math.nextafter(_QUADRATURE_MIN_TOL, 0.0), 0.5 + 0j,
+                  np.complex64(0.5), np.complex128(0.5 + 0.5j),
+                  np.complex128(1)]))
 
 
 def _bloch_component(value):
@@ -823,6 +892,8 @@ REAL_ENTRY_POINTS = {
 @example(Decimal("0.5"))
 @example(np.float32(0.5))
 @example(-0.5)
+@example(np.complex64(0.5))
+@example(np.complex128(0.5 + 0.5j))
 def test_every_real_argument_keeps_the_one_real_contract(value):
     """Each entry point refuses ``value`` exactly when ``regions._real``
     does, with its message and never a TypeError, and stores the float it

@@ -93,10 +93,21 @@ class TestOutcomeSequence:
         # True == 1, but a bool is no outcome
         ((True, 1.0, -1), (1, -1.0, -1)),
         ((1, -1), (1, np.True_)),
+        # 1 + 0j == 1, but a complex is no outcome; int() of numpy's drops
+        # its imaginary part
+        ((1 + 0j, -1), (1, 1)),
+        ((np.complex128(1), -1), (1, 1)),
+        ((1, -1), (1, np.complex64(-1))),
     ])
     def test_rejects_non_integer_outcomes(self, alice, bob):
         with pytest.raises(ValueError, match=r"\+1 or -1"):
             OutcomeSequence(alice=alice, bob=bob)
+
+    def test_len_is_the_number_of_runs(self):
+        seq = OutcomeSequence(alice=(1, -1, 1), bob=(1, 1, 1))
+        assert len(seq) == 3 and tuple(seq) == ((1, -1, 1), (1, 1, 1))
+        assert seq == ((1, -1, 1), (1, 1, 1))
+        assert tuple(reversed(seq)) == ((1, 1, 1), (1, -1, 1))
 
     def test_integral_floats_become_ints(self):
         seq = OutcomeSequence(alice=(1.0, -1.0), bob=(1, -1))
