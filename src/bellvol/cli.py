@@ -41,8 +41,6 @@ from .regions import (
     _index,
     check_tolerance,
     chsh_value,
-    in_local,
-    in_quantum_arcsin,
     membership_profile,
     membership_profiles,
     profile_record,
@@ -120,16 +118,6 @@ _point = _argument(_parse_point)
 def _abs_tol(text: str) -> float:
     from .estimates import check_abs_tol
     return check_abs_tol(_number(float, text))
-
-
-def _workers_from_env(args) -> None:
-    """Fill an unset --workers from BELLVOL_WORKERS (default 1)."""
-    if getattr(args, "workers", 0) is not None:
-        return
-    try:
-        args.workers = _count(os.environ.get("BELLVOL_WORKERS", "1"))
-    except argparse.ArgumentTypeError as exc:
-        args.parser.error(f"environment variable BELLVOL_WORKERS: {exc}")
 
 
 def _emit_table(rows: list[dict], headers: list[str]) -> str:
@@ -287,6 +275,8 @@ def _cmd_examples(args):
     expectations = table.expectations().values()
     correlations = [ab for _, _, ab in expectations]
     point = [float(ab) for ab in correlations]
+    profile = membership_profile(point)
+    local = profile.result(RegionId.LOCAL_C).inside
     if args.which == "pr-box":
         checks = [
             ("no-signaling holds", ns_ok),
@@ -294,15 +284,15 @@ def _cmd_examples(args):
             ("correlations (1, 1, 1, -1)", correlations == [1, 1, 1, -1]),
             ("CHSH functional at (1,1) equals 4",
              abs(chsh_value(point, 1, 1) - 4.0) < 1e-12),
-            ("outside the local set", not in_local(point).inside),
-            ("outside the quantum set", not in_quantum_arcsin(point).inside)]
+            ("outside the local set", not local),
+            ("outside the quantum set",
+             not profile.result(RegionId.QUANTUM_Q).inside)]
     else:
         checks = [
             ("no-signaling violated", not ns_ok),
             ("max marginal discrepancy 1", discrepancy == 1),
             ("projection (0, 0, 0, 0)", point == [0.0, 0.0, 0.0, 0.0]),
-            ("projection satisfies all CHSH inequalities",
-             in_local(point).inside)]
+            ("projection satisfies all CHSH inequalities", local)]
     json_obj["projection"] = dict(zip(_FIELDS, point))
     if args.verify:
         json_obj["checks"] = {name: bool(ok) for name, ok in checks}
@@ -385,7 +375,7 @@ def _volume_args(p):
                    default="mc")
     p.add_argument("--n", type=_count, default=10_000_000)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--workers", type=_count, default=None)
+    p.add_argument("--workers", type=_count, default=1)
     p.add_argument("--abs-tol", type=_abs_tol, default=1e-6)
     _add_format(p)
     return _cmd_volume
@@ -394,7 +384,7 @@ def _volume_args(p):
 def _ratios_args(p):
     p.add_argument("--n", type=_count, default=10_000_000)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--workers", type=_count, default=None)
+    p.add_argument("--workers", type=_count, default=1)
     _add_format(p)
     return _cmd_ratios
 
@@ -478,7 +468,6 @@ def main(argv=None) -> int:
         args = command_parser(argv[0]).parse_args(argv[1:])
     else:
         args = build_parser().parse_args(argv)
-    _workers_from_env(args)
     try:
         return args.func(args)
     except ValueError as exc:  # every bellvol error is one

@@ -28,8 +28,8 @@ no-signaling polytope 2176/315, so V_local / V_NS = 16/17.  The paper's
 ratios live in the 4-dimensional correlation projection instead, where the
 local set and the cube have V_C / V_L = 2/3.
 
-All geometry is exact.  Rationals come in as ints, ``fractions.Fraction``s
-or anything ``Fraction`` accepts (anything else, a bool included, is a
+All geometry is exact.  Rationals come in as numbers ``Fraction`` reads
+exactly, such as ints or finite floats (text, a bool or anything else is a
 ValueError), and each row is read once into a primitive integer vector; the
 engine's rays, tight sets and determinants are Python's arbitrary-precision
 integers, and ``Fraction``s are built once, for the vertices, offsets and
@@ -115,14 +115,15 @@ class DegeneratePolytope(PolytopeError):
 def _frac(x) -> Fraction:
     """``x`` as a Fraction of Python ints.  The exact type is tested first,
     as ``isinstance`` against Fraction goes through ``ABCMeta``.  A bool is
-    refused, though ``True == 1``.  Another integer type, such as numpy's,
-    is read by ``__index__``: ``Fraction`` would keep it as its numerator,
-    and int64 products overflow.  ValueError for a bool and for anything
-    ``Fraction`` refuses: ``None``, a complex, a non-finite float or text
-    that is no rational."""
+    refused, though ``True == 1``, and so is text, which ``Fraction`` would
+    parse, as ``regions._real`` refuses it.  Another integer type, such as
+    numpy's, is read by ``__index__``: ``Fraction`` would keep it as its
+    numerator, and int64 products overflow.  ValueError for a bool, for
+    text and for anything ``Fraction`` refuses: ``None``, a complex or a
+    non-finite float."""
     if type(x) is Fraction or isinstance(x, Fraction):
         return x
-    if _is_bool(x):
+    if _is_bool(x) or isinstance(x, str):
         raise ValueError(f"not a number: {x!r}")
     try:
         return Fraction(operator.index(x) if hasattr(x, "__index__") else x)
@@ -292,12 +293,22 @@ def signaling_example() -> JointProbabilityTable:
 
 class Halfspace(_Record, NamedTuple("_Halfspace", [
         ("normal", tuple), ("offset", Fraction)])):
-    """Inequality normal . x <= offset with a primitive integer normal.  As
-    a tuple (normal, offset), halfspaces sort by normal, then offset."""
+    """Inequality normal . x <= offset with a primitive integer normal: a
+    tuple of Python ints, each read by the integer contract of
+    ``regions._index``, whose gcd is 1.  As a tuple (normal, offset),
+    halfspaces sort by normal, then offset."""
 
     __slots__ = ()
 
     def __new__(cls, normal, offset):
+        normal = tuple([n if type(n) is int else
+                        _index("halfspace normal", n, -math.inf)
+                        for n in normal])
+        g = math.gcd(*normal)
+        if g != 1:
+            raise ValueError("halfspace normal must be nonzero" if not g else
+                             f"halfspace normal {normal} is not primitive;"
+                             " Halfspace.normalized scales a row to one")
         # exact, as vertices are: a float offset is its binary value
         return tuple.__new__(cls, (normal, _frac(offset)))
 
@@ -310,7 +321,8 @@ class Halfspace(_Record, NamedTuple("_Halfspace", [
         g = math.gcd(*ints)
         if not g:
             raise ValueError("halfspace normal must be nonzero")
-        return cls(tuple(n // g for n in ints), Fraction(c, g))
+        normal = tuple([n // g for n in ints])  # primitive: checked once
+        return tuple.__new__(cls, (normal, Fraction(c, g)))
 
     def slack(self, x: Sequence[Fraction]) -> Fraction:
         return self.offset - sum(n * xi for n, xi in zip(self.normal, x))
@@ -324,6 +336,7 @@ class RationalPolytope(_Record, NamedTuple("_Polytope", [
     __slots__ = ()
 
     def __new__(cls, dim, vertices=None, halfspaces=None):
+        dim = _index("dim", dim, 0)
         if vertices is not None:
             vertices = tuple(tuple(map(_frac, v)) for v in vertices)
             for v in vertices:
@@ -336,6 +349,8 @@ class RationalPolytope(_Record, NamedTuple("_Polytope", [
         if halfspaces is not None:
             halfspaces = tuple(halfspaces)
             for h in halfspaces:
+                if not isinstance(h, Halfspace):
+                    raise ValueError(f"halfspace {h!r} is not a Halfspace")
                 if len(h.normal) != dim:
                     raise ValueError(f"halfspace {h} has wrong dimension")
         return tuple.__new__(cls, (dim, vertices, halfspaces))

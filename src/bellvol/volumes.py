@@ -18,7 +18,7 @@ land inside it.  This module provides:
   in arcsin coordinates with weight (cos x + cos y)(cos z + cos w)/4.  The
   (y, w) slice has a closed-form measure; the (x, z) integral uses tensor
   Gauss-Legendre rules on kink-aligned cells, doubling the order n from 8
-  to at most 64 until orders n and 2n agree within the tolerance, and
+  to at most 32 until orders n and 2n agree within the tolerance, and
   reports that difference; the rules come from a stored table, equal bit
   for bit to numpy's, so no call computes one,
 * the headline table: every estimate beside its closed form in ``ANALYTIC``.
@@ -40,11 +40,9 @@ import numpy as np
 
 from .estimates import (ANALYTIC, VolumeEstimate,  # noqa: F401  re-exported
                         check_abs_tol, exact_region_volume)
-from .regions import (REGION_CHAIN, RegionId, _index, _member, _Record,
-                      column_verdicts_into)
+from .regions import (REGION_CHAIN, TSIRELSON_BOUND, RegionId, _index,
+                      _member, _Record, column_verdicts_into)
 from .regions import region_mask  # noqa: F401  read by bench/tracer.py
-
-SQRT2 = math.sqrt(2.0)
 
 
 class DegenerateDenominator(ZeroDivisionError, ValueError):
@@ -257,16 +255,12 @@ def ratio_estimate(region_a: RegionId, region_b: RegionId,
 # deterministic quadrature in pair coordinates
 # --------------------------------------------------------------------------
 
-#: At every accepted abs_tol, C, Q and T stop at order 16 and U at 16 or 32;
-#: order 64 is one level of headroom.
-_GL_ORDERS = (8, 16, 32, 64)
-
-#: The negative nodes and their weights of each Gauss-Legendre rule in
-#: ``_GL_ORDERS``, bit for bit as numpy computes the rule.  numpy makes the
-#: nodes exactly antisymmetric and the weights exactly symmetric, so
+#: The negative nodes and their weights of each Gauss-Legendre rule the
+#: quadrature uses, bit for bit as numpy computes the rule.  numpy makes
+#: the nodes exactly antisymmetric and the weights exactly symmetric, so
 #: ``_gauss_legendre`` restores the whole rule by mirroring.  Printed by
 #: this command, then indented under ``_GL_HALF = ``:
-# python -c "import numpy as np, pprint; pprint.pprint({n: tuple(tuple(map(float, a[:n // 2])) for a in np.polynomial.legendre.leggauss(n)) for n in (8, 16, 32, 64)}, compact=True, width=68)"
+# python -c "import numpy as np, pprint; pprint.pprint({n: tuple(tuple(map(float, a[:n // 2])) for a in np.polynomial.legendre.leggauss(n)) for n in (8, 16, 32)}, compact=True, width=68)"
 _GL_HALF = {8: ((-0.9602898564975362, -0.7966664774136267, -0.525532409916329,
                  -0.18343464249564978),
                 (0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
@@ -294,38 +288,11 @@ _GL_HALF = {8: ((-0.9602898564975362, -0.7966664774136267, -0.525532409916329,
                   0.07234579410884834, 0.07819389578707023,
                   0.08331192422694671, 0.08765209300440378,
                   0.09117387869576378, 0.09384439908080451,
-                  0.09563872007927471, 0.09654008851472766)),
-            64: ((-0.9993050417357722, -0.9963401167719552,
-                  -0.9910133714767443, -0.983336253884626, -0.973326827789911,
-                  -0.9610087996520538, -0.9464113748584028,
-                  -0.9295691721319396, -0.9105221370785028,
-                  -0.8893154459951141, -0.8659993981540928,
-                  -0.8406292962525803, -0.8132653151227975,
-                  -0.7839723589433414, -0.7528199072605319,
-                  -0.7198818501716109, -0.6852363130542333,
-                  -0.6489654712546573, -0.6111553551723933, -0.571895646202634,
-                  -0.5312794640198946, -0.48940314570705296,
-                  -0.4463660172534641, -0.4022701579639916,
-                  -0.3572201583376681, -0.31132287199021097,
-                  -0.2646871622087674, -0.21742364374000708,
-                  -0.16964442042399283, -0.12146281929612054,
-                  -0.07299312178779904, -0.02435029266342443),
-                 (0.00178328072169414, 0.004147033260564499,
-                  0.006504457968978502, 0.008846759826363397,
-                  0.011168139460131028, 0.01346304789671786,
-                  0.01572603047602503, 0.017951715775697284,
-                  0.020134823153530088, 0.02227017380838297,
-                  0.0243527025687112, 0.02637746971505491,
-                  0.028339672614259535, 0.030234657072402554,
-                  0.032057928354851495, 0.033805161837141794,
-                  0.0354722132568823, 0.03705512854024009, 0.03855015317861564,
-                  0.039953741132720544, 0.041262563242623576,
-                  0.04247351512365361, 0.04358372452932355,
-                  0.044590558163756566, 0.045491627927418184,
-                  0.04628479658131447, 0.046968182816210076,
-                  0.04754016571483042, 0.04799938859645842,
-                  0.048344762234802996, 0.04857546744150351,
-                  0.048690957009139814))}
+                  0.09563872007927471, 0.09654008851472766))}
+
+#: The rule orders: at abs_tol 1e-9, the least accepted, C, Q and T stop at
+#: order 16 and U at 32, and a larger abs_tol stops no later.
+_GL_ORDERS = tuple(_GL_HALF)
 
 
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -477,7 +444,7 @@ def quadrature_volume(region: RegionId, abs_tol: float = 1e-6) -> VolumeEstimate
     elif region is RegionId.QUANTUM_Q:
         value, err = _arcsin_volume(math.pi, abs_tol)
     elif region is RegionId.TSIRELSON_T:
-        value, err = _l1_volume(2.0 * SQRT2, abs_tol)
+        value, err = _l1_volume(TSIRELSON_BOUND, abs_tol)
     else:  # RegionId.UFFINK_U
         value, err = _pair_quadrature(_disk_cells, _disk_slice, abs_tol)
     return VolumeEstimate(region=region.value, method="quadrature",

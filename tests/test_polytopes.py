@@ -653,7 +653,7 @@ class TestSerialization:
         assert {(h.normal, h.offset) for h in parsed.halfspaces} \
             == {(h.normal, h.offset) for h in poly.halfspaces}
 
-    @pytest.mark.parametrize("offset", [0.1, 1, Fraction(1, 10), "1/10"])
+    @pytest.mark.parametrize("offset", [0.1, 1, Fraction(1, 10)])
     def test_halfspace_offset_is_exact_and_round_trips(self, offset):
         # the offset is a Fraction of the value given, as vertices are, so
         # slack is exact and to_text writes the facet that was built
@@ -710,6 +710,8 @@ SQUARE_H = cube_polytope_h(2)
      "^need 16 entries, got 15$"),
     (lambda: Halfspace.normalized((0, 0), 1),
      "^halfspace normal must be nonzero$"),
+    (lambda: Halfspace((0, 0), 1), "^halfspace normal must be nonzero$"),
+    (lambda: RationalPolytope(dim=-1), "^dim must be >= 0, got -1$"),
     (lambda: RationalPolytope(dim=2, vertices=((0, 0, 0),)),
      "^vertex .* has wrong dimension$"),
     (lambda: RationalPolytope(dim=2, halfspaces=(Halfspace((1, 0, 0), 1),)),
@@ -724,10 +726,11 @@ SQUARE_H = cube_polytope_h(2)
      "^input polytope has no vertex representation$"),
     (lambda: exact_volume(SQUARE_H),
      "^exact_volume needs a vertex representation$"),
-], ids=["table-of-15", "zero-normal", "vertex-dimension",
-        "halfspace-dimension", "unknown-kind", "no-halfspaces-to-write",
-        "no-vertices-to-write", "vertices-of-a-v-polytope",
-        "facets-of-an-h-polytope", "volume-of-an-h-polytope"])
+], ids=["table-of-15", "zero-normal", "zero-normal-built", "dim-negative",
+        "vertex-dimension", "halfspace-dimension", "unknown-kind",
+        "no-halfspaces-to-write", "no-vertices-to-write",
+        "vertices-of-a-v-polytope", "facets-of-an-h-polytope",
+        "volume-of-an-h-polytope"])
 def test_input_outside_the_contract_is_a_value_error(call, match):
     with pytest.raises(ValueError, match=match):
         call()
@@ -754,6 +757,24 @@ MIXED_RATIONALS = st.one_of(
               st.integers(0, 60)))                  # dyadic floats, exact
 
 
+NO_NUMBER = "not a number: {!r}"
+
+#: Each field that reads a value, and its message for a value refused: the
+#: rationals by ``_frac``, and a normal entry and ``dim`` by the integer
+#: contract of ``regions._index``.
+RATIONAL_FIELDS = [
+    (lambda v: Behavior(v, 0, 0, 0, 0, 0, 0, 0), NO_NUMBER),
+    (lambda v: Halfspace.normalized([v, 1], 1), NO_NUMBER),
+    (lambda v: Halfspace((1, 0), v), NO_NUMBER),
+    (lambda v: RationalPolytope(dim=2, vertices=((v, 0),)), NO_NUMBER),
+    (lambda v: Halfspace((v, 1), 1),
+     "halfspace normal must be an integer, got {!r}"),
+    (lambda v: RationalPolytope(dim=v), "dim must be an integer, got {!r}"),
+]
+RATIONAL_FIELD_IDS = ["behavior", "halfspace-normal", "halfspace-offset",
+                      "vertex", "halfspace-normal-entry", "dim"]
+
+
 class TestIntegerRows:
     @settings(deadline=None, max_examples=300)
     @given(st.lists(MIXED_RATIONALS, min_size=1, max_size=9))
@@ -766,38 +787,40 @@ class TestIntegerRows:
 
     @pytest.mark.parametrize("flag", [True, False, np.True_, np.False_],
                              ids=repr)
-    @pytest.mark.parametrize("make", [
-        lambda flag: Behavior(flag, 0, 0, 0, 0, 0, 0, 0),
-        lambda flag: Halfspace.normalized([flag, 1], 1),
-        lambda flag: Halfspace((1, 0), flag),
-        lambda flag: RationalPolytope(dim=2, vertices=((flag, 0),)),
-    ], ids=["behavior", "halfspace-normal", "halfspace-offset", "vertex"])
-    def test_a_bool_is_no_rational(self, make, flag):
+    @pytest.mark.parametrize("make, message", RATIONAL_FIELDS,
+                             ids=RATIONAL_FIELD_IDS)
+    def test_a_bool_is_no_rational(self, make, message, flag):
         # True == 1, yet a bool is no number by any contract
         with pytest.raises(ValueError) as err:
             make(flag)
-        assert str(err.value) == f"not a number: {flag!r}"
+        assert str(err.value) == message.format(flag)
 
     @pytest.mark.parametrize("value", [
         None, 1j, np.complex128(1), math.inf, -math.inf, math.nan,
-        np.float64(math.inf), "x", (1,)],
+        np.float64(math.inf), "x", "1/10", "1", (1,)],
         ids=["None", "1j", "np.complex128", "inf", "-inf", "nan",
-             "np.inf", "text", "tuple"])
-    @pytest.mark.parametrize("make", [
-        lambda v: Behavior(v, 0, 0, 0, 0, 0, 0, 0),
-        lambda v: JointProbabilityTable([v] * 16),
-        lambda v: Halfspace.normalized([v, 1], 1),
-        lambda v: Halfspace((1,), v),
-        lambda v: RationalPolytope(dim=2, vertices=((v, 0),)),
-    ], ids=["behavior", "table", "halfspace-normal", "halfspace-offset",
-            "vertex"])
-    def test_a_value_fraction_refuses_is_no_rational(self, make, value):
-        # Fraction raises TypeError, OverflowError or ValueError for these:
-        # every bellvol error is the one ValueError
+             "np.inf", "text", "rational-text", "integer-text", "tuple"])
+    @pytest.mark.parametrize("make, message", [
+        (lambda v: JointProbabilityTable([v] * 16), NO_NUMBER),
+        *RATIONAL_FIELDS], ids=["table", *RATIONAL_FIELD_IDS])
+    def test_a_value_fraction_refuses_is_no_rational(self, make, message,
+                                                     value):
+        # Fraction raises TypeError, OverflowError or ValueError for these,
+        # and parses text: every bellvol error is the one ValueError
         with pytest.raises(ValueError) as err:
             make(value)
         assert type(err.value) is ValueError
-        assert str(err.value) == f"not a number: {value!r}"
+        assert str(err.value) == message.format(value)
+
+    @pytest.mark.parametrize("value", [0.5, 1.0, np.float64(1), Fraction(1)],
+                             ids=repr)
+    def test_a_normal_entry_is_an_integer_not_a_rational(self, value):
+        # the offset is any rational, the normal integers by the one
+        # integer contract: an integral float or Fraction is refused there
+        with pytest.raises(ValueError) as err:
+            Halfspace((value, 1), 1)
+        assert str(err.value) == ("halfspace normal must be an integer,"
+                                  f" got {value!r}")
 
     def test_halfspaces_sort_by_normal_then_offset(self):
         hs = [Halfspace((0, 1), 2), Halfspace((0, 1), Fraction(1, 2)),

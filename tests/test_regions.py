@@ -663,12 +663,22 @@ RECORDS = {
     "JointProbabilityTable": (
         JointProbabilityTable([_F(1, 4)] * 16), ([0.25] * 16,),
         ((_F(1, 4),) * 16,), ([0.5] * 16,), "block (i=0, j=0) sums to 2, not 1"),
-    "Halfspace": (Halfspace((1, 0), 1), ((1, 0), 0.5), ((1, 0), _F(1, 2)),
+    "Halfspace": (Halfspace((1, 0), 1), ([np.int64(1), 0], 0.5), ((1, 0), _F(1, 2)),
                   ((1, 0), None), "not a number: None"),
+    "Halfspace normal": (Halfspace((1, 0), 1), ((-3, 2), _F(1, 3)), ((-3, 2), _F(1, 3)),
+                         ((2, -4), 1), "halfspace normal (2, -4) is not primitive;"
+                         " Halfspace.normalized scales a row to one"),
     "RationalPolytope": (
         RationalPolytope(1, ((0,),)), (2, [(0, 0), (1, 0.5)], None),
         (2, ((_F(0), _F(0)), (_F(1), _F(1, 2))), None),
         (2, ((0, 0), (0.0, _F(0))), None), "vertices must be pairwise distinct"),
+    "RationalPolytope dim": (
+        RationalPolytope(1, ((0,),)), (np.int64(1), None, [Halfspace((1,), 1)]),
+        (1, None, (Halfspace((1,), 1),)), (True, None, None),
+        "dim must be an integer, got True"),
+    "RationalPolytope halfspaces": (
+        RationalPolytope(1, ((0,),)), (1, None, ()), (1, None, ()),
+        (1, None, [((1,), 1)]), "halfspace ((1,), 1) is not a Halfspace"),
     "BlochDirection": (X_DIR, (0, np.float64(0.6), 0.8), (0.0, 0.6, 0.8),
                        (1, 1, 0), "direction norm 1.4142135623730951 is not 1 within 1e-12"),
     "MeasurementSettings": (
