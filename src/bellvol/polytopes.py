@@ -131,6 +131,15 @@ def _frac(x) -> Fraction:
         raise ValueError(f"not a number: {x!r}") from None
 
 
+def _items(name: str, value) -> tuple:
+    """``value`` as a tuple; ValueError, not ``tuple``'s TypeError, for
+    a value that cannot be iterated, such as ``None`` or a number."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence, got {value!r}") from None
+
+
 class Behavior(_Record, NamedTuple("_Behavior", [
         (f, Fraction) for f in ("mA0", "mA1", "mB0", "mB1", *_FIELDS)])):
     """Four marginal expectations and four correlations, all rational: a
@@ -170,7 +179,7 @@ class JointProbabilityTable(_Record, NamedTuple("_Table", [
     __slots__ = ()
 
     def __new__(cls, entries):
-        entries = tuple(entries)
+        entries = _items("table entries", entries)
         if len(entries) != 16:
             raise ValueError(f"need 16 entries, got {len(entries)}")
         entries = tuple(map(_frac, entries))
@@ -303,7 +312,7 @@ class Halfspace(_Record, NamedTuple("_Halfspace", [
     def __new__(cls, normal, offset):
         normal = tuple([n if type(n) is int else
                         _index("halfspace normal", n, -math.inf)
-                        for n in normal])
+                        for n in _items("halfspace normal", normal)])
         g = math.gcd(*normal)
         if g != 1:
             raise ValueError("halfspace normal must be nonzero" if not g else
@@ -338,7 +347,8 @@ class RationalPolytope(_Record, NamedTuple("_Polytope", [
     def __new__(cls, dim, vertices=None, halfspaces=None):
         dim = _index("dim", dim, 0)
         if vertices is not None:
-            vertices = tuple(tuple(map(_frac, v)) for v in vertices)
+            vertices = tuple(tuple(map(_frac, _items("vertex", v)))
+                             for v in _items("vertices", vertices))
             for v in vertices:
                 if len(v) != dim:
                     raise ValueError(f"vertex {v} has wrong dimension")
@@ -347,7 +357,7 @@ class RationalPolytope(_Record, NamedTuple("_Polytope", [
                     for v in vertices}) != len(vertices):
                 raise ValueError("vertices must be pairwise distinct")
         if halfspaces is not None:
-            halfspaces = tuple(halfspaces)
+            halfspaces = _items("halfspaces", halfspaces)
             for h in halfspaces:
                 if not isinstance(h, Halfspace):
                     raise ValueError(f"halfspace {h!r} is not a Halfspace")

@@ -8,9 +8,12 @@ land inside it.  This module provides:
 * hit-or-miss Monte Carlo volumes and shared-sample ratios (delta-method
   errors), all read off one matrix of pairwise joint hit counts made in
   one pass over the stream by ``score_stream``: one PCG64DXSM stream per
-  seed, split into point ranges scored in up to os.cpu_count() processes;
-  integer counts sum alike in any order, so results are bit-identical for
-  a fixed seed, whatever the worker count or batch size,
+  seed, split into point ranges scored in up to os.cpu_count() processes,
+  the calling process among them; with C and T both asked for, one CHSH
+  maximum decides them and Q and U are scored only on the shell T \\ C,
+  the joint counts following from five counts; integer counts sum alike
+  in any order, so results are bit-identical for a fixed seed, whatever
+  the worker count or batch size,
 * deterministic volumes by quadrature in pair coordinates x = c00 + c11,
   y = c00 - c11, z = c01 - c10, w = c01 + c10 (Jacobian 1/4), in which the
   cube is |x| + |y| <= 2, |z| + |w| <= 2, C and T are |x| + |z| <= B,
@@ -40,8 +43,9 @@ import numpy as np
 
 from .estimates import (ANALYTIC, VolumeEstimate,  # noqa: F401  re-exported
                         check_abs_tol, exact_region_volume)
-from .regions import (REGION_CHAIN, TSIRELSON_BOUND, RegionId, _index,
-                      _member, _Record, column_verdicts_into)
+from .regions import (REGION_CHAIN, TSIRELSON_BOUND, RegionId,
+                      _chsh_verdicts, _index, _member, _Record,
+                      column_verdicts_into)
 from .regions import region_mask  # noqa: F401  read by bench/tracer.py
 
 
@@ -93,8 +97,9 @@ def __getattr__(name: str):
 #: 16 384 was the fastest of 4096, 8192, ..., 65 536 on the `mc` benchmark
 #: (BENCH_12.json), when each batch still allocated its temporaries; now
 #: every batch works in the buffers ``_score_points`` allocates once per
-#: range (1.1 MiB for the chain), and the per-batch Python overhead is a
-#: quarter of that at 4096.
+#: range (1.1 MiB for the chain), the chain's U and Q kernels see only a
+#: batch's shell T \ C (~4 750 of its points), and the per-batch Python
+#: overhead is a quarter of that at 4096.
 _BATCH = 16_384
 
 
@@ -114,25 +119,40 @@ def _score_points(cfg: EstimatorConfig, regions: tuple[RegionId, ...],
     exactly as ``2 * random((m, 4)) - 1``, and scored in column layout by
     ``column_verdicts_into``; J's upper triangle is counted, then mirrored.
 
+    The chain gate.  With C and T both scored, one CHSH maximum decides
+    them on the whole batch, and a point inside C lies inside Q and U,
+    one outside T outside both.  So Q and U are scored on the shell
+    T \\ C alone, (V_T - V_C) / 16 ~ 29 % of the cube, and J is read from
+    five counts: N(C) and N(T) on the batch, N(Q), N(U) and N(Q and U) on
+    the shell.  An entry of Q or U is N(C) plus its shell count, as
+    J[Q, U] = N(C) + N_shell(Q and U), and n gives L.  Without both C and
+    T, as for one region alone, every region is scored on the whole batch
+    in the same loop.
+
     Every batch works in three buffers allocated once per call, so the
-    stream allocates nothing per batch and its page faults do not depend on
-    the heap's state: the draw block, which becomes the kernels' float
-    work array once transposed into the column buffer, and a bool block with
-    one verdict row per region scored and one row for the verdicts of two
-    regions at once.  Two kinds of entry are not counted, as the float
+    stream allocates nothing of a batch's size and its page faults do not
+    depend on the heap's state: the draw block, the column buffer and a
+    bool block with one verdict row per region scored and one spare row.
+    Transposed into the column buffer, the draw block is free: ungated, it
+    holds the kernels' intermediate values; gated, it holds the shell's
+    columns, taken from the column buffer, which then holds the
+    intermediate values.  Two kinds of entry are not counted, as the float
     verdicts nest: C's verdict implies T's (one CHSH maximum against 2 and
     2 sqrt 2), so J[C, T] = J[C, C]; and every drawn point lies in
     [-1, 1)^4, so L is not scored, J[L, R] = J[R, R] and J[L, L] is the
     number of points.
     """
-    nested = (RegionId.LOCAL_C, RegionId.TSIRELSON_T)
+    local, tsirelson = RegionId.LOCAL_C, RegionId.TSIRELSON_T
     cube = RegionId.NO_SIGNALING_L
     present = [r for r in REGION_CHAIN if r in regions]
     scored = [r for r in present if r is not cube]
+    gated = local in scored and tsirelson in scored
+    # the regions column_verdicts_into scores: gated, on the shell alone
+    tested = [r for r in scored if not gated or r not in (local, tsirelson)]
+    at = [present.index(r) for r in tested]
     k, b = len(scored), min(_BATCH, len(points))
-    counted = [(i, j) for i, j in
-               itertools.combinations_with_replacement(range(k), 2)
-               if (scored[i], scored[j]) != nested]
+    counted = list(itertools.combinations_with_replacement(
+        range(len(tested)), 2))
     hits = np.zeros((len(present), len(present)), dtype=np.int64)
     draw, columns = np.empty(4 * b), np.empty(4 * b)
     inside = np.empty((k + 1) * b, dtype=bool)
@@ -144,15 +164,31 @@ def _score_points(cfg: EstimatorConfig, regions: tuple[RegionId, ...],
         raw = gen.random(out=draw[:4 * m].reshape(m, 4))
         cols = np.multiply(raw.T, 2.0, out=columns[:4 * m].reshape(4, m))
         cols -= 1.0
-        rows = inside[:(k + 1) * m].reshape(k + 1, m)
-        column_verdicts_into(scored, cols, draw[:4 * m].reshape(4, m),
-                             rows[:k])
+        work = draw[:4 * m].reshape(4, m)
+        if gated:
+            c, t = inside[:2 * m].reshape(2, m)
+            _chsh_verdicts(cols, work, c, t)
+            n_c, n_t = np.count_nonzero(c), np.count_nonzero(t)
+            hits[0, 0] += n_c  # C heads the chain, T is its last scored
+            hits[k - 1, k - 1] += n_t
+            # the shell T > C, i.e. T and not C, holds n_t - n_c points, as
+            # C implies T; np.take's out is unbuffered in "clip" mode
+            m = n_t - n_c
+            cols = np.take(cols, np.flatnonzero(np.greater(t, c, out=c)),
+                           axis=1, mode="clip", out=draw[:4 * m].reshape(4, m))
+            work = columns[:4 * m].reshape(4, m)
+        rows = inside[:(len(tested) + 1) * m].reshape(len(tested) + 1, m)
+        column_verdicts_into(tested, cols, work, rows)
         for i, j in counted:
             both = rows[i] if i == j else np.logical_and(rows[i], rows[j],
-                                                         out=rows[k])
-            hits[i, j] += np.count_nonzero(both)
+                                                         out=rows[-1])
+            hits[at[i], at[j]] += np.count_nonzero(both)
+    if gated:
+        for i, j in counted:
+            hits[at[i], at[j]] += hits[0, 0]
     for i, j in itertools.combinations(range(len(present)), 2):
-        if (present[i], present[j]) == nested or present[j] is cube:
+        if present[j] is cube or gated and (present[i] is local
+                                            or present[j] is tsirelson):
             hits[i, j] = hits[i, i]
     if cube in present:
         hits[k, k] = len(points)
@@ -170,8 +206,9 @@ def score_stream(cfg: EstimatorConfig,
     ``regions[b]``; the diagonal holds each region's hits.  A region may
     be listed more than once.  The points [0, n), n = ``cfg.sample_count``,
     are split into contiguous ranges, one per process, over
-    min(worker_count, os.cpu_count(), n) processes: bit-identical for a
-    fixed seed, whatever ``worker_count``.
+    min(worker_count, os.cpu_count(), n) processes, the calling one among
+    them: it scores the first range while child processes score the
+    rest.  Bit-identical for a fixed seed, whatever ``worker_count``.
     """
     regions = tuple(_member(RegionId, region) for region in regions)
     procs = min(cfg.worker_count, os.cpu_count() or 1, cfg.sample_count)
@@ -188,10 +225,12 @@ def score_stream(cfg: EstimatorConfig,
             and "fork" in multiprocessing.get_all_start_methods())
     context = multiprocessing.get_context("fork" if fork else "spawn")
     cuts = [cfg.sample_count * k // procs for k in range(procs + 1)]
-    with ProcessPoolExecutor(procs, mp_context=context) as pool:
+    with ProcessPoolExecutor(procs - 1, mp_context=context) as pool:
         parts = [pool.submit(_score_points, cfg, regions, range(a, b))
-                 for a, b in zip(cuts, cuts[1:])]
-        return sum(part.result() for part in parts)
+                 for a, b in zip(cuts[1:], cuts[2:])]
+        # the parent is one of the processes: it scores the first range
+        hits = _score_points(cfg, regions, range(cuts[1]))
+        return sum((part.result() for part in parts), hits)
 
 
 def _volume_from_hits(region: RegionId, hits: int,

@@ -865,6 +865,29 @@ class TestIntegerRows:
         for h in poly.halfspaces or ():
             assert all(type(n) is int for n in h.normal), h
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Halfspace(None, 1),
+         "halfspace normal must be a sequence, got None"),
+        (lambda: Halfspace(5, 1),
+         "halfspace normal must be a sequence, got 5"),
+        (lambda: JointProbabilityTable(None),
+         "table entries must be a sequence, got None"),
+        (lambda: RationalPolytope(2, vertices=5),
+         "vertices must be a sequence, got 5"),
+        (lambda: RationalPolytope(2, vertices=[5]),
+         "vertex must be a sequence, got 5"),
+        (lambda: RationalPolytope(2, halfspaces=5),
+         "halfspaces must be a sequence, got 5"),
+    ], ids=["normal-None", "normal-int", "table-None", "vertices-int",
+            "vertex-int", "halfspaces-int"])
+    def test_a_field_that_is_no_sequence_is_refused(self, make, message):
+        # tuple() raises TypeError for these: every bellvol error is the
+        # one ValueError
+        with pytest.raises(ValueError) as err:
+            make()
+        assert type(err.value) is ValueError
+        assert str(err.value) == message
+
 
 # --------------------------------------------------------------------------
 # the double-description engine against a brute-force oracle

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import region_reference as reference
-from bellvol import polytopes, volumes
+from bellvol import polytopes, regions, volumes
 from bellvol.regions import (
     DEFAULT_TOLERANCE,
     RegionId,
@@ -302,6 +302,58 @@ class TestScoreStream:
         inside = {r: [ORACLES[r](p).inside for p in pts] for r in set(regions)}
         assert joint.tolist() == _joint_counts([inside[r] for r in regions])
 
+    @staticmethod
+    def _columns_scored(listed, n, seed):
+        """J of the stream of ``seed`` against ``listed`` in one process,
+        and the columns the U and Q kernels received, region by region."""
+        counts = {RegionId.UFFINK_U: 0, RegionId.QUANTUM_Q: 0}
+
+        def counting(region, kernel):
+            def wrapped(cols, work, out):
+                counts[region] += cols.shape[1]
+                return kernel(cols, work, out)
+            return wrapped
+
+        with mock.patch.object(regions, "_uffink_verdicts", counting(
+                RegionId.UFFINK_U, regions._uffink_verdicts)), \
+                mock.patch.object(regions, "_quantum_verdicts", counting(
+                    RegionId.QUANTUM_Q, regions._quantum_verdicts)):
+            joint = score_stream(EstimatorConfig(sample_count=n, seed=seed),
+                                 listed)
+        return joint, counts
+
+    def test_chain_scores_u_and_q_on_the_shell_alone(self):
+        # C and T decide every point outside T \ C, so U and Q see exactly
+        # the shell's columns, N(T) - N(C) of them
+        n, seed = 50_000, 31
+        joint, counts = self._columns_scored(CHAIN, n, seed)
+        c, t = CHAIN.index(RegionId.LOCAL_C), CHAIN.index(RegionId.TSIRELSON_T)
+        shell = int(joint[t, t] - joint[c, c])
+        assert 0 < shell < n
+        assert counts == {RegionId.UFFINK_U: shell, RegionId.QUANTUM_Q: shell}
+
+    @pytest.mark.parametrize("region", [RegionId.UFFINK_U, RegionId.QUANTUM_Q],
+                             ids=lambda r: r.value)
+    def test_one_region_scores_every_point(self, region):
+        # without both C and T there is no gate: Q or U alone sees all n
+        n = 50_000
+        _, counts = self._columns_scored([region], n, 31)
+        assert counts[region] == n
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.integers(0, 2 ** 64 - 1), st.integers(1, 3000),
+           st.integers(1, 3000))
+    @example(3, 200, 1)  # one-point batches: each all shell or none of it
+    @example(3, 3000, 3000)
+    def test_chain_diagonal_is_each_regions_own_count(self, seed, n, batch):
+        # the gated chain and the one-region path of `volume --method mc`
+        # count every region's hits alike
+        cfg = EstimatorConfig(sample_count=n, seed=seed)
+        with mock.patch.object(volumes, "_BATCH", batch):
+            chain = score_stream(cfg, CHAIN)
+            alone = [int(score_stream(cfg, [r])[0, 0]) for r in CHAIN]
+        assert np.diag(chain).tolist() == alone
+
     @settings(deadline=None, max_examples=10)
     @given(st.integers(0, 2 ** 64 - 1), st.integers(1, 5000),
            st.sampled_from([2, 3, 4]), st.integers(1, 3000))
@@ -429,8 +481,9 @@ class TestScoreStream:
     def test_stream_traced_peak_is_its_buffers(self):
         # a range's buffers are the draw block and the column buffer, 4 * b
         # floats each, and one bool row of b per region scored (C, Q, U, T;
-        # L is not) and one for a pair of them; 8 batches may add no array
-        # of a batch's size on top
+        # L is not) and one spare row; 8 batches may add no array of a
+        # batch's size on top, only the index of a batch's shell T \ C,
+        # ~29 % of b int64s (~38 KiB), within the 128 KiB
         b = volumes._BATCH
         buffers = (2 * 4 * 8 + len(CHAIN)) * b
         cfg = EstimatorConfig(sample_count=8 * b, seed=3)
