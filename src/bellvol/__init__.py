@@ -13,8 +13,8 @@ public names, is imported on first access (PEP 562).  So a membership
 profile needs nothing more, ``polytopes`` and ``toggles`` (which compute with
 ``fractions``) load only for the exact geometry and the toggle metric,
 ``estimates`` (the array-free half of volume estimation that ``volumes``
-re-exports) only for volumes, and numpy only with ``volumes`` and
-``quantum``, which compute with arrays.
+re-exports, ``quadrature_volume`` among it) only for volumes, and numpy
+only with ``volumes`` and ``quantum``, which compute with arrays.
 """
 
 from .regions import (
@@ -77,6 +77,7 @@ _LAZY = {
         "ANALYTIC",
         "VolumeEstimate",
         "exact_region_volume",
+        "quadrature_volume",
     ),
     "volumes": (
         "DegenerateDenominator",
@@ -84,7 +85,6 @@ _LAZY = {
         "ToleranceNotMet",
         "headline_report",
         "mc_volume",
-        "quadrature_volume",
         "ratio_estimate",
     ),
     "quantum": (

@@ -17,9 +17,10 @@ Outputs contain no timestamps, so identical invocations produce identical
 bytes.  Each command imports the modules it computes with where it uses
 them, and no others: membership needs nothing beyond ``regions``, distance
 loads ``toggles``, examples and polytope the exact engine ``polytopes``,
-volume --method exact ``estimates`` and ``polytopes``, and only volume
---method mc|quadrature, ratios and sample-quantum load numpy (through
-``estimates``, ``volumes`` and ``quantum``).  ``csv`` and ``json`` are
+volume --method exact ``estimates`` and ``polytopes``, volume --method
+quadrature ``estimates``, and only volume --method mc, volume --method
+quadrature for Q and U, ratios and sample-quantum load numpy (through
+``volumes`` and ``quantum``).  ``csv`` and ``json`` are
 loaded only by a command that writes or reads them.
 """
 
@@ -185,8 +186,8 @@ def _cmd_volume(args):
                                       worker_count=args.workers)
         record = volumes.mc_volume(region, cfg).as_json_record()
     elif args.method == "quadrature":
-        from . import volumes
-        record = volumes.quadrature_volume(
+        from . import estimates
+        record = estimates.quadrature_volume(
             region, abs_tol=args.abs_tol).as_json_record()
     else:  # exact
         from . import estimates

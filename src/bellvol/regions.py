@@ -136,8 +136,14 @@ PointLike = Union[CorrelationPoint, Sequence[float]]
 def _coords(p: PointLike) -> tuple[float, float, float, float]:
     """Extract 4 finite coordinates, each in [-1, 1]: the point contract.
     Four floats pass by one chained comparison, which NaN and +-inf fail
-    too; any other point is read field by field in order by ``_real``."""
-    values = tuple(p)
+    too; any other point is read field by field in order by ``_real``.
+    ValueError, not ``tuple``'s TypeError, for a point that cannot be
+    iterated, such as ``None`` or a number."""
+    try:
+        values = tuple(p)
+    except TypeError:
+        raise ValueError(f"a point must be a sequence of 4 correlations,"
+                         f" got {p!r}") from None
     if len(values) != 4:
         raise ValueError(f"expected 4 correlations, got {len(values)}")
     c00, c01, c10, c11 = values

@@ -14,22 +14,26 @@ land inside it.  This module provides:
   the joint counts following from five counts; integer counts sum alike
   in any order, so results are bit-identical for a fixed seed, whatever
   the worker count or batch size,
-* deterministic volumes by quadrature in pair coordinates x = c00 + c11,
-  y = c00 - c11, z = c01 - c10, w = c01 + c10 (Jacobian 1/4), in which the
-  cube is |x| + |y| <= 2, |z| + |w| <= 2, C and T are |x| + |z| <= B,
-  |y| + |w| <= B, U is x^2 + z^2 <= 4, y^2 + w^2 <= 4, and Q is the L1 case
-  in arcsin coordinates with weight (cos x + cos y)(cos z + cos w)/4.  The
-  (y, w) slice has a closed-form measure; the (x, z) integral uses tensor
-  Gauss-Legendre rules on kink-aligned cells, doubling the order n from 8
-  to at most 32 until orders n and 2n agree within the tolerance, and
-  reports that difference; the rules come from a stored table, equal bit
-  for bit to numpy's, so no call computes one,
+* deterministic volumes of Q and U by quadrature in pair coordinates
+  x = c00 + c11, y = c00 - c11, z = c01 - c10, w = c01 + c10 (Jacobian
+  1/4), in which the cube is |x| + |y| <= 2, |z| + |w| <= 2, U is
+  x^2 + z^2 <= 4, y^2 + w^2 <= 4, and Q is the L1 set |x| + |z| <= pi,
+  |y| + |w| <= pi in arcsin coordinates with weight
+  (cos x + cos y)(cos z + cos w)/4.  The (y, w) slice has a closed-form
+  measure; the (x, z) integral uses tensor Gauss-Legendre rules on
+  kink-aligned cells (Q's from ``estimates._linear_cells``), doubling the
+  order n from 8 to at most 32 until orders n and 2n agree within the
+  tolerance, and reports that difference; the rules come from a stored
+  table, equal bit for bit to numpy's, so no call computes one.
+  ``estimates.quadrature_volume``, re-exported here, is the entry point:
+  it answers C, T and L without numpy and calls ``_doubling_volume`` for
+  Q and U,
 * the headline table: every estimate beside its closed form in ``ANALYTIC``.
 
-The record type, the closed forms, the exact rational volumes and the
-``abs_tol`` check compute no arrays; they live in :mod:`bellvol.estimates`
-and are re-exported here.  ``EstimatorConfig`` is a NamedTuple checked in
-``__new__``, as the records of ``regions`` are.
+The record type, the closed forms, the exact rational volumes and
+``quadrature_volume`` compute no arrays; they live in
+:mod:`bellvol.estimates` and are re-exported here.  ``EstimatorConfig`` is
+a NamedTuple checked in ``__new__``, as the records of ``regions`` are.
 """
 
 from __future__ import annotations
@@ -42,8 +46,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .estimates import (ANALYTIC, VolumeEstimate,  # noqa: F401  re-exported
-                        check_abs_tol, exact_region_volume)
-from .regions import (REGION_CHAIN, TSIRELSON_BOUND, RegionId,
+                        _linear_cells, exact_region_volume, quadrature_volume)
+from .regions import (REGION_CHAIN, RegionId,
                       _chsh_verdicts, _index, _member, _Record,
                       column_verdicts_into)
 from .regions import region_mask  # noqa: F401  read by bench/tracer.py
@@ -329,8 +333,8 @@ _GL_HALF = {8: ((-0.9602898564975362, -0.7966664774136267, -0.525532409916329,
                   0.09117387869576378, 0.09384439908080451,
                   0.09563872007927471, 0.09654008851472766))}
 
-#: The rule orders: at abs_tol 1e-9, the least accepted, C, Q and T stop at
-#: order 16 and U at 32, and a larger abs_tol stops no later.
+#: The rule orders: at abs_tol 1e-9, the least accepted, Q stops at order
+#: 16 and U at 32, and a larger abs_tol stops no later.
 _GL_ORDERS = tuple(_GL_HALF)
 
 
@@ -367,48 +371,6 @@ def _pair_quadrature(cells, slice_fn, abs_tol: float) -> tuple[float, float]:
                           f" {diff:.3e} > abs_tol {abs_tol:.3e}")
 
 
-def _linear_cells(box: float, bound: float,
-                  kinks: Sequence[tuple[float, float]]):
-    """Cells of {0 <= x, z <= box, x + z <= bound} cut at kink lines.
-
-    ``kinks`` are lines z = c + s*x given as (c, s), s in {0, -1}; by x <-> z
-    symmetry each line z = c comes with x = c.  The x breakpoints include all
-    crossings, so between two of them consecutive lines bound a cell.
-    """
-    lines = {(0.0, 0.0), (box, 0.0), (bound, -1.0), *kinks}
-    right = min(box, bound)
-    xs = {right, *(c for c, s in lines if s == 0.0)}
-    xs.update((c2 - c1) / (s1 - s2) for (c1, s1), (c2, s2)
-              in itertools.combinations(lines, 2) if s1 != s2)
-    xs = sorted(x for x in xs if 0.0 <= x <= right)
-    cells = []
-    for x0, x1 in zip(xs, xs[1:]):
-        mid = 0.5 * (x0 + x1)
-        edges = sorted((c + s * mid, (c, s)) for c, s in lines
-                       if 0.0 <= c + s * mid <= min(box, bound - mid))
-        cells += [(x0, x1, lo, hi) for (_, lo), (_, hi) in zip(edges, edges[1:])]
-
-    def nodes(t):
-        for x0, x1, (c0, s0), (c1, s1) in cells:
-            x = x0 + (x1 - x0) * t[:, None]
-            z0, z1 = c0 + s0 * x, c1 + s1 * x
-            yield x, z0 + (z1 - z0) * t, (x1 - x0) * (z1 - z0)
-    return nodes
-
-
-def _l1_volume(bound: float, abs_tol: float) -> tuple[float, float]:
-    """C and T: the slice is |y| <= 2 - x, |w| <= 2 - z, |y| + |w| <= bound.
-
-    With a, b <= 2 <= bound the ball cuts at most the corner y + w > bound
-    off each quadrant's a-by-b rectangle, from a + b = bound (x + z = 4 - bound).
-    """
-    def area(x, z):
-        a, b = 2.0 - x, 2.0 - z
-        return 4.0 * (a * b - 0.5 * np.maximum(a + b - bound, 0.0) ** 2)
-    cells = _linear_cells(2.0, bound, [(4.0 - bound, -1.0)])
-    return _pair_quadrature(cells, area, abs_tol)
-
-
 def _arcsin_volume(h: float, abs_tol: float) -> tuple[float, float]:
     """Q, the L1 case in arcsin coordinates s_ij = arcsin(c_ij):
     |sum(s) - 2 s_ij| <= h on the box |s_ij| <= pi/2 with weight prod cos(s);
@@ -437,7 +399,13 @@ def _arcsin_volume(h: float, abs_tol: float) -> tuple[float, float]:
         flat = (b * cz + np.sin(b)) * (cx * y_kink + np.sin(y_kink))
         return flat + primitive(y_end) - primitive(y_kink)
     cells = _linear_cells(math.pi, h, [(math.pi - h, 0.0)])
-    return _pair_quadrature(cells, weight, abs_tol)
+
+    def nodes(t):  # the nodes t on [0, 1] mapped onto each cell
+        for x0, x1, (c0, s0), (c1, s1) in cells:
+            x = x0 + (x1 - x0) * t[:, None]
+            z0, z1 = c0 + s0 * x, c1 + s1 * x
+            yield x, z0 + (z1 - z0) * t, (x1 - x0) * (z1 - z0)
+    return _pair_quadrature(nodes, weight, abs_tol)
 
 
 def _disk_slice(x: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -473,21 +441,13 @@ def _disk_cells(t: np.ndarray):
     yield x, z_kink + (z_edge - z_kink) * t, dx * (z_edge - z_kink)
 
 
-def quadrature_volume(region: RegionId, abs_tol: float = 1e-6) -> VolumeEstimate:
-    """Deterministic volume of any of the five regions (exact for the cube)."""
-    abs_tol = check_abs_tol(abs_tol)
-    if _member(RegionId, region) is RegionId.NO_SIGNALING_L:
-        value, err = 16.0, 0.0
-    elif region is RegionId.LOCAL_C:
-        value, err = _l1_volume(2.0, abs_tol)
-    elif region is RegionId.QUANTUM_Q:
-        value, err = _arcsin_volume(math.pi, abs_tol)
-    elif region is RegionId.TSIRELSON_T:
-        value, err = _l1_volume(TSIRELSON_BOUND, abs_tol)
-    else:  # RegionId.UFFINK_U
-        value, err = _pair_quadrature(_disk_cells, _disk_slice, abs_tol)
-    return VolumeEstimate(region=region.value, method="quadrature",
-                          value=value, std_error=0.0, error_bound=err)
+def _doubling_volume(region: RegionId,
+                     abs_tol: float) -> tuple[float, float]:
+    """Q or U by Gauss-Legendre doubling: Q_2n and |Q_n - Q_2n|, for
+    ``estimates.quadrature_volume``, which answers C, T and L itself."""
+    if region is RegionId.QUANTUM_Q:
+        return _arcsin_volume(math.pi, abs_tol)
+    return _pair_quadrature(_disk_cells, _disk_slice, abs_tol)
 
 
 # --------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import pytest
 import bellvol
 
 #: Every public name ``bellvol`` exported before ``volumes`` and ``quantum``
-#: were imported on first access, by home module.  Three of them moved from
+#: were imported on first access, by home module.  Four of them moved from
 #: ``volumes`` to ``estimates``, which ``volumes`` re-exports: each is listed
 #: under both, so both modules must hold the one object.
 EXPORTS = {
@@ -34,7 +34,7 @@ EXPORTS = {
     "volumes": """ANALYTIC DegenerateDenominator EstimatorConfig
         ToleranceNotMet VolumeEstimate exact_region_volume headline_report
         mc_volume quadrature_volume ratio_estimate""",
-    "estimates": "ANALYTIC VolumeEstimate exact_region_volume",
+    "estimates": "ANALYTIC VolumeEstimate exact_region_volume quadrature_volume",
     "quantum": """BlochDirection MeasurementSettings TwoQubitState
         chsh_optimal_settings correlation_point sample_quantum_points
         singlet""",
@@ -55,6 +55,10 @@ NUMPY_FREE = [
       for task in ("vertices", "facets", "counts", "volume")],
     *[(["volume", "--region", region, "--method", "exact", "--format", fmt], 0)
       for region in ("C", "L") for fmt in ("table", "json", "csv")],
+    # C, T and L quadrature is one numpy-free pass in estimates
+    *[(["volume", "--region", region, "--method", "quadrature", "--format",
+        fmt], 0)
+      for region in ("C", "T", "L") for fmt in ("table", "json", "csv")],
     # --abs-tol is checked by the numpy-free estimates, whatever the method
     (["volume", "--region", "C", "--method", "exact", "--abs-tol", "1e-6"], 0),
     (["volume", "--region", "Q", "--method", "exact"], 2),
@@ -97,8 +101,11 @@ LOADS = [
     (["volume", "--region", "Q", "--method", "mc", "--n", "1000"],
      {"bellvol.estimates", "bellvol.volumes", "numpy"} | DATACLASSES),
     *[(["volume", "--region", region, "--method", "quadrature"],
+       {"bellvol.estimates"} | DATACLASSES)
+      for region in ("C", "T", "L")],
+    *[(["volume", "--region", region, "--method", "quadrature"],
        {"bellvol.estimates", "bellvol.volumes", "numpy"} | DATACLASSES)
-      for region in ("C", "Q")],
+      for region in ("Q", "U")],
     (["ratios", "--n", "1000"],
      {"bellvol.estimates", "bellvol.volumes", "numpy"} | DATACLASSES),
     (["sample-quantum", "--n", "3"],

@@ -785,6 +785,21 @@ def test_the_one_point_contract_at_a_point_outside_and_at_the_vertices():
         assert _check_the_one_point_contract(vertex) is None
 
 
+@pytest.mark.parametrize("p", [None, 5, 0.5], ids=repr)
+@pytest.mark.parametrize("name", POINT_ENTRY_POINTS)
+def test_a_point_that_cannot_be_iterated_is_a_value_error(name, p):
+    # tuple(p) raises TypeError; the point contract promises ValueError
+    with pytest.raises(ValueError, match=(
+            f"^a point must be a sequence of 4 correlations, got {p!r}$")):
+        POINT_ENTRY_POINTS[name](p)
+
+
+def test_make_of_a_point_that_cannot_be_iterated_keeps_its_type_error():
+    # namedtuple semantics: _make unpacks its argument before any check
+    with pytest.raises(TypeError):
+        CorrelationPoint._make(None)
+
+
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, "0.1",
                                  None, True, False, np.True_, 10 ** 400])
 def test_tolerance_outside_contract_is_rejected(tol):

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import region_reference as reference
-from bellvol import polytopes, regions, volumes
+from bellvol import estimates, polytopes, regions, volumes
 from bellvol.regions import (
     DEFAULT_TOLERANCE,
     RegionId,
@@ -593,7 +593,7 @@ class TestGaussLegendreTable:
             assert abs(float(w @ t ** (2 * k)) - 2.0 / (2 * k + 1)) <= 1e-14
 
     @pytest.mark.parametrize("abs_tol", [1e-7, 1e-9])
-    @pytest.mark.parametrize("region", CHAIN[:4])
+    @pytest.mark.parametrize("region", [RegionId.QUANTUM_Q, RegionId.UFFINK_U])
     def test_volumes_match_live_leggauss_rules(self, monkeypatch, region,
                                                abs_tol):
         stored = quadrature_volume(region, abs_tol=abs_tol)
@@ -604,6 +604,148 @@ class TestGaussLegendreTable:
         est = quadrature_volume(region, abs_tol=abs_tol)
         assert abs(est.value - stored.value) <= 1e-13
         assert abs(est.error_bound - stored.error_bound) <= 1e-13
+
+
+def _poly_integral(coeffs, a, b):
+    """The integral from a to b of the polynomial sum(c_k x^k)."""
+    return sum(c * (b ** (k + 1) - a ** (k + 1)) / (k + 1)
+               for k, c in enumerate(coeffs))
+
+
+def _line_power(c, s, n):
+    """The coefficients of (c + s x)^n, exactly."""
+    out = [Fraction(1)]
+    for _ in range(n):
+        out = [a * c + b * s for a, b in zip(out + [0], [0] + out)]
+    return out
+
+
+#: A cell of ``estimates._linear_cells``' shape: x0 < x1 in [0, 2] and
+#: two lines z = c + s x, s in {0, -1}, the first at least 0 and at least
+#: 0.01 below the second on all of [x0, x1].
+CELLS = st.tuples(
+    st.floats(0.0, 1.9), st.floats(0.01, 2.0), st.floats(0.0, 2.0),
+    st.floats(0.01, 2.0), st.sampled_from([0.0, -1.0]),
+    st.sampled_from([0.0, -1.0])).map(
+        lambda v: (v[0], min(v[0] + v[1], 2.0), (v[2] - 2.0 * v[4], v[4]),
+                   (v[2] - 2.0 * v[4] + v[3] + 2.0, v[5])))
+
+
+class TestOrderTwoRule:
+    """C and T: one order-2 Gauss-Legendre pass over the cells of
+    ``estimates._linear_cells``, exact for their polynomial slices, with an
+    error bound derived by forward error analysis."""
+
+    def test_nodes_are_correctly_rounded(self):
+        with localcontext() as ctx:
+            ctx.prec = 40
+            root = Decimal(3).sqrt()
+            exact = ((3 - root) / 6, (3 + root) / 6)
+        assert estimates._GL2_NODES == tuple(map(float, exact))
+
+    @settings(deadline=None, max_examples=200)
+    @given(CELLS, st.lists(st.floats(-1.0, 1.0), min_size=12, max_size=12))
+    def test_rule_is_exact_in_cell_coordinates(self, cell, coeffs):
+        # P(t, s) of degree <= 3 in t and <= 2 in s, pulled onto the cell:
+        # g = P / jac there, so the integral of g over the cell is that of
+        # P over the unit square
+        x0, x1, (c0, s0), (c1, s1) = cell
+        p = [coeffs[3 * i:3 * i + 3] for i in range(4)]  # p[i][j] t^i s^j
+
+        def g(x, z):
+            z0, z1 = c0 + s0 * x, c1 + s1 * x
+            t, s = (x - x0) / (x1 - x0), (z - z0) / (z1 - z0)
+            return sum(p[i][j] * t ** i * s ** j
+                       for i in range(4) for j in range(3)) / (
+                (x1 - x0) * (z1 - z0))
+        rule = math.fsum(jac * g(x, z) / 4 for x, z, jac
+                         in estimates._cell_nodes(*cell))
+        exact = sum(Fraction(p[i][j]) / ((i + 1) * (j + 1))
+                    for i in range(4) for j in range(3))
+        assert abs(rule - float(exact)) <= 1e-10  # rounding alone
+
+    @settings(deadline=None, max_examples=200)
+    @given(CELLS, st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6))
+    def test_rule_is_exact_for_quadratics_in_x_and_z(self, cell, coeffs):
+        # the slice areas of C and T are such quadratics on each cell
+        x0, x1, (c0, s0), (c1, s1) = cell
+        powers = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+        rule = math.fsum(jac * sum(c * x ** i * z ** j for c, (i, j)
+                                   in zip(coeffs, powers)) / 4
+                         for x, z, jac in estimates._cell_nodes(*cell))
+        exact = Fraction(0)
+        for c, (i, j) in zip(coeffs, powers):
+            # the integral of x^i (z1^(j+1) - z0^(j+1)) / (j + 1) over x
+            top, bottom = (_line_power(Fraction(c_), Fraction(s_), j + 1)
+                           for c_, s_ in ((c1, s1), (c0, s0)))
+            inner = [(a - b) / (j + 1) for a, b in zip(top, bottom)]
+            exact += Fraction(c) * _poly_integral(
+                [0] * i + inner, Fraction(x0), Fraction(x1))
+        assert abs(rule - float(exact)) <= 1e-10  # rounding alone
+
+    @staticmethod
+    def _tiling(bound):
+        """The cells of {0 <= x, z <= 2, x + z <= bound} cut at the kink
+        x + z = 4 - bound, read exactly: the largest amount by which a cell
+        corner leaves the region or a cell crosses the kink, and the cells'
+        summed area less the region's, 4 - (4 - bound)^2 / 2."""
+        b, kink = Fraction(bound), 4 - Fraction(bound)
+        total, worst = Fraction(0), Fraction(0)
+        for cell in estimates._linear_cells(2.0, bound,
+                                            [(4.0 - bound, -1.0)]):
+            x0, x1, c0, s0, c1, s1 = map(Fraction, (*cell[:2], *cell[2],
+                                                   *cell[3]))
+            assert 0 <= x0 < x1 <= 2
+            above, below = [], []
+            for x in (x0, x1):
+                lo, hi = c0 + s0 * x, c1 + s1 * x
+                worst = max(worst, -lo, lo - hi, hi - 2, x + hi - b)
+                above.append(kink - x - lo)
+                below.append(x + hi - kink)
+            worst = max(worst, min(max(above), max(below)))
+            total += (x1 - x0) * (2 * (c1 - c0) + (s1 - s0) * (x0 + x1)) / 2
+        return worst, total - (4 - kink ** 2 / 2)
+
+    @pytest.mark.parametrize("bound", [2.0, regions.TSIRELSON_BOUND],
+                             ids=["C", "T"])
+    def test_cells_tile_the_region_exactly(self, bound):
+        # the cells _l1_volume integrates over for C and T
+        assert self._tiling(bound) == (0, 0)
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.floats(2.0, 4.0))
+    @example(3.0)
+    @example(4.0)
+    @example(math.nextafter(2.0, 3.0))
+    def test_cells_tile_the_region_to_rounding(self, bound):
+        # at a bound an ulp above 2 the cell cut at the strip [0, bound - 2]
+        # rounds, leaving a sliver of area 2^-103 outside the box
+        worst, excess = self._tiling(bound)
+        assert worst <= 2 ** -50 and abs(excess) <= 2 ** -100
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.floats(2.0, 4.0))
+    @example(2.0)
+    @example(regions.TSIRELSON_BOUND)
+    def test_volume_within_its_bound_for_every_bound(self, bound):
+        # the cube cut by |S - 2 c_ij| <= bound has volume
+        # 16 - (4 - bound)^4 / 3 (estimates docstring), read exactly
+        value, err = estimates._l1_volume(bound, 0.0)
+        exact = 16 - (4 - Fraction(bound)) ** 4 / 3
+        assert abs(Fraction(value) - exact) <= err <= 1e-12
+
+    @pytest.mark.parametrize("abs_tol", [1e-6, 1e-7, 1e-9])
+    @pytest.mark.parametrize("region, closed_form", [
+        (RegionId.LOCAL_C, lambda: mpmath.mpf(32) / 3),
+        (RegionId.TSIRELSON_T, lambda: (768 * mpmath.sqrt(2) - 1040) / 3)],
+        ids=["C", "T"])
+    def test_closed_form_within_the_derived_bound(self, region, closed_form,
+                                                  abs_tol):
+        # T's bound covers the float TSIRELSON_BOUND standing in for 2 sqrt 2
+        est = quadrature_volume(region, abs_tol=abs_tol)
+        with mpmath.workdps(40):
+            off = abs(mpmath.mpf(est.value) - closed_form())
+        assert off <= est.error_bound <= 1e-12
 
 
 class TestQuadrature:
