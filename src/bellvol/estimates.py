@@ -145,7 +145,12 @@ def _linear_cells(box: float, bound: float,
 
     ``kinks`` are lines z = c + s*x given as (c, s), s in {0, -1}; by x <-> z
     symmetry each line z = c comes with x = c.  The x breakpoints include all
-    crossings, so between two of them consecutive lines bound a cell.
+    crossings, so between two of them consecutive lines bound a cell.  A
+    line bounds cells of a strip if it lies in the region at both of the
+    strip's ends, and so, linear under the region's concave upper edge,
+    along the whole strip.  Testing the ends, not the rounded midpoint,
+    keeps out a line outside at one end, such as x + z = bound at the bound
+    an ulp above 2, whose cell would be a sliver outside the box.
     """
     lines = {(0.0, 0.0), (box, 0.0), (bound, -1.0), *kinks}
     right = min(box, bound)
@@ -155,9 +160,9 @@ def _linear_cells(box: float, bound: float,
     xs = sorted(x for x in xs if 0.0 <= x <= right)
     cells = []
     for x0, x1 in zip(xs, xs[1:]):
-        mid = 0.5 * (x0 + x1)
-        edges = sorted((c + s * mid, (c, s)) for c, s in lines
-                       if 0.0 <= c + s * mid <= min(box, bound - mid))
+        edges = sorted(((c + s * x0, c + s * x1), (c, s)) for c, s in lines
+                       if all(0.0 <= c + s * x <= min(box, bound - x)
+                              for x in (x0, x1)))
         cells += [(x0, x1, lo, hi) for (_, lo), (_, hi) in zip(edges, edges[1:])]
     return cells
 
@@ -207,8 +212,7 @@ def _l1_volume(bound: float, bound_error: float) -> tuple[float, float]:
     The error, by forward error analysis (Higham, *Accuracy and Stability
     of Numerical Algorithms*, 2nd ed., 2002, ch. 3-4).  For bound in
     [2, 4] every cell corner is an exact float (4 - bound and bound - 2
-    by Sterbenz's lemma), and the cells tile the region: exactly for C
-    and T, and up to a sliver of area 2^-103 at the bound an ulp above 2.
+    by Sterbenz's lemma), and the cells tile the region exactly.
     s0, s1 in {0, -1} make s*x exact.  The exact values at the exact nodes
     satisfy 0 <= x, z, a, b, dx, h <= 2, 0 <= m <= min(a, b),
     |a + b - bound| <= 4 and 0 <= ab - m^2/2 <= 4.

@@ -42,12 +42,15 @@ the tolerance: ``membership_profile`` gives floats for one point, running the
 table's seven kernels with no dispatch per margin, ``membership_profiles``
 (n,) arrays for the rows of an (n, 4) array, and verdicts and results are
 derived from the margins when read.  ``region_margins`` and ``region_mask``
-score one region on such an array.  The Monte Carlo stream's verdicts
-(``column_verdicts_into``) repeat the C, T and U kernels operation for
-operation, writing into buffers the caller allocates once; the tests hold each
-verdict equal to its margin rule.  Every entry point refuses a point that is
-not four finite numbers in [-1, 1] with ``ValueError``, the message that of
-``_coords``, which ``_as_columns`` hands an array's first bad row.
+score one region on such an array.  The Monte Carlo stream's verdict
+kernels, ``_chsh_verdicts`` (C and T from one CHSH maximum),
+``_uffink_verdicts`` and ``_quantum_verdicts``, repeat the C, T and U kernels
+operation for operation and decide Q by Landau's form with an arcsin
+fallback, writing into buffers the caller allocates once; they check no
+column, and the tests hold each verdict equal to its margin rule.  Every
+entry point refuses a point that is not four finite numbers in [-1, 1] with
+``ValueError``, the message that of ``_coords``, which ``_as_columns`` hands
+an array's first bad row.
 
 The records, :class:`CorrelationPoint`, :class:`MembershipResult` and
 :class:`MembershipProfile`, are NamedTuples, as is every record of the
@@ -545,38 +548,16 @@ def membership_profile(p: PointLike, tol: float = DEFAULT_TOLERANCE) -> Membersh
 # vector entry points: (4, m) columns or the rows of an (n, 4) array
 
 #: Half-width of the band of Landau's form f about 0 inside which the Q
-#: verdict of ``column_verdicts_into`` falls back to the arcsin margin;
-#: derived in ``_quantum_verdicts``.
+#: verdict of ``_quantum_verdicts`` falls back to the arcsin margin;
+#: derived there.
 _Q_BAND = 1e3 * DEFAULT_TOLERANCE
 
 
-def column_verdicts_into(regions: Sequence[RegionId], cols: np.ndarray,
-                         work: np.ndarray, out: np.ndarray) -> None:
-    """Membership of each column of a (4, m) array in each of the distinct
-    ``regions``, written into the rows of the (k, m) bool array ``out``:
-    margin >= -DEFAULT_TOLERANCE, decided for C, T and U by the operations
-    of their kernels, for Q by ``_quantum_verdicts`` (an arcsin only in a
-    thin band about its boundary), for L by its margin.  The float (4, m)
-    array ``work``, which may share memory with nothing else the call
-    reads, holds the intermediate values, so that C, T, U and Q allocate
-    nothing of the batch's size.  The columns are not checked: they must
-    hold the point contract, as the Monte Carlo stream's draws do, and on
-    it the Q verdict equals the arcsin rule.  The stream never asks for L.
-    """
-    rows = {_member(RegionId, region): row
-            for region, row in zip(regions, out)}
-    local = rows.get(RegionId.LOCAL_C)
-    tsirelson = rows.get(RegionId.TSIRELSON_T)
-    if local is not None or tsirelson is not None:
-        _chsh_verdicts(cols, work, local, tsirelson)
-    if RegionId.UFFINK_U in rows:
-        _uffink_verdicts(cols, work, rows[RegionId.UFFINK_U])
-    if RegionId.QUANTUM_Q in rows:
-        _quantum_verdicts(cols, work, rows[RegionId.QUANTUM_Q])
-    if RegionId.NO_SIGNALING_L in rows:
-        box = _KERNELS[RegionId.NO_SIGNALING_L, None](_Columns(cols, _array_ops()))
-        rows[RegionId.NO_SIGNALING_L][...] = box >= -DEFAULT_TOLERANCE
-
+# The Monte Carlo stream's verdict kernels: each writes
+# margin >= -DEFAULT_TOLERANCE for the columns of a (4, m) array into bool
+# rows, its temporaries into the rows of the float array ``work``, which may
+# share memory with nothing else the call reads.  The columns are not
+# checked: they must hold the point contract, as the stream's draws do.
 
 def _chsh_verdicts(cols: np.ndarray, work: np.ndarray,
                    local: np.ndarray | None,

@@ -6,14 +6,16 @@ a region is 16 times the probability that four independent uniform draws
 land inside it.  This module provides:
 
 * hit-or-miss Monte Carlo volumes and shared-sample ratios (delta-method
-  errors), all read off one matrix of pairwise joint hit counts made in
-  one pass over the stream by ``score_stream``: one PCG64DXSM stream per
-  seed, split into point ranges scored in up to os.cpu_count() processes,
-  the calling process among them; with C and T both asked for, one CHSH
-  maximum decides them and Q and U are scored only on the shell T \\ C,
-  the joint counts following from five counts; integer counts sum alike
-  in any order, so results are bit-identical for a fixed seed, whatever
-  the worker count or batch size,
+  errors), all read off one pass over the stream by ``score_stream``: one
+  PCG64DXSM stream per seed, split into point ranges scored in up to
+  os.cpu_count() processes, the calling process among them.  A range
+  returns one hit count per region: one region alone is scored by its own
+  kernel on every point; any other request takes the chain's four counts,
+  C and T from one CHSH maximum and Q and U on the shell T \\ C alone, Q's
+  verdict AND-ed with U's, so the counts nest.  The joint count of two
+  regions is the count of the inner one.  Integer counts sum alike in any
+  order, so results are bit-identical for a fixed seed, whatever the
+  worker count or batch size,
 * deterministic volumes of Q and U by quadrature in pair coordinates
   x = c00 + c11, y = c00 - c11, z = c01 - c10, w = c01 + c10 (Jacobian
   1/4), in which the cube is |x| + |y| <= 2, |z| + |w| <= 2, U is
@@ -38,7 +40,6 @@ a NamedTuple checked in ``__new__``, as the records of ``regions`` are.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from typing import NamedTuple, Sequence
@@ -47,9 +48,8 @@ import numpy as np
 
 from .estimates import (ANALYTIC, VolumeEstimate,  # noqa: F401  re-exported
                         _linear_cells, exact_region_volume, quadrature_volume)
-from .regions import (REGION_CHAIN, RegionId,
-                      _chsh_verdicts, _index, _member, _Record,
-                      column_verdicts_into)
+from .regions import (REGION_CHAIN, RegionId, _chsh_verdicts, _index,
+                      _member, _quantum_verdicts, _Record, _uffink_verdicts)
 from .regions import region_mask  # noqa: F401  read by bench/tracer.py
 
 
@@ -101,9 +101,9 @@ def __getattr__(name: str):
 #: 16 384 was the fastest of 4096, 8192, ..., 65 536 on the `mc` benchmark
 #: (BENCH_12.json), when each batch still allocated its temporaries; now
 #: every batch works in the buffers ``_score_points`` allocates once per
-#: range (1.1 MiB for the chain), the chain's U and Q kernels see only a
-#: batch's shell T \ C (~4 750 of its points), and the per-batch Python
-#: overhead is a quarter of that at 4096.
+#: range (two blocks of 4 * _BATCH floats and two bool rows, 1.03 MiB), the
+#: chain's U and Q kernels see only a batch's shell T \ C (~4 750 of its
+#: points), and the per-batch Python overhead is a quarter of that at 4096.
 _BATCH = 16_384
 
 
@@ -117,88 +117,76 @@ def sample_stream(seed: int, start: int = 0) -> np.random.Generator:
 
 def _score_points(cfg: EstimatorConfig, regions: tuple[RegionId, ...],
                   points: range) -> np.ndarray:
-    """``score_stream``'s joint hit counts J over the points ``points``.
+    """The hit counts N(C), N(Q), N(U), N(T) of the points ``points``
+    against ``regions``, an int64 array in chain order.
 
     The points are drawn ``_BATCH`` at a time from ``points.start``,
-    exactly as ``2 * random((m, 4)) - 1``, and scored in column layout by
-    ``column_verdicts_into``; J's upper triangle is counted, then mirrored.
-
-    The chain gate.  With C and T both scored, one CHSH maximum decides
-    them on the whole batch, and a point inside C lies inside Q and U,
-    one outside T outside both.  So Q and U are scored on the shell
-    T \\ C alone, (V_T - V_C) / 16 ~ 29 % of the cube, and J is read from
-    five counts: N(C) and N(T) on the batch, N(Q), N(U) and N(Q and U) on
-    the shell.  An entry of Q or U is N(C) plus its shell count, as
-    J[Q, U] = N(C) + N_shell(Q and U), and n gives L.  Without both C and
-    T, as for one region alone, every region is scored on the whole batch
-    in the same loop.
+    exactly as ``2 * random((m, 4)) - 1``, and scored in column layout.
+    L is never scored, as every drawn point lies in [-1, 1)^4, and the
+    counts take one of two shapes.  One scored region is scored by its own
+    kernel on the whole batch, and only its count is taken; none draws
+    nothing.  Any other request takes the chain's four counts from one
+    gate: one CHSH maximum decides C and T on the whole batch, and a point
+    inside C lies inside Q and U, one outside T outside both, so U and Q
+    are scored on the shell T \\ C alone, (V_T - V_C) / 16 ~ 29 % of the
+    cube, and N(C) is added to their shell counts.  C's verdict implies
+    T's (2 - M and 2 sqrt 2 - M round monotonically in the CHSH maximum M)
+    and Q's shell verdict is AND-ed with U's, so the four counts nest by
+    construction.
 
     Every batch works in three buffers allocated once per call, so the
     stream allocates nothing of a batch's size and its page faults do not
     depend on the heap's state: the draw block, the column buffer and a
-    bool block with one verdict row per region scored and one spare row.
-    Transposed into the column buffer, the draw block is free: ungated, it
-    holds the kernels' intermediate values; gated, it holds the shell's
-    columns, taken from the column buffer, which then holds the
-    intermediate values.  Two kinds of entry are not counted, as the float
-    verdicts nest: C's verdict implies T's (one CHSH maximum against 2 and
-    2 sqrt 2), so J[C, T] = J[C, C]; and every drawn point lies in
-    [-1, 1)^4, so L is not scored, J[L, R] = J[R, R] and J[L, L] is the
-    number of points.
+    bool block of two verdict rows.  Transposed into the column buffer,
+    the draw block is free: on the whole batch it holds the kernels'
+    intermediate values; on the shell it holds the shell's columns, taken
+    from the column buffer, which then holds the intermediate values.
     """
-    local, tsirelson = RegionId.LOCAL_C, RegionId.TSIRELSON_T
-    cube = RegionId.NO_SIGNALING_L
-    present = [r for r in REGION_CHAIN if r in regions]
-    scored = [r for r in present if r is not cube]
-    gated = local in scored and tsirelson in scored
-    # the regions column_verdicts_into scores: gated, on the shell alone
-    tested = [r for r in scored if not gated or r not in (local, tsirelson)]
-    at = [present.index(r) for r in tested]
-    k, b = len(scored), min(_BATCH, len(points))
-    counted = list(itertools.combinations_with_replacement(
-        range(len(tested)), 2))
-    hits = np.zeros((len(present), len(present)), dtype=np.int64)
+    hits = np.zeros(len(REGION_CHAIN) - 1, dtype=np.int64)
+    scored = set(regions) - {RegionId.NO_SIGNALING_L}
+    if not scored:
+        return hits
+    alone = scored.pop() if len(scored) == 1 else None
+    if alone is not None:
+        at = REGION_CHAIN.index(alone)
+        # C and T share one kernel, which writes the rows it is handed
+        score = (lambda cols, work, out: _chsh_verdicts(cols, work, out, None),
+                 _quantum_verdicts, _uffink_verdicts,
+                 lambda cols, work, out: _chsh_verdicts(cols, work, None, out)
+                 )[at]
+    b = min(_BATCH, len(points))
     draw, columns = np.empty(4 * b), np.empty(4 * b)
-    inside = np.empty((k + 1) * b, dtype=bool)
+    inside = np.empty(2 * b, dtype=bool)
     gen = sample_stream(cfg.seed, points.start)
-    # L alone scores nothing, so it draws nothing
-    for start in range(points.start, points.stop if k else points.start,
-                       _BATCH):
+    for start in range(points.start, points.stop, _BATCH):
         m = min(_BATCH, points.stop - start)
         raw = gen.random(out=draw[:4 * m].reshape(m, 4))
         cols = np.multiply(raw.T, 2.0, out=columns[:4 * m].reshape(4, m))
         cols -= 1.0
         work = draw[:4 * m].reshape(4, m)
-        if gated:
-            c, t = inside[:2 * m].reshape(2, m)
-            _chsh_verdicts(cols, work, c, t)
-            n_c, n_t = np.count_nonzero(c), np.count_nonzero(t)
-            hits[0, 0] += n_c  # C heads the chain, T is its last scored
-            hits[k - 1, k - 1] += n_t
-            # the shell T > C, i.e. T and not C, holds n_t - n_c points, as
-            # C implies T; np.take's out is unbuffered in "clip" mode
-            m = n_t - n_c
-            cols = np.take(cols, np.flatnonzero(np.greater(t, c, out=c)),
-                           axis=1, mode="clip", out=draw[:4 * m].reshape(4, m))
-            work = columns[:4 * m].reshape(4, m)
-        rows = inside[:(len(tested) + 1) * m].reshape(len(tested) + 1, m)
-        column_verdicts_into(tested, cols, work, rows)
-        for i, j in counted:
-            both = rows[i] if i == j else np.logical_and(rows[i], rows[j],
-                                                         out=rows[-1])
-            hits[at[i], at[j]] += np.count_nonzero(both)
-    if gated:
-        for i, j in counted:
-            hits[at[i], at[j]] += hits[0, 0]
-    for i, j in itertools.combinations(range(len(present)), 2):
-        if present[j] is cube or gated and (present[i] is local
-                                            or present[j] is tsirelson):
-            hits[i, j] = hits[i, i]
-    if cube in present:
-        hits[k, k] = len(points)
-    hits += np.triu(hits, 1).T
-    index = [present.index(r) for r in regions]
-    return hits[np.ix_(index, index)]
+        if alone is not None:
+            score(cols, work, inside[:m])
+            hits[at] += np.count_nonzero(inside[:m])
+            continue
+        c, t = inside[:2 * m].reshape(2, m)
+        _chsh_verdicts(cols, work, c, t)
+        n_c, n_t = np.count_nonzero(c), np.count_nonzero(t)
+        hits[0] += n_c
+        hits[3] += n_t
+        # the shell T > C, i.e. T and not C, holds n_t - n_c points, as C
+        # implies T; np.take's out is unbuffered in "clip" mode
+        m = n_t - n_c
+        cols = np.take(cols, np.flatnonzero(np.greater(t, c, out=c)), axis=1,
+                       mode="clip", out=draw[:4 * m].reshape(4, m))
+        work = columns[:4 * m].reshape(4, m)
+        q, u = inside[:2 * m].reshape(2, m)
+        _uffink_verdicts(cols, work, u)
+        _quantum_verdicts(cols, work, q)
+        hits[1] += np.count_nonzero(np.logical_and(q, u, out=q))
+        hits[2] += np.count_nonzero(u)
+    if alone is None:
+        hits[1:3] += hits[0]
+    return hits
 
 
 def score_stream(cfg: EstimatorConfig,
@@ -206,35 +194,41 @@ def score_stream(cfg: EstimatorConfig,
     """One pass over the sample stream against any number of regions.
 
     Returns the symmetric (k, k) int64 matrix J, k = len(regions), whose
-    entry J[a, b] counts the points inside both ``regions[a]`` and
-    ``regions[b]``; the diagonal holds each region's hits.  A region may
-    be listed more than once.  The points [0, n), n = ``cfg.sample_count``,
+    entry J[a, b] is the hit count of the inner region of the pair
+    ``regions[a]``, ``regions[b]`` in the chain C, Q, U, T, L; the counts
+    of ``_score_points`` nest, so that is the number of points inside
+    both, and the diagonal holds each region's hits.  A region may be
+    listed more than once.  The points [0, n), n = ``cfg.sample_count``,
     are split into contiguous ranges, one per process, over
     min(worker_count, os.cpu_count(), n) processes, the calling one among
     them: it scores the first range while child processes score the
-    rest.  Bit-identical for a fixed seed, whatever ``worker_count``.
+    rest, and the counts are summed.  L's count is n.  Bit-identical for a
+    fixed seed, whatever ``worker_count``.
     """
     regions = tuple(_member(RegionId, region) for region in regions)
     procs = min(cfg.worker_count, os.cpu_count() or 1, cfg.sample_count)
     if procs == 1:
-        return _score_points(cfg, regions, range(cfg.sample_count))
-    import multiprocessing
-    import threading
-    from concurrent.futures import ProcessPoolExecutor
+        hits = _score_points(cfg, regions, range(cfg.sample_count))
+    else:
+        import multiprocessing
+        import threading
+        from concurrent.futures import ProcessPoolExecutor
 
-    # A forked child inherits the loaded numpy and bellvol, where a spawned
-    # one starts an interpreter (~0.1 s).  Fork is unsafe once other threads
-    # may hold locks, so spawn is the fallback.
-    fork = (threading.active_count() == 1
-            and "fork" in multiprocessing.get_all_start_methods())
-    context = multiprocessing.get_context("fork" if fork else "spawn")
-    cuts = [cfg.sample_count * k // procs for k in range(procs + 1)]
-    with ProcessPoolExecutor(procs - 1, mp_context=context) as pool:
-        parts = [pool.submit(_score_points, cfg, regions, range(a, b))
-                 for a, b in zip(cuts[1:], cuts[2:])]
-        # the parent is one of the processes: it scores the first range
-        hits = _score_points(cfg, regions, range(cuts[1]))
-        return sum((part.result() for part in parts), hits)
+        # A forked child inherits the loaded numpy and bellvol, where a
+        # spawned one starts an interpreter (~0.1 s).  Fork is unsafe once
+        # other threads may hold locks, so spawn is the fallback.
+        fork = (threading.active_count() == 1
+                and "fork" in multiprocessing.get_all_start_methods())
+        context = multiprocessing.get_context("fork" if fork else "spawn")
+        cuts = [cfg.sample_count * k // procs for k in range(procs + 1)]
+        with ProcessPoolExecutor(procs - 1, mp_context=context) as pool:
+            parts = [pool.submit(_score_points, cfg, regions, range(a, b))
+                     for a, b in zip(cuts[1:], cuts[2:])]
+            # the parent is one of the processes: it scores the first range
+            hits = _score_points(cfg, regions, range(cuts[1]))
+            hits = sum((part.result() for part in parts), hits)
+    at = np.array([REGION_CHAIN.index(r) for r in regions], dtype=np.intp)
+    return np.append(hits, cfg.sample_count)[np.minimum.outer(at, at)]
 
 
 def _volume_from_hits(region: RegionId, hits: int,

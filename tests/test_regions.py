@@ -27,7 +27,6 @@ from bellvol.regions import (
     RegionId,
     check_tolerance,
     chsh_value,
-    column_verdicts_into,
     in_box_L,
     in_local,
     in_quantum_arcsin,
@@ -1317,28 +1316,32 @@ QUANTUM = RegionId.QUANTUM_Q
 OFFSETS = (0.0, *(sign * 10.0 ** -k for k in range(9, 16) for sign in (1, -1)))
 
 
+#: The regions the stream's verdict kernels decide: L is never scored.
+SCORED = CHAIN[:-1]
+
+
 def _column_verdicts(regions_, cols):
-    """``column_verdicts_into`` of distinct ``regions_`` into a new array."""
-    out = np.empty((len(regions_), cols.shape[1]), dtype=bool)
-    column_verdicts_into(regions_, cols, np.empty(cols.shape), out)
-    return out
-
-
-@pytest.mark.parametrize("regions_, key", [
-    (["C"], "C"), (["Q"], "Q"), ([RegionId.LOCAL_C, "T"], "T"),
-    ([None], None)])
-def test_column_verdicts_refuse_a_region_that_is_not_a_region_id(regions_,
-                                                                   key):
-    with pytest.raises(ValueError, match=f"^unknown region {key!r}$"):
-        _column_verdicts(regions_, np.zeros((4, 2)))
+    """The stream's verdicts of the distinct ``regions_`` among C, Q, U
+    and T on (4, m) columns, one new row each, as the stream calls the
+    kernels: C and T from one CHSH maximum, all in one work array."""
+    out = {region: np.empty(cols.shape[1], dtype=bool) for region in regions_}
+    work = np.empty(cols.shape)
+    local, tsirelson = out.get(RegionId.LOCAL_C), out.get(RegionId.TSIRELSON_T)
+    if local is not None or tsirelson is not None:
+        regions._chsh_verdicts(cols, work, local, tsirelson)
+    if RegionId.UFFINK_U in out:
+        regions._uffink_verdicts(cols, work, out[RegionId.UFFINK_U])
+    if QUANTUM in out:
+        regions._quantum_verdicts(cols, work, out[QUANTUM])
+    return [out[region] for region in regions_]
 
 
 def _assert_verdicts_follow_margins(points):
-    """``column_verdicts_into`` over the chain, and of each region alone,
-    equals margin >= -DEFAULT_TOLERANCE for every region and point."""
+    """The stream's verdicts of C, Q, U and T together, and of each alone,
+    equal margin >= -DEFAULT_TOLERANCE for every region and point."""
     rows = np.array(points, dtype=np.float64)
     cols = np.ascontiguousarray(rows.T)
-    for region, inside in zip(CHAIN, _column_verdicts(CHAIN, cols)):
+    for region, inside in zip(SCORED, _column_verdicts(SCORED, cols)):
         rule = region_margins(region, rows) >= -DEFAULT_TOLERANCE
         (alone,) = _column_verdicts([region], cols)
         for verdicts in (inside, alone):

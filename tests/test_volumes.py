@@ -94,8 +94,8 @@ def _stream_points(seed: int, n: int) -> np.ndarray:
 
 def _joint_counts(inside) -> list[list[int]]:
     """J[a, b] from per-point verdicts, one row of bools per region."""
-    inside = np.array(inside, dtype=np.int64)
-    return (inside @ inside.T).tolist()
+    rows = np.array(inside, dtype=np.int64)
+    return (rows @ rows.T).tolist() if len(inside) else []
 
 
 def _v_q_diamonds(h: float) -> float:
@@ -273,13 +273,15 @@ class TestScoreStream:
 
     @pytest.mark.parametrize("regions", [
         [r] for r in CHAIN] + [[RegionId.TSIRELSON_T, RegionId.LOCAL_C],
-                               [RegionId.NO_SIGNALING_L, RegionId.UFFINK_U]],
-        ids=lambda regions: "".join(r.value for r in regions))
+                               [RegionId.NO_SIGNALING_L, RegionId.UFFINK_U],
+                               [], [RegionId.NO_SIGNALING_L] * 2,
+                               [RegionId.QUANTUM_Q] * 2],
+        ids=lambda regions: "".join(r.value for r in regions) or "none")
     def test_joint_counts_of_short_region_lists(self, regions):
-        # one region alone takes the stream's k = 1 path, L alone scores
-        # nothing, and [T, C] and [L, U] list out of chain order the regions
-        # whose joint counts are not taken (J[C, T] = J[C, C] and
-        # J[L, R] = J[R, R])
+        # one scored region, alone, beside L or listed twice, takes the
+        # stream's one-region path, L scores nothing and [] is an empty J;
+        # [T, C] and [L, U] list regions out of chain order, where J[a, b]
+        # is still the count of the inner one
         n, seed = 20_000, 29
         with mock.patch.object(volumes, "_BATCH", 4096):
             joint = score_stream(EstimatorConfig(sample_count=n, seed=seed),
@@ -305,7 +307,8 @@ class TestScoreStream:
     @staticmethod
     def _columns_scored(listed, n, seed):
         """J of the stream of ``seed`` against ``listed`` in one process,
-        and the columns the U and Q kernels received, region by region."""
+        and the columns the U and Q kernels received, region by region,
+        patched where the stream looks them up."""
         counts = {RegionId.UFFINK_U: 0, RegionId.QUANTUM_Q: 0}
 
         def counting(region, kernel):
@@ -314,10 +317,10 @@ class TestScoreStream:
                 return kernel(cols, work, out)
             return wrapped
 
-        with mock.patch.object(regions, "_uffink_verdicts", counting(
-                RegionId.UFFINK_U, regions._uffink_verdicts)), \
-                mock.patch.object(regions, "_quantum_verdicts", counting(
-                    RegionId.QUANTUM_Q, regions._quantum_verdicts)):
+        with mock.patch.object(volumes, "_uffink_verdicts", counting(
+                RegionId.UFFINK_U, volumes._uffink_verdicts)), \
+                mock.patch.object(volumes, "_quantum_verdicts", counting(
+                    RegionId.QUANTUM_Q, volumes._quantum_verdicts)):
             joint = score_stream(EstimatorConfig(sample_count=n, seed=seed),
                                  listed)
         return joint, counts
@@ -335,10 +338,36 @@ class TestScoreStream:
     @pytest.mark.parametrize("region", [RegionId.UFFINK_U, RegionId.QUANTUM_Q],
                              ids=lambda r: r.value)
     def test_one_region_scores_every_point(self, region):
-        # without both C and T there is no gate: Q or U alone sees all n
+        # one region alone is not gated: Q or U alone sees all n
         n = 50_000
         _, counts = self._columns_scored([region], n, 31)
         assert counts[region] == n
+
+    def test_two_regions_take_the_gated_chain(self):
+        # any request of two scored regions, here [Q, U] without C and T,
+        # takes the chain's gate, so U and Q see the shell alone
+        _, shell = self._columns_scored(CHAIN, 50_000, 31)
+        _, counts = self._columns_scored(
+            [RegionId.QUANTUM_Q, RegionId.UFFINK_U], 50_000, 31)
+        assert counts == shell
+
+    def test_chain_counts_nest_by_construction(self):
+        # a Q verdict "inside" on every shell column and a U verdict
+        # "outside" on every one: Q's count is AND-ed with U's, so the
+        # diagonal stays sorted along the chain and J[Q, U] = J[Q, Q]
+        def fill(value):
+            def kernel(cols, work, out):
+                out[...] = value
+            return kernel
+
+        cfg = EstimatorConfig(sample_count=20_000, seed=37)
+        with mock.patch.object(volumes, "_quantum_verdicts", fill(True)), \
+                mock.patch.object(volumes, "_uffink_verdicts", fill(False)):
+            joint = score_stream(cfg, CHAIN)
+        diagonal = np.diag(joint).tolist()
+        q, u = CHAIN.index(RegionId.QUANTUM_Q), CHAIN.index(RegionId.UFFINK_U)
+        assert diagonal == sorted(diagonal)
+        assert joint[q, u] == joint[q, q] == joint[0, 0]
 
     @settings(deadline=None, max_examples=30)
     @given(st.integers(0, 2 ** 64 - 1), st.integers(1, 3000),
@@ -359,9 +388,9 @@ class TestScoreStream:
            st.sampled_from([2, 3, 4]), st.integers(1, 3000))
     def test_pool_matches_in_process_scoring(self, seed, n, workers, batch):
         # the worker count and the batch size only set speed: the pooled
-        # histogram is that of the whole range in one process
+        # J is that of the whole range in one process
         cfg = EstimatorConfig(sample_count=n, seed=seed, worker_count=workers)
-        serial = volumes._score_points(cfg, CHAIN, range(cfg.sample_count))
+        serial = score_stream(cfg._replace(worker_count=1), CHAIN)
         with mock.patch.object(volumes.os, "cpu_count", lambda: workers), \
                 mock.patch.object(volumes, "_BATCH", batch):
             pooled = score_stream(cfg, CHAIN)
@@ -390,8 +419,8 @@ class TestScoreStream:
             thread.join(timeout=10)
         assert not thread.is_alive()
         assert methods == ["spawn"]
-        assert pooled.tolist() == volumes._score_points(
-            cfg, CHAIN, range(cfg.sample_count)).tolist()
+        assert pooled.tolist() == score_stream(
+            cfg._replace(worker_count=1), CHAIN).tolist()
 
     def test_process_count_capped_at_cpu_count(self, monkeypatch):
         import concurrent.futures
@@ -408,8 +437,8 @@ class TestScoreStream:
         cfg = EstimatorConfig(sample_count=1000, seed=3, worker_count=100_000)
         joint = score_stream(cfg, [RegionId.LOCAL_C])
         assert len(sizes) <= 1 and all(k <= os.cpu_count() for k in sizes)
-        assert joint.tolist() == volumes._score_points(
-            cfg, (RegionId.LOCAL_C,), range(cfg.sample_count)).tolist()
+        assert joint.tolist() == [[int(volumes._score_points(
+            cfg, (RegionId.LOCAL_C,), range(cfg.sample_count))[0])]]
 
     def test_no_process_for_an_empty_range(self, monkeypatch):
         import concurrent.futures
@@ -421,9 +450,8 @@ class TestScoreStream:
         monkeypatch.setattr(volumes.os, "cpu_count", lambda: 4)
         cfg = EstimatorConfig(sample_count=1, seed=5, worker_count=4)
         joint = score_stream(cfg, CHAIN)
-        assert joint.tolist() == volumes._score_points(
-            cfg, CHAIN, range(1)).tolist()
-        assert joint[-1, -1] == 1  # the cube L holds the one point
+        counts = volumes._score_points(cfg, CHAIN, range(1)).tolist()
+        assert np.diag(joint).tolist() == [*counts, 1]  # L holds the point
 
     @staticmethod
     def _stream_faults(first_import: str, **env: str) -> int:
@@ -480,12 +508,12 @@ class TestScoreStream:
 
     def test_stream_traced_peak_is_its_buffers(self):
         # a range's buffers are the draw block and the column buffer, 4 * b
-        # floats each, and one bool row of b per region scored (C, Q, U, T;
-        # L is not) and one spare row; 8 batches may add no array of a
-        # batch's size on top, only the index of a batch's shell T \ C,
-        # ~29 % of b int64s (~38 KiB), within the 128 KiB
+        # floats each, and two bool rows of b (C and T, then Q and U on the
+        # shell); 8 batches may add no array of a batch's size on top, only
+        # the index of a batch's shell T \ C, ~29 % of b int64s (~38 KiB),
+        # within the 128 KiB
         b = volumes._BATCH
-        buffers = (2 * 4 * 8 + len(CHAIN)) * b
+        buffers = (2 * 4 * 8 + 2) * b
         cfg = EstimatorConfig(sample_count=8 * b, seed=3)
         volumes._score_points(cfg, CHAIN, range(b))
         tracemalloc.start()
@@ -717,11 +745,10 @@ class TestOrderTwoRule:
     @example(3.0)
     @example(4.0)
     @example(math.nextafter(2.0, 3.0))
-    def test_cells_tile_the_region_to_rounding(self, bound):
-        # at a bound an ulp above 2 the cell cut at the strip [0, bound - 2]
-        # rounds, leaving a sliver of area 2^-103 outside the box
-        worst, excess = self._tiling(bound)
-        assert worst <= 2 ** -50 and abs(excess) <= 2 ** -100
+    def test_cells_tile_the_region_exactly_for_every_bound(self, bound):
+        # at a bound an ulp above 2 the strip [0, bound - 2] is 2^-51 wide,
+        # and the line x + z = bound lies above the box at its left end
+        assert self._tiling(bound) == (0, 0)
 
     @settings(deadline=None, max_examples=100)
     @given(st.floats(2.0, 4.0))
