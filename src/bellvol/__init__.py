@@ -12,9 +12,10 @@ that justifies the flat measure.
 public names, is imported on first access (PEP 562).  So a membership
 profile needs nothing more, ``polytopes`` and ``toggles`` (which compute with
 ``fractions``) load only for the exact geometry and the toggle metric,
-``estimates`` (the array-free half of volume estimation that ``volumes``
-re-exports, ``quadrature_volume`` among it) only for volumes, and numpy
-only with ``volumes`` and ``quantum``, which compute with arrays.
+``estimates`` (the deterministic volumes, exact and by quadrature) only for
+volumes, ``volumes`` (the Monte Carlo stream) only for sampled volumes and
+ratios, and numpy only with ``volumes`` and ``quantum``, which compute with
+arrays, and with the Q and U quadrature of ``estimates``.
 """
 
 from .regions import (
@@ -75,6 +76,7 @@ _LAZY = {
     ),
     "estimates": (
         "ANALYTIC",
+        "ToleranceNotMet",
         "VolumeEstimate",
         "exact_region_volume",
         "quadrature_volume",
@@ -82,7 +84,6 @@ _LAZY = {
     "volumes": (
         "DegenerateDenominator",
         "EstimatorConfig",
-        "ToleranceNotMet",
         "headline_report",
         "mc_volume",
         "ratio_estimate",

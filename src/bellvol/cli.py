@@ -18,10 +18,11 @@ bytes.  Each command imports the modules it computes with where it uses
 them, and no others: membership needs nothing beyond ``regions``, distance
 loads ``toggles``, examples and polytope the exact engine ``polytopes``,
 volume --method exact ``estimates`` and ``polytopes``, volume --method
-quadrature ``estimates``, and only volume --method mc, volume --method
-quadrature for Q and U, ratios and sample-quantum load numpy (through
-``volumes`` and ``quantum``).  ``csv`` and ``json`` are
-loaded only by a command that writes or reads them.
+quadrature ``estimates`` alone, volume --method mc and ratios ``volumes``,
+and sample-quantum ``volumes`` and ``quantum``.  Only volume --method mc,
+volume --method quadrature for Q and U, ratios and sample-quantum load
+numpy.  ``csv`` and ``json`` are loaded only by a command that writes or
+reads them.
 """
 
 from __future__ import annotations

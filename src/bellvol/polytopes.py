@@ -45,7 +45,8 @@ import operator
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
-from .regions import _FIELDS, CorrelationPoint, _index, _is_bool, _Record
+from .regions import (_FIELDS, CorrelationPoint, _index, _is_bool, _items,
+                      _Record)
 
 Vector = tuple[Fraction, ...]
 _Ray = tuple[list[int], int]    # integer ray, bitmask of its tight rows
@@ -118,26 +119,21 @@ def _frac(x) -> Fraction:
     refused, though ``True == 1``, and so is text, which ``Fraction`` would
     parse, as ``regions._real`` refuses it.  Another integer type, such as
     numpy's, is read by ``__index__``: ``Fraction`` would keep it as its
-    numerator, and int64 products overflow.  ValueError for a bool, for
-    text and for anything ``Fraction`` refuses: ``None``, a complex or a
-    non-finite float."""
+    numerator, and int64 products overflow.  Any other real, numpy's
+    ``float32``, ``float16`` and ``longdouble`` among them, is read exactly
+    by its ``as_integer_ratio``.  ValueError for a bool, for text and for
+    anything without a finite ratio: ``None``, a complex or a non-finite
+    float."""
     if type(x) is Fraction or isinstance(x, Fraction):
         return x
     if _is_bool(x) or isinstance(x, str):
         raise ValueError(f"not a number: {x!r}")
     try:
-        return Fraction(operator.index(x) if hasattr(x, "__index__") else x)
-    except (TypeError, ValueError, OverflowError):
+        if hasattr(x, "__index__"):
+            return Fraction(operator.index(x))
+        return Fraction(*x.as_integer_ratio())
+    except (AttributeError, TypeError, ValueError, OverflowError):
         raise ValueError(f"not a number: {x!r}") from None
-
-
-def _items(name: str, value) -> tuple:
-    """``value`` as a tuple; ValueError, not ``tuple``'s TypeError, for
-    a value that cannot be iterated, such as ``None`` or a number."""
-    try:
-        return tuple(value)
-    except TypeError:
-        raise ValueError(f"{name} must be a sequence, got {value!r}") from None
 
 
 class Behavior(_Record, NamedTuple("_Behavior", [

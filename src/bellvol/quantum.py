@@ -117,8 +117,11 @@ class TwoQubitState(_Record, NamedTuple("_State", [("rho", np.ndarray)])):
         return cls(np.outer(psi, psi.conj()))
 
     def mixed_with(self, other: "TwoQubitState", weight: float) -> "TwoQubitState":
-        """Convex mixture weight*self + (1-weight)*other, ``weight`` a real
-        in [0, 1] by the contract of ``regions._real``."""
+        """Convex mixture weight*self + (1-weight)*other, ``other`` a
+        TwoQubitState and ``weight`` a real in [0, 1] by the contract of
+        ``regions._real``."""
+        if not isinstance(other, TwoQubitState):
+            raise ValueError(f"other is not a TwoQubitState: {other!r}")
         weight = _real("mixing weight", weight, 0, 1)
         return TwoQubitState(weight * self.rho + (1.0 - weight) * other.rho)
 
@@ -177,9 +180,12 @@ def sample_quantum_points(n: int, rng: np.random.Generator) -> np.ndarray:
     same kernel as ``correlation_point`` on the pure state psi psi^dagger.
     Each point takes one contiguous block of 20 normals from ``rng``, so
     draws of m and then n - m points equal one draw of n.  ``n`` >= 1
-    follows the integer contract of ``regions._index``.
+    follows the integer contract of ``regions._index``, and ``rng`` must be
+    a numpy ``Generator``.
     """
     n = _index("n", n, 1)
+    if not isinstance(rng, np.random.Generator):
+        raise ValueError(f"rng is not a numpy Generator: {rng!r}")
     draw = rng.standard_normal((n, 20))
     psi = draw[:, 0:4] + 1j * draw[:, 4:8]
     psi /= np.linalg.norm(psi, axis=1, keepdims=True)

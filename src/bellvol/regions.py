@@ -20,7 +20,8 @@ All sets are closed; a point is inside iff margin >= -tol, where ``tol`` must
 be finite and >= 0 (``check_tolerance``, which returns it as a float, so that
 verdicts are Python bools).  Every real argument of the package, a point
 field or a tolerance among them, is read by one helper, ``_real``, as every
-integer is by ``_index``.
+integer is by ``_index`` and the sequences the polytope and toggle records
+take by ``_items``.
 
 Each region's margin is written once, as a kernel on a batch held one
 coordinate per row: four floats for the scalar oracles, or a (4, m) array for
@@ -405,6 +406,15 @@ def _index(name: str, value, low: int, high: int | None = None) -> int:
         bounds = f">= {low}" if high is None else f"in [{low}, {high})"
         raise ValueError(f"{name} must be {bounds}, got {value}")
     return value
+
+
+def _items(name: str, value) -> tuple:
+    """``value`` as a tuple; ValueError, not ``tuple``'s TypeError, for
+    a value that cannot be iterated, such as ``None`` or a number."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence, got {value!r}") from None
 
 
 # scalar oracles: one point as a batch of four floats

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .regions import (_FIELDS, PointLike, _coords, _is_bool, _is_complex,
-                      _real, _Record)
+                      _items, _real, _Record)
 
 
 class TargetUnreachable(ValueError):
@@ -39,7 +39,7 @@ class OutcomeSequence(_Record, NamedTuple("_Outcomes", [
     __slots__ = ()
 
     def __new__(cls, alice, bob):
-        alice, bob = tuple(alice), tuple(bob)
+        alice, bob = _items("alice", alice), _items("bob", bob)
         if len(alice) != len(bob):
             raise ValueError("outcome lists must have equal length")
         if not alice:
@@ -72,7 +72,7 @@ class ToggleDistance(_Record, NamedTuple("_Distance", [
     __slots__ = ()
 
     def __new__(cls, per_coordinate):
-        costs = tuple(per_coordinate)
+        costs = _items("per-coordinate costs", per_coordinate)
         if len(costs) != 4:
             raise ValueError(f"expected 4 per-coordinate costs, got {len(costs)}")
         return tuple.__new__(cls, (tuple([

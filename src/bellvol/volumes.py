@@ -1,4 +1,4 @@
-"""Monte Carlo and deterministic volume estimation for the correlation sets.
+"""Monte Carlo volume estimation for the correlation sets.
 
 Under the flat measure on the correlation cube [-1, 1]^4 (the measure induced
 by the per-experiment toggle cost, see :mod:`bellvol.toggles`), the volume of
@@ -16,26 +16,13 @@ land inside it.  This module provides:
   regions is the count of the inner one.  Integer counts sum alike in any
   order, so results are bit-identical for a fixed seed, whatever the
   worker count or batch size,
-* deterministic volumes of Q and U by quadrature in pair coordinates
-  x = c00 + c11, y = c00 - c11, z = c01 - c10, w = c01 + c10 (Jacobian
-  1/4), in which the cube is |x| + |y| <= 2, |z| + |w| <= 2, U is
-  x^2 + z^2 <= 4, y^2 + w^2 <= 4, and Q is the L1 set |x| + |z| <= pi,
-  |y| + |w| <= pi in arcsin coordinates with weight
-  (cos x + cos y)(cos z + cos w)/4.  The (y, w) slice has a closed-form
-  measure; the (x, z) integral uses tensor Gauss-Legendre rules on
-  kink-aligned cells (Q's from ``estimates._linear_cells``), doubling the
-  order n from 8 to at most 32 until orders n and 2n agree within the
-  tolerance, and reports that difference; the rules come from a stored
-  table, equal bit for bit to numpy's, so no call computes one.
-  ``estimates.quadrature_volume``, re-exported here, is the entry point:
-  it answers C, T and L without numpy and calls ``_doubling_volume`` for
-  Q and U,
 * the headline table: every estimate beside its closed form in ``ANALYTIC``.
 
-The record type, the closed forms, the exact rational volumes and
-``quadrature_volume`` compute no arrays; they live in
-:mod:`bellvol.estimates` and are re-exported here.  ``EstimatorConfig`` is
-a NamedTuple checked in ``__new__``, as the records of ``regions`` are.
+The deterministic volumes, exact and by quadrature, the record type and the
+closed forms live in :mod:`bellvol.estimates`, which computes them without
+this module; ``VolumeEstimate``, ``ANALYTIC``, ``exact_region_volume`` and
+``quadrature_volume`` are re-exported here.  ``EstimatorConfig`` is a
+NamedTuple checked in ``__new__``, as the records of ``regions`` are.
 """
 
 from __future__ import annotations
@@ -47,7 +34,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .estimates import (ANALYTIC, VolumeEstimate,  # noqa: F401  re-exported
-                        _linear_cells, exact_region_volume, quadrature_volume)
+                        exact_region_volume, quadrature_volume)
 from .regions import (REGION_CHAIN, RegionId, _chsh_verdicts, _index,
                       _member, _quantum_verdicts, _Record, _uffink_verdicts)
 from .regions import region_mask  # noqa: F401  read by bench/tracer.py
@@ -55,11 +42,6 @@ from .regions import region_mask  # noqa: F401  read by bench/tracer.py
 
 class DegenerateDenominator(ZeroDivisionError, ValueError):
     """Ratio estimation with zero hits in the denominator region; a
-    ValueError, as every bellvol error is, so the CLI exits 1."""
-
-
-class ToleranceNotMet(RuntimeError, ValueError):
-    """The adaptive scheme could not certify the requested tolerance; a
     ValueError, as every bellvol error is, so the CLI exits 1."""
 
 
@@ -202,12 +184,14 @@ def score_stream(cfg: EstimatorConfig,
     are split into contiguous ranges, one per process, over
     min(worker_count, os.cpu_count(), n) processes, the calling one among
     them: it scores the first range while child processes score the
-    rest, and the counts are summed.  L's count is n.  Bit-identical for a
-    fixed seed, whatever ``worker_count``.
+    rest, and the counts are summed.  L's count is n, which scores no
+    point, so a request of L alone, or of no region, takes one process.
+    Bit-identical for a fixed seed, whatever ``worker_count``.
     """
     regions = tuple(_member(RegionId, region) for region in regions)
     procs = min(cfg.worker_count, os.cpu_count() or 1, cfg.sample_count)
-    if procs == 1:
+    # a request of L alone, or of nothing, scores no point: no pool
+    if procs == 1 or set(regions) <= {RegionId.NO_SIGNALING_L}:
         hits = _score_points(cfg, regions, range(cfg.sample_count))
     else:
         import multiprocessing
@@ -286,162 +270,6 @@ def ratio_estimate(region_a: RegionId, region_b: RegionId,
         sample_count=cfg.sample_count,
         seed=cfg.seed,
     )
-
-
-# --------------------------------------------------------------------------
-# deterministic quadrature in pair coordinates
-# --------------------------------------------------------------------------
-
-#: The negative nodes and their weights of each Gauss-Legendre rule the
-#: quadrature uses, bit for bit as numpy computes the rule.  numpy makes
-#: the nodes exactly antisymmetric and the weights exactly symmetric, so
-#: ``_gauss_legendre`` restores the whole rule by mirroring.  Printed by
-#: this command, then indented under ``_GL_HALF = ``:
-# python -c "import numpy as np, pprint; pprint.pprint({n: tuple(tuple(map(float, a[:n // 2])) for a in np.polynomial.legendre.leggauss(n)) for n in (8, 16, 32)}, compact=True, width=68)"
-_GL_HALF = {8: ((-0.9602898564975362, -0.7966664774136267, -0.525532409916329,
-                 -0.18343464249564978),
-                (0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
-                 0.36268378337836166)),
-            16: ((-0.9894009349916499, -0.9445750230732326,
-                  -0.8656312023878318, -0.755404408355003, -0.6178762444026438,
-                  -0.45801677765722737, -0.2816035507792589,
-                  -0.09501250983763744),
-                 (0.027152459411754176, 0.062253523938647456,
-                  0.0951585116824926, 0.12462897125553407, 0.1495959888165767,
-                  0.16915651939500265, 0.18260341504492364,
-                  0.18945061045506864)),
-            32: ((-0.9972638618494816, -0.9856115115452684,
-                  -0.9647622555875064, -0.9349060759377397,
-                  -0.8963211557660521, -0.84936761373257, -0.7944837959679424,
-                  -0.7321821187402897, -0.6630442669302152,
-                  -0.5877157572407623, -0.5068999089322294,
-                  -0.42135127613063533, -0.33186860228212767,
-                  -0.23928736225213706, -0.1444719615827965,
-                  -0.048307665687738324),
-                 (0.007018610009470506, 0.016274394730905743,
-                  0.025392065309262024, 0.034273862913021765,
-                  0.042835898022226836, 0.05099805926237609,
-                  0.058684093478535565, 0.06582222277636168,
-                  0.07234579410884834, 0.07819389578707023,
-                  0.08331192422694671, 0.08765209300440378,
-                  0.09117387869576378, 0.09384439908080451,
-                  0.09563872007927471, 0.09654008851472766))}
-
-#: The rule orders: at abs_tol 1e-9, the least accepted, Q stops at order
-#: 16 and U at 32, and a larger abs_tol stops no later.
-_GL_ORDERS = tuple(_GL_HALF)
-
-
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the order-n Gauss-Legendre rule on [-1, 1]."""
-    t, w = (np.array(half) for half in _GL_HALF[n])
-    return np.concatenate((t, -t[::-1])), np.concatenate((w, w[::-1]))
-
-
-def _pair_quadrature(cells, slice_fn, abs_tol: float) -> tuple[float, float]:
-    """Volume as the integral over x, z >= 0 of ``slice_fn(x, z)``, the
-    measure of the whole (y, w) slice (every region is even in each pair
-    coordinate), and its error.
-
-    ``cells(t)`` maps Gauss-Legendre nodes t on [0, 1] to one (x, z,
-    Jacobian) triple per cell, x varying along axis 0 and z along axis 1.
-    The rule order n doubles through ``_GL_ORDERS`` until the rules of order
-    n and 2n agree within ``abs_tol``; returns Q_2n and |Q_n - Q_2n|.
-    """
-    def rule(n: int) -> float:
-        t, w = _gauss_legendre(n)
-        t, w = 0.5 * (t + 1.0), 0.5 * w
-        return math.fsum(float(w @ (jac * slice_fn(x, z)) @ w)
-                         for x, z, jac in cells(t))
-
-    coarse = rule(_GL_ORDERS[0])
-    for n in _GL_ORDERS[1:]:
-        fine = rule(n)
-        diff = abs(fine - coarse)
-        if diff <= abs_tol:
-            return fine, diff
-        coarse = fine
-    raise ToleranceNotMet(f"Gauss-Legendre orders {n // 2} and {n} differ by"
-                          f" {diff:.3e} > abs_tol {abs_tol:.3e}")
-
-
-def _arcsin_volume(h: float, abs_tol: float) -> tuple[float, float]:
-    """Q, the L1 case in arcsin coordinates s_ij = arcsin(c_ij):
-    |sum(s) - 2 s_ij| <= h on the box |s_ij| <= pi/2 with weight prod cos(s);
-    h = pi for Q, and h = 0 collapses the region.
-
-    The slice |y| <= pi - x, |w| <= pi - z, |y| + |w| <= h has the w integral
-    W cos z + sin W, W = min(pi - z, h - |y|), flat up to y = h - (pi - z);
-    the y integral of each piece is elementary.  The slice weight kinks at
-    x = pi - h and z = pi - h; its third kink, x + z = 2 pi - h, lies
-    outside x + z <= h.
-    """
-    sin_h = math.sin(h)
-
-    def weight(x, z):
-        cx, cz = np.cos(x), np.cos(z)
-        b = math.pi - z
-        y_end = np.minimum(math.pi - x, h)
-        y_kink = np.clip(h - b, 0.0, y_end)
-
-        def primitive(y):  # of (cx + cos y) * ((h - y) cz + sin(h - y))
-            r = h - y
-            return (-0.5 * cx * cz * r * r + cx * np.cos(r)
-                    + cz * (r * np.sin(y) - np.cos(y))
-                    + 0.5 * y * sin_h + 0.25 * np.cos(h - 2.0 * y))
-
-        flat = (b * cz + np.sin(b)) * (cx * y_kink + np.sin(y_kink))
-        return flat + primitive(y_end) - primitive(y_kink)
-    cells = _linear_cells(math.pi, h, [(math.pi - h, 0.0)])
-
-    def nodes(t):  # the nodes t on [0, 1] mapped onto each cell
-        for x0, x1, (c0, s0), (c1, s1) in cells:
-            x = x0 + (x1 - x0) * t[:, None]
-            z0, z1 = c0 + s0 * x, c1 + s1 * x
-            yield x, z0 + (z1 - z0) * t, (x1 - x0) * (z1 - z0)
-    return _pair_quadrature(nodes, weight, abs_tol)
-
-
-def _disk_slice(x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """U: area of |y| <= 2 - x, |w| <= 2 - z, y^2 + w^2 <= 4.
-
-    Each quadrant's a-by-b rectangle lies inside the disk when
-    a^2 + b^2 <= 4; otherwise the circle leaves it through w = b at
-    y0 = sqrt(4 - b^2) and the area is b*y0 plus the circle from y0 to a.
-    """
-    def circle(y):  # integral of sqrt(4 - t^2) from 0 to y <= 2
-        return 0.5 * (y * np.sqrt(np.maximum(4.0 - y * y, 0.0))
-                      + 4.0 * np.arcsin(np.minimum(0.5 * y, 1.0)))
-
-    a, b = 2.0 - x, 2.0 - z
-    y0 = np.sqrt(np.maximum(4.0 - b * b, 0.0))
-    cut = b * y0 + circle(a) - circle(y0)
-    return 4.0 * np.where(a * a + b * b <= 4.0, a * b, cut)
-
-
-def _disk_cells(t: np.ndarray):
-    """The quarter disk x^2 + z^2 <= 4, below and above the kink curve
-    (2 - x)^2 + (2 - z)^2 = 4; both circles run from (0, 2) to (2, 0).
-
-    x = 2 sin^2(phi) takes the square roots out of both curves at x = 0 and
-    x = 2, and z = z_kink * t^2 takes the one in y0 out at z = 0.
-    """
-    phi = 0.5 * math.pi * t[:, None]
-    s = np.sin(phi)
-    x, dx = 2.0 * s * s, math.pi * np.sin(2.0 * phi)
-    z_kink = 2.0 - 2.0 * s * np.sqrt(2.0 - s * s)
-    z_edge = 2.0 * np.cos(phi) * np.sqrt(1.0 + s * s)
-    yield x, z_kink * t * t, dx * 2.0 * z_kink * t
-    yield x, z_kink + (z_edge - z_kink) * t, dx * (z_edge - z_kink)
-
-
-def _doubling_volume(region: RegionId,
-                     abs_tol: float) -> tuple[float, float]:
-    """Q or U by Gauss-Legendre doubling: Q_2n and |Q_n - Q_2n|, for
-    ``estimates.quadrature_volume``, which answers C, T and L itself."""
-    if region is RegionId.QUANTUM_Q:
-        return _arcsin_volume(math.pi, abs_tol)
-    return _pair_quadrature(_disk_cells, _disk_slice, abs_tol)
 
 
 # --------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bellvol import cli, polytopes, quantum, toggles, volumes
+from bellvol import cli, estimates, polytopes, quantum, toggles, volumes
 from bellvol.cli import main
 from bellvol.regions import (
     _FIELDS,
@@ -301,7 +301,7 @@ ERROR_BASES = {
     polytopes.NoSignalingViolation: polytopes.PolytopeError,
     polytopes.UnboundedPolytope: polytopes.PolytopeError,
     polytopes.DegeneratePolytope: polytopes.PolytopeError,
-    volumes.ToleranceNotMet: RuntimeError,
+    estimates.ToleranceNotMet: RuntimeError,
     volumes.DegenerateDenominator: ZeroDivisionError,
     toggles.TargetUnreachable: ValueError,
 }
@@ -319,7 +319,7 @@ class TestComputationErrors:
         (["ratios", "--n", "1", "--seed", "3"], None,
          "no hits in the denominator region"),
         (["volume", "--region", "U", "--method", "quadrature",
-          "--abs-tol", "1e-9"], (volumes, "_GL_ORDERS", (8, 16)),
+          "--abs-tol", "1e-9"], (estimates, "_GL_ORDERS", (8, 16)),
          "Gauss-Legendre orders 8 and 16 differ by 7.615e-09"
          " > abs_tol 1.000e-09"),
         (["polytope", "--which", "local", "--task", "facets"],
@@ -337,10 +337,10 @@ class TestComputationErrors:
         # check_abs_tol returns the float it reads, which the error's
         # message formats; a Fraction does not take the 'e' format before
         # Python 3.12
-        monkeypatch.setattr(volumes, "_GL_ORDERS", (8, 16))
-        with pytest.raises(volumes.ToleranceNotMet) as err:
-            volumes.quadrature_volume(RegionId.UFFINK_U,
-                                      abs_tol=Fraction(2, 10 ** 9))
+        monkeypatch.setattr(estimates, "_GL_ORDERS", (8, 16))
+        with pytest.raises(estimates.ToleranceNotMet) as err:
+            estimates.quadrature_volume(RegionId.UFFINK_U,
+                                        abs_tol=Fraction(2, 10 ** 9))
         assert str(err.value) == ("Gauss-Legendre orders 8 and 16 differ by"
                                   " 7.615e-09 > abs_tol 2.000e-09")
 

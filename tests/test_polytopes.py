@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -797,9 +798,11 @@ class TestIntegerRows:
 
     @pytest.mark.parametrize("value", [
         None, 1j, np.complex128(1), math.inf, -math.inf, math.nan,
-        np.float64(math.inf), "x", "1/10", "1", (1,)],
+        np.float64(math.inf), np.float32(math.inf), np.longdouble(math.nan),
+        "x", "1/10", "1", (1,)],
         ids=["None", "1j", "np.complex128", "inf", "-inf", "nan",
-             "np.inf", "text", "rational-text", "integer-text", "tuple"])
+             "np.inf", "np.float32-inf", "np.longdouble-nan", "text",
+             "rational-text", "integer-text", "tuple"])
     @pytest.mark.parametrize("make, message", [
         (lambda v: JointProbabilityTable([v] * 16), NO_NUMBER),
         *RATIONAL_FIELDS], ids=["table", *RATIONAL_FIELD_IDS])
@@ -811,6 +814,22 @@ class TestIntegerRows:
             make(value)
         assert type(err.value) is ValueError
         assert str(err.value) == message.format(value)
+
+    @pytest.mark.parametrize("value", [
+        np.float32(0.5), np.float32(0.1), np.float16(-0.25),
+        np.longdouble(0.375), np.float64(0.1), Decimal("0.1")], ids=repr)
+    @pytest.mark.parametrize("make", [
+        lambda v: Halfspace((1, 0), v).offset,
+        lambda v: Behavior(0, 0, 0, 0, v, 0, 0, 0).c00,
+        lambda v: RationalPolytope(dim=2, vertices=(
+            (v, 0), (0, 1), (1, 1))).vertices[0][0]],
+        ids=["halfspace-offset", "behavior", "vertex"])
+    def test_any_finite_real_is_read_exactly(self, make, value):
+        # numpy's float32, float16 and longdouble are no float subclass,
+        # and Fraction refuses them: each is read by its exact ratio
+        got = make(value)
+        assert got == Fraction(*value.as_integer_ratio())
+        assert type(got.numerator) is int and type(got.denominator) is int
 
     @pytest.mark.parametrize("value", [0.5, 1.0, np.float64(1), Fraction(1)],
                              ids=repr)

@@ -247,6 +247,13 @@ class TestSampling:
         assert np.array_equal(sample_quantum_points(np.int64(3), rng(9)),
                               sample_quantum_points(3, rng(9)))
 
+    @pytest.mark.parametrize("bad", [None, 3, np.random.RandomState(0)],
+                             ids=["None", "seed", "RandomState"])
+    def test_rejects_what_is_no_generator(self, bad):
+        with pytest.raises(ValueError) as err:
+            sample_quantum_points(3, bad)
+        assert str(err.value) == f"rng is not a numpy Generator: {bad!r}"
+
     def test_rows_match_the_scalar_path_on_the_same_draws(self):
         # a row's 20 normals, read in order, are the draws of one
         # random_pure_state and then four random_direction calls
@@ -286,6 +293,14 @@ class TestMixing:
         with pytest.raises(ValueError) as err:
             singlet().mixed_with(singlet(), weight)
         assert str(err.value) == f"mixing weight is not a number: {weight!r}"
+
+
+    @pytest.mark.parametrize("other", [None, singlet().rho, "singlet"],
+                             ids=["None", "matrix", "text"])
+    def test_a_partner_that_is_no_state_is_refused(self, other):
+        with pytest.raises(ValueError) as err:
+            singlet().mixed_with(other, 0.5)
+        assert str(err.value) == f"other is not a TwoQubitState: {other!r}"
 
 
 PAULI = (np.array([[0, 1], [1, 0]], complex),

@@ -71,6 +71,13 @@ class TestToggleDistance:
             ToggleDistance((0.0,) * count)
         assert str(err.value) == f"expected 4 per-coordinate costs, got {count}"
 
+    @pytest.mark.parametrize("bad", [None, 5, 0.5], ids=repr)
+    def test_costs_that_are_no_sequence_are_refused(self, bad):
+        with pytest.raises(ValueError) as err:
+            ToggleDistance(bad)
+        assert str(err.value) == (
+            f"per-coordinate costs must be a sequence, got {bad!r}")
+
     def test_costs_are_stored_as_floats(self):
         d = ToggleDistance((1, np.float32(0.5), Fraction(1, 4), 0))
         assert d.per_coordinate == (1.0, 0.5, 0.25, 0.0)
@@ -102,6 +109,16 @@ class TestOutcomeSequence:
     def test_rejects_non_integer_outcomes(self, alice, bob):
         with pytest.raises(ValueError, match=r"\+1 or -1"):
             OutcomeSequence(alice=alice, bob=bob)
+
+    @pytest.mark.parametrize("alice, bob, name", [
+        (None, None, "alice"), (5, 5, "alice"), ((1, -1), None, "bob"),
+        ((1, -1), 1.0, "bob")], ids=["None", "int", "bob-None", "bob-float"])
+    def test_outcomes_that_are_no_sequence_are_refused(self, alice, bob,
+                                                       name):
+        with pytest.raises(ValueError) as err:
+            OutcomeSequence(alice, bob)
+        bad = {"alice": alice, "bob": bob}[name]
+        assert str(err.value) == f"{name} must be a sequence, got {bad!r}"
 
     def test_len_is_the_number_of_runs(self):
         seq = OutcomeSequence(alice=(1, -1, 1), bob=(1, 1, 1))

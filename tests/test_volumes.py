@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import region_reference as reference
 from bellvol import estimates, polytopes, regions, volumes
+from bellvol.estimates import ToleranceNotMet
 from bellvol.regions import (
     DEFAULT_TOLERANCE,
     RegionId,
@@ -32,7 +33,6 @@ from bellvol.volumes import (
     ANALYTIC,
     DegenerateDenominator,
     EstimatorConfig,
-    ToleranceNotMet,
     exact_region_volume,
     headline_report,
     mc_volume,
@@ -54,7 +54,7 @@ V_C = 32.0 / 3.0
 V_T_CLOSED_FORM = 98048.0 / (3.0 * (768.0 * math.sqrt(2.0) + 1040.0))
 
 # Volume of the quadratic two-circle region in closed form (disjoint-corner
-# argument in the volumes module docstring); recomputed independently with
+# argument in the estimates module docstring); recomputed independently with
 # mpmath in test_circle_region_volume_reference, and guarded by Monte Carlo.
 V_U_REFERENCE = 32.0 * math.pi - 256.0 / 3.0
 
@@ -440,6 +440,28 @@ class TestScoreStream:
         assert joint.tolist() == [[int(volumes._score_points(
             cfg, (RegionId.LOCAL_C,), range(cfg.sample_count))[0])]]
 
+    @pytest.mark.parametrize("regions", [[RegionId.NO_SIGNALING_L], []],
+                             ids=["L", "none"])
+    def test_no_pool_for_a_request_that_scores_no_region(self, monkeypatch,
+                                                         regions):
+        # L's count is n without a draw, so two workers must not fork one
+        import concurrent.futures
+
+        sizes = []
+
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, *args, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            Recording)
+        monkeypatch.setattr(volumes.os, "cpu_count", lambda: 2)
+        cfg = EstimatorConfig(sample_count=1000, seed=1, worker_count=2)
+        joint = score_stream(cfg, regions)
+        assert sizes == []
+        assert joint.tolist() == [[1000] * len(regions)] * len(regions)
+
     def test_no_process_for_an_empty_range(self, monkeypatch):
         import concurrent.futures
 
@@ -590,33 +612,34 @@ class TestDeviationsLookNormal:
 
 
 class TestGaussLegendreTable:
-    """``volumes._GL_HALF`` stores half of each rule of numpy's ``leggauss``;
+    """``estimates._GL_HALF`` stores half of each rule of numpy's ``leggauss``;
     ``_gauss_legendre`` mirrors it back to the whole rule."""
 
     def test_table_covers_every_order(self):
         # the order ladder is the table's keys, read off it, not listed twice
-        assert volumes._GL_ORDERS == tuple(volumes._GL_HALF) == (8, 16, 32)
+        assert (estimates._GL_ORDERS == tuple(estimates._GL_HALF)
+                == (8, 16, 32))
 
-    @pytest.mark.parametrize("n", volumes._GL_ORDERS)
+    @pytest.mark.parametrize("n", estimates._GL_ORDERS)
     def test_rule_is_leggauss(self, n):
         # bit for bit where tabulated; another LAPACK may round the
         # eigenvalues of leggauss differently by an ulp or so
-        t, w = volumes._gauss_legendre(n)
+        t, w = estimates._gauss_legendre(n)
         live_t, live_w = np.polynomial.legendre.leggauss(n)
         np.testing.assert_array_max_ulp(t, live_t, maxulp=4)
         np.testing.assert_array_max_ulp(w, live_w, maxulp=4)
 
-    @pytest.mark.parametrize("n", volumes._GL_ORDERS)
+    @pytest.mark.parametrize("n", estimates._GL_ORDERS)
     def test_rule_is_exactly_symmetric(self, n):
-        t, w = volumes._gauss_legendre(n)
+        t, w = estimates._gauss_legendre(n)
         assert len(t) == len(w) == n
         assert np.array_equal(t, -t[::-1]) and np.array_equal(w, w[::-1])
         assert np.all(np.diff(t) > 0) and np.all(w > 0)
 
-    @pytest.mark.parametrize("n", volumes._GL_ORDERS)
+    @pytest.mark.parametrize("n", estimates._GL_ORDERS)
     def test_rule_integrates_even_powers(self, n):
         # exact up to degree 2n - 1; odd powers vanish by the symmetry
-        t, w = volumes._gauss_legendre(n)
+        t, w = estimates._gauss_legendre(n)
         for k in range(n):
             assert abs(float(w @ t ** (2 * k)) - 2.0 / (2 * k + 1)) <= 1e-14
 
@@ -627,8 +650,8 @@ class TestGaussLegendreTable:
         stored = quadrature_volume(region, abs_tol=abs_tol)
         live = {n: tuple(a[:n // 2]
                          for a in np.polynomial.legendre.leggauss(n))
-                for n in volumes._GL_ORDERS}
-        monkeypatch.setattr(volumes, "_GL_HALF", live)
+                for n in estimates._GL_ORDERS}
+        monkeypatch.setattr(estimates, "_GL_HALF", live)
         est = quadrature_volume(region, abs_tol=abs_tol)
         assert abs(est.value - stored.value) <= 1e-13
         assert abs(est.error_bound - stored.error_bound) <= 1e-13
@@ -659,10 +682,27 @@ CELLS = st.tuples(
                    (v[2] - 2.0 * v[4] + v[3] + 2.0, v[5])))
 
 
+def _order_two_nodes(cell):
+    """The four nodes (x, z, jac) of the tensor order-2 rule on ``cell``,
+    each of weight 1/4, as ``estimates._l1_volume`` maps them."""
+    return [estimates._cell_map(cell, t, s) for t in estimates._GL2_NODES
+            for s in estimates._GL2_NODES]
+
+
+#: Lists of cells as ``estimates`` cuts them: Q's in arcsin coordinates,
+#: for any half-width h in (0, pi], and C's and T's, for any bound in [2, 4].
+LINEAR_CELLS = st.one_of(
+    st.floats(0.0, math.pi, exclude_min=True).map(
+        lambda h: estimates._linear_cells(math.pi, h, [(math.pi - h, 0.0)])),
+    st.floats(2.0, 4.0).map(
+        lambda b: estimates._linear_cells(2.0, b, [(4.0 - b, -1.0)])))
+
+
 class TestOrderTwoRule:
     """C and T: one order-2 Gauss-Legendre pass over the cells of
-    ``estimates._linear_cells``, exact for their polynomial slices, with an
-    error bound derived by forward error analysis."""
+    ``estimates._linear_cells``, mapped by ``estimates._cell_map``, exact
+    for their polynomial slices, with an error bound derived by forward
+    error analysis."""
 
     def test_nodes_are_correctly_rounded(self):
         with localcontext() as ctx:
@@ -687,7 +727,7 @@ class TestOrderTwoRule:
                        for i in range(4) for j in range(3)) / (
                 (x1 - x0) * (z1 - z0))
         rule = math.fsum(jac * g(x, z) / 4 for x, z, jac
-                         in estimates._cell_nodes(*cell))
+                         in _order_two_nodes(cell))
         exact = sum(Fraction(p[i][j]) / ((i + 1) * (j + 1))
                     for i in range(4) for j in range(3))
         assert abs(rule - float(exact)) <= 1e-10  # rounding alone
@@ -700,7 +740,7 @@ class TestOrderTwoRule:
         powers = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
         rule = math.fsum(jac * sum(c * x ** i * z ** j for c, (i, j)
                                    in zip(coeffs, powers)) / 4
-                         for x, z, jac in estimates._cell_nodes(*cell))
+                         for x, z, jac in _order_two_nodes(cell))
         exact = Fraction(0)
         for c, (i, j) in zip(coeffs, powers):
             # the integral of x^i (z1^(j+1) - z0^(j+1)) / (j + 1) over x
@@ -710,6 +750,24 @@ class TestOrderTwoRule:
             exact += Fraction(c) * _poly_integral(
                 [0] * i + inner, Fraction(x0), Fraction(x1))
         assert abs(rule - float(exact)) <= 1e-10  # rounding alone
+
+    @settings(deadline=None, max_examples=200)
+    @given(LINEAR_CELLS, st.data(),
+           st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+    def test_array_map_equals_the_scalar_calls(self, cells, data, nodes):
+        # Q maps a grid of nodes at once, C and T one node at a time: both
+        # must give the same bits, as their bytes did before one map served
+        cell = data.draw(st.sampled_from(cells))
+        t = np.array(nodes)
+        x, z, jac = estimates._cell_map(cell, t[:, None], t)
+        assert x.shape == jac.shape == (len(nodes), 1)
+        assert z.shape == (len(nodes), len(nodes))
+        for i, ti in enumerate(nodes):
+            for j, sj in enumerate(nodes):
+                want = estimates._cell_map(cell, ti, sj)
+                got = (x[i, 0], z[i, j], jac[i, 0])
+                assert [float(v).hex() for v in got] == [
+                    v.hex() for v in want], (cell, ti, sj)
 
     @staticmethod
     def _tiling(bound):
@@ -785,7 +843,7 @@ class TestQuadrature:
     @settings(deadline=None)
     @given(st.floats(0.0, math.pi / 2.0))
     def test_small_half_width_matches_diamond_product(self, h):
-        value, err = volumes._arcsin_volume(h, abs_tol=1e-9)
+        value, err = estimates._arcsin_volume(h, abs_tol=1e-9)
         assert abs(value - _v_q_diamonds(h)) <= 1e-9
         assert err <= 1e-9
 
@@ -794,8 +852,8 @@ class TestQuadrature:
     def test_volume_non_decreasing_in_half_width(self, h1, h2):
         lo, hi = sorted((h1, h2))
         tol = 1e-9
-        v_lo = volumes._arcsin_volume(lo, abs_tol=tol)[0]
-        v_hi = volumes._arcsin_volume(hi, abs_tol=tol)[0]
+        v_lo = estimates._arcsin_volume(lo, abs_tol=tol)[0]
+        v_hi = estimates._arcsin_volume(hi, abs_tol=tol)[0]
         assert v_lo <= v_hi + 2.0 * tol
 
     def test_halving_tolerance_is_stable(self):
@@ -807,7 +865,7 @@ class TestQuadrature:
             prev, tol = cur, tol / 2
 
     def test_degenerate_slab_width_gives_zero(self):
-        assert volumes._arcsin_volume(0.0, abs_tol=1e-6)[0] == 0.0
+        assert estimates._arcsin_volume(0.0, abs_tol=1e-6)[0] == 0.0
 
     def test_rejects_too_small_tolerance(self):
         with pytest.raises(ValueError):
@@ -834,7 +892,7 @@ class TestQuadrature:
 
     def test_order_cap_raises(self, monkeypatch):
         # U needs order 32 to certify 1e-9; a cap of 16 must refuse
-        monkeypatch.setattr(volumes, "_GL_ORDERS", (8, 16))
+        monkeypatch.setattr(estimates, "_GL_ORDERS", (8, 16))
         with pytest.raises(ToleranceNotMet):
             quadrature_volume(RegionId.UFFINK_U, abs_tol=1e-9)
 
