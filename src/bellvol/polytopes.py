@@ -439,7 +439,9 @@ def correlation_polytope_C() -> RationalPolytope:
 
 
 def cube_polytope_h(dim: int) -> RationalPolytope:
-    """H-representation of the cube [-1, 1]^dim."""
+    """H-representation of the cube [-1, 1]^dim; ``dim`` >= 0 follows the
+    integer contract of ``regions._index``."""
+    dim = _index("dim", dim, 0)
     hs = []
     for k in range(dim):
         for s in (1, -1):

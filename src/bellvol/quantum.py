@@ -164,7 +164,12 @@ def chsh_optimal_settings() -> MeasurementSettings:
 
 def correlation_point(rho: TwoQubitState,
                       settings: MeasurementSettings) -> CorrelationPoint:
-    """The four correlations of a state under the given settings."""
+    """The four correlations of a state under the given settings: ``rho``
+    a TwoQubitState and ``settings`` a MeasurementSettings."""
+    if not isinstance(rho, TwoQubitState):
+        raise ValueError(f"rho is not a TwoQubitState: {rho!r}")
+    if not isinstance(settings, MeasurementSettings):
+        raise ValueError(f"settings is not a MeasurementSettings: {settings!r}")
     return CorrelationPoint(*_correlations(rho.rho[None], np.array([settings]))[0])
 
 

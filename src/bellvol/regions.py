@@ -224,34 +224,16 @@ def _chsh(ops: _Ops, cols):
     return total, low, high, ops.maximum(total - 2.0 * low, 2.0 * high - total)
 
 
-class _shared:
-    """A quantity of a batch that the C, T and L kernels share: the first
-    read of the sum ``total``, the minimum ``low``, the maximum ``high`` or
-    ``chsh_max_abs`` sets all four of ``_chsh`` as attributes of the batch,
-    which later reads find before this non-data descriptor."""
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, batch, owner=None):
-        if batch is None:
-            return self
-        batch.total, batch.low, batch.high, batch.chsh_max_abs = \
-            _chsh(batch.ops, batch.cols)
-        return getattr(batch, self.name)
-
-
 class _Columns:
     """A batch of points, one coordinate per row: a 4-tuple of floats (one
-    point) or a (4, m) array (one point per column), with its op table.
-    Its ``_shared`` quantities are computed at most once, and only when a
-    kernel reads one; they take no lock, unlike ``cached_property`` before
-    Python 3.12, as a batch lives within one call on one thread."""
-
-    total, low, high, chsh_max_abs = (_shared() for _ in range(4))
+    point) or a (4, m) array (one point per column), with its op table and
+    the four quantities of ``_chsh`` that the C, T and L kernels share:
+    ``total``, ``low``, ``high`` and ``chsh_max_abs``, computed once when
+    the batch is made."""
 
     def __init__(self, cols, ops: _Ops):
         self.cols, self.ops = cols, ops
+        self.total, self.low, self.high, self.chsh_max_abs = _chsh(ops, cols)
 
 
 def _arcsin(batch: _Columns):
@@ -491,11 +473,6 @@ def in_quantum_sextic(p: PointLike, tol: float = DEFAULT_TOLERANCE) -> Membershi
     return _result(RegionId.QUANTUM_Q, p, tol, QCharacterization.SEXTIC)
 
 
-# the tags of PROFILE_ORDER, read once: an enum's .value is a slow property
-_PROFILE_TAGS = tuple((region.value, char and char.value)
-                      for region, char in PROFILE_ORDER)
-
-
 class MembershipProfile(NamedTuple):
     """Every oracle on one point or a batch: the seven ``margins`` in
     ``PROFILE_ORDER`` (floats, or (n,) arrays for the rows of a batch) and
@@ -538,8 +515,8 @@ def profile_record(verdicts) -> dict:
     (inside, margin) pairs in ``PROFILE_ORDER``: one entry per region, the
     quantum entry holding one per characterization."""
     local, arcsin, landau, sextic, uffink, tsirelson, box = [
-        _result_record(region, char, inside, margin)
-        for (region, char), (inside, margin) in zip(_PROFILE_TAGS, verdicts)]
+        _result_record(region.value, char and char.value, inside, margin)
+        for (region, char), (inside, margin) in zip(PROFILE_ORDER, verdicts)]
     return {"C": local, "Q": {"arcsin": arcsin, "landau": landau,
                               "sextic": sextic},
             "U": uffink, "T": tsirelson, "L": box}

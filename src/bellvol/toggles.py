@@ -122,7 +122,10 @@ def min_toggles(seq: OutcomeSequence, target: float) -> MinToggleResult:
     integer past the floats is not finite), or :class:`TargetUnreachable`, a
     ValueError, carries ``_real``'s message.  An accepted target, numpy's
     reals included, is read exactly, as the integer or ratio it equals.
+    ``seq`` must be an :class:`OutcomeSequence`.
     """
+    if not isinstance(seq, OutcomeSequence):
+        raise ValueError(f"seq is not an OutcomeSequence: {seq!r}")
     n = len(seq)
     try:
         _real("target", target, -1, 1)

@@ -12,9 +12,9 @@ land inside it.  This module provides:
   returns one hit count per region: one region alone is scored by its own
   kernel on every point; any other request takes the chain's four counts,
   C and T from one CHSH maximum and Q and U on the shell T \\ C alone, Q's
-  verdict AND-ed with U's, so the counts nest.  The joint count of two
-  regions is the count of the inner one.  Integer counts sum alike in any
-  order, so results are bit-identical for a fixed seed, whatever the
+  verdict AND-ed with U's, so the counts nest: the points inside two
+  regions are as many as the smaller count says.  Integer counts sum alike
+  in any order, so results are bit-identical for a fixed seed, whatever the
   worker count or batch size,
 * the headline table: every estimate beside its closed form in ``ANALYTIC``.
 
@@ -172,21 +172,19 @@ def _score_points(cfg: EstimatorConfig, regions: tuple[RegionId, ...],
 
 
 def score_stream(cfg: EstimatorConfig,
-                 regions: Sequence[RegionId]) -> np.ndarray:
+                 regions: Sequence[RegionId]) -> dict[RegionId, int]:
     """One pass over the sample stream against any number of regions.
 
-    Returns the symmetric (k, k) int64 matrix J, k = len(regions), whose
-    entry J[a, b] is the hit count of the inner region of the pair
-    ``regions[a]``, ``regions[b]`` in the chain C, Q, U, T, L; the counts
-    of ``_score_points`` nest, so that is the number of points inside
-    both, and the diagonal holds each region's hits.  A region may be
-    listed more than once.  The points [0, n), n = ``cfg.sample_count``,
-    are split into contiguous ranges, one per process, over
-    min(worker_count, os.cpu_count(), n) processes, the calling one among
-    them: it scores the first range while child processes score the
-    rest, and the counts are summed.  L's count is n, which scores no
-    point, so a request of L alone, or of no region, takes one process.
-    Bit-identical for a fixed seed, whatever ``worker_count``.
+    Returns the hit count of each region in ``regions``, one key per
+    region.  The counts nest along the chain C, Q, U, T, L, so the number
+    of points inside two regions is the smaller of their two counts.  The
+    points [0, n), n = ``cfg.sample_count``, are split into contiguous
+    ranges, one per process, over min(worker_count, os.cpu_count(), n)
+    processes, the calling one among them: it scores the first range while
+    child processes score the rest, and the counts are summed.  L's count
+    is n, which scores no point, so a request of L alone, or of no region,
+    takes one process.  Bit-identical for a fixed seed, whatever
+    ``worker_count``.
     """
     regions = tuple(_member(RegionId, region) for region in regions)
     procs = min(cfg.worker_count, os.cpu_count() or 1, cfg.sample_count)
@@ -211,8 +209,8 @@ def score_stream(cfg: EstimatorConfig,
             # the parent is one of the processes: it scores the first range
             hits = _score_points(cfg, regions, range(cuts[1]))
             hits = sum((part.result() for part in parts), hits)
-    at = np.array([REGION_CHAIN.index(r) for r in regions], dtype=np.intp)
-    return np.append(hits, cfg.sample_count)[np.minimum.outer(at, at)]
+    counts = [*hits.tolist(), cfg.sample_count]
+    return {r: counts[REGION_CHAIN.index(r)] for r in regions}
 
 
 def _volume_from_hits(region: RegionId, hits: int,
@@ -229,22 +227,30 @@ def _volume_from_hits(region: RegionId, hits: int,
     )
 
 
+def _config(cfg: EstimatorConfig | None) -> EstimatorConfig:
+    """``cfg``, or the default ``EstimatorConfig()`` for None; ValueError
+    naming ``cfg`` for anything else, a 0 or a plain tuple included."""
+    if cfg is None:
+        return EstimatorConfig()
+    if not isinstance(cfg, EstimatorConfig):
+        raise ValueError(f"cfg must be an EstimatorConfig, got {cfg!r}")
+    return cfg
+
+
 def mc_volume(region: RegionId,
               cfg: EstimatorConfig | None = None) -> VolumeEstimate:
     """Hit-or-miss volume: 16 * (hits / n) on uniform draws from the cube."""
-    cfg = cfg or EstimatorConfig()
-    hits = int(score_stream(cfg, [region])[0, 0])
-    return _volume_from_hits(region, hits, cfg)
+    cfg = _config(cfg)
+    return _volume_from_hits(region, score_stream(cfg, [region])[region], cfg)
 
 
-def _ratio_with_error(joint: np.ndarray, n: int, a: int,
-                      b: int) -> tuple[float, float]:
-    """Shared-stream ratio of the hits of regions a and b of the joint
-    counts of n points, with the correlated-binomial delta method."""
-    n_a, n_b, n_ab = int(joint[a, a]), int(joint[b, b]), int(joint[a, b])
+def _ratio_with_error(n_a: int, n_b: int, n: int) -> tuple[float, float]:
+    """Shared-stream ratio n_a / n_b of the hit counts of two regions on
+    the same n points, with the correlated-binomial delta method; the
+    counts nest, so min(n_a, n_b) points lie inside both."""
     if n_b == 0:
         raise DegenerateDenominator("no hits in the denominator region")
-    p_a, p_b, p_ab = n_a / n, n_b / n, n_ab / n
+    p_a, p_b, p_ab = n_a / n, n_b / n, min(n_a, n_b) / n
     ratio = n_a / n_b
     cov = p_ab - p_a * p_b
     var = (p_a * (1.0 - p_a) - 2.0 * ratio * cov
@@ -256,12 +262,14 @@ def ratio_estimate(region_a: RegionId, region_b: RegionId,
                    cfg: EstimatorConfig | None = None) -> VolumeEstimate:
     """Volume ratio V_A / V_B from one stream scored against both oracles.
 
-    Containment is not assumed; the joint hit count enters the covariance
-    term of the delta-method standard error.
+    The counts nest, so the points inside both regions are those of the
+    inner one; that count enters the covariance term of the delta-method
+    standard error.
     """
-    cfg = cfg or EstimatorConfig()
-    joint = score_stream(cfg, [region_a, region_b])
-    ratio, err = _ratio_with_error(joint, cfg.sample_count, 0, 1)
+    cfg = _config(cfg)
+    hits = score_stream(cfg, [region_a, region_b])
+    ratio, err = _ratio_with_error(hits[region_a], hits[region_b],
+                                   cfg.sample_count)
     return VolumeEstimate(
         region=f"{region_a.value}/{region_b.value}",
         method="monte-carlo",
@@ -298,22 +306,22 @@ def headline_report(cfg: EstimatorConfig | None = None) -> dict:
     delta-method error, its analytic value and its deviation from that value
     in units of its standard error, followed by the analytic constants.
     """
-    cfg = cfg or EstimatorConfig()
-    joint = score_stream(cfg, REGION_CHAIN)
+    cfg = _config(cfg)
+    # keyed by RegionId, which hashes and compares as its one-letter tag
+    hits = score_stream(cfg, REGION_CHAIN)
     n = cfg.sample_count
-    pos = {r.value: k for k, r in enumerate(REGION_CHAIN)}
 
     volumes = {}
-    for k, r in enumerate(REGION_CHAIN):
-        est = _volume_from_hits(r, int(joint[k, k]), cfg)
+    for r in REGION_CHAIN:
+        est = _volume_from_hits(r, hits[r], cfg)
         volumes[r.value] = {**est.as_json_record(), **_row(
             est.value, est.std_error, ANALYTIC[f"V_{r.value}"])}
-    ratios = {f"{a}/{b}": _row(*_ratio_with_error(joint, n, pos[a], pos[b]),
+    ratios = {f"{a}/{b}": _row(*_ratio_with_error(hits[a], hits[b], n),
                                ANALYTIC[f"ratio_{a}{b}"])
               for a, b in ("QC", "QL", "CL")}
     excesses = {}
     for top in "TU":
-        value, err = _ratio_with_error(joint, n, pos[top], pos["Q"])
+        value, err = _ratio_with_error(hits[top], hits["Q"], n)
         excesses[f"{top}/Q-1"] = _row(
             value - 1.0, err, ANALYTIC[f"V_{top}"] / ANALYTIC["V_Q"] - 1.0)
 

@@ -308,6 +308,11 @@ class TestEnumerateVertices:
             assert all(abs(c) == 1 for c in corr)
             assert sum(1 for c in corr if c == -1) % 2 == 1
 
+    @pytest.mark.parametrize("dim", [1.0, True, "4", None, -1])
+    def test_cube_dimension_follows_the_integer_contract(self, dim):
+        with pytest.raises(ValueError, match="^dim must be"):
+            cube_polytope_h(dim)
+
     def test_cube_vertices(self):
         poly = enumerate_vertices(cube_polytope_h(4))
         assert len(poly.vertices) == 16

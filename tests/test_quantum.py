@@ -205,6 +205,22 @@ class TestOptimalSettings:
         pt = correlation_point(singlet(), chsh_optimal_settings())
         assert abs(in_quantum_arcsin(pt).margin) <= 1e-9
 
+    @pytest.mark.parametrize("rho", [None, singlet().rho, "singlet"],
+                             ids=["None", "matrix", "text"])
+    def test_a_state_that_is_no_state_is_refused(self, rho):
+        with pytest.raises(ValueError) as err:
+            correlation_point(rho, chsh_optimal_settings())
+        assert str(err.value) == f"rho is not a TwoQubitState: {rho!r}"
+
+    @pytest.mark.parametrize("settings", [
+        None, tuple(chsh_optimal_settings()), "chsh"],
+        ids=["None", "tuple", "text"])
+    def test_settings_that_are_no_settings_are_refused(self, settings):
+        with pytest.raises(ValueError) as err:
+            correlation_point(singlet(), settings)
+        assert str(err.value) == \
+            f"settings is not a MeasurementSettings: {settings!r}"
+
 
 class TestSampling:
     def test_single_point_is_valid(self):

@@ -1,4 +1,3 @@
-import collections
 import copy
 import functools
 import hashlib
@@ -1070,31 +1069,12 @@ def test_verdicts_on_dyadic_grids_equal_exact_integer_tests(n):
 # shared quantities of a batch
 # --------------------------------------------------------------------------
 
-_QUANTITIES = ("total", "low", "high", "chsh_max_abs")
-
-
-@pytest.fixture
-def computed(monkeypatch):
-    """(batch, name) for each computation of a shared quantity of a batch:
-    a ``_shared`` read that reaches the descriptor computes all four."""
-    log = []
-    get = regions._shared.__get__
-
-    def counted(self, batch, owner=None):
-        if batch is not None:
-            log.extend((batch, name) for name in _QUANTITIES)
-        return get(self, batch, owner)
-
-    monkeypatch.setattr(regions._shared, "__get__", counted)
-    return log
-
-
 @pytest.mark.parametrize("profile, point", [
     (membership_profile, (0.3, -0.2, 0.9, 0.1)),
     (membership_profiles, np.array([[0.3, -0.2, 0.9, 0.1], [1.0, 1.0, 1.0, -1.0]])),
 ])
 def test_profile_computes_each_quantity_once_per_batch(
-        computed, monkeypatch, profile, point):
+        monkeypatch, profile, point):
     chsh_of, asin_of = [], []
     chsh, asin = regions._chsh, math.asin
 
@@ -1109,12 +1089,9 @@ def test_profile_computes_each_quantity_once_per_batch(
     monkeypatch.setattr(regions, "_chsh", counted_chsh)
     monkeypatch.setattr(math, "asin", counted_asin)
     profile(point)
-    counts = collections.Counter((id(batch), name) for batch, name in computed)
-    assert set(counts.values()) == {1}
-    # the point's batch (C, T, L) needs all four, once
-    assert len(counts) == len(_QUANTITIES)
-    # one _chsh for the point's batch, one for its arcsin values (Q), which
-    # form no batch of their own
+    # one _chsh for the point's batch, whose four quantities C, T and L
+    # share, and one for its arcsin values (Q), which form no batch of
+    # their own
     assert len(chsh_of) == 2
     cols, arcsin = chsh_of
     if isinstance(point, tuple):
@@ -1125,42 +1102,6 @@ def test_profile_computes_each_quantity_once_per_batch(
         assert cols.tobytes() == np.ascontiguousarray(point.T).tobytes()
         assert asin_of == []
         assert arcsin.tobytes() == np.arcsin(cols).tobytes()
-
-
-class _Watched(np.ndarray):
-    """An array that logs each ufunc applied to it or to a view of it."""
-
-    log: list
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        self.log.append(f"{ufunc.__name__}.{method}")
-        inputs = [x.view(np.ndarray) if isinstance(x, _Watched) else x
-                  for x in inputs]
-        return getattr(ufunc, method)(*inputs, **kwargs)
-
-
-def _kernel_margins(region, cols):
-    """The margins of ``region`` for (4, m) ``cols`` taken as they are, so
-    that a subclass sees every ufunc applied to it."""
-    batch = regions._Columns(cols, regions._array_ops())
-    return regions._kernel(region)(batch)
-
-
-def test_quantum_margins_never_reduce_the_raw_batch(monkeypatch, computed):
-    # the Monte Carlo stream scores Q alone: the sum, minimum and maximum of
-    # its raw batch are work no kernel reads
-    log = []
-    monkeypatch.setattr(_Watched, "log", log, raising=False)
-    pts = np.array([[0.3, -0.2, 0.9, 0.1], [1.0, 1.0, 1.0, -1.0]])
-    cols = np.ascontiguousarray(pts.T).view(_Watched)
-    margins = _kernel_margins(RegionId.QUANTUM_Q, cols)
-    assert log == ["arcsin.__call__"]   # the arcsin op alone
-    assert not [name for batch, name in computed if batch.cols is cols]
-    assert margins.tobytes() == \
-        region_margins(RegionId.QUANTUM_Q, pts).tobytes()
-    # the log does see a reduction of the raw batch when a kernel needs one
-    _kernel_margins(RegionId.NO_SIGNALING_L, cols)
-    assert {"minimum.reduce", "maximum.reduce"} <= set(log)
 
 
 # --------------------------------------------------------------------------

@@ -172,6 +172,14 @@ class TestMinToggles:
         res = min_toggles(seq, 0.25)            # tie between 0 and 1/2
         assert res.count == 0 and res.achieved == 0
 
+    @pytest.mark.parametrize("seq", [None, ([1], [1]), "ab"],
+                             ids=["None", "pair", "text"])
+    def test_a_sequence_that_is_no_outcome_sequence_is_refused(self, seq):
+        with pytest.raises(ValueError) as err:
+            min_toggles(seq, 0.5)
+        assert not isinstance(err.value, TargetUnreachable)
+        assert str(err.value) == f"seq is not an OutcomeSequence: {seq!r}"
+
     def test_target_out_of_range(self):
         with pytest.raises(TargetUnreachable):
             min_toggles(sequence_with_correlation(4, 2), 1.5)

@@ -92,10 +92,19 @@ def _stream_points(seed: int, n: int) -> np.ndarray:
         (n, 4)) - 1.0
 
 
-def _joint_counts(inside) -> list[list[int]]:
-    """J[a, b] from per-point verdicts, one row of bools per region."""
-    rows = np.array(inside, dtype=np.int64)
-    return (rows @ rows.T).tolist() if len(inside) else []
+def _assert_counts(hits: dict, regions, inside: dict) -> None:
+    """``hits`` of ``score_stream`` against ``regions`` holds one key per
+    region, in the order first listed, and for each pair of them the
+    points inside both, counted from the per-point verdicts
+    ``inside[region]``, are the smaller of the two counts: the rule
+    ``_ratio_with_error`` relies on.  The pair of a region with itself is
+    its own count."""
+    listed = list(dict.fromkeys(regions))
+    assert list(hits) == listed
+    assert all(type(count) is int for count in hits.values())
+    rows = np.array([inside[r] for r in listed], dtype=np.int64)
+    joint = (rows @ rows.T).tolist() if listed else []
+    assert joint == [[min(hits[a], hits[b]) for b in listed] for a in listed]
 
 
 def _v_q_diamonds(h: float) -> float:
@@ -134,6 +143,39 @@ class TestEstimatorConfig:
                    (cfg.sample_count, cfg.seed, cfg.worker_count))
         rec = mc_volume(RegionId.LOCAL_C, cfg).as_json_record()
         assert rec["seed"] == 7 and type(rec["seed"]) is int
+
+    # the three estimators that take a cfg
+    ESTIMATORS = pytest.mark.parametrize("estimate", [
+        lambda cfg: mc_volume(RegionId.QUANTUM_Q, cfg),
+        lambda cfg: ratio_estimate(RegionId.QUANTUM_Q, RegionId.LOCAL_C, cfg),
+        headline_report], ids=["mc_volume", "ratio_estimate", "headline_report"])
+
+    @ESTIMATORS
+    @pytest.mark.parametrize("cfg", [0, (1000, 1, 1), "x"],
+                             ids=["zero", "tuple", "text"])
+    def test_a_cfg_that_is_no_config_is_refused(self, monkeypatch, estimate,
+                                                cfg):
+        # a falsy cfg such as 0 does not fall back to the default 10^7
+        # draws: nothing is scored
+        def refuse(*args):
+            raise AssertionError("the stream was scored")
+
+        monkeypatch.setattr(volumes, "score_stream", refuse)
+        with pytest.raises(ValueError) as err:
+            estimate(cfg)
+        assert str(err.value) == f"cfg must be an EstimatorConfig, got {cfg!r}"
+
+    @ESTIMATORS
+    def test_none_is_the_default_config(self, monkeypatch, estimate):
+        seen = []
+
+        def record(cfg, regions):
+            seen.append(cfg)
+            return dict.fromkeys(regions, 1)
+
+        monkeypatch.setattr(volumes, "score_stream", record)
+        estimate(None)
+        assert seen == [EstimatorConfig()]
 
 
 class TestMcVolume:
@@ -178,13 +220,13 @@ class TestReproducibility:
 
     def test_batch_size_does_not_change_the_stream(self):
         cfg = EstimatorConfig(sample_count=100_000, seed=8, worker_count=4)
-        joints = []
+        counts = []
         for batch in (100_000, 7_777):
             with mock.patch.object(volumes, "_BATCH", batch):
-                joints.append(volumes._score_points(
+                counts.append(volumes._score_points(
                     cfg, (RegionId.QUANTUM_Q,),
                     range(cfg.sample_count)).tolist())
-        assert joints[0] == joints[1]
+        assert counts[0] == counts[1]
 
     @settings(deadline=None, max_examples=25)
     @given(st.integers(0, 2 ** 64 - 1), st.integers(50, 3000),
@@ -203,7 +245,7 @@ class TestReproducibility:
     def test_point_ranges_sum_to_the_whole_stream(self, seed, n, fractions,
                                                   batch):
         # any split of [0, n) into contiguous ranges, scored at any batch
-        # size, adds up to the joint counts of the whole range
+        # size, adds up to the hit counts of the whole range
         cfg = EstimatorConfig(sample_count=n, seed=seed)
         cuts = [0, *sorted(int(f * n) for f in fractions), n]
         whole = volumes._score_points(cfg, CHAIN, range(n))
@@ -226,18 +268,17 @@ class TestReproducibility:
         assert part.tobytes() == whole[k:].tobytes()
 
     def test_stream_is_pinned(self, monkeypatch):
-        # the joint counts of a fixed seed's stream, pinned so that a change
+        # the hit counts of a fixed seed's stream, pinned so that a change
         # to the drawn points or to their verdicts shows; 250 007 points
-        # leave a partial last batch in every process's range.  The
-        # verdicts nest along the chain here, so J[a, b] is the hits of the
-        # inner region
-        hits = (166779, 231391, 237516, 240252, 250007)
-        expected = [[hits[min(a, b)] for b in range(5)] for a in range(5)]
+        # leave a partial last batch in every process's range
+        expected = dict(zip(CHAIN, (166779, 231391, 237516, 240252, 250007)))
         monkeypatch.setattr(volumes.os, "cpu_count", lambda: 3)
         for workers in (1, 2, 3):
             cfg = EstimatorConfig(sample_count=250_007, seed=0,
                                   worker_count=workers)
-            assert score_stream(cfg, CHAIN).tolist() == expected, workers
+            hits = score_stream(cfg, CHAIN)
+            assert hits == expected, workers
+            assert list(hits) == list(CHAIN)
 
     def test_different_seeds_differ(self):
         a = mc_volume(RegionId.LOCAL_C, EstimatorConfig(sample_count=100_000, seed=1))
@@ -251,7 +292,8 @@ class TestSharedStreamMonotonicity:
         cfg = EstimatorConfig(sample_count=100_000, seed=seed)
         chain = (RegionId.LOCAL_C, RegionId.QUANTUM_Q, RegionId.UFFINK_U,
                  RegionId.TSIRELSON_T, RegionId.NO_SIGNALING_L)
-        counts = np.diag(score_stream(cfg, chain)).tolist()
+        hits = score_stream(cfg, chain)
+        counts = [hits[r] for r in chain]
         assert counts == sorted(counts)
         assert counts[-1] == cfg.sample_count
 
@@ -261,15 +303,15 @@ class TestScoreStream:
         # the same draws, scored point by point by the scalar oracles
         n, seed = 20_000, 23
         with mock.patch.object(volumes, "_BATCH", 4096):
-            joint = score_stream(EstimatorConfig(sample_count=n, seed=seed),
-                                 CHAIN)
+            hits = score_stream(EstimatorConfig(sample_count=n, seed=seed),
+                                CHAIN)
         pts = [tuple(row) for row in _stream_points(seed, n)]
-        assert joint.tolist() == _joint_counts(
-            [[ORACLES[r](p).inside for p in pts] for r in CHAIN])
+        _assert_counts(hits, CHAIN,
+                       {r: [ORACLES[r](p).inside for p in pts] for r in CHAIN})
         # and by the inequalities written out in the tests
-        assert joint.tolist() == _joint_counts(
-            [[ref(p) >= -DEFAULT_TOLERANCE for p in pts]
-             for ref in reference.CHAIN])
+        _assert_counts(hits, CHAIN, {
+            r: [ref(p) >= -DEFAULT_TOLERANCE for p in pts]
+            for r, ref in zip(CHAIN, reference.CHAIN)})
 
     @pytest.mark.parametrize("regions", [
         [r] for r in CHAIN] + [[RegionId.TSIRELSON_T, RegionId.LOCAL_C],
@@ -279,34 +321,35 @@ class TestScoreStream:
         ids=lambda regions: "".join(r.value for r in regions) or "none")
     def test_joint_counts_of_short_region_lists(self, regions):
         # one scored region, alone, beside L or listed twice, takes the
-        # stream's one-region path, L scores nothing and [] is an empty J;
-        # [T, C] and [L, U] list regions out of chain order, where J[a, b]
-        # is still the count of the inner one
+        # stream's one-region path, L scores nothing and [] is an empty
+        # dict; [T, C] and [L, U] list regions out of chain order, where the
+        # points inside both are still the count of the inner one, and a
+        # region listed twice has one key
         n, seed = 20_000, 29
         with mock.patch.object(volumes, "_BATCH", 4096):
-            joint = score_stream(EstimatorConfig(sample_count=n, seed=seed),
-                                 regions)
+            hits = score_stream(EstimatorConfig(sample_count=n, seed=seed),
+                                regions)
         pts = [tuple(row) for row in _stream_points(seed, n)]
-        assert joint.tolist() == _joint_counts(
-            [[ORACLES[r](p).inside for p in pts] for r in regions])
+        _assert_counts(hits, regions, {
+            r: [ORACLES[r](p).inside for p in pts] for r in set(regions)})
 
     @settings(deadline=None, max_examples=20)
     @given(st.integers(0, 2 ** 64 - 1), st.integers(1, 400),
            st.lists(st.sampled_from(CHAIN), min_size=9, max_size=16),
            st.integers(1, 400))
     def test_joint_counts_of_long_region_lists(self, seed, n, regions, batch):
-        # more than eight regions, so some listed twice or more: every
-        # entry of J is still a count taken point by point
+        # more than eight regions, so some listed twice or more: one key
+        # each, and every count is still one taken point by point
         with mock.patch.object(volumes, "_BATCH", batch):
-            joint = score_stream(EstimatorConfig(sample_count=n, seed=seed),
-                                 regions)
+            hits = score_stream(EstimatorConfig(sample_count=n, seed=seed),
+                                regions)
         pts = [tuple(row) for row in _stream_points(seed, n)]
-        inside = {r: [ORACLES[r](p).inside for p in pts] for r in set(regions)}
-        assert joint.tolist() == _joint_counts([inside[r] for r in regions])
+        _assert_counts(hits, regions, {
+            r: [ORACLES[r](p).inside for p in pts] for r in set(regions)})
 
     @staticmethod
     def _columns_scored(listed, n, seed):
-        """J of the stream of ``seed`` against ``listed`` in one process,
+        """The hits of the stream of ``seed`` against ``listed`` in one process,
         and the columns the U and Q kernels received, region by region,
         patched where the stream looks them up."""
         counts = {RegionId.UFFINK_U: 0, RegionId.QUANTUM_Q: 0}
@@ -321,17 +364,16 @@ class TestScoreStream:
                 RegionId.UFFINK_U, volumes._uffink_verdicts)), \
                 mock.patch.object(volumes, "_quantum_verdicts", counting(
                     RegionId.QUANTUM_Q, volumes._quantum_verdicts)):
-            joint = score_stream(EstimatorConfig(sample_count=n, seed=seed),
-                                 listed)
-        return joint, counts
+            hits = score_stream(EstimatorConfig(sample_count=n, seed=seed),
+                                listed)
+        return hits, counts
 
     def test_chain_scores_u_and_q_on_the_shell_alone(self):
         # C and T decide every point outside T \ C, so U and Q see exactly
         # the shell's columns, N(T) - N(C) of them
         n, seed = 50_000, 31
-        joint, counts = self._columns_scored(CHAIN, n, seed)
-        c, t = CHAIN.index(RegionId.LOCAL_C), CHAIN.index(RegionId.TSIRELSON_T)
-        shell = int(joint[t, t] - joint[c, c])
+        hits, counts = self._columns_scored(CHAIN, n, seed)
+        shell = hits[RegionId.TSIRELSON_T] - hits[RegionId.LOCAL_C]
         assert 0 < shell < n
         assert counts == {RegionId.UFFINK_U: shell, RegionId.QUANTUM_Q: shell}
 
@@ -354,7 +396,7 @@ class TestScoreStream:
     def test_chain_counts_nest_by_construction(self):
         # a Q verdict "inside" on every shell column and a U verdict
         # "outside" on every one: Q's count is AND-ed with U's, so the
-        # diagonal stays sorted along the chain and J[Q, U] = J[Q, Q]
+        # counts stay sorted along the chain and Q's is C's
         def fill(value):
             def kernel(cols, work, out):
                 out[...] = value
@@ -363,11 +405,10 @@ class TestScoreStream:
         cfg = EstimatorConfig(sample_count=20_000, seed=37)
         with mock.patch.object(volumes, "_quantum_verdicts", fill(True)), \
                 mock.patch.object(volumes, "_uffink_verdicts", fill(False)):
-            joint = score_stream(cfg, CHAIN)
-        diagonal = np.diag(joint).tolist()
-        q, u = CHAIN.index(RegionId.QUANTUM_Q), CHAIN.index(RegionId.UFFINK_U)
-        assert diagonal == sorted(diagonal)
-        assert joint[q, u] == joint[q, q] == joint[0, 0]
+            hits = score_stream(cfg, CHAIN)
+        counts = [hits[r] for r in CHAIN]
+        assert counts == sorted(counts)
+        assert hits[RegionId.QUANTUM_Q] == hits[RegionId.LOCAL_C]
 
     @settings(deadline=None, max_examples=30)
     @given(st.integers(0, 2 ** 64 - 1), st.integers(1, 3000),
@@ -380,21 +421,21 @@ class TestScoreStream:
         cfg = EstimatorConfig(sample_count=n, seed=seed)
         with mock.patch.object(volumes, "_BATCH", batch):
             chain = score_stream(cfg, CHAIN)
-            alone = [int(score_stream(cfg, [r])[0, 0]) for r in CHAIN]
-        assert np.diag(chain).tolist() == alone
+            alone = {r: score_stream(cfg, [r])[r] for r in CHAIN}
+        assert chain == alone
 
     @settings(deadline=None, max_examples=10)
     @given(st.integers(0, 2 ** 64 - 1), st.integers(1, 5000),
            st.sampled_from([2, 3, 4]), st.integers(1, 3000))
     def test_pool_matches_in_process_scoring(self, seed, n, workers, batch):
         # the worker count and the batch size only set speed: the pooled
-        # J is that of the whole range in one process
+        # counts are those of the whole range in one process
         cfg = EstimatorConfig(sample_count=n, seed=seed, worker_count=workers)
         serial = score_stream(cfg._replace(worker_count=1), CHAIN)
         with mock.patch.object(volumes.os, "cpu_count", lambda: workers), \
                 mock.patch.object(volumes, "_BATCH", batch):
             pooled = score_stream(cfg, CHAIN)
-        assert pooled.tolist() == serial.tolist()
+        assert pooled == serial
 
     def test_pool_spawns_while_other_threads_run(self, monkeypatch):
         import multiprocessing
@@ -419,8 +460,7 @@ class TestScoreStream:
             thread.join(timeout=10)
         assert not thread.is_alive()
         assert methods == ["spawn"]
-        assert pooled.tolist() == score_stream(
-            cfg._replace(worker_count=1), CHAIN).tolist()
+        assert pooled == score_stream(cfg._replace(worker_count=1), CHAIN)
 
     def test_process_count_capped_at_cpu_count(self, monkeypatch):
         import concurrent.futures
@@ -435,10 +475,10 @@ class TestScoreStream:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             Recording)
         cfg = EstimatorConfig(sample_count=1000, seed=3, worker_count=100_000)
-        joint = score_stream(cfg, [RegionId.LOCAL_C])
+        hits = score_stream(cfg, [RegionId.LOCAL_C])
         assert len(sizes) <= 1 and all(k <= os.cpu_count() for k in sizes)
-        assert joint.tolist() == [[int(volumes._score_points(
-            cfg, (RegionId.LOCAL_C,), range(cfg.sample_count))[0])]]
+        assert hits == {RegionId.LOCAL_C: int(volumes._score_points(
+            cfg, (RegionId.LOCAL_C,), range(cfg.sample_count))[0])}
 
     @pytest.mark.parametrize("regions", [[RegionId.NO_SIGNALING_L], []],
                              ids=["L", "none"])
@@ -458,9 +498,9 @@ class TestScoreStream:
                             Recording)
         monkeypatch.setattr(volumes.os, "cpu_count", lambda: 2)
         cfg = EstimatorConfig(sample_count=1000, seed=1, worker_count=2)
-        joint = score_stream(cfg, regions)
+        hits = score_stream(cfg, regions)
         assert sizes == []
-        assert joint.tolist() == [[1000] * len(regions)] * len(regions)
+        assert hits == dict.fromkeys(regions, 1000)
 
     def test_no_process_for_an_empty_range(self, monkeypatch):
         import concurrent.futures
@@ -471,9 +511,9 @@ class TestScoreStream:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
         monkeypatch.setattr(volumes.os, "cpu_count", lambda: 4)
         cfg = EstimatorConfig(sample_count=1, seed=5, worker_count=4)
-        joint = score_stream(cfg, CHAIN)
+        hits = score_stream(cfg, CHAIN)
         counts = volumes._score_points(cfg, CHAIN, range(1)).tolist()
-        assert np.diag(joint).tolist() == [*counts, 1]  # L holds the point
+        assert hits == dict(zip(CHAIN, [*counts, 1]))  # L holds the point
 
     @staticmethod
     def _stream_faults(first_import: str, **env: str) -> int:
@@ -561,16 +601,15 @@ class TestRatioEstimate:
 
     def test_value_equals_count_ratio(self):
         cfg = EstimatorConfig(sample_count=50_000, seed=11)
-        joint = score_stream(cfg, [RegionId.QUANTUM_Q, RegionId.LOCAL_C])
-        counts = np.diag(joint).tolist()
+        hits = score_stream(cfg, [RegionId.QUANTUM_Q, RegionId.LOCAL_C])
         est = ratio_estimate(RegionId.QUANTUM_Q, RegionId.LOCAL_C, cfg)
-        assert est.value == counts[0] / counts[1]
+        assert est.value == hits[RegionId.QUANTUM_Q] / hits[RegionId.LOCAL_C]
 
     def test_degenerate_denominator(self):
         # a single-sample stream whose point falls outside the local set
         for seed in range(100):
             cfg = EstimatorConfig(sample_count=1, seed=seed)
-            if score_stream(cfg, [RegionId.LOCAL_C])[0, 0] == 0:
+            if score_stream(cfg, [RegionId.LOCAL_C])[RegionId.LOCAL_C] == 0:
                 with pytest.raises(DegenerateDenominator):
                     ratio_estimate(RegionId.NO_SIGNALING_L, RegionId.LOCAL_C, cfg)
                 return
@@ -960,8 +999,8 @@ class TestNumericTU:
     @pytest.mark.parametrize("seed", [0, 5, 9])
     def test_quadratic_region_dominated_by_linear_region(self, seed):
         cfg = EstimatorConfig(sample_count=100_000, seed=seed)
-        joint = score_stream(cfg, [RegionId.UFFINK_U, RegionId.TSIRELSON_T])
-        assert joint[0, 0] <= joint[1, 1]
+        hits = score_stream(cfg, [RegionId.UFFINK_U, RegionId.TSIRELSON_T])
+        assert hits[RegionId.UFFINK_U] <= hits[RegionId.TSIRELSON_T]
 
 
 class TestExactRegionVolume:
