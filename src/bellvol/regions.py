@@ -29,8 +29,9 @@ the vector entry points.  An op table supplies the few operations spelled
 differently (builtins and ``math``, or numpy).  The CHSH quantities, the
 sum S, the minimum and maximum coordinate and max_ij |S - 2 c_ij|, are
 written once, in ``_chsh``: C, T and L read them from the point's batch,
-where the first read computes all four, and Q's arcsin form is pi minus the
-last of them taken on the arcsin of the coordinates, with no second batch.
+which computes all four when it is made, and Q's arcsin form is pi minus
+the last of them taken on the arcsin of the coordinates, with no second
+batch.
 One table maps each (``RegionId``, ``QCharacterization`` or None) to its
 kernel.  A str enum hashes and compares as its value, so every entry point
 that takes a region or characterization key checks it with one helper,
@@ -43,15 +44,11 @@ the tolerance: ``membership_profile`` gives floats for one point, running the
 table's seven kernels with no dispatch per margin, ``membership_profiles``
 (n,) arrays for the rows of an (n, 4) array, and verdicts and results are
 derived from the margins when read.  ``region_margins`` and ``region_mask``
-score one region on such an array.  The Monte Carlo stream's verdict
-kernels, ``_chsh_verdicts`` (C and T from one CHSH maximum),
-``_uffink_verdicts`` and ``_quantum_verdicts``, repeat the C, T and U kernels
-operation for operation and decide Q by Landau's form with an arcsin
-fallback, writing into buffers the caller allocates once; they check no
-column, and the tests hold each verdict equal to its margin rule.  Every
-entry point refuses a point that is not four finite numbers in [-1, 1] with
-``ValueError``, the message that of ``_coords``, which ``_as_columns`` hands
-an array's first bad row.
+score one region on such an array; the Monte Carlo stream's in-place
+verdict kernels, which repeat these kernels, live in :mod:`bellvol.volumes`.
+Every entry point refuses a point that is not four finite numbers in
+[-1, 1] with ``ValueError``, the message that of ``_coords``, which
+``_as_columns`` hands an array's first bad row.
 
 The records, :class:`CorrelationPoint`, :class:`MembershipResult` and
 :class:`MembershipProfile`, are NamedTuples, as is every record of the
@@ -533,133 +530,6 @@ def membership_profile(p: PointLike, tol: float = DEFAULT_TOLERANCE) -> Membersh
 
 
 # vector entry points: (4, m) columns or the rows of an (n, 4) array
-
-#: Half-width of the band of Landau's form f about 0 inside which the Q
-#: verdict of ``_quantum_verdicts`` falls back to the arcsin margin;
-#: derived there.
-_Q_BAND = 1e3 * DEFAULT_TOLERANCE
-
-
-# The Monte Carlo stream's verdict kernels: each writes
-# margin >= -DEFAULT_TOLERANCE for the columns of a (4, m) array into bool
-# rows, its temporaries into the rows of the float array ``work``, which may
-# share memory with nothing else the call reads.  The columns are not
-# checked: they must hold the point contract, as the stream's draws do.
-
-def _chsh_verdicts(cols: np.ndarray, work: np.ndarray,
-                   local: np.ndarray | None,
-                   tsirelson: np.ndarray | None) -> None:
-    """C and T verdicts into ``local`` and ``tsirelson`` (either may be
-    None) from one CHSH maximum M = max(S - 2 min c, 2 max c - S), computed
-    as ``_chsh`` computes it.  2 - M and 2 sqrt 2 - M round
-    monotonically in M, so C's verdict implies T's in floats too."""
-    import numpy as np
-
-    c00, c01, c10, c11 = cols
-    total, low, high = work[:3]
-    np.add(c00, c01, out=total)
-    total += c10
-    total += c11
-    np.min(cols, axis=0, out=low)
-    low *= 2.0
-    np.subtract(total, low, out=low)
-    np.max(cols, axis=0, out=high)
-    high *= 2.0
-    high -= total
-    chsh = np.maximum(low, high, out=low)
-    for bound, out in ((2.0, local), (TSIRELSON_BOUND, tsirelson)):
-        if out is not None:
-            np.subtract(bound, chsh, out=high)
-            np.greater_equal(high, -DEFAULT_TOLERANCE, out=out)
-
-
-def _uffink_verdicts(cols: np.ndarray, work: np.ndarray,
-                     out: np.ndarray) -> None:
-    """U verdicts into ``out``, each operation that of the U kernel (a
-    square is x * x, as numpy computes x ** 2)."""
-    import numpy as np
-
-    c00, c01, c10, c11 = cols
-    lhs1, lhs2, t = work[:3]
-    np.add(c00, c11, out=lhs1)
-    lhs1 *= lhs1
-    np.subtract(c01, c10, out=t)
-    t *= t
-    lhs1 += t
-    np.subtract(c00, c11, out=lhs2)
-    lhs2 *= lhs2
-    np.add(c01, c10, out=t)
-    t *= t
-    lhs2 += t
-    np.maximum(lhs1, lhs2, out=lhs1)
-    np.subtract(4.0, lhs1, out=lhs1)
-    np.greater_equal(lhs1, -DEFAULT_TOLERANCE, out=out)
-
-
-def _quantum_verdicts(cols: np.ndarray, work: np.ndarray,
-                      out: np.ndarray) -> None:
-    """Q verdicts of (4, m) columns in [-1, 1] into ``out``, equal to the
-    arcsin rule ``margin >= -DEFAULT_TOLERANCE``, from Landau's form with a
-    filter; the four rows of ``work`` hold the temporaries.
-
-    With a = c00 c01 - c10 c11, X = (1 - c00^2)(1 - c01^2) and
-    Y = (1 - c10^2)(1 - c11^2), let f = 2 sqrt(XY) + X + Y - a^2
-    = (sqrt X + sqrt Y)^2 - a^2, so f >= 0 iff Landau's form holds.  Where
-    |f| > ``_Q_BAND`` the verdict is f >= 0; the few columns with
-    |f| <= ``_Q_BAND`` are compacted and scored by the arcsin kernel.
-
-    The band.  In arcsin coordinates c = sin s, with
-    u_ij = (S - 2 s_ij) / 2 and the arcsin margins m_ij = pi - 2 |u_ij|
-    (m = min m_ij), sqrt X = cos s00 cos s01 and sqrt Y = cos s10 cos s11
-    give g = sqrt X + sqrt Y - |a| = 2 min(cos u11 cos u10, cos u01 cos u00)
-    = 2 min(sin(m11/2) sin(m10/2), sin(m01/2) sin(m00/2)).  Each sum or
-    difference of two u_ij is a sum or difference of two s_kl, at most pi
-    in size, so at most one m_ij is negative, and all lie in [-pi, pi].
-    Hence |g| <= |m|, with the sign of m where g != 0, and as
-    f = g (sqrt X + sqrt Y + |a|) with the second factor at most 4,
-    |f| <= 4 |m|.  Rounding: the float margin m' is within E_m ~ 1e-14 of
-    m at the float point (arcsin is taken of the exact coordinates), and
-    the float f' within E_f ~ 1e-12 of f: each 1 - c^2 is off by at most
-    min((1 - |c|)^2, 2^-54), a relative error of at most 2^-28 that a
-    square root turns into ~2^-42 absolutely, and the other operations add
-    some 16 ulp (4.2e-13 is the worst seen at vertex neighbours and near
-    |c| = 1 - 2^-26).  So |f'| > band implies f' has the sign of f, and
-    |m| > (band - E_f) / 4, hence m' >= -tol iff f' >= 0, whenever
-    band > 4 (tol + E_m) + E_f, about 5e-12 at tol = 1e-12.  The band,
-    1000 tol, leaves a factor of 200 over that; none of 2*10^7 uniform
-    draws fell inside it.
-    """
-    import numpy as np
-
-    c00, c01, c10, c11 = cols
-    a, t, x, y = work
-    np.multiply(c00, c01, out=a)
-    np.multiply(c10, c11, out=t)
-    a -= t
-    a *= a
-    np.multiply(c00, c00, out=x)
-    np.subtract(1.0, x, out=x)
-    np.multiply(c01, c01, out=t)
-    np.subtract(1.0, t, out=t)
-    x *= t
-    np.multiply(c10, c10, out=y)
-    np.subtract(1.0, y, out=y)
-    np.multiply(c11, c11, out=t)
-    np.subtract(1.0, t, out=t)
-    y *= t
-    np.multiply(x, y, out=t)
-    np.sqrt(t, out=t)
-    t += t
-    x += y
-    x -= a
-    t += x
-    near = np.flatnonzero(np.less_equal(np.abs(t, out=a), _Q_BAND, out=out))
-    np.greater_equal(t, 0.0, out=out)
-    if near.size:
-        arcsin = _KERNELS[RegionId.QUANTUM_Q, QCharacterization.ARCSIN]
-        margin = arcsin(_Columns(cols[:, near], _array_ops()))
-        out[near] = margin >= -DEFAULT_TOLERANCE
-
 
 def _as_columns(pts) -> np.ndarray:
     """The rows of an (n, 4) array of points as (4, n) columns; ValueError

@@ -18,6 +18,15 @@ land inside it.  This module provides:
   worker count or batch size,
 * the headline table: every estimate beside its closed form in ``ANALYTIC``.
 
+The stream's verdict kernels live here, beside ``_score_points``, their one
+caller: ``_chsh_verdicts`` (C and T from one CHSH maximum),
+``_uffink_verdicts`` and ``_quantum_verdicts``.  Each computes its region's
+margin as the margin kernel of :mod:`bellvol.regions` does, operation for
+operation, Q's being Landau's margin with the arcsin margin taken only next
+to the boundary, and writes into buffers the caller allocates once.  They
+check no column, as every drawn point lies in the cube, and the tests hold
+each verdict equal to its region's margin rule.
+
 The deterministic volumes, exact and by quadrature, the record type and the
 closed forms live in :mod:`bellvol.estimates`, which computes them without
 this module; ``VolumeEstimate``, ``ANALYTIC``, ``exact_region_volume`` and
@@ -35,8 +44,8 @@ import numpy as np
 
 from .estimates import (ANALYTIC, VolumeEstimate,  # noqa: F401  re-exported
                         exact_region_volume, quadrature_volume)
-from .regions import (REGION_CHAIN, RegionId, _chsh_verdicts, _index,
-                      _member, _quantum_verdicts, _Record, _uffink_verdicts)
+from .regions import (DEFAULT_TOLERANCE, REGION_CHAIN, TSIRELSON_BOUND,
+                      RegionId, _index, _member, _Record, region_margins)
 from .regions import region_mask  # noqa: F401  read by bench/tracer.py
 
 
@@ -93,8 +102,131 @@ def sample_stream(seed: int, start: int = 0) -> np.random.Generator:
     """The stream of ``seed``, ``start`` points in: PCG64DXSM seeded through
     numpy's ``SeedSequence(seed)``, read by the Monte Carlo points and by
     ``sample-quantum``.  A point is four doubles and a double one 64-bit
-    step, so point k starts ``4 * k`` steps in, reached by ``advance``."""
+    step, so point k starts ``4 * k`` steps in, reached by ``advance``.
+    ``seed`` and ``start`` follow ``regions._index``: ``seed`` in
+    [0, 2**64), as ``EstimatorConfig.seed``, and ``start`` >= 0."""
+    seed, start = _index("seed", seed, 0, 2 ** 64), _index("start", start, 0)
     return np.random.Generator(np.random.PCG64DXSM(seed).advance(4 * start))
+
+
+#: Half-width of the band of Landau's margin g about 0 inside which the Q
+#: verdict of ``_quantum_verdicts`` falls back to the arcsin margin;
+#: derived there.
+_Q_BAND = 1e3 * DEFAULT_TOLERANCE
+
+
+# The stream's verdict kernels: each writes margin >= -DEFAULT_TOLERANCE
+# for the columns of a (4, m) array into bool rows, computing its region's
+# margin as the kernel of ``regions`` does, operation for operation, and
+# its temporaries into the rows of the float array ``work``, which may
+# share memory with nothing else the call reads.  The columns are not
+# checked: they must hold the point contract, as the stream's draws do.
+
+def _chsh_verdicts(cols: np.ndarray, work: np.ndarray,
+                   local: np.ndarray | None,
+                   tsirelson: np.ndarray | None) -> None:
+    """C and T verdicts into ``local`` and ``tsirelson`` (either may be
+    None) from one CHSH maximum M = max(S - 2 min c, 2 max c - S), computed
+    as ``regions._chsh`` computes it.  2 - M and 2 sqrt 2 - M round
+    monotonically in M, so C's verdict implies T's in floats too."""
+    c00, c01, c10, c11 = cols
+    total, low, high = work[:3]
+    np.add(c00, c01, out=total)
+    total += c10
+    total += c11
+    np.min(cols, axis=0, out=low)
+    low *= 2.0
+    np.subtract(total, low, out=low)
+    np.max(cols, axis=0, out=high)
+    high *= 2.0
+    high -= total
+    chsh = np.maximum(low, high, out=low)
+    for bound, out in ((2.0, local), (TSIRELSON_BOUND, tsirelson)):
+        if out is not None:
+            np.subtract(bound, chsh, out=high)
+            np.greater_equal(high, -DEFAULT_TOLERANCE, out=out)
+
+
+def _uffink_verdicts(cols: np.ndarray, work: np.ndarray,
+                     out: np.ndarray) -> None:
+    """U verdicts into ``out``, each operation that of ``regions._uffink``
+    (a square is x * x, as numpy computes x ** 2)."""
+    c00, c01, c10, c11 = cols
+    lhs1, lhs2, t = work[:3]
+    np.add(c00, c11, out=lhs1)
+    lhs1 *= lhs1
+    np.subtract(c01, c10, out=t)
+    t *= t
+    lhs1 += t
+    np.subtract(c00, c11, out=lhs2)
+    lhs2 *= lhs2
+    np.add(c01, c10, out=t)
+    t *= t
+    lhs2 += t
+    np.maximum(lhs1, lhs2, out=lhs1)
+    np.subtract(4.0, lhs1, out=lhs1)
+    np.greater_equal(lhs1, -DEFAULT_TOLERANCE, out=out)
+
+
+def _quantum_verdicts(cols: np.ndarray, work: np.ndarray,
+                      out: np.ndarray) -> None:
+    """Q verdicts of (4, m) columns in [-1, 1] into ``out``, equal to the
+    arcsin rule ``margin >= -DEFAULT_TOLERANCE``, from Landau's margin
+    g = sqrt X + sqrt Y - |a| with a filter.  Here a = c00 c01 - c10 c11,
+    X = (1 - c00^2)(1 - c01^2) and Y = (1 - c10^2)(1 - c11^2); g is
+    computed as ``regions._landau`` computes it and left in ``work[2]``,
+    and the other three rows of ``work`` hold temporaries.  Where
+    |g| > ``_Q_BAND`` the verdict is g >= 0; the few columns with
+    |g| <= ``_Q_BAND`` are scored by the arcsin margin of
+    ``region_margins``.
+
+    The band.  In arcsin coordinates c = sin s, with
+    u_ij = (S - 2 s_ij) / 2 and the arcsin margins m_ij = pi - 2 |u_ij|
+    (m = min m_ij), sqrt X = cos s00 cos s01 and sqrt Y = cos s10 cos s11
+    give g = 2 min(cos u11 cos u10, cos u01 cos u00)
+    = 2 min(sin(m11/2) sin(m10/2), sin(m01/2) sin(m00/2)).  Each sum or
+    difference of two u_ij is a sum or difference of two s_kl, at most pi
+    in size, so at most one m_ij is negative, and all lie in [-pi, pi].
+    Hence |g| <= |m|, with the sign of m where g != 0.  Rounding: the
+    float margin m' is within E_m ~ 1e-14 of m at the float point (arcsin
+    is taken of the exact coordinates), and the float g' within E_g of g.
+    With d = 1 - |c|, the float c^2 is within min(d^2, 2^-54) of c^2 and,
+    where 1 - c^2 < 1/2, the subtraction from 1 is exact, so each factor
+    1 - c^2 >= d is off by a relative min(d, 2^-54 / d); a square root
+    halves that, and the factor's share of sqrt X is at most
+    min(d^2, 2^-54) / (2 sqrt d) <= 2^-41.5.  Four factors and some ten
+    rounded operations give E_g ~ 1.3e-12 (4.1e-13 is the worst seen at
+    vertex neighbours and near |c| = 1 - 2^-27).  So |g'| > band implies
+    g' has the sign of g and |m| >= |g| > band - E_g, hence m' >= -tol iff
+    g' >= 0, whenever band > tol + E_m + E_g, about 2.3e-12 at
+    tol = 1e-12.  The band, 1000 tol, leaves a factor of 400 over that;
+    none of 2*10^7 uniform draws fell inside it.
+    """
+    c00, c01, c10, c11 = cols
+    lhs, t, x, y = work
+    np.multiply(c00, c01, out=lhs)
+    np.multiply(c10, c11, out=t)
+    lhs -= t
+    np.abs(lhs, out=lhs)
+    np.multiply(c00, c00, out=x)
+    np.subtract(1.0, x, out=x)
+    np.multiply(c01, c01, out=t)
+    np.subtract(1.0, t, out=t)
+    x *= t
+    np.sqrt(x, out=x)
+    np.multiply(c10, c10, out=y)
+    np.subtract(1.0, y, out=y)
+    np.multiply(c11, c11, out=t)
+    np.subtract(1.0, t, out=t)
+    y *= t
+    np.sqrt(y, out=y)
+    x += y
+    x -= lhs
+    near = np.flatnonzero(np.less_equal(np.abs(x, out=t), _Q_BAND, out=out))
+    np.greater_equal(x, 0.0, out=out)
+    if near.size:
+        margin = region_margins(RegionId.QUANTUM_Q, cols[:, near].T)
+        out[near] = margin >= -DEFAULT_TOLERANCE
 
 
 def _score_points(cfg: EstimatorConfig, regions: tuple[RegionId, ...],
@@ -171,7 +303,7 @@ def _score_points(cfg: EstimatorConfig, regions: tuple[RegionId, ...],
     return hits
 
 
-def score_stream(cfg: EstimatorConfig,
+def score_stream(cfg: EstimatorConfig | None,
                  regions: Sequence[RegionId]) -> dict[RegionId, int]:
     """One pass over the sample stream against any number of regions.
 
@@ -184,8 +316,10 @@ def score_stream(cfg: EstimatorConfig,
     child processes score the rest, and the counts are summed.  L's count
     is n, which scores no point, so a request of L alone, or of no region,
     takes one process.  Bit-identical for a fixed seed, whatever
-    ``worker_count``.
+    ``worker_count``.  ``cfg`` is read by ``_config``, as the estimators
+    read it: None is the default config.
     """
+    cfg = _config(cfg)
     regions = tuple(_member(RegionId, region) for region in regions)
     procs = min(cfg.worker_count, os.cpu_count() or 1, cfg.sample_count)
     # a request of L alone, or of nothing, scores no point: no pool

@@ -1246,194 +1246,3 @@ def test_batch_profile_records_match_scalar_layout():
         record = profile_record(verdicts)
         scalar = membership_profile(c).as_dict()
         assert json.dumps(record) == json.dumps(scalar)
-
-
-# --------------------------------------------------------------------------
-# the Monte Carlo stream's verdicts
-# --------------------------------------------------------------------------
-
-QUANTUM = RegionId.QUANTUM_Q
-#: Steps along a ray off the boundary of Q: 0 and +-1e-15 ... +-1e-9.
-OFFSETS = (0.0, *(sign * 10.0 ** -k for k in range(9, 16) for sign in (1, -1)))
-
-
-#: The regions the stream's verdict kernels decide: L is never scored.
-SCORED = CHAIN[:-1]
-
-
-def _column_verdicts(regions_, cols):
-    """The stream's verdicts of the distinct ``regions_`` among C, Q, U
-    and T on (4, m) columns, one new row each, as the stream calls the
-    kernels: C and T from one CHSH maximum, all in one work array."""
-    out = {region: np.empty(cols.shape[1], dtype=bool) for region in regions_}
-    work = np.empty(cols.shape)
-    local, tsirelson = out.get(RegionId.LOCAL_C), out.get(RegionId.TSIRELSON_T)
-    if local is not None or tsirelson is not None:
-        regions._chsh_verdicts(cols, work, local, tsirelson)
-    if RegionId.UFFINK_U in out:
-        regions._uffink_verdicts(cols, work, out[RegionId.UFFINK_U])
-    if QUANTUM in out:
-        regions._quantum_verdicts(cols, work, out[QUANTUM])
-    return [out[region] for region in regions_]
-
-
-def _assert_verdicts_follow_margins(points):
-    """The stream's verdicts of C, Q, U and T together, and of each alone,
-    equal margin >= -DEFAULT_TOLERANCE for every region and point."""
-    rows = np.array(points, dtype=np.float64)
-    cols = np.ascontiguousarray(rows.T)
-    for region, inside in zip(SCORED, _column_verdicts(SCORED, cols)):
-        rule = region_margins(region, rows) >= -DEFAULT_TOLERANCE
-        (alone,) = _column_verdicts([region], cols)
-        for verdicts in (inside, alone):
-            wrong = np.flatnonzero(verdicts != rule)
-            assert verdicts.dtype == bool and verdicts.shape == rule.shape
-            assert not wrong.size, (region.value, len(wrong),
-                                    cols[:, wrong[:3]].T)
-
-
-def _facet_points(bound):
-    """The eight points with |S - 2 c_ij| = ``bound``, one per CHSH facet:
-    every coordinate sigma * bound / 4 but c_ij, which has the other sign."""
-    a = bound / 4.0
-    return [tuple(-sigma * a if k == ij else sigma * a for k in range(4))
-            for ij in range(4) for sigma in (1.0, -1.0)]
-
-
-#: Points on the two circles of U: (c00 + c11)^2 + (c01 - c10)^2 = 4 and
-#: (c00 - c11)^2 + (c01 + c10)^2 = 4.
-U_CIRCLES = [p for angle in (0.3, math.pi / 4, 1.2, 2.5)
-             for c, s in [(math.cos(angle), math.sin(angle))]
-             for p in ((c, s, -s, c), (c, s, s, -c))]
-
-
-def _where_rounding_decides(points, bound, degree):
-    """``points``, on a boundary where a constraint of degree ``degree``
-    reaches ``bound``, and the same points scaled out to where its margin
-    is -DEFAULT_TOLERANCE, each with its neighbours one ulp farther from
-    and nearer to the origin in every coordinate: the verdict flips within
-    each scaled triple, so only the margin rule's own rounding decides it."""
-    scale = (1.0 + DEFAULT_TOLERANCE / bound) ** (1.0 / degree)
-    out = []
-    for p in points + [tuple(scale * v for v in p) for p in points]:
-        out += [p, tuple(math.nextafter(v, math.copysign(math.inf, v))
-                         for v in p),
-                tuple(math.nextafter(v, 0.0) for v in p)]
-    return out
-
-
-def _to_q_boundary(base, step):
-    """Rows with ``base`` in Q and ``base + step`` outside, as (base, step,
-    t) with t the largest scale in [0, 1] at which bisection by the arcsin
-    margin finds ``base + t * step`` inside Q."""
-    out = region_margins(QUANTUM, base + step) < 0
-    base, step = base[out], step[out]
-    lo, hi = np.zeros(len(step)), np.ones(len(step))
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        inside = region_margins(QUANTUM, base + step * mid[:, None]) >= 0
-        lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
-    return base, step, lo
-
-
-def _rays_to_q_boundary(directions):
-    """Rays from the origin, each scaled to meet the cube's surface at 1,
-    taken to the boundary of Q where they leave Q inside the cube."""
-    d = np.asarray(directions, dtype=np.float64)
-    top = np.abs(d).max(axis=1)
-    d = d[top > 0] / top[top > 0, None]
-    return _to_q_boundary(np.zeros_like(d), d)
-
-
-def _stepped(base, step, t):
-    """Each boundary point moved along its step by every one of
-    ``OFFSETS``, kept in the cube."""
-    return np.clip(np.concatenate([base + step * (t + off)[:, None]
-                                   for off in OFFSETS]), -1.0, 1.0)
-
-
-@settings(deadline=None, max_examples=300)
-@given(st.lists(CUBE_POINTS, min_size=1, max_size=20))
-@example(VERTICES + [Q_BOUNDARY])
-@example(_where_rounding_decides(_facet_points(2.0), 2.0, 1))
-@example(_where_rounding_decides(_facet_points(TSIRELSON_BOUND),
-                                 TSIRELSON_BOUND, 1))
-@example(_where_rounding_decides(U_CIRCLES, 4.0, 2))
-def test_column_verdicts_equal_the_margin_rule(points):
-    _assert_verdicts_follow_margins(points)
-
-
-@pytest.mark.parametrize("region, points, bound, degree", [
-    (RegionId.LOCAL_C, _facet_points(2.0), 2.0, 1),
-    (RegionId.TSIRELSON_T, _facet_points(TSIRELSON_BOUND), TSIRELSON_BOUND, 1),
-    (RegionId.UFFINK_U, U_CIRCLES, 4.0, 2)])
-def test_rounding_examples_straddle_the_tolerance(region, points, bound,
-                                                  degree):
-    # the examples above pin the verdict kernels only if, next to the
-    # dilated boundary, the margin rule gives both verdicts in each triple
-    near = _where_rounding_decides(points, bound, degree)[3 * len(points):]
-    rule = region_margins(region, np.array(near)) >= -DEFAULT_TOLERANCE
-    assert all(len(set(triple)) == 2 for triple in rule.reshape(-1, 3).tolist())
-
-
-@settings(deadline=None, max_examples=100)
-@given(st.tuples(UNIT, UNIT, UNIT, UNIT), st.sampled_from(OFFSETS))
-def test_q_verdict_equals_the_arcsin_rule_next_to_the_boundary(direction, off):
-    base, step, t = _rays_to_q_boundary([direction])
-    if len(t):
-        _assert_verdicts_follow_margins(np.clip(step * (t + off), -1.0, 1.0))
-
-
-def test_q_verdict_on_rays_stepped_off_the_boundary():
-    ray = _rays_to_q_boundary(uniform_points(4_000, seed=31))
-    assert len(ray[2]) > 1_000
-    _assert_verdicts_follow_margins(_stepped(*ray))
-
-
-def test_q_verdict_at_one_ulp_neighbours_of_the_vertices():
-    # every subset of a vertex's coordinates moved one ulp into the cube:
-    # there the arcsin margin is steepest and 1 - c^2 is 0 or 2^-52
-    points = [[math.nextafter(v, 0.0) if moved else v
-               for v, moved in zip(vertex, subset)]
-              for vertex in VERTICES
-              for subset in itertools.product((False, True), repeat=4)]
-    _assert_verdicts_follow_margins(points)
-
-
-def test_q_verdict_next_to_the_faces_of_the_cube():
-    # points of the boundary of Q in a face c_k = +-1, where X or Y of
-    # Landau's form vanishes, moved off the face by up to 1e-7 and off the
-    # boundary along the other three coordinates by each of OFFSETS
-    rng = np.random.Generator(np.random.Philox(key=np.array([32, 0], np.uint64)))
-    n, rows = 600, np.arange(600)
-    face = np.zeros((n, 4))
-    face[rows, rng.integers(4, size=n)] = np.where(rng.random(n) < 0.5, -1.0, 1.0)
-    rest = np.where(face == 0.0, 2.0 * rng.random((n, 4)) - 1.0, 0.0)
-    on_face, rest, t = _to_q_boundary(face, rest)
-    assert len(t) > 200
-    for depth in (0.0, 2.0 ** -53, 1e-15, 1e-12, 1e-9, 1e-7):
-        _assert_verdicts_follow_margins(_stepped(on_face * (1.0 - depth), rest, t))
-
-
-def test_q_verdict_takes_arcsin_only_next_to_the_boundary(monkeypatch):
-    pts = uniform_points(5_000, seed=33)
-    far = np.ascontiguousarray(
-        pts[np.abs(region_margins(QUANTUM, pts)) > 1e-6].T)
-    _, step, t = _rays_to_q_boundary(uniform_points(200, seed=34))
-    near = np.concatenate([step * t[:, None], [Q_BOUNDARY]])
-    both = np.concatenate([far, near.T], axis=1)
-    rule = region_margins(QUANTUM, both.T) >= -DEFAULT_TOLERANCE
-    calls = []
-    key = (QUANTUM, QCharacterization.ARCSIN)
-    kernel = regions._KERNELS[key]
-
-    def counted(batch):
-        calls.append(batch.cols.shape)
-        return kernel(batch)
-
-    monkeypatch.setitem(regions._KERNELS, key, counted)
-    _column_verdicts([QUANTUM], far)
-    assert calls == []
-    (verdicts,) = _column_verdicts([QUANTUM], both)
-    assert calls == [(4, len(near))]
-    assert verdicts.tolist() == rule.tolist()
