@@ -49,10 +49,8 @@ _LAZY = {
         "DegeneratePolytope",
         "Halfspace",
         "JointProbabilityTable",
-        "NoSignalingViolation",
         "RationalPolytope",
         "UnboundedPolytope",
-        "behavior_from_table",
         "check_no_signaling",
         "correlation_polytope_C",
         "cube_polytope_h",
@@ -63,7 +61,6 @@ _LAZY = {
         "local_polytope_v",
         "ns_polytope_h",
         "pr_box",
-        "project_to_correlations",
         "signaling_example",
     ),
     "toggles": (
@@ -86,7 +83,6 @@ _LAZY = {
         "EstimatorConfig",
         "headline_report",
         "mc_volume",
-        "ratio_estimate",
     ),
     "quantum": (
         "BlochDirection",

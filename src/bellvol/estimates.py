@@ -67,17 +67,17 @@ if TYPE_CHECKING:
 
     import numpy as np
 
-#: Closed-form volumes of the five regions and the three headline ratios.
+#: Closed-form volumes of the five regions and the three headline ratios,
+#: each the double nearest its exact value.  Three are literals, as a float
+#: evaluation of their closed form lands one ulp low.
 ANALYTIC = MappingProxyType({
     "V_C": 2.0 ** 5 / 3.0,
     "V_L": 2.0 ** 4,
-    "V_Q": 1.5 * math.pi ** 2,
+    "V_Q": 14.804406601634039,          # 3*pi^2/2
     "V_U": 32.0 * math.pi - 256.0 / 3.0,
-    # (768*sqrt(2) - 1040)/3 times (768*sqrt(2) + 1040) over itself: the
-    # difference would cancel 768*sqrt(2) ~ 1086 against 1040 (24 ulp off)
-    "V_T": 98048.0 / (3.0 * (768.0 * math.sqrt(2.0) + 1040.0)),
+    "V_T": 15.372005300845666,          # (768*sqrt(2) - 1040)/3
     "ratio_QC": (3.0 * math.pi / 8.0) ** 2,
-    "ratio_QL": 3.0 * math.pi ** 2 / 32.0,
+    "ratio_QL": 0.9252754126021274,     # 3*pi^2/32
     "ratio_CL": 2.0 / 3.0,
 })
 

@@ -12,7 +12,8 @@ so normalization and no-signaling hold identically and the only nontrivial
 constraints are the sixteen positivity inequalities.  The module provides:
 
 * the deterministic behaviors (vertices of the local behavior polytope),
-* joint probability tables and conversions to/from behaviors,
+* joint probability tables, built from a behavior's probabilities and
+  read back through their expectations,
 * the two canonical extremal tables (perfectly correlated no-signaling box,
   one-sided signaling box),
 * exact vertex and facet enumeration for rational polytopes by one
@@ -45,8 +46,7 @@ import operator
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
-from .regions import (_FIELDS, CorrelationPoint, _index, _is_bool, _items,
-                      _Record)
+from .regions import _FIELDS, _index, _is_bool, _items, _Record
 
 Vector = tuple[Fraction, ...]
 _Ray = tuple[list[int], int]    # integer ray, bitmask of its tight rows
@@ -91,14 +91,6 @@ def _probability_row(i: int, j: int, a: int, b: int) -> list[int]:
 class PolytopeError(ValueError):
     """Base class for polytope engine failures; a ValueError, as every
     bellvol error is, so the CLI exits 1."""
-
-
-class NoSignalingViolation(PolytopeError):
-    """A joint probability table whose marginals depend on the far setting."""
-
-    def __init__(self, message, max_discrepancy: Fraction):
-        super().__init__(message)
-        self.max_discrepancy = max_discrepancy
 
 
 class UnboundedPolytope(PolytopeError):
@@ -235,29 +227,6 @@ def check_no_signaling(t: JointProbabilityTable) -> tuple[bool, Fraction]:
     return worst == 0, worst
 
 
-def behavior_from_table(t: JointProbabilityTable) -> Behavior:
-    """The behavior b whose table is
-    ``JointProbabilityTable.from_function(b.probability)``.
-
-    Raises :class:`NoSignalingViolation` (carrying the maximal marginal
-    discrepancy) when the table's marginals depend on the far setting, in
-    which case no behavior reproduces it.
-    """
-    ok, worst = check_no_signaling(t)
-    if not ok:
-        raise NoSignalingViolation(
-            f"table violates no-signaling (max marginal discrepancy {worst})",
-            worst)
-    e = t.expectations()
-    return Behavior(e[0, 0][0], e[1, 0][0], e[0, 0][1], e[0, 1][1],
-                    *(ab for _, _, ab in e.values()))
-
-
-def project_to_correlations(b: Behavior) -> CorrelationPoint:
-    """Drop the marginals: the 4D correlation image of a behavior."""
-    return CorrelationPoint(float(b.c00), float(b.c01), float(b.c10), float(b.c11))
-
-
 def pr_box() -> JointProbabilityTable:
     """The no-signaling table with perfect (anti)correlations.
 
@@ -381,32 +350,6 @@ class RationalPolytope(_Record, NamedTuple("_Polytope", [
         lines = [f"{which} {self.dim} {len(rows)}"]
         lines += [" ".join(str(x) for x in r) for r in rows]
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "RationalPolytope":
-        """Parse :meth:`to_text`'s format.  A header row other than
-        ``V`` or ``H`` and two integers >= 0, or a number of rows other
-        than the header's count, raises ValueError."""
-        rows = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
-        if not rows:
-            raise ValueError("polytope text is empty: expected a 'V' or 'H'"
-                             " header row")
-        header, *body = rows
-        try:
-            kind, dim, count = header.split()
-            if kind not in ("V", "H"):
-                raise ValueError(f"unknown representation kind {kind!r}")
-            dim, count = (_index(name, int(tok), 0)
-                          for name, tok in (("dim", dim), ("count", count)))
-        except ValueError as e:
-            raise ValueError(f"bad header row {header!r}: {e}") from None
-        if len(body) != count:
-            raise ValueError(f"expected {count} rows, found {len(body)}")
-        table = [[Fraction(tok) for tok in ln.split()] for ln in body]
-        if kind == "V":
-            return cls(dim=dim, vertices=tuple(map(tuple, table)))
-        return cls(dim=dim, halfspaces=tuple(
-            Halfspace.normalized(r[:-1], r[-1]) for r in table))
 
 
 def ns_polytope_h() -> RationalPolytope:

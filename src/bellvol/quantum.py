@@ -116,15 +116,6 @@ class TwoQubitState(_Record, NamedTuple("_State", [("rho", np.ndarray)])):
         psi = psi / norm
         return cls(np.outer(psi, psi.conj()))
 
-    def mixed_with(self, other: "TwoQubitState", weight: float) -> "TwoQubitState":
-        """Convex mixture weight*self + (1-weight)*other, ``other`` a
-        TwoQubitState and ``weight`` a real in [0, 1] by the contract of
-        ``regions._real``."""
-        if not isinstance(other, TwoQubitState):
-            raise ValueError(f"other is not a TwoQubitState: {other!r}")
-        weight = _real("mixing weight", weight, 0, 1)
-        return TwoQubitState(weight * self.rho + (1.0 - weight) * other.rho)
-
 
 def _correlations(rho: np.ndarray, axes: np.ndarray) -> np.ndarray:
     """The one Born-rule kernel: tr(rho (a.sigma x b.sigma)) for an (m, 4, 4)

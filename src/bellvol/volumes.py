@@ -5,18 +5,19 @@ by the per-experiment toggle cost, see :mod:`bellvol.toggles`), the volume of
 a region is 16 times the probability that four independent uniform draws
 land inside it.  This module provides:
 
-* hit-or-miss Monte Carlo volumes and shared-sample ratios (delta-method
-  errors), all read off one pass over the stream by ``score_stream``: one
-  PCG64DXSM stream per seed, split into point ranges scored in up to
-  os.cpu_count() processes, the calling process among them.  A range
-  returns one hit count per region: one region alone is scored by its own
-  kernel on every point; any other request takes the chain's four counts,
-  C and T from one CHSH maximum and Q and U on the shell T \\ C alone, Q's
-  verdict AND-ed with U's, so the counts nest: the points inside two
-  regions are as many as the smaller count says.  Integer counts sum alike
-  in any order, so results are bit-identical for a fixed seed, whatever the
-  worker count or batch size,
-* the headline table: every estimate beside its closed form in ``ANALYTIC``.
+* hit-or-miss Monte Carlo volumes, read off one pass over the stream by
+  ``score_stream``: one PCG64DXSM stream per seed, split into point ranges
+  scored in up to os.cpu_count() processes, the calling process among
+  them.  A range returns one hit count per region: one region alone is
+  scored by its own kernel on every point; any other request takes the
+  chain's four counts, C and T from one CHSH maximum and Q and U on the
+  shell T \\ C alone, Q's verdict AND-ed with U's, so the counts nest: the
+  points inside two regions are as many as the smaller count says.
+  Integer counts sum alike in any order, so results are bit-identical for
+  a fixed seed, whatever the worker count or batch size,
+* the headline table, the one entry point for ratios: every volume, the
+  shared-sample ratios and excesses with delta-method errors, each beside
+  its closed form in ``ANALYTIC``.
 
 The stream's verdict kernels live here, beside ``_score_points``, their one
 caller: ``_chsh_verdicts`` (C and T from one CHSH maximum),
@@ -390,28 +391,6 @@ def _ratio_with_error(n_a: int, n_b: int, n: int) -> tuple[float, float]:
     var = (p_a * (1.0 - p_a) - 2.0 * ratio * cov
            + ratio * ratio * p_b * (1.0 - p_b)) / (n * p_b * p_b)
     return ratio, math.sqrt(max(var, 0.0))
-
-
-def ratio_estimate(region_a: RegionId, region_b: RegionId,
-                   cfg: EstimatorConfig | None = None) -> VolumeEstimate:
-    """Volume ratio V_A / V_B from one stream scored against both oracles.
-
-    The counts nest, so the points inside both regions are those of the
-    inner one; that count enters the covariance term of the delta-method
-    standard error.
-    """
-    cfg = _config(cfg)
-    hits = score_stream(cfg, [region_a, region_b])
-    ratio, err = _ratio_with_error(hits[region_a], hits[region_b],
-                                   cfg.sample_count)
-    return VolumeEstimate(
-        region=f"{region_a.value}/{region_b.value}",
-        method="monte-carlo",
-        value=ratio,
-        std_error=err,
-        sample_count=cfg.sample_count,
-        seed=cfg.seed,
-    )
 
 
 # --------------------------------------------------------------------------

@@ -17,8 +17,6 @@ import numpy as np
 import pytest
 
 from bellvol.polytopes import (
-    RationalPolytope,
-    behavior_from_table,
     check_no_signaling,
     correlation_polytope_C,
     enumerate_facets,
@@ -46,9 +44,9 @@ from bellvol.regions import (
 from bellvol.toggles import OutcomeSequence, min_toggles
 from bellvol.volumes import (
     EstimatorConfig,
+    headline_report,
     mc_volume,
     quadrature_volume,
-    ratio_estimate,
 )
 
 V_Q = 1.5 * math.pi ** 2
@@ -131,13 +129,14 @@ def test_criterion_04_headline_ratios_at_1e7():
         ("C", "L"): 2.0 / 3.0,
     }
     with criterion(4, "MC ratios at n=1e7 within 3 sigma", budget_s=60.0):
-        cfg = EstimatorConfig(sample_count=10_000_000, seed=1)
+        ratios = headline_report(
+            EstimatorConfig(sample_count=10_000_000, seed=1))["ratios"]
         for (a, b), target in targets.items():
-            est = ratio_estimate(RegionId(a), RegionId(b), cfg)
-            dev = abs(est.value - target)
-            assert dev < 3.0 * est.std_error, (
-                f"{a}/{b}: {est.value} vs {target} ({dev / est.std_error:.2f}"
-                " sigma)")
+            est = ratios[f"{a}/{b}"]
+            dev = abs(est["value"] - target)
+            assert dev < 3.0 * est["std_error"], (
+                f"{a}/{b}: {est['value']} vs {target}"
+                f" ({dev / est['std_error']:.2f} sigma)")
 
 
 def test_criterion_05_linear_and_quadratic_relaxations():
@@ -162,9 +161,9 @@ def test_criterion_06_reference_tables_exact():
         box = pr_box()
         ok, _ = check_no_signaling(box)
         assert ok
-        b = behavior_from_table(box)
-        s = b.c00 + b.c01 + b.c10 + b.c11
-        assert s - 2 * b.c11 == 4          # maximal CHSH violation, exact
+        c00, c01, c10, c11 = (ab for _, _, ab in box.expectations().values())
+        s = c00 + c01 + c10 + c11
+        assert s - 2 * c11 == 4            # maximal CHSH violation, exact
 
         sig = signaling_example()
         ok, discrepancy = check_no_signaling(sig)

@@ -298,7 +298,6 @@ class TestUsageErrors:
 #: became a ValueError.
 ERROR_BASES = {
     polytopes.PolytopeError: ValueError,
-    polytopes.NoSignalingViolation: polytopes.PolytopeError,
     polytopes.UnboundedPolytope: polytopes.PolytopeError,
     polytopes.DegeneratePolytope: polytopes.PolytopeError,
     estimates.ToleranceNotMet: RuntimeError,

@@ -15,6 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import region_reference as reference
+from cube_points import (CUBE_POINTS, Q_BOUNDARY, UNIT, VERTICES, S,
+                         uniform_points)
 from bellvol import regions
 from bellvol.regions import (
     DEFAULT_TOLERANCE,
@@ -50,14 +52,7 @@ from bellvol.toggles import (
     toggle_distance)
 from bellvol.volumes import EstimatorConfig
 
-S = 1.0 / math.sqrt(2.0)
-Q_BOUNDARY = (S, S, S, -S)   # saturates the linear bound 2*sqrt(2)
 PR_POINT = (1.0, 1.0, 1.0, -1.0)
-
-
-def uniform_points(n, seed=0):
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], np.uint64)))
-    return 2.0 * rng.random((n, 4)) - 1.0
 
 
 class TestChshValue:
@@ -522,9 +517,6 @@ def test_margin_continuity_under_small_perturbations():
 # properties on points of the cube
 # --------------------------------------------------------------------------
 
-UNIT = st.floats(-1.0, 1.0)
-CUBE_POINTS = (st.tuples(UNIT, UNIT, UNIT, UNIT)
-               | st.tuples(*[st.sampled_from((-1.0, -S, 0.0, S, 1.0))] * 4))
 ORACLES = (in_local, in_quantum_arcsin, in_quantum_landau, in_quantum_sextic,
            in_uffink_U, in_tsirelson_T, in_box_L)
 
@@ -898,8 +890,6 @@ REAL_ENTRY_POINTS = {
     "BlochDirection.normalized": (
         ("direction component 'y'", -math.inf, math.inf), ValueError,
         _normalized_component),
-    "mixed_with": (("mixing weight", 0, 1), ValueError,
-                   lambda v: singlet().mixed_with(singlet(), v) and None),
     "ToggleDistance": (("per-coordinate cost 'c01'", 0, 1), ValueError,
                        lambda v: ToggleDistance((0.0, v, 0.0, 0.0)).per_coordinate[1]),
 }
@@ -1107,9 +1097,6 @@ def test_profile_computes_each_quantity_once_per_batch(
 # --------------------------------------------------------------------------
 # batch profiles
 # --------------------------------------------------------------------------
-
-VERTICES = list(itertools.product((-1.0, 1.0), repeat=4))
-
 
 def _scalar_gap(c, region, char):
     """Largest difference allowed between the scalar margin at ``c`` and the

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bellvol.regions import RegionId
 from bellvol.toggles import (
     MinToggleResult,
     OutcomeSequence,
@@ -15,7 +14,7 @@ from bellvol.toggles import (
     min_toggles,
     toggle_distance,
 )
-from bellvol.volumes import EstimatorConfig, ratio_estimate
+from bellvol.volumes import EstimatorConfig, headline_report
 
 
 def sequence_with_correlation(n, matched, seed=None):
@@ -309,6 +308,6 @@ class TestMetricAxioms:
 def test_flat_measure_links_hit_rates_to_volume_ratios():
     # the toggle cost |dc|/2 is position-independent, so uniform sampling is
     # the matching measure and hit-rate ratios estimate volume ratios
-    est = ratio_estimate(RegionId.LOCAL_C, RegionId.NO_SIGNALING_L,
-                         EstimatorConfig(sample_count=200_000, seed=21))
-    assert abs(est.value - 2.0 / 3.0) < 5.0 * est.std_error
+    rep = headline_report(EstimatorConfig(sample_count=200_000, seed=21))
+    est = rep["ratios"]["C/L"]
+    assert abs(est["value"] - 2.0 / 3.0) < 5.0 * est["std_error"]

@@ -19,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import region_reference as reference
+from cube_points import CUBE_POINTS, Q_BOUNDARY, UNIT, VERTICES, uniform_points
 from bellvol import estimates, polytopes, regions, volumes
 from bellvol.estimates import ToleranceNotMet
 from bellvol.regions import (
@@ -41,7 +42,6 @@ from bellvol.volumes import (
     headline_report,
     mc_volume,
     quadrature_volume,
-    ratio_estimate,
     score_stream,
 )
 
@@ -52,10 +52,18 @@ ORACLES = dict(zip(CHAIN, (in_local, in_quantum_arcsin, in_uffink_U,
 
 V_Q = 1.5 * math.pi ** 2
 V_C = 32.0 / 3.0
-# the cube minus eight disjoint Irwin-Hall corners (estimates module
-# docstring), (768*sqrt(2) - 1040)/3, written without the difference, which
-# cancels 768*sqrt(2) against 1040; pinned to 40 digits in TestAnalyticConstants
-V_T_CLOSED_FORM = 98048.0 / (3.0 * (768.0 * math.sqrt(2.0) + 1040.0))
+# Every entry of ANALYTIC in closed form at 50 digits.  V_T is the cube
+# minus eight disjoint Irwin-Hall corners (estimates module docstring).
+with mpmath.workdps(50):
+    CLOSED_FORMS = {
+        "V_C": mpmath.mpf(32) / 3, "V_L": mpmath.mpf(16),
+        "V_Q": 3 * mpmath.pi ** 2 / 2,
+        "V_U": 32 * mpmath.pi - mpmath.mpf(256) / 3,
+        "V_T": (768 * mpmath.sqrt(2) - 1040) / 3,
+        "ratio_QC": (3 * mpmath.pi / 8) ** 2,
+        "ratio_QL": 3 * mpmath.pi ** 2 / 32, "ratio_CL": mpmath.mpf(2) / 3}
+# rounded once: in floats the difference cancels 768*sqrt(2) against 1040
+V_T_CLOSED_FORM = float(CLOSED_FORMS["V_T"])
 
 # Volume of the quadratic two-circle region in closed form (disjoint-corner
 # argument in the estimates module docstring); recomputed independently with
@@ -148,11 +156,10 @@ class TestEstimatorConfig:
         rec = mc_volume(RegionId.LOCAL_C, cfg).as_json_record()
         assert rec["seed"] == 7 and type(rec["seed"]) is int
 
-    # the three estimators that take a cfg
+    # the two estimators that take a cfg
     ESTIMATORS = pytest.mark.parametrize("estimate", [
         lambda cfg: mc_volume(RegionId.QUANTUM_Q, cfg),
-        lambda cfg: ratio_estimate(RegionId.QUANTUM_Q, RegionId.LOCAL_C, cfg),
-        headline_report], ids=["mc_volume", "ratio_estimate", "headline_report"])
+        headline_report], ids=["mc_volume", "headline_report"])
 
     @ESTIMATORS
     @pytest.mark.parametrize("cfg", [0, (1000, 1, 1), "x"],
@@ -308,6 +315,17 @@ class TestReproducibility:
     def test_stream_takes_numpy_integers(self):
         a = volumes.sample_stream(np.uint64(7), np.int64(3)).random(8)
         assert a.tobytes() == volumes.sample_stream(7, 3).random(8).tobytes()
+
+    @pytest.mark.parametrize("seed, start", [(0, 0), (3, 12_345), (2 ** 64 - 1, 7)])
+    def test_stream_doubles_are_the_top_53_raw_bits(self, seed, start):
+        # NEP 19 keeps a bit generator's raw stream stable across numpy
+        # releases but not Generator.random, which the stream and CI's
+        # sha256 pins read: if a release moves a pin, this names the cause
+        k = 100_000
+        raw = np.random.PCG64DXSM(seed).advance(4 * start).random_raw(k)
+        want = (raw >> np.uint64(11)) * 2.0 ** -53
+        got = volumes.sample_stream(seed, start).random(k)
+        assert got.tobytes() == want.tobytes()
 
     def test_stream_is_pinned(self, monkeypatch):
         # the hit counts of a fixed seed's stream, pinned so that a change
@@ -630,22 +648,24 @@ class TestScoreStream:
 
 
 class TestRatioEstimate:
+    """The ratios of ``headline_report``, the one ratio entry point."""
+
     def test_local_over_cube(self):
-        est = ratio_estimate(RegionId.LOCAL_C, RegionId.NO_SIGNALING_L,
-                             EstimatorConfig(sample_count=300_000, seed=9))
-        assert est.region == "C/L"
-        assert abs(est.value - 2.0 / 3.0) < 4.0 * est.std_error
+        rep = headline_report(EstimatorConfig(sample_count=300_000, seed=9))
+        est = rep["ratios"]["C/L"]
+        assert abs(est["value"] - 2.0 / 3.0) < 4.0 * est["std_error"]
 
     def test_quantum_over_local(self):
-        est = ratio_estimate(RegionId.QUANTUM_Q, RegionId.LOCAL_C,
-                             EstimatorConfig(sample_count=300_000, seed=10))
-        assert abs(est.value - (3.0 * math.pi / 8.0) ** 2) < 4.0 * est.std_error
+        rep = headline_report(EstimatorConfig(sample_count=300_000, seed=10))
+        est = rep["ratios"]["Q/C"]
+        assert abs(est["value"] - (3.0 * math.pi / 8.0) ** 2) \
+            < 4.0 * est["std_error"]
 
     def test_value_equals_count_ratio(self):
         cfg = EstimatorConfig(sample_count=50_000, seed=11)
         hits = score_stream(cfg, [RegionId.QUANTUM_Q, RegionId.LOCAL_C])
-        est = ratio_estimate(RegionId.QUANTUM_Q, RegionId.LOCAL_C, cfg)
-        assert est.value == hits[RegionId.QUANTUM_Q] / hits[RegionId.LOCAL_C]
+        est = headline_report(cfg)["ratios"]["Q/C"]
+        assert est["value"] == hits[RegionId.QUANTUM_Q] / hits[RegionId.LOCAL_C]
 
     def test_degenerate_denominator(self):
         # a single-sample stream whose point falls outside the local set
@@ -653,7 +673,7 @@ class TestRatioEstimate:
             cfg = EstimatorConfig(sample_count=1, seed=seed)
             if score_stream(cfg, [RegionId.LOCAL_C])[RegionId.LOCAL_C] == 0:
                 with pytest.raises(DegenerateDenominator):
-                    ratio_estimate(RegionId.NO_SIGNALING_L, RegionId.LOCAL_C, cfg)
+                    headline_report(cfg)
                 return
         pytest.fail("no seed produced a point outside the local set")
 
@@ -1086,22 +1106,10 @@ class TestAnalyticConstants:
         with pytest.raises(TypeError):
             ANALYTIC["V_C"] = 0.0
 
-    def test_within_one_ulp_of_40_digit_values(self):
-        with localcontext() as ctx:
-            ctx.prec = 40
-            v_t = (768 * Decimal(2).sqrt() - 1040) / 3
-        with mpmath.workdps(40):
-            pi = mpmath.pi
-            exact = {"V_C": mpmath.mpf(32) / 3, "V_L": mpmath.mpf(16),
-                     "V_Q": 3 * pi ** 2 / 2, "V_U": 32 * pi - mpmath.mpf(256) / 3,
-                     "V_T": mpmath.mpf(str(v_t)), "ratio_QC": (3 * pi / 8) ** 2,
-                     "ratio_QL": 3 * pi ** 2 / 32, "ratio_CL": mpmath.mpf(2) / 3}
-            assert set(exact) == set(ANALYTIC)
-            for name, value in ANALYTIC.items():
-                off = abs(mpmath.mpf(value) - exact[name])
-                assert off <= math.ulp(value), (name, float(off))
-            assert abs(mpmath.mpf(V_T_CLOSED_FORM) - exact["V_T"]) \
-                <= math.ulp(V_T_CLOSED_FORM)
+    @pytest.mark.parametrize("name", list(CLOSED_FORMS))
+    def test_each_constant_is_its_closed_form_correctly_rounded(self, name):
+        # float() rounds the 50-digit value to the nearest double
+        assert ANALYTIC[name] == float(CLOSED_FORMS[name])
 
     def test_tsirelson_volume_by_exact_arithmetic(self):
         """V_T from the polytope engine, with no float on the way.
@@ -1169,12 +1177,14 @@ class TestExcessReport:
         cfg = EstimatorConfig(sample_count=400_000, seed=14)
         rep = headline_report(cfg)["excesses"]
         t, u = rep["T/Q-1"], rep["U/Q-1"]
-        fraction = ratio_estimate(RegionId.QUANTUM_Q, RegionId.TSIRELSON_T, cfg)
+        hits = score_stream(cfg, [RegionId.QUANTUM_Q, RegionId.TSIRELSON_T])
+        fraction, err = volumes._ratio_with_error(
+            hits[RegionId.QUANTUM_Q], hits[RegionId.TSIRELSON_T],
+            cfg.sample_count)
         assert t["std_error"] > 0.0
         assert abs(t["value"] - 0.03834) < 4.0 * t["std_error"]
         assert abs(u["value"] - 0.02656) < 4.0 * u["std_error"]
-        assert abs((1.0 - fraction.value) - 0.03692) \
-            < 4.0 * fraction.std_error
+        assert abs((1.0 - fraction) - 0.03692) < 4.0 * err
 
 
 class TestHeadlineReport:
@@ -1194,10 +1204,13 @@ class TestHeadlineReport:
             assert abs(rec["deviation_sigmas"]) < 5
         assert rep["volumes"]["L"]["analytic"] == 16.0
         assert rep["volumes"]["L"]["deviation_sigmas"] is None
-        # ratio values must equal the quotient of the shared-stream counts
-        est = ratio_estimate(RegionId.QUANTUM_Q, RegionId.LOCAL_C, cfg)
-        assert rep["ratios"]["Q/C"]["value"] == est.value
-        assert rep["ratios"]["Q/C"]["std_error"] == est.std_error
+        # each ratio is the delta-method quotient of the shared-stream
+        # counts, whichever regions the stream is scored against
+        for a, b in ("QC", "QL", "CL"):
+            hits = score_stream(cfg, [RegionId(a), RegionId(b)])
+            row = rep["ratios"][f"{a}/{b}"]
+            assert (row["value"], row["std_error"]) == volumes._ratio_with_error(
+                hits[a], hits[b], cfg.sample_count)
 
     def test_excess_rows_carry_analytic_values(self):
         rep = headline_report(EstimatorConfig(sample_count=100_000, seed=15))
@@ -1222,19 +1235,6 @@ class TestHeadlineReport:
 # --------------------------------------------------------------------------
 
 QUANTUM = RegionId.QUANTUM_Q
-S = 1.0 / math.sqrt(2.0)
-Q_BOUNDARY = (S, S, S, -S)   # saturates the linear bound 2*sqrt(2)
-VERTICES = list(itertools.product((-1.0, 1.0), repeat=4))
-UNIT = st.floats(-1.0, 1.0)
-CUBE_POINTS = (st.tuples(UNIT, UNIT, UNIT, UNIT)
-               | st.tuples(*[st.sampled_from((-1.0, -S, 0.0, S, 1.0))] * 4))
-
-
-def uniform_points(n, seed=0):
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], np.uint64)))
-    return 2.0 * rng.random((n, 4)) - 1.0
-
-
 #: Steps along a ray off the boundary of Q: 0 and +-1e-15 ... +-1e-9.
 OFFSETS = (0.0, *(sign * 10.0 ** -k for k in range(9, 16) for sign in (1, -1)))
 
