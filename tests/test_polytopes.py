@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
@@ -177,6 +178,16 @@ class TestNoSignaling:
         ok, worst = check_no_signaling(signaling_example())
         assert not ok
         assert worst == 1
+
+    @pytest.mark.parametrize("weight", [0, Fraction(1, 4), Fraction(1, 2),
+                                        Fraction(3, 4), 1])
+    def test_discrepancy_of_a_mixture_is_its_signaling_weight(self, weight):
+        # the marginal differences are linear in the table and vanish on the
+        # PR box, so mixing in the signaling example at weight w leaves w
+        t = JointProbabilityTable(tuple(
+            weight * s + (1 - weight) * p
+            for s, p in zip(signaling_example().entries, pr_box().entries)))
+        assert check_no_signaling(t) == (weight == 0, weight)
 
     def test_behavior_tables_always_pass(self):
         for b in random_behaviors(10, seed=6):
@@ -675,6 +686,33 @@ class TestSerialization:
         text = poly.to_text("V")
         assert "1/3" in text and "-2/7" in text
         assert text_rows(text)[1] == list(poly.vertices)
+
+    @pytest.mark.parametrize("make, kind", [
+        (correlation_polytope_C, "V"),
+        (local_polytope_v, "V"),
+        (ns_polytope_h, "H"),
+        (lambda: cube_polytope_h(3), "H"),
+        (lambda: enumerate_vertices(ns_polytope_h()), "V"),
+        (lambda: enumerate_vertices(cube_polytope_h(3)), "V"),
+        (lambda: enumerate_facets(local_polytope_v()), "H"),
+        (lambda: enumerate_facets(correlation_polytope_C()), "H"),
+    ], ids=["corrC", "local", "ns", "cube", "ns-vertices", "cube-vertices",
+            "local-facets", "corrC-facets"])
+    def test_header_counts_rows_of_lowest_term_rationals(self, make, kind):
+        # the block the CLI writes: the header names the kind, dim and row
+        # count, each row holds dim values (dim + 1 for a halfspace), and
+        # each value is an integer or p/q in lowest terms
+        poly = make()
+        text = poly.to_text(kind)
+        assert text.endswith("\n")
+        header, *rows = text.splitlines()
+        assert header == f"{kind} {poly.dim} {len(rows)}"
+        width = poly.dim + (kind == "H")
+        for row in rows:
+            values = row.split()
+            assert len(values) == width
+            assert all(re.fullmatch(r"-?\d+(/\d+)?", x) for x in values)
+            assert [str(Fraction(x)) for x in values] == values
 
     def test_mutual_containment_of_dual_representations(self):
         poly = enumerate_vertices(ns_polytope_h())

@@ -296,13 +296,24 @@ class TestMixing:
             want = tuple(lam * a + (1 - lam) * b for a, b in zip(p1, p2))
             assert got == pytest.approx(want, abs=1e-12)
 
-    def test_mixing_weight_validated(self):
-        # a weight outside [0, 1] mixes no state: 1.5 a - 0.5 b has a
+    @pytest.mark.parametrize("weight", [-0.5, 1.5, 2.0])
+    def test_mixing_weight_validated(self, weight):
+        # a weight outside [0, 1] mixes no state: w a + (1 - w) b has a
         # negative eigenvalue for distinct pure states a and b
         g = rng(10)
         a, b = random_pure_state(g), random_pure_state(g)
         with pytest.raises(ValueError, match="^negative eigenvalue"):
-            TwoQubitState(1.5 * a.rho - 0.5 * b.rho)
+            TwoQubitState(weight * a.rho + (1 - weight) * b.rho)
+
+    @pytest.mark.parametrize("rho, shape", [
+        (None, ()), (singlet(), (1, 4, 4)), (np.eye(3) / 3, (3, 3)),
+        ([1 / 16] * 16, (16,))], ids=["None", "state", "3x3", "flat"])
+    def test_a_partner_that_is_no_matrix_is_refused(self, rho, shape):
+        # a mixture is built from matrices: a state, or anything not 4x4,
+        # is refused by name
+        with pytest.raises(ValueError) as err:
+            TwoQubitState(rho)
+        assert str(err.value) == f"density matrix must be 4x4, got {shape}"
 
 
 PAULI = (np.array([[0, 1], [1, 0]], complex),

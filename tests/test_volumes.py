@@ -661,11 +661,12 @@ class TestRatioEstimate:
         assert abs(est["value"] - (3.0 * math.pi / 8.0) ** 2) \
             < 4.0 * est["std_error"]
 
-    def test_value_equals_count_ratio(self):
+    @pytest.mark.parametrize("a, b", [("Q", "C"), ("Q", "L"), ("C", "L")])
+    def test_value_equals_count_ratio(self, a, b):
         cfg = EstimatorConfig(sample_count=50_000, seed=11)
-        hits = score_stream(cfg, [RegionId.QUANTUM_Q, RegionId.LOCAL_C])
-        est = headline_report(cfg)["ratios"]["Q/C"]
-        assert est["value"] == hits[RegionId.QUANTUM_Q] / hits[RegionId.LOCAL_C]
+        hits = score_stream(cfg, [RegionId(a), RegionId(b)])
+        est = headline_report(cfg)["ratios"][f"{a}/{b}"]
+        assert est["value"] == hits[RegionId(a)] / hits[RegionId(b)]
 
     def test_degenerate_denominator(self):
         # a single-sample stream whose point falls outside the local set
