@@ -45,7 +45,6 @@ __version__ = "0.1.0"
 #: The public names imported on first access, by their home module.
 _LAZY = {
     "polytopes": (
-        "Behavior",
         "DegeneratePolytope",
         "Halfspace",
         "JointProbabilityTable",
@@ -54,7 +53,6 @@ _LAZY = {
         "check_no_signaling",
         "correlation_polytope_C",
         "cube_polytope_h",
-        "deterministic_behaviors",
         "enumerate_facets",
         "enumerate_vertices",
         "exact_volume",

@@ -37,6 +37,7 @@ from typing import TYPE_CHECKING
 from .regions import (
     _FIELDS,
     DEFAULT_TOLERANCE,
+    PROFILE_ORDER,
     CorrelationPoint,
     QCharacterization,
     RegionId,
@@ -319,8 +320,8 @@ def _sample_line() -> str:
     points lie in the cube and each kernel is bounded on it."""
     import json
     value, verdict = "\0value", "\0verdict"
-    text = json.dumps({**dict.fromkeys(_FIELDS, value),
-                       "profile": profile_record([(verdict, value)] * 7)})
+    record = profile_record([(verdict, value)] * len(PROFILE_ORDER))
+    text = json.dumps({**dict.fromkeys(_FIELDS, value), "profile": record})
     return (text.replace("%", "%%").replace(json.dumps(value), "%r")
             .replace(json.dumps(verdict), "%s") + "\n")
 

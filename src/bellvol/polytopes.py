@@ -9,11 +9,12 @@ in which the sixteen joint probabilities are
     P(A_i=a, B_j=b) = (1 + a*mA_i + b*mB_j + a*b*c_ij) / 4 ,
 
 so normalization and no-signaling hold identically and the only nontrivial
-constraints are the sixteen positivity inequalities.  The module provides:
+constraints are the sixteen positivity inequalities: a behavior is a point
+of ``ns_polytope_h()``, valid iff every facet slack (4 * P) is >= 0, and
+the deterministic ones are the vertices of ``local_polytope_v()``.  The
+module provides:
 
-* the deterministic behaviors (vertices of the local behavior polytope),
-* joint probability tables, built from a behavior's probabilities and
-  read back through their expectations,
+* joint probability tables, read back through their expectations,
 * the two canonical extremal tables (perfectly correlated no-signaling box,
   one-sided signaling box),
 * exact vertex and facet enumeration for rational polytopes by one
@@ -34,7 +35,7 @@ exactly, such as ints or finite floats (text, a bool or anything else is a
 ValueError), and each row is read once into a primitive integer vector; the
 engine's rays, tight sets and determinants are Python's arbitrary-precision
 integers, and ``Fraction``s are built once, for the vertices, offsets and
-volumes it returns.  The four records are NamedTuples checked in
+volumes it returns.  The three records are NamedTuples checked in
 ``__new__``, as ``regions``' are.
 """
 
@@ -46,7 +47,7 @@ import operator
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
-from .regions import _FIELDS, _index, _is_bool, _items, _Record
+from .regions import _index, _is_bool, _items, _Record
 
 Vector = tuple[Fraction, ...]
 _Ray = tuple[list[int], int]    # integer ray, bitmask of its tight rows
@@ -102,7 +103,7 @@ class DegeneratePolytope(PolytopeError):
 
 
 # --------------------------------------------------------------------------
-# behaviors and probability tables
+# probability tables
 # --------------------------------------------------------------------------
 
 def _frac(x) -> Fraction:
@@ -126,33 +127,6 @@ def _frac(x) -> Fraction:
         return Fraction(*x.as_integer_ratio())
     except (AttributeError, TypeError, ValueError, OverflowError):
         raise ValueError(f"not a number: {x!r}") from None
-
-
-class Behavior(_Record, NamedTuple("_Behavior", [
-        (f, Fraction) for f in ("mA0", "mA1", "mB0", "mB1", *_FIELDS)])):
-    """Four marginal expectations and four correlations, all rational: a
-    tuple of eight Fractions.
-
-    Construction validates that every derived joint probability is
-    nonnegative (normalization and no-signaling are automatic in this
-    parametrization).
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, mA0, mA1, mB0, mB1, c00, c01, c10, c11):
-        self = tuple.__new__(cls, map(_frac, (mA0, mA1, mB0, mB1,
-                                               c00, c01, c10, c11)))
-        for i, j, a, b in _OUTCOMES:
-            p = self.probability(i, j, a, b)
-            if p < 0:
-                raise ValueError(
-                    f"P(A{i}={a:+d}, B{j}={b:+d}) = {p} is negative")
-        return self
-
-    def probability(self, i: int, j: int, a: int, b: int) -> Fraction:
-        _outcome_index(i, j, a, b)
-        return (1 + _dot(_probability_row(i, j, a, b), self)) / 4
 
 
 class JointProbabilityTable(_Record, NamedTuple("_Table", [
@@ -201,15 +175,6 @@ class JointProbabilityTable(_Record, NamedTuple("_Table", [
             e[1] += b * p
             e[2] += a * b * p
         return {s: tuple(e) for s, e in sums.items()}
-
-
-def deterministic_behaviors() -> list[Behavior]:
-    """The 16 behaviors with deterministic outcomes a_i, b_j = +/-1.
-
-    Ordered by the assignment tuple (a0, a1, b0, b1) ascending over
-    {-1, +1}^4; correlations are c_ij = a_i * b_j.
-    """
-    return [Behavior(*v) for v in _DETERMINISTIC]
 
 
 def check_no_signaling(t: JointProbabilityTable) -> tuple[bool, Fraction]:
@@ -332,12 +297,11 @@ class RationalPolytope(_Record, NamedTuple("_Polytope", [
 
     # -- serialization ------------------------------------------------------
 
-    def to_text(self, which: str | None = None) -> str:
-        """Serialize one representation: header ``<kind> <dim> <count>``,
-        then one line per vertex (d rationals) or halfspace (d rationals for
-        the normal, then the offset), rationals in p/q form."""
-        if which is None:
-            which = "V" if self.vertices is not None else "H"
+    def to_text(self, which: str) -> str:
+        """Serialize the representation ``which``, ``"V"`` or ``"H"``:
+        header ``<kind> <dim> <count>``, then one line per vertex (d
+        rationals) or halfspace (d rationals for the normal, then the
+        offset), rationals in p/q form."""
         if which == "V":
             name, rows = "vertex", self.vertices
         elif which == "H":

@@ -11,9 +11,9 @@ correlation cube the natural one for all the volume comparisons elsewhere
 in this package.
 
 No canonical aggregation of the four per-coordinate distances into a single
-number is adopted; :class:`ToggleDistance` exposes the vector plus max/sum
-conveniences that are labels only.  Both records are NamedTuples checked in
-``__new__``, as ``regions``' are.
+number is adopted; :class:`ToggleDistance` holds the vector, and its
+``as_dict`` adds the max and sum as labels only.  Both records are
+NamedTuples checked in ``__new__``, as ``regions``' are.
 """
 
 from __future__ import annotations
@@ -79,21 +79,11 @@ class ToggleDistance(_Record, NamedTuple("_Distance", [
             _real(f"per-coordinate cost '{name}'", v, 0, 1)
             for name, v in zip(_FIELDS, costs)]),))
 
-    @property
-    def max_component(self) -> float:
-        """Convenience aggregate (not a canonical metric)."""
-        return max(self.per_coordinate)
-
-    @property
-    def sum_components(self) -> float:
-        """Convenience aggregate (not a canonical metric)."""
-        return sum(self.per_coordinate)
-
     def as_dict(self) -> dict:
         return {
             "per_coordinate": dict(zip(_FIELDS, self.per_coordinate)),
-            "max": self.max_component,
-            "sum": self.sum_components,
+            "max": max(self.per_coordinate),
+            "sum": sum(self.per_coordinate),
         }
 
 

@@ -25,12 +25,11 @@ EXPORTS = {
         chsh_value in_box_L in_local in_quantum_arcsin in_quantum_landau
         in_quantum_sextic in_tsirelson_T in_uffink_U membership_profile
         membership_profiles region_margins region_mask""",
-    "polytopes": """Behavior DegeneratePolytope Halfspace
-        JointProbabilityTable RationalPolytope UnboundedPolytope
-        check_no_signaling correlation_polytope_C cube_polytope_h
-        deterministic_behaviors enumerate_facets enumerate_vertices
-        exact_volume local_polytope_v ns_polytope_h pr_box
-        signaling_example""",
+    "polytopes": """DegeneratePolytope Halfspace JointProbabilityTable
+        RationalPolytope UnboundedPolytope check_no_signaling
+        correlation_polytope_C cube_polytope_h enumerate_facets
+        enumerate_vertices exact_volume local_polytope_v ns_polytope_h
+        pr_box signaling_example""",
     "volumes": """ANALYTIC DegenerateDenominator EstimatorConfig
         VolumeEstimate exact_region_volume headline_report mc_volume
         quadrature_volume""",

@@ -12,7 +12,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bellvol.polytopes import (
-    Behavior,
     DegeneratePolytope,
     Halfspace,
     JointProbabilityTable,
@@ -21,7 +20,6 @@ from bellvol.polytopes import (
     check_no_signaling,
     correlation_polytope_C,
     cube_polytope_h,
-    deterministic_behaviors,
     enumerate_facets,
     enumerate_vertices,
     exact_volume,
@@ -33,18 +31,20 @@ from bellvol.polytopes import (
 from bellvol import polytopes
 from bellvol.polytopes import (
     _det_int_py, _homogenize, _hull_facets, _integer_row, _triangulate)
-from bellvol.regions import in_box_L, in_local, in_quantum_arcsin, in_tsirelson_T
+from bellvol.regions import (DEFAULT_TOLERANCE, RegionId, in_box_L, in_local,
+                             in_quantum_arcsin, in_tsirelson_T, region_margins)
 
 PM = (-1, 1)
 SETTINGS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
+# behaviors are 8-tuples (mA0, mA1, mB0, mB1, c00, c01, c10, c11)
 def zero_behavior():
-    return Behavior(*([Fraction(0)] * 8))
+    return (Fraction(0),) * 8
 
 
 #: The PR box's behavior: no marginal, correlations (1, 1, 1, -1).
-PR_BEHAVIOR = Behavior(0, 0, 0, 0, 1, 1, 1, -1)
+PR_BEHAVIOR = (0, 0, 0, 0, 1, 1, 1, -1)
 
 
 def text_rows(text):
@@ -55,23 +55,36 @@ def text_rows(text):
 
 
 def random_behaviors(count, seed=0):
-    """Valid behaviors with coordinates on the grid k/8 (rejection sampling)."""
+    """Valid behaviors with coordinates on the grid k/8 (rejection sampling):
+    every 4 * P is nonnegative."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
-        fields = [Fraction(rng.randint(-8, 8), 8) for _ in range(8)]
-        try:
-            out.append(Behavior(*fields))
-        except ValueError:
-            continue
+        b = tuple(Fraction(rng.randint(-8, 8), 8) for _ in range(8))
+        if all(four_p(b, i, j, a, bb) >= 0
+               for (i, j), a, bb in itertools.product(SETTINGS, PM, PM)):
+            out.append(b)
     return out
 
 
 def four_p(b, i, j, a, bb):
     """4 * P(A_i=a, B_j=bb) of a behavior, written out from its fields."""
-    m_a, m_b = (b.mA0, b.mA1), (b.mB0, b.mB1)
-    c = ((b.c00, b.c01), (b.c10, b.c11))
+    m_a, m_b = b[0:2], b[2:4]
+    c = (b[4:6], b[6:8])
     return 1 + a * m_a[i] + bb * m_b[j] + a * bb * c[i][j]
+
+
+def table(b):
+    """The joint probability table of a behavior, each entry four_p / 4."""
+    return JointProbabilityTable.from_function(
+        lambda i, j, a, bb: Fraction(four_p(b, i, j, a, bb), 4))
+
+
+def facet_outcome(h):
+    """The outcome (i, j, a, b) of a no-signaling facet
+    -(a e_i + b e_(2+j) + ab e_(4+2i+j)) . x <= 1."""
+    i, j = (0 if h.normal[0] else 1), (0 if h.normal[2] else 1)
+    return i, j, -h.normal[i], -h.normal[2 + j]
 
 
 #: The column order of `bellvol examples`: ++ +- -+ --.
@@ -84,49 +97,43 @@ PRINTED = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 class TestBehavior:
     def test_rejects_negative_probability(self):
-        # perfect correlation with contradictory marginals
-        with pytest.raises(ValueError, match=r"P\(A0"):
-            Behavior(1, 0, -1, 0, 1, 0, 0, 0)
-
-    def test_probability_parametrization(self):
-        b = zero_behavior()
-        for (i, j), a, bb in itertools.product(SETTINGS, PM, PM):
-            assert b.probability(i, j, a, bb) == Fraction(1, 4)
+        # perfect correlation with contradictory marginals: one facet's
+        # slack, 4 * P(A0=-1, B0=+1), is negative
+        b = (1, 0, -1, 0, 1, 0, 0, 0)
+        negative = {facet_outcome(h): h.slack(b)
+                    for h in ns_polytope_h().halfspaces if h.slack(b) < 0}
+        assert negative == {(0, 0, -1, 1): -2}
 
 
 class TestDeterministicBehaviors:
     def test_sixteen_distinct(self):
-        dets = deterministic_behaviors()
+        dets = local_polytope_v().vertices
         assert len(dets) == 16
-        assert len({tuple(d) for d in dets}) == 16
+        assert len(set(dets)) == 16
 
     def test_all_plus_assignment(self):
-        b = Behavior(1, 1, 1, 1, 1, 1, 1, 1)
-        assert b in deterministic_behaviors()
+        assert (1,) * 8 in local_polytope_v().vertices
 
     def test_mixed_assignment_correlations(self):
         # assignment (a0, a1, b0, b1) = (+1, -1, +1, +1)
-        match = [d for d in deterministic_behaviors()
-                 if (d.mA0, d.mA1, d.mB0, d.mB1) == (1, -1, 1, 1)]
+        match = [d for d in local_polytope_v().vertices
+                 if d[:4] == (1, -1, 1, 1)]
         assert len(match) == 1
-        assert (match[0].c00, match[0].c01, match[0].c10, match[0].c11) \
-            == (1, 1, -1, -1)
+        assert match[0][4:] == (1, 1, -1, -1)
 
     def test_correlations_are_products(self):
-        for d in deterministic_behaviors():
+        for v in local_polytope_v().vertices:
             for i, j in SETTINGS:
-                v = tuple(d)
                 assert v[4 + 2 * i + j] == v[i] * v[2 + j]
 
 
 class TestTables:
     def test_zero_behavior_uniform_blocks(self):
-        t = JointProbabilityTable.from_function(zero_behavior().probability)
+        t = table(zero_behavior())
         assert all(e == Fraction(1, 4) for e in t.entries)
 
     def test_deterministic_table(self):
-        d = Behavior(1, 1, 1, 1, 1, 1, 1, 1)
-        t = JointProbabilityTable.from_function(d.probability)
+        t = table((1,) * 8)
         for (i, j), a, b in itertools.product(SETTINGS, PM, PM):
             expected = Fraction(1) if (a, b) == (1, 1) else Fraction(0)
             assert t.entry(i, j, a, b) == expected
@@ -144,29 +151,30 @@ class TestTables:
     def test_round_trip_on_random_behaviors(self):
         # A's marginals off blocks (i, 0), B's off blocks (0, j)
         for b in random_behaviors(25, seed=5):
-            e = JointProbabilityTable.from_function(b.probability).expectations()
+            e = table(b).expectations()
             assert (e[0, 0][0], e[1, 0][0], e[0, 0][1], e[0, 1][1],
                     *(ab for _, _, ab in e.values())) == b
 
     def test_uniform_table_gives_zero_behavior(self):
         t = JointProbabilityTable(tuple([Fraction(1, 4)] * 16))
-        assert t == JointProbabilityTable.from_function(zero_behavior().probability)
+        assert t == table(zero_behavior())
         assert list(t.expectations().values()) == [(0, 0, 0)] * 4
 
     def test_entries_follow_the_printed_outcome_order(self):
         for b in random_behaviors(10, seed=7):
-            t = JointProbabilityTable.from_function(b.probability)
+            t = table(b)
             assert t.entries == tuple(four_p(b, i, j, a, bb) / 4
                                       for i, j in SETTINGS for a, bb in PRINTED)
 
     def test_expectations_of_a_behavior_table(self):
         for b in random_behaviors(10, seed=8):
-            e = JointProbabilityTable.from_function(b.probability).expectations()
+            e = table(b).expectations()
+            mA0, mA1, mB0, mB1, c00, c01, c10, c11 = b
             assert list(e) == list(SETTINGS)
-            assert e == {(0, 0): (b.mA0, b.mB0, b.c00),
-                         (0, 1): (b.mA0, b.mB1, b.c01),
-                         (1, 0): (b.mA1, b.mB0, b.c10),
-                         (1, 1): (b.mA1, b.mB1, b.c11)}
+            assert e == {(0, 0): (mA0, mB0, c00),
+                         (0, 1): (mA0, mB1, c01),
+                         (1, 0): (mA1, mB0, c10),
+                         (1, 1): (mA1, mB1, c11)}
 
 
 class TestNoSignaling:
@@ -191,7 +199,7 @@ class TestNoSignaling:
 
     def test_behavior_tables_always_pass(self):
         for b in random_behaviors(10, seed=6):
-            t = JointProbabilityTable.from_function(b.probability)
+            t = table(b)
             ok, worst = check_no_signaling(t)
             assert ok and worst == 0
 
@@ -244,16 +252,14 @@ class TestReferenceTables:
         # equal to a setting or an outcome, but not integers by the contract
         (True, 0, 1, 1), (0, 0, 1.0, 1)])
     def test_an_outcome_outside_the_table_is_named(self, outcome):
-        t = pr_box()
-        for lookup in (t.entry, PR_BEHAVIOR.probability):
-            with pytest.raises(ValueError) as err:
-                lookup(*outcome)
-            assert str(err.value).startswith(
-                f"no outcome (i, j, a, b) = {outcome!r}")
+        with pytest.raises(ValueError) as err:
+            pr_box().entry(*outcome)
+        assert str(err.value).startswith(
+            f"no outcome (i, j, a, b) = {outcome!r}")
 
     def test_pr_box_behavior_and_projection(self):
         t = pr_box()
-        assert t == JointProbabilityTable.from_function(PR_BEHAVIOR.probability)
+        assert t == table(PR_BEHAVIOR)
         e = t.expectations().values()
         assert [(a, b) for a, b, _ in e] == [(0, 0)] * 4
         p = [float(ab) for _, _, ab in e]
@@ -270,8 +276,8 @@ class TestReferenceTables:
         assert in_local([float(c) for c in corr]).inside
 
     def test_projection_of_deterministic_behaviors(self):
-        match = [d for d in deterministic_behaviors()
-                 if (d.mA0, d.mA1, d.mB0, d.mB1) == (1, -1, 1, 1)]
+        match = [d for d in local_polytope_v().vertices
+                 if d[:4] == (1, -1, 1, 1)]
         assert match[0][4:] == (1, 1, -1, -1)
         assert zero_behavior()[4:] == (0, 0, 0, 0)
 
@@ -292,15 +298,11 @@ class TestNsPolytope:
 
     def test_facet_slack_is_four_times_its_outcome_probability(self):
         facets = ns_polytope_h().halfspaces
-        # facet -(a e_i + b e_(2+j) + ab e_(4+2i+j)) . x <= 1
-        outcomes = []
-        for h in facets:
-            i, j = (0 if h.normal[0] else 1), (0 if h.normal[2] else 1)
-            outcomes.append((i, j, -h.normal[i], -h.normal[2 + j]))
+        outcomes = [facet_outcome(h) for h in facets]
         assert len(set(outcomes)) == 16
         for b in random_behaviors(10, seed=9):
             for h, o in zip(facets, outcomes):
-                assert h.slack(tuple(b)) == four_p(b, *o)
+                assert h.slack(b) == four_p(b, *o)
 
     def test_pr_behavior_tight_on_eight_facets(self):
         vec = tuple(PR_BEHAVIOR)
@@ -316,7 +318,7 @@ class TestEnumerateVertices:
 
     def test_ns_vertex_classification(self):
         verts = enumerate_vertices(ns_polytope_h()).vertices
-        det = {tuple(b) for b in deterministic_behaviors()}
+        det = set(local_polytope_v().vertices)
         deterministic = [v for v in verts if v in det]
         others = [v for v in verts if v not in det]
         assert len(deterministic) == 16 and len(others) == 8
@@ -450,14 +452,15 @@ class TestDuality:
 
 class TestProjectionConsistency:
     def test_vertices_are_the_deterministic_behaviors(self):
-        dets = [tuple(b) for b in deterministic_behaviors()]
-        assert local_polytope_v().vertices == tuple(sorted(dets))
+        # (a0, a1, b0, b1, a_i * b_j), by the assignment ascending
+        dets = [(a0, a1, b0, b1, a0 * b0, a0 * b1, a1 * b0, a1 * b1)
+                for a0, a1, b0, b1 in itertools.product(PM, repeat=4)]
+        assert local_polytope_v().vertices == tuple(dets)
         assert correlation_polytope_C().vertices \
             == tuple(sorted({v[4:] for v in dets}))
 
     def test_each_correlation_vertex_hit_twice(self):
-        images = Counter(tuple(b)[4:]
-                         for b in deterministic_behaviors())
+        images = Counter(v[4:] for v in local_polytope_v().vertices)
         assert len(images) == 8
         assert all(count == 2 for count in images.values())
         assert set(images) == set(correlation_polytope_C().vertices)
@@ -475,7 +478,7 @@ class TestProjectionConsistency:
 
     def test_ns_vertices_project_into_cube_and_pr_family_outside_T(self):
         verts = enumerate_vertices(ns_polytope_h()).vertices
-        det = {tuple(b) for b in deterministic_behaviors()}
+        det = set(local_polytope_v().vertices)
         outside_t = 0
         for v in verts:
             corr = [float(x) for x in v[4:]]
@@ -579,7 +582,7 @@ class TestExactVolume:
         correlations) space of behaviors.  The paper's ratios live in the
         4-D correlation projection, where the local set C and the cube L
         (the image of the no-signaling polytope) have V_C / V_L = 2/3."""
-        deterministic = [tuple(b) for b in deterministic_behaviors()]
+        deterministic = local_polytope_v().vertices
         pyramids = []
         for signs in itertools.product(PM, repeat=4):
             if math.prod(signs) != -1:
@@ -637,6 +640,33 @@ class TestExactVolume:
                                  for v in correlation_polytope_C().vertices))
             poly = RationalPolytope(dim=4, vertices=verts)
             assert exact_volume(poly) == Fraction(32, 3)
+
+
+class TestLatticeCount:
+    """C's points on the N-run grid {k/N : k = N mod 2}^4, the correlations
+    an experiment of N runs can report, are the lattice points of a dilate
+    of C.  Their number is C's Ehrhart polynomial 2N^4/3 + 2N^3 + 7N^2/3 +
+    2N + 1, whose leading coefficient is the volume of C over that of a grid
+    cell, (2/N)^4 (Beck and Robins, Computing the Continuous Discretely,
+    2007, ch. 3).  C's float margins give the same verdicts at the default
+    tolerance.  At tolerance 0 they do not, for N in {3, 5, 6, 7, 9, 10,
+    11, 12}: k/N is then no binary fraction, and a point on a CHSH facet
+    can come out a few ulp outside, as the verdict is taken on the float,
+    not on the rational it stands for."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_count_is_the_ehrhart_polynomial(self, n):
+        forms = sorted(chsh_halfspaces())
+        normals = np.array([normal for normal, _ in forms])
+        offsets = np.array([int(offset) for _, offset in forms])
+        ks = np.array(list(itertools.product(range(-n, n + 1, 2), repeat=4)))
+        inside = (ks @ normals.T <= offsets * n).all(axis=1)
+        assert 3 * inside.sum() == 2 * n**4 + 6 * n**3 + 7 * n**2 + 6 * n + 3
+        margins = region_margins(RegionId.LOCAL_C, ks / n)
+        assert np.array_equal(margins >= -DEFAULT_TOLERANCE, inside)
+
+    def test_leading_coefficient_is_the_volume_over_sixteen(self):
+        assert exact_volume(correlation_polytope_C()) / 16 == Fraction(2, 3)
 
 
 class TestAgainstFloatingPointHull:
@@ -786,7 +816,6 @@ NO_NUMBER = "not a number: {!r}"
 #: rationals by ``_frac``, and a normal entry and ``dim`` by the integer
 #: contract of ``regions._index``.
 RATIONAL_FIELDS = [
-    (lambda v: Behavior(v, 0, 0, 0, 0, 0, 0, 0), NO_NUMBER),
     (lambda v: Halfspace.normalized([v, 1], 1), NO_NUMBER),
     (lambda v: Halfspace((1, 0), v), NO_NUMBER),
     (lambda v: RationalPolytope(dim=2, vertices=((v, 0),)), NO_NUMBER),
@@ -794,7 +823,7 @@ RATIONAL_FIELDS = [
      "halfspace normal must be an integer, got {!r}"),
     (lambda v: RationalPolytope(dim=v), "dim must be an integer, got {!r}"),
 ]
-RATIONAL_FIELD_IDS = ["behavior", "halfspace-normal", "halfspace-offset",
+RATIONAL_FIELD_IDS = ["halfspace-normal", "halfspace-offset",
                       "vertex", "halfspace-normal-entry", "dim"]
 
 
@@ -842,10 +871,9 @@ class TestIntegerRows:
         np.longdouble(0.375), np.float64(0.1), Decimal("0.1")], ids=repr)
     @pytest.mark.parametrize("make", [
         lambda v: Halfspace((1, 0), v).offset,
-        lambda v: Behavior(0, 0, 0, 0, v, 0, 0, 0).c00,
         lambda v: RationalPolytope(dim=2, vertices=(
             (v, 0), (0, 1), (1, 1))).vertices[0][0]],
-        ids=["halfspace-offset", "behavior", "vertex"])
+        ids=["halfspace-offset", "vertex"])
     def test_any_finite_real_is_read_exactly(self, make, value):
         # numpy's float32, float16 and longdouble are no float subclass,
         # and Fraction refuses them: each is read by its exact ratio

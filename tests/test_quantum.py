@@ -282,6 +282,35 @@ class TestSampling:
             assert np.abs(row - want).max() <= 2e-15
 
 
+class TestSingletClosedForms:
+    """The Born-rule kernel against two closed forms of the singlet under
+    four independent isotropic axes, each rate within 5 sigma of n draws.
+    A CHSH inequality is violated with probability 2(pi - 3) (Liang,
+    Harrigan, Bartlett and Rudolph, PRL 104, 050401, 2010), and each
+    c_ij = -a_i . b_j is uniform on [-1, 1] (Archimedes), so it has mean 0,
+    E[c^2] = 1/3 and E[c^4] = 1/5."""
+
+    N = 200_000
+
+    @pytest.fixture(scope="class")
+    def points(self):
+        axes = rng(13).standard_normal((self.N, 4, 3))
+        axes /= np.linalg.norm(axes, axis=2, keepdims=True)
+        rho = np.broadcast_to(singlet().rho, (self.N, 4, 4))
+        return _correlations(rho, axes)
+
+    def test_chsh_violation_rate(self, points):
+        p = 2 * (math.pi - 3)
+        rate = (region_margins(RegionId.LOCAL_C, points) < 0).mean()
+        assert abs(rate - p) <= 5 * math.sqrt(p * (1 - p) / self.N)
+
+    def test_each_correlation_is_uniform_in_its_first_moments(self, points):
+        for c in points.T:
+            assert abs(c.mean()) <= 5 * math.sqrt(1 / 3 / self.N)
+            assert abs((c * c).mean() - 1 / 3) \
+                <= 5 * math.sqrt((1 / 5 - 1 / 9) / self.N)
+
+
 class TestMixing:
     def test_correlations_are_linear_in_the_state(self):
         g = rng(9)

@@ -43,7 +43,7 @@ from bellvol.regions import (
 )
 from bellvol.estimates import _QUADRATURE_MIN_TOL, check_abs_tol
 from bellvol.polytopes import (
-    Behavior, Halfspace, JointProbabilityTable, RationalPolytope)
+    Halfspace, JointProbabilityTable, RationalPolytope)
 from bellvol.quantum import (
     X_DIR, Y_DIR, Z_DIR, BlochDirection, MeasurementSettings, TwoQubitState,
     singlet)
@@ -647,9 +647,6 @@ _MIXED = np.eye(4) / 4
 #: takes and the fields it stores from them, then values it refuses and
 #: its message.
 RECORDS = {
-    "Behavior": (Behavior(*[0] * 8), (_F(1, 2), 0.5, 0, np.int64(0), 0, 0, 0, 0),
-                 (_F(1, 2), _F(1, 2), *[_F(0)] * 6), (2, *[0] * 7),
-                 "P(A0=-1, B0=+1) = -1/4 is negative"),
     "JointProbabilityTable": (
         JointProbabilityTable([_F(1, 4)] * 16), ([0.25] * 16,),
         ((_F(1, 4),) * 16,), ([0.5] * 16,), "block (i=0, j=0) sums to 2, not 1"),
