@@ -104,6 +104,24 @@ class TestBehavior:
                     for h in ns_polytope_h().halfspaces if h.slack(b) < 0}
         assert negative == {(0, 0, -1, 1): -2}
 
+    def test_ns_slacks_and_table_agree_on_validity(self):
+        # all ns slacks >= 0 exactly when the table of 4 * P / 4 is accepted
+        rng = random.Random(11)
+        facets = ns_polytope_h().halfspaces
+        verdicts = Counter()
+        for _ in range(3000):
+            b = tuple(Fraction(rng.randint(-4, 4), 4) for _ in range(8))
+            by_slack = all(h.slack(b) >= 0 for h in facets)
+            try:
+                table(b)
+                by_table = True
+            except ValueError as err:
+                assert "is negative" in str(err)
+                by_table = False
+            assert by_slack == by_table, b
+            verdicts[by_slack] += 1
+        assert verdicts[True] and verdicts[False]
+
 
 class TestDeterministicBehaviors:
     def test_sixteen_distinct(self):
@@ -125,6 +143,16 @@ class TestDeterministicBehaviors:
         for v in local_polytope_v().vertices:
             for i, j in SETTINGS:
                 assert v[4 + 2 * i + j] == v[i] * v[2 + j]
+
+    def test_each_vertex_table_is_deterministic(self):
+        # in each block the one outcome of probability 1 is (A_i, B_j) =
+        # (v[i], v[2 + j]), and the table signals nothing
+        for v in local_polytope_v().vertices:
+            t = table(v)
+            for (i, j), a, b in itertools.product(SETTINGS, PM, PM):
+                want = int((a, b) == (v[i], v[2 + j]))
+                assert t.entry(i, j, a, b) == want, (v, i, j, a, b)
+            assert check_no_signaling(t) == (True, 0)
 
 
 class TestTables:
@@ -826,6 +854,9 @@ RATIONAL_FIELDS = [
 RATIONAL_FIELD_IDS = ["halfspace-normal", "halfspace-offset",
                       "vertex", "halfspace-normal-entry", "dim"]
 
+#: A table's sixteen entries, each the value: read by ``_frac`` as well.
+TABLE_FIELD = (lambda v: JointProbabilityTable([v] * 16), NO_NUMBER)
+
 
 class TestIntegerRows:
     @settings(deadline=None, max_examples=300)
@@ -839,8 +870,8 @@ class TestIntegerRows:
 
     @pytest.mark.parametrize("flag", [True, False, np.True_, np.False_],
                              ids=repr)
-    @pytest.mark.parametrize("make, message", RATIONAL_FIELDS,
-                             ids=RATIONAL_FIELD_IDS)
+    @pytest.mark.parametrize("make, message", [TABLE_FIELD, *RATIONAL_FIELDS],
+                             ids=["table", *RATIONAL_FIELD_IDS])
     def test_a_bool_is_no_rational(self, make, message, flag):
         # True == 1, yet a bool is no number by any contract
         with pytest.raises(ValueError) as err:
@@ -855,8 +886,7 @@ class TestIntegerRows:
              "np.inf", "np.float32-inf", "np.longdouble-nan", "text",
              "rational-text", "integer-text", "tuple"])
     @pytest.mark.parametrize("make, message", [
-        (lambda v: JointProbabilityTable([v] * 16), NO_NUMBER),
-        *RATIONAL_FIELDS], ids=["table", *RATIONAL_FIELD_IDS])
+        TABLE_FIELD, *RATIONAL_FIELDS], ids=["table", *RATIONAL_FIELD_IDS])
     def test_a_value_fraction_refuses_is_no_rational(self, make, message,
                                                      value):
         # Fraction raises TypeError, OverflowError or ValueError for these,
@@ -880,6 +910,19 @@ class TestIntegerRows:
         got = make(value)
         assert got == Fraction(*value.as_integer_ratio())
         assert type(got.numerator) is int and type(got.denominator) is int
+
+    @pytest.mark.parametrize("value", [
+        np.float32(0.5), np.float32(0.1), np.float16(0.25),
+        np.longdouble(0.375), np.float64(0.1), Decimal("0.1")], ids=repr)
+    def test_a_table_entry_is_read_exactly(self, value):
+        # block (0, 0) holds the value and its exact complement, so the
+        # block sums to 1 only if the entry is read by its exact ratio
+        exact = Fraction(*value.as_integer_ratio())
+        t = JointProbabilityTable(
+            [value, 1 - exact, 0, 0] + [Fraction(1, 4)] * 12)
+        assert t.entries[:2] == (exact, 1 - exact)
+        for x in t.entries:
+            assert type(x.numerator) is int and type(x.denominator) is int
 
     @pytest.mark.parametrize("value", [0.5, 1.0, np.float64(1), Fraction(1)],
                              ids=repr)

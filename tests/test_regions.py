@@ -650,6 +650,12 @@ RECORDS = {
     "JointProbabilityTable": (
         JointProbabilityTable([_F(1, 4)] * 16), ([0.25] * 16,),
         ((_F(1, 4),) * 16,), ([0.5] * 16,), "block (i=0, j=0) sums to 2, not 1"),
+    "JointProbabilityTable negative": (
+        JointProbabilityTable([_F(1, 4)] * 16),
+        ([np.float32(0.5), 0.5, 0, 0] + [_F(1, 4)] * 12,),
+        ((_F(1, 2), _F(1, 2), _F(0), _F(0)) + (_F(1, 4),) * 12,),
+        ([-0.25, 0.75, 0.25, 0.25] + [0.25] * 12,),
+        "P(A0=+1, B0=+1) = -1/4 is negative"),
     "Halfspace": (Halfspace((1, 0), 1), ([np.int64(1), 0], 0.5), ((1, 0), _F(1, 2)),
                   ((1, 0), None), "not a number: None"),
     "Halfspace normal": (Halfspace((1, 0), 1), ((-3, 2), _F(1, 3)), ((-3, 2), _F(1, 3)),
