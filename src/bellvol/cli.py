@@ -17,7 +17,7 @@ Outputs contain no timestamps, so identical invocations produce identical
 bytes.  Each command imports the modules it computes with where it uses
 them, and no others: membership needs nothing beyond ``regions``, distance
 loads ``toggles``, examples and polytope the exact engine ``polytopes``,
-volume --method exact ``estimates`` and ``polytopes``, volume --method
+volume --method exact ``estimates`` and ``fractions``, volume --method
 quadrature ``estimates`` alone, volume --method mc and ratios ``volumes``,
 and sample-quantum ``volumes`` and ``quantum``.  Only volume --method mc,
 volume --method quadrature for Q and U, ratios and sample-quantum load

@@ -4,15 +4,14 @@ quadrature: the deterministic half of volume estimation.
 closed forms and the two deterministic entry points.  ``volume --method
 exact`` and ``volume --method quadrature`` load this module and not
 ``volumes``.  Only Q and U quadrature load numpy, inside the functions that
-compute with arrays.  The polytope engine, and with it ``fractions``, is
-loaded by ``exact_region_volume`` alone.
+compute with arrays.  ``fractions`` is loaded by ``exact_region_volume``
+alone, and nothing here loads the polytope engine.
 
 * ``VolumeEstimate``, the value-with-error record every method returns, the
   one record still a dataclass (code outside the package copies it with
   ``dataclasses.replace``): the commands that load it load ``dataclasses``,
 * ``ANALYTIC``, the closed-form constants the estimates are compared against,
-* ``exact_region_volume``, the rational volumes of C and L by the polytope
-  engine,
+* ``exact_region_volume``, the rational volumes of C and L in closed form,
 * ``quadrature_volume``, every region's deterministic volume, in pair
   coordinates x = c00 + c11, y = c00 - c11, z = c01 - c10, w = c01 + c10
   (Jacobian 1/4), in which the cube is |x| + |y| <= 2, |z| + |w| <= 2.
@@ -133,13 +132,25 @@ class VolumeEstimate:
 
 
 def exact_region_volume(region: RegionId) -> Fraction:
-    """Exact rational volume via the polytope engine (cube and local set)."""
-    from . import polytopes
+    """Exact rational volume of C or L, in closed form.
+
+    L is the cube [-1, 1]^4, of volume 2^4 = 16.  C is the hull of the
+    eight correlation points c = (a0 b0, a0 b1, a1 b0, a1 b1), the
+    Kronecker products a (x) b of a, b in {-1, 1}^2.  Take u = H c / 2,
+    with H = H2 (x) H2 the 4x4 Sylvester-Hadamard matrix,
+    H2 = [[1, 1], [1, -1]]: H H^T = 4 I, so |det(H / 2)| = 1 and the map
+    keeps volume.  H c = (H2 a) (x) (H2 b), and H2 a is (+-2, 0) or
+    (0, +-2), so each point maps to one of the eight points +-2 e_k: C is
+    the cross-polytope |u|_1 <= 2.  Its part in each of the 16 orthants is
+    a simplex with legs 2, of volume 2^4 / 4!, so V_C = 4^4 / 4! = 32/3.
+    ``polytopes.exact_volume`` derives both again from the vertices, the
+    check the tests make.
+    """
+    from fractions import Fraction
     if _member(RegionId, region) is RegionId.LOCAL_C:
-        return polytopes.exact_volume(polytopes.correlation_polytope_C())
+        return Fraction(4 ** 4, math.factorial(4))
     if region is RegionId.NO_SIGNALING_L:
-        cube = polytopes.enumerate_vertices(polytopes.cube_polytope_h(4))
-        return polytopes.exact_volume(cube)
+        return Fraction(2 ** 4)
     raise ValueError(f"region {region.value} has no exact rational volume")
 
 

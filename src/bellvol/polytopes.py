@@ -264,6 +264,11 @@ class Halfspace(_Record, NamedTuple("_Halfspace", [
         return tuple.__new__(cls, (normal, Fraction(c, g)))
 
     def slack(self, x: Sequence[Fraction]) -> Fraction:
+        """offset - normal . x; ValueError unless ``x`` has one entry per
+        entry of the normal."""
+        if len(x) != len(self.normal):
+            raise ValueError(f"point of length {len(x)} for a halfspace of"
+                             f" length {len(self.normal)}")
         return self.offset - sum(n * xi for n, xi in zip(self.normal, x))
 
 
@@ -390,6 +395,16 @@ def _sort_key(row: Sequence[Fraction]) -> tuple:
     return tuple(x.numerator if x.denominator == 1 else x for x in row)
 
 
+def _project(v: list[int], t: int, h: int, line: list[int]) -> list[int]:
+    """The primitive vector on h * v - t * line, the projection of ``v``, of
+    height ``t``, along ``line``, of height h > 0, onto the hyperplane of
+    height 0.  Every line and ray of the double description is primitive,
+    so at height 0 that is ``v`` itself, returned as it is."""
+    if not t:
+        return v
+    return _primitive([h * x - t * y for x, y in zip(v, line)])
+
+
 def _double_description(rows: Sequence[Sequence[int]], n: int
                         ) -> tuple[list[_Ray], int]:
     """Extreme rays of the cone {x in Q^n : row . x >= 0 for every row}.
@@ -421,10 +436,9 @@ def _double_description(rows: Sequence[Sequence[int]], n: int
             line = lines.pop(pivot)
             if h < 0:
                 h, line = -h, [-x for x in line]
-            lines = [_primitive([h * x - t * y for x, y in zip(ln, line)])
+            lines = [_project(ln, t, h, line)
                      for ln, t in zip(lines, heights)]
-            rays = [(_primitive([h * x - _dot(row, r) * y
-                                 for x, y in zip(r, line)]), z | bit)
+            rays = [(_project(r, _dot(row, r), h, line), z | bit)
                     for r, z in rays]
             rays.append((line, done))
         else:

@@ -96,8 +96,10 @@ LOADS = [
      {"bellvol.polytopes", "fractions"}),
     (["polytope", "--which", "ns", "--task", "counts"],
      {"bellvol.polytopes", "fractions"}),
-    (["volume", "--region", "C", "--method", "exact"],
-     {"bellvol.polytopes", "bellvol.estimates", "fractions"} | DATACLASSES),
+    # C and L are closed forms in estimates: no polytope engine
+    *[(["volume", "--region", region, "--method", "exact"],
+       {"bellvol.estimates", "fractions"} | DATACLASSES)
+      for region in ("C", "L")],
     (["volume", "--region", "Q", "--method", "mc", "--n", "1000"],
      {"bellvol.estimates", "bellvol.volumes", "numpy"} | DATACLASSES),
     *[(["volume", "--region", region, "--method", "quadrature"],

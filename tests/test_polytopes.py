@@ -797,6 +797,10 @@ SQUARE_H = cube_polytope_h(2)
      "^vertex .* has wrong dimension$"),
     (lambda: RationalPolytope(dim=2, halfspaces=(Halfspace((1, 0, 0), 1),)),
      "^halfspace .* has wrong dimension$"),
+    (lambda: Halfspace((1, 0), 1).slack((5,)),
+     "^point of length 1 for a halfspace of length 2$"),
+    (lambda: Halfspace((1, 0), 1).slack((0, 0, 7)),
+     "^point of length 3 for a halfspace of length 2$"),
     (lambda: SQUARE_V.to_text("X"), "^unknown representation kind 'X'$"),
     (lambda: SQUARE_V.to_text("H"),
      "^no halfspace representation to serialize$"),
@@ -808,7 +812,8 @@ SQUARE_H = cube_polytope_h(2)
     (lambda: exact_volume(SQUARE_H),
      "^exact_volume needs a vertex representation$"),
 ], ids=["table-of-15", "zero-normal", "zero-normal-built", "dim-negative",
-        "vertex-dimension", "halfspace-dimension", "unknown-kind",
+        "vertex-dimension", "halfspace-dimension", "slack-of-a-short-point",
+        "slack-of-a-long-point", "unknown-kind",
         "no-halfspaces-to-write", "no-vertices-to-write",
         "vertices-of-a-v-polytope", "facets-of-an-h-polytope",
         "volume-of-an-h-polytope"])
@@ -1202,3 +1207,38 @@ class TestDoubleDescription:
         full = (1 << len(rows)) - 1
         assert all(_det_int_py(s)
                    for s in _triangulate(rows, full, poly.dim, masks))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ns_vertices_do_not_depend_on_row_order(self, seed):
+        # the line phase keeps a line or ray of height 0 as it is; a shuffle
+        # changes which lines and rays a row finds at height 0, and every
+        # order must give the same vertices, tight on exactly their
+        # zero-slack rows
+        halfspaces = list(ns_polytope_h().halfspaces)
+        random.Random(seed).shuffle(halfspaces)
+        rows = [_integer_row((h.offset, *(-n for n in h.normal)))
+                for h in halfspaces]
+        rays, lineality = polytopes._double_description([*rows, [1] + [0] * 8],
+                                                        9)
+        assert lineality == 0
+        vertices = sorted(tuple(Fraction(x, t) for x in xs)
+                          for (t, *xs), _ in rays)
+        assert vertices == list(enumerate_vertices(ns_polytope_h()).vertices)
+        for (t, *xs), mask in rays:
+            v = tuple(Fraction(x, t) for x in xs)
+            assert mask == sum(1 << i for i, h in enumerate(halfspaces)
+                               if h.slack(v) == 0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_local_facets_do_not_depend_on_point_order(self, seed):
+        points = list(local_polytope_v().vertices)
+        random.Random(seed).shuffle(points)
+        rays, lineality = _hull_facets(_homogenize(points), 8)
+        assert lineality == 0
+        facets = [(Halfspace.normalized(r[:-1], r[-1]), mask)
+                  for r, mask in rays]
+        assert sorted(h for h, _ in facets) \
+            == sorted(enumerate_facets(local_polytope_v()).halfspaces)
+        for h, mask in facets:
+            assert mask == sum(1 << i for i, p in enumerate(points)
+                               if h.slack(p) == 0)

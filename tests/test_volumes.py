@@ -1069,9 +1069,25 @@ class TestNumericTU:
 class TestExactRegionVolume:
     def test_local(self):
         assert exact_region_volume(RegionId.LOCAL_C) == Fraction(32, 3)
+        # the closed form against the engine's triangulation of the hull
+        assert exact_region_volume(RegionId.LOCAL_C) \
+            == polytopes.exact_volume(polytopes.correlation_polytope_C())
 
     def test_cube(self):
         assert exact_region_volume(RegionId.NO_SIGNALING_L) == 16
+        cube = polytopes.enumerate_vertices(polytopes.cube_polytope_h(4))
+        assert exact_region_volume(RegionId.NO_SIGNALING_L) \
+            == polytopes.exact_volume(cube)
+
+    def test_closed_forms_run_no_double_description(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("double description run")
+
+        monkeypatch.setattr(polytopes, "_double_description", refuse)
+        for region in (RegionId.LOCAL_C, RegionId.NO_SIGNALING_L):
+            assert type(exact_region_volume(region)) is Fraction
+        with pytest.raises(AssertionError, match="double description run"):
+            polytopes.exact_volume(polytopes.correlation_polytope_C())
 
     def test_unsupported(self):
         with pytest.raises(ValueError):
